@@ -35,14 +35,14 @@ struct Item {
 struct InputSize {
   int cold_designs = 3200;  ///< distinct designs for serve_cold_circuits
   int hot_cones = 160;      ///< distinct cones in the hot pool
-  int stdin_cones = 2000;   ///< distinct cones for serve_stdin_cones
+  int stdin_cones = 1000;   ///< distinct cones for serve_stdin_cones
 };
 
 /// Size bands (gates per request). Each seed draws a different sample, and
 /// the bands keep the per-request work of every seed alike.
 inline constexpr int kColdMinGates = 120, kColdMaxGates = 280;
 inline constexpr int kHotMinGates = 10, kHotMaxGates = 32;
-inline constexpr int kStdinMinGates = 8, kStdinMaxGates = 48;
+inline constexpr int kStdinMinGates = 40, kStdinMaxGates = 120;
 
 /// Hot-pool cones that share a WL cache key with a different fingerprint,
 /// in pairs at these Zipf ranks (searched for over at most

@@ -42,7 +42,7 @@ void sleep_ms(double ms) {
 class Child {
  public:
   Child(const std::vector<std::string>& argv, bool pipes,
-        const std::string& log_path) {
+        const std::string& log_path, char* const* envp = environ) {
     posix_spawn_file_actions_t actions;
     posix_spawn_file_actions_init(&actions);
     int in_pipe[2] = {-1, -1}, out_pipe[2] = {-1, -1};
@@ -65,7 +65,7 @@ class Child {
     for (const std::string& a : argv) args.push_back(const_cast<char*>(a.c_str()));
     args.push_back(nullptr);
     const int rc = posix_spawn(&pid_, argv[0].c_str(), &actions, nullptr,
-                               args.data(), environ);
+                               args.data(), envp);
     posix_spawn_file_actions_destroy(&actions);
     if (pipes) {
       ::close(in_pipe[0]);
@@ -340,13 +340,13 @@ struct Running {
 /// Spawns nettag_serve and waits until it answers `ping`; the elapsed time
 /// is one set-up sample. Any server still running under the same socket
 /// must have been stopped first.
-Running start_server(const std::vector<std::string>& argv, bool stdin_mode,
-                     const std::string& sock, const std::string& log_path,
-                     double* setup_s) {
+Running start_server(const std::vector<std::string>& argv, char* const* envp,
+                     bool stdin_mode, const std::string& sock,
+                     const std::string& log_path, double* setup_s) {
   ::unlink(sock.c_str());
   Running s;
   const std::int64_t t0 = now_ns();
-  s.child = std::make_unique<Child>(argv, stdin_mode, log_path);
+  s.child = std::make_unique<Child>(argv, stdin_mode, log_path, envp);
   if (stdin_mode) {
     s.control = std::make_unique<LineChannel>(s.child->in_fd(), s.child->out_fd(),
                                               false);
@@ -429,6 +429,15 @@ ServeRunResult run_serve(const ServeRunConfig& config, const Inputs& inputs) {
     argv.push_back("--listen");
     argv.push_back("unix:" + sock);
   }
+  // The server's environment: this process's, with its own NETTAG_THREADS.
+  std::vector<std::string> env;
+  for (char** e = environ; *e != nullptr; ++e) {
+    if (std::strncmp(*e, "NETTAG_THREADS=", 15) != 0) env.emplace_back(*e);
+  }
+  env.push_back("NETTAG_THREADS=" + std::to_string(kServerThreads));
+  std::vector<char*> envp;
+  for (std::string& e : env) envp.push_back(e.data());
+  envp.push_back(nullptr);
 
   ServeRunResult r;
   // Set-up is timed on every spawn; the last server takes the load.
@@ -438,30 +447,42 @@ ServeRunResult run_serve(const ServeRunConfig& config, const Inputs& inputs) {
       throw std::runtime_error("nettag_serve did not exit cleanly; see " + log_path);
     }
     double setup = 0;
-    server = start_server(argv, stdin_mode, sock, log_path, &setup);
+    server = start_server(argv, envp.data(), stdin_mode, sock, log_path, &setup);
     r.setup_samples_s.push_back(setup);
   }
 
   // --- the closed loop: warm-up, then the measured windows --------------------
+  // [ws, we) is the measured part; it starts when the warm-up is over.
   const int windows = std::max(1, config.windows);
   std::atomic<std::uint64_t> shared_counter{0};
-  const std::int64_t ws =
-      now_ns() + static_cast<std::int64_t>(config.warmup_seconds * 1e9);
-  const std::int64_t we = ws + static_cast<std::int64_t>(config.seconds * 1e9);
+  const std::int64_t t_start = now_ns();
+  const std::int64_t warm_until =
+      t_start + static_cast<std::int64_t>(config.warmup_seconds * 1e9);
+  const std::int64_t warm_deadline = t_start + 90'000'000'000LL;
+  auto warmed = [&](std::uint64_t sent) {
+    const std::int64_t now = now_ns();
+    return (sent >= config.warmup_requests && now >= warm_until) || now >= warm_deadline;
+  };
+  const std::int64_t measured_ns = static_cast<std::int64_t>(config.seconds * 1e9);
+  std::int64_t ws = 0, we = 0;
   std::string before, after;
   std::vector<ClientLog> logs;
   if (stdin_mode) {
     logs.resize(1);
     RequestStream stream(inputs, 0);
     for (std::uint64_t seq = 0;; ++seq) {
-      const std::int64_t now = now_ns();
-      if (before.empty() && now >= ws) before = stats_result(*server.control, "stats-before");
-      if (now >= we) break;
+      if (ws == 0 && warmed(seq)) {
+        before = stats_result(*server.control, "stats-before");
+        ws = now_ns();
+        we = ws + measured_ns;
+      }
+      if (ws != 0 && now_ns() >= we) break;
       if (!one_request(*server.control, inputs, stream.next(0),
                        "0-" + std::to_string(seq), &logs[0])) {
         break;
       }
     }
+    if (ws == 0) ws = we = now_ns();  // the server went away while warming
     after = stats_result(*server.control, "stats-after");
   } else {
     const int conns = std::max(1, config.connections);
@@ -487,8 +508,10 @@ ServeRunResult run_serve(const ServeRunConfig& config, const Inputs& inputs) {
         }
       });
     }
-    sleep_ms(static_cast<double>(ws - now_ns()) * 1e-6);
+    while (!warmed(shared_counter.load())) sleep_ms(1);
     before = stats_result(*server.control, "stats-before");
+    ws = now_ns();
+    we = ws + measured_ns;
     sleep_ms(static_cast<double>(we - now_ns()) * 1e-6);
     after = stats_result(*server.control, "stats-after");
     stop.store(true);
@@ -502,18 +525,18 @@ ServeRunResult run_serve(const ServeRunConfig& config, const Inputs& inputs) {
   }
   ::unlink(sock.c_str());
   r.window_s = static_cast<double>(we - ws) * 1e-9;
+  r.warmup_s = static_cast<double>(ws - t_start) * 1e-9;
 
   // --- merge the client logs ------------------------------------------------
-  // Per window k of [ws, we): completions received in it, latencies of the
-  // requests sent in it, and the time from its start until wall_batch
-  // requests sent in it have completed.
+  // Per window k of [ws, we): completions received in it and latencies of
+  // the requests sent in it.
   const double span_ns = static_cast<double>(we - ws) / windows;
   auto window_of = [&](std::int64_t t) {
     return std::min(windows - 1, static_cast<int>(static_cast<double>(t - ws) / span_ns));
   };
   std::vector<std::vector<double>> latencies(static_cast<std::size_t>(windows));
-  std::vector<std::vector<double>> done_at(static_cast<std::size_t>(windows));
   std::vector<std::uint64_t> completed(static_cast<std::size_t>(windows), 0);
+  std::vector<std::pair<std::int64_t, double>> by_send;  // (t_send, rtt)
   std::unordered_map<int, std::pair<std::uint32_t, std::string>> first;
   double gates = 0, regs = 0;
   for (ClientLog& log : logs) {
@@ -527,6 +550,7 @@ ServeRunResult run_serve(const ServeRunConfig& config, const Inputs& inputs) {
       if (rec.ok && rec.t_recv >= ws && rec.t_recv < we) {
         ++completed[static_cast<std::size_t>(window_of(rec.t_recv))];
       }
+      if (rec.t_send < ws) ++r.warmup_requests;
       if (rec.t_send < ws || rec.t_send >= we) continue;
       ++r.attempted;
       const Item& it = inputs.items[rec.item];
@@ -539,8 +563,7 @@ ServeRunResult run_serve(const ServeRunConfig& config, const Inputs& inputs) {
         const double rtt = static_cast<double>(rec.t_recv - rec.t_send) * 1e-6;
         latencies[k].push_back(rtt);
         r.latencies_ms.push_back(rtt);
-        done_at[k].push_back(static_cast<double>(rec.t_recv - ws) * 1e-9 -
-                             static_cast<double>(k) * span_ns * 1e-9);
+        by_send.emplace_back(rec.t_send, rtt);
         r.response_bytes += rec.bytes;
         if (rec.cached) ++r.cached_responses;
       } else {
@@ -562,26 +585,25 @@ ServeRunResult run_serve(const ServeRunConfig& config, const Inputs& inputs) {
     const double window_s = span_ns * 1e-9;
     r.window_qps.push_back(static_cast<double>(completed[k]) / window_s);
     r.window_p50_ms.push_back(quantile(latencies[k], 0.5));
-    std::sort(done_at[k].begin(), done_at[k].end());
-    if (config.wall_batch > 0 && done_at[k].size() >= config.wall_batch) {
-      r.window_wall_s.push_back(done_at[k][config.wall_batch - 1]);
-    } else if (completed[k] > 0) {
-      r.window_wall_s.push_back(window_s * static_cast<double>(config.wall_batch) /
-                                static_cast<double>(completed[k]));
-      r.wall_extrapolated = true;
-    }
   }
   r.qps = median(r.window_qps);
   r.latency_p50_ms = median(r.window_p50_ms);
-  // p99: the median of the window p99s when every window holds 10 samples
-  // beyond its p99 (robust to one window's stall), else over all samples.
-  std::vector<double> window_p99;
-  for (const std::vector<double>& l : latencies) {
-    if (supports_quantile(l.size(), 0.99)) window_p99.push_back(quantile(l, 0.99));
+  // p99: the requests in send order, cut into runs of at least 1000 (each
+  // holds 10 samples beyond its p99); the median of the runs' p99s is robust
+  // to one stall of the host. With fewer than 1000 samples, over all.
+  std::sort(by_send.begin(), by_send.end());
+  r.p99_runs = by_send.size() / 1000;
+  std::vector<double> run_p99;
+  for (std::size_t c = 0; c < r.p99_runs; ++c) {
+    std::vector<double> run;
+    for (std::size_t i = c * by_send.size() / r.p99_runs;
+         i < (c + 1) * by_send.size() / r.p99_runs; ++i) {
+      run.push_back(by_send[i].second);
+    }
+    run_p99.push_back(quantile(run, 0.99));
   }
-  r.p99_per_window = window_p99.size() == latencies.size();
-  r.latency_p99_ms = r.p99_per_window ? median(window_p99) : quantile(r.latencies_ms, 0.99);
-  r.wall_s = median(r.window_wall_s);
+  r.latency_p99_ms = r.p99_runs > 0 ? median(run_p99) : quantile(r.latencies_ms, 0.99);
+  r.wall_s = r.qps > 0 ? static_cast<double>(config.wall_batch) / r.qps : 0;
   r.failed += r.identity_mismatches;
   if (inputs.workload == Workload::kColdCircuits) {
     const std::uint64_t issued = shared_counter.load();

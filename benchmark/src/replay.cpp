@@ -145,9 +145,9 @@ NetTag::ConeEmbedding traced_embed(State& st, Tracer& tr, const Netlist& nl,
   return emb;
 }
 
-/// NetTag::embed_circuit, with cones embedded serially so each span is
-/// attributable (the daemon fans them out over the pool, where planning is
-/// off — mirrored by plan_scope=false).
+/// NetTag::embed_circuit as the benchmark's serial-pool server runs it: cones
+/// embedded one after another on the calling thread, each inside its
+/// planning scope.
 Mat traced_embed_circuit(State& st, Tracer& tr, const Netlist& nl,
                          std::int64_t rid, Counts* counts) {
   ScopedSpan s(tr, "core.embed_circuit", rid);
@@ -160,7 +160,7 @@ Mat traced_embed_circuit(State& st, Tracer& tr, const Netlist& nl,
       ScopedSpan c(tr, "netlist.extract_cone", rid);
       rc = nettag::extract_cone(nl, reg, kMaxConeGates);
     }
-    const Mat cls = traced_embed(st, tr, rc.cone, rid, false, counts).cls;
+    const Mat cls = traced_embed(st, tr, rc.cone, rid, true, counts).cls;
     for (int j = 0; j < sum.cols; ++j) sum.at(0, j) += cls.at(0, j);
   }
   return sum;
