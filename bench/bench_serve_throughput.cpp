@@ -1,17 +1,17 @@
 // NetTAG-Serve throughput bench: the serving-specific performance claims.
 //
-// Three runs over the same pre-trained model and request set:
-//   * single_client        — one blocking client, cold result cache: every
-//                            request is a batch of 1 (the latency floor);
-//   * multi_client_batched — many client threads submit concurrently, cold
-//                            cache: the batcher groups arrivals into shared
-//                            thread-pool regions (the throughput path);
-//   * cache_warm           — the single client replays the same requests
-//                            against the now-warm content-addressed cache:
-//                            no model work, byte-identical replays;
-//   * quantized_int8       — one blocking client against a second server
-//                            (same weights) serving the int8 packed path,
-//                            cold cache (docs/PERFORMANCE.md §6).
+// Four runs over the same pre-trained model and request set:
+//   * single_client  — one blocking client, cold result cache (the latency
+//                      floor);
+//   * multi_client   — eight client threads call Server::submit
+//                      concurrently, cold cache: each request runs on its
+//                      caller's thread, sharing the thread pool;
+//   * cache_warm     — the single client replays the same requests against
+//                      the now-warm content-addressed cache: no model work,
+//                      byte-identical replays;
+//   * quantized_int8 — one blocking client against a second server (same
+//                      weights) serving the int8 packed path, cold cache
+//                      (docs/PERFORMANCE.md §6).
 // Expectation encoded in the JSON: warm qps strictly above both cold modes.
 #include <atomic>
 #include <cstdio>
@@ -54,7 +54,6 @@ struct RunResult {
   std::size_t requests = 0;
   double seconds = 0.0;
   double qps() const { return requests / std::max(seconds, 1e-9); }
-  double mean_batch = 1.0;
 };
 
 RunResult run_single(serve::Server& server,
@@ -79,7 +78,7 @@ RunResult run_single(serve::Server& server,
 RunResult run_multi(serve::Server& server,
                     const std::vector<serve::Request>& reqs, int clients) {
   RunResult r;
-  r.mode = "multi_client_batched";
+  r.mode = "multi_client";
   std::atomic<std::size_t> next{0};
   Timer t;
   std::vector<std::thread> pool;
@@ -153,17 +152,10 @@ int main() {
 
   // Cold single-client.
   results.push_back(run_single(server, reqs, "single_client"));
-  const auto single_snap = server.metrics().snapshot();
 
   // Cold multi-client: fresh cache, same requests, 8 client threads.
   server.cache().clear();
   results.push_back(run_multi(server, reqs, 8));
-  {
-    const auto snap = server.metrics().snapshot();
-    const std::size_t new_batches = snap.batches - single_snap.batches;
-    results.back().mean_batch =
-        new_batches ? static_cast<double>(reqs.size()) / new_batches : 1.0;
-  }
 
   // Warm: cache now holds every request from the multi run.
   results.push_back(run_single(server, reqs, "cache_warm"));
@@ -173,13 +165,12 @@ int main() {
   results.push_back(run_single(quant_server, reqs, "quantized_int8"));
 
   TextTable table;
-  table.set_header({"Mode", "Requests", "Seconds", "QPS", "Mean batch"});
+  table.set_header({"Mode", "Requests", "Seconds", "QPS"});
   for (const RunResult& r : results) {
-    char qps[32], sec[32], mb[32];
+    char qps[32], sec[32];
     std::snprintf(sec, sizeof(sec), "%.3f", r.seconds);
     std::snprintf(qps, sizeof(qps), "%.1f", r.qps());
-    std::snprintf(mb, sizeof(mb), "%.2f", r.mean_batch);
-    table.add_row({r.mode, std::to_string(r.requests), sec, qps, mb});
+    table.add_row({r.mode, std::to_string(r.requests), sec, qps});
   }
   table.print(std::cout);
 
@@ -196,8 +187,7 @@ int main() {
     const RunResult& r = results[i];
     json << (i ? "," : "") << "\n    {\"mode\": \"" << r.mode
          << "\", \"requests\": " << r.requests << ", \"seconds\": "
-         << r.seconds << ", \"qps\": " << r.qps()
-         << ", \"mean_batch\": " << r.mean_batch << "}";
+         << r.seconds << ", \"qps\": " << r.qps() << "}";
   }
   json << "\n  ],\n  \"warm_faster_than_cold\": "
        << (warm_faster ? "true" : "false") << "\n}\n";

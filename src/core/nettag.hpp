@@ -13,8 +13,9 @@
 // names, so structurally identical attributes share one cache entry.
 //
 // The inference API (embed/embed_circuit/cone_feature) is const: one shared
-// model instance serves concurrent readers (src/serve batches requests over
-// it), with the text cache as the only mutable state, guarded internally.
+// model instance serves concurrent readers (src/serve runs requests on many
+// threads over it), with the text cache as the only mutable state, guarded
+// internally.
 #pragma once
 
 #include <atomic>

@@ -215,6 +215,7 @@ std::vector<ShardPool::ShardStats> ShardPool::stats() const {
 
 void ShardPool::append_stats(serve::Json* j) const {
   serve::Json arr = serve::Json::array();
+  serve::ResultCache::Stats total;
   for (const ShardStats& s : stats()) {
     serve::Json shard = serve::Json::object();
     shard.set("submitted", static_cast<double>(s.submitted));
@@ -226,16 +227,13 @@ void ShardPool::append_stats(serve::Json* j) const {
       hist.push_back(static_cast<double>(count));
     }
     shard.set("queue_depth_histogram", std::move(hist));
-    serve::Json cache = serve::Json::object();
-    cache.set("entries", static_cast<double>(s.cache.entries));
-    cache.set("capacity", static_cast<double>(s.cache.capacity));
-    cache.set("hits", static_cast<double>(s.cache.hits));
-    cache.set("misses", static_cast<double>(s.cache.misses));
-    cache.set("evictions", static_cast<double>(s.cache.evictions));
-    cache.set("collisions", static_cast<double>(s.cache.collisions));
-    shard.set("result_cache", std::move(cache));
+    shard.set("result_cache", serve::result_cache_json(s.cache));
     arr.push_back(std::move(shard));
+    total += s.cache;
   }
+  // Shards never touch the server's own cache, so the top-level section
+  // reports the partitions as one cache.
+  j->set("result_cache", serve::result_cache_json(total));
   j->set("shards", std::move(arr));
 }
 

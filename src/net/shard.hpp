@@ -16,10 +16,9 @@
 //     single-cache server.)
 //
 // Shard workers call Server::process_on synchronously: inter-request
-// parallelism comes from running S shards concurrently, not from batching
-// one request across the pool. The transport thread (net/daemon) parses each
-// netlist once for routing and passes the parse along via
-// Request::pre_parsed, so admission work is not repeated.
+// parallelism comes from running S shards concurrently. The transport thread
+// (net/daemon) parses each netlist once for routing and passes the parse
+// along via Request::pre_parsed, so admission work is not repeated.
 #pragma once
 
 #include <atomic>
@@ -95,7 +94,8 @@ class ShardPool {
   std::size_t shard_count() const { return shards_.size(); }
   std::size_t queue_depth() const { return queue_depth_; }
 
-  /// Appends {"shards":[...]} per-shard counters to a stats JSON object —
+  /// Appends {"shards":[...]} per-shard counters to a stats JSON object and
+  /// replaces its top-level "result_cache" with the sum of the partitions —
   /// wired into the server via Server::set_stats_extension.
   void append_stats(serve::Json* j) const;
 

@@ -15,6 +15,7 @@
 #include <mutex>
 #include <string>
 
+#include "serve/json.hpp"
 #include "util/lru.hpp"
 
 namespace nettag::serve {
@@ -32,6 +33,17 @@ class ResultCache {
       const std::uint64_t total = hits + misses;
       return total ? static_cast<double>(hits) / static_cast<double>(total)
                    : 0.0;
+    }
+    /// Adds another partition's counters (the daemon's shard partitions
+    /// report as one cache).
+    Stats& operator+=(const Stats& other) {
+      entries += other.entries;
+      capacity += other.capacity;
+      hits += other.hits;
+      misses += other.misses;
+      evictions += other.evictions;
+      collisions += other.collisions;
+      return *this;
     }
   };
 
@@ -83,5 +95,19 @@ class ResultCache {
   LruMap<std::string, Entry> map_;
   std::uint64_t hits_ = 0, misses_ = 0, evictions_ = 0, collisions_ = 0;
 };
+
+/// The `result_cache` object of a `stats` response, for one cache or one
+/// shard partition.
+inline Json result_cache_json(const ResultCache::Stats& s) {
+  Json j = Json::object();
+  j.set("entries", static_cast<double>(s.entries));
+  j.set("capacity", static_cast<double>(s.capacity));
+  j.set("hits", static_cast<double>(s.hits));
+  j.set("misses", static_cast<double>(s.misses));
+  j.set("evictions", static_cast<double>(s.evictions));
+  j.set("collisions", static_cast<double>(s.collisions));
+  j.set("hit_rate", s.hit_rate());
+  return j;
+}
 
 }  // namespace nettag::serve

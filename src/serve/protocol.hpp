@@ -158,8 +158,8 @@ struct Response {
 };
 
 /// Parses one NDJSON line. Never fails hard: malformed lines come back with
-/// op == kInvalid and parse_error/parse_message set, so the uniform batching
-/// path also carries the error responses.
+/// op == kInvalid and parse_error/parse_message set, so the one request path
+/// (Server::process_on) also carries the error responses.
 Request parse_request(const std::string& line);
 
 /// Renders one response line (no trailing newline).

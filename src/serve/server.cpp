@@ -19,18 +19,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-Json cache_stats_json(const ResultCache::Stats& s) {
-  Json j = Json::object();
-  j.set("entries", static_cast<double>(s.entries));
-  j.set("capacity", static_cast<double>(s.capacity));
-  j.set("hits", static_cast<double>(s.hits));
-  j.set("misses", static_cast<double>(s.misses));
-  j.set("evictions", static_cast<double>(s.evictions));
-  j.set("collisions", static_cast<double>(s.collisions));
-  j.set("hit_rate", s.hit_rate());
-  return j;
-}
-
 const char* backend_name(bool quantize) { return quantize ? "int8" : "fp32"; }
 
 Json replica_info_json(const ReplicaInfo& info) {
@@ -62,6 +50,15 @@ Response unknown_model_response(const Request& request) {
   return response;
 }
 
+Response internal_response(const Request& request, std::string message) {
+  Response response;
+  response.id = request.id;
+  response.op = request.op;
+  response.error = ErrorCode::kInternal;
+  response.error_message = std::move(message);
+  return response;
+}
+
 }  // namespace
 
 Server::Server(ServerConfig config)
@@ -72,10 +69,6 @@ Server::Server(ServerConfig config)
       cache_(config_.cache_entries) {
   registry_.set_cache_layout(config_.text_cache_entries,
                              config_.text_cache_partitions);
-  batcher_ = std::make_unique<Batcher>(
-      [this](const Request& request) { return process(request); },
-      config_.max_batch,
-      [this](std::size_t size) { metrics_.record_batch(size); });
 }
 
 Server::Server(ServerConfig config, std::unique_ptr<NetTag> model)
@@ -108,21 +101,21 @@ void Server::register_task(const std::string& name, TaskFn fn) {
   tasks_[name] = std::move(fn);
 }
 
-std::future<Response> Server::submit_async(Request request) {
+Response Server::submit(Request request) {
   if (request.t_start == std::chrono::steady_clock::time_point{}) {
     request.t_start = std::chrono::steady_clock::now();
   }
-  return batcher_->submit(std::move(request));
+  return process_on(request, &cache_);
 }
 
 std::future<Response> Server::submit_line_async(const std::string& line) {
-  Request request = parse_request(line);
-  request.t_start = std::chrono::steady_clock::now();
-  return submit_async(std::move(request));
+  std::promise<Response> done;
+  done.set_value(submit(parse_request(line)));
+  return done.get_future();
 }
 
 std::string Server::handle_line(const std::string& line) {
-  return render_response(submit_line_async(line).get());
+  return render_response(submit(parse_request(line)));
 }
 
 bool Server::shutdown_requested() const {
@@ -136,7 +129,7 @@ void Server::set_stats_extension(StatsExtension fn) {
 
 std::string Server::stats_json() const {
   Json j = snapshot_to_json(metrics_.snapshot());
-  j.set("result_cache", cache_stats_json(cache_.stats()));
+  j.set("result_cache", result_cache_json(cache_.stats()));
   j.set("reloads", static_cast<double>(registry_.total_reloads()));
   // The v1 top-level fields reflect the "default" replica (byte-compatible
   // with the single-model server); the "models" array covers every replica.
@@ -184,7 +177,6 @@ std::string Server::stats_json() const {
   Json defaults = Json::object();
   defaults.set("max_gates", static_cast<double>(config_.max_gates));
   defaults.set("max_cone_gates", static_cast<double>(config_.max_cone_gates));
-  defaults.set("max_batch", static_cast<double>(config_.max_batch));
   defaults.set("reject_warnings", config_.reject_warnings);
   defaults.set("quantize", config_.quantize);
   j.set("defaults", std::move(defaults));
@@ -195,11 +187,22 @@ std::string Server::stats_json() const {
   return j.dump();
 }
 
-Response Server::process(const Request& request) {
-  return process_on(request, &cache_);
+Response Server::process_on(const Request& request, ResultCache* cache) {
+  // One poisoned input or a throwing task head answers `internal`; it never
+  // unwinds into a caller — least of all a daemon shard worker.
+  Response response;
+  try {
+    response = dispatch(request, cache ? cache : &cache_);
+  } catch (const std::exception& e) {
+    response = internal_response(request, e.what());
+  } catch (...) {
+    response = internal_response(request, "unknown exception");
+  }
+  metrics_.record_request(response.ok(), seconds_since(request.t_start));
+  return response;
 }
 
-Response Server::process_on(const Request& request, ResultCache* cache) {
+Response Server::dispatch(const Request& request, ResultCache* cache) {
   Response response;
   response.id = request.id;
   response.op = request.op;
@@ -209,7 +212,6 @@ Response Server::process_on(const Request& request, ResultCache* cache) {
   if (request.parse_error != ErrorCode::kNone) {
     response.error = request.parse_error;
     response.error_message = request.parse_message;
-    metrics_.record_request(false, seconds_since(request.t_start));
     return response;
   }
   switch (request.op) {
@@ -246,11 +248,10 @@ Response Server::process_on(const Request& request, ResultCache* cache) {
         response = unknown_model_response(request);
         break;
       }
-      response = process_netlist_op(request, replica, cache ? cache : &cache_);
+      response = process_netlist_op(request, replica, cache);
       break;
     }
   }
-  metrics_.record_request(response.ok(), seconds_since(request.t_start));
   return response;
 }
 
@@ -417,9 +418,7 @@ Response Server::process_netlist_op(const Request& request,
       break;
     }
     default:
-      response.error = ErrorCode::kInternal;
-      response.error_message = "unhandled op in process_netlist_op";
-      return response;
+      return internal_response(request, "unhandled op in process_netlist_op");
   }
   metrics_.record_stage(Stage::kTagBuild,
                         timing.tag_build.load(std::memory_order_relaxed));

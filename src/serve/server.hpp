@@ -1,6 +1,6 @@
 // NetTAG-Serve: the inference server (docs/ARCHITECTURE.md §7, §12).
 //
-// Dispatches requests over a registry of named NetTag replicas through four
+// Dispatches requests over a registry of named NetTag replicas through three
 // coordinated pieces:
 //   * registry  — N independently hot-reloadable models behind one process
 //     (serve/registry.hpp); every request pins a replica snapshot, so
@@ -8,18 +8,17 @@
 //   * admission — parse + size bound + src/analysis lint gate
 //     (serve/admission.hpp); rejected inputs become structured error
 //     responses, never crashes;
-//   * batching  — concurrent requests group into one thread-pool region
-//     (serve/batcher.hpp);
 //   * caching   — a bounded content-addressed result cache keyed by the
 //     canonical structural hash (serve/canonical.hpp) namespaced per
 //     replica+weights+backend, so isomorphic resubmissions replay
 //     byte-identical results without model work and replicas never replay
 //     each other's entries.
 //
-// The same object backs both transports: the in-process C++ client API
-// (submit / submit_async, used by tests and benches) and the NDJSON
-// stdin/stdout loop of tools/nettag_serve (submit_line_async +
-// render_response).
+// Every request runs through process_on, synchronously on the calling
+// thread: the in-process C++ client API and the NDJSON stdin/stdout loop of
+// tools/nettag_serve (submit / handle_line, against the server's own result
+// cache) and the socket daemon's shard workers (src/net, each against its
+// own cache partition).
 #pragma once
 
 #include <atomic>
@@ -35,7 +34,6 @@
 #include "analysis/lint.hpp"
 #include "core/nettag.hpp"
 #include "serve/admission.hpp"
-#include "serve/batcher.hpp"
 #include "serve/cache.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
@@ -48,8 +46,6 @@ struct ServerConfig {
   std::size_t max_gates = 20000;
   /// Result cache bound (entries; each entry is one rendered result).
   std::size_t cache_entries = 256;
-  /// Largest request group one batch may take.
-  std::size_t max_batch = 32;
   /// Strict admission: reject on lint *warnings* too (errors always reject).
   bool reject_warnings = false;
   /// Admission lint options (rule toggles, fanout bound).
@@ -123,24 +119,26 @@ class Server {
   void register_task(const std::string& name, TaskFn fn);
 
   // --- in-process client API ----------------------------------------------
-  std::future<Response> submit_async(Request request);
-  Response submit(Request request) { return submit_async(std::move(request)).get(); }
+  /// process_on against the server's own result cache, stamping t_start
+  /// when the caller left it unset.
+  Response submit(Request request);
 
   // --- wire API (NDJSON lines) --------------------------------------------
-  /// Parses one request line and enqueues it; malformed lines resolve to
-  /// structured error responses through the same path.
+  /// Parses one request line and processes it; malformed lines resolve to
+  /// structured error responses through the same path. The returned future
+  /// is already satisfied.
   std::future<Response> submit_line_async(const std::string& line);
-  /// Convenience: parse, process, render one line synchronously.
+  /// Convenience: parse, process, render one line.
   std::string handle_line(const std::string& line);
 
-  // --- shard API (src/net daemon) -----------------------------------------
-  /// Synchronous per-request processing against an explicit result-cache
-  /// partition — the socket daemon's shard workers call this directly, each
-  /// with its own partition, so isomorphic resubmissions routed to the same
-  /// shard hit that shard's cache (docs/ARCHITECTURE.md §11). `cache` null
-  /// falls back to the server's own cache. Thread-safe; any number of shard
-  /// workers may call concurrently (the model's inference API is const, the
-  /// metrics and caches are internally synchronized).
+  /// The one request path: runs `request` to completion on the calling
+  /// thread against an explicit result-cache partition (null = the server's
+  /// own cache). The socket daemon's shard workers call it with their own
+  /// partitions, so isomorphic resubmissions routed to the same shard hit
+  /// that shard's cache (docs/ARCHITECTURE.md §11). Thread-safe; any number
+  /// of threads may call concurrently (the model's inference API is const,
+  /// the metrics and caches are internally synchronized). An exception from
+  /// any stage becomes an `internal` error response.
   Response process_on(const Request& request, ResultCache* cache);
 
   /// Appends daemon-owned sections (transport/shard counters) to the JSON a
@@ -159,13 +157,11 @@ class Server {
 
   ServeMetrics& metrics() { return metrics_; }
   ResultCache& cache() { return cache_; }
-  /// Test hook for deterministic batch formation (Batcher::pause/resume).
-  Batcher& batcher() { return *batcher_; }
 
  private:
-  /// Per-request handler: replica resolution, admission, cache, model work.
-  /// Runs on pool workers; everything it touches is internally synchronized.
-  Response process(const Request& request);
+  /// Replica resolution, admission, cache and model work for one request;
+  /// process_on wraps it with the exception guard and the request metrics.
+  Response dispatch(const Request& request, ResultCache* cache);
   /// The model-work stage against an explicit replica snapshot — the
   /// snapshot's weights CRC + backend namespace the cache keys, so entries
   /// computed by one replica (or one weight generation) can never answer
@@ -190,7 +186,6 @@ class Server {
   StatsExtension stats_ext_;
 
   std::atomic<bool> shutdown_{false};
-  std::unique_ptr<Batcher> batcher_;  ///< last member: first destroyed
 };
 
 }  // namespace nettag::serve

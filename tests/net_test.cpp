@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <future>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -192,6 +193,15 @@ Request embed_request(const char* text, Op op = Op::kEmbedGates) {
   return r;
 }
 
+/// ShardPool::submit with the completion delivered through a future.
+std::future<Response> pool_submit(ShardPool& pool, Request request) {
+  auto done = std::make_shared<std::promise<Response>>();
+  std::future<Response> future = done->get_future();
+  pool.submit(std::move(request),
+              [done](Response r) { done->set_value(std::move(r)); });
+  return future;
+}
+
 TEST(ShardPool, RoutesIsomorphicRequestsToSameShard) {
   auto server = make_server();
   ShardPool pool(*server, 8, 4, 64);
@@ -209,19 +219,11 @@ TEST(ShardPool, SaturatedQueueShedsWithTooBusy) {
   pool.pause();  // workers hold; queue fills deterministically
 
   std::vector<std::future<Response>> accepted;
-  auto submit = [&](const char* text) {
-    auto promise = std::make_shared<std::promise<Response>>();
-    auto future = promise->get_future();
-    Request r = embed_request(text);
-    pool.submit(std::move(r),
-                [promise](Response resp) { promise->set_value(std::move(resp)); });
-    return future;
-  };
   for (std::size_t i = 0; i < kDepth; ++i) {
-    accepted.push_back(submit(kAndNetlist));
+    accepted.push_back(pool_submit(pool, embed_request(kAndNetlist)));
   }
   // Queue is now full: the next netlist op must shed, inline.
-  auto shed = submit(kOrNetlist);
+  auto shed = pool_submit(pool, embed_request(kOrNetlist));
   ASSERT_EQ(shed.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
   const Response busy = shed.get();
@@ -231,11 +233,7 @@ TEST(ShardPool, SaturatedQueueShedsWithTooBusy) {
   // Control ops are never shed, even at a full queue.
   Request stats;
   stats.op = Op::kStats;
-  auto stats_promise = std::make_shared<std::promise<Response>>();
-  auto stats_future = stats_promise->get_future();
-  pool.submit(std::move(stats), [stats_promise](Response resp) {
-    stats_promise->set_value(std::move(resp));
-  });
+  auto stats_future = pool_submit(pool, std::move(stats));
   EXPECT_NE(stats_future.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);  // queued, not shed
 
@@ -525,6 +523,92 @@ TEST(Daemon, StopFlagDrainsInFlightRequestsBeforeExit) {
   EXPECT_EQ(fx.run_result, 0);
 }
 
+TEST(Daemon, ThrowingTaskHeadAnswersInternalAndKeepsServing) {
+  const std::string path = unique_sock_path("throw");
+  DaemonConfig cfg;
+  std::string err;
+  ASSERT_TRUE(cli::parse_listen_address(("unix:" + path).c_str(), &cfg.listen,
+                                        &err))
+      << err;
+  cfg.shards = 1;
+  cfg.poll_interval_ms = 20;
+  DaemonFixture fx(cfg);
+  ASSERT_TRUE(fx.runner.joinable());
+  fx.server->register_task(
+      "boom", [](const NetTag&, const Netlist&) -> std::vector<double> {
+        throw std::runtime_error("head failed");
+      });
+
+  Client client;
+  ASSERT_TRUE(client.connect("unix:" + path, &err)) << err;
+  Json predict = Json::object();
+  predict.set("id", "t1");
+  predict.set("op", "predict");
+  predict.set("netlist", kAndNetlist);
+  predict.set("task", "boom");
+  std::string response;
+  ASSERT_TRUE(client.request(predict.dump(), &response, &err)) << err;
+  Json j;
+  ASSERT_TRUE(Json::parse(response, &j, &err)) << response;
+  EXPECT_EQ(j.find("id")->as_string(), "t1");
+  EXPECT_EQ(j.find("status")->as_string(), "error") << response;
+  EXPECT_EQ(j.find("error")->find("code")->as_string(), "internal");
+  EXPECT_EQ(j.find("error")->find("message")->as_string(), "head failed");
+
+  // The shard worker survived: the same connection keeps being served.
+  ASSERT_TRUE(client.request(request_line("t2", "ping", nullptr), &response,
+                             &err))
+      << err;
+  ASSERT_TRUE(Json::parse(response, &j, &err)) << response;
+  EXPECT_EQ(j.find("status")->as_string(), "ok") << response;
+}
+
+TEST(Daemon, TopLevelResultCacheSumsShardPartitions) {
+  const std::string path = unique_sock_path("cachesum");
+  DaemonConfig cfg;
+  std::string err;
+  ASSERT_TRUE(cli::parse_listen_address(("unix:" + path).c_str(), &cfg.listen,
+                                        &err))
+      << err;
+  cfg.shards = 2;
+  cfg.poll_interval_ms = 20;
+  DaemonFixture fx(cfg);
+  ASSERT_TRUE(fx.runner.joinable());
+
+  Client client;
+  ASSERT_TRUE(client.connect("unix:" + path, &err)) << err;
+  std::string response;
+  int n = 0;
+  for (const char* text : {kAndNetlist, kAndRenamed, kOrNetlist, kOrNetlist}) {
+    ASSERT_TRUE(client.request(
+        request_line("e" + std::to_string(n++), "embed_gates", text),
+        &response, &err))
+        << err;
+  }
+  ASSERT_TRUE(client.request(request_line("s", "stats", nullptr), &response,
+                             &err))
+      << err;
+  Json j;
+  ASSERT_TRUE(Json::parse(response, &j, &err)) << response;
+  const Json* result = j.find("result");
+  ASSERT_NE(result, nullptr) << response;
+  double hits = 0, misses = 0, capacity = 0;
+  for (const Json& shard : result->find("shards")->items()) {
+    const Json* cache = shard.find("result_cache");
+    ASSERT_NE(cache, nullptr) << response;
+    EXPECT_NE(cache->find("hit_rate"), nullptr) << response;
+    hits += cache->find("hits")->as_number();
+    misses += cache->find("misses")->as_number();
+    capacity += cache->find("capacity")->as_number();
+  }
+  const Json* total = result->find("result_cache");
+  ASSERT_NE(total, nullptr) << response;
+  EXPECT_EQ(total->find("hits")->as_number(), hits);
+  EXPECT_GT(total->find("hits")->as_number(), 0.0);
+  EXPECT_EQ(total->find("misses")->as_number(), misses);
+  EXPECT_EQ(total->find("capacity")->as_number(), capacity);
+}
+
 TEST(Daemon, DestructionAfterDrainTimeoutWithQueuedWorkIsSafe) {
   const std::string path = unique_sock_path("dtor");
   DaemonConfig cfg;
@@ -557,25 +641,28 @@ TEST(Daemon, DestructionAfterDrainTimeoutWithQueuedWorkIsSafe) {
   fx.reset();
 }
 
-// --- SIGTERM during an in-flight batch (serve path regression) --------------
+// --- SIGTERM during in-flight requests (serve path regression) -------------
 
 TEST(StopSignals, SigtermDuringInFlightBatchStillYieldsWellFormedResponses) {
   const std::atomic<bool>* stop = install_stop_signals();
   stop_signal_flag()->store(false);
 
   auto server = make_server();
-  server->batcher().pause();  // requests queue; the batch forms on resume
+  ShardPool pool(*server, 2, 8, 64);
+  pool.pause();  // requests queue; they run on resume
   std::vector<std::future<Response>> futures;
-  futures.push_back(server->submit_line_async(
-      request_line("b1", "embed_gates", kAndNetlist)));
-  futures.push_back(server->submit_line_async(
-      request_line("b2", "embed_gates", kOrNetlist)));
+  futures.push_back(pool_submit(
+      pool, serve::parse_request(
+                request_line("b1", "embed_gates", kAndNetlist))));
+  futures.push_back(pool_submit(
+      pool, serve::parse_request(
+                request_line("b2", "embed_gates", kOrNetlist))));
 
   // SIGTERM lands while both requests are in flight. The handler only sets
   // the flag — processing must complete and produce well-formed responses.
   std::raise(SIGTERM);
   EXPECT_TRUE(stop->load());
-  server->batcher().resume();
+  pool.resume();
 
   for (auto& f : futures) {
     const Response r = f.get();

@@ -1,19 +1,23 @@
 // Tests for the NetTAG-Serve subsystem (src/serve): JSON wire format,
 // canonical structural hashing, the LRU primitives, and the full server —
-// batching, caching, admission gate, error taxonomy, and observability.
+// concurrent callers, caching, admission gate, error taxonomy, and
+// observability.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <limits>
 
 #include "core/nettag.hpp"
+#include "net/shard.hpp"
 #include "netlist/io.hpp"
 #include "nn/gemm.hpp"
 #include "serve/cache.hpp"
@@ -507,28 +511,65 @@ TEST(Server, LenientModeAdmitsWarnings) {
   EXPECT_TRUE(dead.ok()) << dead.error_message;
 }
 
-TEST(Server, BatcherGroupsConcurrentRequests) {
+/// An AND2/INV ladder of `depth` rungs whose every name carries `prefix`:
+/// equal depths under different prefixes are renamed isomorphs.
+std::string ladder_netlist(int depth, const std::string& prefix) {
+  std::string a = prefix + "a", b = prefix + "b";
+  std::string text = "module " + prefix + " source synthetic\nport " + a +
+                     "\nport " + b + "\n";
+  for (int i = 0; i < depth; ++i) {
+    const std::string n1 = prefix + "n" + std::to_string(2 * i);
+    const std::string n2 = prefix + "n" + std::to_string(2 * i + 1);
+    text += "gate AND2 " + n1 + " " + a + " " + b + "\n";
+    text += "gate INV " + n2 + " " + n1 + "\n";
+    a = n1;
+    b = n2;
+  }
+  return text + "gate OR2 " + prefix + "y " + a + " " + b + " out\nendmodule\n";
+}
+
+TEST(Server, ConcurrentSubmitMatchesSerialBytes) {
+  // Distinct ladders, each also renamed, as per-gate and pooled requests:
+  // concurrent callers race on one result cache, the text cache and the
+  // shared thread pool, and renamed twins may hit or miss depending on
+  // timing — the result bytes must not depend on any of it.
+  std::vector<std::string> texts;
+  std::vector<Op> ops;
+  for (int depth = 1; depth <= 8; ++depth) {
+    for (const char* prefix : {"p", "q"}) {
+      for (const Op op : {Op::kEmbedGates, Op::kEmbedCone}) {
+        texts.push_back(ladder_netlist(depth, prefix));
+        ops.push_back(op);
+      }
+    }
+  }
+  auto serial = make_server();
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    const Response r = serial->submit(embed_request(texts[i].c_str(), ops[i]));
+    ASSERT_TRUE(r.ok()) << r.error_message;
+    expected.push_back(r.result_json);
+  }
+
   auto server = make_server();
-  server->batcher().pause();
-  std::vector<std::future<Response>> futures;
-  for (int i = 0; i < 6; ++i) {
-    Request r;
-    r.op = Op::kPing;
-    r.id = std::to_string(i);
-    futures.push_back(server->submit_async(std::move(r)));
+  std::vector<Response> got(texts.size());
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 8; ++c) {
+    clients.emplace_back([&] {
+      for (std::size_t i = next++; i < texts.size(); i = next++) {
+        got[i] = server->submit(embed_request(texts[i].c_str(), ops[i]));
+      }
+    });
   }
-  server->batcher().resume();
-  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
-  const auto snap = server->metrics().snapshot();
-  ASSERT_FALSE(snap.batch_histogram.empty());
-  // All six were queued before resume, so one batch of 6 must appear.
-  bool found = false;
-  for (const auto& [size, count] : snap.batch_histogram) {
-    if (size == 6 && count >= 1) found = true;
+  for (std::thread& t : clients) t.join();
+  for (std::size_t i = 0; i < texts.size(); ++i) {
+    ASSERT_TRUE(got[i].ok()) << i << ": " << got[i].error_message;
+    EXPECT_EQ(got[i].result_json, expected[i]) << "request " << i;
   }
-  EXPECT_TRUE(found);
-  EXPECT_EQ(snap.requests_total, 6u);
-  EXPECT_EQ(snap.requests_ok, 6u);
+  const serve::ResultCache::Stats cache = server->cache().stats();
+  EXPECT_EQ(cache.hits + cache.misses, texts.size());
+  EXPECT_EQ(server->metrics().snapshot().requests_ok, texts.size());
 }
 
 TEST(Server, PredictUsesRegisteredHead) {
@@ -564,8 +605,7 @@ TEST(Server, StatsExposeAllSections) {
   ASSERT_TRUE(Json::parse(stats.result_json, &j, &err)) << err;
   for (const char* field :
        {"uptime_seconds", "requests_total", "requests_ok", "requests_error",
-        "qps", "latency_ms", "batches", "batch_size_histogram",
-        "stage_seconds", "result_cache", "text_cache"}) {
+        "qps", "latency_ms", "stage_seconds", "result_cache", "text_cache"}) {
     EXPECT_NE(j.find(field), nullptr) << field;
   }
   for (const char* p : {"p50", "p90", "p99", "max"}) {
@@ -1149,16 +1189,20 @@ TEST(Server, ModelUnloadDrainsQueuedRequestsWithUnknownModel) {
   std::string err;
   ASSERT_TRUE(server.load_model("a", p, -1, &err)) << err;
 
-  // Queue traffic for "a" behind a paused batcher, then unload the replica
-  // out from under it. The queued requests must drain as unknown_model —
-  // never crash into a dangling model pointer.
-  server.batcher().pause();
+  // Queue traffic for "a" behind a paused shard pool, then unload the
+  // replica out from under it. The queued requests must drain as
+  // unknown_model — never crash into a dangling model pointer.
+  net::ShardPool pool(server, 1, 8, 64);
+  pool.pause();
   std::vector<std::future<Response>> queued;
   for (int i = 0; i < 4; ++i) {
-    queued.push_back(server.submit_async(model_request(kAndNetlist, "a")));
+    auto done = std::make_shared<std::promise<Response>>();
+    queued.push_back(done->get_future());
+    pool.submit(model_request(kAndNetlist, "a"),
+                [done](Response r) { done->set_value(std::move(r)); });
   }
   ASSERT_TRUE(server.unload_model("a"));
-  server.batcher().resume();
+  pool.resume();
   for (auto& f : queued) {
     const Response r = f.get();
     EXPECT_EQ(r.error, ErrorCode::kUnknownModel);

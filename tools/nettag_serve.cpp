@@ -32,7 +32,6 @@
 //                          it across shard partitions)
 //   --text-cache-entries N frozen-text-embedding cache bound (default 4096;
 //                          one striped cache shared by all replicas)
-//   --max-batch N          largest request batch (default 32)
 //   --reject-warnings      strict admission: lint warnings also reject
 //   --quantize             serve the int8 packed-weight path by default
 //                          (docs/PERFORMANCE.md §4); per-replica suffixes
@@ -55,10 +54,8 @@
 // in-flight work; `model_load`/`model_unload` add and remove replicas at
 // runtime. Bad requests are per-request error responses, never daemon
 // failures. The stdin loop is deliberately serial — each line is processed
-// to completion before the next is read, so wire-path batches always have
-// size 1 and a replayed request file yields byte-identical output.
-// Concurrent batching happens across daemon shards, or behind the
-// in-process Server::submit_async API (see run_serve's note).
+// to completion before the next is read, so a replayed request file yields
+// byte-identical output. Concurrent requests run across daemon shards.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -83,8 +80,7 @@ void usage(std::FILE* to) {
                "usage: nettag_serve --model [NAME=]PREFIX[,quantize|,fp32] ...\n"
                "                    [--max-gates N]\n"
                "                    [--cache-entries N] [--text-cache-entries N]\n"
-               "                    [--max-batch N] [--reject-warnings]\n"
-               "                    [--quantize] [--log FILE]\n"
+               "                    [--reject-warnings] [--quantize] [--log FILE]\n"
                "                    [--listen ADDR [--shards N] [--queue-depth K]]\n"
                "       nettag_serve --connect ADDR\n"
                "       nettag_serve --train-demo PREFIX [--seed S] [--designs N]\n"
@@ -189,16 +185,15 @@ int run_serve(const std::vector<cli::ModelSpec>& specs,
   // The wire transport is deliberately serial: one pipe is one client, and
   // processing each line to completion before reading the next makes the
   // response stream fully deterministic (a replayed request file always
-  // yields identical bytes, cache flags included). Concurrent batching is
-  // the in-process API's job — multi-threaded clients submitting through
-  // Server::submit_async group into shared pool regions via the Batcher.
+  // yields identical bytes, cache flags included). Concurrent clients are
+  // the socket daemon's job (--listen).
   std::string line;
   while (!server.shutdown_requested() &&
          !stop->load(std::memory_order_relaxed) &&
          std::getline(std::cin, line)) {
     if (line.empty()) continue;
     Timer t;
-    const serve::Response response = server.submit_line_async(line).get();
+    const serve::Response response = server.submit(serve::parse_request(line));
     std::cout << serve::render_response(response) << "\n";
     std::cout.flush();
     if (log) {
@@ -334,9 +329,6 @@ int main(int argc, char** argv) {
       ++i;
     } else if (!std::strcmp(arg, "--text-cache-entries")) {
       config.text_cache_entries = need_count(i);
-      ++i;
-    } else if (!std::strcmp(arg, "--max-batch")) {
-      config.max_batch = need_count(i);
       ++i;
     } else if (!std::strcmp(arg, "--reject-warnings")) {
       config.reject_warnings = true;
