@@ -276,6 +276,10 @@ NetTagConfig read_checkpoint_config(const std::string& prefix) {
       c.expr_llm.out_dim = to_int(key, value);
     } else if (key == "tag_d_model") {
       c.tag_d_model = to_int(key, value);
+      if (c.tag_d_model % TagFormer::kNumHeads != 0) {
+        fail("tag_d_model (" + value + ") must be a multiple of TAGFormer's " +
+             std::to_string(TagFormer::kNumHeads) + " attention heads");
+      }
     } else if (key == "tag_layers") {
       c.tag_layers = to_int(key, value);
     } else if (key == "out_dim") {

@@ -50,7 +50,7 @@ TagGraph build_tag(const Netlist& nl, int k_hop) {
         nl, g.id, k_hop, activity.toggle[static_cast<std::size_t>(g.id)],
         activity.prob[static_cast<std::size_t>(g.id)]));
   }
-  tag.phys = netlist_phys_features(nl);
+  tag.phys = netlist_phys_features(nl, activity);
   tag.edges = netlist_edges(nl);
   return tag;
 }

@@ -77,20 +77,13 @@ Mat netlist_base_features(const Netlist& nl) {
 
 int netlist_phys_feature_dim() { return 9; }
 
-Mat netlist_phys_features(const Netlist& nl) {
+Mat netlist_phys_features(const Netlist& nl, const PowerReport& activity) {
   const int n = static_cast<int>(nl.size());
-  // Netlist-stage activity report: propagated signal probability and toggle
-  // rate with pin-cap-only loads (no placement needed).
-  Parasitics zero_wire;
-  zero_wire.nets.resize(nl.size());
-  for (const Gate& g : nl.gates()) {
-    for (GateId s : g.fanouts) {
-      zero_wire.nets[static_cast<std::size_t>(g.id)].pin_cap +=
-          cell_info(nl.gate(s).type).input_cap;
-    }
-  }
-  const PowerReport activity = run_power(nl, zero_wire);
-
+  NETTAG_CHECK(activity.prob.size() == nl.size() &&
+                   activity.toggle.size() == nl.size(),
+               "netlist_phys_features: power report covers " +
+                   std::to_string(activity.prob.size()) + " gates, netlist " +
+                   std::to_string(nl.size()));
   Mat f(n, netlist_phys_feature_dim());
   for (const Gate& g : nl.gates()) {
     const CellInfo& info = cell_info(g.type);

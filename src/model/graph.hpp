@@ -35,9 +35,11 @@ int netlist_base_feature_dim();
 
 /// Physical characteristics vector x_phys per gate (paper §II-B: power,
 /// area, delay, toggle rate, probability, load, cap, ...) — concatenated to
-/// the text embedding at TAGFormer's input. Toggle/probability come from a
-/// zero-wire activity propagation (the netlist-stage PrimeTime report).
-Mat netlist_phys_features(const Netlist& nl);
+/// the text embedding at TAGFormer's input. Toggle/probability come from
+/// `activity`, the netlist-stage power report of `nl`
+/// (netlist_stage_power: zero-wire activity propagation, the netlist-stage
+/// PrimeTime report), which callers compute once and share.
+Mat netlist_phys_features(const Netlist& nl, const PowerReport& activity);
 int netlist_phys_feature_dim();
 
 /// Node features for layout graphs (cap/res/load/delay/position).

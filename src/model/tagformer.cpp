@@ -7,7 +7,8 @@ TagFormer::TagFormer(const TagFormerConfig& config, Rng& rng) : config_(config) 
   proj_in_ = std::make_unique<Linear>(config.in_dim, config.d_model, rng);
   for (int l = 0; l < config.num_layers; ++l) {
     Layer layer;
-    layer.attn = std::make_unique<MultiHeadAttention>(config.d_model, 2, rng);
+    layer.attn =
+        std::make_unique<MultiHeadAttention>(config.d_model, kNumHeads, rng);
     layer.ln_attn = std::make_unique<LayerNorm>(config.d_model);
     layer.gcn = std::make_unique<Linear>(config.d_model, config.d_model, rng);
     layer.ln_gcn = std::make_unique<LayerNorm>(config.d_model);

@@ -29,6 +29,9 @@ class TagFormer : public Module {
     Tensor cls;    ///< 1 x out_dim graph embedding
   };
 
+  /// Attention heads per layer; TagFormerConfig::d_model must be a multiple.
+  static constexpr int kNumHeads = 2;
+
   TagFormer(const TagFormerConfig& config, Rng& rng);
 
   /// `feats`: N x in_dim node features; `adj_with_cls`: (N+1)x(N+1)

@@ -1,6 +1,6 @@
 #include "nn/layers.hpp"
 
-#include <cmath>
+#include <string>
 
 namespace nettag {
 
@@ -37,7 +37,10 @@ Tensor EmbeddingLayer::forward(const std::vector<int>& ids) const {
 }
 
 MultiHeadAttention::MultiHeadAttention(int d_model, int num_heads, Rng& rng)
-    : d_model_(d_model), num_heads_(num_heads), d_head_(d_model / num_heads) {
+    : num_heads_(num_heads) {
+  NETTAG_CHECK(num_heads > 0 && d_model % num_heads == 0,
+               "MultiHeadAttention: " + std::to_string(num_heads) +
+                   " heads do not divide d_model " + std::to_string(d_model));
   wq_ = std::make_unique<Linear>(d_model, d_model, rng);
   wk_ = std::make_unique<Linear>(d_model, d_model, rng);
   wv_ = std::make_unique<Linear>(d_model, d_model, rng);
@@ -48,24 +51,7 @@ Tensor MultiHeadAttention::forward(const Tensor& x) const {
   const Tensor q = wq_->forward(x);
   const Tensor k = wk_->forward(x);
   const Tensor v = wv_->forward(x);
-  // Per-head attention on column slices, concatenated back.
-  Tensor out;
-  for (int h = 0; h < num_heads_; ++h) {
-    auto head_slice = [&](const Tensor& t) {
-      // Column slice via transpose + row slice + transpose (keeps the op set
-      // small; sequences are short so the copies are cheap).
-      return transpose(slice_rows(transpose(t), h * d_head_, d_head_));
-    };
-    const Tensor qh = head_slice(q);
-    const Tensor kh = head_slice(k);
-    const Tensor vh = head_slice(v);
-    Tensor scores = scale(matmul(qh, transpose(kh)),
-                          1.f / std::sqrt(static_cast<float>(d_head_)));
-    Tensor attn = softmax_rows(scores);
-    Tensor oh = matmul(attn, vh);
-    out = h == 0 ? oh : concat_cols(out, oh);
-  }
-  return wo_->forward(out);
+  return wo_->forward(attention_heads(q, k, v, num_heads_));
 }
 
 std::vector<Tensor> MultiHeadAttention::params() const {

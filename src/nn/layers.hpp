@@ -59,6 +59,8 @@ class EmbeddingLayer : public Module {
 /// Multi-head bidirectional self-attention over a (seq_len x d_model) input.
 /// Bidirectional (not causal) — ExprLLM converts the decoder-only LLM to
 /// bidirectional attention following LLM2Vec; we build it that way directly.
+/// The heads run in one attention_heads node between the q/k/v projections
+/// and the output projection. `num_heads` must divide `d_model` (CheckError).
 class MultiHeadAttention : public Module {
  public:
   MultiHeadAttention(int d_model, int num_heads, Rng& rng);
@@ -66,7 +68,7 @@ class MultiHeadAttention : public Module {
   std::vector<Tensor> params() const override;
 
  private:
-  int d_model_, num_heads_, d_head_;
+  int num_heads_;
   std::unique_ptr<Linear> wq_, wk_, wv_, wo_;
 };
 

@@ -21,7 +21,7 @@ BwdReads backward_reads(const std::string& op) {
       {"softmax_rows", {true, false}}, {"layer_norm", {false, true}},
       {"embedding", {false, false}},   {"normalize_rows", {true, false}},
       {"dropout", {false, false}},     {"cross_entropy", {false, false}},
-      {"mse_loss", {false, true}},
+      {"mse_loss", {false, true}},     {"attention_heads", {false, true}},
   };
   const auto it = kTable.find(op);
   if (it == kTable.end()) return BwdReads{true, true};

@@ -8,7 +8,8 @@
 //             op i's own backward if its closure reads the output value
 //             (tanh, sigmoid, softmax, normalize read o->value), and by each
 //             consumer j's backward if that op's closure reads parent values
-//             (matmul, mul, relu, gelu, layer_norm, mse read p->value).
+//             (matmul, mul, relu, gelu, layer_norm, mse, attention_heads
+//             read p->value).
 //   grad[i]   defined (zero-filled) at i alongside the node; written by each
 //             consumer's backward (gradient accumulation — repeated parents
 //             simply accumulate twice into the same buffer) and read by op

@@ -494,21 +494,39 @@ Tensor sum_rows(const Tensor& a) {
   });
 }
 
+namespace {
+
+/// y = softmax(x) over one row of d values. The one softmax kernel:
+/// softmax_rows and attention_heads both call it, so they agree bytewise.
+void softmax_row(const float* x, float* y, int d) {
+  float mx = x[0];
+  for (int j = 1; j < d; ++j) mx = std::max(mx, x[j]);
+  float sum = 0.f;
+  for (int j = 0; j < d; ++j) {
+    const float e = std::exp(x[j] - mx);
+    y[j] = e;
+    sum += e;
+  }
+  for (int j = 0; j < d; ++j) y[j] /= sum;
+}
+
+/// dx += y * (dy - <dy, y>): the backward of softmax_row for one row.
+void softmax_row_backward(const float* y, const float* dy, float* dx, int d) {
+  float dot = 0.f;
+  for (int j = 0; j < d; ++j) dot += dy[j] * y[j];
+  for (int j = 0; j < d; ++j) dx[j] += y[j] * (dy[j] - dot);
+}
+
+}  // namespace
+
 Tensor softmax_rows(const Tensor& a) {
   const int n = a->value.rows, d = a->value.cols;
   const std::size_t row_cost = static_cast<std::size_t>(d);
   Mat out = plan::out_mat(n, d, {a.get()});
   for_rows(n, row_cost, par::kMinExpOps, [&](int i0, int i1) {
     for (int i = i0; i < i1; ++i) {
-      float mx = a->value.at(i, 0);
-      for (int j = 1; j < d; ++j) mx = std::max(mx, a->value.at(i, j));
-      float sum = 0.f;
-      for (int j = 0; j < d; ++j) {
-        const float e = std::exp(a->value.at(i, j) - mx);
-        out.at(i, j) = e;
-        sum += e;
-      }
-      for (int j = 0; j < d; ++j) out.at(i, j) /= sum;
+      const std::size_t r = static_cast<std::size_t>(i) * d;
+      softmax_row(a->value.v.data() + r, out.v.data() + r, d);
     }
   });
   Node* an = a.get();
@@ -517,14 +535,150 @@ Tensor softmax_rows(const Tensor& a) {
     an->ensure_grad();
     for_rows(n, row_cost, par::kMinOps, [&](int i0, int i1) {
       for (int i = i0; i < i1; ++i) {
-        float dot = 0.f;
-        for (int j = 0; j < d; ++j) dot += o->grad.at(i, j) * o->value.at(i, j);
-        for (int j = 0; j < d; ++j) {
-          an->grad.at(i, j) += o->value.at(i, j) * (o->grad.at(i, j) - dot);
-        }
+        const std::size_t r = static_cast<std::size_t>(i) * d;
+        softmax_row_backward(o->value.v.data() + r, o->grad.v.data() + r,
+                             an->grad.v.data() + r, d);
       }
     });
   });
+}
+
+namespace {
+
+/// Copies head h's column block of the N x D matrix `m` into the contiguous
+/// N x dh buffer `out` (what transpose -> slice_rows -> transpose produced).
+void copy_head(const Mat& m, int h, int dh, float* out) {
+  const std::size_t col0 = static_cast<std::size_t>(h) * dh;
+  for (int i = 0; i < m.rows; ++i) {
+    const float* src = m.v.data() + static_cast<std::size_t>(i) * m.cols + col0;
+    std::copy(src, src + dh, out + static_cast<std::size_t>(i) * dh);
+  }
+}
+
+/// m[i, h*dh + j] += block[i*row_stride + j*col_stride]: adds one head's
+/// N x dh gradient (stored plainly, or transposed) into that head's columns,
+/// as the chain's slice/transpose/concat copies carried it back.
+void add_head(const float* block, std::size_t row_stride,
+              std::size_t col_stride, int h, int dh, Mat& m) {
+  const std::size_t col0 = static_cast<std::size_t>(h) * dh;
+  for (int i = 0; i < m.rows; ++i) {
+    float* dst = m.v.data() + static_cast<std::size_t>(i) * m.cols + col0;
+    const float* src = block + static_cast<std::size_t>(i) * row_stride;
+    for (int j = 0; j < dh; ++j) dst[j] += src[j * col_stride];
+  }
+}
+
+}  // namespace
+
+Tensor attention_heads(const Tensor& q, const Tensor& k, const Tensor& v,
+                       int num_heads) {
+  const Mat& qv = q->value;
+  NETTAG_CHECK(k->value.rows == qv.rows && k->value.cols == qv.cols &&
+                   v->value.rows == qv.rows && v->value.cols == qv.cols,
+               "attention_heads: q " + sh(qv) + ", k " + sh(k->value) +
+                   " and v " + sh(v->value) + " must share one shape");
+  NETTAG_CHECK(num_heads > 0 && qv.cols % num_heads == 0,
+               "attention_heads: " + std::to_string(num_heads) +
+                   " heads do not divide width " + std::to_string(qv.cols));
+  const int n = qv.rows, d = qv.cols, dh = d / num_heads;
+  const float s = 1.f / std::sqrt(static_cast<float>(dh));
+  const std::size_t nd = static_cast<std::size_t>(n) * dh;
+  const std::size_t nn = static_cast<std::size_t>(n) * n;
+  Mat out = plan::out_mat(n, d, {q.get(), k.get(), v.get()});
+  // Every head's attention probabilities, read by the backward pass: head h
+  // owns rows [h*n, (h+1)*n).
+  Mat probs = plan::tmp_mat(num_heads * n, n);
+  std::vector<float> buf(5 * nd + nn);
+  float* qh = buf.data();
+  float* kh = qh + nd;
+  float* kh_t = kh + nd;
+  float* vh = kh_t + nd;
+  float* oh = vh + nd;
+  float* scores = oh + nd;
+  for (int h = 0; h < num_heads; ++h) {
+    copy_head(qv, h, dh, qh);
+    copy_head(k->value, h, dh, kh);
+    copy_head(v->value, h, dh, vh);
+    transpose_mat(n, dh, kh, kh_t);
+    std::fill(scores, scores + nn, 0.f);
+    gemm_nn(n, dh, n, qh, kh_t, scores);
+    float* ph = probs.v.data() + h * nn;
+    for_rows(n, static_cast<std::size_t>(n), par::kMinExpOps, [&](int i0, int i1) {
+      for (int i = i0; i < i1; ++i) {
+        float* row = scores + static_cast<std::size_t>(i) * n;
+        for (int j = 0; j < n; ++j) row[j] *= s;
+        softmax_row(row, ph + static_cast<std::size_t>(i) * n, n);
+      }
+    });
+    std::fill(oh, oh + nd, 0.f);
+    gemm_nn(n, n, dh, ph, vh, oh);
+    const std::size_t col0 = static_cast<std::size_t>(h) * dh;
+    for (int i = 0; i < n; ++i) {
+      std::copy(oh + static_cast<std::size_t>(i) * dh,
+                oh + static_cast<std::size_t>(i + 1) * dh,
+                out.v.data() + static_cast<std::size_t>(i) * d + col0);
+    }
+  }
+  Node* qn = q.get();
+  Node* kn = k.get();
+  Node* vn = v.get();
+  return make_op(
+      "attention_heads", std::move(out), {q, k, v},
+      [qn, kn, vn, num_heads, n, dh, s, nd, nn,
+       probs = std::move(probs)](Node* o) {
+        // Replays the chain's backward per head: each gradient buffer starts
+        // at zero and accumulates as that chain node's gradient did; the
+        // head copies stand in for the chain's slice/transpose/concat nodes.
+        const bool score_grad = qn->requires_grad || kn->requires_grad;
+        std::vector<float> buf(8 * nd + 3 * nn);
+        float* qh = buf.data();
+        float* kh = qh + nd;
+        float* kh_t = kh + nd;
+        float* vh = kh_t + nd;
+        float* doh = vh + nd;
+        float* dqh = doh + nd;
+        float* dkh_t = dqh + nd;
+        float* dvh = dkh_t + nd;
+        float* dp = dvh + nd;
+        float* dss = dp + nn;
+        float* dsc = dss + nn;
+        if (qn->requires_grad) qn->ensure_grad();
+        if (kn->requires_grad) kn->ensure_grad();
+        if (vn->requires_grad) vn->ensure_grad();
+        for (int h = 0; h < num_heads; ++h) {
+          std::fill(buf.begin(), buf.end(), 0.f);
+          const float* ph = probs.v.data() + h * nn;
+          copy_head(o->grad, h, dh, doh);
+          copy_head(vn->value, h, dh, vh);
+          // oh = P vh
+          if (score_grad) gemm_nt(n, n, dh, doh, vh, dp);
+          if (vn->requires_grad) {
+            gemm_tn(n, n, dh, ph, doh, dvh);
+            add_head(dvh, dh, 1, h, dh, vn->grad);
+          }
+          if (!score_grad) continue;
+          // P = softmax(ss), ss = s * scores
+          for_rows(n, static_cast<std::size_t>(n), par::kMinOps, [&](int i0, int i1) {
+            for (int i = i0; i < i1; ++i) {
+              const std::size_t r = static_cast<std::size_t>(i) * n;
+              softmax_row_backward(ph + r, dp + r, dss + r, n);
+              for (int j = 0; j < n; ++j) dsc[r + j] += s * dss[r + j];
+            }
+          });
+          // scores = qh kh^T
+          copy_head(qn->value, h, dh, qh);
+          copy_head(kn->value, h, dh, kh);
+          transpose_mat(n, dh, kh, kh_t);
+          if (qn->requires_grad) {
+            gemm_nt(n, dh, n, dsc, kh_t, dqh);
+            add_head(dqh, dh, 1, h, dh, qn->grad);
+          }
+          if (kn->requires_grad) {
+            gemm_tn(n, dh, n, qh, dsc, dkh_t);
+            add_head(dkh_t, 1, static_cast<std::size_t>(n), h, dh, kn->grad);
+          }
+        }
+      });
 }
 
 Tensor layernorm_rows(const Tensor& a, const Tensor& gamma, const Tensor& beta,

@@ -128,6 +128,13 @@ Tensor slice_rows(const Tensor& a, int start, int count);
 Tensor mean_rows(const Tensor& a);                   ///< NxD -> 1xD
 Tensor sum_rows(const Tensor& a);                    ///< NxD -> 1xD
 Tensor softmax_rows(const Tensor& a);
+/// Scaled dot-product self-attention over every head in one node. q, k, v
+/// are N x D projections; head h owns columns [h*D/H, (h+1)*D/H). Per head:
+/// softmax(q_h k_h^T / sqrt(D/H)) v_h, written to the same columns of the
+/// N x D result. Bit-identical, forward and backward, to the per-head chain
+/// of transpose/slice_rows/matmul/scale/softmax_rows/concat_cols ops.
+Tensor attention_heads(const Tensor& q, const Tensor& k, const Tensor& v,
+                       int num_heads);
 Tensor layernorm_rows(const Tensor& a, const Tensor& gamma, const Tensor& beta,
                       float eps = 1e-5f);
 /// Gathers rows of `table` (VxD) by ids -> NxD; gradients flow into table.

@@ -111,6 +111,7 @@ class Reader {
     if (n > buf_.size() - at_) {
       throw std::runtime_error("load_train_state: truncated record " + path_);
     }
+    if (n == 0) return;  // an empty Mat has no storage: `out` may be null
     std::memcpy(out, buf_.data() + at_, n);
     at_ += n;
   }

@@ -35,7 +35,7 @@ RegressionReport average_regression(const std::vector<RegressionReport>& rs) {
 /// timing GNN baseline (the baseline of [2] consumes netlist-stage timing).
 Mat timing_features(const Netlist& nl, const TimingReport& est) {
   const Mat base = netlist_base_features(nl);
-  const Mat phys = netlist_phys_features(nl);
+  const Mat phys = netlist_phys_features(nl, netlist_stage_power(nl));
   const double crit = std::max(est.critical_path, 1e-6);
   Mat out(base.rows, base.cols + phys.cols + 3);
   for (int i = 0; i < base.rows; ++i) {

@@ -106,8 +106,12 @@ Task4Result run_task4(NetTag& model, const Corpus& corpus,
   // layout wirelength the tool estimate is blind to.
   const int extra = 7;
   Mat x_all(static_cast<int>(n), model.embedding_dim() + extra);
+  // Netlist-stage power report per design, shared by the propagated-activity
+  // feature below and the GNN's physical features.
+  std::vector<PowerReport> stage_power(n);
   ThreadPool::instance().run_indexed(n, [&](std::size_t d) {
     const Netlist& nl = corpus.designs[d].gen.netlist;
+    stage_power[d] = netlist_stage_power(nl);
     const Mat emb = model.embed_circuit(nl);
     for (int j = 0; j < model.embedding_dim(); ++j) {
       x_all.at(static_cast<int>(d), j) = emb.at(0, j);
@@ -140,7 +144,7 @@ Task4Result run_task4(NetTag& model, const Corpus& corpus,
     // Netlist-stage *propagated-activity* power report: captures the
     // activity structure the flat tool estimate misses.
     x_all.at(static_cast<int>(d), at++) = static_cast<float>(
-        std::log(std::max(netlist_stage_power(nl).total(), 1e-6)));
+        std::log(std::max(stage_power[d].total(), 1e-6)));
   });
 
   // GNN features: structural + physical + the per-gate netlist-stage power
@@ -149,7 +153,7 @@ Task4Result run_task4(NetTag& model, const Corpus& corpus,
   for (std::size_t d = 0; d < n; ++d) {
     const Netlist& nl = corpus.designs[d].gen.netlist;
     const Mat base = netlist_base_features(nl);
-    const Mat phys = netlist_phys_features(nl);
+    const Mat phys = netlist_phys_features(nl, stage_power[d]);
     Mat f(base.rows, base.cols + phys.cols + 1);
     for (int i = 0; i < base.rows; ++i) {
       for (int j = 0; j < base.cols; ++j) f.at(i, j) = base.at(i, j);

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "analysis/check.hpp"
 #include "core/nettag.hpp"
+#include "model/text_encoder.hpp"
 #include "netlist/netlist.hpp"
 #include "nn/liveness.hpp"
 #include "nn/tape.hpp"
@@ -396,6 +398,55 @@ TEST(PlannerBitIdentity, EmbedPathWithReplay) {
   const plan::Stats st = plan::stats_snapshot();
   EXPECT_GE(st.replays, 1u);
   EXPECT_EQ(st.divergences, 0u);
+}
+
+std::vector<std::uint32_t> bit_copy(const Mat& m) {
+  std::vector<std::uint32_t> out(m.v.size());
+  if (!out.empty()) std::memcpy(out.data(), m.v.data(), out.size() * 4);
+  return out;
+}
+
+/// One text-encoder training step inside a plan scope: encode, then backward
+/// from an MSE loss. Returns the bytes of the embedding followed by those of
+/// every parameter gradient (zeroed again for the next step).
+std::vector<std::vector<std::uint32_t>> text_encoder_step(
+    const TextEncoder& enc, const std::string& text) {
+  plan::PlanScope scope("test|text_encoder");
+  const Tensor emb = enc.encode(text);
+  plan::keep_alive(emb);
+  backward(mse_loss(emb, Mat(1, emb->value.cols)));
+  std::vector<std::vector<std::uint32_t>> out{bit_copy(emb->value)};
+  for (const Tensor& p : enc.params()) {
+    out.push_back(bit_copy(p->grad));
+    p->zero_grad();
+  }
+  return out;
+}
+
+TEST(PlannerBitIdentity, TextEncoderEncodeWithReplay) {
+  PlanSandbox sandbox;
+  ThreadPool::instance().set_width(1);
+  const Vocab vocab;
+  // The base tier runs four attention heads per layer.
+  const TextEncoderConfig cfg = TextEncoderConfig::base();
+  const std::string text = "gate U1 type NAND2 expr U1 = ~(a & (b ^ c))";
+
+  plan::set_planning_enabled(false);
+  Rng rng_off(11);
+  const TextEncoder enc_off(vocab, cfg, rng_off);
+  const auto off = text_encoder_step(enc_off, text);
+
+  plan::set_planning_enabled(true);
+  Rng rng_on(11);
+  const TextEncoder enc_on(vocab, cfg, rng_on);
+  const auto first = text_encoder_step(enc_on, text);   // records
+  const auto second = text_encoder_step(enc_on, text);  // replays
+  EXPECT_EQ(off, first);
+  EXPECT_EQ(off, second);
+  const plan::Stats st = plan::stats_snapshot();
+  EXPECT_GE(st.replays, 1u);
+  EXPECT_EQ(st.divergences, 0u);
+  EXPECT_EQ(st.verifier_rejects, 0u);
 }
 
 // --- liveness unit checks ----------------------------------------------------

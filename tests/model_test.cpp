@@ -52,7 +52,7 @@ TEST(GraphUtils, NetlistFeaturesShape) {
   const Netlist nl =
       generate_design(family_profile("opencores"), rng, "feat").netlist;
   const Mat base = netlist_base_features(nl);
-  const Mat phys = netlist_phys_features(nl);
+  const Mat phys = netlist_phys_features(nl, netlist_stage_power(nl));
   EXPECT_EQ(base.rows, static_cast<int>(nl.size()));
   EXPECT_EQ(base.cols, netlist_base_feature_dim());
   EXPECT_EQ(phys.cols, netlist_phys_feature_dim());

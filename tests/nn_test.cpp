@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <string>
 
+#include "analysis/check.hpp"
+#include "nn/gemm.hpp"
 #include "nn/layers.hpp"
 #include "nn/tensor.hpp"
 
@@ -111,6 +116,93 @@ TEST(Autograd, SoftmaxGrad) {
   gradcheck([&] { return to_scalar(softmax_rows(a)); }, {a});
 }
 
+// --- attention_heads: one node for every head -------------------------------
+
+/// The per-head chain MultiHeadAttention built before attention_heads, from
+/// public ops: column slices via transpose/slice_rows/transpose, scaled
+/// scores, row softmax, and the heads concatenated back in order.
+Tensor per_head_chain(const Tensor& q, const Tensor& k, const Tensor& v,
+                      int num_heads) {
+  const int dh = q->value.cols / num_heads;
+  Tensor out;
+  for (int h = 0; h < num_heads; ++h) {
+    auto head = [&](const Tensor& t) {
+      return transpose(slice_rows(transpose(t), h * dh, dh));
+    };
+    const Tensor qh = head(q);
+    const Tensor kh = head(k);
+    const Tensor vh = head(v);
+    Tensor scores = scale(matmul(qh, transpose(kh)),
+                          1.f / std::sqrt(static_cast<float>(dh)));
+    Tensor oh = matmul(softmax_rows(scores), vh);
+    out = h == 0 ? oh : concat_cols(out, oh);
+  }
+  return out;
+}
+
+std::vector<std::uint32_t> bits(const Mat& m) {
+  std::vector<std::uint32_t> out(m.v.size());
+  if (!out.empty()) std::memcpy(out.data(), m.v.data(), out.size() * 4);
+  return out;
+}
+
+/// Output and q/k/v gradient bytes of one attention forward plus a backward
+/// seeded with a fixed random output gradient.
+struct AttentionBytes {
+  std::vector<std::uint32_t> out, dq, dk, dv;
+};
+
+AttentionBytes attention_bytes(bool fused, int heads, int rows, int dh) {
+  const int d = heads * dh;
+  const auto seed = static_cast<std::uint64_t>(1000 * heads + 10 * rows + dh);
+  Tensor q = rand_param(rows, d, seed);
+  Tensor k = rand_param(rows, d, seed + 1);
+  Tensor v = rand_param(rows, d, seed + 2);
+  Tensor out = fused ? attention_heads(q, k, v, heads)
+                     : per_head_chain(q, k, v, heads);
+  const Mat g = rand_mat(rows, d, seed + 3);
+  std::copy(g.v.begin(), g.v.end(), out->grad.v.begin());
+  backward_seeded(out);
+  return {bits(out->value), bits(q->grad), bits(k->grad), bits(v->grad)};
+}
+
+TEST(Autograd, AttentionHeadsMatchesPerHeadChain) {
+  const SimdBackend prev = simd_backend();
+  for (SimdBackend backend : {SimdBackend::kScalar, SimdBackend::kAvx2}) {
+    if (!set_simd_backend(backend)) continue;  // CPU without AVX2
+    for (int heads : {1, 2, 4}) {
+      for (int rows : {1, 2, 17, 33}) {
+        for (int dh : {3, 8, 12}) {
+          const AttentionBytes chain = attention_bytes(false, heads, rows, dh);
+          const AttentionBytes fused = attention_bytes(true, heads, rows, dh);
+          const std::string at = std::string(simd_backend_name(backend)) +
+                                 " heads=" + std::to_string(heads) +
+                                 " rows=" + std::to_string(rows) +
+                                 " dh=" + std::to_string(dh);
+          EXPECT_EQ(fused.out, chain.out) << "output, " << at;
+          EXPECT_EQ(fused.dq, chain.dq) << "dq, " << at;
+          EXPECT_EQ(fused.dk, chain.dk) << "dk, " << at;
+          EXPECT_EQ(fused.dv, chain.dv) << "dv, " << at;
+        }
+      }
+    }
+  }
+  set_simd_backend(prev);
+}
+
+TEST(Autograd, AttentionHeadsGrad) {
+  Tensor q = rand_param(4, 6, 40);
+  Tensor k = rand_param(4, 6, 41);
+  Tensor v = rand_param(4, 6, 42);
+  gradcheck([&] { return to_scalar(attention_heads(q, k, v, 2)); }, {q, k, v});
+  gradcheck([&] { return to_scalar(attention_heads(q, k, v, 3)); }, {q, k, v});
+  // Heads must divide the width; q, k and v must share one shape.
+  EXPECT_THROW(attention_heads(q, k, v, 4), CheckError);
+  EXPECT_THROW(attention_heads(q, k, v, 0), CheckError);
+  EXPECT_THROW(attention_heads(q, rand_param(5, 6, 43), v, 2), CheckError);
+  EXPECT_THROW(attention_heads(q, k, rand_param(4, 8, 44), 2), CheckError);
+}
+
 TEST(Autograd, LayerNormGrad) {
   Tensor a = rand_param(3, 6, 11);
   Tensor g = rand_param(1, 6, 12);
@@ -203,6 +295,13 @@ TEST(Layers, ShapesAndParamCounts) {
   Mlp mlp(8, 16, 3, rng);
   Tensor p = mlp.forward(rand_param(2, 8, 27));
   EXPECT_EQ(p->value.cols, 3);
+}
+
+TEST(Layers, AttentionRejectsIndivisibleHeads) {
+  Rng rng(3);
+  EXPECT_THROW(MultiHeadAttention(63, 2, rng), CheckError);
+  EXPECT_THROW(MultiHeadAttention(8, 0, rng), CheckError);
+  EXPECT_NO_THROW(MultiHeadAttention(64, 2, rng));
 }
 
 TEST(Layers, TransformerBlockGradFlows) {

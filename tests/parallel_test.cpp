@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -112,6 +113,38 @@ TEST(ParallelKernels, MatmulForwardBackwardBitIdenticalAcrossWidths) {
       ASSERT_EQ(par.db.v[i], serial.db.v[i]) << "dB, width " << width;
     }
   }
+}
+
+/// One attention_heads forward/backward round at a given width: output and
+/// q/k/v gradients.
+struct AttentionRun {
+  Mat out, dq, dk, dv;
+};
+
+AttentionRun attention_round(int width) {
+  WidthGuard guard(width);
+  Rng rng(43);
+  // 4 heads of width 32 over 160 rows: the score/value GEMMs and the
+  // per-row softmax passes all clear their parallel grain thresholds.
+  Tensor q = make_param(160, 128, rng);
+  Tensor k = make_param(160, 128, rng);
+  Tensor v = make_param(160, 128, rng);
+  Tensor y = attention_heads(q, k, v, 4);
+  backward(mse_loss(y, Mat(160, 128)));
+  return {y->value, q->grad, k->grad, v->grad};
+}
+
+TEST(ParallelKernels, AttentionHeadsBitIdenticalAcrossWidths) {
+  const AttentionRun serial = attention_round(1);
+  const AttentionRun par = attention_round(4);
+  auto same_bytes = [](const Mat& a, const Mat& b) {
+    return a.v.size() == b.v.size() &&
+           std::memcmp(a.v.data(), b.v.data(), a.v.size() * sizeof(float)) == 0;
+  };
+  EXPECT_TRUE(same_bytes(serial.out, par.out)) << "forward";
+  EXPECT_TRUE(same_bytes(serial.dq, par.dq)) << "dq";
+  EXPECT_TRUE(same_bytes(serial.dk, par.dk)) << "dk";
+  EXPECT_TRUE(same_bytes(serial.dv, par.dv)) << "dv";
 }
 
 TEST(ParallelKernels, BackwardSeededMatchesBackward) {

@@ -452,6 +452,22 @@ TEST(Serialize, CheckpointConfigRejectsIndivisibleHeads) {
   std::remove((prefix + ".ckpt").c_str());
 }
 
+TEST(Serialize, CheckpointConfigRejectsIndivisibleTagWidth) {
+  // TAGFormer splits tag_d_model over its fixed head count; an odd width
+  // used to load and then fail every embed with a matmul shape error.
+  const std::string prefix = "/tmp/nettag_ckpt_tag_heads";
+  save_manifest(prefix + ".ckpt", {{"format", "nettag-ckpt-v1"},
+                                   {"tag_d_model", "63"}});
+  const std::string err = config_error(prefix);
+  EXPECT_NE(err.find("tag_d_model (63)"), std::string::npos) << err;
+  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+  EXPECT_THROW(load_checkpoint(prefix), std::runtime_error);
+  save_manifest(prefix + ".ckpt", {{"format", "nettag-ckpt-v1"},
+                                   {"tag_d_model", "62"}});
+  EXPECT_EQ(read_checkpoint_config(prefix).tag_d_model, 62);
+  std::remove((prefix + ".ckpt").c_str());
+}
+
 TEST(Serialize, CheckpointConfigRejectsBadBoolean) {
   const std::string prefix = "/tmp/nettag_ckpt_bool";
   save_manifest(prefix + ".ckpt", {{"format", "nettag-ckpt-v1"},

@@ -237,7 +237,7 @@ void dump_tape_report(const plan::TapeReport& r) {
       if (!parents.empty()) parents += ",";
       parents += std::to_string(p);
     }
-    std::printf("  [%3zu] %-14s %4dx%-4d par=[%s] value@%s live[%ld,%ld]",
+    std::printf("  [%3zu] %-15s %4dx%-4d par=[%s] value@%s live[%ld,%ld]",
                 i, e.op.c_str(), e.rows, e.cols, parents.c_str(),
                 offset_str(s.value).c_str(), live.value[i].def,
                 live.value[i].last);
