@@ -177,8 +177,9 @@ Mat NetTag::embed_circuit(const Netlist& nl, std::size_t max_cone_gates,
   // Embed cones in parallel; reduce in register order so the float-addition
   // sequence (and therefore the result) matches the serial loop bit-for-bit.
   std::vector<Mat> cone_cls(regs.size());
+  const std::vector<std::size_t> position = topo_positions(nl);
   ThreadPool::instance().run_indexed(regs.size(), [&](std::size_t i) {
-    const RegisterCone rc = extract_cone(nl, regs[i], max_cone_gates);
+    const RegisterCone rc = extract_cone(nl, regs[i], max_cone_gates, position);
     cone_cls[i] = embed(rc.cone, 0, timing).cls;
   });
   Mat sum(1, config_.out_dim);

@@ -1,7 +1,5 @@
 #include "core/tag.hpp"
 
-#include <sstream>
-
 #include "expr/expr.hpp"
 #include "expr/tokenizer.hpp"
 #include "model/graph.hpp"
@@ -20,25 +18,39 @@ std::string gate_text_attribute(const Netlist& nl, GateId id, int k_hop,
                                 double toggle, double prob) {
   const Gate& g = nl.gate(id);
   const CellInfo& info = cell_info(g.type);
-  std::ostringstream out;
+  const bool has_expr = g.type != CellType::kPort &&
+                        g.type != CellType::kConst0 &&
+                        g.type != CellType::kConst1;
+  const std::string expr =
+      has_expr ? to_string(khop_expression(nl, id, k_hop)) : std::string();
+  std::string out;
+  out.reserve(160 + 2 * g.name.size() + expr.size());
+  const auto field = [&out](const char* key, const std::string& bucket) {
+    out += key;
+    out += bucket;
+  };
   // Physical characteristics first (bucketized on log scales spanning the
   // library) so they survive truncation when the expression is long.
-  out << "gate " << g.name << " type " << info.name                //
-      << " phys area " << bucket_token(info.area, 0.5, 5.0)        //
-      << " leak " << bucket_token(info.leakage, 1.0, 10.0)         //
-      << " cap " << bucket_token(info.input_cap, 1.0, 3.0)         //
-      << " drive " << bucket_token(info.drive_res, 0.05, 0.2)      //
-      << " delay " << bucket_token(info.intrinsic_delay + 1e-4, 0.005, 0.1)
-      << " fanout " << bucket_token(static_cast<double>(g.fanouts.size()) + 1.0,
-                                    1.0, 32.0)
-      << " toggle " << bucket_token(toggle + 1e-3, 1e-3, 1.0)  //
-      << " prob " << bucket_token(prob + 1e-3, 1e-3, 1.0);
-  if (g.type != CellType::kPort && g.type != CellType::kConst0 &&
-      g.type != CellType::kConst1) {
-    out << " expr " << g.name << " = "
-        << to_string(khop_expression(nl, id, k_hop));
+  out += "gate ";
+  out += g.name;
+  out += " type ";
+  out += info.name;
+  field(" phys area ", bucket_token(info.area, 0.5, 5.0));
+  field(" leak ", bucket_token(info.leakage, 1.0, 10.0));
+  field(" cap ", bucket_token(info.input_cap, 1.0, 3.0));
+  field(" drive ", bucket_token(info.drive_res, 0.05, 0.2));
+  field(" delay ", bucket_token(info.intrinsic_delay + 1e-4, 0.005, 0.1));
+  field(" fanout ",
+        bucket_token(static_cast<double>(g.fanouts.size()) + 1.0, 1.0, 32.0));
+  field(" toggle ", bucket_token(toggle + 1e-3, 1e-3, 1.0));
+  field(" prob ", bucket_token(prob + 1e-3, 1e-3, 1.0));
+  if (has_expr) {
+    out += " expr ";
+    out += g.name;
+    out += " = ";
+    out += expr;
   }
-  return out.str();
+  return out;
 }
 
 TagGraph build_tag(const Netlist& nl, int k_hop) {

@@ -279,9 +279,21 @@ class Parser {
     return Expr::land(std::move(kids));
   }
 
+  // Every '(' and '!' opens one nesting level (one more recursion).
+  void enter_level() {
+    if (++depth_ > kMaxExprNesting) {
+      throw std::invalid_argument("parse_expr: nesting deeper than " +
+                                  std::to_string(kMaxExprNesting) +
+                                  " levels at byte " + std::to_string(pos_ - 1));
+    }
+  }
+
   ExprPtr parse_unary() {
-    if (accept('!')) return Expr::lnot(parse_unary());
-    return parse_atom();
+    if (!accept('!')) return parse_atom();
+    enter_level();
+    ExprPtr e = Expr::lnot(parse_unary());
+    --depth_;
+    return e;
   }
 
   ExprPtr parse_atom() {
@@ -290,8 +302,10 @@ class Parser {
     const char c = text_[pos_];
     if (c == '(') {
       ++pos_;
+      enter_level();
       ExprPtr e = parse_or();
       if (!accept(')')) throw std::invalid_argument("parse_expr: missing ')'");
+      --depth_;
       return e;
     }
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
@@ -312,6 +326,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< enclosing '(' groups and '!' prefixes
 };
 
 }  // namespace

@@ -7,9 +7,16 @@
 // "U3 = !(R1|R2)" and "g7 = !(a|b)" produce identical token streams. This
 // mirrors how LLM tokenization abstracts over surface names far better than
 // per-name embeddings would at our scale.
+//
+// tokenize_text and encode_text share one scanner; encode_text maps each
+// token to its id as it is scanned, without building token strings.
 #pragma once
 
+#include <array>
+#include <cstddef>
+#include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -22,7 +29,7 @@ class Vocab {
   Vocab();
 
   /// Id of a token; unknown tokens map to the [UNK] id.
-  int id(const std::string& token) const;
+  int id(std::string_view token) const;
 
   /// Token string for an id (for debugging).
   const std::string& token(int id) const;
@@ -39,11 +46,27 @@ class Vocab {
   static constexpr int kNumBuckets = 8;
 
  private:
+  friend std::vector<int> encode_text(const Vocab& vocab,
+                                      const std::string& text,
+                                      std::size_t max_len);
+
+  /// Transparent hash so lookups take a std::string_view without a copy.
+  struct Hash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+
   void add(const std::string& token);
 
   std::vector<std::string> tokens_;
-  std::unordered_map<std::string, int> index_;
+  std::unordered_map<std::string, int, Hash, std::equal_to<>> index_;
   int pad_id_ = 0, unk_id_ = 0, cls_id_ = 0;
+  // Id tables for the tokens encode_text emits without a lookup.
+  std::array<int, 256> char_id_{};          ///< one-byte tokens, by byte
+  std::array<int, kMaxVars> var_id_{};      ///< "v0".."v{kMaxVars-1}"
+  int zero_id_ = 0, one_id_ = 0, num_id_ = 0;  ///< "0", "1", "<num>"
 };
 
 /// Splits attribute text into raw token strings. Identifiers are anonymized
@@ -51,7 +74,8 @@ class Vocab {
 /// punctuation, keywords, and bucket tokens pass through.
 std::vector<std::string> tokenize_text(const std::string& text);
 
-/// Tokenizes and converts to ids, truncating to `max_len` (0 = no limit).
+/// The ids of tokenize_text(text) under `vocab`, truncated to `max_len`
+/// (0 = no limit). Scanning stops once `max_len` ids are out.
 std::vector<int> encode_text(const Vocab& vocab, const std::string& text,
                              std::size_t max_len = 0);
 

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "analysis/check.hpp"
+
 namespace nettag {
 
 namespace {
@@ -125,6 +127,18 @@ ExprPtr cell_function(CellType type, const std::vector<ExprPtr>& in) {
 }
 
 bool cell_eval(CellType type, const std::vector<bool>& in) {
+  NETTAG_CHECK(in.size() <= static_cast<std::size_t>(kMaxCellInputs),
+               "cell_eval: " + std::to_string(in.size()) + " inputs for " +
+                   cell_info(type).name);
+  unsigned bits = 0;
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    bits |= static_cast<unsigned>(in[i]) << i;
+  }
+  return cell_eval_bits(type, bits);
+}
+
+bool cell_eval_bits(CellType type, unsigned bits) {
+  const auto in = [bits](int i) { return ((bits >> i) & 1u) != 0; };
   switch (type) {
     case CellType::kPort:
       throw std::invalid_argument("PORT has no local function");
@@ -133,52 +147,52 @@ bool cell_eval(CellType type, const std::vector<bool>& in) {
     case CellType::kConst1:
       return true;
     case CellType::kInv:
-      return !in[0];
+      return !in(0);
     case CellType::kBuf:
     case CellType::kDff:
-      return in[0];
+      return in(0);
     case CellType::kAnd2:
-      return in[0] && in[1];
+      return in(0) && in(1);
     case CellType::kAnd3:
-      return in[0] && in[1] && in[2];
+      return in(0) && in(1) && in(2);
     case CellType::kAnd4:
-      return in[0] && in[1] && in[2] && in[3];
+      return in(0) && in(1) && in(2) && in(3);
     case CellType::kNand2:
-      return !(in[0] && in[1]);
+      return !(in(0) && in(1));
     case CellType::kNand3:
-      return !(in[0] && in[1] && in[2]);
+      return !(in(0) && in(1) && in(2));
     case CellType::kNand4:
-      return !(in[0] && in[1] && in[2] && in[3]);
+      return !(in(0) && in(1) && in(2) && in(3));
     case CellType::kOr2:
-      return in[0] || in[1];
+      return in(0) || in(1);
     case CellType::kOr3:
-      return in[0] || in[1] || in[2];
+      return in(0) || in(1) || in(2);
     case CellType::kOr4:
-      return in[0] || in[1] || in[2] || in[3];
+      return in(0) || in(1) || in(2) || in(3);
     case CellType::kNor2:
-      return !(in[0] || in[1]);
+      return !(in(0) || in(1));
     case CellType::kNor3:
-      return !(in[0] || in[1] || in[2]);
+      return !(in(0) || in(1) || in(2));
     case CellType::kNor4:
-      return !(in[0] || in[1] || in[2] || in[3]);
+      return !(in(0) || in(1) || in(2) || in(3));
     case CellType::kXor2:
-      return in[0] != in[1];
+      return in(0) != in(1);
     case CellType::kXnor2:
-      return in[0] == in[1];
+      return in(0) == in(1);
     case CellType::kMux2:
-      return in[2] ? in[1] : in[0];
+      return in(2) ? in(1) : in(0);
     case CellType::kAoi21:
-      return !((in[0] && in[1]) || in[2]);
+      return !((in(0) && in(1)) || in(2));
     case CellType::kAoi22:
-      return !((in[0] && in[1]) || (in[2] && in[3]));
+      return !((in(0) && in(1)) || (in(2) && in(3)));
     case CellType::kOai21:
-      return !((in[0] || in[1]) && in[2]);
+      return !((in(0) || in(1)) && in(2));
     case CellType::kOai22:
-      return !((in[0] || in[1]) && (in[2] || in[3]));
+      return !((in(0) || in(1)) && (in(2) || in(3)));
     case CellType::kMaj3:
-      return (in[0] && in[1]) || (in[0] && in[2]) || (in[1] && in[2]);
+      return (in(0) && in(1)) || (in(0) && in(2)) || (in(1) && in(2));
   }
-  throw std::invalid_argument("cell_eval: bad type");
+  throw std::invalid_argument("cell_eval_bits: bad type");
 }
 
 int gate_class_of(CellType type) {

@@ -45,6 +45,10 @@ enum class CellType : std::uint8_t {
 /// Number of distinct cell types (array sizing).
 constexpr int kNumCellTypes = static_cast<int>(CellType::kDff) + 1;
 
+/// Largest input count of any library cell (AND4, NAND4, OR4, NOR4, AOI22,
+/// OAI22); fixed-size per-gate scratch is sized by it.
+constexpr int kMaxCellInputs = 4;
+
 /// Static per-cell data.
 struct CellInfo {
   CellType type;
@@ -75,8 +79,13 @@ CellType cell_type_from_name(const std::string& name);
 ExprPtr cell_function(CellType type, const std::vector<ExprPtr>& inputs);
 
 /// Evaluates the cell's function on concrete input bits (fast path used by
-/// the simulator; avoids building expression trees).
+/// the simulator; avoids building expression trees). Routes through
+/// cell_eval_bits; at most kMaxCellInputs inputs.
 bool cell_eval(CellType type, const std::vector<bool>& inputs);
+
+/// The cell's truth table: its output when input i carries bit i of
+/// `inputs` (bits at and above the cell's input count are ignored).
+bool cell_eval_bits(CellType type, unsigned inputs);
 
 /// Classes used for masked-gate-type prediction (Objective #2.1): all
 /// combinational logic cells (PORT/CONST/DFF excluded).

@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "analysis/check.hpp"
+
 namespace nettag {
 
 namespace {
@@ -15,8 +17,27 @@ bool is_boundary(CellType t) {
 
 }  // namespace
 
+std::vector<std::size_t> topo_positions(const Netlist& nl) {
+  std::vector<std::size_t> position(nl.size());
+  const std::vector<GateId> order = nl.topo_order();
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    position[static_cast<std::size_t>(order[i])] = i;
+  }
+  return position;
+}
+
 RegisterCone extract_cone(const Netlist& nl, GateId register_id,
                           std::size_t max_gates) {
+  return extract_cone(nl, register_id, max_gates, topo_positions(nl));
+}
+
+RegisterCone extract_cone(const Netlist& nl, GateId register_id,
+                          std::size_t max_gates,
+                          const std::vector<std::size_t>& topo_position) {
+  NETTAG_CHECK(topo_position.size() == nl.size(),
+               "extract_cone: " + std::to_string(topo_position.size()) +
+                   " topological positions for " + std::to_string(nl.size()) +
+                   " gates");
   const Gate& reg = nl.gate(register_id);
   if (reg.type != CellType::kDff) {
     throw std::invalid_argument("extract_cone: not a register: " + reg.name);
@@ -83,8 +104,12 @@ RegisterCone extract_cone(const Netlist& nl, GateId register_id,
     to_cone[b] = cid;
     rc.to_parent[cid] = b;
   }
-  for (GateId id : nl.topo_order()) {
-    if (!logic.count(id)) continue;
+  std::vector<GateId> ordered(logic.begin(), logic.end());
+  std::sort(ordered.begin(), ordered.end(), [&topo_position](GateId a, GateId b) {
+    return topo_position[static_cast<std::size_t>(a)] <
+           topo_position[static_cast<std::size_t>(b)];
+  });
+  for (GateId id : ordered) {
     const Gate& g = nl.gate(id);
     if (g.type == CellType::kConst0 || g.type == CellType::kConst1) {
       const GateId cid = rc.cone.add_gate(g.type, g.name, {});
@@ -114,8 +139,9 @@ RegisterCone extract_cone(const Netlist& nl, GateId register_id,
 std::vector<RegisterCone> extract_register_cones(const Netlist& nl,
                                                  std::size_t max_gates) {
   std::vector<RegisterCone> cones;
+  const std::vector<std::size_t> position = topo_positions(nl);
   for (GateId r : nl.registers()) {
-    cones.push_back(extract_cone(nl, r, max_gates));
+    cones.push_back(extract_cone(nl, r, max_gates, position));
   }
   return cones;
 }

@@ -38,4 +38,14 @@ std::vector<RegisterCone> extract_register_cones(const Netlist& nl,
 RegisterCone extract_cone(const Netlist& nl, GateId register_id,
                           std::size_t max_gates = 0);
 
+/// Position of every gate of `nl` in nl.topo_order(), indexed by gate id.
+/// Cones extracted from one netlist share it, so the parent is sorted once
+/// per netlist rather than once per register.
+std::vector<std::size_t> topo_positions(const Netlist& nl);
+
+/// As above, with the parent's topo_positions(nl) computed by the caller.
+RegisterCone extract_cone(const Netlist& nl, GateId register_id,
+                          std::size_t max_gates,
+                          const std::vector<std::size_t>& topo_position);
+
 }  // namespace nettag

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "analysis/check.hpp"
 #include "util/parallel.hpp"
 
 namespace nettag {
@@ -25,9 +26,10 @@ constexpr double kVdd = 1.1;          // V
 /// topological sweep — every per-gate value is written by exactly one task
 /// and depends only on lower levels.
 std::vector<std::vector<GateId>> levelize(const Netlist& nl) {
+  const std::vector<GateId> order = nl.topo_order();
   std::vector<int> level(nl.size(), 0);
   int max_level = 0;
-  for (GateId id : nl.topo_order()) {
+  for (GateId id : order) {
     const Gate& g = nl.gate(id);
     if (g.type == CellType::kPort || g.type == CellType::kConst0 ||
         g.type == CellType::kConst1 || g.type == CellType::kDff) {
@@ -41,7 +43,7 @@ std::vector<std::vector<GateId>> levelize(const Netlist& nl) {
     max_level = std::max(max_level, lv);
   }
   std::vector<std::vector<GateId>> levels(static_cast<std::size_t>(max_level) + 1);
-  for (GateId id : nl.topo_order()) {
+  for (GateId id : order) {
     levels[static_cast<std::size_t>(level[static_cast<std::size_t>(id)])]
         .push_back(id);
   }
@@ -178,51 +180,57 @@ PowerReport run_power(const Netlist& nl, const Parasitics& para,
   // reconvergence. Register outputs are resolved by a short fixed-point
   // (Q(c+1) = D(c), so a register's statistics equal its D statistics at
   // steady state).
+  //
+  // The enumeration allocates nothing: per-input factors and the cell's
+  // truth table live in fixed-size arrays on the task's own stack (the
+  // sweeps below run level-parallel), sized by the library's arity bound.
+  // Each pattern probability is the same product, in the same order, as a
+  // per-pattern evaluation of those factors.
   auto propagate_gate = [&](const Gate& g) {
     const int k = static_cast<int>(g.fanins.size());
-    std::vector<double> pi(static_cast<std::size_t>(k));
-    std::vector<double> ti(static_cast<std::size_t>(k));
+    NETTAG_CHECK(k <= kMaxCellInputs,
+                 "run_power: gate '" + g.name + "' has " + std::to_string(k) +
+                     " fanins; library cells have at most " +
+                     std::to_string(kMaxCellInputs));
+    // [input][bit]: P(x_i = bit), and P(x_i flips | x_i = bit) and its
+    // complement — each input flips with probability t_i/2 from state 1
+    // (resp. from state 0), i.e. P(flip | x0) = (t/2) / P(x0).
+    double p_bit[kMaxCellInputs][2] = {};
+    double p_flip[kMaxCellInputs][2] = {};
+    double p_stay[kMaxCellInputs][2] = {};
     for (int i = 0; i < k; ++i) {
       const std::size_t f =
           static_cast<std::size_t>(g.fanins[static_cast<std::size_t>(i)]);
-      pi[static_cast<std::size_t>(i)] = rep.prob[f];
+      const double p1 = rep.prob[f];
       // Clamp toggles to the feasible region t/2 <= min(p, 1-p).
-      ti[static_cast<std::size_t>(i)] =
-          std::min(rep.toggle[f],
-                   2.0 * std::min(rep.prob[f], 1.0 - rep.prob[f]));
+      const double half_t =
+          std::min(rep.toggle[f], 2.0 * std::min(p1, 1.0 - p1)) / 2.0;
+      for (int b = 0; b < 2; ++b) {
+        const double p_b = b ? p1 : 1.0 - p1;
+        p_bit[i][b] = p_b;
+        p_flip[i][b] = p_b > 1e-12 ? half_t / p_b : 0.0;
+        p_stay[i][b] = 1.0 - p_flip[i][b];
+      }
     }
+    const unsigned patterns = 1u << k;  // bit i of a pattern = input i
+    bool y[1u << kMaxCellInputs] = {};
+    for (unsigned m = 0; m < patterns; ++m) y[m] = cell_eval_bits(g.type, m);
     double p_one = 0.0, t_out = 0.0;
-    for (int m0 = 0; m0 < (1 << k); ++m0) {
+    for (unsigned m0 = 0; m0 < patterns; ++m0) {
       // Probability of the "before" assignment.
       double pm0 = 1.0;
-      std::vector<bool> bits0(static_cast<std::size_t>(k));
-      for (int i = 0; i < k; ++i) {
-        const bool b = (m0 >> i) & 1;
-        bits0[static_cast<std::size_t>(i)] = b;
-        pm0 *= b ? pi[static_cast<std::size_t>(i)]
-                 : 1.0 - pi[static_cast<std::size_t>(i)];
-      }
+      for (int i = 0; i < k; ++i) pm0 *= p_bit[i][(m0 >> i) & 1u];
       if (pm0 <= 0.0) continue;
-      const bool y0 = cell_eval(g.type, bits0);
-      if (y0) p_one += pm0;
-      for (int m1 = 0; m1 < (1 << k); ++m1) {
-        // Conditional probability of the "after" assignment: each input
-        // flips with probability t_i/2 from state 1 (resp. from state 0),
-        // i.e. P(flip | x0) = (t/2) / P(x0).
+      if (y[m0]) p_one += pm0;
+      for (unsigned m1 = 0; m1 < patterns; ++m1) {
+        // Conditional probability of the "after" assignment.
         double pm01 = pm0;
-        std::vector<bool> bits1(static_cast<std::size_t>(k));
         for (int i = 0; i < k; ++i) {
-          const bool b0 = bits0[static_cast<std::size_t>(i)];
-          const bool b1 = (m1 >> i) & 1;
-          bits1[static_cast<std::size_t>(i)] = b1;
-          const double p1 = pi[static_cast<std::size_t>(i)];
-          const double half_t = ti[static_cast<std::size_t>(i)] / 2.0;
-          const double p_b0 = b0 ? p1 : 1.0 - p1;
-          const double p_flip = p_b0 > 1e-12 ? half_t / p_b0 : 0.0;
-          pm01 *= b0 == b1 ? 1.0 - p_flip : p_flip;
+          const unsigned b0 = (m0 >> i) & 1u;
+          pm01 *= ((m1 >> i) & 1u) == b0 ? p_stay[i][b0] : p_flip[i][b0];
         }
         if (pm01 <= 0.0) continue;
-        if (cell_eval(g.type, bits1) != y0) t_out += pm01;
+        if (y[m1] != y[m0]) t_out += pm01;
       }
     }
     rep.prob[static_cast<std::size_t>(g.id)] = std::clamp(p_one, 0.0, 1.0);
@@ -255,14 +263,21 @@ PowerReport run_power(const Netlist& nl, const Parasitics& para,
   }
   // Fixed-point sweeps: propagate combinational logic, then pull register
   // statistics from their D inputs. Three sweeps suffice in practice
-  // (statistics contract quickly through logic).
+  // (statistics contract quickly through logic). When no register output
+  // drives anything (every register cone: its one register is the output),
+  // the pull cannot change any gate's inputs, so sweeps 2 and 3 would
+  // recompute sweep 1 bit for bit; one sweep then gives the same report.
   // Level-parallel sweeps: within a level no gate feeds another, so the
   // pairwise-joint propagation reads only stable lower-level statistics and
   // the result matches the serial sweep bit-for-bit. The activity
   // enumeration is 4^fanin per gate, so the grain is small.
-  constexpr int kSweeps = 3;
+  const bool registers_have_fanout =
+      std::any_of(nl.gates().begin(), nl.gates().end(), [](const Gate& g) {
+        return g.type == CellType::kDff && !g.fanouts.empty();
+      });
+  const int sweeps = registers_have_fanout ? 3 : 1;
   const std::vector<std::vector<GateId>> levels = levelize(nl);
-  for (int sweep = 0; sweep < kSweeps; ++sweep) {
+  for (int sweep = 0; sweep < sweeps; ++sweep) {
     for (const std::vector<GateId>& lvl : levels) {
       parallel_for(lvl.size(), 16, [&](std::size_t b, std::size_t e) {
         for (std::size_t u = b; u < e; ++u) {

@@ -1,10 +1,14 @@
 // Tests for register-cone chunking and AIG conversion.
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "expr/expr.hpp"
 #include "netlist/aig.hpp"
 #include "netlist/cone.hpp"
 #include "netlist/netlist.hpp"
+#include "rtlgen/generator.hpp"
+#include "rtlgen/hierarchy.hpp"
 #include "util/rng.hpp"
 
 namespace nettag {
@@ -101,6 +105,63 @@ TEST(Cone, DirectPortToRegister) {
   const RegisterCone rc = extract_cone(nl, nl.find("r"));
   EXPECT_EQ(rc.cone.size(), 2u);
   rc.cone.validate();
+}
+
+// Cones extracted with the parent's shared topological positions (as
+// extract_register_cones and embed_circuit do) equal per-register
+// extraction, and their interior gates follow the parent's topo_order().
+TEST(Cone, SharedTopoOrderMatchesPerRegisterExtraction) {
+  std::vector<Netlist> designs;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    designs.push_back(generate_design(benchmark_families()[seed - 1], rng,
+                                      "flat" + std::to_string(seed))
+                          .netlist);
+  }
+  HierarchyOptions ho;
+  ho.levels = 2;
+  ho.min_blocks_per_level = 2;
+  ho.max_blocks_per_level = 2;
+  ho.shared_blocks = 1;
+  Rng hrng(9);
+  designs.push_back(
+      generate_hierarchical_design(family_profile("chipyard"), ho, hrng, "hier")
+          .netlist);
+  for (const Netlist& nl : designs) {
+    const std::vector<GateId> order = nl.topo_order();
+    for (const std::size_t cap : {std::size_t{0}, std::size_t{40}}) {
+      const std::vector<RegisterCone> shared = extract_register_cones(nl, cap);
+      const std::vector<GateId> regs = nl.registers();
+      ASSERT_EQ(shared.size(), regs.size());
+      for (std::size_t r = 0; r < regs.size(); ++r) {
+        const RegisterCone single = extract_cone(nl, regs[r], cap);
+        const RegisterCone& s = shared[r];
+        ASSERT_EQ(s.cone.size(), single.cone.size()) << nl.name();
+        EXPECT_EQ(s.register_id, single.register_id);
+        EXPECT_EQ(s.cone_register, single.cone_register);
+        EXPECT_EQ(s.to_parent, single.to_parent);
+        for (const Gate& g : s.cone.gates()) {
+          const Gate& h = single.cone.gate(g.id);
+          EXPECT_EQ(g.name, h.name);
+          EXPECT_EQ(g.type, h.type);
+          EXPECT_EQ(g.fanins, h.fanins);
+        }
+        // Interior gates: exactly the parent's topological order restricted
+        // to the cone's logic.
+        std::vector<GateId> interior, expected;
+        std::unordered_set<GateId> logic;
+        for (const Gate& g : s.cone.gates()) {
+          if (g.type == CellType::kPort || g.id == s.cone_register) continue;
+          interior.push_back(s.to_parent.at(g.id));
+          logic.insert(interior.back());
+        }
+        for (GateId id : order) {
+          if (logic.count(id)) expected.push_back(id);
+        }
+        EXPECT_EQ(interior, expected) << s.cone.name();
+      }
+    }
+  }
 }
 
 TEST(Aig, OnlyAigCells) {

@@ -8,7 +8,12 @@
 #include "core/dataset.hpp"
 #include "core/nettag.hpp"
 #include "core/tag.hpp"
+#include "expr/tokenizer.hpp"
+#include "netlist/cone.hpp"
+#include "rtlgen/generator.hpp"
 #include "tasks/labels.hpp"
+#include "util/checksum.hpp"
+#include "util/rng.hpp"
 
 namespace nettag {
 namespace {
@@ -59,6 +64,45 @@ TEST(Tag, PortsHaveNoExpression) {
   const Netlist nl = fig3();
   const std::string attr = gate_text_attribute(nl, nl.find("R1"), 2);
   EXPECT_EQ(attr.find("expr"), std::string::npos) << attr;
+}
+
+// Pins every byte the per-cone preprocessing produces: a CRC-32 over
+// build_tag's attributes, phys rows and edges, plus each attribute's
+// encode_text ids at the serving max_len, for the whole design and every
+// register cone of fixed-seed rtlgen designs. The constant was computed
+// with the string-token tokenizer, the std::ostringstream attribute builder
+// and the three-sweep power analysis; it assumes the IEEE-754
+// little-endian layout of the floats and ints folded in.
+TEST(Tag, BuildTagBytesPinned) {
+  const Vocab vocab;
+  std::uint32_t crc = 0;
+  const auto fold = [&crc](const void* data, std::size_t size) {
+    crc = crc32(data, size, crc);
+  };
+  std::size_t attrs = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(100 + seed);
+    const Netlist nl = generate_design(benchmark_families()[seed - 1], rng,
+                                       "pin" + std::to_string(seed))
+                           .netlist;
+    std::vector<Netlist> graphs = {nl};
+    for (RegisterCone& rc : extract_register_cones(nl, 120)) {
+      graphs.push_back(std::move(rc.cone));
+    }
+    for (const Netlist& g : graphs) {
+      const TagGraph tag = build_tag(g, 2);
+      for (const std::string& a : tag.attrs) {
+        fold(a.c_str(), a.size() + 1);  // the NUL separates attributes
+        const std::vector<int> ids = encode_text(vocab, a, 96);
+        fold(ids.data(), ids.size() * sizeof(int));
+        ++attrs;
+      }
+      fold(tag.phys.v.data(), tag.phys.v.size() * sizeof(float));
+      fold(tag.edges.data(), tag.edges.size() * sizeof(tag.edges[0]));
+    }
+  }
+  EXPECT_EQ(attrs, 2281u);
+  EXPECT_EQ(crc, 0x7126474fu);
 }
 
 TEST(Dataset, CorpusCoversAllFamilies) {

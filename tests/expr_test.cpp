@@ -1,6 +1,9 @@
 // Unit tests for the Boolean expression engine (src/expr).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "expr/expr.hpp"
 
 namespace nettag {
@@ -157,6 +160,42 @@ TEST(ExprParser, MalformedThrows) {
 TEST(Expr, SignatureStableAcrossCalls) {
   auto e = parse_expr("!((R1^R2)|!R2)");
   EXPECT_EQ(semantic_signature(e), semantic_signature(parse_expr("!((R1^R2)|!R2)")));
+}
+
+// The parser recurses once per '(' group and '!' prefix; nesting beyond
+// kMaxExprNesting must throw (naming the byte offset) instead of
+// overflowing the stack, and nesting at the limit must still parse.
+TEST(Expr, ParseRejectsDeepNesting) {
+  const auto throws_at = [](const std::string& text, std::size_t offset) {
+    try {
+      parse_expr(text);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what()).find("at byte " + std::to_string(offset)) !=
+             std::string::npos;
+    }
+    return false;
+  };
+  const std::size_t limit = kMaxExprNesting;
+  EXPECT_TRUE(throws_at(std::string(100000, '(') + "a" + std::string(100000, ')'),
+                        limit));
+  EXPECT_TRUE(throws_at(std::string(1000000, '!') + "a", limit));
+  EXPECT_TRUE(throws_at(std::string(limit + 1, '(') + "a" + std::string(limit + 1, ')'),
+                        limit));
+  // At the limit, in every form: parentheses, negations, and a mix.
+  const ExprPtr parens =
+      parse_expr(std::string(limit, '(') + "a" + std::string(limit, ')'));
+  EXPECT_EQ(to_string(parens), "a");
+  const ExprPtr nots = parse_expr(std::string(limit, '!') + "a");
+  EXPECT_EQ(nots->depth(), limit + 1);
+  std::string mixed;
+  for (std::size_t i = 0; i < limit / 2; ++i) mixed += "!(b&";
+  mixed += "a";
+  for (std::size_t i = 0; i < limit / 2; ++i) mixed += ")";
+  EXPECT_EQ(to_string(parse_expr(mixed)), mixed);
+  // Depth is per nesting path, not a count of '(' in the text.
+  std::string wide;
+  for (std::size_t i = 0; i < 2 * limit; ++i) wide += i ? "|(a&b)" : "(a&b)";
+  EXPECT_NO_THROW(parse_expr(wide));
 }
 
 }  // namespace

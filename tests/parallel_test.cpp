@@ -18,22 +18,10 @@
 #include "core/pretrain.hpp"
 #include "nn/tensor.hpp"
 #include "util/parallel.hpp"
+#include "width_guard.hpp"
 
 namespace nettag {
 namespace {
-
-/// RAII width override so a failing test cannot leak its width into the
-/// rest of the suite.
-class WidthGuard {
- public:
-  explicit WidthGuard(int width) : prev_(ThreadPool::instance().width()) {
-    ThreadPool::instance().set_width(width);
-  }
-  ~WidthGuard() { ThreadPool::instance().set_width(prev_); }
-
- private:
-  int prev_;
-};
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   WidthGuard guard(8);
