@@ -381,16 +381,6 @@ std::vector<float> train_expr_phase(
 
 }  // namespace
 
-std::pair<float, float> pretrain_expr_encoder(
-    TextEncoder& encoder, const std::vector<std::string>& expressions,
-    const PretrainOptions& options, Rng& rng) {
-  bool stopped = false;
-  const std::vector<float> losses = train_expr_phase(
-      encoder, expressions, options, rng, nullptr, PhaseCtx{}, nullptr, &stopped);
-  if (losses.empty()) return {0.f, 0.f};
-  return {losses.front(), losses.back()};
-}
-
 void pretrain_rtl_encoder(TextEncoder& encoder,
                           const std::vector<std::string>& rtl_texts,
                           const PretrainOptions& options, Rng& rng) {

@@ -81,12 +81,6 @@ struct PretrainReport {
   bool interrupted = false;
 };
 
-/// Pre-trains a TextEncoder with Objective #1 on an expression corpus.
-/// Returns (first, last) mean batch loss.
-std::pair<float, float> pretrain_expr_encoder(
-    TextEncoder& encoder, const std::vector<std::string>& expressions,
-    const PretrainOptions& options, Rng& rng);
-
 /// Contrastive pre-training for the auxiliary RTL text encoder (positives:
 /// statement-order-shuffled RTL).
 void pretrain_rtl_encoder(TextEncoder& encoder,

@@ -89,8 +89,6 @@ std::vector<Tensor> TextEncoder::params() const {
   return out;
 }
 
-Tensor stack_rows(const std::vector<Tensor>& rows) { return concat_rows(rows); }
-
 namespace {
 
 /// Per-stripe share of the total capacity: ceiling split, at least 1 entry

@@ -59,9 +59,6 @@ class TextEncoder : public Module {
   std::unique_ptr<Linear> proj_;
 };
 
-/// Concatenates per-text embeddings row-wise (helper shared by objectives).
-Tensor stack_rows(const std::vector<Tensor>& rows);
-
 /// Bounded thread-safe LRU cache for *frozen* text-encoder embeddings,
 /// keyed by the packed token-id sequence (attribute tokenization anonymizes
 /// instance names, so structurally identical attributes share one entry).

@@ -97,12 +97,6 @@ Tensor make_param(int rows, int cols, Rng& rng, float scale) {
   return make_tensor(std::move(m), true);
 }
 
-Tensor scalar(float v) {
-  Mat m(1, 1);
-  m.v[0] = v;
-  return make_tensor(std::move(m), false);
-}
-
 Tensor matmul(const Tensor& a, const Tensor& b) {
   NETTAG_CHECK(a->value.cols == b->value.rows,
                "matmul: inner dimensions differ: " + sh(a->value) + " x " +

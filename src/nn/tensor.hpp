@@ -105,9 +105,6 @@ Tensor make_tensor(Mat m, bool requires_grad = false);
 /// Trainable parameter with scaled-normal init (stddev = scale/sqrt(cols)).
 Tensor make_param(int rows, int cols, Rng& rng, float scale = 1.0f);
 
-/// Constant scalar wrapped as 1x1.
-Tensor scalar(float v);
-
 // --- ops (each returns a new graph node) --------------------------------------
 
 Tensor matmul(const Tensor& a, const Tensor& b);

@@ -13,11 +13,11 @@ namespace nettag {
 
 namespace {
 
-// Shared checkpoint/stop plumbing for the two head-fit loops. Heads persist
-// only a TrainState record (phase "head"): the MLP parameters ride in
-// extra_params and everything else about a fit — normalization statistics,
-// the class-pool partition — is a deterministic function of the data, so a
-// resume recomputes it and restores just the trained state.
+// Checkpoint/stop plumbing for the head-fit loop. A head persists only a
+// TrainState record (phase "head"): the MLP parameters ride in extra_params
+// and everything else about a fit — normalization statistics, the class-pool
+// partition — is a deterministic function of the data, so a resume
+// recomputes it and restores just the trained state.
 
 void validate_head_resume(const TrainState& st, int rows) {
   if (st.phase != "head") {
@@ -239,95 +239,6 @@ std::vector<int> ClassifierHead::predict(const Mat& x) const {
       out[static_cast<std::size_t>(i)] = best;
     }
   });
-  return out;
-}
-
-RegressorHead::RegressorHead(int in_dim, const FinetuneOptions& options, Rng& rng)
-    : options_(options) {
-  mlp_ = std::make_unique<Mlp>(in_dim, options.hidden, 1, rng);
-}
-
-bool RegressorHead::fit(const Mat& x, const std::vector<double>& y, Rng& rng) {
-  return fit_impl(x, y, rng, nullptr);
-}
-
-bool RegressorHead::resume_fit(const Mat& x, const std::vector<double>& y,
-                               Rng& rng) {
-  if (!options_.checkpoint.enabled()) {
-    throw std::runtime_error("resume_fit: options.checkpoint.prefix is empty");
-  }
-  const TrainState st =
-      load_train_state(train_state_path(options_.checkpoint.prefix));
-  return fit_impl(x, y, rng, &st);
-}
-
-bool RegressorHead::fit_impl(const Mat& x_raw, const std::vector<double>& y,
-                             Rng& rng, const TrainState* resume) {
-  assert(x_raw.rows == static_cast<int>(y.size()));
-  if (x_raw.rows == 0) return true;
-  fit_column_stats(x_raw, &col_mean_, &col_std_);
-  const Mat x = apply_column_stats(x_raw, col_mean_, col_std_);
-  // Z-score normalization of targets for stable training.
-  double sum = 0, sq = 0;
-  for (double v : y) {
-    sum += v;
-    sq += v * v;
-  }
-  mean_ = sum / static_cast<double>(y.size());
-  std_ = std::sqrt(std::max(sq / static_cast<double>(y.size()) - mean_ * mean_,
-                            1e-12));
-  Adam opt(mlp_->params(), options_.lr);
-
-  const TrainCheckpoint& ck = options_.checkpoint;
-  std::vector<float> losses;
-  int start_step = 0;
-  if (resume) {
-    validate_head_resume(*resume, x_raw.rows);
-    restore_param_values(mlp_->params(), resume->extra_params);
-    opt.restore(resume->adam_t, resume->adam_m, resume->adam_v);
-    rng.set_state(resume->rng_state);
-    losses = resume->loss_history;
-    start_step = static_cast<int>(resume->next_step);
-  }
-
-  long executed = 0;
-  for (int step = start_step; step < options_.steps; ++step) {
-    plan::PlanScope plan_scope("reg|" + std::to_string(options_.batch) + "|" +
-                               std::to_string(x.cols));
-    std::vector<int> idx;
-    for (int b = 0; b < options_.batch; ++b) {
-      idx.push_back(static_cast<int>(rng.index(static_cast<std::size_t>(x.rows))));
-    }
-    Mat target(static_cast<int>(idx.size()), 1);
-    for (std::size_t i = 0; i < idx.size(); ++i) {
-      target.at(static_cast<int>(i), 0) = static_cast<float>(
-          (y[static_cast<std::size_t>(idx[i])] - mean_) / std_);
-    }
-    Tensor pred = mlp_->forward(make_tensor(take_rows(x, idx), false));
-    Tensor loss = mse_loss(pred, target);
-    backward(loss);
-    opt.step();
-    losses.push_back(loss->value.v[0]);
-    ++executed;
-    const bool stop_now = head_stop_requested(ck, executed);
-    if (ck.enabled() &&
-        (stop_now || (ck.every > 0 && (step + 1) % ck.every == 0))) {
-      save_head_state(ck, step + 1, rng, opt, *mlp_, losses, x_raw.rows);
-    }
-    if (stop_now) return false;
-  }
-  return true;
-}
-
-std::vector<double> RegressorHead::predict(const Mat& x) const {
-  const Mat p =
-      mlp_->forward(
-              make_tensor(apply_column_stats(x, col_mean_, col_std_), false))
-          ->value;
-  std::vector<double> out(static_cast<std::size_t>(p.rows));
-  for (int i = 0; i < p.rows; ++i) {
-    out[static_cast<std::size_t>(i)] = p.at(i, 0) * std_ + mean_;
-  }
   return out;
 }
 

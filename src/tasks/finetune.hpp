@@ -1,7 +1,8 @@
 // Lightweight fine-tuning on frozen NetTAG embeddings (paper §II-F: "we
 // fine-tune these embeddings with lightweight task models like MLPs or
-// tree-based models"). MLP heads for classification/regression with
-// minibatch Adam; a gradient-boosted-trees alternative lives in gbdt.hpp.
+// tree-based models"). The MLP head here is for classification (Tasks 1-2),
+// trained with minibatch Adam; regression (Tasks 3-4) uses the
+// gradient-boosted trees in gbdt.hpp.
 #pragma once
 
 #include <memory>
@@ -60,32 +61,12 @@ class ClassifierHead {
   std::vector<float> col_mean_, col_std_;  ///< input normalization (from fit)
 };
 
-/// Column-wise z-score statistics and application (shared by both heads:
+/// Column-wise z-score statistics and application (used by ClassifierHead:
 /// embeddings and raw scalar features arrive on very different scales).
 void fit_column_stats(const Mat& x, std::vector<float>* mean,
                       std::vector<float>* std);
 Mat apply_column_stats(const Mat& x, const std::vector<float>& mean,
                        const std::vector<float>& std);
-
-/// Trained regression head (z-score-normalized targets internally).
-class RegressorHead {
- public:
-  RegressorHead(int in_dim, const FinetuneOptions& options, Rng& rng);
-
-  /// See ClassifierHead::fit / resume_fit for the checkpoint contract.
-  bool fit(const Mat& x, const std::vector<double>& y, Rng& rng);
-  bool resume_fit(const Mat& x, const std::vector<double>& y, Rng& rng);
-  std::vector<double> predict(const Mat& x) const;
-
- private:
-  bool fit_impl(const Mat& x, const std::vector<double>& y, Rng& rng,
-                const TrainState* resume);
-
-  FinetuneOptions options_;
-  std::unique_ptr<Mlp> mlp_;
-  double mean_ = 0.0, std_ = 1.0;
-  std::vector<float> col_mean_, col_std_;
-};
 
 /// Utility: stack feature rows (each 1 x D) into one matrix.
 Mat vstack(const std::vector<Mat>& rows);

@@ -9,6 +9,14 @@ namespace {
 
 bool is_ascii_digit(char c) { return c >= '0' && c <= '9'; }
 
+/// Value of an ASCII hex digit (either case); 16 for any other character.
+unsigned digit_value(char c) {
+  if (is_ascii_digit(c)) return static_cast<unsigned>(c - '0');
+  if (c >= 'a' && c <= 'f') return static_cast<unsigned>(c - 'a' + 10);
+  if (c >= 'A' && c <= 'F') return static_cast<unsigned>(c - 'A' + 10);
+  return 16;
+}
+
 std::string quoted(const char* text) {
   return "'" + std::string(text) + "'";
 }
@@ -169,20 +177,24 @@ bool parse_model_spec(const char* text, ModelSpec* out, std::string* error) {
 }
 
 bool parse_u64(const char* text, std::uint64_t* out, std::string* error) {
-  // strtoull accepts "-1" (wrapping) and leading whitespace; require the
-  // first character to be a digit (a hex value starts with the digit 0).
-  if (!is_ascii_digit(text[0])) {
+  // Hex only after an explicit 0x/0X prefix; everything else is decimal, so a
+  // leading zero does not switch to octal ("010" is ten, "08" is eight). No
+  // sign, no whitespace, at least one digit, and no wrap past 2^64 - 1.
+  const bool hex = text[0] == '0' && (text[1] == 'x' || text[1] == 'X');
+  const unsigned base = hex ? 16 : 10;
+  const char* p = hex ? text + 2 : text;
+  std::uint64_t v = 0;
+  bool ok = *p != '\0';
+  for (; ok && *p != '\0'; ++p) {
+    const unsigned d = digit_value(*p);
+    ok = d < base && v <= (UINT64_MAX - d) / base;
+    if (ok) v = v * base + d;
+  }
+  if (!ok) {
     *error = "expected an unsigned integer, got " + quoted(text);
     return false;
   }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 0);
-  if (errno == ERANGE || end == text || *end != '\0') {
-    *error = "expected an unsigned integer, got " + quoted(text);
-    return false;
-  }
-  *out = static_cast<std::uint64_t>(v);
+  *out = v;
   return true;
 }
 

@@ -19,9 +19,10 @@ namespace nettag::cli {
 bool parse_int(const char* text, long long min_value, long long max_value,
                long long* out, std::string* error);
 
-/// Parses an unsigned 64-bit integer, accepting 0x/0 prefixes (seeds are
-/// conventionally written in hex). Rejects empty input, any sign, and
-/// trailing junk. On failure returns false and sets *error.
+/// Parses an unsigned 64-bit integer: hex after a 0x/0X prefix (seeds are
+/// conventionally written in hex), decimal otherwise, even with leading
+/// zeros. Rejects empty input, any sign, whitespace, trailing junk and
+/// values past 2^64 - 1. On failure returns false and sets *error.
 bool parse_u64(const char* text, std::uint64_t* out, std::string* error);
 
 /// A parsed `--listen` / `--connect` endpoint: either a unix-domain socket

@@ -1,4 +1,4 @@
-// Tests for the src/net daemon subsystem: --listen address parsing, NDJSON
+// Tests for the src/net daemon subsystem: --listen and --seed parsing, NDJSON
 // framing, WL-hash shard routing with too_busy load shedding, the socket
 // daemon end-to-end over unix and TCP transports, graceful drain with
 // in-flight work, and the SIGTERM-drains-before-exit contract of the serve
@@ -10,12 +10,14 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/nettag.hpp"
@@ -86,6 +88,42 @@ TEST(ListenAddress, RejectsMalformedSpecs) {
     EXPECT_FALSE(cli::parse_listen_address(spec, &a, &err))
         << "accepted: " << spec;
     EXPECT_FALSE(err.empty()) << spec;
+  }
+}
+
+// --- util/cli unsigned parsing (--seed) -------------------------------------
+
+TEST(ParseU64, DecimalUnlessExplicitHexPrefix) {
+  const std::pair<const char*, std::uint64_t> good[] = {
+      {"10", 10},
+      {"010", 10},  // a leading zero is not octal
+      {"08", 8},
+      {"0", 0},
+      {"0x5eed", 0x5eed},
+      {"0X10", 16},
+      {"18446744073709551615", UINT64_MAX},
+  };
+  for (const auto& [text, want] : good) {
+    std::uint64_t v = 0;
+    std::string err;
+    ASSERT_TRUE(cli::parse_u64(text, &v, &err)) << text << ": " << err;
+    EXPECT_EQ(v, want) << text;
+  }
+}
+
+TEST(ParseU64, RejectsSignsBlanksBarePrefixAndOverflow) {
+  const char* bad[] = {
+      "",     "-1",    " 7",  "+7",    "7 ",  "12abc",
+      "0x",   "0x-5",  "0x 5", "0x0x5", "0xg", "1e3",
+      "18446744073709551616",  // 2^64
+      "0x10000000000000000",   // 2^64
+  };
+  for (const char* text : bad) {
+    std::uint64_t v = 0;
+    std::string err;
+    EXPECT_FALSE(cli::parse_u64(text, &v, &err))
+        << "accepted: '" << text << "'";
+    EXPECT_FALSE(err.empty()) << text;
   }
 }
 

@@ -248,45 +248,6 @@ TEST(FinetuneResume, ClassifierHeadBitIdentical) {
   std::remove(train_state_path(prefix).c_str());
 }
 
-TEST(FinetuneResume, RegressorHeadBitIdentical) {
-  const std::string prefix = "/tmp/nettag_resume_reg";
-  const Mat x = synthetic_features(40, 5);
-  std::vector<double> y(40);
-  for (int i = 0; i < 40; ++i) y[i] = 0.25 * i - 3.0;
-  FinetuneOptions fo;
-  fo.steps = 18;
-  fo.batch = 10;
-  fo.hidden = 8;
-
-  Rng init(5);
-  RegressorHead baseline(5, fo, init);
-  Rng fit_rng(9);
-  EXPECT_TRUE(baseline.fit(x, y, fit_rng));
-
-  FinetuneOptions fo2 = fo;
-  fo2.checkpoint.prefix = prefix;
-  fo2.checkpoint.halt_after_steps = 5;
-  Rng init2(5);
-  RegressorHead halted(5, fo2, init2);
-  Rng fit2(9);
-  EXPECT_FALSE(halted.fit(x, y, fit2));
-
-  FinetuneOptions fo3 = fo;
-  fo3.checkpoint.prefix = prefix;
-  Rng init3(77);
-  RegressorHead resumed(5, fo3, init3);
-  Rng fit3(9);
-  EXPECT_TRUE(resumed.resume_fit(x, y, fit3));
-
-  const std::vector<double> want = baseline.predict(x);
-  const std::vector<double> got = resumed.predict(x);
-  ASSERT_EQ(want.size(), got.size());
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(want[i], got[i]) << "prediction " << i;
-  }
-  std::remove(train_state_path(prefix).c_str());
-}
-
 TEST(FinetuneResume, DatasetMismatchRejected) {
   const std::string prefix = "/tmp/nettag_resume_headmm";
   const Mat x = synthetic_features(30, 4);

@@ -59,41 +59,25 @@ TEST(ClassifierHead, WeightedSamplingHandlesImbalance) {
   EXPECT_GT(rep.sensitivity, 0.9);
 }
 
-TEST(RegressorHead, FitsLinearFunction) {
-  Rng rng(3);
-  const int n = 300;
-  Mat x(n, 3);
-  std::vector<double> y(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < 3; ++j) x.at(i, j) = static_cast<float>(rng.normal(0, 1));
-    y[static_cast<std::size_t>(i)] =
-        3.0 * x.at(i, 0) - 2.0 * x.at(i, 1) + 0.5 + rng.normal(0, 0.05);
-  }
-  FinetuneOptions fo;
-  fo.steps = 600;
-  RegressorHead head(3, fo, rng);
-  head.fit(x, y, rng);
-  const auto rep = regression_report(y, head.predict(x));
-  EXPECT_GT(rep.pearson_r, 0.97);
-}
-
-TEST(RegressorHead, InputScaleInvariance) {
+TEST(ClassifierHead, InputScaleInvariance) {
   // A feature on a wildly different scale must not break training (this was
   // a real bug: raw nanosecond clock values next to unit-scale embeddings).
+  // The label needs both features, so the head cannot ignore the wide one.
   Rng rng(4);
   const int n = 200;
   Mat x(n, 2);
-  std::vector<double> y(static_cast<std::size_t>(n));
+  std::vector<int> y(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     x.at(i, 0) = static_cast<float>(rng.normal(0, 1));
     x.at(i, 1) = static_cast<float>(rng.normal(0, 1) * 1000.0 + 5000.0);
-    y[static_cast<std::size_t>(i)] = 0.002 * x.at(i, 1) + x.at(i, 0);
+    y[static_cast<std::size_t>(i)] =
+        0.002 * (x.at(i, 1) - 5000.0) + x.at(i, 0) > 0 ? 1 : 0;
   }
   FinetuneOptions fo;
   fo.steps = 600;
-  RegressorHead head(2, fo, rng);
+  ClassifierHead head(2, 2, fo, rng);
   head.fit(x, y, rng);
-  EXPECT_GT(regression_report(y, head.predict(x)).pearson_r, 0.95);
+  EXPECT_GT(classification_report(y, head.predict(x)).accuracy, 0.95);
 }
 
 TEST(Gbdt, FitsNonlinearFunction) {
