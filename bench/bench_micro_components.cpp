@@ -4,7 +4,7 @@
 // expression expansion and runtime").
 //
 // The custom main first times the GEMM kernel backends head-to-head
-// (scalar vs AVX2 vs int8-packed, docs/PERFORMANCE.md §6) and writes the
+// (scalar vs AVX2, docs/PERFORMANCE.md §4) and writes the
 // machine-readable snapshot BENCH_micro_components.json to the working
 // directory, then hands over to the google-benchmark suite for the
 // pipeline-stage benches.
@@ -23,7 +23,6 @@
 #include "netlist/aig.hpp"
 #include "netlist/cone.hpp"
 #include "nn/gemm.hpp"
-#include "nn/packed.hpp"
 #include "physical/flow.hpp"
 #include "rtlgen/generator.hpp"
 #include "util/timer.hpp"
@@ -138,7 +137,7 @@ BENCHMARK(BM_AigConversion);
 // --- GEMM backend head-to-head (hand-rolled: needs backend switching) --------
 
 struct GemmResult {
-  std::string kernel;   // "gemm_nn" | "gemm_nt" | "gemm_tn" | "packed_int8"
+  std::string kernel;   // "gemm_nn" | "gemm_nt" | "gemm_tn"
   std::string backend;  // "scalar" | "avx2"
   int n, k, m;
   double gflops = 0.0;
@@ -178,7 +177,6 @@ std::vector<GemmResult> run_gemm_benches() {
     const Mat a = bench_mat(s.n, s.k, rng);
     const Mat b = bench_mat(s.k, s.m, rng);
     const Mat g = bench_mat(s.n, s.m, rng);
-    const PackedMat pb = pack_int8(b);
     std::vector<SimdBackend> backends{SimdBackend::kScalar};
     if (simd_avx2_supported()) backends.push_back(SimdBackend::kAvx2);
     for (SimdBackend backend : backends) {
@@ -200,10 +198,6 @@ std::vector<GemmResult> run_gemm_benches() {
                        gemm_tn(s.n, s.k, s.m, a.v.data(), g.v.data(),
                                cb.v.data());
                      })});
-      Mat cq(s.n, s.m);
-      out.push_back({"packed_int8", name, s.n, s.k, s.m,
-                     time_gflops(s.n, s.k, s.m,
-                                 [&] { packed_matmul(a, pb, &cq); })});
     }
   }
   set_simd_backend(saved);

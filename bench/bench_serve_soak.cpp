@@ -1,5 +1,5 @@
 // NetTAG-Serve daemon soak bench: hundreds of concurrent socket clients
-// against one sharded daemon (docs/PERFORMANCE.md §8).
+// against one sharded daemon (docs/PERFORMANCE.md §6).
 //
 // Unlike the other benches this one is multi-PROCESS: the parent hosts the
 // daemon in-process and fork+execs *itself* in `--client` mode, so every
@@ -339,7 +339,6 @@ int main(int argc, char** argv) {
     net::DaemonConfig dc;
     dc.shards = shards;
     dc.queue_depth = 64;
-    dc.cache_entries = sc.cache_entries;
     dc.poll_interval_ms = 20;
     std::string error;
     const std::string sock =
@@ -389,7 +388,6 @@ int main(int argc, char** argv) {
     net::DaemonConfig dc;
     dc.shards = 1;
     dc.queue_depth = 1;
-    dc.cache_entries = sc.cache_entries;
     dc.poll_interval_ms = 20;
     std::string error;
     const std::string sock =

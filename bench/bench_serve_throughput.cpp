@@ -1,6 +1,7 @@
 // NetTAG-Serve throughput bench: the serving-specific performance claims.
 //
-// Four runs over the same pre-trained model and request set:
+// Three runs over the same pre-trained model and request set
+// (docs/PERFORMANCE.md §4):
 //   * single_client  — one blocking client, cold result cache (the latency
 //                      floor);
 //   * multi_client   — eight client threads call Server::submit
@@ -8,10 +9,7 @@
 //                      caller's thread, sharing the thread pool;
 //   * cache_warm     — the single client replays the same requests against
 //                      the now-warm content-addressed cache: no model work,
-//                      byte-identical replays;
-//   * quantized_int8 — one blocking client against a second server (same
-//                      weights) serving the int8 packed path, cold cache
-//                      (docs/PERFORMANCE.md §6).
+//                      byte-identical replays.
 // Expectation encoded in the JSON: warm qps strictly above both cold modes.
 #include <atomic>
 #include <cstdio>
@@ -119,18 +117,9 @@ int main() {
   mc.expr_llm = TextEncoderConfig::tiny();
   bench::Setup setup = bench::make_setup(1, po, mc);
 
-  // The quantized arm needs a second model with identical weights; round-trip
-  // through a checkpoint rather than pre-training twice.
-  const std::string ckpt = "/tmp/nettag_bench_serve_ckpt";
-  save_checkpoint(*setup.model, ckpt);
-
   serve::ServerConfig sc;
   sc.cache_entries = 512;
   serve::Server server(sc, std::move(setup.model));
-
-  serve::ServerConfig qc = sc;
-  qc.quantize = true;
-  serve::Server quant_server(qc, load_checkpoint(ckpt));
 
   constexpr int kDistinct = 48;
   std::vector<serve::Request> reqs;
@@ -160,10 +149,6 @@ int main() {
   // Warm: cache now holds every request from the multi run.
   results.push_back(run_single(server, reqs, "cache_warm"));
 
-  // Int8 packed weights, cold cache, single client (directly comparable to
-  // the single_client fp32 arm).
-  results.push_back(run_single(quant_server, reqs, "quantized_int8"));
-
   TextTable table;
   table.set_header({"Mode", "Requests", "Seconds", "QPS"});
   for (const RunResult& r : results) {
@@ -192,8 +177,5 @@ int main() {
   json << "\n  ],\n  \"warm_faster_than_cold\": "
        << (warm_faster ? "true" : "false") << "\n}\n";
   std::cout << "# JSON written to BENCH_serve_throughput.json\n";
-  for (const char* suffix : {".ckpt", ".exprllm.bin", ".tagformer.bin"}) {
-    std::remove((ckpt + suffix).c_str());
-  }
   return warm_faster ? 0 : 1;
 }

@@ -197,10 +197,6 @@ void NetTag::save(const std::string& path_prefix) const {
 void NetTag::load(const std::string& path_prefix) {
   load_params(path_prefix + ".exprllm.bin", expr_llm_->params());
   load_params(path_prefix + ".tagformer.bin", tagformer_->params());
-  // Any int8 packed copies (nn/packed.hpp) now describe stale weights;
-  // drop them so loading into a quantized model cannot serve old values.
-  for (const Tensor& p : expr_llm_->params()) p->packed.reset();
-  for (const Tensor& p : tagformer_->params()) p->packed.reset();
   clear_text_cache();
 }
 

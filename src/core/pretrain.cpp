@@ -661,23 +661,18 @@ PretrainReport pretrain_impl(NetTag& model, const Corpus& corpus,
     }
     return p;
   };
-  std::vector<PreparedCone> prepared(cones.size());
-  if (parallel_width() > 1) {
-    // Fork one rng per cone serially (deterministic substreams), then
-    // prepare cones in parallel — dominated by frozen-encoder forwards.
-    std::vector<Rng> cone_rngs;
-    cone_rngs.reserve(cones.size());
-    for (std::size_t i = 0; i < cones.size(); ++i) {
-      cone_rngs.push_back(rng_prep.fork());
-    }
-    ThreadPool::instance().run_indexed(cones.size(), [&](std::size_t i) {
-      prepared[i] = prepare_cone(cones[i], cone_rngs[i]);
-    });
-  } else {
-    for (std::size_t i = 0; i < cones.size(); ++i) {
-      prepared[i] = prepare_cone(cones[i], rng_prep);
-    }
+  // Fork one rng per cone serially (deterministic substreams, the same at
+  // every pool width), then prepare cones in parallel — dominated by
+  // frozen-encoder forwards. Width 1 runs the region inline.
+  std::vector<Rng> cone_rngs;
+  cone_rngs.reserve(cones.size());
+  for (std::size_t i = 0; i < cones.size(); ++i) {
+    cone_rngs.push_back(rng_prep.fork());
   }
+  std::vector<PreparedCone> prepared(cones.size());
+  ThreadPool::instance().run_indexed(cones.size(), [&](std::size_t i) {
+    prepared[i] = prepare_cone(cones[i], cone_rngs[i]);
+  });
 
   // Pre-training heads. Init always runs (it consumes head_rng draws the
   // same way in fresh and resumed runs); trained values are then restored

@@ -55,9 +55,11 @@ bool Daemon::start(std::string* error) {
     if (error) *error = nb_error;
     return false;
   }
+  // The server's result-cache bound is the daemon's total, split across
+  // the shard partitions.
   pool_ = std::make_unique<ShardPool>(server_, config_.shards,
                                       config_.queue_depth,
-                                      config_.cache_entries);
+                                      server_.config().cache_entries);
   server_.set_stats_extension([this](serve::Json* j) {
     const TransportStats t = transport_stats();
     serve::Json transport = serve::Json::object();

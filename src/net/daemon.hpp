@@ -55,9 +55,6 @@ struct DaemonConfig {
   int idle_timeout_ms = 60000;       ///< quiet connections with no in-flight
   int poll_interval_ms = 200;        ///< poll() tick; bounds stop-flag latency
   int drain_timeout_ms = 10000;      ///< bound on the graceful-drain flush
-  /// Total result-cache entries, split across shard partitions (pass the
-  /// server's cache_entries so --cache-entries keeps meaning "total").
-  std::size_t cache_entries = 256;
 };
 
 class Daemon {

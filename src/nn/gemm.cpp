@@ -68,11 +68,6 @@ void gemm_tn_avx2(int p0, int p1, int n, int k, int m, const float* a,
                   const float* g, float* c) {
   gemm_tn_scalar(p0, p1, n, k, m, a, g, c);
 }
-int dot_i8_avx2(const signed char* xq, const signed char* wq, int kpad) {
-  int acc = 0;
-  for (int t = 0; t < kpad; ++t) acc += static_cast<int>(xq[t]) * wq[t];
-  return acc;
-}
 #endif
 
 }  // namespace detail

@@ -90,9 +90,6 @@ void gemm_nt_avx2(int i0, int i1, int k, int m, const float* g,
                   const float* b, float* c);
 void gemm_tn_avx2(int p0, int p1, int n, int k, int m, const float* a,
                   const float* g, float* c);
-/// Int8 dot-product microkernel for the packed-weight path (nn/packed.cpp):
-/// returns sum over kpad of xq[t] * wq[t], kpad a multiple of 32.
-int dot_i8_avx2(const signed char* xq, const signed char* wq, int kpad);
 }  // namespace detail
 
 }  // namespace nettag

@@ -172,30 +172,6 @@ void gemm_tn_avx2(int p0, int p1, int n, int k, int m, const float* a,
   }
 }
 
-int dot_i8_avx2(const signed char* xq, const signed char* wq, int kpad) {
-  // Widen int8 -> int16, multiply-add pairs into int32 lanes. kpad is a
-  // multiple of 32 (nn/packed.cpp pads with zeros), so no tail.
-  __m256i acc = _mm256_setzero_si256();
-  for (int t = 0; t < kpad; t += 32) {
-    const __m256i xv = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(xq + t));
-    const __m256i wv = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(wq + t));
-    const __m256i xlo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(xv));
-    const __m256i wlo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(wv));
-    const __m256i xhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(xv, 1));
-    const __m256i whi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256(wv, 1));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xlo, wlo));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(xhi, whi));
-  }
-  const __m128i lo = _mm256_castsi256_si128(acc);
-  const __m128i hi = _mm256_extracti128_si256(acc, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_unpackhi_epi64(s, s));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 1));
-  return _mm_cvtsi128_si32(s);
-}
-
 }  // namespace nettag::detail
 
 #endif  // x86-64

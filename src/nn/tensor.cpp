@@ -7,7 +7,6 @@
 
 #include "analysis/check.hpp"
 #include "nn/gemm.hpp"
-#include "nn/packed.hpp"
 #include "nn/tape.hpp"
 #include "util/parallel.hpp"
 
@@ -103,13 +102,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
                    sh(b->value));
   const int n = a->value.rows, k = a->value.cols, m = b->value.cols;
   Mat out = plan::out_mat(n, m, {a.get(), b.get()});
-  if (b->packed) {
-    // Serve-time int8 path (nn/packed.hpp): b carries a packed copy of its
-    // fp32 weights. Inference-only — backward still reads the fp32 values.
-    packed_matmul(a->value, *b->packed, &out);
-  } else {
-    gemm_nn(n, k, m, a->value.v.data(), b->value.v.data(), out.v.data());
-  }
+  gemm_nn(n, k, m, a->value.v.data(), b->value.v.data(), out.v.data());
   Node* an = a.get();
   Node* bn = b.get();
   return make_op("matmul", std::move(out), {a, b}, [an, bn, n, k, m](Node* o) {

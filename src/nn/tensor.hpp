@@ -60,8 +60,6 @@ struct Mat {
 class Node;
 using Tensor = std::shared_ptr<Node>;
 
-struct PackedMat;  // nn/packed.hpp — int8 serve-time copy of a weight matrix
-
 /// One autograd graph node.
 class Node {
  public:
@@ -71,10 +69,6 @@ class Node {
   bool requires_grad = false;
   std::vector<Tensor> parents;
   std::function<void()> backward_fn;  ///< propagates this->grad to parents
-  /// Optional int8 packed copy of `value`, attached only by the serve path
-  /// (pack_model_weights); when set, matmul uses it for the forward product.
-  /// Training never sets this, so fp32 results and resume stay untouched.
-  std::shared_ptr<const PackedMat> packed;
   /// Tape slot assigned by the active plan scope (nn/tape.hpp); -1 for
   /// leaves and nodes built outside a scope. Reset when the scope ends.
   int plan_slot = -1;

@@ -89,8 +89,8 @@ std::string json_number(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   // %.9g round-trips every float widened to double (the embedding payload
-  // case), but genuine doubles — int8 dequantization scales, drift ratios —
-  // need up to 17 significant digits. Pay for them only when 9 are lossy.
+  // case), but genuine doubles — hit rates, timing means — need up to 17
+  // significant digits. Pay for them only when 9 are lossy.
   if (std::strtod(buf, nullptr) != v) {
     std::snprintf(buf, sizeof(buf), "%.17g", v);
   }

@@ -141,12 +141,6 @@ const FieldSpec kFieldSpecs[] = {
        out->model_prefix = v.as_string();
        return true;
      }},
-    {"quantize", op_bit(Op::kModelLoad), "'quantize' must be a boolean",
-     [](const Json& v, Request* out) {
-       if (!v.is_bool()) return false;
-       out->quantize = v.as_bool() ? 1 : 0;
-       return true;
-     }},
 };
 
 /// Required fields, checked after the per-field pass: (ops mask, request

@@ -26,9 +26,6 @@
 //     model_prefix   reload, model_load — checkpoint prefix (required for
 //                                  model_load; reload falls back to the
 //                                  replica's own startup/load prefix)
-//     quantize       model_load    bool: serve the replica on the int8
-//                                  packed-weight path (absent = the
-//                                  process-wide --quantize default)
 //   (*netlist ops = embed_gates | embed_cone | embed_circuit | predict)
 //
 //   Admin ops: `model_load` registers/replaces a named replica from a
@@ -129,7 +126,6 @@ struct Request {
   std::string task;                ///< predict: registered head name
   std::string model;               ///< target replica; "" = kDefaultModelName
   std::string model_prefix;        ///< reload/model_load: checkpoint prefix
-  int quantize = -1;               ///< model_load: -1 absent, else 0/1
   /// Filled by parse_request when the line itself is bad; process() echoes
   /// these back instead of doing work.
   ErrorCode parse_error = ErrorCode::kNone;

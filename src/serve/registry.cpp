@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "nn/packed.hpp"
 #include "util/checksum.hpp"
 
 namespace nettag::serve {
@@ -20,28 +19,23 @@ std::string ReplicaSnapshot::cache_tag() const {
   tag += name;
   tag += "|w";
   tag += crc32_hex(params_crc);
-  tag += quantize ? "|int8" : "|fp32";
   return tag;
 }
 
-std::uint32_t ModelRegistry::prepare(NetTag& model, bool quantize) const {
+std::uint32_t ModelRegistry::prepare(NetTag& model) const {
   const std::uint32_t crc = params_fingerprint(model);
   // Salt the shared text cache's keys with the weights CRC: cached rows are
   // encoder outputs, so two weight sets must never share them, while two
   // replicas of one checkpoint should.
   model.share_text_cache(text_cache(), "w" + crc32_hex(crc) + "|");
-  // Packing happens after the fingerprint (it hashes fp32 values only, but
-  // the ordering makes the independence obvious).
-  if (quantize) pack_model_weights(model);
   return crc;
 }
 
 void ModelRegistry::add(const std::string& name, std::unique_ptr<NetTag> model,
-                        const std::string& prefix, bool quantize) {
+                        const std::string& prefix) {
   auto rep = std::make_shared<Replica>();
   rep->name = name;
   rep->prefix = prefix;
-  rep->quantize = quantize;
   std::shared_ptr<NetTag> shared(std::move(model));
   {
     // The first replica donates its cache as the process-wide one, resized
@@ -56,14 +50,14 @@ void ModelRegistry::add(const std::string& name, std::unique_ptr<NetTag> model,
       }
     }
   }
-  rep->params_crc = prepare(*shared, quantize);
+  rep->params_crc = prepare(*shared);
   rep->model = std::move(shared);
   std::lock_guard<std::mutex> lk(mu_);
   replicas_[name] = std::move(rep);
 }
 
 bool ModelRegistry::load(const std::string& name, const std::string& prefix,
-                         bool quantize, std::string* error) {
+                         std::string* error) {
   std::unique_ptr<NetTag> model;
   try {
     model = load_checkpoint(prefix);
@@ -71,7 +65,7 @@ bool ModelRegistry::load(const std::string& name, const std::string& prefix,
     if (error != nullptr) *error = e.what();
     return false;
   }
-  add(name, std::move(model), prefix, quantize);
+  add(name, std::move(model), prefix);
   return true;
 }
 
@@ -107,7 +101,7 @@ ReloadOutcome ModelRegistry::reload(const std::string& name,
   }
   try {
     std::shared_ptr<NetTag> fresh = load_checkpoint(prefix);
-    const std::uint32_t crc = prepare(*fresh, rep->quantize);
+    const std::uint32_t crc = prepare(*fresh);
     {
       std::lock_guard<std::mutex> lk(mu_);
       auto it = replicas_.find(name);
@@ -143,7 +137,6 @@ bool ModelRegistry::snapshot(const std::string& name,
   out->name = rep.name;
   out->model = rep.model;
   out->params_crc = rep.params_crc;
-  out->quantize = rep.quantize;
   out->counters = rep.counters;
   return true;
 }
@@ -168,7 +161,6 @@ std::vector<ReplicaInfo> ModelRegistry::list() const {
     info.name = rep.name;
     info.prefix = rep.prefix;
     info.params_crc = rep.params_crc;
-    info.quantize = rep.quantize;
     info.reloads = rep.counters->reloads.load(std::memory_order_relaxed);
     info.requests = rep.counters->requests.load(std::memory_order_relaxed);
     info.cache_hits = rep.counters->cache_hits.load(std::memory_order_relaxed);

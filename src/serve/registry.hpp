@@ -3,8 +3,8 @@
 // One serving process hosts N named NetTag replicas, each loaded from its
 // own checkpoint prefix, each hot-reloadable independently. Per replica the
 // registry tracks the checkpoint prefix (the default `reload` target), the
-// params CRC (namespacing its result-cache keys), the numeric backend
-// (fp32 / int8 packed weights) and per-replica counters. All replicas share:
+// params CRC (namespacing its result-cache keys) and per-replica counters.
+// All replicas share:
 //   * one striped text-embedding cache — adopted from the first replica and
 //     attached to every later load, with each replica's keys salted by its
 //     weights CRC so replicas of the same checkpoint share entries while
@@ -49,11 +49,10 @@ struct ReplicaSnapshot {
   std::string name;
   std::shared_ptr<const NetTag> model;
   std::uint32_t params_crc = 0;
-  bool quantize = false;
   std::shared_ptr<ReplicaCounters> counters;
 
-  /// Result-cache key namespace: replica name + weights CRC + backend. Two
-  /// replicas (or two weight generations of one replica) never share keys.
+  /// Result-cache key namespace: replica name + weights CRC. Two replicas
+  /// (or two weight generations of one replica) never share keys.
   std::string cache_tag() const;
 };
 
@@ -62,7 +61,6 @@ struct ReplicaInfo {
   std::string name;
   std::string prefix;
   std::uint32_t params_crc = 0;
-  bool quantize = false;
   std::uint64_t reloads = 0;
   std::uint64_t requests = 0;
   std::uint64_t cache_hits = 0;
@@ -95,15 +93,15 @@ class ModelRegistry {
   /// existing replica of that name. The first model registered donates its
   /// text-embedding cache (capacity/stripes included) as the shared cache.
   /// `prefix` becomes the replica's default reload target ("" = reload must
-  /// carry model_prefix). `quantize` packs int8 weights now and on reload.
+  /// carry model_prefix).
   void add(const std::string& name, std::unique_ptr<NetTag> model,
-           const std::string& prefix, bool quantize);
+           const std::string& prefix);
 
   /// `model_load`: loads `prefix` and registers it under `name` (replacing
   /// an existing replica). On failure returns false with *error set and the
   /// registry unchanged. The checkpoint load runs outside the registry
   /// mutex — concurrent requests keep serving.
-  bool load(const std::string& name, const std::string& prefix, bool quantize,
+  bool load(const std::string& name, const std::string& prefix,
             std::string* error);
 
   /// `model_unload`: removes `name`. False if not present. In-flight work
@@ -142,17 +140,15 @@ class ModelRegistry {
     std::string prefix;
     std::shared_ptr<NetTag> model;
     std::uint32_t params_crc = 0;
-    bool quantize = false;
     std::shared_ptr<ReplicaCounters> counters =
         std::make_shared<ReplicaCounters>();
     /// Serializes whole reload operations for this replica only.
     std::mutex reload_mu;
   };
 
-  /// Fingerprints, attaches the shared cache (salted by CRC), and packs
-  /// int8 weights when asked. Returns the CRC. Must run before the model is
-  /// published to snapshots.
-  std::uint32_t prepare(NetTag& model, bool quantize) const;
+  /// Fingerprints and attaches the shared cache (salted by CRC). Returns the
+  /// CRC. Must run before the model is published to snapshots.
+  std::uint32_t prepare(NetTag& model) const;
 
   std::shared_ptr<Replica> find(const std::string& name) const;
 

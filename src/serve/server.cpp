@@ -19,14 +19,11 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-const char* backend_name(bool quantize) { return quantize ? "int8" : "fp32"; }
-
 Json replica_info_json(const ReplicaInfo& info) {
   Json j = Json::object();
   j.set("name", info.name);
   j.set("prefix", info.prefix);
   j.set("weights_crc32", crc32_hex(info.params_crc));
-  j.set("backend", backend_name(info.quantize));
   j.set("reloads", static_cast<double>(info.reloads));
   j.set("requests", static_cast<double>(info.requests));
   j.set("cache_hits", static_cast<double>(info.cache_hits));
@@ -73,8 +70,7 @@ Server::Server(ServerConfig config)
 
 Server::Server(ServerConfig config, std::unique_ptr<NetTag> model)
     : Server(std::move(config)) {
-  registry_.add(kDefaultModelName, std::move(model), config_.model_prefix,
-                config_.quantize);
+  registry_.add(kDefaultModelName, std::move(model), config_.model_prefix);
 }
 
 Server::~Server() = default;
@@ -87,9 +83,8 @@ std::shared_ptr<const NetTag> Server::model_snapshot(
 }
 
 bool Server::load_model(const std::string& name, const std::string& prefix,
-                        int quantize, std::string* error) {
-  const bool q = quantize < 0 ? config_.quantize : quantize != 0;
-  return registry_.load(name, prefix, q, error);
+                        int, std::string* error) {
+  return registry_.load(name, prefix, error);
 }
 
 bool Server::unload_model(const std::string& name) {
@@ -136,7 +131,6 @@ std::string Server::stats_json() const {
   ReplicaSnapshot def;
   if (registry_.snapshot(kDefaultModelName, &def)) {
     j.set("weights_crc32", crc32_hex(def.params_crc));
-    j.set("backend", backend_name(def.quantize));
   }
   j.set("simd", simd_backend_name());
   const std::shared_ptr<TextEmbeddingCache> tc_ptr = registry_.text_cache();
@@ -178,7 +172,6 @@ std::string Server::stats_json() const {
   defaults.set("max_gates", static_cast<double>(config_.max_gates));
   defaults.set("max_cone_gates", static_cast<double>(config_.max_cone_gates));
   defaults.set("reject_warnings", config_.reject_warnings);
-  defaults.set("quantize", config_.quantize);
   j.set("defaults", std::move(defaults));
   {
     std::lock_guard<std::mutex> lk(stats_ext_mu_);
@@ -281,8 +274,7 @@ Response Server::process_model_admin(const Request& request) {
     case Op::kModelLoad: {
       const bool replaced = registry_.has(request.model);
       std::string error;
-      if (!load_model(request.model, request.model_prefix, request.quantize,
-                      &error)) {
+      if (!registry_.load(request.model, request.model_prefix, &error)) {
         response.error = ErrorCode::kReloadFailed;
         response.error_message = error;
         return response;
@@ -293,7 +285,6 @@ Response Server::process_model_admin(const Request& request) {
           "{\"loaded\":true,\"model\":\"" + json_escape(request.model) +
           "\",\"prefix\":\"" + json_escape(request.model_prefix) +
           "\",\"weights_crc32\":\"" + crc32_hex(snap.params_crc) +
-          "\",\"backend\":\"" + backend_name(snap.quantize) +
           "\",\"replaced\":" + (replaced ? "true" : "false") + "}";
       return response;
     }
@@ -361,11 +352,11 @@ Response Server::process_netlist_op(const Request& request,
   // Stage 3: content-addressed cache. embed_gates returns one row per gate
   // in declaration order, so its key and fingerprint are declaration-order
   // sensitive — a reordered isomorphic netlist recomputes instead of
-  // receiving rows assigned to the wrong gates. The pinned replica's name,
-  // weights CRC, and numeric backend join the key (ReplicaSnapshot::
-  // cache_tag): a hot reload with new weights strands the old entries
-  // instead of replaying them, a reload of identical weights keeps every
-  // entry live, and no replica can answer for another.
+  // receiving rows assigned to the wrong gates. The pinned replica's name
+  // and weights CRC join the key (ReplicaSnapshot::cache_tag): a hot reload
+  // with new weights strands the old entries instead of replaying them, a
+  // reload of identical weights keeps every entry live, and no replica can
+  // answer for another.
   CacheKey key =
       cache_key(nl, op_name(request.op), request.k_hop, max_cone_gates,
                 request.task,

@@ -10,7 +10,7 @@
 //     responses, never crashes;
 //   * caching   — a bounded content-addressed result cache keyed by the
 //     canonical structural hash (serve/canonical.hpp) namespaced per
-//     replica+weights+backend, so isomorphic resubmissions replay
+//     replica+weights, so isomorphic resubmissions replay
 //     byte-identical results without model work and replicas never replay
 //     each other's entries.
 //
@@ -66,14 +66,6 @@ struct ServerConfig {
   /// started from); it becomes the "default" replica's stored prefix.
   /// Empty: such requests are rejected.
   std::string model_prefix;
-  /// Serve the int8 packed-weight path (nn/packed.hpp) for the "default"
-  /// replica, and for every `model_load` that carries no `quantize` of its
-  /// own: weight matrices are repacked at load and after every reload, and
-  /// matmul forwards run int8 dot products instead of fp32. The fp32
-  /// weights (and the weights CRC) are untouched; `stats` reports each
-  /// replica's backend and the result-cache key separates int8 results
-  /// from fp32 ones.
-  bool quantize = false;
 };
 
 class Server {
@@ -85,8 +77,7 @@ class Server {
   explicit Server(ServerConfig config);
   /// Takes ownership of a constructed (typically checkpoint-loaded) model,
   /// registered as the "default" replica (the one every v1 request targets)
-  /// with config.model_prefix as its reload target and config.quantize as
-  /// its backend.
+  /// with config.model_prefix as its reload target.
   Server(ServerConfig config, std::unique_ptr<NetTag> model);
   ~Server();
 
@@ -98,10 +89,11 @@ class Server {
 
   /// Registers (or replaces) a named replica from a checkpoint prefix — the
   /// startup-time twin of the `model_load` op (tools/nettag_serve wires
-  /// repeated --model flags through this). `quantize` < 0 inherits the
-  /// config default. False with *error set on a bad checkpoint.
-  bool load_model(const std::string& name, const std::string& prefix,
-                  int quantize, std::string* error);
+  /// repeated --model flags through this). False with *error set on a bad
+  /// checkpoint. The unnamed int is ignored: it stays only because
+  /// benchmark/src/replay.cpp still passes -1 there.
+  bool load_model(const std::string& name, const std::string& prefix, int,
+                  std::string* error);
   /// Removes a named replica; later requests for it answer unknown_model.
   bool unload_model(const std::string& name);
 
@@ -163,7 +155,7 @@ class Server {
   /// process_on wraps it with the exception guard and the request metrics.
   Response dispatch(const Request& request, ResultCache* cache);
   /// The model-work stage against an explicit replica snapshot — the
-  /// snapshot's weights CRC + backend namespace the cache keys, so entries
+  /// snapshot's name and weights CRC namespace the cache keys, so entries
   /// computed by one replica (or one weight generation) can never answer
   /// for another; a reload that lands the *same* weights keeps every entry
   /// valid, while new weights strand the old ones (they age out via LRU).

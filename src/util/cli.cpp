@@ -133,25 +133,10 @@ bool is_model_name(const std::string& name) {
 bool parse_model_spec(const char* text, ModelSpec* out, std::string* error) {
   std::string spec(text ? text : "");
   if (spec.empty()) {
-    *error = "expected '[NAME=]PREFIX[,quantize|,fp32]', got an empty value";
+    *error = "expected '[NAME=]PREFIX', got an empty value";
     return false;
   }
   ModelSpec parsed;
-  // Backend suffix first (a literal match, so a prefix containing ',' in
-  // some other position is untouched).
-  const std::string kQuantize = ",quantize";
-  const std::string kFp32 = ",fp32";
-  if (spec.size() > kQuantize.size() &&
-      spec.compare(spec.size() - kQuantize.size(), kQuantize.size(),
-                   kQuantize) == 0) {
-    parsed.quantize = 1;
-    spec.erase(spec.size() - kQuantize.size());
-  } else if (spec.size() > kFp32.size() &&
-             spec.compare(spec.size() - kFp32.size(), kFp32.size(), kFp32) ==
-                 0) {
-    parsed.quantize = 0;
-    spec.erase(spec.size() - kFp32.size());
-  }
   // NAME= applies only when the text before the first '=' looks like a
   // replica name; otherwise the whole value is a plain checkpoint prefix
   // (which may legitimately contain '=' in a path component).

@@ -48,23 +48,19 @@ struct ListenAddress {
 bool parse_listen_address(const char* text, ListenAddress* out,
                           std::string* error);
 
-/// A parsed `--model` replica spec: `[NAME=]PREFIX[,quantize|,fp32]`.
-/// NAME defaults to "default" (the replica every request without a `model`
-/// field targets); the optional backend suffix overrides the process-wide
-/// --quantize flag for this replica only (quantize -1 = inherit it).
+/// A parsed `--model` replica spec: `[NAME=]PREFIX`. NAME defaults to
+/// "default" (the replica every request without a `model` field targets).
 struct ModelSpec {
   std::string name = "default";
   std::string prefix;
-  int quantize = -1;  ///< -1 inherit --quantize, else 0 fp32 / 1 int8
 };
 
 /// Parses one `--model` value. The name (before the first '='; omitted =
 /// "default") must be 1-64 chars of [A-Za-z0-9_.-]; the prefix must be
-/// non-empty; an unrecognized ',suffix' is an error (only ",quantize" and
-/// ",fp32" exist). A prefix may itself contain '=' or ',' only after an
-/// explicit NAME= / before no recognized suffix, respectively — ambiguous
-/// cases resolve toward treating the text as a plain prefix. On failure
-/// returns false and sets *error quoting the offending part.
+/// non-empty. When the text before the first '=' is non-empty but not a
+/// replica name (say `dir/x=y`), the whole value is a plain prefix, so a
+/// path may contain '='. On failure returns false and sets *error quoting
+/// the offending part.
 bool parse_model_spec(const char* text, ModelSpec* out, std::string* error);
 
 }  // namespace nettag::cli

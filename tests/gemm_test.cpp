@@ -1,22 +1,16 @@
-// SIMD backend contract tests (nn/gemm.hpp, nn/packed.hpp):
+// SIMD backend contract tests (nn/gemm.hpp):
 //   * the scalar backend is the reference — forcing it must reproduce the
 //     pre-SIMD loops bit-exactly (the kernels ARE those loops, so this is
 //     self-agreement across the dispatch seam);
 //   * the AVX2 backend may differ from scalar only by FMA contraction and
 //     dot-product reassociation — a tight relative epsilon over shapes that
-//     exercise every tail path (K=1, widths straddling 8/16 multiples);
-//   * the int8 packed path is exact integer arithmetic after quantization:
-//     bit-identical across backends, and within the documented error bound
-//     of the fp32 product.
+//     exercise every tail path (K=1, widths straddling 8/16 multiples).
 #include "nn/gemm.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "nn/packed.hpp"
 #include "nn/tensor.hpp"
 #include "util/rng.hpp"
 
@@ -160,124 +154,6 @@ TEST(Gemm, ParseSimdBackendHonorsSpellingsAndWarnsOnUnknown) {
   EXPECT_EQ(parse_simd_backend("pentium", SimdBackend::kScalar, &warning),
             SimdBackend::kScalar);
   EXPECT_FALSE(warning.empty());
-}
-
-// --- int8 packed path --------------------------------------------------------
-
-TEST(PackedInt8, RoundTripWithinHalfScalePerColumn) {
-  Rng rng(17);
-  const Mat w = random_mat(33, 19, rng, /*zero_fraction=*/0.1f);
-  const PackedMat p = pack_int8(w);
-  EXPECT_EQ(p.rows, 33);
-  EXPECT_EQ(p.cols, 19);
-  EXPECT_EQ(p.kpad, 64);
-  const Mat back = unpack_int8(p);
-  for (int j = 0; j < w.cols; ++j) {
-    const float bound = p.scales[static_cast<std::size_t>(j)] * 0.5f + 1e-7f;
-    for (int r = 0; r < w.rows; ++r) {
-      ASSERT_LE(std::fabs(w.at(r, j) - back.at(r, j)), bound)
-          << "element (" << r << "," << j << ")";
-    }
-  }
-  // Padding rows beyond K must be zero (the dot kernels read them).
-  for (int j = 0; j < p.cols; ++j) {
-    for (int t = p.rows; t < p.kpad; ++t) {
-      ASSERT_EQ(p.q[static_cast<std::size_t>(j) * p.kpad + t], 0);
-    }
-  }
-}
-
-TEST(PackedInt8, AllZeroColumnGetsZeroScaleAndZeroOutput) {
-  Mat w(8, 2);
-  for (int r = 0; r < 8; ++r) w.at(r, 1) = 1.f + static_cast<float>(r);
-  const PackedMat p = pack_int8(w);
-  EXPECT_EQ(p.scales[0], 0.f);
-  EXPECT_GT(p.scales[1], 0.f);
-  const Mat back = unpack_int8(p);
-  for (int r = 0; r < 8; ++r) EXPECT_EQ(back.at(r, 0), 0.f);
-}
-
-TEST(PackedInt8, MatmulBitIdenticalAcrossBackends) {
-  Rng rng(19);
-  const Mat x = random_mat(9, 33, rng, /*zero_fraction=*/0.2f);
-  const Mat w = random_mat(33, 21, rng);
-  const PackedMat p = pack_int8(w);
-  Mat scalar_out(9, 21);
-  {
-    BackendGuard guard(SimdBackend::kScalar);
-    packed_matmul(x, p, &scalar_out);
-  }
-  if (!simd_avx2_supported()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
-  Mat avx2_out(9, 21);
-  {
-    BackendGuard guard(SimdBackend::kAvx2);
-    packed_matmul(x, p, &avx2_out);
-  }
-  // Integer accumulation is associative: the backends must agree exactly.
-  EXPECT_EQ(scalar_out.v, avx2_out.v);
-}
-
-TEST(PackedInt8, MatmulTracksFp32WithinQuantizationBudget) {
-  Rng rng(23);
-  const Mat x = random_mat(7, 64, rng);
-  const Mat w = random_mat(64, 24, rng);
-  const PackedMat p = pack_int8(w);
-  Mat fp32(7, 24), int8(7, 24);
-  gemm_nn(7, 64, 24, x.v.data(), w.v.data(), fp32.v.data());
-  packed_matmul(x, p, &int8);
-  // Error budget (docs/PERFORMANCE.md §4): each operand quantizes to within
-  // half a step, so per product the error is <= 0.5*(sx|w| + sw|x|) plus a
-  // second-order term; summed over k it stays well under 2% of the row's
-  // magnitude for unit-normal data. Enforce a generous but finite bound.
-  for (int i = 0; i < 7; ++i) {
-    float ref_mag = 0.f, err = 0.f;
-    for (int j = 0; j < 24; ++j) {
-      ref_mag += std::fabs(fp32.at(i, j));
-      err += std::fabs(fp32.at(i, j) - int8.at(i, j));
-    }
-    EXPECT_LE(err, 0.02f * ref_mag + 1e-3f) << "row " << i;
-  }
-}
-
-TEST(PackedInt8, ZeroRowsShortCircuitAndNonFiniteRowsPropagate) {
-  Mat w(4, 3);
-  for (int r = 0; r < 4; ++r) {
-    for (int j = 0; j < 3; ++j) w.at(r, j) = 0.25f * static_cast<float>(r - j);
-  }
-  const PackedMat p = pack_int8(w);
-  Mat x(2, 4);
-  // Row 0 all zero; row 1 carries an Inf.
-  x.at(1, 0) = std::numeric_limits<float>::infinity();
-  x.at(1, 1) = 1.f;
-  Mat out(2, 3);
-  packed_matmul(x, p, &out);
-  for (int j = 0; j < 3; ++j) EXPECT_EQ(out.at(0, j), 0.f);
-  bool any_nonfinite = false;
-  for (int j = 0; j < 3; ++j) {
-    any_nonfinite = any_nonfinite || !std::isfinite(out.at(1, j));
-  }
-  EXPECT_TRUE(any_nonfinite) << "Inf input must not be silently saturated";
-}
-
-TEST(PackedInt8, MatmulOpPrefersPackedOperand) {
-  Rng rng(29);
-  Tensor x = make_tensor(random_mat(5, 16, rng));
-  Tensor w = make_tensor(random_mat(16, 8, rng), /*requires_grad=*/true);
-  const Tensor fp32 = matmul(x, w);
-  w->packed = std::make_shared<PackedMat>(pack_int8(w->value));
-  const Tensor int8 = matmul(x, w);
-  w->packed.reset();
-  // The two paths must differ somewhere (quantization is lossy) yet stay
-  // close; exact agreement would mean the packed branch never ran.
-  float max_abs_diff = 0.f;
-  for (std::size_t t = 0; t < fp32->value.v.size(); ++t) {
-    max_abs_diff = std::max(
-        max_abs_diff, std::fabs(fp32->value.v[t] - int8->value.v[t]));
-  }
-  EXPECT_GT(max_abs_diff, 0.f);
-  // k=16 unit-normal: outputs are ~N(0, 4), per-element quantization error
-  // a few percent of that at worst.
-  EXPECT_LT(max_abs_diff, 0.2f);
 }
 
 }  // namespace

@@ -91,6 +91,38 @@ TEST(ListenAddress, RejectsMalformedSpecs) {
   }
 }
 
+// --- util/cli --model replica specs -------------------------------------------
+
+TEST(Cli, ParseModelSpec) {
+  const struct {
+    const char* text;
+    const char* name;
+    const char* prefix;
+  } good[] = {
+      {"ckpt", "default", "ckpt"},
+      {"a=ckpt", "a", "ckpt"},
+      // "dir/x" is no replica name, so the whole value is a path.
+      {"dir/x=y", "default", "dir/x=y"},
+      // There is no backend suffix: the text after ',' is part of the path.
+      {"ckpt,quantize", "default", "ckpt,quantize"},
+  };
+  for (const auto& c : good) {
+    cli::ModelSpec spec;
+    std::string err;
+    ASSERT_TRUE(cli::parse_model_spec(c.text, &spec, &err))
+        << c.text << ": " << err;
+    EXPECT_EQ(spec.name, c.name) << c.text;
+    EXPECT_EQ(spec.prefix, c.prefix) << c.text;
+  }
+  for (const char* text : {"=ckpt", "a=", ""}) {
+    cli::ModelSpec spec;
+    std::string err;
+    EXPECT_FALSE(cli::parse_model_spec(text, &spec, &err))
+        << "accepted: '" << text << "'";
+    EXPECT_FALSE(err.empty()) << text;
+  }
+}
+
 // --- util/cli unsigned parsing (--seed) -------------------------------------
 
 TEST(ParseU64, DecimalUnlessExplicitHexPrefix) {

@@ -6,7 +6,8 @@
 //   2. tensor kernels are ownership-partitioned, so forward AND backward are
 //      bit-identical to the serial path at any width;
 //   3. a full pre-training step is bit-identical run-to-run at a fixed
-//      width (replica gradients reduced in fixed shard order).
+//      width (replica gradients reduced in fixed shard order), and the data
+//      it samples is the same at every width.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -186,6 +187,33 @@ TEST(ParallelPretrain, FirstStepLossMatchesSerialAtAnyWidth) {
   const PretrainReport serial = pretrain_round(1);
   const PretrainReport par = pretrain_round(2);
   EXPECT_EQ(par.expr_loss_first, serial.expr_loss_first);
+}
+
+/// First TAGFormer loss with no ExprLLM step: it depends only on the sampled
+/// data (cone shuffle, augmented positives, masks), never on gradient order.
+float first_tag_loss(int width) {
+  WidthGuard guard(width);
+  Rng rng(11);
+  CorpusOptions co;
+  co.designs_per_family = 1;
+  co.with_physical = false;
+  Corpus corpus = build_corpus(co, rng);
+  NetTag model(NetTagConfig{}, 5);
+  PretrainOptions po;
+  po.expr_steps = 0;
+  po.tag_steps = 1;
+  po.aux_steps = 0;
+  po.max_cones = 10;
+  po.objective_align = false;
+  return pretrain(model, corpus, po, rng).tag_loss_first;
+}
+
+TEST(ParallelPretrain, FirstTagLossMatchesSerialAtAnyWidth) {
+  // Sampled data is independent of pool width: the serial path forks the
+  // same per-cone augmentation streams as the parallel one.
+  const float serial = first_tag_loss(1);
+  EXPECT_EQ(first_tag_loss(2), serial);
+  EXPECT_EQ(first_tag_loss(3), serial);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <future>
@@ -619,6 +618,8 @@ TEST(Server, StatsExposeAllSections) {
   EXPECT_NE(j.find("result_cache")->find("collisions"), nullptr);
   EXPECT_GE(j.find("requests_error")->as_int(), 1);
   EXPECT_GT(j.find("stage_seconds")->find("tagformer")->as_number(), 0.0);
+  ASSERT_NE(j.find("simd"), nullptr);
+  EXPECT_EQ(j.find("simd")->as_string(), simd_backend_name());
 }
 
 TEST(Server, ShutdownSetsFlagAndStillAnswers) {
@@ -759,131 +760,6 @@ TEST(Server, StatsReportReloadFields) {
   EXPECT_EQ(j.find("weights_crc32")->as_string().size(), 8u);
 }
 
-// --- int8 quantized serving --------------------------------------------------
-
-/// Parses the "cls" matrix out of an embed_gates result payload.
-Mat cls_of(const Response& resp) {
-  Json j;
-  std::string err;
-  EXPECT_TRUE(Json::parse(resp.result_json, &j, &err)) << err;
-  Mat cls;
-  EXPECT_TRUE(serve::mat_from_json(*j.find("cls"), &cls));
-  return cls;
-}
-
-TEST(Server, QuantizedEmbedDriftsWithinBudgetAndIsNotFp32) {
-  ServerConfig qc;
-  qc.quantize = true;
-  auto quant = make_server(qc);
-  auto fp32 = make_server();  // same seed → identical fp32 weights
-
-  const Response qr = quant->submit(embed_request(kAndNetlist));
-  ASSERT_TRUE(qr.ok()) << qr.error_message;
-  const Response fr = fp32->submit(embed_request(kAndNetlist));
-  ASSERT_TRUE(fr.ok()) << fr.error_message;
-
-  const Mat qcls = cls_of(qr);
-  const Mat fcls = cls_of(fr);
-  ASSERT_EQ(qcls.v.size(), fcls.v.size());
-  // The int8 path must actually run (identical bytes would mean the packed
-  // branch never fired) yet stay inside the documented drift budget
-  // (docs/PERFORMANCE.md §5): relative L2 distance under 5% for the tiny
-  // config's CLS embedding.
-  EXPECT_NE(qr.result_json, fr.result_json);
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = 0; i < fcls.v.size(); ++i) {
-    const double d = static_cast<double>(qcls.v[i]) - fcls.v[i];
-    num += d * d;
-    den += static_cast<double>(fcls.v[i]) * fcls.v[i];
-  }
-  ASSERT_GT(den, 0.0);
-  EXPECT_LT(std::sqrt(num / den), 0.05);
-}
-
-TEST(Server, StatsReportNumericBackendAndSimd) {
-  auto fp32 = make_server();
-  ServerConfig qc;
-  qc.quantize = true;
-  auto quant = make_server(qc);
-  auto stats_of = [](Server& s) {
-    Request r;
-    r.op = Op::kStats;
-    Json j;
-    std::string err;
-    EXPECT_TRUE(Json::parse(s.submit(std::move(r)).result_json, &j, &err))
-        << err;
-    return j;
-  };
-  const Json fs = stats_of(*fp32);
-  ASSERT_NE(fs.find("backend"), nullptr);
-  EXPECT_EQ(fs.find("backend")->as_string(), "fp32");
-  ASSERT_NE(fs.find("simd"), nullptr);
-  EXPECT_EQ(fs.find("simd")->as_string(), simd_backend_name());
-  const Json qs = stats_of(*quant);
-  EXPECT_EQ(qs.find("backend")->as_string(), "int8");
-}
-
-TEST(Server, QuantizedCacheIsConsistentPerBackend) {
-  ServerConfig qc;
-  qc.quantize = true;
-  auto quant = make_server(qc);
-  auto fp32 = make_server();
-
-  // Each backend replays its own bytes on the isomorphic resubmission...
-  const Response q1 = quant->submit(embed_request(kAndNetlist));
-  const Response q2 = quant->submit(embed_request(kAndRenamed));
-  ASSERT_TRUE(q1.ok() && q2.ok());
-  EXPECT_FALSE(q1.cached);
-  EXPECT_TRUE(q2.cached);
-  EXPECT_EQ(q1.result_json, q2.result_json);
-  // ...and those bytes are backend-specific (an int8 entry would be a wrong
-  // answer under fp32 and vice versa — the cache key keeps them apart).
-  const Response f1 = fp32->submit(embed_request(kAndNetlist));
-  ASSERT_TRUE(f1.ok());
-  EXPECT_NE(f1.result_json, q1.result_json);
-}
-
-TEST(Server, ReloadRepacksUnderQuantizedConfig) {
-  const std::string prefix =
-      save_tiny_checkpoint("/tmp/nettag_reload_quant", 21);
-  ServerConfig sc;
-  sc.model_prefix = prefix;
-  sc.quantize = true;
-  Server server(sc, load_checkpoint(prefix));
-
-  const Response before = server.submit(embed_request(kAndNetlist));
-  ASSERT_TRUE(before.ok()) << before.error_message;
-  const Response rl = server.submit([] {
-    Request r;
-    r.op = Op::kReload;
-    return r;
-  }());
-  ASSERT_TRUE(rl.ok()) << rl.error_message;
-
-  // Same weights + same backend → the cache entry stays live...
-  const Response replay = server.submit(embed_request(kAndNetlist));
-  ASSERT_TRUE(replay.ok());
-  EXPECT_TRUE(replay.cached);
-  EXPECT_EQ(replay.result_json, before.result_json);
-
-  // ...and fresh work on the reloaded generation still runs int8: an
-  // uncached netlist must differ from the fp32 offline reference (if reload
-  // forgot to repack, the swapped-in model would serve exact fp32 bytes).
-  const Response fresh = server.submit(embed_request(kOrNetlist));
-  ASSERT_TRUE(fresh.ok());
-  EXPECT_FALSE(fresh.cached);
-  const NetTag offline(tiny_config(), 21);
-  const NetTag::ConeEmbedding ref =
-      offline.embed(netlist_from_string(kOrNetlist));
-  const Mat fresh_cls = cls_of(fresh);
-  bool differs = false;
-  for (std::size_t i = 0; i < ref.cls.v.size() && !differs; ++i) {
-    differs = fresh_cls.v[i] != ref.cls.v[i];
-  }
-  EXPECT_TRUE(differs);
-  remove_tiny_checkpoint(prefix);
-}
-
 TEST(ServeJson, NumberRoundTripsDoublesExactly) {
   // 0.1 needs 17 significant digits as a double; a float-widened value
   // (0.25f) stays on the short %.9g path; integral stays integral.
@@ -978,12 +854,11 @@ TEST(Protocol, UnknownOrMisplacedFieldsNameTheOffender) {
   EXPECT_EQ(misplaced.parse_message,
             "field 'netlist' is not accepted by op 'ping'");
 
-  // quantize belongs to model_load alone.
+  // model_load takes no backend switch: 'quantize' is unknown there.
   const Request q = serve::parse_request(
-      R"({"op":"embed_gates","netlist":"m","quantize":true})");
+      R"({"op":"model_load","model":"a","model_prefix":"/tmp/ck","quantize":true})");
   EXPECT_EQ(q.parse_error, ErrorCode::kBadRequest);
-  EXPECT_EQ(q.parse_message,
-            "field 'quantize' is not accepted by op 'embed_gates'");
+  EXPECT_EQ(q.parse_message, "unknown field 'quantize' for op 'model_load'");
 
   // "id" and "op" are exempt from the table on every op.
   const Request ok = serve::parse_request(R"({"id":"7","op":"ping"})");
@@ -992,22 +867,11 @@ TEST(Protocol, UnknownOrMisplacedFieldsNameTheOffender) {
 
 TEST(Protocol, AdminOpFieldRequirements) {
   const Request load = serve::parse_request(
-      R"({"op":"model_load","model":"a","model_prefix":"/tmp/ck","quantize":true})");
+      R"({"op":"model_load","model":"a","model_prefix":"/tmp/ck"})");
   EXPECT_EQ(load.parse_error, ErrorCode::kNone);
   EXPECT_EQ(load.op, Op::kModelLoad);
   EXPECT_EQ(load.model, "a");
   EXPECT_EQ(load.model_prefix, "/tmp/ck");
-  EXPECT_EQ(load.quantize, 1);
-
-  // quantize is tri-state: absent stays -1 (inherit the server default).
-  const Request inherit = serve::parse_request(
-      R"({"op":"model_load","model":"a","model_prefix":"/tmp/ck"})");
-  EXPECT_EQ(inherit.parse_error, ErrorCode::kNone);
-  EXPECT_EQ(inherit.quantize, -1);
-  const Request mistyped = serve::parse_request(
-      R"({"op":"model_load","model":"a","model_prefix":"/tmp/ck","quantize":1})");
-  EXPECT_EQ(mistyped.parse_error, ErrorCode::kBadRequest);
-  EXPECT_EQ(mistyped.parse_message, "'quantize' must be a boolean");
 
   const Request no_prefix =
       serve::parse_request(R"({"op":"model_load","model":"a"})");
@@ -1142,7 +1006,6 @@ TEST(Server, ModelAdminLifecycleOverTheWire) {
   ASSERT_EQ(j.find("status")->as_string(), "ok") << j.dump();
   EXPECT_TRUE(j.find("result")->find("loaded")->as_bool());
   EXPECT_FALSE(j.find("result")->find("replaced")->as_bool());
-  EXPECT_EQ(j.find("result")->find("backend")->as_string(), "fp32");
   EXPECT_TRUE(server.submit(model_request(kAndNetlist, "a")).ok());
 
   // Loading the same name again replaces in place.
@@ -1215,33 +1078,6 @@ TEST(Server, ModelUnloadDrainsQueuedRequestsWithUnknownModel) {
   remove_tiny_checkpoint(p);
 }
 
-TEST(Server, PerReplicaQuantizeBackendsCoexist) {
-  const std::string p = save_tiny_checkpoint("/tmp/nettag_quant_pair", 21);
-  Server server{ServerConfig{}};  // process default: fp32
-  std::string err;
-  ASSERT_TRUE(server.load_model("f", p, 0, &err)) << err;
-  ASSERT_TRUE(server.load_model("q", p, 1, &err)) << err;
-
-  const Response fr = server.submit(model_request(kAndNetlist, "f"));
-  const Response qr = server.submit(model_request(kAndNetlist, "q"));
-  ASSERT_TRUE(fr.ok() && qr.ok());
-  // Same checkpoint, different numeric backends → different bytes, and the
-  // fp32 replica is bit-exact against the offline reference.
-  EXPECT_NE(fr.result_json, qr.result_json);
-  const NetTag offline(tiny_config(), 21);
-  const NetTag::ConeEmbedding ref =
-      offline.embed(netlist_from_string(kAndNetlist));
-  const Mat fcls = cls_of(fr);
-  ASSERT_EQ(fcls.v.size(), ref.cls.v.size());
-  for (std::size_t i = 0; i < ref.cls.v.size(); ++i) {
-    EXPECT_EQ(fcls.v[i], ref.cls.v[i]) << "cls lane " << i;
-  }
-  for (const serve::ReplicaInfo& info : server.registry().list()) {
-    EXPECT_EQ(info.quantize, info.name == "q") << info.name;
-  }
-  remove_tiny_checkpoint(p);
-}
-
 TEST(Server, V1LinesReplayByteIdenticalOnMultiModelServer) {
   const std::string alt = save_tiny_checkpoint("/tmp/nettag_v1_alt", 3737);
   auto v1 = make_server();  // plain single-model server, seed 21
@@ -1292,7 +1128,6 @@ TEST(Server, StatsReportPerReplicaSectionAndDefaults) {
   EXPECT_EQ(a.find("requests")->as_int(), 2);
   EXPECT_EQ(a.find("cache_hits")->as_int(), 1);
   EXPECT_EQ(a.find("cache_misses")->as_int(), 1);
-  EXPECT_EQ(a.find("backend")->as_string(), "fp32");
   EXPECT_EQ(a.find("weights_crc32")->as_string().size(), 8u);
   const Json& b = models->items()[1];
   EXPECT_EQ(b.find("name")->as_string(), "b");
@@ -1306,9 +1141,7 @@ TEST(Server, StatsReportPerReplicaSectionAndDefaults) {
   EXPECT_EQ(defaults->find("max_cone_gates")->as_int(),
             static_cast<std::int64_t>(serve::kDefaultMaxConeGates));
   EXPECT_EQ(defaults->find("max_gates")->as_int(), 20000);
-  EXPECT_EQ(defaults->find("quantize")->as_bool(), false);
   EXPECT_EQ(j.find("weights_crc32"), nullptr);
-  EXPECT_EQ(j.find("backend"), nullptr);
 
   remove_tiny_checkpoint(pa);
   remove_tiny_checkpoint(pb);

@@ -14,37 +14,29 @@
 //   nettag_serve --connect ADDR           client: forward stdin request lines
 //                                         to a running daemon, print response
 //                                         lines on stdout
-//   nettag_serve --train-demo PREFIX      build a small corpus, briefly
-//                                         pre-train a compact model, and save
-//                                         a checkpoint — the quickstart /
-//                                         CI-smoke path to a servable model
 //   nettag_serve --help                   usage (exit 0)
 //
+// A servable checkpoint comes from tools/nettag_train, e.g.
+//   nettag_train --out PREFIX --tiny --no-align --expr-steps 12 --tag-steps 10
+//
 // Flags (serve):
-//   --model SPEC           `[NAME=]PREFIX[,quantize|,fp32]`, repeatable: one
-//                          replica per flag, each from its own checkpoint
-//                          prefix, each independently hot-reloadable. NAME
-//                          defaults to "default" (the replica requests
-//                          without a "model" field target); the backend
-//                          suffix overrides --quantize for that replica
+//   --model SPEC           `[NAME=]PREFIX`, repeatable: one replica per flag,
+//                          each from its own checkpoint prefix, each
+//                          independently hot-reloadable. NAME defaults to
+//                          "default" (the replica requests without a
+//                          "model" field target)
 //   --max-gates N          admission size bound (default 20000)
 //   --cache-entries N      result-cache bound (default 256; the daemon splits
 //                          it across shard partitions)
 //   --text-cache-entries N frozen-text-embedding cache bound (default 4096;
 //                          one striped cache shared by all replicas)
 //   --reject-warnings      strict admission: lint warnings also reject
-//   --quantize             serve the int8 packed-weight path by default
-//                          (docs/PERFORMANCE.md §4); per-replica suffixes
-//                          and model_load's "quantize" field override it
 //   --log FILE             append one "<op> <status> <ms>" line per request
 // Flags (daemon):
 //   --listen ADDR          unix:/path/to.sock or host:port (port 0 = pick one)
 //   --shards N             worker shards / cache partitions (default 4)
 //   --queue-depth K        per-shard queue bound; beyond it netlist ops are
 //                          shed with too_busy (default 64)
-// Flags (train-demo):
-//   --seed S               generation/training seed (default 0x5eed)
-//   --designs N            designs per family (default 1)
 //
 // Exits 0 on EOF, a `shutdown` request, or SIGTERM/SIGINT — the signal path
 // drains: the stdin loop finishes the request it is on and the daemon
@@ -63,7 +55,6 @@
 #include <string>
 #include <vector>
 
-#include "core/pretrain.hpp"
 #include "net/client.hpp"
 #include "net/daemon.hpp"
 #include "serve/server.hpp"
@@ -77,13 +68,12 @@ namespace {
 
 void usage(std::FILE* to) {
   std::fprintf(to,
-               "usage: nettag_serve --model [NAME=]PREFIX[,quantize|,fp32] ...\n"
+               "usage: nettag_serve --model [NAME=]PREFIX ...\n"
                "                    [--max-gates N]\n"
                "                    [--cache-entries N] [--text-cache-entries N]\n"
-               "                    [--reject-warnings] [--quantize] [--log FILE]\n"
+               "                    [--reject-warnings] [--log FILE]\n"
                "                    [--listen ADDR [--shards N] [--queue-depth K]]\n"
                "       nettag_serve --connect ADDR\n"
-               "       nettag_serve --train-demo PREFIX [--seed S] [--designs N]\n"
                "       nettag_serve --help\n"
                "\n"
                "Serves gate/cone/circuit embeddings and task predictions for\n"
@@ -98,35 +88,6 @@ void usage(std::FILE* to) {
                "fields, daemon design, and the model registry.\n");
 }
 
-int train_demo(const std::string& prefix, std::uint64_t seed, int designs) {
-  Rng rng(seed);
-  CorpusOptions co;
-  co.designs_per_family = designs;
-  co.with_physical = false;  // layout labels are not needed to serve embeddings
-  std::fprintf(stderr, "nettag_serve: building demo corpus...\n");
-  const Corpus corpus = build_corpus(co, rng);
-  NetTagConfig mc;
-  mc.expr_llm = TextEncoderConfig::tiny();
-  NetTag model(mc, seed ^ 0xabcd);
-  PretrainOptions po;
-  po.expr_steps = 12;
-  po.tag_steps = 10;
-  po.aux_steps = 0;
-  po.max_expressions = 200;
-  po.max_cones = 24;
-  po.objective_align = false;  // no physical data in the demo corpus
-  std::fprintf(stderr, "nettag_serve: pre-training demo checkpoint...\n");
-  Timer t;
-  const PretrainReport rep = pretrain(model, corpus, po, rng);
-  save_checkpoint(model, prefix);
-  std::fprintf(stderr,
-               "nettag_serve: saved %s.ckpt (+.exprllm.bin/.tagformer.bin) "
-               "after %.1fs; expr loss %.3f -> %.3f, tag loss %.3f -> %.3f\n",
-               prefix.c_str(), t.seconds(), rep.expr_loss_first,
-               rep.expr_loss_last, rep.tag_loss_first, rep.tag_loss_last);
-  return 0;
-}
-
 /// Builds a server with one registered replica per --model spec. Replicas
 /// load through the same registry path as the `model_load` op; the first one
 /// donates the shared text cache (config.text_cache_entries/_partitions set
@@ -136,7 +97,7 @@ std::unique_ptr<serve::Server> build_server(
   auto server = std::make_unique<serve::Server>(std::move(config));
   for (const cli::ModelSpec& spec : specs) {
     std::string error;
-    if (!server->load_model(spec.name, spec.prefix, spec.quantize, &error)) {
+    if (!server->load_model(spec.name, spec.prefix, -1, &error)) {
       std::fprintf(stderr,
                    "nettag_serve: cannot load checkpoint '%s' (model '%s'): "
                    "%s\n",
@@ -219,7 +180,6 @@ int run_daemon(const std::vector<cli::ModelSpec>& specs,
   // striped cache, and reload/model_load attach fresh models to it, so the
   // layout survives every swap (serve/registry.cpp).
   config.text_cache_partitions = dcfg.shards;
-  dcfg.cache_entries = config.cache_entries;
 
   std::unique_ptr<serve::Server> server_ptr =
       build_server(specs, std::move(config));
@@ -277,13 +237,11 @@ int run_client(const std::string& spec) {
 
 int main(int argc, char** argv) {
   std::vector<cli::ModelSpec> model_specs;
-  std::string demo_prefix, log_path, connect_spec;
+  std::string log_path, connect_spec;
   serve::ServerConfig config;
   config.text_cache_entries = TextEmbeddingCache::kDefaultEntries;
   net::DaemonConfig dcfg;
   bool daemon_mode = false;
-  std::uint64_t seed = 0x5eed;
-  int designs = 1;
 
   auto need_value = [&](int i) -> const char* {
     if (i + 1 >= argc) {
@@ -318,9 +276,6 @@ int main(int argc, char** argv) {
       }
       model_specs.push_back(std::move(spec));
       ++i;
-    } else if (!std::strcmp(arg, "--train-demo")) {
-      demo_prefix = need_value(i);
-      ++i;
     } else if (!std::strcmp(arg, "--max-gates")) {
       config.max_gates = need_count(i);
       ++i;
@@ -332,8 +287,6 @@ int main(int argc, char** argv) {
       ++i;
     } else if (!std::strcmp(arg, "--reject-warnings")) {
       config.reject_warnings = true;
-    } else if (!std::strcmp(arg, "--quantize")) {
-      config.quantize = true;
     } else if (!std::strcmp(arg, "--log")) {
       log_path = need_value(i);
       ++i;
@@ -355,22 +308,6 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(arg, "--connect")) {
       connect_spec = need_value(i);
       ++i;
-    } else if (!std::strcmp(arg, "--seed")) {
-      std::string err;
-      if (!cli::parse_u64(need_value(i), &seed, &err)) {
-        std::fprintf(stderr, "nettag_serve: --seed: %s\n", err.c_str());
-        return 2;
-      }
-      ++i;
-    } else if (!std::strcmp(arg, "--designs")) {
-      std::string err;
-      long long v = 0;
-      if (!cli::parse_int(need_value(i), 1, 1 << 20, &v, &err)) {
-        std::fprintf(stderr, "nettag_serve: --designs: %s\n", err.c_str());
-        return 2;
-      }
-      designs = static_cast<int>(v);
-      ++i;
     } else {
       std::fprintf(stderr, "nettag_serve: unknown flag %s\n", arg);
       usage(stderr);
@@ -379,25 +316,12 @@ int main(int argc, char** argv) {
   }
 
   if (!connect_spec.empty()) {
-    if (!model_specs.empty() || !demo_prefix.empty() || daemon_mode) {
+    if (!model_specs.empty() || daemon_mode) {
       std::fprintf(stderr,
-                   "nettag_serve: --connect excludes --model/--train-demo/"
-                   "--listen\n");
+                   "nettag_serve: --connect excludes --model/--listen\n");
       return 2;
     }
     return run_client(connect_spec);
-  }
-  if (!demo_prefix.empty() && !model_specs.empty()) {
-    std::fprintf(stderr,
-                 "nettag_serve: --model and --train-demo are exclusive\n");
-    return 2;
-  }
-  if (!demo_prefix.empty()) {
-    if (designs < 1) {
-      std::fprintf(stderr, "nettag_serve: --designs must be >= 1\n");
-      return 2;
-    }
-    return train_demo(demo_prefix, seed, designs);
   }
   if (model_specs.empty()) {
     usage(stderr);
