@@ -333,11 +333,9 @@ int main(int argc, char** argv) {
   {
     serve::ServerConfig sc;
     sc.cache_entries = 512;
-    const std::size_t shards = 4;
-    setup.model->text_cache().set_partitions(shards);
     serve::Server server(sc, std::move(setup.model));
     net::DaemonConfig dc;
-    dc.shards = shards;
+    dc.shards = 4;
     dc.queue_depth = 64;
     dc.poll_interval_ms = 20;
     std::string error;

@@ -43,7 +43,8 @@ struct NetTagConfig {
   bool use_text_attributes = true;
   /// Frozen-text-embedding cache bound (entries). The cache is keyed by
   /// anonymized token sequences, so this bounds memory under an unbounded
-  /// stream of distinct attributes (serving traffic).
+  /// stream of distinct attributes. A served model uses the serve
+  /// registry's shared cache instead (ServerConfig::text_cache_entries).
   std::size_t text_cache_entries = TextEmbeddingCache::kDefaultEntries;
 };
 
@@ -132,16 +133,11 @@ class NetTag {
   /// Counter access for the serve `stats` endpoint.
   const TextEmbeddingCache& text_cache() const { return *text_cache_; }
   TextEmbeddingCache& text_cache() { return *text_cache_; }
-  /// The cache as a shareable handle (serve/registry.hpp adopts the first
-  /// replica's cache as the process-wide striped cache).
-  std::shared_ptr<TextEmbeddingCache> text_cache_ptr() const {
-    return text_cache_;
-  }
 
   /// Attaches a shared text-embedding cache (replacing this model's own) and
-  /// a key salt prefixed to every cache key. The serve model registry gives
-  /// all replicas one striped cache but salts each replica's keys with its
-  /// weights CRC: replicas loaded from the same checkpoint share entries,
+  /// a key salt prefixed to every cache key. The serve model registry
+  /// creates one cache for all replicas and salts each replica's keys with
+  /// its weights CRC: replicas loaded from the same checkpoint share entries,
   /// while different weights can never replay each other's rows (the cached
   /// value depends on the encoder parameters, not just the token sequence).
   /// Must not race with lookups (call before the model takes traffic).

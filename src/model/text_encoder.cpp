@@ -89,145 +89,50 @@ std::vector<Tensor> TextEncoder::params() const {
   return out;
 }
 
-namespace {
-
-/// Per-stripe share of the total capacity: ceiling split, at least 1 entry
-/// per stripe so a tiny capacity with many stripes still caches something.
-std::size_t stripe_capacity(std::size_t total, std::size_t stripes) {
-  if (stripes == 0) stripes = 1;
-  const std::size_t share = (total + stripes - 1) / stripes;
-  return share == 0 ? 1 : share;
-}
-
-}  // namespace
-
 TextEmbeddingCache::TextEmbeddingCache(std::size_t max_entries)
-    : total_capacity_(max_entries) {
-  stripes_.push_back(std::make_unique<Stripe>(max_entries));
-}
-
-TextEmbeddingCache::Stripe& TextEmbeddingCache::stripe_for(
-    const std::string& key) const {
-  if (stripes_.size() == 1) return *stripes_[0];
-  return *stripes_[std::hash<std::string>{}(key) % stripes_.size()];
-}
+    : map_(max_entries) {}
 
 bool TextEmbeddingCache::lookup(const std::string& key,
                                 std::vector<float>* out) {
-  Stripe& s = stripe_for(key);
-  std::lock_guard<std::mutex> lk(s.mu);
-  if (const std::vector<float>* row = s.map.get(key)) {
-    ++s.hits;
+  std::lock_guard<std::mutex> lk(mu_);
+  if (const std::vector<float>* row = map_.get(key)) {
+    ++hits_;
     *out = *row;
     return true;
   }
-  ++s.misses;
+  ++misses_;
   return false;
 }
 
 void TextEmbeddingCache::insert(const std::string& key,
                                 std::vector<float> row) {
-  Stripe& s = stripe_for(key);
-  std::lock_guard<std::mutex> lk(s.mu);
-  s.evictions += s.map.put(key, std::move(row));
+  std::lock_guard<std::mutex> lk(mu_);
+  evictions_ += map_.put(key, std::move(row));
 }
 
 void TextEmbeddingCache::clear() {
-  std::lock_guard<std::mutex> layout(layout_mu_);
-  for (auto& s : stripes_) {
-    std::lock_guard<std::mutex> lk(s->mu);
-    s->map.clear();
-  }
-}
-
-void TextEmbeddingCache::set_capacity(std::size_t max_entries) {
-  std::lock_guard<std::mutex> layout(layout_mu_);
-  total_capacity_ = max_entries;
-  const std::size_t per = stripe_capacity(max_entries, stripes_.size());
-  for (auto& s : stripes_) {
-    std::lock_guard<std::mutex> lk(s->mu);
-    s->evictions += s->map.set_capacity(per);
-  }
-}
-
-void TextEmbeddingCache::set_partitions(std::size_t n) {
-  if (n < 1) n = 1;
-  if (n > 64) n = 64;
-  std::lock_guard<std::mutex> layout(layout_mu_);
-  if (n == stripes_.size()) return;
-  const std::size_t per = stripe_capacity(total_capacity_, n);
-  std::vector<std::unique_ptr<Stripe>> fresh;
-  fresh.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    fresh.push_back(std::make_unique<Stripe>(per));
-  }
-  // Redistribute current entries by key hash (oldest-first per old stripe,
-  // so relative recency survives within each new stripe) and carry the
-  // counters over — repartitioning must not reset observability.
-  for (auto& old : stripes_) {
-    std::lock_guard<std::mutex> lk(old->mu);
-    old->map.for_each_oldest_first(
-        [&](const std::string& key, std::vector<float>& row) {
-          Stripe& dst = n == 1
-                            ? *fresh[0]
-                            : *fresh[std::hash<std::string>{}(key) % n];
-          dst.evictions += dst.map.put(key, std::move(row));
-        });
-    fresh[0]->hits += old->hits;
-    fresh[0]->misses += old->misses;
-    fresh[0]->evictions += old->evictions;
-  }
-  stripes_ = std::move(fresh);
-}
-
-std::size_t TextEmbeddingCache::partitions() const {
-  std::lock_guard<std::mutex> layout(layout_mu_);
-  return stripes_.size();
+  std::lock_guard<std::mutex> lk(mu_);
+  map_.clear();
 }
 
 std::size_t TextEmbeddingCache::size() const {
-  std::lock_guard<std::mutex> layout(layout_mu_);
-  std::size_t total = 0;
-  for (const auto& s : stripes_) {
-    std::lock_guard<std::mutex> lk(s->mu);
-    total += s->map.size();
-  }
-  return total;
-}
-
-std::size_t TextEmbeddingCache::capacity() const {
-  std::lock_guard<std::mutex> layout(layout_mu_);
-  return total_capacity_;
+  std::lock_guard<std::mutex> lk(mu_);
+  return map_.size();
 }
 
 std::uint64_t TextEmbeddingCache::hits() const {
-  std::lock_guard<std::mutex> layout(layout_mu_);
-  std::uint64_t total = 0;
-  for (const auto& s : stripes_) {
-    std::lock_guard<std::mutex> lk(s->mu);
-    total += s->hits;
-  }
-  return total;
+  std::lock_guard<std::mutex> lk(mu_);
+  return hits_;
 }
 
 std::uint64_t TextEmbeddingCache::misses() const {
-  std::lock_guard<std::mutex> layout(layout_mu_);
-  std::uint64_t total = 0;
-  for (const auto& s : stripes_) {
-    std::lock_guard<std::mutex> lk(s->mu);
-    total += s->misses;
-  }
-  return total;
+  std::lock_guard<std::mutex> lk(mu_);
+  return misses_;
 }
 
 std::uint64_t TextEmbeddingCache::evictions() const {
-  std::lock_guard<std::mutex> layout(layout_mu_);
-  std::uint64_t total = 0;
-  for (const auto& s : stripes_) {
-    std::lock_guard<std::mutex> lk(s->mu);
-    total += s->evictions;
-  }
-  return total;
+  std::lock_guard<std::mutex> lk(mu_);
+  return evictions_;
 }
 
 }  // namespace nettag

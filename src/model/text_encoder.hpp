@@ -67,18 +67,9 @@ class TextEncoder : public Module {
 /// boundedness matters because a serving daemon sees an unbounded stream of
 /// distinct attributes and the old unbounded map grew without limit under
 /// sustained traffic. Hit/miss/eviction counters feed the serve `stats`
-/// endpoint. Lookup and insert take a per-stripe mutex; callers run the
+/// endpoint. One mutex guards the map and its counters; callers run the
 /// encode itself outside the lock (a racing duplicate encode produces the
 /// identical value, so which insert wins does not affect results).
-///
-/// The cache is internally *lock-striped*: keys hash onto one of
-/// `partitions()` independent (mutex, LruMap) stripes, so the shard workers
-/// of the socket daemon (src/net) do not serialize on one text-cache mutex.
-/// The default is one stripe — exactly the previous single-lock behavior;
-/// the daemon raises it to its shard count at startup. Capacity is the
-/// *total* across stripes; LRU age is per-stripe (a key evicts only against
-/// keys in its own stripe), which bounds memory identically and only
-/// reshuffles which cold entry goes first.
 class TextEmbeddingCache {
  public:
   static constexpr std::size_t kDefaultEntries = 4096;
@@ -93,35 +84,21 @@ class TextEmbeddingCache {
   void insert(const std::string& key, std::vector<float> row);
 
   void clear();
-  void set_capacity(std::size_t max_entries);
-  /// Re-partitions into `n` stripes (clamped to [1, 64]), redistributing
-  /// current entries by key hash; counters are kept. Not a hot-path call —
-  /// the daemon does this once before traffic, and it must not race with
-  /// lookups/inserts (it rebuilds the stripe vector).
-  void set_partitions(std::size_t n);
-  std::size_t partitions() const;
+  /// Does nothing. Kept only because benchmark/src/replay.cpp still calls
+  /// it; delete it when the next change to benchmark/ drops that call.
+  void set_partitions(std::size_t) {}
 
   std::size_t size() const;
-  std::size_t capacity() const;
+  /// Fixed at construction, so it is read without the lock.
+  std::size_t capacity() const { return map_.capacity(); }
   std::uint64_t hits() const;
   std::uint64_t misses() const;
   std::uint64_t evictions() const;
 
  private:
-  struct Stripe {
-    std::mutex mu;
-    LruMap<std::string, std::vector<float>> map;
-    std::uint64_t hits = 0, misses = 0, evictions = 0;
-    explicit Stripe(std::size_t cap) : map(cap) {}
-  };
-  Stripe& stripe_for(const std::string& key) const;
-
-  /// Stripe layout (count, per-stripe capacity) is fixed between the
-  /// configuration calls above; per-key operations lock only their stripe.
-  /// `layout_mu_` guards the whole-cache walks (size/clear/counters).
-  mutable std::mutex layout_mu_;
-  std::size_t total_capacity_;
-  std::vector<std::unique_ptr<Stripe>> stripes_;
+  mutable std::mutex mu_;
+  LruMap<std::string, std::vector<float>> map_;
+  std::uint64_t hits_ = 0, misses_ = 0, evictions_ = 0;
 };
 
 }  // namespace nettag

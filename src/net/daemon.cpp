@@ -13,10 +13,7 @@
 namespace nettag::net {
 
 Daemon::Daemon(serve::Server& server, DaemonConfig config)
-    : server_(server), config_(std::move(config)) {
-  if (config_.shards == 0) config_.shards = 1;
-  if (config_.queue_depth == 0) config_.queue_depth = 1;
-}
+    : server_(server), config_(std::move(config)) {}
 
 Daemon::~Daemon() {
   // The stats extension captures `this`; it must not outlive the daemon.

@@ -43,8 +43,10 @@ namespace nettag::net {
 
 struct DaemonConfig {
   cli::ListenAddress listen;
-  std::size_t shards = 4;
-  std::size_t queue_depth = 64;      ///< per-shard; beyond it, netlist ops shed
+  std::size_t shards = 4;            ///< at most ShardPool::kMaxShards
+  /// Per-shard, at most ShardPool::kMaxQueueDepth; beyond it, netlist ops
+  /// shed.
+  std::size_t queue_depth = 64;
   std::size_t max_connections = 512; ///< accepted beyond this: closed at once
   std::size_t max_line_bytes = 8u << 20;  ///< unterminated-line bound
   /// Unwritten response bytes buffered per connection before the daemon
@@ -67,9 +69,7 @@ class Daemon {
 
   /// Binds the listener, builds the shard pool, and registers the
   /// transport/shard stats extension on the server. Returns false with
-  /// *error on bind/config failure. (The model's text-cache partition count
-  /// is set by the tool that owns the model, before the server wraps it;
-  /// reload carries it across generations.)
+  /// *error on bind/config failure.
   bool start(std::string* error);
 
   /// The bound TCP port (resolves `--listen host:0` ephemeral binds).

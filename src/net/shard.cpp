@@ -1,5 +1,6 @@
 #include "net/shard.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 
@@ -32,8 +33,9 @@ std::size_t shard_cache_entries(std::size_t total, std::size_t shards) {
 
 ShardPool::ShardPool(serve::Server& server, std::size_t shards,
                      std::size_t queue_depth, std::size_t total_cache_entries)
-    : server_(server), queue_depth_(queue_depth ? queue_depth : 1) {
-  if (shards == 0) shards = 1;
+    : server_(server),
+      queue_depth_(std::clamp<std::size_t>(queue_depth, 1, kMaxQueueDepth)) {
+  shards = std::clamp<std::size_t>(shards, 1, kMaxShards);
   const std::size_t per_cache = shard_cache_entries(total_cache_entries,
                                                     shards);
   shards_.reserve(shards);
@@ -153,18 +155,9 @@ void ShardPool::worker_loop(Shard& shard) {
     }
     serve::Response response = server_.process_on(task.request, &shard.cache);
     if (task.done) task.done(std::move(response));
-    {
-      std::lock_guard<std::mutex> lk(shard.mu);
-      shard.in_flight = false;
-      ++shard.processed;
-    }
-    // Taking drain_mu_ (even empty) before notifying pairs with the wait in
-    // drain(): without it, a drain() thread could evaluate pending()==1,
-    // have this completion slip in before it sleeps, and miss the wakeup.
-    {
-      std::lock_guard<std::mutex> lk(drain_mu_);
-    }
-    drain_cv_.notify_all();
+    std::lock_guard<std::mutex> lk(shard.mu);
+    shard.in_flight = false;
+    ++shard.processed;
   }
 }
 
@@ -175,11 +168,6 @@ std::size_t ShardPool::pending() const {
     total += s->queue.size() + (s->in_flight ? 1 : 0);
   }
   return total;
-}
-
-void ShardPool::drain() {
-  std::unique_lock<std::mutex> lk(drain_mu_);
-  drain_cv_.wait(lk, [this] { return pending() == 0; });
 }
 
 void ShardPool::pause() {

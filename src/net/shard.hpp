@@ -44,8 +44,16 @@ class ShardPool {
   /// the daemon's callback pushes onto a completion queue and wakes poll().
   using Done = std::function<void(serve::Response)>;
 
-  /// `total_cache_entries` is split evenly across the shards' result-cache
-  /// partitions (each at least 1 entry).
+  /// Upper bounds on the shard count and the per-shard queue depth; they
+  /// are also the limits of nettag_serve's --shards and --queue-depth. Each
+  /// shard is one worker thread and keeps a queue_depth + 1 bucket
+  /// histogram, which every `stats` response lists.
+  static constexpr std::size_t kMaxShards = 256;
+  static constexpr std::size_t kMaxQueueDepth = 4096;
+
+  /// `shards` and `queue_depth` clamp to [1, kMaxShards] and
+  /// [1, kMaxQueueDepth]. `total_cache_entries` is split evenly across the
+  /// shards' result-cache partitions (each at least 1 entry).
   ShardPool(serve::Server& server, std::size_t shards,
             std::size_t queue_depth, std::size_t total_cache_entries);
   ~ShardPool();
@@ -66,11 +74,6 @@ class ShardPool {
 
   /// Queued + in-flight requests across all shards.
   std::size_t pending() const;
-
-  /// Blocks until every queued and in-flight request has completed. The
-  /// caller must have stopped submitting first (the daemon closes its
-  /// listeners and stops reading before draining).
-  void drain();
 
   // --- test hooks ---------------------------------------------------------
   /// Halts all shard workers before their next dequeue, so tests can fill a
@@ -125,9 +128,6 @@ class ShardPool {
   std::atomic<std::uint64_t> round_robin_{0};
   std::atomic<bool> stopping_{false};
   std::atomic<bool> paused_{false};
-  /// drain() waiters; notified whenever a shard empties.
-  mutable std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
 };
 
 }  // namespace nettag::net

@@ -3,6 +3,7 @@
 #include <string>
 
 #include "analysis/diagnostic.hpp"
+#include "analysis/lint.hpp"
 #include "netlist/io.hpp"
 #include "util/timer.hpp"
 
@@ -37,7 +38,7 @@ const Netlist* Admission::admit(const Request& request, Netlist* local,
     return nullptr;
   }
   t.reset();
-  const LintReport lint = lint_netlist(*nl, config_.lint);
+  const LintReport lint = lint_netlist(*nl);
   metrics_->record_stage(Stage::kLint, t.seconds());
   const bool rejected =
       lint.has_errors() ||

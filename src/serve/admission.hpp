@@ -11,7 +11,6 @@
 
 #include <cstddef>
 
-#include "analysis/lint.hpp"
 #include "netlist/netlist.hpp"
 #include "serve/metrics.hpp"
 #include "serve/protocol.hpp"
@@ -22,9 +21,8 @@ struct AdmissionConfig {
   /// Netlists above this many gates get kTooLarge.
   std::size_t max_gates = 20000;
   /// Strict admission: reject on lint *warnings* too (errors always reject).
+  /// The lint itself runs with default LintOptions.
   bool reject_warnings = false;
-  /// Admission lint options (rule toggles, fanout bound).
-  LintOptions lint;
 };
 
 class Admission {

@@ -39,10 +39,6 @@ bool is_netlist_op(Op op) {
   }
 }
 
-bool is_control_op(Op op) {
-  return op != Op::kInvalid && !is_netlist_op(op);
-}
-
 const char* error_code_name(ErrorCode code) {
   switch (code) {
     case ErrorCode::kNone: return "none";

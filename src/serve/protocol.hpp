@@ -84,11 +84,6 @@ const char* op_name(Op op);
 /// structural hash for cache affinity (src/net/shard.cpp).
 bool is_netlist_op(Op op);
 
-/// True for the observability/admin ops (ping, stats, shutdown, reload and
-/// the model_* family). Control ops are never shed — an operator must always
-/// be able to observe, reconfigure, and drain a saturated daemon.
-bool is_control_op(Op op);
-
 /// Structured error taxonomy (docs/ARCHITECTURE.md §7.3). Every failure is a
 /// per-request status — the daemon itself never exits nonzero on bad input.
 enum class ErrorCode {
@@ -108,9 +103,7 @@ enum class ErrorCode {
 const char* error_code_name(ErrorCode code);
 
 /// The one authoritative default for the embed_circuit cone cap. Request
-/// carries 0 for "absent" and the server resolves it against its config
-/// (which defaults to this constant) — the value used to be hardcoded in
-/// two places and they could drift.
+/// carries 0 for "absent" and the server resolves it to this constant.
 inline constexpr std::size_t kDefaultMaxConeGates = 120;
 
 /// The replica every v1 request (no "model" field) targets.

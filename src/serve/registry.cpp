@@ -7,12 +7,8 @@
 
 namespace nettag::serve {
 
-void ModelRegistry::set_cache_layout(std::size_t capacity,
-                                     std::size_t partitions) {
-  std::lock_guard<std::mutex> lk(mu_);
-  cache_capacity_ = capacity;
-  cache_partitions_ = partitions;
-}
+ModelRegistry::ModelRegistry(std::size_t text_cache_entries)
+    : text_cache_entries_(text_cache_entries) {}
 
 std::string ReplicaSnapshot::cache_tag() const {
   std::string tag = "|m";
@@ -38,16 +34,9 @@ void ModelRegistry::add(const std::string& name, std::unique_ptr<NetTag> model,
   rep->prefix = prefix;
   std::shared_ptr<NetTag> shared(std::move(model));
   {
-    // The first replica donates its cache as the process-wide one, resized
-    // to the configured serving layout (--text-cache-entries capacity, one
-    // stripe per daemon shard).
     std::lock_guard<std::mutex> lk(mu_);
     if (!text_cache_) {
-      text_cache_ = shared->text_cache_ptr();
-      if (cache_capacity_ != 0) text_cache_->set_capacity(cache_capacity_);
-      if (cache_partitions_ != 0) {
-        text_cache_->set_partitions(cache_partitions_);
-      }
+      text_cache_ = std::make_shared<TextEmbeddingCache>(text_cache_entries_);
     }
   }
   rep->params_crc = prepare(*shared);

@@ -5,10 +5,11 @@
 // registry tracks the checkpoint prefix (the default `reload` target), the
 // params CRC (namespacing its result-cache keys) and per-replica counters.
 // All replicas share:
-//   * one striped text-embedding cache — adopted from the first replica and
-//     attached to every later load, with each replica's keys salted by its
-//     weights CRC so replicas of the same checkpoint share entries while
-//     different weights can never replay each other's rows;
+//   * one text-embedding cache — created by the registry when the first
+//     replica is added and attached to every load and reload, with each
+//     replica's keys salted by its weights CRC so replicas of the same
+//     checkpoint share entries while different weights can never replay
+//     each other's rows;
 //   * the process thread pool and the per-shape-signature memory plans
 //     (plans depend on tensor shapes only, never on weights, so replicas
 //     with equal architecture reuse them safely).
@@ -80,18 +81,15 @@ struct ReloadOutcome {
 
 class ModelRegistry {
  public:
-  ModelRegistry() = default;
+  /// `text_cache_entries` is the capacity of the shared text-embedding
+  /// cache, created when the first replica is added.
+  explicit ModelRegistry(std::size_t text_cache_entries);
   ModelRegistry(const ModelRegistry&) = delete;
   ModelRegistry& operator=(const ModelRegistry&) = delete;
 
-  /// Desired shared-cache layout, applied when the first replica donates
-  /// its cache: total capacity in entries and stripe count (0 = keep the
-  /// donating model's value). Call before the first add().
-  void set_cache_layout(std::size_t capacity, std::size_t partitions);
-
   /// Registers an already-constructed model under `name`, replacing any
-  /// existing replica of that name. The first model registered donates its
-  /// text-embedding cache (capacity/stripes included) as the shared cache.
+  /// existing replica of that name, and attaches it to the shared
+  /// text-embedding cache (creating that cache on the first call).
   /// `prefix` becomes the replica's default reload target ("" = reload must
   /// carry model_prefix).
   void add(const std::string& name, std::unique_ptr<NetTag> model,
@@ -152,11 +150,10 @@ class ModelRegistry {
 
   std::shared_ptr<Replica> find(const std::string& name) const;
 
+  const std::size_t text_cache_entries_;
   mutable std::mutex mu_;  ///< guards replicas_ and text_cache_ pointers
   std::map<std::string, std::shared_ptr<Replica>> replicas_;
   std::shared_ptr<TextEmbeddingCache> text_cache_;
-  std::size_t cache_capacity_ = 0;    ///< 0 = first model's own
-  std::size_t cache_partitions_ = 0;  ///< 0 = first model's own
   std::atomic<std::uint64_t> total_reloads_{0};
 };
 

@@ -60,13 +60,10 @@ Response internal_response(const Request& request, std::string message) {
 
 Server::Server(ServerConfig config)
     : config_(std::move(config)),
-      admission_(AdmissionConfig{config_.max_gates, config_.reject_warnings,
-                                 config_.lint},
+      registry_(config_.text_cache_entries),
+      admission_(AdmissionConfig{config_.max_gates, config_.reject_warnings},
                  &metrics_),
-      cache_(config_.cache_entries) {
-  registry_.set_cache_layout(config_.text_cache_entries,
-                             config_.text_cache_partitions);
-}
+      cache_(config_.cache_entries) {}
 
 Server::Server(ServerConfig config, std::unique_ptr<NetTag> model)
     : Server(std::move(config)) {
@@ -170,7 +167,7 @@ std::string Server::stats_json() const {
   // resolves to without reading the server's flags.
   Json defaults = Json::object();
   defaults.set("max_gates", static_cast<double>(config_.max_gates));
-  defaults.set("max_cone_gates", static_cast<double>(config_.max_cone_gates));
+  defaults.set("max_cone_gates", static_cast<double>(kDefaultMaxConeGates));
   defaults.set("reject_warnings", config_.reject_warnings);
   j.set("defaults", std::move(defaults));
   {
@@ -342,12 +339,12 @@ Response Server::process_netlist_op(const Request& request,
     task_fn = it->second;
   }
 
-  // An absent max_cone_gates resolves to the server default here — before
-  // the cache key and the model call — so explicit-120 and absent requests
-  // share one entry under the default config.
+  // An absent max_cone_gates resolves to the default here — before the
+  // cache key and the model call — so explicit-120 and absent requests
+  // share one entry.
   const std::size_t max_cone_gates = request.max_cone_gates != 0
                                          ? request.max_cone_gates
-                                         : config_.max_cone_gates;
+                                         : kDefaultMaxConeGates;
 
   // Stage 3: content-addressed cache. embed_gates returns one row per gate
   // in declaration order, so its key and fingerprint are declaration-order

@@ -31,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/lint.hpp"
 #include "core/nettag.hpp"
 #include "serve/admission.hpp"
 #include "serve/cache.hpp"
@@ -48,18 +47,12 @@ struct ServerConfig {
   std::size_t cache_entries = 256;
   /// Strict admission: reject on lint *warnings* too (errors always reject).
   bool reject_warnings = false;
-  /// Admission lint options (rule toggles, fanout bound).
-  LintOptions lint;
-  /// Effective default for requests that carry no `max_cone_gates` of their
-  /// own (the embed_circuit cone cap). Echoed in `stats` under "defaults".
-  std::size_t max_cone_gates = kDefaultMaxConeGates;
-  /// Shared text-embedding cache layout, applied when the first replica
-  /// donates its cache to the registry: capacity in entries (0 = keep the
-  /// model's own, typically the checkpoint default) and stripe count (0 =
-  /// keep; the daemon passes its shard count so workers don't serialize on
-  /// one cache mutex). Reload/model_load attach later models to the same
-  /// cache, so the layout survives every swap.
-  std::size_t text_cache_entries = 0;
+  /// Capacity, in entries, of the one frozen-text-embedding cache. The
+  /// registry creates it when the first replica loads; every replica,
+  /// reload and model_load shares it (serve/registry.hpp).
+  std::size_t text_cache_entries = TextEmbeddingCache::kDefaultEntries;
+  /// Ignored. Kept only because benchmark/src/replay.cpp still sets it;
+  /// delete it when the next change to benchmark/ drops that line.
   std::size_t text_cache_partitions = 0;
   /// Default checkpoint prefix for `reload` requests that carry no
   /// `model_prefix` of their own (typically the prefix the server was

@@ -21,7 +21,7 @@ class LruMap {
   explicit LruMap(std::size_t capacity) : capacity_(capacity ? capacity : 1) {}
 
   /// Pointer to the value (entry becomes most-recent), nullptr on miss.
-  /// The pointer is invalidated by the next put()/set_capacity()/clear().
+  /// The pointer is invalidated by the next put()/clear().
   V* get(const K& key) {
     auto it = index_.find(key);
     if (it == index_.end()) return nullptr;
@@ -49,18 +49,6 @@ class LruMap {
     return evicted;
   }
 
-  /// Shrinking evicts immediately; capacity 0 clamps to 1.
-  std::size_t set_capacity(std::size_t capacity) {
-    capacity_ = capacity ? capacity : 1;
-    std::size_t evicted = 0;
-    while (order_.size() > capacity_) {
-      index_.erase(order_.back().first);
-      order_.pop_back();
-      ++evicted;
-    }
-    return evicted;
-  }
-
   void clear() {
     order_.clear();
     index_.clear();
@@ -69,18 +57,8 @@ class LruMap {
   std::size_t size() const { return order_.size(); }
   std::size_t capacity() const { return capacity_; }
 
-  /// Visits every entry from least- to most-recently used without touching
-  /// recency. The value reference is mutable — the text cache's
-  /// set_partitions moves rows out while redistributing across stripes.
-  template <typename Fn>
-  void for_each_oldest_first(Fn&& fn) {
-    for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-      fn(it->first, it->second);
-    }
-  }
-
  private:
-  std::size_t capacity_;
+  const std::size_t capacity_;
   /// Front = most recently used; pairs own the keys the index points at.
   std::list<std::pair<K, V>> order_;
   std::unordered_map<K, typename std::list<std::pair<K, V>>::iterator, Hash>

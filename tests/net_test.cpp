@@ -320,8 +320,6 @@ TEST(ShardPool, SaturatedQueueShedsWithTooBusy) {
     EXPECT_TRUE(r.ok()) << r.error_message;
   }
   EXPECT_TRUE(stats_future.get().ok());
-  pool.drain();
-  EXPECT_EQ(pool.pending(), 0u);
 }
 
 TEST(ShardPool, RouteComposesReplicaNameIntoTheHash) {

@@ -51,18 +51,13 @@ TEST(LruMap, EvictsLeastRecentlyUsed) {
   ASSERT_NE(lru.get(3), nullptr);
 }
 
-TEST(LruMap, PutReplacesAndShrinkEvicts) {
+TEST(LruMap, PutReplacesWithoutGrowth) {
   LruMap<std::string, int> lru(4);
   lru.put("a", 1);
   lru.put("b", 2);
   lru.put("a", 7);  // replace, no growth
   EXPECT_EQ(lru.size(), 2u);
   EXPECT_EQ(*lru.get("a"), 7);
-  lru.put("c", 3);
-  lru.put("d", 4);
-  EXPECT_EQ(lru.set_capacity(2), 2u);  // evicts the two oldest
-  EXPECT_EQ(lru.size(), 2u);
-  EXPECT_EQ(lru.capacity(), 2u);
 }
 
 // --- serve/json -------------------------------------------------------------
@@ -330,6 +325,40 @@ TEST(TextCache, BoundedWithCounters) {
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.evictions(), 1u);
   EXPECT_EQ(cache.size(), 2u);
+}
+
+TEST(TextCache, ConcurrentLookupsAndInsertsStayBoundedAndCounted) {
+  // Shard workers share one cache: lookups and inserts from several threads
+  // must keep every counter exact, every hit correct and the size bounded.
+  constexpr std::size_t kCapacity = 16;
+  constexpr int kThreads = 4, kLookups = 2000, kKeys = 40;
+  TextEmbeddingCache cache(kCapacity);
+  std::atomic<int> wrong_rows{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<float> row;
+      for (int i = 0; i < kLookups; ++i) {
+        const int k = (7 * t + i) % kKeys;
+        const std::string key = "k" + std::to_string(k);
+        if (cache.lookup(key, &row)) {
+          if (row != std::vector<float>{static_cast<float>(k)}) ++wrong_rows;
+        } else {
+          cache.insert(key, {static_cast<float>(k)});
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong_rows.load(), 0);
+  EXPECT_EQ(cache.hits() + cache.misses(),
+            static_cast<std::uint64_t>(kThreads) * kLookups);
+  // More distinct keys than capacity went in, so the cache ends full; every
+  // insert of an absent key either grew it or evicted one entry.
+  EXPECT_EQ(cache.capacity(), kCapacity);
+  EXPECT_EQ(cache.size(), kCapacity);
+  EXPECT_GT(cache.evictions(), 0u);
+  EXPECT_LE(cache.size() + cache.evictions(), cache.misses());
 }
 
 TEST(TextCache, ModelHonoursConfiguredBound) {
@@ -1142,6 +1171,89 @@ TEST(Server, StatsReportPerReplicaSectionAndDefaults) {
             static_cast<std::int64_t>(serve::kDefaultMaxConeGates));
   EXPECT_EQ(defaults->find("max_gates")->as_int(), 20000);
   EXPECT_EQ(j.find("weights_crc32"), nullptr);
+
+  remove_tiny_checkpoint(pa);
+  remove_tiny_checkpoint(pb);
+}
+
+/// The `text_cache` section of a server's `stats`.
+struct TextCacheCounts {
+  std::int64_t entries = 0, capacity = 0, hits = 0, misses = 0;
+};
+
+TextCacheCounts text_cache_counts(const Server& server) {
+  Json j;
+  std::string err;
+  EXPECT_TRUE(Json::parse(server.stats_json(), &j, &err)) << err;
+  const Json* tc = j.find("text_cache");
+  if (tc == nullptr) {
+    ADD_FAILURE() << "stats has no text_cache section";
+    return {};
+  }
+  return {tc->find("entries")->as_int(), tc->find("capacity")->as_int(),
+          tc->find("hits")->as_int(), tc->find("misses")->as_int()};
+}
+
+TEST(Server, TextCacheIsOneSaltedCacheAcrossReplicasAndReloads) {
+  const std::string pa = save_tiny_checkpoint("/tmp/nettag_text_cache_a", 21);
+  const std::string pb =
+      save_tiny_checkpoint("/tmp/nettag_text_cache_b", 3737);  // other weights
+  ServerConfig sc;
+  sc.text_cache_entries = 64;
+  Server server{sc};
+  std::string err;
+
+  // The registry creates the cache with the first replica.
+  Json j;
+  ASSERT_TRUE(Json::parse(server.stats_json(), &j, &err)) << err;
+  EXPECT_EQ(j.find("text_cache"), nullptr);
+  ASSERT_TRUE(server.load_model("a", pa, -1, &err)) << err;
+  const TextCacheCounts empty = text_cache_counts(server);
+  EXPECT_EQ(empty.capacity, 64);
+  EXPECT_EQ(empty.entries, 0);
+
+  ASSERT_TRUE(server.submit(model_request(kAndNetlist, "a")).ok());
+  const TextCacheCounts after_a = text_cache_counts(server);
+  EXPECT_GT(after_a.misses, 0);
+  EXPECT_GT(after_a.entries, 0);
+
+  // A second replica of the same checkpoint misses the result cache (its
+  // keys carry its own name) but hits every text row "a" encoded.
+  ASSERT_TRUE(server.load_model("a_twin", pa, -1, &err)) << err;
+  const Response twin = server.submit(model_request(kAndNetlist, "a_twin"));
+  ASSERT_TRUE(twin.ok()) << twin.error_message;
+  EXPECT_FALSE(twin.cached);
+  const TextCacheCounts after_twin = text_cache_counts(server);
+  EXPECT_EQ(after_twin.misses, after_a.misses);
+  EXPECT_GT(after_twin.hits, after_a.hits);
+  EXPECT_EQ(after_twin.entries, after_a.entries);
+
+  // Other weights salt other keys: the same netlist misses exactly as often
+  // as it did on the empty cache, and adds its own rows.
+  ASSERT_TRUE(server.load_model("b", pb, -1, &err)) << err;
+  ASSERT_TRUE(server.submit(model_request(kAndNetlist, "b")).ok());
+  const TextCacheCounts after_b = text_cache_counts(server);
+  EXPECT_EQ(after_b.misses - after_twin.misses, after_a.misses);
+  EXPECT_EQ(after_b.hits - after_twin.hits, after_a.hits);
+  EXPECT_EQ(after_b.entries, 2 * after_a.entries);
+
+  // A reload keeps the cache, entries and capacity alike, and the reloaded
+  // replica hits its rows (embed_cone misses the result cache).
+  Request rl;
+  rl.op = Op::kReload;
+  rl.model = "a";
+  const Response rr = server.submit(std::move(rl));
+  ASSERT_TRUE(rr.ok()) << rr.error_message;
+  const TextCacheCounts after_reload = text_cache_counts(server);
+  EXPECT_EQ(after_reload.entries, after_b.entries);
+  EXPECT_EQ(after_reload.capacity, 64);
+  const Response cone =
+      server.submit(model_request(kAndNetlist, "a", Op::kEmbedCone));
+  ASSERT_TRUE(cone.ok()) << cone.error_message;
+  EXPECT_FALSE(cone.cached);
+  const TextCacheCounts after_cone = text_cache_counts(server);
+  EXPECT_EQ(after_cone.misses, after_reload.misses);
+  EXPECT_GT(after_cone.hits, after_reload.hits);
 
   remove_tiny_checkpoint(pa);
   remove_tiny_checkpoint(pb);

@@ -29,14 +29,16 @@
 //   --cache-entries N      result-cache bound (default 256; the daemon splits
 //                          it across shard partitions)
 //   --text-cache-entries N frozen-text-embedding cache bound (default 4096;
-//                          one striped cache shared by all replicas)
+//                          one cache shared by all replicas and reloads)
 //   --reject-warnings      strict admission: lint warnings also reject
-//   --log FILE             append one "<op> <status> <ms>" line per request
 // Flags (daemon):
 //   --listen ADDR          unix:/path/to.sock or host:port (port 0 = pick one)
-//   --shards N             worker shards / cache partitions (default 4)
+//   --shards N             worker shards / cache partitions (default 4, at
+//                          most 256)
 //   --queue-depth K        per-shard queue bound; beyond it netlist ops are
-//                          shed with too_busy (default 64)
+//                          shed with too_busy (default 64, at most 4096)
+//
+// A count flag outside its range exits 2 with a message naming the flag.
 //
 // Exits 0 on EOF, a `shutdown` request, or SIGTERM/SIGINT — the signal path
 // drains: the stdin loop finishes the request it is on and the daemon
@@ -50,7 +52,6 @@
 // byte-identical output. Concurrent requests run across daemon shards.
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -60,7 +61,6 @@
 #include "serve/server.hpp"
 #include "util/cli.hpp"
 #include "util/signal.hpp"
-#include "util/timer.hpp"
 
 using namespace nettag;
 
@@ -71,7 +71,7 @@ void usage(std::FILE* to) {
                "usage: nettag_serve --model [NAME=]PREFIX ...\n"
                "                    [--max-gates N]\n"
                "                    [--cache-entries N] [--text-cache-entries N]\n"
-               "                    [--reject-warnings] [--log FILE]\n"
+               "                    [--reject-warnings]\n"
                "                    [--listen ADDR [--shards N] [--queue-depth K]]\n"
                "       nettag_serve --connect ADDR\n"
                "       nettag_serve --help\n"
@@ -83,15 +83,20 @@ void usage(std::FILE* to) {
                "repeatable: each flag loads one named replica (default name\n"
                "\"default\"), independently hot-reloadable and addressable by\n"
                "the request \"model\" field. --connect bridges stdin/stdout\n"
-               "to a running daemon. See docs/ARCHITECTURE.md sections 7, 11\n"
-               "and 12 for the protocol grammar, error taxonomy, `stats`\n"
-               "fields, daemon design, and the model registry.\n");
+               "to a running daemon. --text-cache-entries (default %zu)\n"
+               "bounds the one text-embedding cache all replicas share.\n"
+               "--shards (default 4) takes at most %zu and --queue-depth\n"
+               "(default 64) at most %zu. See docs/ARCHITECTURE.md sections\n"
+               "7, 11 and 12 for the protocol grammar, error taxonomy,\n"
+               "`stats` fields, daemon design, and the model registry.\n",
+               TextEmbeddingCache::kDefaultEntries, net::ShardPool::kMaxShards,
+               net::ShardPool::kMaxQueueDepth);
 }
 
 /// Builds a server with one registered replica per --model spec. Replicas
-/// load through the same registry path as the `model_load` op; the first one
-/// donates the shared text cache (config.text_cache_entries/_partitions set
-/// its layout). Null on any load failure (the error names the spec).
+/// load through the same registry path as the `model_load` op and share the
+/// registry's one text cache (config.text_cache_entries entries). Null on
+/// any load failure (the error names the spec).
 std::unique_ptr<serve::Server> build_server(
     const std::vector<cli::ModelSpec>& specs, serve::ServerConfig config) {
   auto server = std::make_unique<serve::Server>(std::move(config));
@@ -117,17 +122,7 @@ std::unique_ptr<serve::Server> build_server(
 }
 
 int run_serve(const std::vector<cli::ModelSpec>& specs,
-              serve::ServerConfig config, const std::string& log_path) {
-  std::ofstream log;
-  if (!log_path.empty()) {
-    log.open(log_path, std::ios::app);
-    if (!log) {
-      std::fprintf(stderr, "nettag_serve: cannot open log file '%s'\n",
-                   log_path.c_str());
-      return 2;
-    }
-  }
-
+              serve::ServerConfig config) {
   std::unique_ptr<serve::Server> server_ptr =
       build_server(specs, std::move(config));
   if (!server_ptr) return 2;
@@ -153,16 +148,8 @@ int run_serve(const std::vector<cli::ModelSpec>& specs,
          !stop->load(std::memory_order_relaxed) &&
          std::getline(std::cin, line)) {
     if (line.empty()) continue;
-    Timer t;
-    const serve::Response response = server.submit(serve::parse_request(line));
-    std::cout << serve::render_response(response) << "\n";
+    std::cout << server.handle_line(line) << "\n";
     std::cout.flush();
-    if (log) {
-      log << serve::op_name(response.op) << ' '
-          << (response.ok() ? "ok" : serve::error_code_name(response.error))
-          << ' ' << t.milliseconds() << "ms\n";
-      log.flush();
-    }
   }
   std::fprintf(stderr, "nettag_serve: %s, exiting\n",
                server.shutdown_requested()
@@ -175,12 +162,6 @@ int run_serve(const std::vector<cli::ModelSpec>& specs,
 
 int run_daemon(const std::vector<cli::ModelSpec>& specs,
                serve::ServerConfig config, net::DaemonConfig dcfg) {
-  // One text-cache stripe per shard: shard workers embed concurrently and
-  // must not serialize on a single cache mutex. All replicas share the
-  // striped cache, and reload/model_load attach fresh models to it, so the
-  // layout survives every swap (serve/registry.cpp).
-  config.text_cache_partitions = dcfg.shards;
-
   std::unique_ptr<serve::Server> server_ptr =
       build_server(specs, std::move(config));
   if (!server_ptr) return 2;
@@ -237,9 +218,8 @@ int run_client(const std::string& spec) {
 
 int main(int argc, char** argv) {
   std::vector<cli::ModelSpec> model_specs;
-  std::string log_path, connect_spec;
+  std::string connect_spec;
   serve::ServerConfig config;
-  config.text_cache_entries = TextEmbeddingCache::kDefaultEntries;
   net::DaemonConfig dcfg;
   bool daemon_mode = false;
 
@@ -251,10 +231,10 @@ int main(int argc, char** argv) {
     }
     return argv[i + 1];
   };
-  auto need_count = [&](int i) -> std::size_t {
+  auto need_count = [&](int i, long long max = 1LL << 40) -> std::size_t {
     long long v = 0;
     std::string err;
-    if (!cli::parse_int(need_value(i), 1, 1LL << 40, &v, &err)) {
+    if (!cli::parse_int(need_value(i), 1, max, &v, &err)) {
       std::fprintf(stderr, "nettag_serve: %s: %s\n", argv[i], err.c_str());
       std::exit(2);
     }
@@ -287,9 +267,6 @@ int main(int argc, char** argv) {
       ++i;
     } else if (!std::strcmp(arg, "--reject-warnings")) {
       config.reject_warnings = true;
-    } else if (!std::strcmp(arg, "--log")) {
-      log_path = need_value(i);
-      ++i;
     } else if (!std::strcmp(arg, "--listen")) {
       std::string err;
       if (!cli::parse_listen_address(need_value(i), &dcfg.listen, &err)) {
@@ -300,10 +277,10 @@ int main(int argc, char** argv) {
       daemon_mode = true;
       ++i;
     } else if (!std::strcmp(arg, "--shards")) {
-      dcfg.shards = need_count(i);
+      dcfg.shards = need_count(i, net::ShardPool::kMaxShards);
       ++i;
     } else if (!std::strcmp(arg, "--queue-depth")) {
-      dcfg.queue_depth = need_count(i);
+      dcfg.queue_depth = need_count(i, net::ShardPool::kMaxQueueDepth);
       ++i;
     } else if (!std::strcmp(arg, "--connect")) {
       connect_spec = need_value(i);
@@ -343,5 +320,5 @@ int main(int argc, char** argv) {
   if (daemon_mode) {
     return run_daemon(model_specs, std::move(config), std::move(dcfg));
   }
-  return run_serve(model_specs, std::move(config), log_path);
+  return run_serve(model_specs, std::move(config));
 }
