@@ -1,15 +1,14 @@
 #include "core/nettag.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <map>
 #include <stdexcept>
 
+#include "analysis/check.hpp"
 #include "model/graph.hpp"
 #include "netlist/cone.hpp"
 #include "nn/serialize.hpp"
-#include "nn/tape.hpp"
 #include "util/checksum.hpp"
 #include "util/cli.hpp"
 #include "util/parallel.hpp"
@@ -41,7 +40,7 @@ int NetTag::tag_in_dim() const {
 std::vector<float> NetTag::cached_text_embedding(const std::string& attr) const {
   // Cache key: the replica salt (empty for a privately-owned cache) plus the
   // anonymized token-id sequence, so attributes differing only by instance
-  // names share an entry while models with different weights never do.
+  // names share an entry while models with different weights (salts) do not.
   const std::vector<int> ids =
       encode_text(vocab_, attr, static_cast<std::size_t>(config_.expr_llm.max_len));
   std::string key = text_key_salt_;
@@ -54,8 +53,8 @@ std::vector<float> NetTag::cached_text_embedding(const std::string& attr) const 
   if (text_cache_->lookup(key, &row)) return row;
   // Encode outside the cache lock; a racing duplicate encode produces the
   // identical value, so which thread's insert wins does not affect results.
-  const Tensor emb = expr_llm_->encode_ids(ids);
-  row.assign(emb->value.v.begin(), emb->value.v.end());
+  const Mat emb = expr_llm_->infer_ids(ids);
+  row.assign(emb.v.begin(), emb.v.end());
   text_cache_->insert(key, row);
   return row;
 }
@@ -75,12 +74,21 @@ Mat NetTag::input_features(const TagGraph& tag, const Mat& base_feats) const {
     for (int i = 0; i < n; ++i) {
       const std::vector<float> row =
           cached_text_embedding(tag.attrs[static_cast<std::size_t>(i)]);
-      assert(static_cast<int>(row.size()) == d);
+      // A shared cache can hand back another replica's row on a salt
+      // collision; a row of the wrong width fails the embed, not the process.
+      NETTAG_CHECK(static_cast<int>(row.size()) == d,
+                   "input_features: cached text embedding is " +
+                       std::to_string(row.size()) +
+                       " wide, the model's text width is " +
+                       std::to_string(d));
       for (int j = 0; j < d; ++j) feats.at(i, j) = row[static_cast<std::size_t>(j)];
       for (int j = 0; j < phys_dim; ++j) feats.at(i, d + j) = tag.phys.at(i, j);
     }
   } else {
-    assert(base_feats.rows == n);
+    NETTAG_CHECK(base_feats.rows == n,
+                 "input_features: base features have " +
+                     std::to_string(base_feats.rows) + " rows for " +
+                     std::to_string(n) + " TAG nodes");
     const int d = base_feats.cols;
     for (int i = 0; i < n; ++i) {
       for (int j = 0; j < d; ++j) feats.at(i, j) = base_feats.at(i, j);
@@ -110,25 +118,16 @@ NetTag::ConeEmbedding NetTag::embed(const Netlist& nl, int k_hop_override,
   if (timing) atomic_add_seconds(timing->tag_build, t.seconds());
   const Mat base = config_.use_text_attributes ? Mat() : netlist_base_features(nl);
   t.reset();
-  const Mat feats = input_features(tag, base);
+  Mat feats = input_features(tag, base);
   if (timing) atomic_add_seconds(timing->text_encode, t.seconds());
   t.reset();
-  // TagFormer shapes depend only on the node count (edges change adjacency
-  // contents, not shapes), so cones of equal size replay one shared plan.
-  // Text encoding above stays outside the scope: its op sequence depends on
-  // text-cache hits and would diverge the tape.
-  plan::PlanScope plan_scope("embed|" + std::to_string(feats.rows) + "|" +
-                             std::to_string(feats.cols));
-  const TagFormer::Output out = forward_features(feats, tag.edges);
-  // The caller copies these values out below, after the graph is complete —
-  // pin them so a replayed plan never reuses their bytes intra-forward.
-  plan::keep_alive(out.nodes);
-  plan::keep_alive(out.cls);
+  TagFormer::Embeddings out =
+      tagformer_->infer(feats, tag_adjacency(feats.rows, tag.edges));
   if (timing) atomic_add_seconds(timing->tagformer, t.seconds());
   ConeEmbedding emb;
-  emb.nodes = out.nodes->value;
-  emb.cls = out.cls->value;
-  emb.inputs = feats;
+  emb.nodes = std::move(out.nodes);
+  emb.cls = std::move(out.cls);
+  emb.inputs = std::move(feats);
   return emb;
 }
 

@@ -89,7 +89,8 @@ class NetTag {
   /// Embeds one (cone or flat) netlist. `k_hop_override` > 0 replaces the
   /// configured expression depth (used for AIG data, where each library
   /// cell spans several AND/INV levels). `timing`, when non-null, receives
-  /// per-stage seconds.
+  /// per-stage seconds. Builds no autograd graph: TAGFormer runs through
+  /// TagFormer::infer, whose bytes equal forward_features'.
   ConeEmbedding embed(const Netlist& nl, int k_hop_override = 0,
                       EmbedTiming* timing = nullptr) const;
 
@@ -109,6 +110,7 @@ class NetTag {
   /// TAGFormer input features for a TAG: [text embedding | x_phys] rows
   /// (constant — ExprLLM frozen, cached), or structural features in the
   /// w/o-text ablation. `base_feats` must be provided when text is off.
+  /// CheckError when a cached text row or `base_feats` does not fit.
   Mat input_features(const TagGraph& tag, const Mat& base_feats) const;
 
   /// Full forward through TAGFormer with autograd (for pre-training).
@@ -138,9 +140,11 @@ class NetTag {
   /// a key salt prefixed to every cache key. The serve model registry
   /// creates one cache for all replicas and salts each replica's keys with
   /// its weights CRC: replicas loaded from the same checkpoint share entries,
-  /// while different weights can never replay each other's rows (the cached
-  /// value depends on the encoder parameters, not just the token sequence).
-  /// Must not race with lookups (call before the model takes traffic).
+  /// and different weights get different keys unless their CRCs collide (the
+  /// cached value depends on the encoder parameters, not just the token
+  /// sequence). A colliding row of the wrong width fails the embed with a
+  /// CheckError (input_features). Must not race with lookups (call before
+  /// the model takes traffic).
   void share_text_cache(std::shared_ptr<TextEmbeddingCache> cache,
                         std::string key_salt);
 

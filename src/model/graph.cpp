@@ -23,15 +23,17 @@ Mat normalized_adjacency(int n, const std::vector<std::pair<int, int>>& edges) {
     a.at(u, v) = 1.f;
     a.at(v, u) = 1.f;
   }
-  std::vector<float> deg(static_cast<std::size_t>(n), 0.f);
+  // inv_sqrt_deg[i] = 1 / sqrt(max(deg_i, 1)), computed once per node.
+  std::vector<float> inv_sqrt_deg(static_cast<std::size_t>(n), 0.f);
   for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) deg[static_cast<std::size_t>(i)] += a.at(i, j);
+    float deg = 0.f;
+    for (int j = 0; j < n; ++j) deg += a.at(i, j);
+    inv_sqrt_deg[static_cast<std::size_t>(i)] = 1.f / std::sqrt(std::max(deg, 1.f));
   }
   for (int i = 0; i < n; ++i) {
-    const float di = 1.f / std::sqrt(std::max(deg[static_cast<std::size_t>(i)], 1.f));
+    const float di = inv_sqrt_deg[static_cast<std::size_t>(i)];
     for (int j = 0; j < n; ++j) {
-      const float dj = 1.f / std::sqrt(std::max(deg[static_cast<std::size_t>(j)], 1.f));
-      a.at(i, j) *= di * dj;
+      a.at(i, j) *= di * inv_sqrt_deg[static_cast<std::size_t>(j)];
     }
   }
   return a;

@@ -29,6 +29,12 @@ class TagFormer : public Module {
     Tensor cls;    ///< 1 x out_dim graph embedding
   };
 
+  /// infer()'s result: the values of Output, with no graph behind them.
+  struct Embeddings {
+    Mat nodes;  ///< N x out_dim gate embeddings
+    Mat cls;    ///< 1 x out_dim graph embedding
+  };
+
   /// Attention heads per layer; TagFormerConfig::d_model must be a multiple.
   static constexpr int kNumHeads = 2;
 
@@ -37,6 +43,12 @@ class TagFormer : public Module {
   /// `feats`: N x in_dim node features; `adj_with_cls`: (N+1)x(N+1)
   /// normalized adjacency from tag_adjacency() (CLS at index N).
   Output forward(const Tensor& feats, const Tensor& adj_with_cls) const;
+
+  /// forward() for callers that need no gradients (every embed): the same
+  /// values, byte for byte, computed on plain buffers that live only for the
+  /// call (nn/layers.hpp). CheckError unless `feats` is N x in_dim and
+  /// `adj_with_cls` is (N+1)x(N+1).
+  Embeddings infer(const Mat& feats, const Mat& adj_with_cls) const;
 
   const TagFormerConfig& config() const { return config_; }
   std::vector<Tensor> params() const override;

@@ -1,5 +1,8 @@
 #include "model/text_encoder.hpp"
 
+#include <algorithm>
+
+#include "nn/forward.hpp"
 #include "util/parallel.hpp"
 
 namespace nettag {
@@ -47,12 +50,17 @@ TextEncoder::TextEncoder(const Vocab& vocab, const TextEncoderConfig& config,
   proj_ = std::make_unique<Linear>(config.d_model, config.out_dim, rng);
 }
 
-Tensor TextEncoder::encode_ids(const std::vector<int>& ids) const {
+std::vector<int> TextEncoder::clip_ids(const std::vector<int>& ids) const {
   std::vector<int> clipped = ids;
   if (static_cast<int>(clipped.size()) > config_.max_len) {
     clipped.resize(static_cast<std::size_t>(config_.max_len));
   }
   if (clipped.empty()) clipped.push_back(vocab_.cls_id());
+  return clipped;
+}
+
+Tensor TextEncoder::encode_ids(const std::vector<int>& ids) const {
+  const std::vector<int> clipped = clip_ids(ids);
   Tensor x = tok_emb_->forward(clipped);
   // Add position embeddings (slice the table to the sequence length).
   Tensor pos = slice_rows(pos_emb_, 0, static_cast<int>(clipped.size()));
@@ -61,6 +69,22 @@ Tensor TextEncoder::encode_ids(const std::vector<int>& ids) const {
   x = final_ln_->forward(x);
   // Mean pooling over tokens, then projection (LLM2Vec-style pooling).
   return proj_->forward(mean_rows(x));
+}
+
+Mat TextEncoder::infer_ids(const std::vector<int>& ids) const {
+  // Each step below is one op of encode_ids(), scanned under that op's name.
+  Mat x = tok_emb_->infer(clip_ids(ids));
+  Mat pos(x.rows, x.cols);
+  std::copy_n(pos_emb_->value.v.begin(), pos.v.size(), pos.v.begin());
+  fwd::scan_output(pos, "slice_rows");
+  fwd::add(x, pos);
+  fwd::scan_output(x, "add");
+  for (const auto& blk : blocks_) x = blk->infer(std::move(x));
+  x = final_ln_->infer(x);
+  Mat pooled(1, x.cols);
+  fwd::mean_rows(x, pooled);
+  fwd::scan_output(pooled, "mean_rows");
+  return proj_->infer(pooled);
 }
 
 Tensor TextEncoder::encode(const std::string& text) const {

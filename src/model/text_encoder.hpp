@@ -42,6 +42,11 @@ class TextEncoder : public Module {
   Tensor encode(const std::string& text) const;
   Tensor encode_ids(const std::vector<int>& ids) const;
 
+  /// encode_ids() for callers that need no gradients (the frozen-embedding
+  /// cache): the same 1 x out_dim row, byte for byte, computed on plain
+  /// buffers (nn/layers.hpp). CheckError on a token id outside the vocab.
+  Mat infer_ids(const std::vector<int>& ids) const;
+
   /// Batch of texts stacked into rows (B x out_dim).
   Tensor encode_batch(const std::vector<std::string>& texts) const;
 
@@ -50,6 +55,9 @@ class TextEncoder : public Module {
   std::vector<Tensor> params() const override;
 
  private:
+  /// The ids the encoder reads: the first max_len, or [CLS] for none.
+  std::vector<int> clip_ids(const std::vector<int>& ids) const;
+
   const Vocab& vocab_;
   TextEncoderConfig config_;
   std::unique_ptr<EmbeddingLayer> tok_emb_;

@@ -1,0 +1,214 @@
+#include "nn/forward.hpp"
+
+#include <algorithm>
+#include <cmath>
+#include <string>
+
+#include "analysis/check.hpp"
+#include "nn/gemm.hpp"
+#include "util/parallel.hpp"
+
+namespace nettag::fwd {
+
+namespace {
+
+/// "RxC" shape string for check messages.
+std::string sh(const Mat& m) {
+  return std::to_string(m.rows) + "x" + std::to_string(m.cols);
+}
+
+/// Row partition for per-row kernels: each row is written by exactly one
+/// task, so results are bit-identical at any width.
+void for_rows(int n, std::size_t per_row_cost, std::size_t min_ops,
+              const std::function<void(int, int)>& body) {
+  parallel_for(static_cast<std::size_t>(n), par::grain(per_row_cost, min_ops),
+               [&body](std::size_t b, std::size_t e) {
+                 body(static_cast<int>(b), static_cast<int>(e));
+               });
+}
+
+void check_out(const Mat& out, int rows, int cols, const char* op) {
+  NETTAG_CHECK(out.rows == rows && out.cols == cols,
+               std::string(op) + ": output " + sh(out) + ", want " +
+                   std::to_string(rows) + "x" + std::to_string(cols));
+}
+
+}  // namespace
+
+void scan_output(const Mat& m, const char* op) {
+  if (!deep_checks_enabled()) return;
+  for (std::size_t i = 0; i < m.v.size(); ++i) {
+    NETTAG_CHECK(std::isfinite(m.v[i]),
+                 std::string(op) + ": non-finite forward output at element " +
+                     std::to_string(i) + " of " + sh(m));
+  }
+}
+
+void matmul(const Mat& a, const Mat& b, Mat& out) {
+  NETTAG_CHECK(a.cols == b.rows, "matmul: inner dimensions differ: " + sh(a) +
+                                     " x " + sh(b));
+  check_out(out, a.rows, b.cols, "matmul");
+  gemm_nn(a.rows, a.cols, b.cols, a.v.data(), b.v.data(), out.v.data());
+}
+
+void add(Mat& out, const Mat& b) {
+  NETTAG_CHECK(out.rows == b.rows && out.cols == b.cols,
+               "add: shape mismatch: " + sh(out) + " vs " + sh(b));
+  float* ov = out.v.data();
+  const float* bv = b.v.data();
+  parallel_for(out.v.size(), par::kMinOps, [ov, bv](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) ov[i] += bv[i];
+  });
+}
+
+void add_rowvec(Mat& out, const Mat& b) {
+  NETTAG_CHECK(b.rows == 1 && out.cols == b.cols,
+               "add_rowvec: want NxD + 1xD, got " + sh(out) + " + " + sh(b));
+  for (int i = 0; i < out.rows; ++i) {
+    for (int j = 0; j < out.cols; ++j) out.at(i, j) += b.at(0, j);
+  }
+}
+
+void relu(Mat& x) {
+  float* xv = x.v.data();
+  parallel_for(x.v.size(), par::kMinOps, [xv](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) xv[i] = std::max(xv[i], 0.f);
+  });
+}
+
+void gelu(Mat& x) {
+  // tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))
+  float* xv = x.v.data();
+  parallel_for(x.v.size(), par::kMinExpOps, [xv](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) {
+      const float v = xv[i];
+      const float t = std::tanh(kGeluC * (v + kGeluB * v * v * v));
+      xv[i] = 0.5f * v * (1.f + t);
+    }
+  });
+}
+
+void mean_rows(const Mat& a, Mat& out) {
+  const int n = a.rows, d = a.cols;
+  check_out(out, 1, d, "mean_rows");
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < d; ++j) out.at(0, j) += a.at(i, j);
+  }
+  for (int j = 0; j < d; ++j) out.at(0, j) /= static_cast<float>(n);
+}
+
+void softmax_row(const float* x, float* y, int d) {
+  float mx = x[0];
+  for (int j = 1; j < d; ++j) mx = std::max(mx, x[j]);
+  float sum = 0.f;
+  for (int j = 0; j < d; ++j) {
+    const float e = std::exp(x[j] - mx);
+    y[j] = e;
+    sum += e;
+  }
+  for (int j = 0; j < d; ++j) y[j] /= sum;
+}
+
+void layernorm_rows(const Mat& a, const Mat& gamma, const Mat& beta, float eps,
+                    Mat& out, Mat* xhat, float* inv_sigma) {
+  const int n = a.rows, d = a.cols;
+  NETTAG_CHECK(gamma.cols == d && beta.cols == d,
+               "layernorm_rows: gamma " + sh(gamma) + " / beta " + sh(beta) +
+                   " do not match input " + sh(a));
+  check_out(out, n, d, "layernorm_rows");
+  if (xhat != nullptr) check_out(*xhat, n, d, "layernorm_rows");
+  for_rows(n, static_cast<std::size_t>(d), par::kMinOps, [&](int i0, int i1) {
+    for (int i = i0; i < i1; ++i) {
+      float mean = 0.f;
+      for (int j = 0; j < d; ++j) mean += a.at(i, j);
+      mean /= static_cast<float>(d);
+      float var = 0.f;
+      for (int j = 0; j < d; ++j) {
+        const float c = a.at(i, j) - mean;
+        var += c * c;
+      }
+      var /= static_cast<float>(d);
+      const float is = 1.f / std::sqrt(var + eps);
+      if (inv_sigma != nullptr) inv_sigma[i] = is;
+      for (int j = 0; j < d; ++j) {
+        const float xh = (a.at(i, j) - mean) * is;
+        if (xhat != nullptr) xhat->at(i, j) = xh;
+        out.at(i, j) = gamma.at(0, j) * xh + beta.at(0, j);
+      }
+    }
+  });
+}
+
+void copy_head(const Mat& m, int h, int dh, float* out) {
+  const std::size_t col0 = static_cast<std::size_t>(h) * dh;
+  for (int i = 0; i < m.rows; ++i) {
+    const float* src = m.v.data() + static_cast<std::size_t>(i) * m.cols + col0;
+    std::copy(src, src + dh, out + static_cast<std::size_t>(i) * dh);
+  }
+}
+
+void attention_heads(const Mat& q, const Mat& k, const Mat& v, int num_heads,
+                     Mat& out, float* probs) {
+  NETTAG_CHECK(k.rows == q.rows && k.cols == q.cols && v.rows == q.rows &&
+                   v.cols == q.cols,
+               "attention_heads: q " + sh(q) + ", k " + sh(k) + " and v " +
+                   sh(v) + " must share one shape");
+  NETTAG_CHECK(num_heads > 0 && q.cols % num_heads == 0,
+               "attention_heads: " + std::to_string(num_heads) +
+                   " heads do not divide width " + std::to_string(q.cols));
+  check_out(out, q.rows, q.cols, "attention_heads");
+  const int n = q.rows, d = q.cols, dh = d / num_heads;
+  const float s = 1.f / std::sqrt(static_cast<float>(dh));
+  const std::size_t nd = static_cast<std::size_t>(n) * dh;
+  const std::size_t nn = static_cast<std::size_t>(n) * n;
+  std::vector<float> buf(5 * nd + nn);
+  float* qh = buf.data();
+  float* kh = qh + nd;
+  float* kh_t = kh + nd;
+  float* vh = kh_t + nd;
+  float* oh = vh + nd;
+  float* scores = oh + nd;
+  for (int h = 0; h < num_heads; ++h) {
+    copy_head(q, h, dh, qh);
+    copy_head(k, h, dh, kh);
+    copy_head(v, h, dh, vh);
+    transpose_mat(n, dh, kh, kh_t);
+    std::fill(scores, scores + nn, 0.f);
+    gemm_nn(n, dh, n, qh, kh_t, scores);
+    // Without a probs buffer the softmax overwrites the scores in place.
+    float* ph = probs != nullptr ? probs + h * nn : scores;
+    for_rows(n, static_cast<std::size_t>(n), par::kMinExpOps, [&](int i0, int i1) {
+      for (int i = i0; i < i1; ++i) {
+        float* row = scores + static_cast<std::size_t>(i) * n;
+        for (int j = 0; j < n; ++j) row[j] *= s;
+        softmax_row(row, ph + static_cast<std::size_t>(i) * n, n);
+      }
+    });
+    std::fill(oh, oh + nd, 0.f);
+    gemm_nn(n, n, dh, ph, vh, oh);
+    const std::size_t col0 = static_cast<std::size_t>(h) * dh;
+    for (int i = 0; i < n; ++i) {
+      std::copy(oh + static_cast<std::size_t>(i) * dh,
+                oh + static_cast<std::size_t>(i + 1) * dh,
+                out.v.data() + static_cast<std::size_t>(i) * d + col0);
+    }
+  }
+}
+
+void embedding(const Mat& table, const std::vector<int>& ids, Mat& out) {
+  const int d = table.cols;
+  check_out(out, static_cast<int>(ids.size()), d, "embedding");
+  parallel_for(ids.size(), par::grain(static_cast<std::size_t>(d), par::kMinOps),
+               [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      NETTAG_CHECK(ids[i] >= 0 && ids[i] < table.rows,
+                   "embedding: id " + std::to_string(ids[i]) +
+                       " outside table " + sh(table));
+      for (int j = 0; j < d; ++j) {
+        out.at(static_cast<int>(i), j) = table.at(ids[i], j);
+      }
+    }
+  });
+}
+
+}  // namespace nettag::fwd

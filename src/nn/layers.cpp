@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "nn/forward.hpp"
+
 namespace nettag {
 
 std::size_t Module::num_params() const {
@@ -18,6 +20,15 @@ Tensor Linear::forward(const Tensor& x) const {
   return add_rowvec(matmul(x, w_), b_);
 }
 
+Mat Linear::infer(const Mat& x) const {
+  Mat y(x.rows, w_->value.cols);
+  fwd::matmul(x, w_->value, y);
+  fwd::scan_output(y, "matmul");
+  fwd::add_rowvec(y, b_->value);
+  fwd::scan_output(y, "add_rowvec");
+  return y;
+}
+
 LayerNorm::LayerNorm(int dim) {
   Mat g(1, dim);
   std::fill(g.v.begin(), g.v.end(), 1.f);
@@ -26,7 +37,15 @@ LayerNorm::LayerNorm(int dim) {
 }
 
 Tensor LayerNorm::forward(const Tensor& x) const {
-  return layernorm_rows(x, gamma_, beta_);
+  return layernorm_rows(x, gamma_, beta_, kEps);
+}
+
+Mat LayerNorm::infer(const Mat& x) const {
+  Mat y(x.rows, x.cols);
+  fwd::layernorm_rows(x, gamma_->value, beta_->value, kEps, y, nullptr,
+                      nullptr);
+  fwd::scan_output(y, "layer_norm");
+  return y;
 }
 
 EmbeddingLayer::EmbeddingLayer(int vocab, int dim, Rng& rng)
@@ -34,6 +53,13 @@ EmbeddingLayer::EmbeddingLayer(int vocab, int dim, Rng& rng)
 
 Tensor EmbeddingLayer::forward(const std::vector<int>& ids) const {
   return embedding(table_, ids);
+}
+
+Mat EmbeddingLayer::infer(const std::vector<int>& ids) const {
+  Mat out(static_cast<int>(ids.size()), table_->value.cols);
+  fwd::embedding(table_->value, ids, out);
+  fwd::scan_output(out, "embedding");
+  return out;
 }
 
 MultiHeadAttention::MultiHeadAttention(int d_model, int num_heads, Rng& rng)
@@ -54,6 +80,16 @@ Tensor MultiHeadAttention::forward(const Tensor& x) const {
   return wo_->forward(attention_heads(q, k, v, num_heads_));
 }
 
+Mat MultiHeadAttention::infer(const Mat& x) const {
+  const Mat q = wq_->infer(x);
+  const Mat k = wk_->infer(x);
+  const Mat v = wv_->infer(x);
+  Mat heads(q.rows, q.cols);
+  fwd::attention_heads(q, k, v, num_heads_, heads, nullptr);
+  fwd::scan_output(heads, "attention_heads");
+  return wo_->infer(heads);
+}
+
 std::vector<Tensor> MultiHeadAttention::params() const {
   return collect_params({wq_.get(), wk_.get(), wv_.get(), wo_.get()});
 }
@@ -70,6 +106,17 @@ Tensor TransformerBlock::forward(const Tensor& x) const {
   Tensor h = add(x, attn_->forward(ln1_->forward(x)));
   Tensor f = ff2_->forward(gelu(ff1_->forward(ln2_->forward(h))));
   return add(h, f);
+}
+
+Mat TransformerBlock::infer(Mat x) const {
+  fwd::add(x, attn_->infer(ln1_->infer(x)));
+  fwd::scan_output(x, "add");
+  Mat f = ff1_->infer(ln2_->infer(x));
+  fwd::gelu(f);
+  fwd::scan_output(f, "gelu");
+  fwd::add(x, ff2_->infer(f));
+  fwd::scan_output(x, "add");
+  return x;
 }
 
 std::vector<Tensor> TransformerBlock::params() const {

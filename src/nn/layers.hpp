@@ -2,6 +2,12 @@
 // multi-head bidirectional self-attention, transformer block, and MLP heads.
 // These are the building blocks for ExprEncoder (the ExprLLM substitute),
 // TAGFormer, the auxiliary encoders, and the fine-tuning heads.
+//
+// The encoder layers have two forwards. `forward` builds the autograd graph
+// for training. `infer` computes the same values on plain matrices for
+// callers that need no gradients: it runs the same kernels (nn/forward.hpp)
+// in the same order, so its bytes equal forward()'s, and it keeps no graph,
+// no gradient buffers and no memory-planner hooks.
 #pragma once
 
 #include <memory>
@@ -27,6 +33,7 @@ class Linear : public Module {
  public:
   Linear(int in_dim, int out_dim, Rng& rng);
   Tensor forward(const Tensor& x) const;
+  Mat infer(const Mat& x) const;
   std::vector<Tensor> params() const override { return {w_, b_}; }
 
  private:
@@ -38,9 +45,11 @@ class LayerNorm : public Module {
  public:
   explicit LayerNorm(int dim);
   Tensor forward(const Tensor& x) const;
+  Mat infer(const Mat& x) const;
   std::vector<Tensor> params() const override { return {gamma_, beta_}; }
 
  private:
+  static constexpr float kEps = 1e-5f;
   Tensor gamma_, beta_;
 };
 
@@ -49,6 +58,7 @@ class EmbeddingLayer : public Module {
  public:
   EmbeddingLayer(int vocab, int dim, Rng& rng);
   Tensor forward(const std::vector<int>& ids) const;
+  Mat infer(const std::vector<int>& ids) const;
   std::vector<Tensor> params() const override { return {table_}; }
   int dim() const { return table_->value.cols; }
 
@@ -65,6 +75,7 @@ class MultiHeadAttention : public Module {
  public:
   MultiHeadAttention(int d_model, int num_heads, Rng& rng);
   Tensor forward(const Tensor& x) const;
+  Mat infer(const Mat& x) const;
   std::vector<Tensor> params() const override;
 
  private:
@@ -77,6 +88,8 @@ class TransformerBlock : public Module {
  public:
   TransformerBlock(int d_model, int num_heads, int d_ff, Rng& rng);
   Tensor forward(const Tensor& x) const;
+  /// Takes `x` by value: the residual adds run in place on it.
+  Mat infer(Mat x) const;
   std::vector<Tensor> params() const override;
 
  private:

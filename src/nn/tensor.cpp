@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "analysis/check.hpp"
+#include "nn/forward.hpp"
 #include "nn/gemm.hpp"
 #include "nn/tape.hpp"
 #include "util/parallel.hpp"
@@ -19,7 +20,7 @@ std::string sh(const Mat& m) {
   return std::to_string(m.rows) + "x" + std::to_string(m.cols);
 }
 
-/// Deep-mode guard: every entry of `m` must be finite.
+/// Deep-mode guard for gradients: every entry of `m` must be finite.
 void check_finite(const Mat& m, const char* op, const char* what) {
   for (std::size_t i = 0; i < m.v.size(); ++i) {
     NETTAG_CHECK(std::isfinite(m.v[i]),
@@ -34,7 +35,7 @@ void check_finite(const Mat& m, const char* op, const char* what) {
 /// `op` names the operation in invariant-violation messages.
 Tensor make_op(const char* op, Mat value, std::vector<Tensor> parents,
                std::function<void(Node*)> grad_fn) {
-  if (deep_checks_enabled()) check_finite(value, op, "forward output");
+  fwd::scan_output(value, op);
   bool rg = false;
   for (const Tensor& p : parents) rg = rg || p->requires_grad;
   // Tape hook: records (or verifies on replay) this op and arms the planned
@@ -97,12 +98,9 @@ Tensor make_param(int rows, int cols, Rng& rng, float scale) {
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
-  NETTAG_CHECK(a->value.cols == b->value.rows,
-               "matmul: inner dimensions differ: " + sh(a->value) + " x " +
-                   sh(b->value));
   const int n = a->value.rows, k = a->value.cols, m = b->value.cols;
   Mat out = plan::out_mat(n, m, {a.get(), b.get()});
-  gemm_nn(n, k, m, a->value.v.data(), b->value.v.data(), out.v.data());
+  fwd::matmul(a->value, b->value, out);
   Node* an = a.get();
   Node* bn = b.get();
   return make_op("matmul", std::move(out), {a, b}, [an, bn, n, k, m](Node* o) {
@@ -121,17 +119,8 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor add(const Tensor& a, const Tensor& b) {
-  NETTAG_CHECK(
-      a->value.rows == b->value.rows && a->value.cols == b->value.cols,
-      "add: shape mismatch: " + sh(a->value) + " vs " + sh(b->value));
   Mat out = plan::out_copy(a->value, {a.get(), b.get()});
-  {
-    float* ov = out.v.data();
-    const float* bv = b->value.v.data();
-    for_elems(out.v.size(), par::kMinOps, [ov, bv](std::size_t i0, std::size_t i1) {
-      for (std::size_t i = i0; i < i1; ++i) ov[i] += bv[i];
-    });
-  }
+  fwd::add(out, b->value);
   Node* an = a.get();
   Node* bn = b.get();
   return make_op("add", std::move(out), {a, b}, [an, bn](Node* o) {
@@ -141,14 +130,9 @@ Tensor add(const Tensor& a, const Tensor& b) {
 }
 
 Tensor add_rowvec(const Tensor& a, const Tensor& b) {
-  NETTAG_CHECK(b->value.rows == 1 && a->value.cols == b->value.cols,
-               "add_rowvec: want NxD + 1xD, got " + sh(a->value) + " + " +
-                   sh(b->value));
   Mat out = plan::out_copy(a->value, {a.get(), b.get()});
+  fwd::add_rowvec(out, b->value);
   const int n = out.rows, d = out.cols;
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < d; ++j) out.at(i, j) += b->value.at(0, j);
-  }
   Node* an = a.get();
   Node* bn = b.get();
   return make_op("add_rowvec", std::move(out), {a, b}, [an, bn, n, d](Node* o) {
@@ -240,12 +224,7 @@ Tensor scale(const Tensor& a, float s) {
 
 Tensor relu(const Tensor& a) {
   Mat out = plan::out_copy(a->value, {a.get()});
-  {
-    float* ov = out.v.data();
-    for_elems(out.v.size(), par::kMinOps, [ov](std::size_t i0, std::size_t i1) {
-      for (std::size_t i = i0; i < i1; ++i) ov[i] = std::max(ov[i], 0.f);
-    });
-  }
+  fwd::relu(out);
   Node* an = a.get();
   return make_op("relu", std::move(out), {a}, [an](Node* o) {
     if (!an->requires_grad) return;
@@ -259,28 +238,9 @@ Tensor relu(const Tensor& a) {
   });
 }
 
-namespace {
-// GELU tanh-approximation constants.
-constexpr float kGeluC = 0.7978845608f;  // sqrt(2/pi)
-constexpr float kGeluB = 0.044715f;
-}  // namespace
-
 Tensor gelu(const Tensor& a) {
-  // tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))
-  constexpr float kC = kGeluC;
-  constexpr float kB = kGeluB;
   Mat out = plan::out_copy(a->value, {a.get()});
-  {
-    float* ov = out.v.data();
-    for_elems(out.v.size(), par::kMinExpOps,
-              [ov](std::size_t i0, std::size_t i1) {
-                for (std::size_t i = i0; i < i1; ++i) {
-                  const float x = ov[i];
-                  const float t = std::tanh(kC * (x + kB * x * x * x));
-                  ov[i] = 0.5f * x * (1.f + t);
-                }
-              });
-  }
+  fwd::gelu(out);
   Node* an = a.get();
   return make_op("gelu", std::move(out), {a}, [an](Node* o) {
     if (!an->requires_grad) return;
@@ -289,9 +249,9 @@ Tensor gelu(const Tensor& a) {
               [&](std::size_t i0, std::size_t i1) {
                 for (std::size_t i = i0; i < i1; ++i) {
                   const float x = an->value.v[i];
-                  const float u = kGeluC * (x + kGeluB * x * x * x);
+                  const float u = fwd::kGeluC * (x + fwd::kGeluB * x * x * x);
                   const float t = std::tanh(u);
-                  const float du = kGeluC * (1.f + 3.f * kGeluB * x * x);
+                  const float du = fwd::kGeluC * (1.f + 3.f * fwd::kGeluB * x * x);
                   const float dy =
                       0.5f * (1.f + t) + 0.5f * x * (1.f - t * t) * du;
                   an->grad.v[i] += o->grad.v[i] * dy;
@@ -450,10 +410,7 @@ Tensor slice_rows(const Tensor& a, int start, int count) {
 Tensor mean_rows(const Tensor& a) {
   const int n = a->value.rows, d = a->value.cols;
   Mat out = plan::out_mat(1, d, {a.get()});
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < d; ++j) out.at(0, j) += a->value.at(i, j);
-  }
-  for (int j = 0; j < d; ++j) out.at(0, j) /= static_cast<float>(n);
+  fwd::mean_rows(a->value, out);
   Node* an = a.get();
   return make_op("mean_rows", std::move(out), {a}, [an, n, d](Node* o) {
     if (!an->requires_grad) return;
@@ -483,20 +440,6 @@ Tensor sum_rows(const Tensor& a) {
 
 namespace {
 
-/// y = softmax(x) over one row of d values. The one softmax kernel:
-/// softmax_rows and attention_heads both call it, so they agree bytewise.
-void softmax_row(const float* x, float* y, int d) {
-  float mx = x[0];
-  for (int j = 1; j < d; ++j) mx = std::max(mx, x[j]);
-  float sum = 0.f;
-  for (int j = 0; j < d; ++j) {
-    const float e = std::exp(x[j] - mx);
-    y[j] = e;
-    sum += e;
-  }
-  for (int j = 0; j < d; ++j) y[j] /= sum;
-}
-
 /// dx += y * (dy - <dy, y>): the backward of softmax_row for one row.
 void softmax_row_backward(const float* y, const float* dy, float* dx, int d) {
   float dot = 0.f;
@@ -513,7 +456,7 @@ Tensor softmax_rows(const Tensor& a) {
   for_rows(n, row_cost, par::kMinExpOps, [&](int i0, int i1) {
     for (int i = i0; i < i1; ++i) {
       const std::size_t r = static_cast<std::size_t>(i) * d;
-      softmax_row(a->value.v.data() + r, out.v.data() + r, d);
+      fwd::softmax_row(a->value.v.data() + r, out.v.data() + r, d);
     }
   });
   Node* an = a.get();
@@ -532,16 +475,6 @@ Tensor softmax_rows(const Tensor& a) {
 
 namespace {
 
-/// Copies head h's column block of the N x D matrix `m` into the contiguous
-/// N x dh buffer `out` (what transpose -> slice_rows -> transpose produced).
-void copy_head(const Mat& m, int h, int dh, float* out) {
-  const std::size_t col0 = static_cast<std::size_t>(h) * dh;
-  for (int i = 0; i < m.rows; ++i) {
-    const float* src = m.v.data() + static_cast<std::size_t>(i) * m.cols + col0;
-    std::copy(src, src + dh, out + static_cast<std::size_t>(i) * dh);
-  }
-}
-
 /// m[i, h*dh + j] += block[i*row_stride + j*col_stride]: adds one head's
 /// N x dh gradient (stored plainly, or transposed) into that head's columns,
 /// as the chain's slice/transpose/concat copies carried it back.
@@ -559,53 +492,18 @@ void add_head(const float* block, std::size_t row_stride,
 
 Tensor attention_heads(const Tensor& q, const Tensor& k, const Tensor& v,
                        int num_heads) {
-  const Mat& qv = q->value;
-  NETTAG_CHECK(k->value.rows == qv.rows && k->value.cols == qv.cols &&
-                   v->value.rows == qv.rows && v->value.cols == qv.cols,
-               "attention_heads: q " + sh(qv) + ", k " + sh(k->value) +
-                   " and v " + sh(v->value) + " must share one shape");
-  NETTAG_CHECK(num_heads > 0 && qv.cols % num_heads == 0,
-               "attention_heads: " + std::to_string(num_heads) +
-                   " heads do not divide width " + std::to_string(qv.cols));
-  const int n = qv.rows, d = qv.cols, dh = d / num_heads;
+  const int n = q->value.rows, d = q->value.cols;
+  Mat out = plan::out_mat(n, d, {q.get(), k.get(), v.get()});
+  // Every head's attention probabilities, read by the backward pass: head h
+  // owns rows [h*n, (h+1)*n). A head count that the kernel rejects sizes
+  // no buffer.
+  Mat probs = plan::tmp_mat(num_heads > 0 ? num_heads * n : 0, n);
+  fwd::attention_heads(q->value, k->value, v->value, num_heads, out,
+                       probs.v.data());
+  const int dh = d / num_heads;
   const float s = 1.f / std::sqrt(static_cast<float>(dh));
   const std::size_t nd = static_cast<std::size_t>(n) * dh;
   const std::size_t nn = static_cast<std::size_t>(n) * n;
-  Mat out = plan::out_mat(n, d, {q.get(), k.get(), v.get()});
-  // Every head's attention probabilities, read by the backward pass: head h
-  // owns rows [h*n, (h+1)*n).
-  Mat probs = plan::tmp_mat(num_heads * n, n);
-  std::vector<float> buf(5 * nd + nn);
-  float* qh = buf.data();
-  float* kh = qh + nd;
-  float* kh_t = kh + nd;
-  float* vh = kh_t + nd;
-  float* oh = vh + nd;
-  float* scores = oh + nd;
-  for (int h = 0; h < num_heads; ++h) {
-    copy_head(qv, h, dh, qh);
-    copy_head(k->value, h, dh, kh);
-    copy_head(v->value, h, dh, vh);
-    transpose_mat(n, dh, kh, kh_t);
-    std::fill(scores, scores + nn, 0.f);
-    gemm_nn(n, dh, n, qh, kh_t, scores);
-    float* ph = probs.v.data() + h * nn;
-    for_rows(n, static_cast<std::size_t>(n), par::kMinExpOps, [&](int i0, int i1) {
-      for (int i = i0; i < i1; ++i) {
-        float* row = scores + static_cast<std::size_t>(i) * n;
-        for (int j = 0; j < n; ++j) row[j] *= s;
-        softmax_row(row, ph + static_cast<std::size_t>(i) * n, n);
-      }
-    });
-    std::fill(oh, oh + nd, 0.f);
-    gemm_nn(n, n, dh, ph, vh, oh);
-    const std::size_t col0 = static_cast<std::size_t>(h) * dh;
-    for (int i = 0; i < n; ++i) {
-      std::copy(oh + static_cast<std::size_t>(i) * dh,
-                oh + static_cast<std::size_t>(i + 1) * dh,
-                out.v.data() + static_cast<std::size_t>(i) * d + col0);
-    }
-  }
   Node* qn = q.get();
   Node* kn = k.get();
   Node* vn = v.get();
@@ -635,8 +533,8 @@ Tensor attention_heads(const Tensor& q, const Tensor& k, const Tensor& v,
         for (int h = 0; h < num_heads; ++h) {
           std::fill(buf.begin(), buf.end(), 0.f);
           const float* ph = probs.v.data() + h * nn;
-          copy_head(o->grad, h, dh, doh);
-          copy_head(vn->value, h, dh, vh);
+          fwd::copy_head(o->grad, h, dh, doh);
+          fwd::copy_head(vn->value, h, dh, vh);
           // oh = P vh
           if (score_grad) gemm_nt(n, n, dh, doh, vh, dp);
           if (vn->requires_grad) {
@@ -653,8 +551,8 @@ Tensor attention_heads(const Tensor& q, const Tensor& k, const Tensor& v,
             }
           });
           // scores = qh kh^T
-          copy_head(qn->value, h, dh, qh);
-          copy_head(kn->value, h, dh, kh);
+          fwd::copy_head(qn->value, h, dh, qh);
+          fwd::copy_head(kn->value, h, dh, kh);
           transpose_mat(n, dh, kh, kh_t);
           if (qn->requires_grad) {
             gemm_nt(n, dh, n, dsc, kh_t, dqh);
@@ -671,32 +569,11 @@ Tensor attention_heads(const Tensor& q, const Tensor& k, const Tensor& v,
 Tensor layernorm_rows(const Tensor& a, const Tensor& gamma, const Tensor& beta,
                       float eps) {
   const int n = a->value.rows, d = a->value.cols;
-  NETTAG_CHECK(gamma->value.cols == d && beta->value.cols == d,
-               "layernorm_rows: gamma " + sh(gamma->value) + " / beta " +
-                   sh(beta->value) + " do not match input " + sh(a->value));
   Mat out = plan::out_mat(n, d, {a.get(), gamma.get(), beta.get()});
   Mat xhat = plan::tmp_mat(n, d);
   std::vector<float> inv_sigma(static_cast<std::size_t>(n));
-  for_rows(n, static_cast<std::size_t>(d), par::kMinOps, [&](int i0, int i1) {
-    for (int i = i0; i < i1; ++i) {
-      float mean = 0.f;
-      for (int j = 0; j < d; ++j) mean += a->value.at(i, j);
-      mean /= static_cast<float>(d);
-      float var = 0.f;
-      for (int j = 0; j < d; ++j) {
-        const float c = a->value.at(i, j) - mean;
-        var += c * c;
-      }
-      var /= static_cast<float>(d);
-      const float is = 1.f / std::sqrt(var + eps);
-      inv_sigma[static_cast<std::size_t>(i)] = is;
-      for (int j = 0; j < d; ++j) {
-        const float xh = (a->value.at(i, j) - mean) * is;
-        xhat.at(i, j) = xh;
-        out.at(i, j) = gamma->value.at(0, j) * xh + beta->value.at(0, j);
-      }
-    }
-  });
+  fwd::layernorm_rows(a->value, gamma->value, beta->value, eps, out, &xhat,
+                      inv_sigma.data());
   Node* an = a.get();
   Node* gn = gamma.get();
   Node* bn = beta.get();
@@ -746,17 +623,7 @@ Tensor layernorm_rows(const Tensor& a, const Tensor& gamma, const Tensor& beta,
 Tensor embedding(const Tensor& table, const std::vector<int>& ids) {
   const int d = table->value.cols;
   Mat out = plan::out_mat(static_cast<int>(ids.size()), d, {table.get()});
-  parallel_for(ids.size(), par::grain(static_cast<std::size_t>(d), par::kMinOps),
-               [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      NETTAG_CHECK(ids[i] >= 0 && ids[i] < table->value.rows,
-                   "embedding: id " + std::to_string(ids[i]) +
-                       " outside table " + sh(table->value));
-      for (int j = 0; j < d; ++j) {
-        out.at(static_cast<int>(i), j) = table->value.at(ids[i], j);
-      }
-    }
-  });
+  fwd::embedding(table->value, ids, out);
   // Backward stays serial: the scatter-add over repeated ids is
   // order-sensitive, and the table is small relative to the gather.
   Node* tn = table.get();

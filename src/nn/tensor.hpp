@@ -6,6 +6,8 @@
 // its gradient, and a backward closure. Ops build the graph eagerly;
 // backward() topologically sorts the reachable graph and accumulates
 // gradients. All shapes are 2-D (rows x cols); vectors are 1xN or Nx1.
+// The forward arithmetic of the ops the encoders use lives in
+// nn/forward.hpp, shared with the value-only inference path.
 //
 // Invariants: every op checks its shape contract with NETTAG_CHECK
 // (analysis/check.hpp) — active in release builds, throwing CheckError with

@@ -8,11 +8,10 @@
 //   * one text-embedding cache — created by the registry when the first
 //     replica is added and attached to every load and reload, with each
 //     replica's keys salted by its weights CRC so replicas of the same
-//     checkpoint share entries while different weights can never replay
-//     each other's rows;
-//   * the process thread pool and the per-shape-signature memory plans
-//     (plans depend on tensor shapes only, never on weights, so replicas
-//     with equal architecture reuse them safely).
+//     checkpoint share entries and different weights get different keys
+//     unless their CRC-32s collide (a colliding row of the wrong width
+//     fails the request with a CheckError, see NetTag::input_features);
+//   * the process thread pool.
 //
 // Requests pin a ReplicaSnapshot: reload/unload swap the registry's state
 // but never the model an in-flight request computes with, so reloading or

@@ -14,6 +14,7 @@
 
 #include "analysis/check.hpp"
 #include "core/nettag.hpp"
+#include "core/tag.hpp"
 #include "model/text_encoder.hpp"
 #include "netlist/netlist.hpp"
 #include "nn/liveness.hpp"
@@ -367,9 +368,25 @@ TEST(PlannerBitIdentity, ClassifierTrainingWidth3) {
   ASSERT_EQ(heap_copy(off), heap_copy(on));
 }
 
-TEST(PlannerBitIdentity, EmbedPathWithReplay) {
-  PlanSandbox sandbox;
-  ThreadPool::instance().set_width(1);
+/// One TAGFormer forward as pretraining plans it: forward_features inside an
+/// `embed|N|cols` scope, with the returned embeddings pinned by keep_alive.
+NetTag::ConeEmbedding planned_tagformer_forward(const NetTag& model,
+                                                const Mat& feats,
+                                                const TagGraph& tag) {
+  plan::PlanScope scope("embed|" + std::to_string(feats.rows) + "|" +
+                        std::to_string(feats.cols));
+  const TagFormer::Output out = model.forward_features(feats, tag.edges);
+  // The values are copied out below, after the graph is complete — pin them
+  // so a replayed plan never reuses their bytes intra-forward.
+  plan::keep_alive(out.nodes);
+  plan::keep_alive(out.cls);
+  NetTag::ConeEmbedding emb;
+  emb.nodes = out.nodes->value;
+  emb.cls = out.cls->value;
+  return emb;
+}
+
+Netlist planner_netlist() {
   Netlist nl("planner");
   const GateId a = nl.add_port("A");
   const GateId b = nl.add_port("B");
@@ -377,18 +394,27 @@ TEST(PlannerBitIdentity, EmbedPathWithReplay) {
   const GateId u2 = nl.add_gate(CellType::kInv, "U2", {b});
   const GateId u3 = nl.add_gate(CellType::kNor2, "U3", {u1, u2});
   nl.mark_output(u3);
+  return nl;
+}
 
+TEST(PlannerBitIdentity, TagFormerForwardWithReplay) {
+  PlanSandbox sandbox;
+  ThreadPool::instance().set_width(1);
+  const Netlist nl = planner_netlist();
   NetTagConfig cfg;
   cfg.expr_llm = TextEncoderConfig::tiny();
+  const NetTag model(cfg, 7);
+  const TagGraph tag = build_tag(nl, cfg.k_hop);
+  const Mat feats = model.input_features(tag, Mat());
 
   plan::set_planning_enabled(false);
-  NetTag model_off(cfg, 7);
-  const NetTag::ConeEmbedding off = model_off.embed(nl);
+  const NetTag::ConeEmbedding off = planned_tagformer_forward(model, feats, tag);
 
   plan::set_planning_enabled(true);
-  NetTag model_on(cfg, 7);
-  const NetTag::ConeEmbedding first = model_on.embed(nl);   // records
-  const NetTag::ConeEmbedding second = model_on.embed(nl);  // replays
+  const NetTag::ConeEmbedding first =
+      planned_tagformer_forward(model, feats, tag);  // records
+  const NetTag::ConeEmbedding second =
+      planned_tagformer_forward(model, feats, tag);  // replays
   EXPECT_EQ(heap_copy(off.cls), heap_copy(first.cls));
   EXPECT_EQ(heap_copy(off.cls), heap_copy(second.cls));
   // The full per-node embedding matrix is caller-visible too (keep_alive
@@ -398,6 +424,26 @@ TEST(PlannerBitIdentity, EmbedPathWithReplay) {
   const plan::Stats st = plan::stats_snapshot();
   EXPECT_GE(st.replays, 1u);
   EXPECT_EQ(st.divergences, 0u);
+}
+
+TEST(PlannerBitIdentity, EmbedPathsNeverPlan) {
+  // The inference entry points compute values without a graph, so they
+  // record no tape and replay none, with planning on.
+  PlanSandbox sandbox;
+  plan::set_planning_enabled(true);
+  const Netlist nl = planner_netlist();
+  NetTagConfig cfg;
+  cfg.expr_llm = TextEncoderConfig::tiny();
+  const NetTag model(cfg, 7);
+  const plan::Stats before = plan::stats_snapshot();
+  for (int rep = 0; rep < 2; ++rep) {
+    (void)model.embed(nl);
+    (void)model.embed_circuit(nl);
+    (void)model.cone_feature(nl);
+  }
+  const plan::Stats after = plan::stats_snapshot();
+  EXPECT_EQ(after.tapes_recorded, before.tapes_recorded);
+  EXPECT_EQ(after.replays, before.replays);
 }
 
 std::vector<std::uint32_t> bit_copy(const Mat& m) {

@@ -1,7 +1,9 @@
 // Tests for graph utilities, the text encoder, TAGFormer, and the GCN.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "model/gcn.hpp"
 #include "model/graph.hpp"
@@ -44,6 +46,54 @@ TEST(GraphUtils, TagAdjacencyConnectsCls) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_GT(a.at(3, i), 0.f);
     EXPECT_GT(a.at(i, 3), 0.f);
+  }
+}
+
+/// normalized_adjacency as it was first written: 1/sqrt(max(deg_j, 1))
+/// recomputed for every (i, j) pair. Kept as the byte oracle.
+Mat normalized_adjacency_per_pair(
+    int n, const std::vector<std::pair<int, int>>& edges) {
+  Mat a(n, n);
+  for (int i = 0; i < n; ++i) a.at(i, i) = 1.f;
+  for (const auto& [u, v] : edges) {
+    a.at(u, v) = 1.f;
+    a.at(v, u) = 1.f;
+  }
+  std::vector<float> deg(static_cast<std::size_t>(n), 0.f);
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) deg[static_cast<std::size_t>(i)] += a.at(i, j);
+  }
+  for (int i = 0; i < n; ++i) {
+    const float di = 1.f / std::sqrt(std::max(deg[static_cast<std::size_t>(i)], 1.f));
+    for (int j = 0; j < n; ++j) {
+      const float dj = 1.f / std::sqrt(std::max(deg[static_cast<std::size_t>(j)], 1.f));
+      a.at(i, j) *= di * dj;
+    }
+  }
+  return a;
+}
+
+TEST(GraphUtils, NormalizedAdjacencyBytesMatchPerPairOracle) {
+  Rng rng(2718);
+  for (const int n : {1, 2, 17, 121}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<std::pair<int, int>> edges;
+      const int count = rng.uniform_int(0, 3 * n);
+      for (int e = 0; e < count; ++e) {
+        const int u = rng.uniform_int(0, n - 1);
+        const int v = rng.uniform_int(0, n - 1);
+        edges.emplace_back(u, v);
+        if (rng.chance(0.3)) edges.emplace_back(u, v);  // duplicate
+        if (rng.chance(0.3)) edges.emplace_back(v, u);  // reversed
+      }
+      const Mat got = normalized_adjacency(n, edges);
+      const Mat want = normalized_adjacency_per_pair(n, edges);
+      ASSERT_EQ(got.rows, n);
+      ASSERT_EQ(got.cols, n);
+      ASSERT_EQ(0, std::memcmp(got.v.data(), want.v.data(),
+                               want.v.size() * sizeof(float)))
+          << "n=" << n << " trial " << trial;
+    }
   }
 }
 

@@ -15,6 +15,7 @@
 
 #include <limits>
 
+#include "analysis/check.hpp"
 #include "core/nettag.hpp"
 #include "net/shard.hpp"
 #include "netlist/io.hpp"
@@ -376,6 +377,31 @@ TEST(TextCache, ModelHonoursConfiguredBound) {
   for (const char* t : texts) model.embed(netlist_from_string(t));
   EXPECT_LE(model.text_cache().size(), 3u);
   EXPECT_GT(model.text_cache().evictions(), 0u);
+}
+
+TEST(TextCache, WrongWidthSharedRowFailsTheEmbed) {
+  // Two replicas of different text widths behind one cache and one salt (a
+  // registry-key collision): the narrow model fills the rows, and the wide
+  // model's embed must throw instead of reading past a 32-float row.
+  NetTagConfig narrow_cfg;
+  narrow_cfg.expr_llm = TextEncoderConfig::tiny();
+  narrow_cfg.expr_llm.out_dim = 32;
+  NetTagConfig wide_cfg = narrow_cfg;
+  wide_cfg.expr_llm.out_dim = 48;
+  NetTag narrow(narrow_cfg, 3);
+  NetTag wide(wide_cfg, 3);
+  const auto shared = std::make_shared<TextEmbeddingCache>();
+  narrow.share_text_cache(shared, "same|");
+  wide.share_text_cache(shared, "same|");
+  const Netlist nl = netlist_from_string(kAndNetlist);
+  EXPECT_EQ(narrow.embed(nl).inputs.cols, narrow.tag_in_dim());
+  try {
+    wide.embed(nl);
+    FAIL() << "a 32-wide cached row reached a 48-wide model";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("32"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("48"), std::string::npos) << e.what();
+  }
 }
 
 // --- server -----------------------------------------------------------------
