@@ -3,13 +3,15 @@
 // sweep behind the paper's footnote 3 ("we choose 2-hop to balance the
 // expression expansion and runtime").
 //
-// The custom main first times the GEMM kernel backends head-to-head
-// (scalar vs AVX2, docs/PERFORMANCE.md §4) and writes the
-// machine-readable snapshot BENCH_micro_components.json to the working
+// The custom main first times the GEMM kernel backends and the row kernels
+// (softmax, GELU, layer norm) head-to-head (scalar vs AVX2,
+// docs/PERFORMANCE.md §4) and writes the machine-readable snapshot
+// BENCH_micro_components.json, with a host block, to the working
 // directory, then hands over to the google-benchmark suite for the
 // pipeline-stage benches.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -22,9 +24,11 @@
 #include "expr/transform.hpp"
 #include "netlist/aig.hpp"
 #include "netlist/cone.hpp"
+#include "nn/forward.hpp"
 #include "nn/gemm.hpp"
 #include "physical/flow.hpp"
 #include "rtlgen/generator.hpp"
+#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 using namespace nettag;
@@ -221,9 +225,135 @@ double speedup_of(const std::vector<GemmResult>& rs, const std::string& kernel) 
   return pairs ? std::exp(log_sum / pairs) : 0.0;
 }
 
-void write_gemm_json(const std::vector<GemmResult>& rs) {
+// --- row kernels (nn/forward.hpp): the encoders' non-GEMM time ---------------
+
+struct RowResult {
+  std::string kernel;   // "softmax_row" | "gelu" | "layernorm_rows"
+  std::string backend;  // "scalar" | "avx2"
+  int rows, cols;
+  double median_ns = 0.0, min_ns = 0.0, max_ns = 0.0;  // per call
+  double max_abs_diff = 0.0;  // against the scalar backend's output
+};
+
+/// Shapes of one encoder call: a head's N x N softmax and a layer norm of
+/// TAGFormer on a 16-gate cone plus CLS (17 rows, d_model 64), and of the
+/// default (`base`) text encoder on a 33-token attribute (d_model 48), whose
+/// FFN GELU is 33 x d_ff 96.
+const struct { const char* kernel; int rows, cols; } kRowShapes[] = {
+    {"softmax_row", 17, 17},    {"softmax_row", 33, 33}, {"gelu", 33, 96},
+    {"layernorm_rows", 17, 64}, {"layernorm_rows", 33, 48}};
+
+constexpr int kRowReps = 15;
+
+/// One kernel call on `in` into `out`, as the encoders make it: softmax
+/// over every row, GELU in place (on a copy of `in`, which the timing
+/// includes), layer norm without the backward's xhat.
+void run_row_kernel(const std::string& kernel, const Mat& in, const Mat& gamma,
+                    const Mat& beta, Mat& out) {
+  if (kernel == "softmax_row") {
+    for (int i = 0; i < in.rows; ++i) {
+      fwd::softmax_row(in.v.data() + static_cast<std::size_t>(i) * in.cols,
+                       out.v.data() + static_cast<std::size_t>(i) * in.cols,
+                       in.cols);
+    }
+  } else if (kernel == "gelu") {
+    std::copy(in.v.begin(), in.v.end(), out.v.begin());
+    fwd::gelu(out);
+  } else {
+    fwd::layernorm_rows(in, gamma, beta, 1e-5f, out, nullptr, nullptr);
+  }
+}
+
+std::vector<RowResult> run_row_benches() {
+  std::vector<RowResult> out;
+  Rng rng(43);
+  const SimdBackend saved = simd_backend();
+  std::vector<SimdBackend> backends{SimdBackend::kScalar};
+  if (simd_avx2_supported()) backends.push_back(SimdBackend::kAvx2);
+  for (const auto& s : kRowShapes) {
+    const std::string kernel = s.kernel;
+    const Mat in = bench_mat(s.rows, s.cols, rng);
+    const Mat gamma = bench_mat(1, s.cols, rng);
+    const Mat beta = bench_mat(1, s.cols, rng);
+    Mat scalar_out(s.rows, s.cols);
+    for (SimdBackend backend : backends) {
+      set_simd_backend(backend);
+      Mat o(s.rows, s.cols);
+      run_row_kernel(kernel, in, gamma, beta, o);  // warm-up, reference
+      RowResult r{kernel, simd_backend_name(backend), s.rows, s.cols};
+      if (backend == SimdBackend::kScalar) {
+        scalar_out = o;
+      } else {
+        for (std::size_t i = 0; i < o.v.size(); ++i) {
+          r.max_abs_diff = std::max(
+              r.max_abs_diff,
+              static_cast<double>(std::fabs(o.v[i] - scalar_out.v[i])));
+        }
+      }
+      // Calls per repetition: enough for ~2 ms, so timer resolution is noise.
+      int calls = 1;
+      for (Timer t; t.seconds() < 2e-3; ++calls) {
+        run_row_kernel(kernel, in, gamma, beta, o);
+      }
+      std::vector<double> ns;
+      for (int rep = 0; rep < kRowReps; ++rep) {
+        Timer t;
+        for (int c = 0; c < calls; ++c) run_row_kernel(kernel, in, gamma, beta, o);
+        ns.push_back(t.seconds() * 1e9 / calls);
+      }
+      std::sort(ns.begin(), ns.end());
+      r.median_ns = ns[ns.size() / 2];
+      r.min_ns = ns.front();
+      r.max_ns = ns.back();
+      out.push_back(r);
+    }
+  }
+  set_simd_backend(saved);
+  return out;
+}
+
+/// The first "model name" line of /proc/cpuinfo, or "unknown".
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos) {
+      return line.substr(line.find_first_not_of(' ', colon + 1));
+    }
+  }
+  return "unknown";
+}
+
+std::string compiler_name() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("gcc ") + __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+/// `text` as a JSON string literal (quotes and backslashes escaped).
+std::string json_str(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out + "\"";
+}
+
+void write_json(const std::vector<GemmResult>& rs,
+                const std::vector<RowResult>& rows) {
   std::ofstream json("BENCH_micro_components.json");
-  json << "{\n  \"bench\": \"micro_components\",\n  \"simd_supported\": "
+  json << "{\n  \"bench\": \"micro_components\",\n  \"host\": {\"cpu\": "
+       << json_str(cpu_model()) << ", \"compiler\": "
+       << json_str(compiler_name()) << ", \"simd_backend\": \""
+       << simd_backend_name() << "\", \"pool_width\": " << parallel_width()
+       << "},\n  \"simd_supported\": "
        << (simd_avx2_supported() ? "true" : "false")
        << ",\n  \"default_backend\": \"" << simd_backend_name()
        << "\",\n  \"gemm\": [";
@@ -241,7 +371,21 @@ void write_gemm_json(const std::vector<GemmResult>& rs) {
   std::snprintf(nt, sizeof(nt), "%.2f", speedup_of(rs, "gemm_nt"));
   std::snprintf(tn, sizeof(tn), "%.2f", speedup_of(rs, "gemm_tn"));
   json << "\n  ],\n  \"avx2_speedup_geomean\": {\"gemm_nn\": " << nn
-       << ", \"gemm_nt\": " << nt << ", \"gemm_tn\": " << tn << "}\n}\n";
+       << ", \"gemm_nt\": " << nt << ", \"gemm_tn\": " << tn << "},\n"
+       << "  \"row_kernels\": {\"repetitions\": " << kRowReps
+       << ", \"runs\": [";
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const RowResult& r = rows[i];
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "\"median_ns\": %.0f, \"min_ns\": %.0f, \"max_ns\": %.0f, "
+                  "\"max_abs_diff\": %.3g",
+                  r.median_ns, r.min_ns, r.max_ns, r.max_abs_diff);
+    json << (i ? "," : "") << "\n    {\"kernel\": \"" << r.kernel
+         << "\", \"backend\": \"" << r.backend << "\", \"rows\": " << r.rows
+         << ", \"cols\": " << r.cols << ", " << buf << "}";
+  }
+  json << "\n  ]}\n}\n";
 }
 
 }  // namespace
@@ -257,7 +401,14 @@ int main(int argc, char** argv) {
                 speedup_of(gemm, "gemm_nn"), speedup_of(gemm, "gemm_nt"),
                 speedup_of(gemm, "gemm_tn"));
   }
-  write_gemm_json(gemm);
+  const std::vector<RowResult> rows = run_row_benches();
+  for (const RowResult& r : rows) {
+    std::printf("# %-14s %-6s %3dx%-3d median %9.0f ns [%9.0f, %9.0f]  "
+                "max|d| %.3g\n",
+                r.kernel.c_str(), r.backend.c_str(), r.rows, r.cols,
+                r.median_ns, r.min_ns, r.max_ns, r.max_abs_diff);
+  }
+  write_json(gemm, rows);
   std::printf("# JSON written to BENCH_micro_components.json\n");
 
   benchmark::Initialize(&argc, argv);

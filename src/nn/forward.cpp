@@ -79,7 +79,12 @@ void relu(Mat& x) {
 void gelu(Mat& x) {
   // tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))
   float* xv = x.v.data();
-  parallel_for(x.v.size(), par::kMinExpOps, [xv](std::size_t i0, std::size_t i1) {
+  const bool avx2 = simd_backend() == SimdBackend::kAvx2;
+  parallel_for(x.v.size(), par::kMinExpOps, [xv, avx2](std::size_t i0, std::size_t i1) {
+    if (avx2) {
+      detail::gelu_avx2(xv + i0, i1 - i0);
+      return;
+    }
     for (std::size_t i = i0; i < i1; ++i) {
       const float v = xv[i];
       const float t = std::tanh(kGeluC * (v + kGeluB * v * v * v));
@@ -98,6 +103,10 @@ void mean_rows(const Mat& a, Mat& out) {
 }
 
 void softmax_row(const float* x, float* y, int d) {
+  if (simd_backend() == SimdBackend::kAvx2) {
+    detail::softmax_row_avx2(x, y, d);
+    return;
+  }
   float mx = x[0];
   for (int j = 1; j < d; ++j) mx = std::max(mx, x[j]);
   float sum = 0.f;
@@ -117,7 +126,14 @@ void layernorm_rows(const Mat& a, const Mat& gamma, const Mat& beta, float eps,
                    " do not match input " + sh(a));
   check_out(out, n, d, "layernorm_rows");
   if (xhat != nullptr) check_out(*xhat, n, d, "layernorm_rows");
+  const bool avx2 = simd_backend() == SimdBackend::kAvx2;
   for_rows(n, static_cast<std::size_t>(d), par::kMinOps, [&](int i0, int i1) {
+    if (avx2) {
+      detail::layernorm_rows_avx2(
+          i0, i1, d, a.v.data(), gamma.v.data(), beta.v.data(), eps,
+          out.v.data(), xhat != nullptr ? xhat->v.data() : nullptr, inv_sigma);
+      return;
+    }
     for (int i = i0; i < i1; ++i) {
       float mean = 0.f;
       for (int j = 0; j < d; ++j) mean += a.at(i, j);

@@ -8,6 +8,13 @@
 // function is what makes the two paths bit-identical under every SIMD backend
 // and pool width.
 //
+// softmax_row, gelu and layernorm_rows (and the gelu op's backward) dispatch
+// on simd_backend() (nn/gemm.hpp), like the GEMMs: the scalar loops in
+// forward.cpp are the byte-exact reference (NETTAG_SIMD=0), and the AVX2
+// forms in nn/gemm_avx2.cpp drift from them only within the per-kernel
+// budget of docs/PERFORMANCE.md §2. Under either backend an element's bytes
+// do not depend on the pool width.
+//
 // The caller allocates each output at the shape the kernel documents. Every
 // kernel checks its shape contract with NETTAG_CHECK before it writes. The
 // autograd ops scan each output for NaN/Inf in deep-check mode (make_op);
@@ -49,8 +56,8 @@ void gelu(Mat& x);
 /// out (1 x D, zeroed) = the mean of a's N rows.
 void mean_rows(const Mat& a, Mat& out);
 
-/// y = softmax(x) over one row of d values; y may alias x. The one softmax
-/// kernel, shared by softmax_rows and attention_heads.
+/// y = softmax(x) over one row of d >= 1 values; y may alias x. The one
+/// softmax kernel, shared by softmax_rows and attention_heads.
 void softmax_row(const float* x, float* y, int d);
 
 /// out (N x D) = gamma * (a - mean) / sqrt(var + eps) + beta, per row. When

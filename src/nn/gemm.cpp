@@ -9,9 +9,10 @@ namespace nettag {
 
 // --- scalar reference kernels ------------------------------------------------
 //
-// These are the original nn/tensor.cpp loops, moved verbatim (including the
-// zero-skip sparsity shortcuts): under NETTAG_SIMD=0 every matmul result and
-// gradient is bit-identical to the pre-SIMD code.
+// These are the original nn/tensor.cpp loops (including the zero-skip
+// sparsity shortcuts), with offsets formed in std::size_t so an operand past
+// 2^31 elements cannot overflow them: under NETTAG_SIMD=0 every matmul result
+// and gradient is bit-identical to the pre-SIMD code.
 
 namespace detail {
 
@@ -19,10 +20,10 @@ void gemm_nn_scalar(int i0, int i1, int k, int m, const float* a,
                     const float* b, float* c) {
   for (int i = i0; i < i1; ++i) {
     for (int p = 0; p < k; ++p) {
-      const float aip = a[i * k + p];
+      const float aip = a[static_cast<std::size_t>(i) * k + p];
       if (aip == 0.f) continue;
-      const float* brow = b + p * m;
-      float* crow = c + i * m;
+      const float* brow = b + static_cast<std::size_t>(p) * m;
+      float* crow = c + static_cast<std::size_t>(i) * m;
       for (int j = 0; j < m; ++j) crow[j] += aip * brow[j];
     }
   }
@@ -31,12 +32,13 @@ void gemm_nn_scalar(int i0, int i1, int k, int m, const float* a,
 void gemm_nt_scalar(int i0, int i1, int k, int m, const float* g,
                     const float* b, float* c) {
   for (int i = i0; i < i1; ++i) {
+    const float* grow = g + static_cast<std::size_t>(i) * m;
+    float* crow = c + static_cast<std::size_t>(i) * k;
     for (int p = 0; p < k; ++p) {
-      const float* brow = b + p * m;
-      const float* grow = g + i * m;
+      const float* brow = b + static_cast<std::size_t>(p) * m;
       float acc = 0.f;
       for (int j = 0; j < m; ++j) acc += grow[j] * brow[j];
-      c[i * k + p] += acc;
+      crow[p] += acc;
     }
   }
 }
@@ -44,11 +46,11 @@ void gemm_nt_scalar(int i0, int i1, int k, int m, const float* g,
 void gemm_tn_scalar(int p0, int p1, int n, int k, int m, const float* a,
                     const float* g, float* c) {
   for (int p = p0; p < p1; ++p) {
-    float* crow = c + p * m;
+    float* crow = c + static_cast<std::size_t>(p) * m;
     for (int i = 0; i < n; ++i) {
-      const float aip = a[i * k + p];
+      const float aip = a[static_cast<std::size_t>(i) * k + p];
       if (aip == 0.f) continue;
-      const float* grow = g + i * m;
+      const float* grow = g + static_cast<std::size_t>(i) * m;
       for (int j = 0; j < m; ++j) crow[j] += aip * grow[j];
     }
   }
@@ -67,6 +69,17 @@ void gemm_nt_avx2(int i0, int i1, int k, int m, const float* g, const float* b,
 void gemm_tn_avx2(int p0, int p1, int n, int k, int m, const float* a,
                   const float* g, float* c) {
   gemm_tn_scalar(p0, p1, n, k, m, a, g, c);
+}
+// The row kernels' scalar loops live in nn/forward.cpp, which only calls
+// these when simd_backend() is AVX2: never on this architecture.
+void softmax_row_avx2(const float*, float*, int) { std::abort(); }
+void gelu_avx2(float*, std::size_t) { std::abort(); }
+void gelu_backward_avx2(const float*, const float*, float*, std::size_t) {
+  std::abort();
+}
+void layernorm_rows_avx2(int, int, int, const float*, const float*,
+                         const float*, float, float*, float*, float*) {
+  std::abort();
 }
 #endif
 

@@ -4,15 +4,21 @@
 // training step and every serve embed through these three kernels. Each has
 // two implementations selected once per process:
 //
-//   * scalar — the original triple loops, kept verbatim: with the backend
-//     forced to scalar (NETTAG_SIMD=0) results are bit-identical to the
-//     pre-SIMD code at any thread width;
+//   * scalar — the original triple loops, with offsets formed in
+//     std::size_t: with the backend forced to scalar (NETTAG_SIMD=0) results
+//     are bit-identical to the pre-SIMD code at any thread width;
 //   * avx2   — 8-lane FMA kernels compiled in a separate translation unit
 //     with -mavx2 -mfma (nn/gemm_avx2.cpp) and only ever called after a
 //     cpuid check. Row-partitioned exactly like the scalar loops, so results
 //     are deterministic run-to-run at any width; they differ from scalar by
 //     FMA rounding and dot-product reassociation only (see the agreement
 //     tests in tests/gemm_test.cpp for the epsilon).
+//
+// The same backend also selects the three row kernels of nn/forward.hpp
+// (softmax_row, gelu with its backward, layernorm_rows). Their AVX2 forms
+// live in the same translation unit (declared in `detail` below) and drift
+// from the scalar loops within the per-kernel budget of
+// docs/PERFORMANCE.md §2; the scalar loops stay the byte-exact reference.
 //
 // Backend resolution: the NETTAG_SIMD environment variable if set
 // ("0"/"scalar" force scalar; "1"/"avx2" request AVX2), otherwise the best
@@ -26,6 +32,7 @@
 // scalar loops used, so each output element is written by exactly one task.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 namespace nettag {
@@ -35,7 +42,8 @@ enum class SimdBackend {
   kAvx2,    ///< 8-lane fused-multiply-add kernels (x86-64 AVX2+FMA)
 };
 
-/// The backend every gemm_* call dispatches to (resolved on first use).
+/// The backend every gemm_* call and row kernel dispatches to (resolved on
+/// first use).
 SimdBackend simd_backend();
 
 /// True when the running CPU supports the AVX2+FMA kernels.
@@ -90,6 +98,23 @@ void gemm_nt_avx2(int i0, int i1, int k, int m, const float* g,
                   const float* b, float* c);
 void gemm_tn_avx2(int p0, int p1, int n, int k, int m, const float* a,
                   const float* g, float* c);
+
+// AVX2 forms of the nn/forward.hpp row kernels (same translation unit, same
+// cpuid rule). Tails run through masked lanes, so an element's arithmetic
+// does not depend on where its row or chunk starts.
+/// fwd::softmax_row: y = softmax(x) over d >= 1 values; y may alias x.
+void softmax_row_avx2(const float* x, float* y, int d);
+/// fwd::gelu on x[0..n), in place.
+void gelu_avx2(float* x, std::size_t n);
+/// The gelu op's backward on [0..n): dx += dy * gelu'(x), with the tanh of
+/// gelu_avx2.
+void gelu_backward_avx2(const float* x, const float* dy, float* dx,
+                        std::size_t n);
+/// fwd::layernorm_rows on rows [i0, i1) of the row-major N x d matrix `a`;
+/// `xhat` and `inv_sigma` may be null.
+void layernorm_rows_avx2(int i0, int i1, int d, const float* a,
+                         const float* gamma, const float* beta, float eps,
+                         float* out, float* xhat, float* inv_sigma);
 }  // namespace detail
 
 }  // namespace nettag

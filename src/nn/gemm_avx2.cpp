@@ -17,11 +17,33 @@
 // Numerics: FMA contracts mul+add into one rounding and the dot-product
 // kernels reassociate the j sum into 8 lanes; both deviate from the scalar
 // kernels by O(k * eps) relative error. tests/gemm_test.cpp pins the bound.
+//
+// Row kernels (nn/forward.hpp; docs/PERFORMANCE.md §3):
+//   * exp8 — e^x as 2^n * e^r with n = round(x / ln 2), r reduced by a
+//     two-part ln 2, and e^r from a degree-6 polynomial; 2^n is built in
+//     the exponent bits.
+//   * tanh8 — 1 - 2/(1 + e^{2|u|}) written as 1 - 2e/(1 + e) with
+//     e = e^{-2|u|} <= 1, so it never overflows, then the sign of u.
+//   * softmax_row — 8-lane max, exp and sum, then the division.
+//   * gelu and its backward — elementwise over 8 lanes through tanh8.
+//   * layernorm_rows — 8-lane mean and variance sums, then the normalize
+//     pass.
+// Tails go through masked lanes (maskload/maskstore), never a scalar loop,
+// so each element runs the same arithmetic wherever a row or a parallel_for
+// chunk ends. Non-finite inputs stay non-finite: the clamps in exp8 pass a
+// NaN through, and a NaN or infinity reaches every sum the scalar loop
+// would carry it into. tests/gemm_test.cpp (SimdRowKernels.*) pins the
+// drift budget of docs/PERFORMANCE.md §2.
 #include "nn/gemm.hpp"
 
 #if defined(__x86_64__) || defined(_M_X64)
 
 #include <immintrin.h>
+
+#include <cmath>
+#include <limits>
+
+#include "nn/forward.hpp"
 
 namespace nettag::detail {
 
@@ -168,6 +190,224 @@ void gemm_tn_avx2(int p0, int p1, int n, int k, int m, const float* a,
                          _mm256_fmadd_ps(av, _mm256_loadu_ps(grow + j), cv));
       }
       for (; j < m; ++j) crow[j] += aip * grow[j];
+    }
+  }
+}
+
+// --- row kernels -------------------------------------------------------------
+
+namespace {
+
+/// All-ones lanes [0, count), zero lanes [count, 8): the maskload/maskstore
+/// mask of a row tail of `count` (0..8) elements.
+inline __m256i tail_mask(int count) {
+  static const int kBits[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                0,  0,  0,  0,  0,  0,  0,  0};
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kBits + 8 - count));
+}
+
+/// Largest of the 8 lanes of `v`.
+inline float hmax8(__m256 v) {
+  __m128 m = _mm_max_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
+  m = _mm_max_ps(m, _mm_movehl_ps(m, m));
+  m = _mm_max_ss(m, _mm_shuffle_ps(m, m, 1));
+  return _mm_cvtss_f32(m);
+}
+
+/// e^x per lane, within 1 ulp on [-87, 0] (the softmax and tanh range).
+/// Inputs are clamped to [-87.34, 88] first, so 2^n stays a normal float:
+/// below that the result is FLT_MIN instead of a denormal or 0. min/max
+/// return their second operand when either is NaN, so a NaN in x passes
+/// both clamps and the result is NaN.
+inline __m256 exp8(__m256 x) {
+  x = _mm256_min_ps(_mm256_set1_ps(88.0f), x);
+  x = _mm256_max_ps(_mm256_set1_ps(-87.33654f), x);
+  const __m256 n = _mm256_round_ps(
+      _mm256_mul_ps(x, _mm256_set1_ps(1.44269504088896341f)),
+      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+  // r = x - n ln2, with ln2 split so that n * 0.693359375 is exact.
+  __m256 r = _mm256_fnmadd_ps(n, _mm256_set1_ps(0.693359375f), x);
+  r = _mm256_fnmadd_ps(n, _mm256_set1_ps(-2.12194440e-4f), r);
+  __m256 p = _mm256_set1_ps(1.9875691500e-4f);
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.3981999507e-3f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(8.3334519073e-3f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(4.1665795894e-2f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(1.6666665459e-1f));
+  p = _mm256_fmadd_ps(p, r, _mm256_set1_ps(5.0000001201e-1f));
+  // e^r = 1 + r + r^2 p(r)
+  p = _mm256_fmadd_ps(p, _mm256_mul_ps(r, r),
+                      _mm256_add_ps(r, _mm256_set1_ps(1.f)));
+  const __m256i pow2n = _mm256_slli_epi32(
+      _mm256_add_epi32(_mm256_cvtps_epi32(n), _mm256_set1_epi32(127)), 23);
+  return _mm256_mul_ps(p, _mm256_castsi256_ps(pow2n));
+}
+
+/// tanh(u) per lane as 1 - 2e/(1 + e) with e = e^{-2|u|} <= 1, signed like
+/// u. e cannot overflow, and near |tanh| = 1, where GELU's backward reads
+/// 1 - tanh^2, the result rounds once. Accurate to 1e-7 absolute, not
+/// relative: GELU only ever adds the result to 1. |u| = inf gives e =
+/// FLT_MIN and so exactly +-1, as std::tanh does.
+inline __m256 tanh8(__m256 u) {
+  const __m256 sign = _mm256_set1_ps(-0.f);
+  const __m256 one = _mm256_set1_ps(1.f);
+  const __m256 e =
+      exp8(_mm256_mul_ps(_mm256_set1_ps(-2.f), _mm256_andnot_ps(sign, u)));
+  const __m256 t = _mm256_sub_ps(
+      one, _mm256_div_ps(_mm256_add_ps(e, e), _mm256_add_ps(one, e)));
+  return _mm256_or_ps(t, _mm256_and_ps(sign, u));
+}
+
+/// tanh(kGeluC (x + kGeluB x^3)): the tanh both GELU directions read.
+inline __m256 gelu_tanh8(__m256 x) {
+  const __m256 x3 = _mm256_mul_ps(_mm256_mul_ps(x, x), x);
+  const __m256 inner =
+      _mm256_fmadd_ps(_mm256_set1_ps(fwd::kGeluB), x3, x);
+  return tanh8(_mm256_mul_ps(_mm256_set1_ps(fwd::kGeluC), inner));
+}
+
+/// 0.5 x (1 + tanh(...)).
+inline __m256 gelu8(__m256 x) {
+  const __m256 t = gelu_tanh8(x);
+  return _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.5f), x),
+                       _mm256_add_ps(_mm256_set1_ps(1.f), t));
+}
+
+/// dx + dy * gelu'(x), gelu'(x) = 0.5 (1 + t) + 0.5 x (1 - t^2) du/dx.
+inline __m256 gelu_backward8(__m256 x, __m256 dy, __m256 dx) {
+  const __m256 half = _mm256_set1_ps(0.5f);
+  const __m256 one = _mm256_set1_ps(1.f);
+  const __m256 t = gelu_tanh8(x);
+  const __m256 du = _mm256_mul_ps(
+      _mm256_set1_ps(fwd::kGeluC),
+      _mm256_fmadd_ps(_mm256_set1_ps(3.f * fwd::kGeluB),
+                      _mm256_mul_ps(x, x), one));
+  const __m256 d1 = _mm256_mul_ps(half, _mm256_add_ps(one, t));
+  const __m256 d2 = _mm256_mul_ps(_mm256_mul_ps(half, x),
+                                  _mm256_fnmadd_ps(t, t, one));
+  return _mm256_fmadd_ps(dy, _mm256_fmadd_ps(d2, du, d1), dx);
+}
+
+}  // namespace
+
+void softmax_row_avx2(const float* x, float* y, int d) {
+  const int body = d & ~7;
+  const int rest = d - body;
+  const __m256i tail = tail_mask(rest);
+  const __m256 keep = _mm256_castsi256_ps(tail);
+  const __m256 neg_inf =
+      _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  __m256 vmax = neg_inf;
+  for (int j = 0; j < body; j += 8) {
+    vmax = _mm256_max_ps(vmax, _mm256_loadu_ps(x + j));
+  }
+  if (rest > 0) {
+    vmax = _mm256_max_ps(
+        vmax, _mm256_blendv_ps(neg_inf, _mm256_maskload_ps(x + body, tail),
+                               keep));
+  }
+  // A NaN may drop out of the max; it still reaches the sum through its own
+  // exp below, and the sum carries it into every output, as in the scalar
+  // loop.
+  const __m256 mx = _mm256_set1_ps(hmax8(vmax));
+  __m256 vsum = _mm256_setzero_ps();
+  for (int j = 0; j < body; j += 8) {
+    const __m256 e = exp8(_mm256_sub_ps(_mm256_loadu_ps(x + j), mx));
+    _mm256_storeu_ps(y + j, e);
+    vsum = _mm256_add_ps(vsum, e);
+  }
+  if (rest > 0) {
+    const __m256 e = _mm256_and_ps(
+        exp8(_mm256_sub_ps(_mm256_maskload_ps(x + body, tail), mx)), keep);
+    _mm256_maskstore_ps(y + body, tail, e);
+    vsum = _mm256_add_ps(vsum, e);
+  }
+  const __m256 sum = _mm256_set1_ps(hsum8(vsum));
+  for (int j = 0; j < body; j += 8) {
+    _mm256_storeu_ps(y + j, _mm256_div_ps(_mm256_loadu_ps(y + j), sum));
+  }
+  if (rest > 0) {
+    _mm256_maskstore_ps(
+        y + body, tail,
+        _mm256_div_ps(_mm256_maskload_ps(y + body, tail), sum));
+  }
+}
+
+void gelu_avx2(float* x, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(x + i, gelu8(_mm256_loadu_ps(x + i)));
+  }
+  if (i < n) {
+    const __m256i tail = tail_mask(static_cast<int>(n - i));
+    _mm256_maskstore_ps(x + i, tail, gelu8(_mm256_maskload_ps(x + i, tail)));
+  }
+}
+
+void gelu_backward_avx2(const float* x, const float* dy, float* dx,
+                        std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(dx + i, gelu_backward8(_mm256_loadu_ps(x + i),
+                                            _mm256_loadu_ps(dy + i),
+                                            _mm256_loadu_ps(dx + i)));
+  }
+  if (i < n) {
+    const __m256i tail = tail_mask(static_cast<int>(n - i));
+    _mm256_maskstore_ps(dx + i, tail,
+                        gelu_backward8(_mm256_maskload_ps(x + i, tail),
+                                       _mm256_maskload_ps(dy + i, tail),
+                                       _mm256_maskload_ps(dx + i, tail)));
+  }
+}
+
+void layernorm_rows_avx2(int i0, int i1, int d, const float* a,
+                         const float* gamma, const float* beta, float eps,
+                         float* out, float* xhat, float* inv_sigma) {
+  const int body = d & ~7;
+  const int rest = d - body;
+  const __m256i tail = tail_mask(rest);
+  const __m256 keep = _mm256_castsi256_ps(tail);
+  const float df = static_cast<float>(d);
+  for (int i = i0; i < i1; ++i) {
+    const std::size_t off = static_cast<std::size_t>(i) * d;
+    const float* row = a + off;
+    __m256 s = _mm256_setzero_ps();
+    for (int j = 0; j < body; j += 8) {
+      s = _mm256_add_ps(s, _mm256_loadu_ps(row + j));
+    }
+    if (rest > 0) s = _mm256_add_ps(s, _mm256_maskload_ps(row + body, tail));
+    const __m256 mean = _mm256_set1_ps(hsum8(s) / df);
+    __m256 q = _mm256_setzero_ps();
+    for (int j = 0; j < body; j += 8) {
+      const __m256 c = _mm256_sub_ps(_mm256_loadu_ps(row + j), mean);
+      q = _mm256_fmadd_ps(c, c, q);
+    }
+    if (rest > 0) {
+      const __m256 c = _mm256_and_ps(
+          _mm256_sub_ps(_mm256_maskload_ps(row + body, tail), mean), keep);
+      q = _mm256_fmadd_ps(c, c, q);
+    }
+    const float var = hsum8(q) / df;
+    const float is = 1.f / std::sqrt(var + eps);
+    if (inv_sigma != nullptr) inv_sigma[i] = is;
+    const __m256 vis = _mm256_set1_ps(is);
+    for (int j = 0; j < body; j += 8) {
+      const __m256 xh =
+          _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(row + j), mean), vis);
+      if (xhat != nullptr) _mm256_storeu_ps(xhat + off + j, xh);
+      _mm256_storeu_ps(out + off + j,
+                       _mm256_fmadd_ps(_mm256_loadu_ps(gamma + j), xh,
+                                       _mm256_loadu_ps(beta + j)));
+    }
+    if (rest > 0) {
+      const __m256 xh = _mm256_mul_ps(
+          _mm256_sub_ps(_mm256_maskload_ps(row + body, tail), mean), vis);
+      if (xhat != nullptr) _mm256_maskstore_ps(xhat + off + body, tail, xh);
+      _mm256_maskstore_ps(
+          out + off + body, tail,
+          _mm256_fmadd_ps(_mm256_maskload_ps(gamma + body, tail), xh,
+                          _mm256_maskload_ps(beta + body, tail)));
     }
   }
 }

@@ -245,8 +245,15 @@ Tensor gelu(const Tensor& a) {
   return make_op("gelu", std::move(out), {a}, [an](Node* o) {
     if (!an->requires_grad) return;
     an->ensure_grad();
+    const bool avx2 = simd_backend() == SimdBackend::kAvx2;
     for_elems(o->grad.v.size(), par::kMinExpOps,
               [&](std::size_t i0, std::size_t i1) {
+                if (avx2) {
+                  detail::gelu_backward_avx2(an->value.v.data() + i0,
+                                             o->grad.v.data() + i0,
+                                             an->grad.v.data() + i0, i1 - i0);
+                  return;
+                }
                 for (std::size_t i = i0; i < i1; ++i) {
                   const float x = an->value.v[i];
                   const float u = fwd::kGeluC * (x + fwd::kGeluB * x * x * x);

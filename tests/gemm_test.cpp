@@ -5,14 +5,25 @@
 //   * the AVX2 backend may differ from scalar only by FMA contraction and
 //     dot-product reassociation — a tight relative epsilon over shapes that
 //     exercise every tail path (K=1, widths straddling 8/16 multiples).
+// The same two rules hold for the row kernels of nn/forward.hpp
+// (SimdRowKernels.*), with the per-kernel drift budget of
+// docs/PERFORMANCE.md §2 in place of the GEMM epsilon.
 #include "nn/gemm.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "analysis/check.hpp"
 #include "gtest/gtest.h"
+#include "nn/forward.hpp"
 #include "nn/tensor.hpp"
 #include "util/rng.hpp"
+#include "width_guard.hpp"
 
 namespace nettag {
 namespace {
@@ -154,6 +165,420 @@ TEST(Gemm, ParseSimdBackendHonorsSpellingsAndWarnsOnUnknown) {
   EXPECT_EQ(parse_simd_backend("pentium", SimdBackend::kScalar, &warning),
             SimdBackend::kScalar);
   EXPECT_FALSE(warning.empty());
+}
+
+// --- row kernels (nn/forward.hpp) --------------------------------------------
+//
+// The ref_* functions are the scalar loops of softmax_row, gelu (forward and
+// the gelu op's backward) and layernorm_rows as they were before the AVX2
+// forms existed, copied verbatim: the byte oracle of the scalar backend.
+
+void ref_softmax_row(const float* x, float* y, int d) {
+  float mx = x[0];
+  for (int j = 1; j < d; ++j) mx = std::max(mx, x[j]);
+  float sum = 0.f;
+  for (int j = 0; j < d; ++j) {
+    const float e = std::exp(x[j] - mx);
+    y[j] = e;
+    sum += e;
+  }
+  for (int j = 0; j < d; ++j) y[j] /= sum;
+}
+
+float ref_gelu(float v) {
+  const float t = std::tanh(fwd::kGeluC * (v + fwd::kGeluB * v * v * v));
+  return 0.5f * v * (1.f + t);
+}
+
+/// The gelu op's backward for one element into a zeroed gradient.
+float ref_gelu_grad(float x, float g) {
+  const float u = fwd::kGeluC * (x + fwd::kGeluB * x * x * x);
+  const float t = std::tanh(u);
+  const float du = fwd::kGeluC * (1.f + 3.f * fwd::kGeluB * x * x);
+  const float dy = 0.5f * (1.f + t) + 0.5f * x * (1.f - t * t) * du;
+  float grad = 0.f;
+  grad += g * dy;
+  return grad;
+}
+
+struct LayerNormOut {
+  Mat out, xhat;
+  std::vector<float> inv_sigma;
+};
+
+LayerNormOut ref_layernorm_rows(const Mat& a, const Mat& gamma,
+                                const Mat& beta, float eps) {
+  const int n = a.rows, d = a.cols;
+  LayerNormOut r{Mat(n, d), Mat(n, d), std::vector<float>(n)};
+  for (int i = 0; i < n; ++i) {
+    float mean = 0.f;
+    for (int j = 0; j < d; ++j) mean += a.at(i, j);
+    mean /= static_cast<float>(d);
+    float var = 0.f;
+    for (int j = 0; j < d; ++j) {
+      const float c = a.at(i, j) - mean;
+      var += c * c;
+    }
+    var /= static_cast<float>(d);
+    const float is = 1.f / std::sqrt(var + eps);
+    r.inv_sigma[i] = is;
+    for (int j = 0; j < d; ++j) {
+      const float xh = (a.at(i, j) - mean) * is;
+      r.xhat.at(i, j) = xh;
+      r.out.at(i, j) = gamma.at(0, j) * xh + beta.at(0, j);
+    }
+  }
+  return r;
+}
+
+/// The kernels as the backends run them.
+LayerNormOut run_layernorm(const Mat& a, const Mat& gamma, const Mat& beta,
+                           float eps) {
+  LayerNormOut r{Mat(a.rows, a.cols), Mat(a.rows, a.cols),
+                 std::vector<float>(a.rows)};
+  fwd::layernorm_rows(a, gamma, beta, eps, r.out, &r.xhat, r.inv_sigma.data());
+  return r;
+}
+
+std::vector<float> run_softmax(const float* x, int d) {
+  std::vector<float> y(d);
+  fwd::softmax_row(x, y.data(), d);
+  return y;
+}
+
+/// The gelu op's forward value and its input's gradient for upstream `g`.
+struct GeluOut {
+  Mat y, dx;
+};
+
+GeluOut run_gelu_op(const Mat& x, const Mat& g) {
+  Tensor xt = make_tensor(x, /*requires_grad=*/true);
+  Tensor yt = gelu(xt);
+  yt->ensure_grad();
+  yt->grad = g;
+  backward_seeded(yt);
+  return {yt->value, xt->grad};
+}
+
+constexpr float kKernelEps = 1e-5f;  // LayerNorm::kEps
+
+/// `rows` x `d` values offset + scale * N(0, 1).
+Mat row_input(Rng& rng, int rows, int d, float scale, float offset = 0.f) {
+  Mat m(rows, d);
+  for (float& x : m.v) x = offset + scale * static_cast<float>(rng.normal(0.0, 1.0));
+  return m;
+}
+
+/// gamma ~ 1 + 0.2 N(0,1), beta ~ 0.2 N(0,1): trained-looking affine rows.
+void affine_rows(Rng& rng, int d, Mat& gamma, Mat& beta) {
+  gamma = row_input(rng, 1, d, 0.2f, 1.f);
+  beta = row_input(rng, 1, d, 0.2f);
+}
+
+/// GELU inputs at `scale`, with every fourth element pushed past tanh
+/// saturation (|x| in [10, 60]).
+Mat gelu_input(Rng& rng, int rows, int d, float scale) {
+  Mat m = row_input(rng, rows, d, scale);
+  for (std::size_t i = 0; i < m.v.size(); i += 4) {
+    const float mag = 10.f + 50.f * static_cast<float>(rng.uniform());
+    m.v[i] = rng.uniform() < 0.5 ? -mag : mag;
+  }
+  return m;
+}
+
+bool same_bytes(const float* a, const float* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+const float kScales[] = {1.f, 8.f, 30.f};
+constexpr int kMaxRowLen = 130;  // every 8-lane tail, several times over
+
+TEST(SimdRowKernels, ScalarBackendMatchesReferenceLoopsExactly) {
+  BackendGuard guard(SimdBackend::kScalar);
+  Rng rng(51);
+  for (const float scale : kScales) {
+    for (int d = 1; d <= kMaxRowLen; ++d) {
+      const std::string where =
+          "scale " + std::to_string(scale) + " d " + std::to_string(d);
+      const Mat x = row_input(rng, 1, d, scale);
+      std::vector<float> want(d);
+      ref_softmax_row(x.v.data(), want.data(), d);
+      EXPECT_TRUE(same_bytes(want.data(), run_softmax(x.v.data(), d).data(), d))
+          << "softmax_row " << where;
+
+      const Mat gx = gelu_input(rng, 2, d, scale);
+      const Mat g = row_input(rng, 2, d, 1.f);
+      const GeluOut got = run_gelu_op(gx, g);
+      Mat y(2, d), dx(2, d);
+      for (std::size_t i = 0; i < gx.v.size(); ++i) {
+        y.v[i] = ref_gelu(gx.v[i]);
+        dx.v[i] = ref_gelu_grad(gx.v[i], g.v[i]);
+      }
+      Mat in_place = gx;
+      fwd::gelu(in_place);
+      EXPECT_TRUE(same_bytes(y.v.data(), in_place.v.data(), y.v.size()))
+          << "fwd::gelu " << where;
+      EXPECT_TRUE(same_bytes(y.v.data(), got.y.v.data(), y.v.size()))
+          << "gelu op " << where;
+      EXPECT_TRUE(same_bytes(dx.v.data(), got.dx.v.data(), dx.v.size()))
+          << "gelu backward " << where;
+
+      const Mat a = row_input(rng, 3, d, scale, 2.f * scale);
+      Mat gamma, beta;
+      affine_rows(rng, d, gamma, beta);
+      const LayerNormOut ln_want = ref_layernorm_rows(a, gamma, beta, kKernelEps);
+      const LayerNormOut ln_got = run_layernorm(a, gamma, beta, kKernelEps);
+      EXPECT_TRUE(same_bytes(ln_want.out.v.data(), ln_got.out.v.data(),
+                             ln_want.out.v.size()))
+          << "layernorm out " << where;
+      EXPECT_TRUE(same_bytes(ln_want.xhat.v.data(), ln_got.xhat.v.data(),
+                             ln_want.xhat.v.size()))
+          << "layernorm xhat " << where;
+      EXPECT_TRUE(same_bytes(ln_want.inv_sigma.data(), ln_got.inv_sigma.data(),
+                             ln_want.inv_sigma.size()))
+          << "layernorm inv_sigma " << where;
+    }
+  }
+}
+
+/// Largest |got - want| / (tol * max(floor, |want|)) over the elements; the
+/// drift is within budget when this is <= 1. Raises `*max_abs` to the
+/// largest |got - want|, which each test records as its max_abs_drift.
+double budget_use(const float* want, const float* got, std::size_t n,
+                  double tol, double floor, double* max_abs) {
+  double worst = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double w = want[i];
+    const double err = std::fabs(static_cast<double>(got[i]) - w);
+    worst = std::max(worst, err / (tol * std::max(floor, std::fabs(w))));
+    *max_abs = std::max(*max_abs, err);
+  }
+  return worst;
+}
+
+void record_drift(const char* key, double max_abs) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.3g", max_abs);
+  ::testing::Test::RecordProperty(key, buf);
+}
+
+// Budgets of docs/PERFORMANCE.md §2.
+constexpr double kSoftmaxAbs = 2e-6;   // absolute: outputs lie in [0, 1]
+constexpr double kGeluRel = 1e-6;      // of max(1, |y|)
+constexpr double kLayerNormRel = 2e-5; // of max(1, |y|)
+
+TEST(SimdRowKernels, Avx2SoftmaxWithinBudget) {
+  if (!simd_avx2_supported()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
+  Rng rng(52);
+  double drift = 0.0;
+  for (const float scale : kScales) {
+    for (int d = 1; d <= kMaxRowLen; ++d) {
+      const Mat x = row_input(rng, 1, d, scale);
+      // A constant row of the same length: every output is exactly 1/d on
+      // the scalar path.
+      const std::vector<float> constant(d, scale);
+      for (const float* row : {x.v.data(), constant.data()}) {
+        std::vector<float> want, got;
+        {
+          BackendGuard guard(SimdBackend::kScalar);
+          want = run_softmax(row, d);
+        }
+        {
+          BackendGuard guard(SimdBackend::kAvx2);
+          got = run_softmax(row, d);
+        }
+        EXPECT_LE(budget_use(want.data(), got.data(), d, kSoftmaxAbs, 1.0,
+                             &drift),
+                  1.0)
+            << "scale " << scale << " d " << d;
+      }
+    }
+  }
+  record_drift("max_abs_drift", drift);
+}
+
+TEST(SimdRowKernels, Avx2GeluWithinBudget) {
+  if (!simd_avx2_supported()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
+  Rng rng(53);
+  double drift = 0.0, backward_drift = 0.0;
+  for (const float scale : kScales) {
+    for (int d = 1; d <= kMaxRowLen; ++d) {
+      const Mat x = gelu_input(rng, 2, d, scale);
+      const Mat g = row_input(rng, 2, d, 1.f);
+      GeluOut want, got;
+      {
+        BackendGuard guard(SimdBackend::kScalar);
+        want = run_gelu_op(x, g);
+      }
+      {
+        BackendGuard guard(SimdBackend::kAvx2);
+        got = run_gelu_op(x, g);
+        Mat in_place = x;
+        fwd::gelu(in_place);
+        EXPECT_TRUE(same_bytes(got.y.v.data(), in_place.v.data(),
+                               in_place.v.size()))
+            << "fwd::gelu and the gelu op differ, d " << d;
+      }
+      const std::size_t n = x.v.size();
+      EXPECT_LE(budget_use(want.y.v.data(), got.y.v.data(), n, kGeluRel, 1.0,
+                           &drift),
+                1.0)
+          << "forward, scale " << scale << " d " << d;
+      // The backward shares the forward's tanh; its budget is the forward's.
+      EXPECT_LE(budget_use(want.dx.v.data(), got.dx.v.data(), n, kGeluRel, 1.0,
+                           &backward_drift),
+                1.0)
+          << "backward, scale " << scale << " d " << d;
+    }
+  }
+  record_drift("max_abs_drift", drift);
+  record_drift("backward_max_abs_drift", backward_drift);
+}
+
+TEST(SimdRowKernels, Avx2LayerNormWithinBudget) {
+  if (!simd_avx2_supported()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
+  Rng rng(54);
+  double drift = 0.0, sigma_drift = 0.0;
+  for (const float scale : kScales) {
+    for (int d = 1; d <= kMaxRowLen; ++d) {
+      // Rows offset from zero by twice their spread, so the mean matters.
+      const Mat a = row_input(rng, 3, d, scale, 2.f * scale);
+      Mat gamma, beta;
+      affine_rows(rng, d, gamma, beta);
+      LayerNormOut want, got;
+      {
+        BackendGuard guard(SimdBackend::kScalar);
+        want = run_layernorm(a, gamma, beta, kKernelEps);
+      }
+      {
+        BackendGuard guard(SimdBackend::kAvx2);
+        got = run_layernorm(a, gamma, beta, kKernelEps);
+      }
+      const std::string where =
+          "scale " + std::to_string(scale) + " d " + std::to_string(d);
+      EXPECT_LE(budget_use(want.out.v.data(), got.out.v.data(),
+                           want.out.v.size(), kLayerNormRel, 1.0, &drift),
+                1.0)
+          << "out, " << where;
+      EXPECT_LE(budget_use(want.xhat.v.data(), got.xhat.v.data(),
+                           want.xhat.v.size(), kLayerNormRel, 1.0, &drift),
+                1.0)
+          << "xhat, " << where;
+      // 1/sigma scales with 1/scale; hold it to the budget relatively.
+      EXPECT_LE(budget_use(want.inv_sigma.data(), got.inv_sigma.data(),
+                           want.inv_sigma.size(), kLayerNormRel, 0.0,
+                           &sigma_drift),
+                1.0)
+          << "inv_sigma, " << where;
+    }
+  }
+  record_drift("max_abs_drift", drift);
+}
+
+/// Element-by-element finiteness of two equally long outputs.
+void expect_same_finiteness(const float* want, const float* got, std::size_t n,
+                            const std::string& what) {
+  for (std::size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(std::isfinite(want[i]), std::isfinite(got[i]))
+        << what << " elem " << i << ": scalar " << want[i] << ", avx2 "
+        << got[i];
+  }
+}
+
+/// Turns deep checks off for one scope: with NETTAG_CHECK=1 the gelu op
+/// would throw at the non-finite outputs this test means to compare.
+class NoDeepChecks {
+ public:
+  NoDeepChecks() : prev_(deep_checks_enabled()) { set_deep_checks(false); }
+  ~NoDeepChecks() { set_deep_checks(prev_); }
+  NoDeepChecks(const NoDeepChecks&) = delete;
+  NoDeepChecks& operator=(const NoDeepChecks&) = delete;
+
+ private:
+  bool prev_;
+};
+
+TEST(SimdRowKernels, NonFiniteInputsGiveNonFiniteOutputsLikeScalar) {
+  if (!simd_avx2_supported()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
+  const NoDeepChecks no_deep_checks;
+  const float kPlants[] = {std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity()};
+  const SimdBackend kBackends[] = {SimdBackend::kScalar, SimdBackend::kAvx2};
+  Rng rng(55);
+  for (const int d : {1, 3, 7, 8, 9, 16, 17, 33, 48}) {
+    for (const float plant : kPlants) {
+      for (const int pos : {0, d / 2, d - 1}) {
+        const std::string where = "d " + std::to_string(d) + " plant " +
+                                  std::to_string(plant) + " at " +
+                                  std::to_string(pos);
+        Mat x = row_input(rng, 2, d, 4.f);
+        x.at(1, pos) = plant;
+        const Mat g = row_input(rng, 2, d, 1.f);
+        Mat gamma, beta;
+        affine_rows(rng, d, gamma, beta);
+        std::vector<float> sm[2];
+        GeluOut ge[2];
+        LayerNormOut ln[2];
+        for (int b = 0; b < 2; ++b) {
+          BackendGuard guard(kBackends[b]);
+          sm[b] = run_softmax(x.v.data() + d, d);
+          ge[b] = run_gelu_op(x, g);
+          ln[b] = run_layernorm(x, gamma, beta, kKernelEps);
+        }
+        expect_same_finiteness(sm[0].data(), sm[1].data(), d,
+                               "softmax_row " + where);
+        expect_same_finiteness(ge[0].y.v.data(), ge[1].y.v.data(),
+                               x.v.size(), "gelu " + where);
+        expect_same_finiteness(ge[0].dx.v.data(), ge[1].dx.v.data(),
+                               x.v.size(), "gelu backward " + where);
+        expect_same_finiteness(ln[0].out.v.data(), ln[1].out.v.data(),
+                               x.v.size(), "layernorm out " + where);
+        expect_same_finiteness(ln[0].xhat.v.data(), ln[1].xhat.v.data(),
+                               x.v.size(), "layernorm xhat " + where);
+        expect_same_finiteness(ln[0].inv_sigma.data(),
+                               ln[1].inv_sigma.data(), 2,
+                               "layernorm inv_sigma " + where);
+      }
+    }
+    // A softmax row of -inf only has no finite maximum: NaN everywhere.
+    const std::vector<float> all_neg_inf(
+        d, -std::numeric_limits<float>::infinity());
+    std::vector<float> sm[2];
+    for (int b = 0; b < 2; ++b) {
+      BackendGuard guard(kBackends[b]);
+      sm[b] = run_softmax(all_neg_inf.data(), d);
+    }
+    expect_same_finiteness(sm[0].data(), sm[1].data(), d,
+                           "all -inf softmax, d " + std::to_string(d));
+  }
+}
+
+TEST(SimdRowKernels, GeluBytesIndependentOfPoolWidth) {
+  // 8 * 4096 + 13 elements: past the elementwise grain (4096) at every
+  // width, so widths 2..8 split the array into 2..8 chunks whose ends fall
+  // off the 8-lane grid (16390, 10927, 8195, 4097, ...).
+  const int kRows = 3, kCols = (8 * 4096 + 13) / 3 + 1;
+  Rng rng(56);
+  const Mat x = gelu_input(rng, kRows, kCols, 4.f);
+  const Mat g = row_input(rng, kRows, kCols, 1.f);
+  for (const SimdBackend backend : {SimdBackend::kScalar, SimdBackend::kAvx2}) {
+    BackendGuard guard(backend);
+    if (!guard.forced()) continue;
+    GeluOut serial;
+    {
+      WidthGuard width(1);
+      serial = run_gelu_op(x, g);
+    }
+    for (const int w : {2, 3, 4, 8}) {
+      WidthGuard width(w);
+      const GeluOut got = run_gelu_op(x, g);
+      EXPECT_TRUE(same_bytes(serial.y.v.data(), got.y.v.data(), x.v.size()))
+          << simd_backend_name(backend) << " forward, width " << w;
+      EXPECT_TRUE(same_bytes(serial.dx.v.data(), got.dx.v.data(), x.v.size()))
+          << simd_backend_name(backend) << " backward, width " << w;
+    }
+  }
 }
 
 }  // namespace

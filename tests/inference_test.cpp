@@ -4,14 +4,18 @@
 // agree byte for byte under both SIMD backends, at pool widths 1 and 4, and
 // when called from inside a pool task. In deep-check mode a non-finite
 // weight must fail infer with the message the autograd forward gives.
+// Across backends the two encoders' outputs may drift only within the
+// end-to-end budget of docs/PERFORMANCE.md §2.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/check.hpp"
@@ -134,8 +138,8 @@ void expect_tagformer_paths_agree(const NetTag& model,
   });
 }
 
-TEST(InferenceForward, TagFormerMatchesForwardOnGeneratedCones) {
-  const NetTag model(tiny_model_config(), 17);
+/// Every register cone of the eight generated designs the suite embeds.
+std::vector<ConeInput> generated_cone_inputs(const NetTag& model) {
   std::vector<ConeInput> inputs;
   for (int d = 0; d < 8; ++d) {
     Rng rng(300 + static_cast<std::uint64_t>(d));
@@ -150,6 +154,12 @@ TEST(InferenceForward, TagFormerMatchesForwardOnGeneratedCones) {
                                       std::to_string(rc.register_id)));
     }
   }
+  return inputs;
+}
+
+TEST(InferenceForward, TagFormerMatchesForwardOnGeneratedCones) {
+  const NetTag model(tiny_model_config(), 17);
+  const std::vector<ConeInput> inputs = generated_cone_inputs(model);
   ASSERT_GE(inputs.size(), 16u);
   expect_tagformer_paths_agree(model, inputs);
 }
@@ -191,6 +201,62 @@ TEST(InferenceForward, TextEncoderMatchesEncodeIdsOnEveryTier) {
             << tier << ", " << ids.size() << " ids, " << mode;
       }
     });
+  }
+}
+
+/// The run of `fn` under the scalar backend and under AVX2.
+template <typename Fn>
+auto scalar_and_avx2(Fn&& fn) {
+  decltype(fn()) scalar;
+  {
+    const BackendGuard guard(SimdBackend::kScalar);
+    scalar = fn();
+  }
+  const BackendGuard guard(SimdBackend::kAvx2);
+  return std::make_pair(std::move(scalar), fn());
+}
+
+/// The end-to-end budget: max |avx2 - scalar| <= 1e-4 * max(1, max |scalar|).
+void expect_within_e2e_budget(const Mat& scalar, const Mat& avx2,
+                              const std::string& what) {
+  ASSERT_EQ(scalar.v.size(), avx2.v.size()) << what;
+  float peak = 1.f, drift = 0.f;
+  for (std::size_t i = 0; i < scalar.v.size(); ++i) {
+    peak = std::max(peak, std::fabs(scalar.v[i]));
+    drift = std::max(drift, std::fabs(avx2.v[i] - scalar.v[i]));
+  }
+  EXPECT_LE(drift, 1e-4f * peak) << what << " (max |scalar| " << peak << ")";
+}
+
+TEST(InferenceForward, Avx2DriftWithinBudget) {
+  if (!simd_avx2_supported()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
+  const NetTag model(tiny_model_config(), 17);
+  // One set of input features for both backends: only TAGFormer differs.
+  const std::vector<ConeInput> inputs = generated_cone_inputs(model);
+  ASSERT_GE(inputs.size(), 16u);
+  for (const ConeInput& in : inputs) {
+    const Mat adj = tag_adjacency(in.feats.rows, in.edges);
+    const auto [scalar, avx2] =
+        scalar_and_avx2([&] { return model.tagformer().infer(in.feats, adj); });
+    expect_within_e2e_budget(scalar.nodes, avx2.nodes, in.name + " nodes");
+    expect_within_e2e_budget(scalar.cls, avx2.cls, in.name + " cls");
+  }
+  const Vocab vocab;
+  const std::pair<const char*, TextEncoderConfig> tiers[] = {
+      {"tiny", TextEncoderConfig::tiny()},
+      {"small", TextEncoderConfig::small()},
+      {"base", TextEncoderConfig::base()},
+  };
+  for (const auto& [tier, cfg] : tiers) {
+    Rng rng(41);
+    const TextEncoder enc(vocab, cfg, rng);
+    for (const int len : {1, cfg.max_len / 2, cfg.max_len}) {
+      std::vector<int> ids;
+      for (int i = 0; i < len; ++i) ids.push_back(rng.uniform_int(0, vocab.size() - 1));
+      const auto [scalar, avx2] = scalar_and_avx2([&] { return enc.infer_ids(ids); });
+      expect_within_e2e_budget(scalar, avx2,
+                               std::string(tier) + ", " + std::to_string(len) + " ids");
+    }
   }
 }
 
