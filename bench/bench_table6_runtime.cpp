@@ -7,6 +7,7 @@
 // NetTAG's side. Here both sides are measured wall-clock on the simulated
 // substrate; the P&R flow runs at sign-off placement effort.
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <thread>
@@ -28,8 +29,11 @@ namespace {
 
 /// Thread-scaling sweep: one full pre-training epoch (both steps) per pool
 /// width, on a corpus built once. Emitted as JSON so successive PRs have a
-/// machine-readable perf trajectory.
-void run_thread_sweep(std::ostream& json_out) {
+/// machine-readable perf trajectory. Training is width-invariant, so every
+/// width must reproduce width 1's loss curves and trained weights; returns
+/// false when one does not. (The last loss alone is too weak a witness: a
+/// width-dependent trainer can still land on the same final value.)
+bool run_thread_sweep(std::ostream& json_out) {
   Rng corpus_rng(91);
   CorpusOptions co;
   co.designs_per_family = 1;
@@ -54,6 +58,9 @@ void run_thread_sweep(std::ostream& json_out) {
   json_out << "{\n  \"bench\": \"pretrain_epoch_thread_sweep\",\n"
            << "  \"hardware_concurrency\": " << hc << ",\n  \"runs\": [";
   double serial_seconds = 0.0;
+  PretrainReport serial;
+  std::uint32_t serial_params = 0;
+  bool invariant = true;
   for (std::size_t w = 0; w < widths.size(); ++w) {
     ThreadPool::instance().set_width(widths[w]);
     // Fresh model + rng per width: every run trains from the same state.
@@ -62,12 +69,23 @@ void run_thread_sweep(std::ostream& json_out) {
     Timer t;
     const PretrainReport rep = pretrain(model, corpus, po, rng);
     const double secs = t.seconds();
-    if (widths[w] == 1) serial_seconds = secs;
+    const std::uint32_t params = params_fingerprint(model);
+    if (widths[w] == 1) {
+      serial_seconds = secs;
+      serial = rep;
+      serial_params = params;
+    } else if (rep.expr_losses != serial.expr_losses ||
+               rep.tag_losses != serial.tag_losses || params != serial_params) {
+      std::cerr << "bench_table6_runtime: pretraining at " << widths[w]
+                << " threads differs from 1 thread (loss curves or weights)\n";
+      invariant = false;
+    }
     const double speedup = serial_seconds > 0 ? serial_seconds / secs : 1.0;
     table.add_row({std::to_string(widths[w]), fmt(secs, 2), fmt(speedup, 2) + "x"});
     json_out << (w ? "," : "") << "\n    {\"threads\": " << widths[w]
              << ", \"seconds\": " << secs << ", \"speedup\": " << speedup
-             << ", \"tag_loss_last\": " << rep.tag_loss_last << "}";
+             << ", \"tag_loss_last\": " << rep.tag_loss_last
+             << ", \"params_fingerprint\": " << params << "}";
   }
   json_out << "\n  ]\n}\n";
   ThreadPool::instance().set_width(prev_width);
@@ -78,6 +96,7 @@ void run_thread_sweep(std::ostream& json_out) {
                  "# real speedup; run on a multi-core host for the scaling\n"
                  "# numbers.\n";
   }
+  return invariant;
 }
 
 }  // namespace
@@ -148,7 +167,7 @@ int main() {
                "# NetTAG, TAGFormer negligible) does.\n";
 
   std::ofstream json("bench_table6_threads.json");
-  run_thread_sweep(json);
+  const bool invariant = run_thread_sweep(json);
   std::cout << "# thread-sweep JSON written to bench_table6_threads.json\n";
-  return 0;
+  return invariant ? 0 : 1;
 }

@@ -12,7 +12,6 @@
 #include "expr/expr.hpp"
 #include "expr/transform.hpp"
 #include "model/graph.hpp"
-#include "nn/tape.hpp"
 #include "rtlgen/optimize.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
@@ -24,33 +23,21 @@ namespace {
 // ---------------------------------------------------------------------------
 // Data-parallel training-step machinery.
 //
-// A training step at width W > 1 splits the batch into contiguous shards,
-// forwards each shard on its own model replica, detaches the shard outputs
-// into leaf tensors, runs the (cheap) loss head plus its backward serially on
-// the joint leaf graph, then continues the backward pass into each shard's
-// replica graph in parallel — replica parameters are the per-worker gradient
+// Every training step splits its batch into min(kTrainShards, batch)
+// contiguous shards, forwards each shard on its own model replica, detaches
+// the shard outputs into leaf tensors, runs the (cheap) loss head plus its
+// backward on the joint leaf graph, then continues the backward pass into
+// each shard's replica graph — replica parameters are the per-shard gradient
 // buffers, so no two threads ever touch the same gradient. The replica
 // gradients are finally reduced into the master parameters in fixed shard
-// order (0, 1, 2, ...), making multi-threaded runs bit-identical run-to-run
-// at a fixed width. At width 1 the original joint-graph code path runs
-// instead, so NETTAG_THREADS=1 reproduces the serial trainer exactly.
+// order (0, 1, 2, ...). The shard count is a constant, not the pool width:
+// the pool only decides how many shards run at once, so every
+// NETTAG_THREADS width trains the same bytes and a checkpoint resumes at
+// any width.
 // ---------------------------------------------------------------------------
 
-/// FNV-1a combine for the memory-planner step signatures. The signature only
-/// needs "equal inputs => equal op/shape sequence"; hashing the exact sampled
-/// batch (strings or cone indices) is a sound, cheap proxy for the shapes the
-/// step will build. Collisions merely diverge-and-disable one signature.
-std::uint64_t sig_mix(std::uint64_t h, std::uint64_t x) {
-  h ^= x + 0x9e3779b97f4a7c15ULL;
-  return (h ^ (h >> 29)) * 0x100000001b3ULL;
-}
-
-std::uint64_t sig_mix(std::uint64_t h, const std::string& s) {
-  for (const char c : s) {
-    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
-  }
-  return sig_mix(h, s.size());
-}
+/// Logical shards per training step (the most a step can run in parallel).
+constexpr int kTrainShards = 4;
 
 /// Contiguous [begin, end) batch ranges, one per shard (same split rule as
 /// parallel_for so the partition is a pure function of (n, shards)).
@@ -63,13 +50,11 @@ std::vector<std::pair<int, int>> shard_ranges(int n, int shards) {
   return r;
 }
 
-/// Master parameters plus per-shard replica parameters (parallel index
-/// order). Replicas act as per-worker gradient buffers.
+/// Master parameters plus per-shard replica parameters (shard order).
+/// Replicas act as per-shard gradient buffers.
 struct ReplicaSet {
   std::vector<Tensor> master;
   std::vector<std::vector<Tensor>> clones;
-
-  bool active() const { return !clones.empty(); }
 
   /// Copies master values into every replica and zeroes replica gradients
   /// (called once per step, before the sharded forwards).
@@ -275,64 +260,46 @@ std::vector<float> train_expr_phase(
     start_step = static_cast<int>(resume->next_step);
   }
 
-  // Encoder replicas for the sharded step (width > 1 only; at width 1 the
-  // joint-graph serial path below runs instead). Replica init weights are
-  // irrelevant — refresh() overwrites them each step.
-  const int shards = std::min(parallel_width(), options.expr_batch);
+  // Encoder replicas, one per shard. Replica init weights are irrelevant —
+  // refresh() overwrites them each step.
+  const int shards = std::min(kTrainShards, options.expr_batch);
+  const auto ranges = shard_ranges(options.expr_batch, shards);
   std::vector<std::unique_ptr<TextEncoder>> clones;
   ReplicaSet reps;
-  if (shards > 1) {
-    reps.master = encoder.params();
-    Rng clone_rng(0);
-    for (int s = 0; s < shards; ++s) {
-      clones.push_back(std::make_unique<TextEncoder>(
-          encoder.vocab(), encoder.config(), clone_rng));
-      reps.clones.push_back(clones.back()->params());
-    }
+  reps.master = encoder.params();
+  Rng clone_rng(0);
+  for (int s = 0; s < shards; ++s) {
+    clones.push_back(std::make_unique<TextEncoder>(encoder.vocab(),
+                                                   encoder.config(), clone_rng));
+    reps.clones.push_back(clones.back()->params());
   }
 
   for (int step = start_step; step < options.expr_steps; ++step) {
     std::vector<std::string> anchors, positives;
-    std::uint64_t shape_sig = 0xcbf29ce484222325ULL;
     for (int b = 0; b < options.expr_batch; ++b) {
       const std::string& e = expressions[rng.index(expressions.size())];
       anchors.push_back(e);
       positives.push_back(
           transformed_expression(e, options.expr_transform_steps, rng));
-      shape_sig = sig_mix(sig_mix(shape_sig, e), positives.back());
     }
-    // At width 1 the sampled texts determine every op shape in the step; at
-    // width > 1 the sharded forwards run in the pool (untaped) and only the
-    // fixed-shape loss head on the caller is planned.
-    plan::PlanScope plan_scope(
-        "expr|" + std::to_string(shards) + "|" +
-        std::to_string(options.expr_batch) + "|" +
-        (shards > 1 ? std::string("head") : std::to_string(shape_sig)));
-    Tensor a, p;
+    reps.refresh();
     std::vector<Tensor> raw_a(static_cast<std::size_t>(shards)),
         raw_p(static_cast<std::size_t>(shards));
+    ThreadPool::instance().run_indexed(
+        static_cast<std::size_t>(shards), [&](std::size_t s) {
+          const auto [b, e] = ranges[s];
+          raw_a[s] = clones[s]->encode_batch(
+              {anchors.begin() + b, anchors.begin() + e});
+          raw_p[s] = clones[s]->encode_batch(
+              {positives.begin() + b, positives.begin() + e});
+        });
     std::vector<Tensor> leaf_a, leaf_p;
-    if (reps.active()) {
-      reps.refresh();
-      const auto ranges = shard_ranges(options.expr_batch, shards);
-      ThreadPool::instance().run_indexed(
-          static_cast<std::size_t>(shards), [&](std::size_t s) {
-            const auto [b, e] = ranges[s];
-            raw_a[s] = clones[s]->encode_batch(
-                {anchors.begin() + b, anchors.begin() + e});
-            raw_p[s] = clones[s]->encode_batch(
-                {positives.begin() + b, positives.begin() + e});
-          });
-      for (int s = 0; s < shards; ++s) {
-        leaf_a.push_back(make_tensor(raw_a[static_cast<std::size_t>(s)]->value, true));
-        leaf_p.push_back(make_tensor(raw_p[static_cast<std::size_t>(s)]->value, true));
-      }
-      a = concat_rows(leaf_a);
-      p = concat_rows(leaf_p);
-    } else {
-      a = encoder.encode_batch(anchors);
-      p = encoder.encode_batch(positives);
+    for (std::size_t s = 0; s < raw_a.size(); ++s) {
+      leaf_a.push_back(make_tensor(raw_a[s]->value, true));
+      leaf_p.push_back(make_tensor(raw_p[s]->value, true));
     }
+    const Tensor a = concat_rows(leaf_a);
+    const Tensor p = concat_rows(leaf_p);
     Tensor loss = info_nce(a, p, options.temperature);
     if (options.objective_expr_props) {
       Mat targets(static_cast<int>(anchors.size()), 6);
@@ -343,16 +310,14 @@ std::vector<float> train_expr_phase(
       loss = add(loss, mse_loss(prop_head.forward(a), targets));
     }
     backward(loss);
-    if (reps.active()) {
-      // Continue the backward pass through each shard's replica graph, then
-      // fold replica gradients into the master encoder in shard order.
-      ThreadPool::instance().run_indexed(
-          static_cast<std::size_t>(shards), [&](std::size_t s) {
-            backward_through_leaf(leaf_a[s], raw_a[s]);
-            backward_through_leaf(leaf_p[s], raw_p[s]);
-          });
-      reps.reduce();
-    }
+    // Continue the backward pass through each shard's replica graph, then
+    // fold replica gradients into the master encoder in shard order.
+    ThreadPool::instance().run_indexed(
+        static_cast<std::size_t>(shards), [&](std::size_t s) {
+          backward_through_leaf(leaf_a[s], raw_a[s]);
+          backward_through_leaf(leaf_p[s], raw_p[s]);
+        });
+    reps.reduce();
     check_training_step(loss, params, "pretrain step 1 (expr)", step);
     opt.step();
     losses.push_back(loss->value.v[0]);
@@ -406,8 +371,8 @@ void pretrain_layout_encoder(Gcn& encoder,
   if (layouts.empty()) return;
   Adam opt(encoder.params(), options.aux_lr);
   for (int step = 0; step < options.aux_steps; ++step) {
-    // Sample serially (rng draw order must match the serial trainer), then
-    // fan the pure GCN forwards out across the pool in item order.
+    // Sample serially (the rng draw order must not depend on the width),
+    // then fan the pure GCN forwards out across the pool in item order.
     std::vector<const LayoutGraph*> graphs;
     std::vector<Mat> jittered;
     for (int b = 0; b < options.aux_batch; ++b) {
@@ -700,60 +665,47 @@ PretrainReport pretrain_impl(NetTag& model, const Corpus& corpus,
     tag_start = static_cast<int>(tag_resume->next_step);
   }
 
-  // TAGFormer replicas for the sharded step (width > 1 only).
-  const int tag_shards = std::min(parallel_width(), options.graph_batch);
+  // TAGFormer replicas, one per shard.
+  const int tag_shards = std::min(kTrainShards, options.graph_batch);
+  const auto ranges = shard_ranges(options.graph_batch, tag_shards);
   std::vector<std::unique_ptr<TagFormer>> tf_clones;
   ReplicaSet tf_reps;
-  if (tag_shards > 1) {
-    tf_reps.master = model.tagformer().params();
-    Rng clone_rng(0);
-    for (int s = 0; s < tag_shards; ++s) {
-      tf_clones.push_back(
-          std::make_unique<TagFormer>(model.tagformer().config(), clone_rng));
-      tf_reps.clones.push_back(tf_clones.back()->params());
-    }
+  tf_reps.master = model.tagformer().params();
+  Rng clone_rng(0);
+  for (int s = 0; s < tag_shards; ++s) {
+    tf_clones.push_back(
+        std::make_unique<TagFormer>(model.tagformer().config(), clone_rng));
+    tf_reps.clones.push_back(tf_clones.back()->params());
   }
 
   for (int step = tag_start; step < options.tag_steps; ++step) {
-    // Sample a batch of cones. The sampled cone indices key the planner
-    // signature: the same index sequence rebuilds the same graphs, hence the
-    // same op/shape sequence (mask picks only move slice offsets, which the
-    // tape does not care about).
     std::vector<const PreparedCone*> batch;
-    std::uint64_t cone_sig = 0xcbf29ce484222325ULL;
     for (int b = 0; b < options.graph_batch; ++b) {
-      const std::size_t pick = rng_tag.index(prepared.size());
-      batch.push_back(&prepared[pick]);
-      cone_sig = sig_mix(cone_sig, pick);
+      batch.push_back(&prepared[rng_tag.index(prepared.size())]);
     }
-    plan::PlanScope plan_scope("tag|" + std::to_string(tag_shards) + "|" +
-                               std::to_string(cone_sig));
     const std::size_t bsz = batch.size();
-    const auto ranges = shard_ranges(static_cast<int>(bsz), tag_shards);
 
     // Sharded forwards: each shard runs its items on its own replica; the
     // [CLS] outputs are detached below so the loss head runs on leaves.
     std::vector<Tensor> raw_orig(bsz), raw_aug(bsz);
-    if (tf_reps.active()) {
-      tf_reps.refresh();
-      ThreadPool::instance().run_indexed(
-          static_cast<std::size_t>(tag_shards), [&](std::size_t s) {
-            auto fwd = [&](const Mat& feats,
-                           const std::vector<std::pair<int, int>>& edges) {
-              Tensor adj = make_tensor(tag_adjacency(feats.rows, edges), false);
-              return tf_clones[s]->forward(make_tensor(feats, false), adj);
-            };
-            for (int i = ranges[s].first; i < ranges[s].second; ++i) {
-              const PreparedCone* p = batch[static_cast<std::size_t>(i)];
-              raw_orig[static_cast<std::size_t>(i)] =
-                  fwd(p->features, p->tag.edges).cls;
-              if (options.objective_graph_cl) {
-                raw_aug[static_cast<std::size_t>(i)] =
-                    fwd(p->features_aug, p->tag_aug.edges).cls;
-              }
+    tf_reps.refresh();
+    ThreadPool::instance().run_indexed(
+        static_cast<std::size_t>(tag_shards), [&](std::size_t s) {
+          auto fwd = [&](const Mat& feats,
+                         const std::vector<std::pair<int, int>>& edges) {
+            Tensor adj = make_tensor(tag_adjacency(feats.rows, edges), false);
+            return tf_clones[s]->forward(make_tensor(feats, false), adj);
+          };
+          for (int i = ranges[s].first; i < ranges[s].second; ++i) {
+            const PreparedCone* p = batch[static_cast<std::size_t>(i)];
+            raw_orig[static_cast<std::size_t>(i)] =
+                fwd(p->features, p->tag.edges).cls;
+            if (options.objective_graph_cl) {
+              raw_aug[static_cast<std::size_t>(i)] =
+                  fwd(p->features_aug, p->tag_aug.edges).cls;
             }
-          });
-    }
+          }
+        });
 
     std::vector<Tensor> losses;
     std::vector<Tensor> cls_orig, cls_aug, rtl_rows, layout_rows;
@@ -761,20 +713,14 @@ PretrainReport pretrain_impl(NetTag& model, const Corpus& corpus,
 
     for (std::size_t i = 0; i < bsz; ++i) {
       const PreparedCone* p = batch[i];
-      cls_orig.push_back(
-          tf_reps.active()
-              ? make_tensor(raw_orig[i]->value, true)
-              : model.forward_features(p->features, p->tag.edges).cls);
+      cls_orig.push_back(make_tensor(raw_orig[i]->value, true));
       // #2.3 size prediction on the graph embedding.
       if (options.objective_size) {
         losses.push_back(
             mse_loss(size_head.forward(cls_orig.back()), p->size_target));
       }
       if (options.objective_graph_cl) {
-        cls_aug.push_back(
-            tf_reps.active()
-                ? make_tensor(raw_aug[i]->value, true)
-                : model.forward_features(p->features_aug, p->tag_aug.edges).cls);
+        cls_aug.push_back(make_tensor(raw_aug[i]->value, true));
       }
       if (p->rtl_emb.rows == 1) {
         rtl_rows.push_back(make_tensor(p->rtl_emb, false));
@@ -842,19 +788,17 @@ PretrainReport pretrain_impl(NetTag& model, const Corpus& corpus,
         total = add(total, losses[i]);
       }
       backward(total);
-      if (tf_reps.active()) {
-        ThreadPool::instance().run_indexed(
-            static_cast<std::size_t>(tag_shards), [&](std::size_t s) {
-              for (int i = ranges[s].first; i < ranges[s].second; ++i) {
-                const std::size_t u = static_cast<std::size_t>(i);
-                backward_through_leaf(cls_orig[u], raw_orig[u]);
-                if (options.objective_graph_cl) {
-                  backward_through_leaf(cls_aug[u], raw_aug[u]);
-                }
+      ThreadPool::instance().run_indexed(
+          static_cast<std::size_t>(tag_shards), [&](std::size_t s) {
+            for (int i = ranges[s].first; i < ranges[s].second; ++i) {
+              const std::size_t u = static_cast<std::size_t>(i);
+              backward_through_leaf(cls_orig[u], raw_orig[u]);
+              if (options.objective_graph_cl) {
+                backward_through_leaf(cls_aug[u], raw_aug[u]);
               }
-            });
-        tf_reps.reduce();
-      }
+            }
+          });
+      tf_reps.reduce();
       check_training_step(total, params, "pretrain step 2 (tag)", step);
       opt.step();
       tag_losses.push_back(total->value.v[0]);

@@ -105,8 +105,8 @@ PretrainReport pretrain(NetTag& model, const Corpus& corpus,
 
 /// Continues an interrupted pretrain from options.checkpoint.prefix. The
 /// caller must reconstruct model / options / corpus / rng exactly as the
-/// original run (and run at the same NETTAG_THREADS width); the result is
-/// then bit-identical to the uninterrupted run: deterministic preparation
+/// original run (at any NETTAG_THREADS width); the result is then
+/// bit-identical to the uninterrupted run: deterministic preparation
 /// is replayed from re-derived RNG streams, while trained state (model
 /// parameters, head values, Adam moments, the loop RNG) is restored from
 /// the checkpoint. Throws std::runtime_error on a missing/corrupt

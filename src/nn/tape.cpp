@@ -54,9 +54,9 @@ std::atomic<unsigned long long> g_buffers_coalesced{0};
 
 /// Runs liveness + planning + verification over a recorded tape and installs
 /// the plan (or disables the signature on a failed verdict). Deferred to the
-/// signature's first re-encounter so one-shot graphs — e.g. pre-training
-/// steps whose sampled-batch signature never recurs — pay only the cheap
-/// recording bookkeeping, never the planner. Caller holds the registry lock.
+/// signature's first re-encounter so one-shot graphs — signatures that never
+/// recur — pay only the cheap recording bookkeeping, never the planner.
+/// Caller holds the registry lock.
 void plan_and_install(Entry& e) {
   const LivenessResult live = analyze_liveness(e.tape);
   MemPlan plan =

@@ -9,10 +9,10 @@
 //     is written by exactly one task), so kernel results are bit-identical
 //     to the serial loop at ANY width.
 //   * Reductions that are order-sensitive (gradient accumulation across
-//     data-parallel shards) use per-worker buffers reduced in a fixed shard
-//     order, so runs are bit-identical run-to-run at a fixed width.
-//   * At width 1 every call runs inline on the caller, reproducing the
-//     serial code path exactly (`NETTAG_THREADS=1` == pre-pool behaviour).
+//     data-parallel shards) use per-shard buffers reduced in a fixed shard
+//     order, and the shard count does not depend on the width, so they too
+//     are bit-identical at any width.
+//   * At width 1 every call runs inline on the caller.
 //
 // Width resolution: the NETTAG_THREADS environment variable if set (>= 1),
 // otherwise std::thread::hardware_concurrency(). Tests and benches may

@@ -368,8 +368,8 @@ TEST(PlannerBitIdentity, ClassifierTrainingWidth3) {
   ASSERT_EQ(heap_copy(off), heap_copy(on));
 }
 
-/// One TAGFormer forward as pretraining plans it: forward_features inside an
-/// `embed|N|cols` scope, with the returned embeddings pinned by keep_alive.
+/// One planned TAGFormer forward: forward_features inside an `embed|N|cols`
+/// scope, with the returned embeddings pinned by keep_alive.
 NetTag::ConeEmbedding planned_tagformer_forward(const NetTag& model,
                                                 const Mat& feats,
                                                 const TagGraph& tag) {

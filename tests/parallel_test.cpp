@@ -5,13 +5,15 @@
 //      runs inline instead of deadlocking, chunk partitions cover the range;
 //   2. tensor kernels are ownership-partitioned, so forward AND backward are
 //      bit-identical to the serial path at any width;
-//   3. a full pre-training step is bit-identical run-to-run at a fixed
-//      width (replica gradients reduced in fixed shard order), and the data
-//      it samples is the same at every width.
+//   3. a whole pre-training run is bit-identical at every width: the step
+//      always runs the same fixed number of replica shards, whose gradients
+//      are reduced in shard order, and the data it samples never depends on
+//      the width.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
@@ -155,7 +157,15 @@ TEST(ParallelKernels, BackwardSeededMatchesBackward) {
   }
 }
 
-PretrainReport pretrain_round(int width) {
+/// A short in-memory pretraining run with every objective on (alignment
+/// included, so the auxiliary encoders train too): its report and the
+/// fingerprint of the trained weights.
+struct PretrainRound {
+  PretrainReport report;
+  std::uint32_t params = 0;
+};
+
+PretrainRound pretrain_round(int width) {
   WidthGuard guard(width);
   Rng rng(11);
   CorpusOptions co;
@@ -168,12 +178,15 @@ PretrainReport pretrain_round(int width) {
   po.aux_steps = 2;
   po.max_expressions = 120;
   po.max_cones = 10;
-  return pretrain(model, corpus, po, rng);
+  PretrainRound out;
+  out.report = pretrain(model, corpus, po, rng);
+  out.params = params_fingerprint(model);
+  return out;
 }
 
 TEST(ParallelPretrain, StepDeterministicAcrossRunsAtFixedWidth) {
-  const PretrainReport a = pretrain_round(3);
-  const PretrainReport b = pretrain_round(3);
+  const PretrainReport a = pretrain_round(3).report;
+  const PretrainReport b = pretrain_round(3).report;
   EXPECT_EQ(a.expr_loss_first, b.expr_loss_first);
   EXPECT_EQ(a.expr_loss_last, b.expr_loss_last);
   EXPECT_EQ(a.tag_loss_first, b.tag_loss_first);
@@ -181,12 +194,27 @@ TEST(ParallelPretrain, StepDeterministicAcrossRunsAtFixedWidth) {
 }
 
 TEST(ParallelPretrain, FirstStepLossMatchesSerialAtAnyWidth) {
-  // Replica forwards are value-identical to the serial joint graph, so the
-  // very first loss (before any gradient-order divergence) must match the
-  // serial trainer exactly even at width > 1.
-  const PretrainReport serial = pretrain_round(1);
-  const PretrainReport par = pretrain_round(2);
+  // The first loss comes before any optimizer step: it depends only on the
+  // sampled batch and the initial weights, which no width changes.
+  const PretrainReport serial = pretrain_round(1).report;
+  const PretrainReport par = pretrain_round(2).report;
   EXPECT_EQ(par.expr_loss_first, serial.expr_loss_first);
+}
+
+TEST(ParallelPretrain, WholeRunBitIdenticalAcrossWidths) {
+  // Every width runs the same shards and reduces their gradients in the same
+  // order, so every step's loss and the trained weights match width 1's.
+  const PretrainRound serial = pretrain_round(1);
+  ASSERT_EQ(serial.report.expr_losses.size(), 4u);
+  ASSERT_EQ(serial.report.tag_losses.size(), 3u);
+  for (int width : {2, 3, 4}) {
+    const PretrainRound par = pretrain_round(width);
+    EXPECT_EQ(par.report.expr_losses, serial.report.expr_losses)
+        << "width " << width;
+    EXPECT_EQ(par.report.tag_losses, serial.report.tag_losses)
+        << "width " << width;
+    EXPECT_EQ(par.params, serial.params) << "width " << width;
+  }
 }
 
 /// First TAGFormer loss with no ExprLLM step: it depends only on the sampled
@@ -209,8 +237,8 @@ float first_tag_loss(int width) {
 }
 
 TEST(ParallelPretrain, FirstTagLossMatchesSerialAtAnyWidth) {
-  // Sampled data is independent of pool width: the serial path forks the
-  // same per-cone augmentation streams as the parallel one.
+  // Sampled data is independent of pool width: cone preparation forks the
+  // same per-cone augmentation streams at every width.
   const float serial = first_tag_loss(1);
   EXPECT_EQ(first_tag_loss(2), serial);
   EXPECT_EQ(first_tag_loss(3), serial);

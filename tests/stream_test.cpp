@@ -22,6 +22,7 @@
 #include "netlist/io.hpp"
 #include "nn/train_state.hpp"
 #include "rtlgen/hierarchy.hpp"
+#include "width_guard.hpp"
 
 namespace fs = std::filesystem;
 
@@ -463,6 +464,35 @@ TEST(StreamPretrain, FirstShardInterruptionChainsToIdenticalEnd) {
 
   const RunResult resumed = resume_streaming(prefix);
   expect_identical_params(resumed, baseline);
+  remove_checkpoint(prefix);
+}
+
+TEST(StreamPretrain, ResumeAtAnotherWidthBitIdentical) {
+  const std::string prefix =
+      (fs::temp_directory_path() / "nettag_stream_resume_width").string();
+  RunResult baseline;
+  {
+    const WidthGuard width(2);
+    baseline = run_streaming("", -1);
+  }
+  // Halt inside shard 0's tag phase at width 3, then finish at width 1:
+  // the checkpoint carries no trace of the width it was written at.
+  {
+    const WidthGuard width(3);
+    EXPECT_TRUE(run_streaming(prefix, /*halt_after=*/3).report.interrupted);
+  }
+  const TrainState st = load_train_state(train_state_path(prefix));
+  EXPECT_EQ(st.shard_index, 0u);
+  EXPECT_EQ(st.phase, "tag");
+  RunResult resumed;
+  {
+    const WidthGuard width(1);
+    resumed = resume_streaming(prefix);
+  }
+  EXPECT_FALSE(resumed.report.interrupted);
+  expect_identical_params(resumed, baseline);
+  EXPECT_EQ(resumed.report.expr_losses, baseline.report.expr_losses);
+  EXPECT_EQ(resumed.report.tag_losses, baseline.report.tag_losses);
   remove_checkpoint(prefix);
 }
 

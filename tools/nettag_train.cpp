@@ -6,8 +6,8 @@
 //   nettag_train --resume PREFIX          continue an interrupted run from
 //                                         its last checkpoint; the final
 //                                         state is bit-identical to the
-//                                         uninterrupted run (same
-//                                         NETTAG_THREADS width)
+//                                         uninterrupted run, at any
+//                                         NETTAG_THREADS width
 //   nettag_train --build-corpus DIR       stream a sharded out-of-core
 //                                         corpus into DIR (resumable: a
 //                                         re-run skips committed shards)
@@ -103,13 +103,14 @@ std::string run_manifest_path(const std::string& prefix) {
 
 void write_run_manifest(const std::string& prefix, const RunSpec& s) {
   std::vector<std::pair<std::string, std::string>> entries;
-  // Format 2 adds the `corpus` key (sharded-corpus training). Run manifests
-  // are session-scoped companions of a checkpoint prefix, so there is no
-  // format-1 read path (same policy as TrainState's magic bump).
+  // Format 2 adds the `corpus` key, written only for sharded-corpus runs
+  // (a manifest value cannot be empty). Run manifests are session-scoped
+  // companions of a checkpoint prefix, so there is no format-1 read path
+  // (same policy as TrainState's magic bump).
   entries.emplace_back("format", "2");
   entries.emplace_back("seed", std::to_string(s.seed));
   entries.emplace_back("designs", std::to_string(s.designs));
-  entries.emplace_back("corpus", s.corpus_dir);
+  if (!s.corpus_dir.empty()) entries.emplace_back("corpus", s.corpus_dir);
   entries.emplace_back("tiny", s.tiny ? "1" : "0");
   entries.emplace_back("align", s.align ? "1" : "0");
   entries.emplace_back("expr_steps", std::to_string(s.expr_steps));
@@ -133,7 +134,9 @@ RunSpec read_run_manifest(const std::string& prefix) {
   };
   if (get("format") != "2") throw fail("unknown format '" + get("format") + "'");
   RunSpec s;
-  s.corpus_dir = get("corpus");
+  if (const auto it = kv.find("corpus"); it != kv.end()) {
+    s.corpus_dir = it->second;
+  }
   std::string err;
   if (!cli::parse_u64(get("seed").c_str(), &s.seed, &err)) throw fail(err);
   long long v = 0;
