@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "core/nettag.hpp"
 #include "core/tag.hpp"
 #include "expr/tokenizer.hpp"
@@ -312,48 +313,11 @@ std::vector<RowResult> run_row_benches() {
   return out;
 }
 
-/// The first "model name" line of /proc/cpuinfo, or "unknown".
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const std::size_t colon = line.find(':');
-    if (colon != std::string::npos) {
-      return line.substr(line.find_first_not_of(' ', colon + 1));
-    }
-  }
-  return "unknown";
-}
-
-std::string compiler_name() {
-#if defined(__clang__)
-  return std::string("clang ") + __clang_version__;
-#elif defined(__GNUC__)
-  return std::string("gcc ") + __VERSION__;
-#else
-  return "unknown";
-#endif
-}
-
-/// `text` as a JSON string literal (quotes and backslashes escaped).
-std::string json_str(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out + "\"";
-}
-
 void write_json(const std::vector<GemmResult>& rs,
                 const std::vector<RowResult>& rows) {
   std::ofstream json("BENCH_micro_components.json");
-  json << "{\n  \"bench\": \"micro_components\",\n  \"host\": {\"cpu\": "
-       << json_str(cpu_model()) << ", \"compiler\": "
-       << json_str(compiler_name()) << ", \"simd_backend\": \""
-       << simd_backend_name() << "\", \"pool_width\": " << parallel_width()
-       << "},\n  \"simd_supported\": "
+  json << "{\n  \"bench\": \"micro_components\",\n  \"host\": "
+       << bench::host_json() << ",\n  \"simd_supported\": "
        << (simd_avx2_supported() ? "true" : "false")
        << ",\n  \"default_backend\": \"" << simd_backend_name()
        << "\",\n  \"gemm\": [";

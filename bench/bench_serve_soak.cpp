@@ -1,5 +1,5 @@
 // NetTAG-Serve daemon soak bench: hundreds of concurrent socket clients
-// against one sharded daemon (docs/PERFORMANCE.md §6).
+// against one daemon (docs/PERFORMANCE.md §6).
 //
 // Unlike the other benches this one is multi-PROCESS: the parent hosts the
 // daemon in-process and fork+execs *itself* in `--client` mode, so every
@@ -14,11 +14,13 @@
 //     daemon-transport latency floor (compare BENCH_serve_throughput.json's
 //     single_client, which measures the in-process server without sockets);
 //   * soak          — 24 processes x 8 connections = 192 concurrent clients
-//     hammering the shared-cache daemon; the pass bar is zero protocol
-//     errors and multi-client qps >= the in-process single-client reference;
-//   * forced_shed   — a deliberately starved daemon (1 shard, queue depth 1)
+//     hammering a 4-worker daemon; the pass bar is zero protocol errors and
+//     multi-client qps >= the in-process single-client reference;
+//   * forced_shed   — a deliberately starved daemon (1 worker, queue depth 1)
 //     under cold cache-missing traffic: backpressure must answer `too_busy`
 //     (counted, not an error) and never drop a connection or corrupt a line.
+// Every arm runs kRuns times, each against a fresh daemon loaded from the
+// same checkpoint, and the snapshot records each arm's median/min/max.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -210,8 +212,21 @@ int run_client_mode(int argc, char** argv) {
 
 // --- parent orchestration ---------------------------------------------------
 
+constexpr int kRuns = 3;
+
+struct ArmSpec {
+  const char* mode;
+  int procs, conns, reqs;
+  const char* workload;  ///< "zipf" or "distinct"
+};
+
+/// A daemon's shape and the arms run, in order, against one instance of it.
+struct DaemonSpec {
+  std::size_t workers, queue_depth, cache_entries;
+  std::vector<ArmSpec> arms;
+};
+
 struct ArmResult {
-  std::string mode;
   std::uint64_t requests = 0;  ///< ok + shed (every answered request)
   std::uint64_t shed = 0;
   std::uint64_t protocol_errors = 0;
@@ -222,18 +237,17 @@ struct ArmResult {
 /// Spawns `procs` copies of self in --client mode and aggregates their
 /// tallies. Returns false if any child failed to run at all.
 bool run_clients(const std::string& self_exe, const std::string& spec,
-                 int procs, int conns, int reqs, const char* workload,
-                 ArmResult* result) {
+                 const ArmSpec& arm, ArmResult* result) {
   std::vector<pid_t> pids;
   std::vector<std::string> out_paths;
-  for (int p = 0; p < procs; ++p) {
+  for (int p = 0; p < arm.procs; ++p) {
     const std::string out_path = "/tmp/nettag_soak_" +
                                  std::to_string(::getpid()) + "_" +
                                  std::to_string(p) + ".txt";
     out_paths.push_back(out_path);
     const std::string proc_s = std::to_string(p);
-    const std::string conns_s = std::to_string(conns);
-    const std::string reqs_s = std::to_string(reqs);
+    const std::string conns_s = std::to_string(arm.conns);
+    const std::string reqs_s = std::to_string(arm.reqs);
     const pid_t pid = ::fork();
     if (pid < 0) return false;
     if (pid == 0) {
@@ -241,7 +255,7 @@ bool run_clients(const std::string& self_exe, const std::string& spec,
       // async-signal-safe calls are allowed between fork and exec).
       const char* cargv[] = {self_exe.c_str(), "--client",   spec.c_str(),
                              proc_s.c_str(),  conns_s.c_str(), reqs_s.c_str(),
-                             workload,        out_path.c_str(), nullptr};
+                             arm.workload,    out_path.c_str(), nullptr};
       ::execv(self_exe.c_str(), const_cast<char**>(cargv));
       _exit(127);
     }
@@ -266,6 +280,76 @@ bool run_clients(const std::string& self_exe, const std::string& spec,
     std::remove(path.c_str());
   }
   return all_ok;
+}
+
+/// Runs the arms of `spec` in order against one fresh in-process daemon
+/// loaded from `ckpt`, appending one result per arm to `out`. False when a
+/// client failed to run or when the queue's own shed counter disagrees with
+/// the clients' count of too_busy responses.
+bool run_daemon_arms(const std::string& self_exe, const std::string& ckpt,
+                     const DaemonSpec& spec, std::vector<ArmResult>* out) {
+  serve::ServerConfig sc;
+  sc.cache_entries = spec.cache_entries;
+  serve::Server server(sc, load_checkpoint(ckpt));
+  net::DaemonConfig dc;
+  dc.shards = spec.workers;
+  dc.queue_depth = spec.queue_depth;
+  dc.poll_interval_ms = 20;
+  std::string error;
+  const std::string sock =
+      "/tmp/nettag_soak_" + std::to_string(::getpid()) + ".sock";
+  if (!cli::parse_listen_address(("unix:" + sock).c_str(), &dc.listen,
+                                 &error)) {
+    std::fprintf(stderr, "bench_serve_soak: %s\n", error.c_str());
+    return false;
+  }
+  net::Daemon daemon(server, dc);
+  if (!daemon.start(&error)) {
+    std::fprintf(stderr, "bench_serve_soak: %s\n", error.c_str());
+    return false;
+  }
+  std::atomic<bool> stop{false};
+  std::thread runner([&] { daemon.run(&stop); });
+
+  bool ok = true;
+  std::uint64_t client_shed = 0;
+  for (const ArmSpec& arm : spec.arms) {
+    ArmResult r;
+    Timer t;
+    ok &= run_clients(self_exe, "unix:" + sock, arm, &r);
+    r.seconds = t.seconds();
+    client_shed += r.shed;
+    out->push_back(r);
+  }
+  const std::uint64_t daemon_shed = daemon.shard_pool()->stats().shed;
+  if (daemon_shed != client_shed) {
+    std::fprintf(stderr,
+                 "bench_serve_soak: daemon shed counter %llu != client "
+                 "too_busy count %llu\n",
+                 static_cast<unsigned long long>(daemon_shed),
+                 static_cast<unsigned long long>(client_shed));
+    ok = false;
+  }
+  stop.store(true);
+  runner.join();
+  return ok;
+}
+
+struct Spread {
+  double median = 0, min = 0, max = 0;
+};
+
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return Spread{v[v.size() / 2], v.front(), v.back()};
+}
+
+std::string spread_json(const Spread& s) {
+  char buf[128];
+  std::snprintf(buf, sizeof(buf),
+                "{\"median\": %.6g, \"min\": %.6g, \"max\": %.6g}", s.median,
+                s.min, s.max);
+  return buf;
 }
 
 /// Reads the single_client qps out of the committed throughput bench JSON;
@@ -307,7 +391,7 @@ int main(int argc, char** argv) {
   const std::string self_exe(exe_buf, static_cast<std::size_t>(exe_len));
 
   // Small model, brief pre-training: this bench measures the transport and
-  // sharding layers, not model quality.
+  // queueing layers, not model quality.
   PretrainOptions po;
   po.expr_steps = 8;
   po.tag_steps = 6;
@@ -319,158 +403,119 @@ int main(int argc, char** argv) {
   mc.expr_llm = TextEncoderConfig::tiny();
   bench::Setup setup = bench::make_setup(1, po, mc);
 
-  // The forced-shed arm needs a second server with identical weights;
-  // round-trip through a checkpoint rather than pre-training twice.
+  // Every run's daemons load the same weights from one checkpoint rather
+  // than pre-training again.
   const std::string ckpt = "/tmp/nettag_soak_ckpt";
   save_checkpoint(*setup.model, ckpt);
 
   const int kProcs = 24, kConns = 8, kReqs = 60;
   const int kClients = kProcs * kConns;
-  std::vector<ArmResult> results;
-  bool spawn_ok = true;
-
-  // --- arm 1+2: single client, then the soak, against one shared daemon ---
-  {
-    serve::ServerConfig sc;
-    sc.cache_entries = 512;
-    serve::Server server(sc, std::move(setup.model));
-    net::DaemonConfig dc;
-    dc.shards = 4;
-    dc.queue_depth = 64;
-    dc.poll_interval_ms = 20;
-    std::string error;
-    const std::string sock =
-        "/tmp/nettag_soak_" + std::to_string(::getpid()) + ".sock";
-    if (!cli::parse_listen_address(("unix:" + sock).c_str(), &dc.listen,
-                                   &error)) {
-      std::fprintf(stderr, "bench_serve_soak: %s\n", error.c_str());
-      return 2;
-    }
-    net::Daemon daemon(server, dc);
-    if (!daemon.start(&error)) {
-      std::fprintf(stderr, "bench_serve_soak: %s\n", error.c_str());
-      return 2;
-    }
-    std::atomic<bool> stop{false};
-    std::thread runner([&] { daemon.run(&stop); });
-
-    ArmResult single;
-    single.mode = "single_client";
-    {
-      Timer t;
-      spawn_ok &= run_clients(self_exe, "unix:" + sock, 1, 1, 400, "zipf",
-                              &single);
-      single.seconds = t.seconds();
-    }
-    results.push_back(single);
-
-    ArmResult soak;
-    soak.mode = "soak_" + std::to_string(kClients) + "_clients";
-    {
-      Timer t;
-      spawn_ok &= run_clients(self_exe, "unix:" + sock, kProcs, kConns, kReqs,
-                              "zipf", &soak);
-      soak.seconds = t.seconds();
-    }
-    results.push_back(soak);
-
-    stop.store(true);
-    runner.join();
+  // Arms 1+2 share one daemon (4 workers x 64, a 512-entry cache); arm 3
+  // gets a starved one (1 worker x 1, a 64-entry cache).
+  const std::vector<DaemonSpec> daemons = {
+      {4, 64, 512,
+       {{"single_client", 1, 1, 400, "zipf"},
+        {"soak_192_clients", kProcs, kConns, kReqs, "zipf"}}},
+      {1, 1, 64, {{"forced_shed", 8, 4, 8, "distinct"}}}};
+  struct Arm {
+    const ArmSpec* spec;
+    const DaemonSpec* daemon;
+  };
+  std::vector<Arm> arms;
+  for (const DaemonSpec& d : daemons) {
+    for (const ArmSpec& a : d.arms) arms.push_back({&a, &d});
   }
 
-  // --- arm 3: forced shed on a starved daemon -----------------------------
-  {
-    serve::ServerConfig sc;
-    sc.cache_entries = 64;
-    serve::Server server(sc, load_checkpoint(ckpt));
-    net::DaemonConfig dc;
-    dc.shards = 1;
-    dc.queue_depth = 1;
-    dc.poll_interval_ms = 20;
-    std::string error;
-    const std::string sock =
-        "/tmp/nettag_soak_shed_" + std::to_string(::getpid()) + ".sock";
-    if (!cli::parse_listen_address(("unix:" + sock).c_str(), &dc.listen,
-                                   &error)) {
-      std::fprintf(stderr, "bench_serve_soak: %s\n", error.c_str());
-      return 2;
+  std::vector<std::vector<ArmResult>> runs(arms.size());
+  bool run_ok = true;
+  for (int run = 0; run < kRuns; ++run) {
+    std::vector<ArmResult> results;
+    for (const DaemonSpec& d : daemons) {
+      run_ok &= run_daemon_arms(self_exe, ckpt, d, &results);
     }
-    net::Daemon daemon(server, dc);
-    if (!daemon.start(&error)) {
-      std::fprintf(stderr, "bench_serve_soak: %s\n", error.c_str());
-      return 2;
+    if (results.size() != arms.size()) return 2;  // a daemon did not start
+    for (std::size_t a = 0; a < arms.size(); ++a) {
+      runs[a].push_back(results[a]);
     }
-    std::atomic<bool> stop{false};
-    std::thread runner([&] { daemon.run(&stop); });
-
-    ArmResult shed;
-    shed.mode = "forced_shed";
-    {
-      Timer t;
-      spawn_ok &= run_clients(self_exe, "unix:" + sock, 8, 4, 8, "distinct",
-                              &shed);
-      shed.seconds = t.seconds();
-    }
-    results.push_back(shed);
-
-    // Cross-check: the daemon's own shard counters saw the shed requests.
-    std::uint64_t daemon_shed = 0;
-    for (const auto& s : daemon.shard_pool()->stats()) daemon_shed += s.shed;
-    if (daemon_shed != shed.shed) {
-      std::fprintf(stderr,
-                   "bench_serve_soak: daemon shed counter %llu != client "
-                   "too_busy count %llu\n",
-                   static_cast<unsigned long long>(daemon_shed),
-                   static_cast<unsigned long long>(shed.shed));
-      spawn_ok = false;
-    }
-    stop.store(true);
-    runner.join();
   }
-
   for (const char* suffix : {".ckpt", ".exprllm.bin", ".tagformer.bin"}) {
     std::remove((ckpt + suffix).c_str());
   }
 
+  struct Summary {
+    Spread qps, seconds, shed;
+    std::uint64_t requests = 0, protocol_errors = 0;
+  };
+  std::vector<Summary> summaries;
+  for (const auto& per_arm : runs) {
+    Summary sum;
+    std::vector<double> qps, seconds, shed;
+    for (const ArmResult& r : per_arm) {
+      qps.push_back(r.qps());
+      seconds.push_back(r.seconds);
+      shed.push_back(static_cast<double>(r.shed));
+      sum.requests = std::max(sum.requests, r.requests);
+      sum.protocol_errors += r.protocol_errors;
+    }
+    sum.qps = spread_of(qps);
+    sum.seconds = spread_of(seconds);
+    sum.shed = spread_of(shed);
+    summaries.push_back(sum);
+  }
+
   TextTable table;
-  table.set_header({"Mode", "Requests", "Seconds", "QPS", "Shed", "Errors"});
-  for (const ArmResult& r : results) {
-    char sec[32], qps[32];
-    std::snprintf(sec, sizeof(sec), "%.3f", r.seconds);
-    std::snprintf(qps, sizeof(qps), "%.1f", r.qps());
-    table.add_row({r.mode, std::to_string(r.requests), sec, qps,
-                   std::to_string(r.shed), std::to_string(r.protocol_errors)});
+  table.set_header({"Mode", "Workers x depth", "Requests", "QPS median",
+                    "QPS min-max", "Shed median", "Shed min-max", "Errors"});
+  for (std::size_t a = 0; a < arms.size(); ++a) {
+    const Summary& s = summaries[a];
+    char qps[32], qps_range[48], shed[32], shed_range[48];
+    std::snprintf(qps, sizeof(qps), "%.1f", s.qps.median);
+    std::snprintf(qps_range, sizeof(qps_range), "%.1f-%.1f", s.qps.min,
+                  s.qps.max);
+    std::snprintf(shed, sizeof(shed), "%.0f", s.shed.median);
+    std::snprintf(shed_range, sizeof(shed_range), "%.0f-%.0f", s.shed.min,
+                  s.shed.max);
+    table.add_row({arms[a].spec->mode,
+                   std::to_string(arms[a].daemon->workers) + " x " +
+                       std::to_string(arms[a].daemon->queue_depth),
+                   std::to_string(s.requests), qps, qps_range, shed,
+                   shed_range, std::to_string(s.protocol_errors)});
   }
   table.print(std::cout);
 
   const double reference = reference_single_client_qps();
-  const std::uint64_t total_errors = results[0].protocol_errors +
-                                     results[1].protocol_errors +
-                                     results[2].protocol_errors;
-  const bool multi_exceeds = results[1].qps() >= reference;
-  const bool shed_observed = results[2].shed > 0;
+  std::uint64_t total_errors = 0;
+  for (const Summary& s : summaries) total_errors += s.protocol_errors;
+  const bool multi_exceeds = summaries[1].qps.median >= reference;
+  const bool shed_observed = summaries[2].shed.min > 0;
   const bool pass =
-      spawn_ok && total_errors == 0 && multi_exceeds && shed_observed;
-  std::cout << "# " << kClients << " concurrent clients, "
-            << results[1].requests << " soak requests, " << total_errors
+      run_ok && total_errors == 0 && multi_exceeds && shed_observed;
+  std::cout << "# " << kRuns << " runs per arm; " << kClients
+            << " concurrent clients, " << summaries[1].requests
+            << " soak requests per run, " << total_errors
             << " protocol errors\n"
-            << "# soak qps " << results[1].qps()
+            << "# median soak qps " << summaries[1].qps.median
             << (multi_exceeds ? " exceeds" : " DOES NOT exceed")
             << " in-process single-client reference " << reference << "\n"
-            << "# forced-shed arm shed " << results[2].shed
-            << " requests via too_busy (connections never dropped)\n";
+            << "# forced-shed arm shed at least " << summaries[2].shed.min
+            << " requests per run via too_busy (connections never dropped)\n";
 
   std::ofstream json("BENCH_serve_soak.json");
-  json << "{\n  \"bench\": \"serve_soak\",\n  \"simd\": \""
-       << simd_backend_name() << "\",\n  \"concurrent_clients\": " << kClients
+  json << "{\n  \"bench\": \"serve_soak\",\n  \"host\": " << bench::host_json()
+       << ",\n  \"concurrent_clients\": " << kClients
        << ",\n  \"distinct_netlists\": " << kDistinct
-       << ",\n  \"zipf_alpha\": " << kZipfAlpha << ",\n  \"runs\": [";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const ArmResult& r = results[i];
-    json << (i ? "," : "") << "\n    {\"mode\": \"" << r.mode
-         << "\", \"requests\": " << r.requests << ", \"seconds\": "
-         << r.seconds << ", \"qps\": " << r.qps() << ", \"shed\": " << r.shed
-         << ", \"protocol_errors\": " << r.protocol_errors << "}";
+       << ",\n  \"zipf_alpha\": " << kZipfAlpha
+       << ",\n  \"repetitions\": " << kRuns << ",\n  \"arms\": [";
+  for (std::size_t a = 0; a < arms.size(); ++a) {
+    const Summary& s = summaries[a];
+    json << (a ? "," : "") << "\n    {\"mode\": \"" << arms[a].spec->mode
+         << "\", \"workers\": " << arms[a].daemon->workers
+         << ", \"queue_depth\": " << arms[a].daemon->queue_depth
+         << ", \"requests\": " << s.requests
+         << ",\n     \"qps\": " << spread_json(s.qps)
+         << ",\n     \"seconds\": " << spread_json(s.seconds)
+         << ",\n     \"shed\": " << spread_json(s.shed)
+         << ", \"protocol_errors\": " << s.protocol_errors << "}";
   }
   json << "\n  ],\n  \"reference_single_client_qps\": " << reference
        << ",\n  \"multi_client_qps_exceeds_reference\": "

@@ -4,9 +4,13 @@
 #pragma once
 
 #include <cstdio>
+#include <fstream>
 #include <memory>
+#include <string>
 
 #include "core/pretrain.hpp"
+#include "nn/gemm.hpp"
+#include "util/parallel.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -44,6 +48,49 @@ inline Setup make_setup(int designs_per_family = 6,
       s.pretrain_report.tag_loss_last, s.pretrain_report.cones_used,
       s.pretrain_report.seconds_step1 + s.pretrain_report.seconds_step2);
   return s;
+}
+
+/// The first "model name" line of /proc/cpuinfo, or "unknown".
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos) {
+      return line.substr(line.find_first_not_of(' ', colon + 1));
+    }
+  }
+  return "unknown";
+}
+
+inline std::string compiler_name() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("gcc ") + __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+/// `text` as a JSON string literal (quotes and backslashes escaped).
+inline std::string json_str(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out + "\"";
+}
+
+/// The `host` block of a BENCH_*.json snapshot: CPU, compiler, active SIMD
+/// backend and thread-pool width.
+inline std::string host_json() {
+  return "{\"cpu\": " + json_str(cpu_model()) +
+         ", \"compiler\": " + json_str(compiler_name()) +
+         ", \"simd_backend\": \"" + simd_backend_name() +
+         "\", \"pool_width\": " + std::to_string(parallel_width()) + "}";
 }
 
 }  // namespace nettag::bench

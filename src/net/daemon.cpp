@@ -7,8 +7,6 @@
 #include <cstdio>
 #include <utility>
 
-#include "netlist/io.hpp"
-#include "util/timer.hpp"
 
 namespace nettag::net {
 
@@ -18,7 +16,7 @@ Daemon::Daemon(serve::Server& server, DaemonConfig config)
 Daemon::~Daemon() {
   // The stats extension captures `this`; it must not outlive the daemon.
   server_.set_stats_extension(nullptr);
-  // Tear the shard pool down while the completion queue, its mutex, and the
+  // Tear the worker pool down while the completion queue, its mutex, and the
   // wake pipe are still alive: pool teardown joins workers (an in-flight
   // task's done callback still fires) and answers leftover queued tasks, and
   // those callbacks lock completions_mu_, push into completions_, and write
@@ -52,11 +50,8 @@ bool Daemon::start(std::string* error) {
     if (error) *error = nb_error;
     return false;
   }
-  // The server's result-cache bound is the daemon's total, split across
-  // the shard partitions.
   pool_ = std::make_unique<ShardPool>(server_, config_.shards,
-                                      config_.queue_depth,
-                                      server_.config().cache_entries);
+                                      config_.queue_depth);
   server_.set_stats_extension([this](serve::Json* j) {
     const TransportStats t = transport_stats();
     serve::Json transport = serve::Json::object();
@@ -244,22 +239,6 @@ void Daemon::submit_line(Conn& conn, const std::string& line) {
   if (line.empty()) return;  // blank lines are keep-alive no-ops
   serve::Request request = serve::parse_request(line);
   request.t_start = std::chrono::steady_clock::now();
-  if (serve::is_netlist_op(request.op) &&
-      request.parse_error == serve::ErrorCode::kNone &&
-      !request.netlist_text.empty()) {
-    // Parse once on the transport thread: the route hash needs the
-    // structure, and the shard reuses the parse via Request::pre_parsed.
-    // Parse *failures* stay un-annotated — the shard re-parses and produces
-    // the structured parse error (bad text is cheap to parse twice).
-    try {
-      Timer t;
-      auto parsed =
-          std::make_shared<Netlist>(netlist_from_string(request.netlist_text));
-      server_.metrics().record_stage(serve::Stage::kParse, t.seconds());
-      request.pre_parsed = std::move(parsed);
-    } catch (const std::exception&) {
-    }
-  }
   ++conn.in_flight;
   const std::uint64_t conn_id = conn.id;
   pool_->submit(std::move(request), [this, conn_id](serve::Response r) {
@@ -353,7 +332,7 @@ void Daemon::drain() {
   conns_.clear();
   connections_.store(0, std::memory_order_relaxed);
   // The final-metrics line: the complete `stats` object (requests, stages,
-  // caches, transport, shards) as of the drained state.
+  // caches, transport, queue) as of the drained state.
   std::fprintf(stderr, "nettag_serve: drained; final metrics: %s\n",
                server_.stats_json().c_str());
 }

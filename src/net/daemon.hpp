@@ -4,23 +4,24 @@
 //   * accepts unix-domain or TCP connections (cli::ListenAddress),
 //   * frames NDJSON lines per connection (net/framing.hpp) with bounded
 //     read/write buffering and an idle timeout,
-//   * parses each request once, routes it to a worker shard by WL structural
-//     hash (net/shard.hpp), and
+//   * decodes each request line (serve::parse_request; the netlist text is
+//     parsed later, by admission on a worker) and enqueues it on the one
+//     request queue (net/shard.hpp), and
 //   * flushes completed responses back, in completion order — responses to
 //     one connection may interleave across its in-flight requests, which is
 //     why every request carries an `id` the response echoes.
 //
-// Shard workers hand finished responses back through a mutex-guarded
-// completion queue plus a self-pipe byte, so the transport thread wakes from
-// poll() immediately instead of on the next timeout tick.
+// Workers hand finished responses back through a mutex-guarded completion
+// queue plus a self-pipe byte, so the transport thread wakes from poll()
+// immediately instead of on the next timeout tick.
 //
 // Shutdown: a SIGTERM/SIGINT (observed through the caller's stop flag) or a
 // `shutdown` request triggers a graceful drain — close the listener (stop
-// accepting), stop reading (no new requests), let the shards finish every
+// accepting), stop reading (no new requests), let the workers finish every
 // queued and in-flight request, flush all write buffers, then emit one
-// final-metrics line (the full `stats` JSON, transport and shard sections
+// final-metrics line (the full `stats` JSON, transport and queue sections
 // included) to stderr and return. Hot `reload` requests compose with all of
-// this: they are just another op processed on a shard.
+// this: they are just another op processed on a worker.
 #pragma once
 
 #include <atomic>
@@ -43,9 +44,9 @@ namespace nettag::net {
 
 struct DaemonConfig {
   cli::ListenAddress listen;
-  std::size_t shards = 4;            ///< at most ShardPool::kMaxShards
-  /// Per-shard, at most ShardPool::kMaxQueueDepth; beyond it, netlist ops
-  /// shed.
+  std::size_t shards = 4;  ///< worker threads; at most ShardPool::kMaxShards
+  /// Per worker, at most ShardPool::kMaxQueueDepth: the queue holds
+  /// shards × queue_depth netlist ops; beyond it, they shed.
   std::size_t queue_depth = 64;
   std::size_t max_connections = 512; ///< accepted beyond this: closed at once
   std::size_t max_line_bytes = 8u << 20;  ///< unterminated-line bound
@@ -67,8 +68,8 @@ class Daemon {
   Daemon(const Daemon&) = delete;
   Daemon& operator=(const Daemon&) = delete;
 
-  /// Binds the listener, builds the shard pool, and registers the
-  /// transport/shard stats extension on the server. Returns false with
+  /// Binds the listener, builds the worker pool, and registers the
+  /// transport/queue stats extension on the server. Returns false with
   /// *error on bind/config failure.
   bool start(std::string* error);
 
@@ -81,7 +82,7 @@ class Daemon {
   /// returns 0. `stop` may be null (shutdown requests only).
   int run(const std::atomic<bool>* stop);
 
-  /// Test hook: the shard pool (pause/resume, stats).
+  /// Test hook: the worker pool (pause/resume, stats).
   ShardPool* shard_pool() { return pool_.get(); }
 
   /// Transport counters, as appended to `stats` under "transport".
@@ -116,7 +117,7 @@ class Daemon {
   };
 
   /// One poll() round: deliver completions, accept (when `accepting`), read
-  /// + route (when `reading`), flush writes, reap idle/dead connections.
+  /// + submit (when `reading`), flush writes, reap idle/dead connections.
   void poll_once(int timeout_ms, bool accepting, bool reading);
   void accept_new_connections();
   /// Reads everything available on `conn`; frames and submits lines.
@@ -135,17 +136,17 @@ class Daemon {
   DaemonConfig config_;
   std::unique_ptr<ShardPool> pool_;
   UniqueFd listener_;
-  UniqueFd wake_read_, wake_write_;  ///< self-pipe: shard -> poll wakeup
+  UniqueFd wake_read_, wake_write_;  ///< self-pipe: worker -> poll wakeup
   std::uint16_t tcp_port_ = 0;
   std::uint64_t next_conn_id_ = 1;
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
 
-  /// Completed (conn id, rendered line) pairs from shard workers.
+  /// Completed (conn id, rendered line) pairs from workers.
   std::mutex completions_mu_;
   std::deque<std::pair<std::uint64_t, std::string>> completions_;
 
   // Counters are atomics: the poll thread writes, `stats` requests read from
-  // shard worker threads.
+  // worker threads.
   std::atomic<std::uint64_t> accepts_{0}, rejected_{0}, connections_{0},
       peak_connections_{0}, lines_in_{0}, responses_out_{0}, bytes_in_{0},
       bytes_out_{0}, idle_closed_{0}, oversize_closed_{0},

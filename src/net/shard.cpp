@@ -4,119 +4,55 @@
 #include <chrono>
 #include <string>
 
-#include "serve/canonical.hpp"
-
 namespace nettag::net {
 
-namespace {
-
-/// FNV-1a over raw bytes. Routes two things: the replica name (composed
-/// into every netlist-op route so per-shard cache affinity holds *per
-/// replica*) and — as a fallback — the raw text of netlist ops whose text
-/// failed to parse (the shard reproduces the parse error; any stable shard
-/// works, this just spreads bad traffic instead of pinning it to shard 0).
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::size_t shard_cache_entries(std::size_t total, std::size_t shards) {
-  const std::size_t per = total / (shards ? shards : 1);
-  return per == 0 ? 1 : per;
-}
-
-}  // namespace
-
-ShardPool::ShardPool(serve::Server& server, std::size_t shards,
-                     std::size_t queue_depth, std::size_t total_cache_entries)
+ShardPool::ShardPool(serve::Server& server, std::size_t workers,
+                     std::size_t queue_depth)
     : server_(server),
-      queue_depth_(std::clamp<std::size_t>(queue_depth, 1, kMaxQueueDepth)) {
-  shards = std::clamp<std::size_t>(shards, 1, kMaxShards);
-  const std::size_t per_cache = shard_cache_entries(total_cache_entries,
-                                                    shards);
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(per_cache));
-    shards_.back()->depth_hist.assign(queue_depth_ + 1, 0);
-  }
-  for (auto& s : shards_) {
-    s->worker = std::thread([this, shard = s.get()] { worker_loop(*shard); });
+      capacity_(std::clamp<std::size_t>(workers, 1, kMaxShards) *
+                std::clamp<std::size_t>(queue_depth, 1, kMaxQueueDepth)),
+      depth_hist_(capacity_ + 1, 0) {
+  workers = std::clamp<std::size_t>(workers, 1, kMaxShards);
+  workers_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ShardPool::~ShardPool() {
-  stopping_.store(true, std::memory_order_release);
-  paused_.store(false, std::memory_order_release);
-  for (auto& s : shards_) {
-    std::lock_guard<std::mutex> lk(s->mu);
-    s->cv.notify_all();
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    stopping_ = true;
   }
-  for (auto& s : shards_) {
-    if (s->worker.joinable()) s->worker.join();
-  }
+  cv_.notify_all();
+  for (std::thread& w : workers_) w.join();
   // Any tasks still queued at teardown get an internal-error response so the
   // transport can answer them (normal shutdown drains first; this is the
   // belt-and-braces path).
-  for (auto& s : shards_) {
-    for (Task& task : s->queue) {
-      serve::Response response;
-      response.id = task.request.id;
-      response.op = task.request.op;
-      response.error = serve::ErrorCode::kInternal;
-      response.error_message = "shard pool destroyed with queued requests";
-      if (task.done) task.done(std::move(response));
-    }
-    s->queue.clear();
+  for (Task& task : queue_) {
+    serve::Response response;
+    response.id = task.request.id;
+    response.op = task.request.op;
+    response.error = serve::ErrorCode::kInternal;
+    response.error_message = "shard pool destroyed with queued requests";
+    if (task.done) task.done(std::move(response));
   }
-}
-
-std::size_t ShardPool::route(const serve::Request& request) {
-  const std::size_t n = shards_.size();
-  if (n == 1) return 0;
-  if (serve::is_netlist_op(request.op)) {
-    // The replica name joins the route hash: cache keys are namespaced per
-    // replica (serve/registry.hpp), so the same netlist addressed to two
-    // replicas is two distinct cache entries — composing the name keeps
-    // each entry pinned to one shard (affinity per replica), and spreads
-    // one hot netlist served under many replica names across shards.
-    const std::uint64_t name_hash =
-        fnv1a(request.model.empty() ? std::string(serve::kDefaultModelName)
-                                    : request.model);
-    if (request.pre_parsed) {
-      // Order-insensitive WL hash: renamed *and* reordered isomorphic
-      // netlists route identically, which is what makes per-shard caches an
-      // honest partition of the content-addressed cache.
-      return static_cast<std::size_t>(
-                 serve::structural_hash(*request.pre_parsed, 3, false) ^
-                 name_hash) %
-             n;
-    }
-    return static_cast<std::size_t>(fnv1a(request.netlist_text) ^ name_hash) %
-           n;
-  }
-  return static_cast<std::size_t>(
-             round_robin_.fetch_add(1, std::memory_order_relaxed)) %
-         n;
+  queue_.clear();
 }
 
 void ShardPool::submit(serve::Request request, Done done) {
-  Shard& shard = *shards_[route(request)];
   const bool sheddable = serve::is_netlist_op(request.op);
   {
-    std::lock_guard<std::mutex> lk(shard.mu);
-    ++shard.submitted;
-    const std::size_t depth = shard.queue.size();
-    shard.depth_hist[depth < queue_depth_ ? depth : queue_depth_] += 1;
-    if (!(sheddable && depth >= queue_depth_)) {
-      shard.queue.push_back(Task{std::move(request), std::move(done)});
-      shard.cv.notify_one();
+    std::lock_guard<std::mutex> lk(mu_);
+    ++submitted_;
+    const std::size_t depth = queue_.size();
+    depth_hist_[std::min(depth, capacity_)] += 1;
+    if (!(sheddable && depth >= capacity_)) {
+      queue_.push_back(Task{std::move(request), std::move(done)});
+      cv_.notify_one();
       return;
     }
-    ++shard.shed;
+    ++shed_;
   }
   // Shed path: answer inline with the structured taxonomy error. Counted as
   // an error request in the server metrics so operators see shed load in
@@ -125,9 +61,9 @@ void ShardPool::submit(serve::Request request, Done done) {
   response.id = request.id;
   response.op = request.op;
   response.error = serve::ErrorCode::kTooBusy;
-  response.error_message =
-      "shard queue full (depth " + std::to_string(queue_depth_) +
-      "); retry later";
+  response.error_message = "request queue full (" +
+                           std::to_string(capacity_) +
+                           " queued); retry later";
   const double latency =
       request.t_start.time_since_epoch().count() == 0
           ? 0.0
@@ -138,91 +74,67 @@ void ShardPool::submit(serve::Request request, Done done) {
   if (done) done(std::move(response));
 }
 
-void ShardPool::worker_loop(Shard& shard) {
+void ShardPool::worker_loop() {
+  std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lk(shard.mu);
-      shard.cv.wait(lk, [&] {
-        return stopping_.load(std::memory_order_acquire) ||
-               (!paused_.load(std::memory_order_acquire) &&
-                !shard.queue.empty());
-      });
-      if (stopping_.load(std::memory_order_acquire)) return;
-      task = std::move(shard.queue.front());
-      shard.queue.pop_front();
-      shard.in_flight = true;
-    }
-    serve::Response response = server_.process_on(task.request, &shard.cache);
+    cv_.wait(lk, [&] { return stopping_ || (!paused_ && !queue_.empty()); });
+    if (stopping_) return;
+    Task task = std::move(queue_.front());
+    queue_.pop_front();
+    ++in_flight_;
+    lk.unlock();
+    serve::Response response = server_.submit(std::move(task.request));
     if (task.done) task.done(std::move(response));
-    std::lock_guard<std::mutex> lk(shard.mu);
-    shard.in_flight = false;
-    ++shard.processed;
+    lk.lock();
+    --in_flight_;
+    ++processed_;
   }
 }
 
 std::size_t ShardPool::pending() const {
-  std::size_t total = 0;
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lk(s->mu);
-    total += s->queue.size() + (s->in_flight ? 1 : 0);
-  }
-  return total;
+  std::lock_guard<std::mutex> lk(mu_);
+  return queue_.size() + in_flight_;
 }
 
 void ShardPool::pause() {
-  paused_.store(true, std::memory_order_release);
+  std::lock_guard<std::mutex> lk(mu_);
+  paused_ = true;
 }
 
 void ShardPool::resume() {
-  paused_.store(false, std::memory_order_release);
-  for (auto& s : shards_) {
-    std::lock_guard<std::mutex> lk(s->mu);
-    s->cv.notify_all();
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    paused_ = false;
   }
+  cv_.notify_all();
 }
 
-std::vector<ShardPool::ShardStats> ShardPool::stats() const {
-  std::vector<ShardStats> out;
-  out.reserve(shards_.size());
-  for (const auto& s : shards_) {
-    ShardStats stats;
-    {
-      std::lock_guard<std::mutex> lk(s->mu);
-      stats.submitted = s->submitted;
-      stats.processed = s->processed;
-      stats.shed = s->shed;
-      stats.queue_depth = s->queue.size() + (s->in_flight ? 1 : 0);
-      stats.queue_depth_histogram = s->depth_hist;
-    }
-    stats.cache = s->cache.stats();
-    out.push_back(std::move(stats));
-  }
-  return out;
+ShardPool::QueueStats ShardPool::stats() const {
+  QueueStats stats;
+  stats.workers = workers_.size();
+  std::lock_guard<std::mutex> lk(mu_);
+  stats.submitted = submitted_;
+  stats.processed = processed_;
+  stats.shed = shed_;
+  stats.queue_depth = queue_.size() + in_flight_;
+  stats.queue_depth_histogram = depth_hist_;
+  return stats;
 }
 
 void ShardPool::append_stats(serve::Json* j) const {
-  serve::Json arr = serve::Json::array();
-  serve::ResultCache::Stats total;
-  for (const ShardStats& s : stats()) {
-    serve::Json shard = serve::Json::object();
-    shard.set("submitted", static_cast<double>(s.submitted));
-    shard.set("processed", static_cast<double>(s.processed));
-    shard.set("shed", static_cast<double>(s.shed));
-    shard.set("queue_depth", static_cast<double>(s.queue_depth));
-    serve::Json hist = serve::Json::array();
-    for (const std::uint64_t count : s.queue_depth_histogram) {
-      hist.push_back(static_cast<double>(count));
-    }
-    shard.set("queue_depth_histogram", std::move(hist));
-    shard.set("result_cache", serve::result_cache_json(s.cache));
-    arr.push_back(std::move(shard));
-    total += s.cache;
+  const QueueStats s = stats();
+  serve::Json queue = serve::Json::object();
+  queue.set("workers", static_cast<double>(s.workers));
+  queue.set("submitted", static_cast<double>(s.submitted));
+  queue.set("processed", static_cast<double>(s.processed));
+  queue.set("shed", static_cast<double>(s.shed));
+  queue.set("queue_depth", static_cast<double>(s.queue_depth));
+  serve::Json hist = serve::Json::array();
+  for (const std::uint64_t count : s.queue_depth_histogram) {
+    hist.push_back(static_cast<double>(count));
   }
-  // Shards never touch the server's own cache, so the top-level section
-  // reports the partitions as one cache.
-  j->set("result_cache", serve::result_cache_json(total));
-  j->set("shards", std::move(arr));
+  queue.set("queue_depth_histogram", std::move(hist));
+  j->set("queue", std::move(queue));
 }
 
 }  // namespace nettag::net

@@ -1,37 +1,26 @@
-// Sharded request execution for the NetTAG-Serve daemon
-// (docs/ARCHITECTURE.md §11.3).
+// Request execution for the NetTAG-Serve daemon (docs/ARCHITECTURE.md §11.3).
 //
-// N worker shards, each owning:
-//   * one bounded FIFO queue — the backpressure point. A netlist op arriving
-//     at a full queue is *shed*: it gets an immediate `too_busy` error
-//     response and never queues, so the daemon's memory and latency stay
-//     bounded no matter how hard clients push. Control ops (ping, stats,
-//     shutdown, reload) are never shed — an operator must always be able to
-//     observe and drain a saturated daemon.
-//   * one ResultCache partition. Requests route by the *order-insensitive*
-//     WL structural hash of their netlist, so a renamed/reordered isomorphic
-//     resubmission lands on the same shard and hits that shard's cache —
-//     cache affinity without any cross-shard coordination. (Per-op cache
-//     keys still disambiguate within the shard, exactly as in the
-//     single-cache server.)
+// One bounded FIFO that W worker threads drain. Each worker takes the oldest
+// request and runs it through Server::submit — the same call the stdin loop
+// and in-process callers make — so every path shares the server's one
+// ResultCache, and no request waits while a worker is idle.
 //
-// Shard workers call Server::process_on synchronously: inter-request
-// parallelism comes from running S shards concurrently. The transport thread
-// (net/daemon) parses each netlist once for routing and passes the parse
-// along via Request::pre_parsed, so admission work is not repeated.
+// The queue is the backpressure point: it holds at most W × queue_depth
+// netlist ops. A netlist op arriving at a full queue is *shed*: it gets an
+// immediate `too_busy` error response and never queues, so the daemon's
+// memory and latency stay bounded no matter how hard clients push. Control
+// ops (ping, stats, shutdown, reload) are never shed — an operator must
+// always be able to observe and drain a saturated daemon.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "serve/cache.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 
@@ -39,67 +28,57 @@ namespace nettag::net {
 
 class ShardPool {
  public:
-  /// Completion callback; runs on the shard worker thread (or inline on the
+  /// Completion callback; runs on the worker thread (or inline on the
   /// submitting thread for shed requests). Must be cheap and thread-safe —
   /// the daemon's callback pushes onto a completion queue and wakes poll().
   using Done = std::function<void(serve::Response)>;
 
-  /// Upper bounds on the shard count and the per-shard queue depth; they
-  /// are also the limits of nettag_serve's --shards and --queue-depth. Each
-  /// shard is one worker thread and keeps a queue_depth + 1 bucket
-  /// histogram, which every `stats` response lists.
+  /// Upper bounds on the worker count and the per-worker queue depth; they
+  /// are also the limits of nettag_serve's --shards and --queue-depth. The
+  /// queue keeps a workers × queue_depth + 1 bucket histogram, which every
+  /// `stats` response lists.
   static constexpr std::size_t kMaxShards = 256;
   static constexpr std::size_t kMaxQueueDepth = 4096;
 
-  /// `shards` and `queue_depth` clamp to [1, kMaxShards] and
-  /// [1, kMaxQueueDepth]. `total_cache_entries` is split evenly across the
-  /// shards' result-cache partitions (each at least 1 entry).
-  ShardPool(serve::Server& server, std::size_t shards,
-            std::size_t queue_depth, std::size_t total_cache_entries);
+  /// `workers` and `queue_depth` clamp to [1, kMaxShards] and
+  /// [1, kMaxQueueDepth]; the queue holds at most their product of netlist
+  /// ops.
+  ShardPool(serve::Server& server, std::size_t workers,
+            std::size_t queue_depth);
   ~ShardPool();
 
   ShardPool(const ShardPool&) = delete;
   ShardPool& operator=(const ShardPool&) = delete;
 
-  /// The shard `request` would run on. Netlist ops with a parse route by the
-  /// order-insensitive WL hash (isomorphism-stable); netlist ops whose text
-  /// failed to parse route by a hash of the raw text (the shard will produce
-  /// the parse error); control ops round-robin.
-  std::size_t route(const serve::Request& request);
-
-  /// Enqueues `request` on its route shard, or sheds it with `too_busy` when
-  /// that shard's queue is full (netlist ops only; control ops always
-  /// queue). `done` is invoked exactly once either way.
+  /// Enqueues `request`, or sheds it with `too_busy` when the queue is full
+  /// (netlist ops only; control ops always queue). `done` is invoked exactly
+  /// once either way.
   void submit(serve::Request request, Done done);
 
-  /// Queued + in-flight requests across all shards.
+  /// Queued + in-flight requests.
   std::size_t pending() const;
 
   // --- test hooks ---------------------------------------------------------
-  /// Halts all shard workers before their next dequeue, so tests can fill a
+  /// Halts all workers before their next dequeue, so tests can fill the
   /// queue deterministically and observe the shed path. resume() restarts.
   void pause();
   void resume();
 
-  struct ShardStats {
+  struct QueueStats {
+    std::size_t workers = 0;
     std::uint64_t submitted = 0;
     std::uint64_t processed = 0;
     std::uint64_t shed = 0;
-    std::size_t queue_depth = 0;  ///< current
+    std::size_t queue_depth = 0;  ///< current: queued + in flight
     /// queue_depth_histogram[d] = number of submissions that found d
-    /// requests already queued (d ranges 0..queue_depth; a submission that
-    /// found the queue full was shed and counts in the last bucket).
+    /// requests already queued (d ranges 0..workers × queue_depth; a
+    /// submission that found the queue full counts in the last bucket).
     std::vector<std::uint64_t> queue_depth_histogram;
-    serve::ResultCache::Stats cache;
   };
-  std::vector<ShardStats> stats() const;
+  QueueStats stats() const;
 
-  std::size_t shard_count() const { return shards_.size(); }
-  std::size_t queue_depth() const { return queue_depth_; }
-
-  /// Appends {"shards":[...]} per-shard counters to a stats JSON object and
-  /// replaces its top-level "result_cache" with the sum of the partitions —
-  /// wired into the server via Server::set_stats_extension.
+  /// Appends the {"queue":{...}} counters to a stats JSON object — wired
+  /// into the server via Server::set_stats_extension.
   void append_stats(serve::Json* j) const;
 
  private:
@@ -108,26 +87,22 @@ class ShardPool {
     Done done;
   };
 
-  struct Shard {
-    explicit Shard(std::size_t cache_entries) : cache(cache_entries) {}
-    mutable std::mutex mu;
-    std::condition_variable cv;
-    std::deque<Task> queue;
-    bool in_flight = false;  ///< worker is processing a dequeued task
-    std::uint64_t submitted = 0, processed = 0, shed = 0;
-    std::vector<std::uint64_t> depth_hist;  ///< sized queue_depth + 1
-    serve::ResultCache cache;
-    std::thread worker;
-  };
-
-  void worker_loop(Shard& shard);
+  void worker_loop();
 
   serve::Server& server_;
-  const std::size_t queue_depth_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::uint64_t> round_robin_{0};
-  std::atomic<bool> stopping_{false};
-  std::atomic<bool> paused_{false};
+  /// Netlist ops the queue holds before it sheds: workers × queue_depth.
+  const std::size_t capacity_;
+
+  mutable std::mutex mu_;  ///< guards everything below but workers_
+  std::condition_variable cv_;
+  std::deque<Task> queue_;
+  std::size_t in_flight_ = 0;  ///< dequeued, response not yet delivered
+  std::uint64_t submitted_ = 0, processed_ = 0, shed_ = 0;
+  std::vector<std::uint64_t> depth_hist_;  ///< sized capacity_ + 1
+  bool paused_ = false;
+  bool stopping_ = false;
+
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace nettag::net

@@ -11,9 +11,9 @@ namespace nettag::serve {
 
 const Netlist* Admission::admit(const Request& request, Netlist* local,
                                 Response* response) const {
-  // Stage 1: parse the structural netlist text — unless the daemon's router
-  // already did (it parses once to compute the shard route hash and passes
-  // the structure along; the router records the parse stage time itself).
+  // Stage 1: parse the structural netlist text — unless the caller passed a
+  // parse along in pre_parsed (benchmark/src/replay.cpp, its only user,
+  // times that parse itself).
   Timer t;
   const Netlist* nl = request.pre_parsed.get();
   if (nl == nullptr) {

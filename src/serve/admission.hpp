@@ -2,9 +2,9 @@
 //
 // The first pipeline stage of every netlist request, split out of Server so
 // dispatch / registry / admission are separate concerns: parse the netlist
-// text (unless the daemon's router already did), enforce the size bound,
-// and run the src/analysis lint gate. Rejections are structured error
-// responses (parse_error / too_large / lint_rejected), never exceptions.
+// text, enforce the size bound, and run the src/analysis lint gate.
+// Rejections are structured error responses (parse_error / too_large /
+// lint_rejected), never exceptions.
 // Admission is replica-independent — it runs before a model is touched, so
 // its verdicts are identical for every replica.
 #pragma once
@@ -31,9 +31,10 @@ class Admission {
       : config_(config), metrics_(metrics) {}
 
   /// Parses, bounds, and lints one request's netlist. Returns the admitted
-  /// netlist — request.pre_parsed when the transport parsed it already,
-  /// otherwise *local filled by parsing request.netlist_text — or nullptr
-  /// with response's error/error_message/detail fields set. Thread-safe.
+  /// netlist — *local filled by parsing request.netlist_text, or
+  /// request.pre_parsed when the caller parsed it already (only
+  /// benchmark/src/replay.cpp does) — or nullptr with response's
+  /// error/error_message/detail fields set. Thread-safe.
   const Netlist* admit(const Request& request, Netlist* local,
                        Response* response) const;
 

@@ -34,17 +34,6 @@ class ResultCache {
       return total ? static_cast<double>(hits) / static_cast<double>(total)
                    : 0.0;
     }
-    /// Adds another partition's counters (the daemon's shard partitions
-    /// report as one cache).
-    Stats& operator+=(const Stats& other) {
-      entries += other.entries;
-      capacity += other.capacity;
-      hits += other.hits;
-      misses += other.misses;
-      evictions += other.evictions;
-      collisions += other.collisions;
-      return *this;
-    }
   };
 
   explicit ResultCache(std::size_t max_entries) : map_(max_entries) {}
@@ -96,8 +85,7 @@ class ResultCache {
   std::uint64_t hits_ = 0, misses_ = 0, evictions_ = 0, collisions_ = 0;
 };
 
-/// The `result_cache` object of a `stats` response, for one cache or one
-/// shard partition.
+/// The `result_cache` object of a `stats` response.
 inline Json result_cache_json(const ResultCache::Stats& s) {
   Json j = Json::object();
   j.set("entries", static_cast<double>(s.entries));

@@ -80,8 +80,8 @@ const char* op_name(Op op);
 
 /// True for the ops that carry a netlist and run model work (embed_gates /
 /// embed_cone / embed_circuit / predict). These are the sheddable ops: the
-/// daemon's shards may answer them `too_busy` under load, and they route by
-/// structural hash for cache affinity (src/net/shard.cpp).
+/// daemon may answer them `too_busy` when its request queue is full
+/// (src/net/shard.cpp).
 bool is_netlist_op(Op op);
 
 /// Structured error taxonomy (docs/ARCHITECTURE.md §7.3). Every failure is a
@@ -96,7 +96,7 @@ enum class ErrorCode {
   kUnknownTask,   ///< predict against an unregistered task head
   kUnknownModel,  ///< request named a replica the registry does not hold
   kReloadFailed,  ///< reload/model_load checkpoint missing/corrupt; no swap
-  kTooBusy,       ///< shard queue full — load shed, retry later (src/net)
+  kTooBusy,       ///< request queue full — load shed, retry later (src/net)
   kInternal,      ///< unexpected exception (bug) — reported, not fatal
 };
 
@@ -125,10 +125,10 @@ struct Request {
   std::string parse_message;
   /// Stamped at submission; request latency = completion - t_start.
   std::chrono::steady_clock::time_point t_start{};
-  /// Daemon-internal (never on the wire): the router of src/net parses the
-  /// netlist once to compute the shard route hash and passes the parsed
-  /// structure along, so the shard worker does not parse the text a second
-  /// time. Null on the stdin / in-process paths — process() parses then.
+  /// Never on the wire: an already-parsed netlist that admission uses
+  /// instead of parsing netlist_text. Every shipped path leaves it null;
+  /// benchmark/src/replay.cpp, which times the parse as its own span, is its
+  /// only remaining user.
   std::shared_ptr<const Netlist> pre_parsed;
 };
 

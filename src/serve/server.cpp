@@ -179,7 +179,7 @@ std::string Server::stats_json() const {
 
 Response Server::process_on(const Request& request, ResultCache* cache) {
   // One poisoned input or a throwing task head answers `internal`; it never
-  // unwinds into a caller — least of all a daemon shard worker.
+  // unwinds into a caller — least of all a daemon worker.
   Response response;
   try {
     response = dispatch(request, cache ? cache : &cache_);

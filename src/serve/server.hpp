@@ -15,10 +15,9 @@
 //     each other's entries.
 //
 // Every request runs through process_on, synchronously on the calling
-// thread: the in-process C++ client API and the NDJSON stdin/stdout loop of
-// tools/nettag_serve (submit / handle_line, against the server's own result
-// cache) and the socket daemon's shard workers (src/net, each against its
-// own cache partition).
+// thread, against the server's one result cache: the in-process C++ client
+// API, the NDJSON stdin/stdout loop of tools/nettag_serve (submit /
+// handle_line) and the socket daemon's workers (src/net, through submit).
 #pragma once
 
 #include <atomic>
@@ -105,7 +104,8 @@ class Server {
 
   // --- in-process client API ----------------------------------------------
   /// process_on against the server's own result cache, stamping t_start
-  /// when the caller left it unset.
+  /// when the caller left it unset. The socket daemon's workers call this
+  /// too.
   Response submit(Request request);
 
   // --- wire API (NDJSON lines) --------------------------------------------
@@ -117,16 +117,16 @@ class Server {
   std::string handle_line(const std::string& line);
 
   /// The one request path: runs `request` to completion on the calling
-  /// thread against an explicit result-cache partition (null = the server's
-  /// own cache). The socket daemon's shard workers call it with their own
-  /// partitions, so isomorphic resubmissions routed to the same shard hit
-  /// that shard's cache (docs/ARCHITECTURE.md §11). Thread-safe; any number
-  /// of threads may call concurrently (the model's inference API is const,
-  /// the metrics and caches are internally synchronized). An exception from
-  /// any stage becomes an `internal` error response.
+  /// thread against `cache` (null = the server's own cache). Every shipped
+  /// caller goes through submit; benchmark/src/replay.cpp is the only caller
+  /// that passes a cache of its own, and the argument stays only for it.
+  /// Thread-safe; any number of threads may call concurrently (the model's
+  /// inference API is const, the metrics and caches are internally
+  /// synchronized). An exception from any stage becomes an `internal` error
+  /// response.
   Response process_on(const Request& request, ResultCache* cache);
 
-  /// Appends daemon-owned sections (transport/shard counters) to the JSON a
+  /// Appends daemon-owned sections (transport/queue counters) to the JSON a
   /// `stats` request returns. Set once, before traffic (src/net wires this
   /// at daemon start); the hook runs under the same snapshot as the rest of
   /// the stats object and must be thread-safe.

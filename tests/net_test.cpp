@@ -1,8 +1,7 @@
 // Tests for the src/net daemon subsystem: --listen and --seed parsing, NDJSON
-// framing, WL-hash shard routing with too_busy load shedding, the socket
-// daemon end-to-end over unix and TCP transports, graceful drain with
-// in-flight work, and the SIGTERM-drains-before-exit contract of the serve
-// path.
+// framing, the worker queue with too_busy load shedding, the socket daemon
+// end-to-end over unix and TCP transports, graceful drain with in-flight
+// work, and the SIGTERM-drains-before-exit contract of the serve path.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -25,7 +24,6 @@
 #include "net/daemon.hpp"
 #include "net/framing.hpp"
 #include "net/shard.hpp"
-#include "netlist/io.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -220,7 +218,7 @@ TEST(LineBuffer, CompleteLineWithinBoundSurvivesIncrementalFeeds) {
   EXPECT_EQ(line, std::string(16, 'x'));
 }
 
-// --- shard routing + shedding ----------------------------------------------
+// --- worker queue + shedding ------------------------------------------------
 
 const char* kAndNetlist =
     "module m source synthetic\n"
@@ -259,7 +257,6 @@ Request embed_request(const char* text, Op op = Op::kEmbedGates) {
   Request r;
   r.op = op;
   r.netlist_text = text;
-  r.pre_parsed = std::make_shared<Netlist>(netlist_from_string(text));
   return r;
 }
 
@@ -272,27 +269,55 @@ std::future<Response> pool_submit(ShardPool& pool, Request request) {
   return future;
 }
 
-TEST(ShardPool, RoutesIsomorphicRequestsToSameShard) {
+TEST(ShardPool, NoRequestWaitsWhileAWorkerIsIdle) {
   auto server = make_server();
-  ShardPool pool(*server, 8, 4, 64);
-  const std::size_t a = pool.route(embed_request(kAndNetlist));
-  const std::size_t renamed = pool.route(embed_request(kAndRenamed));
-  EXPECT_EQ(a, renamed);  // WL hash ignores names → cache affinity
-  // Repeated routing of the identical request is deterministic.
-  EXPECT_EQ(pool.route(embed_request(kAndNetlist)), a);
+  // A task head that holds its worker until the test opens the latch.
+  std::promise<void> latch;
+  const std::shared_future<void> open = latch.get_future().share();
+  std::atomic<bool> entered{false};
+  server->register_task(
+      "hold", [open, &entered](const NetTag&, const Netlist&) {
+        entered.store(true);
+        open.wait();
+        return std::vector<double>{1.0};
+      });
+  ShardPool pool(*server, 2, 4);
+
+  Request predict = embed_request(kAndNetlist, Op::kPredict);
+  predict.task = "hold";
+  auto held = pool_submit(pool, std::move(predict));
+  for (int i = 0; i < 2000 && !entered.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  // The same netlist again: the second worker is idle, so it must take the
+  // request instead of leaving it queued behind the held one.
+  auto second = pool_submit(pool, embed_request(kAndNetlist));
+  const bool second_done = second.wait_for(std::chrono::seconds(10)) ==
+                           std::future_status::ready;
+  const bool first_held = held.wait_for(std::chrono::seconds(0)) !=
+                          std::future_status::ready;
+  latch.set_value();
+  EXPECT_TRUE(entered.load());
+  EXPECT_TRUE(second_done) << "embed_gates waited behind the held predict";
+  EXPECT_TRUE(first_held);
+  const Response embed = second.get();
+  EXPECT_TRUE(embed.ok()) << embed.error_message;
+  const Response head = held.get();
+  EXPECT_TRUE(head.ok()) << head.error_message;
 }
 
 TEST(ShardPool, SaturatedQueueShedsWithTooBusy) {
   auto server = make_server();
-  const std::size_t kDepth = 2;
-  ShardPool pool(*server, 1, kDepth, 64);
-  pool.pause();  // workers hold; queue fills deterministically
+  const std::size_t kWorkers = 2, kDepth = 2;
+  const std::size_t kCapacity = kWorkers * kDepth;
+  ShardPool pool(*server, kWorkers, kDepth);
+  pool.pause();  // workers hold; the queue fills deterministically
 
   std::vector<std::future<Response>> accepted;
-  for (std::size_t i = 0; i < kDepth; ++i) {
+  for (std::size_t i = 0; i < kCapacity; ++i) {
     accepted.push_back(pool_submit(pool, embed_request(kAndNetlist)));
   }
-  // Queue is now full: the next netlist op must shed, inline.
+  // The queue is now full: the next netlist op must shed, inline.
   auto shed = pool_submit(pool, embed_request(kOrNetlist));
   ASSERT_EQ(shed.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);
@@ -307,12 +332,15 @@ TEST(ShardPool, SaturatedQueueShedsWithTooBusy) {
   EXPECT_NE(stats_future.wait_for(std::chrono::seconds(0)),
             std::future_status::ready);  // queued, not shed
 
-  const auto counters = pool.stats();
-  ASSERT_EQ(counters.size(), 1u);
-  EXPECT_EQ(counters[0].shed, 1u);
-  EXPECT_EQ(counters[0].submitted, kDepth + 2);
-  // The depth histogram's last bucket holds the full-queue observation.
-  EXPECT_GE(counters[0].queue_depth_histogram.back(), 1u);
+  const ShardPool::QueueStats counters = pool.stats();
+  EXPECT_EQ(counters.workers, kWorkers);
+  EXPECT_EQ(counters.shed, 1u);
+  EXPECT_EQ(counters.submitted, kCapacity + 2);
+  EXPECT_EQ(counters.queue_depth, kCapacity + 1);
+  // One bucket per depth 0..capacity; the last holds the full-queue
+  // observations (the shed op and the stats op).
+  ASSERT_EQ(counters.queue_depth_histogram.size(), kCapacity + 1);
+  EXPECT_EQ(counters.queue_depth_histogram.back(), 2u);
 
   pool.resume();
   for (auto& f : accepted) {
@@ -320,40 +348,6 @@ TEST(ShardPool, SaturatedQueueShedsWithTooBusy) {
     EXPECT_TRUE(r.ok()) << r.error_message;
   }
   EXPECT_TRUE(stats_future.get().ok());
-}
-
-TEST(ShardPool, RouteComposesReplicaNameIntoTheHash) {
-  auto server = make_server();
-  ShardPool pool(*server, 8, 4, 64);
-
-  // Per replica the v1 properties hold: deterministic, name-invariant.
-  Request alpha = embed_request(kAndNetlist);
-  alpha.model = "alpha";
-  const std::size_t alpha_shard = pool.route(alpha);
-  EXPECT_EQ(pool.route(alpha), alpha_shard);
-  Request alpha_renamed = embed_request(kAndRenamed);
-  alpha_renamed.model = "alpha";
-  EXPECT_EQ(pool.route(alpha_renamed), alpha_shard);
-
-  // An absent model field routes exactly like the explicit default name, so
-  // v1 and spelled-out-v2 clients land on the same shard cache.
-  Request bare = embed_request(kAndNetlist);
-  Request spelled = embed_request(kAndNetlist);
-  spelled.model = "default";
-  EXPECT_EQ(pool.route(bare), pool.route(spelled));
-
-  // The replica name participates in placement: one netlist fanned across
-  // many replicas spreads over shards instead of hot-spotting one.
-  std::vector<std::size_t> shards;
-  for (const char* name : {"alpha", "beta", "gamma", "delta", "epsilon",
-                           "zeta", "eta", "theta"}) {
-    Request r = embed_request(kAndNetlist);
-    r.model = name;
-    shards.push_back(pool.route(r));
-  }
-  bool spread = false;
-  for (const std::size_t s : shards) spread = spread || s != shards[0];
-  EXPECT_TRUE(spread);
 }
 
 // --- daemon end-to-end ------------------------------------------------------
@@ -423,8 +417,8 @@ TEST(Daemon, ServesConcurrentClientsOverUnixSocket) {
   EXPECT_EQ(j.find("id")->as_string(), "p1");
   EXPECT_EQ(j.find("status")->as_string(), "ok");
 
-  // First embed computes; the renamed isomorphic resubmission must land on
-  // the same shard and replay from that shard's cache partition.
+  // First embed computes; the renamed isomorphic resubmission must replay
+  // from the server's result cache, whichever worker takes it.
   ASSERT_TRUE(client.request(request_line("e1", "embed_gates", kAndNetlist),
                              &response, &err))
       << err;
@@ -447,7 +441,7 @@ TEST(Daemon, ServesConcurrentClientsOverUnixSocket) {
   ASSERT_TRUE(Json::parse(response, &j, &err)) << response;
   EXPECT_EQ(j.find("status")->as_string(), "ok") << response;
 
-  // Stats carries the transport and shard sections the daemon registered.
+  // Stats carries the transport and queue sections the daemon registered.
   ASSERT_TRUE(client.request(request_line("s1", "stats", nullptr), &response,
                              &err))
       << err;
@@ -458,9 +452,9 @@ TEST(Daemon, ServesConcurrentClientsOverUnixSocket) {
   ASSERT_NE(transport, nullptr) << response;
   EXPECT_GE(transport->find("accepts")->as_int(), 2);
   EXPECT_GE(transport->find("responses_out")->as_int(), 4);
-  const Json* shards = result->find("shards");
-  ASSERT_NE(shards, nullptr) << response;
-  EXPECT_EQ(shards->items().size(), 2u);
+  const Json* queue = result->find("queue");
+  ASSERT_NE(queue, nullptr) << response;
+  EXPECT_EQ(queue->find("workers")->as_int(), 2);
 
   // Malformed line → structured error response, connection stays usable.
   ASSERT_TRUE(client.request("this is not json", &response, &err)) << err;
@@ -631,50 +625,79 @@ TEST(Daemon, ThrowingTaskHeadAnswersInternalAndKeepsServing) {
   EXPECT_EQ(j.find("status")->as_string(), "ok") << response;
 }
 
-TEST(Daemon, TopLevelResultCacheSumsShardPartitions) {
-  const std::string path = unique_sock_path("cachesum");
+TEST(Daemon, WorkersShareTheServersResultCache) {
+  const std::string path = unique_sock_path("cache");
   DaemonConfig cfg;
   std::string err;
   ASSERT_TRUE(cli::parse_listen_address(("unix:" + path).c_str(), &cfg.listen,
                                         &err))
       << err;
   cfg.shards = 2;
+  cfg.queue_depth = 8;
   cfg.poll_interval_ms = 20;
-  DaemonFixture fx(cfg);
+  ServerConfig sc;
+  sc.cache_entries = 37;  // odd: a split across two workers would show
+  DaemonFixture fx(cfg, sc);
   ASSERT_TRUE(fx.runner.joinable());
 
   Client client;
   ASSERT_TRUE(client.connect("unix:" + path, &err)) << err;
   std::string response;
+  Json j;
   int n = 0;
-  for (const char* text : {kAndNetlist, kAndRenamed, kOrNetlist, kOrNetlist}) {
+  // Each resubmission, renamed or not, replays its original entry whichever
+  // worker runs it.
+  for (const auto& [text, cached] :
+       {std::pair{kAndNetlist, false}, std::pair{kAndRenamed, true},
+        std::pair{kOrNetlist, false}, std::pair{kOrNetlist, true}}) {
     ASSERT_TRUE(client.request(
         request_line("e" + std::to_string(n++), "embed_gates", text),
         &response, &err))
         << err;
+    ASSERT_TRUE(Json::parse(response, &j, &err)) << response;
+    ASSERT_EQ(j.find("status")->as_string(), "ok") << response;
+    EXPECT_EQ(j.find("cached")->as_bool(), cached) << response;
   }
   ASSERT_TRUE(client.request(request_line("s", "stats", nullptr), &response,
                              &err))
       << err;
-  Json j;
   ASSERT_TRUE(Json::parse(response, &j, &err)) << response;
   const Json* result = j.find("result");
   ASSERT_NE(result, nullptr) << response;
-  double hits = 0, misses = 0, capacity = 0;
-  for (const Json& shard : result->find("shards")->items()) {
-    const Json* cache = shard.find("result_cache");
-    ASSERT_NE(cache, nullptr) << response;
-    EXPECT_NE(cache->find("hit_rate"), nullptr) << response;
-    hits += cache->find("hits")->as_number();
-    misses += cache->find("misses")->as_number();
-    capacity += cache->find("capacity")->as_number();
-  }
-  const Json* total = result->find("result_cache");
-  ASSERT_NE(total, nullptr) << response;
-  EXPECT_EQ(total->find("hits")->as_number(), hits);
-  EXPECT_GT(total->find("hits")->as_number(), 0.0);
-  EXPECT_EQ(total->find("misses")->as_number(), misses);
-  EXPECT_EQ(total->find("capacity")->as_number(), capacity);
+  EXPECT_EQ(result->find("shards"), nullptr) << response;
+
+  // The top-level result_cache is the server's one cache, unsplit.
+  const Json* cache = result->find("result_cache");
+  ASSERT_NE(cache, nullptr) << response;
+  const serve::ResultCache::Stats own = fx.server->cache().stats();
+  EXPECT_EQ(own.capacity, 37u);
+  EXPECT_EQ(own.hits, 2u);
+  EXPECT_EQ(own.misses, 2u);
+  EXPECT_EQ(cache->find("capacity")->as_number(), 37.0);
+  EXPECT_EQ(cache->find("entries")->as_number(),
+            static_cast<double>(own.entries));
+  EXPECT_EQ(cache->find("hits")->as_number(), static_cast<double>(own.hits));
+  EXPECT_EQ(cache->find("misses")->as_number(),
+            static_cast<double>(own.misses));
+  EXPECT_EQ(cache->find("evictions")->as_number(),
+            static_cast<double>(own.evictions));
+  EXPECT_EQ(cache->find("collisions")->as_number(),
+            static_cast<double>(own.collisions));
+
+  const Json* queue = result->find("queue");
+  ASSERT_NE(queue, nullptr) << response;
+  EXPECT_EQ(queue->find("workers")->as_int(), 2);
+  EXPECT_EQ(queue->find("submitted")->as_int(), 5);  // four embeds + stats
+  EXPECT_EQ(queue->find("shed")->as_int(), 0);
+  // The stats op itself is still in flight; a worker may not have counted
+  // the last embed as processed yet, but every request is in one place.
+  EXPECT_GE(queue->find("queue_depth")->as_int(), 1);
+  EXPECT_EQ(queue->find("processed")->as_int() +
+                queue->find("queue_depth")->as_int(),
+            5);
+  const Json* hist = queue->find("queue_depth_histogram");
+  ASSERT_NE(hist, nullptr) << response;
+  EXPECT_EQ(hist->items().size(), 2u * 8u + 1u);
 }
 
 TEST(Daemon, DestructionAfterDrainTimeoutWithQueuedWorkIsSafe) {
@@ -716,7 +739,7 @@ TEST(StopSignals, SigtermDuringInFlightBatchStillYieldsWellFormedResponses) {
   stop_signal_flag()->store(false);
 
   auto server = make_server();
-  ShardPool pool(*server, 2, 8, 64);
+  ShardPool pool(*server, 2, 8);
   pool.pause();  // requests queue; they run on resume
   std::vector<std::future<Response>> futures;
   futures.push_back(pool_submit(

@@ -1107,10 +1107,10 @@ TEST(Server, ModelUnloadDrainsQueuedRequestsWithUnknownModel) {
   std::string err;
   ASSERT_TRUE(server.load_model("a", p, -1, &err)) << err;
 
-  // Queue traffic for "a" behind a paused shard pool, then unload the
+  // Queue traffic for "a" behind a paused worker pool, then unload the
   // replica out from under it. The queued requests must drain as
   // unknown_model — never crash into a dangling model pointer.
-  net::ShardPool pool(server, 1, 8, 64);
+  net::ShardPool pool(server, 1, 8);
   pool.pause();
   std::vector<std::future<Response>> queued;
   for (int i = 0; i < 4; ++i) {

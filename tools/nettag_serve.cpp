@@ -10,7 +10,7 @@
 //                                         socket daemon (docs §11): serve the
 //                                         same NDJSON protocol to concurrent
 //                                         clients on a unix path or TCP port,
-//                                         sharded, with too_busy load shedding
+//                                         with too_busy load shedding
 //   nettag_serve --connect ADDR           client: forward stdin request lines
 //                                         to a running daemon, print response
 //                                         lines on stdout
@@ -26,17 +26,18 @@
 //                          "default" (the replica requests without a
 //                          "model" field target)
 //   --max-gates N          admission size bound (default 20000)
-//   --cache-entries N      result-cache bound (default 256; the daemon splits
-//                          it across shard partitions)
+//   --cache-entries N      result-cache bound (default 256): one cache that
+//                          the stdin loop and every daemon worker share
 //   --text-cache-entries N frozen-text-embedding cache bound (default 4096;
 //                          one cache shared by all replicas and reloads)
 //   --reject-warnings      strict admission: lint warnings also reject
 // Flags (daemon):
 //   --listen ADDR          unix:/path/to.sock or host:port (port 0 = pick one)
-//   --shards N             worker shards / cache partitions (default 4, at
-//                          most 256)
-//   --queue-depth K        per-shard queue bound; beyond it netlist ops are
-//                          shed with too_busy (default 64, at most 4096)
+//   --shards N             worker threads draining one request queue
+//                          (default 4, at most 256)
+//   --queue-depth K        queue bound per worker: the queue holds N x K
+//                          netlist ops, beyond which they are shed with
+//                          too_busy (default 64, at most 4096)
 //
 // A count flag outside its range exits 2 with a message naming the flag.
 //
@@ -49,7 +50,7 @@
 // runtime. Bad requests are per-request error responses, never daemon
 // failures. The stdin loop is deliberately serial — each line is processed
 // to completion before the next is read, so a replayed request file yields
-// byte-identical output. Concurrent requests run across daemon shards.
+// byte-identical output. Concurrent requests run across daemon workers.
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -79,17 +80,23 @@ void usage(std::FILE* to) {
                "Serves gate/cone/circuit embeddings and task predictions for\n"
                "pre-trained NetTAG checkpoints over newline-delimited JSON\n"
                "on stdin/stdout, or — with --listen unix:/path or host:port —\n"
-               "as a sharded socket daemon for concurrent clients. --model is\n"
+               "as a socket daemon for concurrent clients. --model is\n"
                "repeatable: each flag loads one named replica (default name\n"
                "\"default\"), independently hot-reloadable and addressable by\n"
                "the request \"model\" field. --connect bridges stdin/stdout\n"
                "to a running daemon. --text-cache-entries (default %zu)\n"
-               "bounds the one text-embedding cache all replicas share.\n"
-               "--shards (default 4) takes at most %zu and --queue-depth\n"
-               "(default 64) at most %zu. See docs/ARCHITECTURE.md sections\n"
-               "7, 11 and 12 for the protocol grammar, error taxonomy,\n"
-               "`stats` fields, daemon design, and the model registry.\n",
-               TextEmbeddingCache::kDefaultEntries, net::ShardPool::kMaxShards,
+               "bounds the one text-embedding cache all replicas share, and\n"
+               "--cache-entries (default %zu) the one result cache that the\n"
+               "stdin loop and every daemon worker share. --shards (default\n"
+               "4, at most %zu) counts the daemon's worker threads, which\n"
+               "drain one request queue; --queue-depth (default 64, at most\n"
+               "%zu) is per worker, so the queue holds shards x depth netlist\n"
+               "ops before it sheds with too_busy. See docs/ARCHITECTURE.md\n"
+               "sections 7, 11 and 12 for the protocol grammar, error\n"
+               "taxonomy, `stats` fields, daemon design, and the model\n"
+               "registry.\n",
+               TextEmbeddingCache::kDefaultEntries,
+               serve::ServerConfig{}.cache_entries, net::ShardPool::kMaxShards,
                net::ShardPool::kMaxQueueDepth);
 }
 
