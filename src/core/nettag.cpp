@@ -53,8 +53,7 @@ std::vector<float> NetTag::cached_text_embedding(const std::string& attr) const 
   if (text_cache_->lookup(key, &row)) return row;
   // Encode outside the cache lock; a racing duplicate encode produces the
   // identical value, so which thread's insert wins does not affect results.
-  const Mat emb = expr_llm_->infer_ids(ids);
-  row.assign(emb.v.begin(), emb.v.end());
+  row = expr_llm_->infer_ids(ids).v;
   text_cache_->insert(key, row);
   return row;
 }

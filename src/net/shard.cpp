@@ -84,16 +84,22 @@ void ShardPool::worker_loop() {
     ++in_flight_;
     lk.unlock();
     serve::Response response = server_.submit(std::move(task.request));
-    if (task.done) task.done(std::move(response));
+    // Counted before delivery, so a client that reads its answer and sends
+    // `stats` at once sees the request processed and out of queue_depth.
     lk.lock();
     --in_flight_;
     ++processed_;
+    ++delivering_;
+    lk.unlock();
+    if (task.done) task.done(std::move(response));
+    lk.lock();
+    --delivering_;
   }
 }
 
 std::size_t ShardPool::pending() const {
   std::lock_guard<std::mutex> lk(mu_);
-  return queue_.size() + in_flight_;
+  return queue_.size() + in_flight_ + delivering_;
 }
 
 void ShardPool::pause() {

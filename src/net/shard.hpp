@@ -55,7 +55,7 @@ class ShardPool {
   /// once either way.
   void submit(serve::Request request, Done done);
 
-  /// Queued + in-flight requests.
+  /// Queued, in-flight and not yet delivered requests.
   std::size_t pending() const;
 
   // --- test hooks ---------------------------------------------------------
@@ -69,7 +69,7 @@ class ShardPool {
     std::uint64_t submitted = 0;
     std::uint64_t processed = 0;
     std::uint64_t shed = 0;
-    std::size_t queue_depth = 0;  ///< current: queued + in flight
+    std::size_t queue_depth = 0;  ///< current: queued + in flight (unanswered)
     /// queue_depth_histogram[d] = number of submissions that found d
     /// requests already queued (d ranges 0..workers × queue_depth; a
     /// submission that found the queue full counts in the last bucket).
@@ -96,7 +96,8 @@ class ShardPool {
   mutable std::mutex mu_;  ///< guards everything below but workers_
   std::condition_variable cv_;
   std::deque<Task> queue_;
-  std::size_t in_flight_ = 0;  ///< dequeued, response not yet delivered
+  std::size_t in_flight_ = 0;   ///< dequeued, not yet answered
+  std::size_t delivering_ = 0;  ///< answered, completion callback running
   std::uint64_t submitted_ = 0, processed_ = 0, shed_ = 0;
   std::vector<std::uint64_t> depth_hist_;  ///< sized capacity_ + 1
   bool paused_ = false;

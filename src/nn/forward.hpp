@@ -1,12 +1,11 @@
 // Forward kernels: the value arithmetic of the autograd ops the encoders use,
 // one function per op, on plain matrices.
 //
-// The autograd op in nn/tensor.cpp calls the kernel on a buffer from the
-// memory planner and wraps the result in a graph node; the value-only
-// inference path (Linear::infer ... TagFormer::infer, TextEncoder::infer_ids)
-// calls the same kernel on plain heap buffers and keeps no graph. Sharing the
-// function is what makes the two paths bit-identical under every SIMD backend
-// and pool width.
+// The autograd op in nn/tensor.cpp calls the kernel and wraps the result in a
+// graph node; the value-only inference path (Linear::infer ...
+// TagFormer::infer, TextEncoder::infer_ids) calls the same kernel and keeps
+// no graph. Sharing the function is what makes the two paths bit-identical
+// under every SIMD backend and pool width.
 //
 // softmax_row, gelu and layernorm_rows (and the gelu op's backward) dispatch
 // on simd_backend() (nn/gemm.hpp), like the GEMMs: the scalar loops in

@@ -6,8 +6,8 @@
 // The encoder layers have two forwards. `forward` builds the autograd graph
 // for training. `infer` computes the same values on plain matrices for
 // callers that need no gradients: it runs the same kernels (nn/forward.hpp)
-// in the same order, so its bytes equal forward()'s, and it keeps no graph,
-// no gradient buffers and no memory-planner hooks.
+// in the same order, so its bytes equal forward()'s, and it keeps no graph
+// and no gradient buffers.
 #pragma once
 
 #include <memory>

@@ -1,187 +1,28 @@
-// Autograd tape recording and planned replay (the control half of the static
-// memory planner).
-//
-// A PlanScope wraps one training/inference step on one thread. The first
-// scope for a given shape signature RECORDS: every op built through make_op
-// appends a tape entry (op name, output shape, parent slots, declared
-// temporaries) and the backward sweep appends its execution order. At scope
-// end the tape is analyzed (nn/liveness.hpp), planned into arena offsets
-// (nn/memplan.hpp), and independently re-checked (analysis/plan_verify.hpp);
-// only a verified plan is installed. Later scopes with the same signature
-// REPLAY: each op is verified against the tape as it is built and its output
-// and gradient buffers are served from the thread's arena slab at the planned
-// offsets.
-//
-// Safety model. All buffer definitions happen during the forward phase, so
-// intra-step byte sharing only ever reuses bytes of a *value* buffer that the
-// tape proved dead. If a replayed step diverges from its tape (any op, shape,
-// parent edge, or backward root mismatch), the scope immediately copies every
-// still-live planned node buffer back to the heap (materialization), stops
-// serving the arena, and disables the signature — execution continues with
-// exactly the heap-allocated semantics, only slower. Temporaries get private,
-// never-shared offsets so closure-captured buffers stay intact without
-// tracking. Recording steps allocate from the heap and are bit-identical to
-// planning disabled; replay changes only where bytes live, never their
-// values.
-//
-// NETTAG_PLAN=0 disables everything (scopes become no-ops, allocation
-// behaviour is exactly the pre-planner code path). Deep-check mode also
-// disables planning: its post-backward gradient sweep reads buffers later
-// than the tape's liveness model allows.
+// Inert remains of the deleted arena memory planner. Nothing in the library
+// includes this header: only the repository benchmark still names the API
+// (benchmark/src/replay.cpp and benchmark/src/train.cpp). Scopes do nothing
+// and every counter reads 0. Delete it once the benchmark calls the library
+// instead of its own copies (ROADMAP item 1).
 #pragma once
 
-#include <cstddef>
-#include <initializer_list>
-#include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "nn/tensor.hpp"
 
 namespace nettag::plan {
 
-/// One recorded op: the data make_op sees, plus the temporaries the op
-/// implementation declared through tmp_mat before calling make_op.
-struct TapeEntry {
-  std::string op;
-  int rows = 0;
-  int cols = 0;
-  bool requires_grad = false;
-  bool value_planned = false;  ///< output was requested via out_mat/out_copy
-  std::vector<int> parents;    ///< tape slots; -1 = leaf or unplanned parent
-  std::vector<std::pair<int, int>> temps;  ///< shapes, in request order
-};
-
-/// One step's recorded graph: forward ops in creation order plus the
-/// backward execution order (tape slots of nodes whose closures ran, in run
-/// order) and the root slot of each run_backward invocation (-1 when the
-/// backward entered through an unplanned node, e.g. backward_seeded leaves).
-struct Tape {
-  std::vector<TapeEntry> entries;
-  std::vector<int> bwd_order;
-  std::vector<int> bwd_roots;
-  /// Slots the scope owner reads after the step (keep_alive): their buffers
-  /// are pinned for the whole step and never share bytes.
-  std::vector<int> kept;
-};
-
-/// Sentinel offset: buffer stays on the heap.
-constexpr std::size_t kHeapSlot = ~std::size_t{0};
-
-/// Arena offsets for every buffer of every tape entry.
-struct MemPlan {
-  std::size_t slab_bytes = 0;
-  std::size_t alignment = 64;
-  struct Slots {
-    std::size_t value = kHeapSlot;
-    std::size_t grad = kHeapSlot;
-    std::vector<std::size_t> temps;
-  };
-  std::vector<Slots> per_entry;
-  // planner bookkeeping, surfaced through stats
-  std::size_t buffers_planned = 0;
-  std::size_t buffers_coalesced = 0;  ///< buffers sharing bytes with another
-};
-
-// --- global switches ---------------------------------------------------------
-
-/// NETTAG_PLAN env var at first query (default on), unless overridden.
-bool planning_enabled();
-/// Runtime override for tests and benches. Wins over the env var.
-void set_planning_enabled(bool enabled);
-/// Test hook: the next plans emitted are deliberately corrupted (every
-/// shared buffer at offset 0) so the verifier must reject them.
-void set_test_plan_corruption(bool corrupt);
-/// Drops all recorded signatures and zeroes the divergence/replay counters
-/// (arena slabs stay registered). Tests only.
-void reset_for_tests();
-
-// --- stats (all counters cumulative since process start) ---------------------
-
 struct Stats {
-  bool enabled = false;
-  unsigned long long tapes_recorded = 0;
-  unsigned long long plans_installed = 0;
-  unsigned long long verifier_rejects = 0;
-  unsigned long long replays = 0;
-  unsigned long long divergences = 0;
-  unsigned long long buffers_planned = 0;
-  unsigned long long buffers_coalesced = 0;
-  unsigned long long mallocs_avoided = 0;   ///< Mat buffers served from arena
-  unsigned long long heap_mat_allocs = 0;   ///< Mat buffers from operator new
-  unsigned long long slab_bytes = 0;        ///< live arena capacity, all threads
-};
-Stats stats_snapshot();
-
-// --- per-step scope ----------------------------------------------------------
-
-/// RAII scope for one step. Inactive (all hooks no-op) when planning is off,
-/// deep checks are on, the thread is inside a pool task, or another scope is
-/// already active on this thread.
-class PlanScope {
- public:
-  explicit PlanScope(std::string signature);
-  ~PlanScope();
-  PlanScope(const PlanScope&) = delete;
-  PlanScope& operator=(const PlanScope&) = delete;
-
-  bool active() const { return impl_ != nullptr; }
-
-  struct Impl;
-
- private:
-  std::unique_ptr<Impl> impl_;
+  unsigned long long tapes_recorded = 0, plans_installed = 0,
+                     verifier_rejects = 0, replays = 0, divergences = 0,
+                     mallocs_avoided = 0, heap_mat_allocs = 0;
 };
 
-// --- hooks called from nn/tensor.cpp -----------------------------------------
+inline Stats stats_snapshot() { return {}; }
 
-/// Allocates an op's output matrix (zero-filled). Under a replaying scope the
-/// buffer comes from the arena at the planned offset of the next tape entry —
-/// but only after `parents` (the node pointers the kernel is about to read,
-/// in make_op order) match the tape, so a kernel can never read a buffer the
-/// plan considers dead while writing a planned output.
-Mat out_mat(int r, int c, std::initializer_list<const Node*> parents);
-Mat out_mat(int r, int c, const std::vector<Tensor>& parents);
-/// Allocates an op's output as a copy of `src` (the `Mat out = a->value`
-/// pattern), with the same planned-buffer treatment as out_mat.
-Mat out_copy(const Mat& src, std::initializer_list<const Node*> parents);
-/// Allocates an op-internal temporary (zero-filled) that the backward closure
-/// will capture (layernorm xhat, cross-entropy probs). Planned temporaries
-/// get private never-shared arena offsets.
-Mat tmp_mat(int r, int c);
-
-/// Records or verifies the op about to become a node. Returns the tape slot,
-/// or -1 when unplanned/diverged. On divergence, `value` is copied back to
-/// the heap if it had been served from the arena.
-int pre_op(const char* op, Mat& value, const std::vector<Tensor>& parents,
-           bool requires_grad);
-/// Completes pre_op after the node exists: assigns the slot, tracks the node
-/// for divergence materialization, and clears any pending arm.
-void post_op(int slot, const Tensor& node);
-
-/// Declares that the scope owner reads `node`'s buffers after the step
-/// completes (returned embeddings, logged losses). During recording the
-/// node's slot is pinned in the tape so no later buffer ever reuses its
-/// bytes; replays inherit the pin from the installed plan. No-op outside a
-/// recording scope.
-void keep_alive(const Tensor& node);
-
-/// Called at the start of every run_backward sweep with its root.
-void on_backward_begin(Node* root);
-/// Called after each backward closure runs (recording the execution order).
-void on_backward_exec(Node* node);
-
-// --- introspection (nettag_lint --tape, tests) -------------------------------
-
-struct TapeReport {
-  std::string signature;
-  std::string state;  ///< "recording" | "ready" | "disabled"
-  Tape tape;
-  std::shared_ptr<const MemPlan> plan;  ///< null unless ready
-  bool verifier_ok = false;
-  std::string verifier_verdict;
+struct PlanScope {
+  explicit PlanScope(const std::string&) {}
 };
-std::vector<TapeReport> tape_reports();
+
+inline void keep_alive(const Tensor&) {}
 
 }  // namespace nettag::plan

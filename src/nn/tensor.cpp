@@ -8,7 +8,6 @@
 #include "analysis/check.hpp"
 #include "nn/forward.hpp"
 #include "nn/gemm.hpp"
-#include "nn/tape.hpp"
 #include "util/parallel.hpp"
 
 namespace nettag {
@@ -38,11 +37,6 @@ Tensor make_op(const char* op, Mat value, std::vector<Tensor> parents,
   fwd::scan_output(value, op);
   bool rg = false;
   for (const Tensor& p : parents) rg = rg || p->requires_grad;
-  // Tape hook: records (or verifies on replay) this op and arms the planned
-  // gradient buffer so the Node constructor's eager grad allocation below is
-  // served from the arena. pre_op may also move `value` back to the heap if
-  // the replay just diverged from its tape.
-  const int plan_slot = plan::pre_op(op, value, parents, rg);
   auto node = std::make_shared<Node>(std::move(value), rg);
   node->op = op;
   if (rg) {
@@ -50,7 +44,6 @@ Tensor make_op(const char* op, Mat value, std::vector<Tensor> parents,
     Node* raw = node.get();
     node->backward_fn = [raw, fn = std::move(grad_fn)]() { fn(raw); };
   }
-  plan::post_op(plan_slot, node);
   return node;
 }
 
@@ -99,7 +92,7 @@ Tensor make_param(int rows, int cols, Rng& rng, float scale) {
 
 Tensor matmul(const Tensor& a, const Tensor& b) {
   const int n = a->value.rows, k = a->value.cols, m = b->value.cols;
-  Mat out = plan::out_mat(n, m, {a.get(), b.get()});
+  Mat out(n, m);
   fwd::matmul(a->value, b->value, out);
   Node* an = a.get();
   Node* bn = b.get();
@@ -119,7 +112,7 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor add(const Tensor& a, const Tensor& b) {
-  Mat out = plan::out_copy(a->value, {a.get(), b.get()});
+  Mat out = a->value;
   fwd::add(out, b->value);
   Node* an = a.get();
   Node* bn = b.get();
@@ -130,7 +123,7 @@ Tensor add(const Tensor& a, const Tensor& b) {
 }
 
 Tensor add_rowvec(const Tensor& a, const Tensor& b) {
-  Mat out = plan::out_copy(a->value, {a.get(), b.get()});
+  Mat out = a->value;
   fwd::add_rowvec(out, b->value);
   const int n = out.rows, d = out.cols;
   Node* an = a.get();
@@ -150,7 +143,7 @@ Tensor sub(const Tensor& a, const Tensor& b) {
   NETTAG_CHECK(
       a->value.rows == b->value.rows && a->value.cols == b->value.cols,
       "sub: shape mismatch: " + sh(a->value) + " vs " + sh(b->value));
-  Mat out = plan::out_copy(a->value, {a.get(), b.get()});
+  Mat out = a->value;
   for (std::size_t i = 0; i < out.v.size(); ++i) out.v[i] -= b->value.v[i];
   Node* an = a.get();
   Node* bn = b.get();
@@ -169,7 +162,7 @@ Tensor mul(const Tensor& a, const Tensor& b) {
   NETTAG_CHECK(a->value.v.size() == b->value.v.size(),
                "mul: element count mismatch: " + sh(a->value) + " vs " +
                    sh(b->value));
-  Mat out = plan::out_copy(a->value, {a.get(), b.get()});
+  Mat out = a->value;
   {
     float* ov = out.v.data();
     const float* bv = b->value.v.data();
@@ -202,7 +195,7 @@ Tensor mul(const Tensor& a, const Tensor& b) {
 }
 
 Tensor scale(const Tensor& a, float s) {
-  Mat out = plan::out_copy(a->value, {a.get()});
+  Mat out = a->value;
   {
     float* ov = out.v.data();
     for_elems(out.v.size(), par::kMinOps, [ov, s](std::size_t i0, std::size_t i1) {
@@ -223,7 +216,7 @@ Tensor scale(const Tensor& a, float s) {
 }
 
 Tensor relu(const Tensor& a) {
-  Mat out = plan::out_copy(a->value, {a.get()});
+  Mat out = a->value;
   fwd::relu(out);
   Node* an = a.get();
   return make_op("relu", std::move(out), {a}, [an](Node* o) {
@@ -239,7 +232,7 @@ Tensor relu(const Tensor& a) {
 }
 
 Tensor gelu(const Tensor& a) {
-  Mat out = plan::out_copy(a->value, {a.get()});
+  Mat out = a->value;
   fwd::gelu(out);
   Node* an = a.get();
   return make_op("gelu", std::move(out), {a}, [an](Node* o) {
@@ -268,7 +261,7 @@ Tensor gelu(const Tensor& a) {
 }
 
 Tensor tanh_op(const Tensor& a) {
-  Mat out = plan::out_copy(a->value, {a.get()});
+  Mat out = a->value;
   {
     float* ov = out.v.data();
     for_elems(out.v.size(), par::kMinExpOps,
@@ -291,7 +284,7 @@ Tensor tanh_op(const Tensor& a) {
 }
 
 Tensor sigmoid(const Tensor& a) {
-  Mat out = plan::out_copy(a->value, {a.get()});
+  Mat out = a->value;
   {
     float* ov = out.v.data();
     for_elems(out.v.size(), par::kMinExpOps,
@@ -317,7 +310,7 @@ Tensor sigmoid(const Tensor& a) {
 
 Tensor transpose(const Tensor& a) {
   const int n = a->value.rows, m = a->value.cols;
-  Mat out = plan::out_mat(m, n, {a.get()});
+  Mat out(m, n);
   transpose_mat(n, m, a->value.v.data(), out.v.data());
   Node* an = a.get();
   return make_op("transpose", std::move(out), {a}, [an, n, m](Node* o) {
@@ -334,7 +327,7 @@ Tensor concat_cols(const Tensor& a, const Tensor& b) {
                "concat_cols: row mismatch: " + sh(a->value) + " vs " +
                    sh(b->value));
   const int n = a->value.rows, da = a->value.cols, db = b->value.cols;
-  Mat out = plan::out_mat(n, da + db, {a.get(), b.get()});
+  Mat out(n, da + db);
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < da; ++j) out.at(i, j) = a->value.at(i, j);
     for (int j = 0; j < db; ++j) out.at(i, da + j) = b->value.at(i, j);
@@ -368,7 +361,7 @@ Tensor concat_rows(const std::vector<Tensor>& parts) {
                      std::to_string(d) + " cols)");
     total += p->value.rows;
   }
-  Mat out = plan::out_mat(total, d, parts);
+  Mat out(total, d);
   int row = 0;
   for (const Tensor& p : parts) {
     std::copy(p->value.v.begin(), p->value.v.end(),
@@ -400,7 +393,7 @@ Tensor slice_rows(const Tensor& a, int start, int count) {
                    std::to_string(start + count) + ") outside " +
                    sh(a->value));
   const int d = a->value.cols;
-  Mat out = plan::out_mat(count, d, {a.get()});
+  Mat out(count, d);
   for (int i = 0; i < count; ++i) {
     for (int j = 0; j < d; ++j) out.at(i, j) = a->value.at(start + i, j);
   }
@@ -416,7 +409,7 @@ Tensor slice_rows(const Tensor& a, int start, int count) {
 
 Tensor mean_rows(const Tensor& a) {
   const int n = a->value.rows, d = a->value.cols;
-  Mat out = plan::out_mat(1, d, {a.get()});
+  Mat out(1, d);
   fwd::mean_rows(a->value, out);
   Node* an = a.get();
   return make_op("mean_rows", std::move(out), {a}, [an, n, d](Node* o) {
@@ -431,7 +424,7 @@ Tensor mean_rows(const Tensor& a) {
 
 Tensor sum_rows(const Tensor& a) {
   const int n = a->value.rows, d = a->value.cols;
-  Mat out = plan::out_mat(1, d, {a.get()});
+  Mat out(1, d);
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < d; ++j) out.at(0, j) += a->value.at(i, j);
   }
@@ -459,7 +452,7 @@ void softmax_row_backward(const float* y, const float* dy, float* dx, int d) {
 Tensor softmax_rows(const Tensor& a) {
   const int n = a->value.rows, d = a->value.cols;
   const std::size_t row_cost = static_cast<std::size_t>(d);
-  Mat out = plan::out_mat(n, d, {a.get()});
+  Mat out(n, d);
   for_rows(n, row_cost, par::kMinExpOps, [&](int i0, int i1) {
     for (int i = i0; i < i1; ++i) {
       const std::size_t r = static_cast<std::size_t>(i) * d;
@@ -500,11 +493,11 @@ void add_head(const float* block, std::size_t row_stride,
 Tensor attention_heads(const Tensor& q, const Tensor& k, const Tensor& v,
                        int num_heads) {
   const int n = q->value.rows, d = q->value.cols;
-  Mat out = plan::out_mat(n, d, {q.get(), k.get(), v.get()});
+  Mat out(n, d);
   // Every head's attention probabilities, read by the backward pass: head h
   // owns rows [h*n, (h+1)*n). A head count that the kernel rejects sizes
   // no buffer.
-  Mat probs = plan::tmp_mat(num_heads > 0 ? num_heads * n : 0, n);
+  Mat probs(num_heads > 0 ? num_heads * n : 0, n);
   fwd::attention_heads(q->value, k->value, v->value, num_heads, out,
                        probs.v.data());
   const int dh = d / num_heads;
@@ -576,8 +569,8 @@ Tensor attention_heads(const Tensor& q, const Tensor& k, const Tensor& v,
 Tensor layernorm_rows(const Tensor& a, const Tensor& gamma, const Tensor& beta,
                       float eps) {
   const int n = a->value.rows, d = a->value.cols;
-  Mat out = plan::out_mat(n, d, {a.get(), gamma.get(), beta.get()});
-  Mat xhat = plan::tmp_mat(n, d);
+  Mat out(n, d);
+  Mat xhat(n, d);
   std::vector<float> inv_sigma(static_cast<std::size_t>(n));
   fwd::layernorm_rows(a->value, gamma->value, beta->value, eps, out, &xhat,
                       inv_sigma.data());
@@ -629,7 +622,7 @@ Tensor layernorm_rows(const Tensor& a, const Tensor& gamma, const Tensor& beta,
 
 Tensor embedding(const Tensor& table, const std::vector<int>& ids) {
   const int d = table->value.cols;
-  Mat out = plan::out_mat(static_cast<int>(ids.size()), d, {table.get()});
+  Mat out(static_cast<int>(ids.size()), d);
   fwd::embedding(table->value, ids, out);
   // Backward stays serial: the scatter-add over repeated ids is
   // order-sensitive, and the table is small relative to the gather.
@@ -647,7 +640,7 @@ Tensor embedding(const Tensor& table, const std::vector<int>& ids) {
 
 Tensor normalize_rows(const Tensor& a, float eps) {
   const int n = a->value.rows, d = a->value.cols;
-  Mat out = plan::out_mat(n, d, {a.get()});
+  Mat out(n, d);
   std::vector<float> norms(static_cast<std::size_t>(n));
   const std::size_t row_cost = static_cast<std::size_t>(d) * 3;
   for_rows(n, row_cost, par::kMinOps, [&](int b, int e) {
@@ -683,7 +676,7 @@ Tensor normalize_rows(const Tensor& a, float eps) {
 
 Tensor dropout(const Tensor& a, float p, bool train, Rng& rng) {
   if (!train || p <= 0.f) return a;
-  Mat out = plan::out_copy(a->value, {a.get()});
+  Mat out = a->value;
   std::vector<float> mask(out.v.size());
   const float keep = 1.f - p;
   for (std::size_t i = 0; i < out.v.size(); ++i) {
@@ -705,7 +698,7 @@ Tensor cross_entropy(const Tensor& logits, const std::vector<int>& targets) {
   NETTAG_CHECK(static_cast<int>(targets.size()) == n,
                "cross_entropy: " + std::to_string(targets.size()) +
                    " targets for logits " + sh(logits->value));
-  Mat probs = plan::tmp_mat(n, c);
+  Mat probs(n, c);
   // Per-row terms in parallel; the final reduction stays a serial loop in row
   // order so the loss matches the serial float-addition sequence exactly.
   std::vector<double> row_loss(static_cast<std::size_t>(n));
@@ -727,7 +720,7 @@ Tensor cross_entropy(const Tensor& logits, const std::vector<int>& targets) {
   });
   double loss = 0.0;
   for (int i = 0; i < n; ++i) loss += row_loss[static_cast<std::size_t>(i)];
-  Mat out = plan::out_mat(1, 1, {logits.get()});
+  Mat out(1, 1);
   out.v[0] = static_cast<float>(loss / n);
   Node* ln = logits.get();
   return make_op("cross_entropy", std::move(out), {logits},
@@ -759,7 +752,7 @@ Tensor mse_loss(const Tensor& pred, const Mat& target) {
     const double d = pred->value.v[i] - target.v[i];
     sum += d * d;
   }
-  Mat out = plan::out_mat(1, 1, {pred.get()});
+  Mat out(1, 1);
   out.v[0] = static_cast<float>(sum / static_cast<double>(target.v.size()));
   Node* pn = pred.get();
   return make_op("mse_loss", std::move(out), {pred}, [pn, target](Node* o) {
@@ -794,9 +787,6 @@ namespace {
 /// Runs the backward sweep from `root`, assuming root->grad is already
 /// seeded. Topological order via iterative DFS over parents.
 void run_backward(Node* root) {
-  // Tape hook: records this sweep's root (recording) or verifies it against
-  // the tape (replay) before any closure can read a planned buffer.
-  plan::on_backward_begin(root);
   std::vector<Node*> order;
   std::unordered_set<Node*> visited;
   std::vector<std::pair<Node*, std::size_t>> stack{{root, 0}};
@@ -817,10 +807,7 @@ void run_backward(Node* root) {
   }
   // `order` is post-order (parents first); traverse in reverse.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    if ((*it)->backward_fn) {
-      (*it)->backward_fn();
-      plan::on_backward_exec(*it);
-    }
+    if ((*it)->backward_fn) (*it)->backward_fn();
   }
   // Deep-mode NaN/Inf sweep over every gradient produced by this pass,
   // attributed to the node's producing op.

@@ -24,15 +24,11 @@
 #include <vector>
 
 #include "analysis/check.hpp"
-#include "nn/arena.hpp"
 #include "util/rng.hpp"
 
 namespace nettag {
 
-/// Plain dense matrix (row-major). Element storage is a PlanAlloc vector
-/// (nn/arena.hpp): identical to std::vector<float> behaviour everywhere,
-/// except that the memory planner can serve planned buffers from a reusable
-/// arena slab instead of the heap.
+/// Plain dense matrix (row-major).
 struct Mat {
   /// Dimension cap so rows*cols can never wrap std::size_t (and is rejected
   /// long before a bogus multi-terabyte vector allocation is attempted).
@@ -40,7 +36,7 @@ struct Mat {
 
   int rows = 0;
   int cols = 0;
-  plan::FloatVec v;
+  std::vector<float> v;
 
   Mat() = default;
   Mat(int r, int c) : rows(r), cols(c) {
@@ -71,9 +67,6 @@ class Node {
   bool requires_grad = false;
   std::vector<Tensor> parents;
   std::function<void()> backward_fn;  ///< propagates this->grad to parents
-  /// Tape slot assigned by the active plan scope (nn/tape.hpp); -1 for
-  /// leaves and nodes built outside a scope. Reset when the scope ends.
-  int plan_slot = -1;
 
   explicit Node(Mat v, bool rg = false) : value(std::move(v)), requires_grad(rg) {
     if (requires_grad) grad = Mat(value.rows, value.cols);

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "nn/tape.hpp"
 #include "util/parallel.hpp"
 
 namespace nettag {
@@ -185,10 +184,6 @@ bool ClassifierHead::fit_impl(const Mat& x_raw, const std::vector<int>& y,
 
   long executed = 0;
   for (int step = start_step; step < options_.steps; ++step) {
-    // Declared first so it outlives (and can materialize) the step's tensors.
-    plan::PlanScope plan_scope("clf|" + std::to_string(options_.batch) + "|" +
-                               std::to_string(x.cols) + "|" +
-                               std::to_string(num_classes_));
     std::vector<int> idx;
     std::vector<int> labels;
     for (int b = 0; b < options_.batch; ++b) {

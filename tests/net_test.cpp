@@ -350,6 +350,22 @@ TEST(ShardPool, SaturatedQueueShedsWithTooBusy) {
   EXPECT_TRUE(stats_future.get().ok());
 }
 
+TEST(ShardPool, StatsCountARequestBeforeItsResponseIsDelivered) {
+  auto server = make_server();
+  // Declared before the pool, so the worker that fulfils it is joined first.
+  std::promise<ShardPool::QueueStats> seen;
+  std::future<ShardPool::QueueStats> seen_future = seen.get_future();
+  ShardPool pool(*server, 1, 4);
+  Request ping;
+  ping.op = Op::kPing;
+  pool.submit(std::move(ping),
+              [&](Response) { seen.set_value(pool.stats()); });
+  const ShardPool::QueueStats during = seen_future.get();
+  EXPECT_EQ(during.submitted, 1u);
+  EXPECT_EQ(during.processed, 1u);
+  EXPECT_EQ(during.queue_depth, 0u);
+}
+
 // --- daemon end-to-end ------------------------------------------------------
 
 std::string unique_sock_path(const char* tag) {

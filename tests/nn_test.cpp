@@ -2,6 +2,7 @@
 // plus end-to-end training sanity (XOR learning, InfoNCE convergence).
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -393,6 +394,65 @@ TEST(Adam, ConvergesOnQuadratic) {
   for (int j = 0; j < 4; ++j) {
     EXPECT_NEAR(p->value.at(0, j), target.at(0, j), 0.05f);
   }
+}
+
+// --- Mat dimension hardening -------------------------------------------------
+
+TEST(MatHardening, NegativeDimensionsThrow) {
+  EXPECT_THROW(Mat(-1, 4), CheckError);
+  EXPECT_THROW(Mat(4, -1), CheckError);
+  EXPECT_THROW(Mat(-3, -3), CheckError);
+}
+
+TEST(MatHardening, RowsTimesColsOverflowThrows) {
+  // INT_MAX * INT_MAX ~ 4.6e18 elements: far beyond the element cap, and
+  // without the guarded multiply it wraps std::size_t arithmetic paths.
+  EXPECT_THROW(Mat(INT_MAX, INT_MAX), CheckError);
+  // ~1.2e12 elements: each factor is individually fine, the product is not.
+  EXPECT_THROW(Mat(1'100'000, 1'100'000), CheckError);
+}
+
+TEST(MatHardening, ZeroAndModestShapesAllowed) {
+  EXPECT_NO_THROW(Mat(0, INT_MAX));
+  EXPECT_NO_THROW(Mat(INT_MAX, 0));
+  Mat m(3, 5);
+  EXPECT_EQ(m.size(), 15u);
+}
+
+// --- ensure_grad must zero on shape-mismatch realloc -------------------------
+
+TEST(EnsureGrad, ZeroesOnShapeMismatchRealloc) {
+  Tensor t = make_tensor(Mat(2, 3), true);
+  ASSERT_EQ(t->grad.rows, 2);
+  for (auto& g : t->grad.v) g = 42.f;
+  t->value = Mat(3, 2);  // reshaped mid-graph
+  t->ensure_grad();
+  ASSERT_EQ(t->grad.rows, 3);
+  ASSERT_EQ(t->grad.cols, 2);
+  for (const float g : t->grad.v) EXPECT_EQ(g, 0.f);
+}
+
+TEST(EnsureGrad, NoStaleGradientAcrossReshapedSteps) {
+  // Step 1: accumulate a nonzero gradient into x at shape 1x2.
+  Tensor x = make_tensor(Mat(1, 2), true);
+  x->value.at(0, 0) = 1.f;
+  x->value.at(0, 1) = 2.f;
+  auto scalar_loss = [](const Tensor& t) {
+    return sum_rows(transpose(sum_rows(t)));  // NxD -> 1x1
+  };
+  backward(scalar_loss(mul(x, x)));
+  ASSERT_NE(x->grad.at(0, 0), 0.f);
+
+  // Step 2: reshape the same leaf and rerun. The fresh gradient must equal
+  // the one computed on a brand-new node — no bytes from step 1 may leak.
+  x->value = Mat(2, 2);
+  for (int i = 0; i < 4; ++i) x->value.v[static_cast<std::size_t>(i)] = 1.f + i;
+  x->ensure_grad();
+  backward(scalar_loss(mul(x, x)));
+
+  Tensor fresh = make_tensor(x->value, true);
+  backward(scalar_loss(mul(fresh, fresh)));
+  ASSERT_EQ(x->grad.v, fresh->grad.v);
 }
 
 }  // namespace
