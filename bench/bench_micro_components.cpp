@@ -29,7 +29,6 @@
 #include "nn/gemm.hpp"
 #include "physical/flow.hpp"
 #include "rtlgen/generator.hpp"
-#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 using namespace nettag;

@@ -114,15 +114,15 @@ NetTag::ConeEmbedding NetTag::embed(const Netlist& nl, int k_hop_override,
   Timer t;
   const TagGraph tag =
       build_tag(nl, k_hop_override > 0 ? k_hop_override : config_.k_hop);
-  if (timing) atomic_add_seconds(timing->tag_build, t.seconds());
+  if (timing) timing->tag_build.fetch_add(t.seconds());
   const Mat base = config_.use_text_attributes ? Mat() : netlist_base_features(nl);
   t.reset();
   Mat feats = input_features(tag, base);
-  if (timing) atomic_add_seconds(timing->text_encode, t.seconds());
+  if (timing) timing->text_encode.fetch_add(t.seconds());
   t.reset();
   TagFormer::Embeddings out =
       tagformer_->infer(feats, tag_adjacency(feats.rows, tag.edges));
-  if (timing) atomic_add_seconds(timing->tagformer, t.seconds());
+  if (timing) timing->tagformer.fetch_add(t.seconds());
   ConeEmbedding emb;
   emb.nodes = std::move(out.nodes);
   emb.cls = std::move(out.cls);

@@ -58,14 +58,6 @@ struct EmbedTiming {
   std::atomic<double> tagformer{0.0};     ///< TAGFormer forward
 };
 
-/// Portable pre-C++20 atomic accumulate (no atomic<double>::fetch_add).
-inline void atomic_add_seconds(std::atomic<double>& slot, double seconds) {
-  double cur = slot.load(std::memory_order_relaxed);
-  while (!slot.compare_exchange_weak(cur, cur + seconds,
-                                     std::memory_order_relaxed)) {
-  }
-}
-
 class NetTag {
  public:
   NetTag(const NetTagConfig& config, std::uint64_t seed);

@@ -39,8 +39,8 @@ namespace {
 /// Logical shards per training step (the most a step can run in parallel).
 constexpr int kTrainShards = 4;
 
-/// Contiguous [begin, end) batch ranges, one per shard (same split rule as
-/// parallel_for so the partition is a pure function of (n, shards)).
+/// Contiguous [begin, end) batch ranges, one per shard: a pure function of
+/// (n, shards).
 std::vector<std::pair<int, int>> shard_ranges(int n, int shards) {
   std::vector<std::pair<int, int>> r;
   r.reserve(static_cast<std::size_t>(shards));

@@ -6,7 +6,6 @@
 
 #include "analysis/check.hpp"
 #include "nn/gemm.hpp"
-#include "util/parallel.hpp"
 
 namespace nettag::fwd {
 
@@ -15,16 +14,6 @@ namespace {
 /// "RxC" shape string for check messages.
 std::string sh(const Mat& m) {
   return std::to_string(m.rows) + "x" + std::to_string(m.cols);
-}
-
-/// Row partition for per-row kernels: each row is written by exactly one
-/// task, so results are bit-identical at any width.
-void for_rows(int n, std::size_t per_row_cost, std::size_t min_ops,
-              const std::function<void(int, int)>& body) {
-  parallel_for(static_cast<std::size_t>(n), par::grain(per_row_cost, min_ops),
-               [&body](std::size_t b, std::size_t e) {
-                 body(static_cast<int>(b), static_cast<int>(e));
-               });
 }
 
 void check_out(const Mat& out, int rows, int cols, const char* op) {
@@ -54,11 +43,7 @@ void matmul(const Mat& a, const Mat& b, Mat& out) {
 void add(Mat& out, const Mat& b) {
   NETTAG_CHECK(out.rows == b.rows && out.cols == b.cols,
                "add: shape mismatch: " + sh(out) + " vs " + sh(b));
-  float* ov = out.v.data();
-  const float* bv = b.v.data();
-  parallel_for(out.v.size(), par::kMinOps, [ov, bv](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) ov[i] += bv[i];
-  });
+  for (std::size_t i = 0; i < out.v.size(); ++i) out.v[i] += b.v[i];
 }
 
 void add_rowvec(Mat& out, const Mat& b) {
@@ -70,27 +55,19 @@ void add_rowvec(Mat& out, const Mat& b) {
 }
 
 void relu(Mat& x) {
-  float* xv = x.v.data();
-  parallel_for(x.v.size(), par::kMinOps, [xv](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) xv[i] = std::max(xv[i], 0.f);
-  });
+  for (float& v : x.v) v = std::max(v, 0.f);
 }
 
 void gelu(Mat& x) {
   // tanh approximation: 0.5 x (1 + tanh(c (x + 0.044715 x^3)))
-  float* xv = x.v.data();
-  const bool avx2 = simd_backend() == SimdBackend::kAvx2;
-  parallel_for(x.v.size(), par::kMinExpOps, [xv, avx2](std::size_t i0, std::size_t i1) {
-    if (avx2) {
-      detail::gelu_avx2(xv + i0, i1 - i0);
-      return;
-    }
-    for (std::size_t i = i0; i < i1; ++i) {
-      const float v = xv[i];
-      const float t = std::tanh(kGeluC * (v + kGeluB * v * v * v));
-      xv[i] = 0.5f * v * (1.f + t);
-    }
-  });
+  if (simd_backend() == SimdBackend::kAvx2) {
+    detail::gelu_avx2(x.v.data(), x.v.size());
+    return;
+  }
+  for (float& v : x.v) {
+    const float t = std::tanh(kGeluC * (v + kGeluB * v * v * v));
+    v = 0.5f * v * (1.f + t);
+  }
 }
 
 void mean_rows(const Mat& a, Mat& out) {
@@ -126,33 +103,30 @@ void layernorm_rows(const Mat& a, const Mat& gamma, const Mat& beta, float eps,
                    " do not match input " + sh(a));
   check_out(out, n, d, "layernorm_rows");
   if (xhat != nullptr) check_out(*xhat, n, d, "layernorm_rows");
-  const bool avx2 = simd_backend() == SimdBackend::kAvx2;
-  for_rows(n, static_cast<std::size_t>(d), par::kMinOps, [&](int i0, int i1) {
-    if (avx2) {
-      detail::layernorm_rows_avx2(
-          i0, i1, d, a.v.data(), gamma.v.data(), beta.v.data(), eps,
-          out.v.data(), xhat != nullptr ? xhat->v.data() : nullptr, inv_sigma);
-      return;
+  if (simd_backend() == SimdBackend::kAvx2) {
+    detail::layernorm_rows_avx2(
+        n, d, a.v.data(), gamma.v.data(), beta.v.data(), eps, out.v.data(),
+        xhat != nullptr ? xhat->v.data() : nullptr, inv_sigma);
+    return;
+  }
+  for (int i = 0; i < n; ++i) {
+    float mean = 0.f;
+    for (int j = 0; j < d; ++j) mean += a.at(i, j);
+    mean /= static_cast<float>(d);
+    float var = 0.f;
+    for (int j = 0; j < d; ++j) {
+      const float c = a.at(i, j) - mean;
+      var += c * c;
     }
-    for (int i = i0; i < i1; ++i) {
-      float mean = 0.f;
-      for (int j = 0; j < d; ++j) mean += a.at(i, j);
-      mean /= static_cast<float>(d);
-      float var = 0.f;
-      for (int j = 0; j < d; ++j) {
-        const float c = a.at(i, j) - mean;
-        var += c * c;
-      }
-      var /= static_cast<float>(d);
-      const float is = 1.f / std::sqrt(var + eps);
-      if (inv_sigma != nullptr) inv_sigma[i] = is;
-      for (int j = 0; j < d; ++j) {
-        const float xh = (a.at(i, j) - mean) * is;
-        if (xhat != nullptr) xhat->at(i, j) = xh;
-        out.at(i, j) = gamma.at(0, j) * xh + beta.at(0, j);
-      }
+    var /= static_cast<float>(d);
+    const float is = 1.f / std::sqrt(var + eps);
+    if (inv_sigma != nullptr) inv_sigma[i] = is;
+    for (int j = 0; j < d; ++j) {
+      const float xh = (a.at(i, j) - mean) * is;
+      if (xhat != nullptr) xhat->at(i, j) = xh;
+      out.at(i, j) = gamma.at(0, j) * xh + beta.at(0, j);
     }
-  });
+  }
 }
 
 void copy_head(const Mat& m, int h, int dh, float* out) {
@@ -193,13 +167,11 @@ void attention_heads(const Mat& q, const Mat& k, const Mat& v, int num_heads,
     gemm_nn(n, dh, n, qh, kh_t, scores);
     // Without a probs buffer the softmax overwrites the scores in place.
     float* ph = probs != nullptr ? probs + h * nn : scores;
-    for_rows(n, static_cast<std::size_t>(n), par::kMinExpOps, [&](int i0, int i1) {
-      for (int i = i0; i < i1; ++i) {
-        float* row = scores + static_cast<std::size_t>(i) * n;
-        for (int j = 0; j < n; ++j) row[j] *= s;
-        softmax_row(row, ph + static_cast<std::size_t>(i) * n, n);
-      }
-    });
+    for (int i = 0; i < n; ++i) {
+      float* row = scores + static_cast<std::size_t>(i) * n;
+      for (int j = 0; j < n; ++j) row[j] *= s;
+      softmax_row(row, ph + static_cast<std::size_t>(i) * n, n);
+    }
     std::fill(oh, oh + nd, 0.f);
     gemm_nn(n, n, dh, ph, vh, oh);
     const std::size_t col0 = static_cast<std::size_t>(h) * dh;
@@ -214,17 +186,14 @@ void attention_heads(const Mat& q, const Mat& k, const Mat& v, int num_heads,
 void embedding(const Mat& table, const std::vector<int>& ids, Mat& out) {
   const int d = table.cols;
   check_out(out, static_cast<int>(ids.size()), d, "embedding");
-  parallel_for(ids.size(), par::grain(static_cast<std::size_t>(d), par::kMinOps),
-               [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      NETTAG_CHECK(ids[i] >= 0 && ids[i] < table.rows,
-                   "embedding: id " + std::to_string(ids[i]) +
-                       " outside table " + sh(table));
-      for (int j = 0; j < d; ++j) {
-        out.at(static_cast<int>(i), j) = table.at(ids[i], j);
-      }
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    NETTAG_CHECK(ids[i] >= 0 && ids[i] < table.rows,
+                 "embedding: id " + std::to_string(ids[i]) + " outside table " +
+                     sh(table));
+    for (int j = 0; j < d; ++j) {
+      out.at(static_cast<int>(i), j) = table.at(ids[i], j);
     }
-  });
+  }
 }
 
 }  // namespace nettag::fwd

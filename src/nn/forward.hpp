@@ -5,14 +5,14 @@
 // graph node; the value-only inference path (Linear::infer ...
 // TagFormer::infer, TextEncoder::infer_ids) calls the same kernel and keeps
 // no graph. Sharing the function is what makes the two paths bit-identical
-// under every SIMD backend and pool width.
+// under every SIMD backend. Kernels never fork: they run serially on the
+// calling thread, so no pool width changes their bytes.
 //
 // softmax_row, gelu and layernorm_rows (and the gelu op's backward) dispatch
 // on simd_backend() (nn/gemm.hpp), like the GEMMs: the scalar loops in
 // forward.cpp are the byte-exact reference (NETTAG_SIMD=0), and the AVX2
 // forms in nn/gemm_avx2.cpp drift from them only within the per-kernel
-// budget of docs/PERFORMANCE.md §2. Under either backend an element's bytes
-// do not depend on the pool width.
+// budget of docs/PERFORMANCE.md §2.
 //
 // The caller allocates each output at the shape the kernel documents. Every
 // kernel checks its shape contract with NETTAG_CHECK before it writes. The

@@ -3,8 +3,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "util/parallel.hpp"
-
 namespace nettag {
 
 // --- scalar reference kernels ------------------------------------------------
@@ -16,9 +14,9 @@ namespace nettag {
 
 namespace detail {
 
-void gemm_nn_scalar(int i0, int i1, int k, int m, const float* a,
-                    const float* b, float* c) {
-  for (int i = i0; i < i1; ++i) {
+void gemm_nn_scalar(int n, int k, int m, const float* a, const float* b,
+                    float* c) {
+  for (int i = 0; i < n; ++i) {
     for (int p = 0; p < k; ++p) {
       const float aip = a[static_cast<std::size_t>(i) * k + p];
       if (aip == 0.f) continue;
@@ -29,9 +27,9 @@ void gemm_nn_scalar(int i0, int i1, int k, int m, const float* a,
   }
 }
 
-void gemm_nt_scalar(int i0, int i1, int k, int m, const float* g,
-                    const float* b, float* c) {
-  for (int i = i0; i < i1; ++i) {
+void gemm_nt_scalar(int n, int k, int m, const float* g, const float* b,
+                    float* c) {
+  for (int i = 0; i < n; ++i) {
     const float* grow = g + static_cast<std::size_t>(i) * m;
     float* crow = c + static_cast<std::size_t>(i) * k;
     for (int p = 0; p < k; ++p) {
@@ -43,9 +41,9 @@ void gemm_nt_scalar(int i0, int i1, int k, int m, const float* g,
   }
 }
 
-void gemm_tn_scalar(int p0, int p1, int n, int k, int m, const float* a,
-                    const float* g, float* c) {
-  for (int p = p0; p < p1; ++p) {
+void gemm_tn_scalar(int n, int k, int m, const float* a, const float* g,
+                    float* c) {
+  for (int p = 0; p < k; ++p) {
     float* crow = c + static_cast<std::size_t>(p) * m;
     for (int i = 0; i < n; ++i) {
       const float aip = a[static_cast<std::size_t>(i) * k + p];
@@ -58,17 +56,17 @@ void gemm_tn_scalar(int p0, int p1, int n, int k, int m, const float* a,
 
 #if !defined(__x86_64__) && !defined(_M_X64)
 // Non-x86 builds still link the avx2 symbols (dispatch never selects them).
-void gemm_nn_avx2(int i0, int i1, int k, int m, const float* a, const float* b,
+void gemm_nn_avx2(int n, int k, int m, const float* a, const float* b,
                   float* c) {
-  gemm_nn_scalar(i0, i1, k, m, a, b, c);
+  gemm_nn_scalar(n, k, m, a, b, c);
 }
-void gemm_nt_avx2(int i0, int i1, int k, int m, const float* g, const float* b,
+void gemm_nt_avx2(int n, int k, int m, const float* g, const float* b,
                   float* c) {
-  gemm_nt_scalar(i0, i1, k, m, g, b, c);
+  gemm_nt_scalar(n, k, m, g, b, c);
 }
-void gemm_tn_avx2(int p0, int p1, int n, int k, int m, const float* a,
-                  const float* g, float* c) {
-  gemm_tn_scalar(p0, p1, n, k, m, a, g, c);
+void gemm_tn_avx2(int n, int k, int m, const float* a, const float* g,
+                  float* c) {
+  gemm_tn_scalar(n, k, m, a, g, c);
 }
 // The row kernels' scalar loops live in nn/forward.cpp, which only calls
 // these when simd_backend() is AVX2: never on this architecture.
@@ -77,8 +75,8 @@ void gelu_avx2(float*, std::size_t) { std::abort(); }
 void gelu_backward_avx2(const float*, const float*, float*, std::size_t) {
   std::abort();
 }
-void layernorm_rows_avx2(int, int, int, const float*, const float*,
-                         const float*, float, float*, float*, float*) {
+void layernorm_rows_avx2(int, int, const float*, const float*, const float*,
+                         float, float*, float*, float*) {
   std::abort();
 }
 #endif
@@ -151,55 +149,29 @@ const char* simd_backend_name(SimdBackend backend) {
 const char* simd_backend_name() { return simd_backend_name(simd_backend()); }
 
 // --- public kernels ----------------------------------------------------------
-//
-// Row-partitioned over the shared pool exactly like the old in-place loops:
-// each output row is owned by one task, so any fixed backend is
-// deterministic at any thread width.
 
 void gemm_nn(int n, int k, int m, const float* a, const float* b, float* c) {
-  const bool avx2 = simd_backend() == SimdBackend::kAvx2;
-  const std::size_t row_cost = static_cast<std::size_t>(k) * m;
-  parallel_for(static_cast<std::size_t>(n), par::grain(row_cost, par::kMinOps),
-               [=](std::size_t i0, std::size_t i1) {
-                 if (avx2) {
-                   detail::gemm_nn_avx2(static_cast<int>(i0),
-                                        static_cast<int>(i1), k, m, a, b, c);
-                 } else {
-                   detail::gemm_nn_scalar(static_cast<int>(i0),
-                                          static_cast<int>(i1), k, m, a, b, c);
-                 }
-               });
+  if (simd_backend() == SimdBackend::kAvx2) {
+    detail::gemm_nn_avx2(n, k, m, a, b, c);
+  } else {
+    detail::gemm_nn_scalar(n, k, m, a, b, c);
+  }
 }
 
 void gemm_nt(int n, int k, int m, const float* g, const float* b, float* c) {
-  const bool avx2 = simd_backend() == SimdBackend::kAvx2;
-  const std::size_t row_cost = static_cast<std::size_t>(k) * m;
-  parallel_for(static_cast<std::size_t>(n), par::grain(row_cost, par::kMinOps),
-               [=](std::size_t i0, std::size_t i1) {
-                 if (avx2) {
-                   detail::gemm_nt_avx2(static_cast<int>(i0),
-                                        static_cast<int>(i1), k, m, g, b, c);
-                 } else {
-                   detail::gemm_nt_scalar(static_cast<int>(i0),
-                                          static_cast<int>(i1), k, m, g, b, c);
-                 }
-               });
+  if (simd_backend() == SimdBackend::kAvx2) {
+    detail::gemm_nt_avx2(n, k, m, g, b, c);
+  } else {
+    detail::gemm_nt_scalar(n, k, m, g, b, c);
+  }
 }
 
 void gemm_tn(int n, int k, int m, const float* a, const float* g, float* c) {
-  const bool avx2 = simd_backend() == SimdBackend::kAvx2;
-  const std::size_t row_cost = static_cast<std::size_t>(n) * m;
-  parallel_for(static_cast<std::size_t>(k), par::grain(row_cost, par::kMinOps),
-               [=](std::size_t p0, std::size_t p1) {
-                 if (avx2) {
-                   detail::gemm_tn_avx2(static_cast<int>(p0),
-                                        static_cast<int>(p1), n, k, m, a, g, c);
-                 } else {
-                   detail::gemm_tn_scalar(static_cast<int>(p0),
-                                          static_cast<int>(p1), n, k, m, a, g,
-                                          c);
-                 }
-               });
+  if (simd_backend() == SimdBackend::kAvx2) {
+    detail::gemm_tn_avx2(n, k, m, a, g, c);
+  } else {
+    detail::gemm_tn_scalar(n, k, m, a, g, c);
+  }
 }
 
 void transpose_mat(int n, int m, const float* a, float* out) {

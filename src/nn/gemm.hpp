@@ -6,11 +6,10 @@
 //
 //   * scalar — the original triple loops, with offsets formed in
 //     std::size_t: with the backend forced to scalar (NETTAG_SIMD=0) results
-//     are bit-identical to the pre-SIMD code at any thread width;
+//     are bit-identical to the pre-SIMD code;
 //   * avx2   — 8-lane FMA kernels compiled in a separate translation unit
 //     with -mavx2 -mfma (nn/gemm_avx2.cpp) and only ever called after a
-//     cpuid check. Row-partitioned exactly like the scalar loops, so results
-//     are deterministic run-to-run at any width; they differ from scalar by
+//     cpuid check. Deterministic run-to-run; they differ from scalar by
 //     FMA rounding and dot-product reassociation only (see the agreement
 //     tests in tests/gemm_test.cpp for the epsilon).
 //
@@ -27,9 +26,8 @@
 //
 // All kernels ACCUMULATE into the output (C += ...), matching the autograd
 // use sites: the forward allocates a zeroed output, the backward adds into
-// existing gradients. Parallelism: each kernel partitions its OUTPUT rows
-// over the shared pool (util/parallel.hpp) with the same grain policy the
-// scalar loops used, so each output element is written by exactly one task.
+// existing gradients. Every kernel runs serially on its calling thread;
+// parallelism lives one level up, over independent items (util/parallel.hpp).
 #pragma once
 
 #include <cstddef>
@@ -83,25 +81,25 @@ void gemm_tn(int n, int k, int m, const float* a, const float* g, float* c);
 /// blocking only changes the traversal order, not any arithmetic.
 void transpose_mat(int n, int m, const float* a, float* out);
 
-// --- internal: raw per-backend row-range kernels (gemm.cpp / gemm_avx2.cpp) --
+// --- internal: raw per-backend kernels (gemm.cpp / gemm_avx2.cpp) -----------
+// Same shapes and contracts as the public kernels above.
 namespace detail {
-void gemm_nn_scalar(int i0, int i1, int k, int m, const float* a,
-                    const float* b, float* c);
-void gemm_nt_scalar(int i0, int i1, int k, int m, const float* g,
-                    const float* b, float* c);
-void gemm_tn_scalar(int p0, int p1, int n, int k, int m, const float* a,
-                    const float* g, float* c);
+void gemm_nn_scalar(int n, int k, int m, const float* a, const float* b,
+                    float* c);
+void gemm_nt_scalar(int n, int k, int m, const float* g, const float* b,
+                    float* c);
+void gemm_tn_scalar(int n, int k, int m, const float* a, const float* g,
+                    float* c);
 // Compiled with -mavx2 -mfma; call only when simd_avx2_supported().
-void gemm_nn_avx2(int i0, int i1, int k, int m, const float* a,
-                  const float* b, float* c);
-void gemm_nt_avx2(int i0, int i1, int k, int m, const float* g,
-                  const float* b, float* c);
-void gemm_tn_avx2(int p0, int p1, int n, int k, int m, const float* a,
-                  const float* g, float* c);
+void gemm_nn_avx2(int n, int k, int m, const float* a, const float* b,
+                  float* c);
+void gemm_nt_avx2(int n, int k, int m, const float* g, const float* b,
+                  float* c);
+void gemm_tn_avx2(int n, int k, int m, const float* a, const float* g,
+                  float* c);
 
 // AVX2 forms of the nn/forward.hpp row kernels (same translation unit, same
-// cpuid rule). Tails run through masked lanes, so an element's arithmetic
-// does not depend on where its row or chunk starts.
+// cpuid rule). Tails run through masked lanes, never a scalar loop.
 /// fwd::softmax_row: y = softmax(x) over d >= 1 values; y may alias x.
 void softmax_row_avx2(const float* x, float* y, int d);
 /// fwd::gelu on x[0..n), in place.
@@ -110,11 +108,11 @@ void gelu_avx2(float* x, std::size_t n);
 /// gelu_avx2.
 void gelu_backward_avx2(const float* x, const float* dy, float* dx,
                         std::size_t n);
-/// fwd::layernorm_rows on rows [i0, i1) of the row-major N x d matrix `a`;
+/// fwd::layernorm_rows on the n rows of the row-major n x d matrix `a`;
 /// `xhat` and `inv_sigma` may be null.
-void layernorm_rows_avx2(int i0, int i1, int d, const float* a,
-                         const float* gamma, const float* beta, float eps,
-                         float* out, float* xhat, float* inv_sigma);
+void layernorm_rows_avx2(int n, int d, const float* a, const float* gamma,
+                         const float* beta, float eps, float* out, float* xhat,
+                         float* inv_sigma);
 }  // namespace detail
 
 }  // namespace nettag

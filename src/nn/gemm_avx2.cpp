@@ -29,8 +29,8 @@
 //   * layernorm_rows — 8-lane mean and variance sums, then the normalize
 //     pass.
 // Tails go through masked lanes (maskload/maskstore), never a scalar loop,
-// so each element runs the same arithmetic wherever a row or a parallel_for
-// chunk ends. Non-finite inputs stay non-finite: the clamps in exp8 pass a
+// so each element runs the same arithmetic wherever a row ends. Non-finite
+// inputs stay non-finite: the clamps in exp8 pass a
 // NaN through, and a NaN or infinity reaches every sum the scalar loop
 // would carry it into. tests/gemm_test.cpp (SimdRowKernels.*) pins the
 // drift budget of docs/PERFORMANCE.md §2.
@@ -81,12 +81,12 @@ inline void nn_row(int k, int stride, int count, const float* arow,
 
 }  // namespace
 
-void gemm_nn_avx2(int i0, int i1, int k, int m, const float* a, const float* b,
+void gemm_nn_avx2(int n, int k, int m, const float* a, const float* b,
                   float* c) {
-  int i = i0;
+  int i = 0;
   // 4x16 register-tiled main loop: B's k x 16 panel is streamed once per
   // 4 output rows instead of once per row.
-  for (; i + 4 <= i1; i += 4) {
+  for (; i + 4 <= n; i += 4) {
     const float* a0 = a + static_cast<std::size_t>(i) * k;
     const float* a1 = a0 + k;
     const float* a2 = a1 + k;
@@ -141,15 +141,15 @@ void gemm_nn_avx2(int i0, int i1, int k, int m, const float* a, const float* b,
     }
   }
   // Row tail.
-  for (; i < i1; ++i) {
+  for (; i < n; ++i) {
     nn_row(k, m, m, a + static_cast<std::size_t>(i) * k, b,
            c + static_cast<std::size_t>(i) * m);
   }
 }
 
-void gemm_nt_avx2(int i0, int i1, int k, int m, const float* g, const float* b,
+void gemm_nt_avx2(int n, int k, int m, const float* g, const float* b,
                   float* c) {
-  for (int i = i0; i < i1; ++i) {
+  for (int i = 0; i < n; ++i) {
     const float* grow = g + static_cast<std::size_t>(i) * m;
     float* crow = c + static_cast<std::size_t>(i) * k;
     for (int p = 0; p < k; ++p) {
@@ -174,9 +174,9 @@ void gemm_nt_avx2(int i0, int i1, int k, int m, const float* g, const float* b,
   }
 }
 
-void gemm_tn_avx2(int p0, int p1, int n, int k, int m, const float* a,
-                  const float* g, float* c) {
-  for (int p = p0; p < p1; ++p) {
+void gemm_tn_avx2(int n, int k, int m, const float* a, const float* g,
+                  float* c) {
+  for (int p = 0; p < k; ++p) {
     float* crow = c + static_cast<std::size_t>(p) * m;
     for (int i = 0; i < n; ++i) {
       const float aip = a[static_cast<std::size_t>(i) * k + p];
@@ -361,15 +361,15 @@ void gelu_backward_avx2(const float* x, const float* dy, float* dx,
   }
 }
 
-void layernorm_rows_avx2(int i0, int i1, int d, const float* a,
-                         const float* gamma, const float* beta, float eps,
-                         float* out, float* xhat, float* inv_sigma) {
+void layernorm_rows_avx2(int n, int d, const float* a, const float* gamma,
+                         const float* beta, float eps, float* out, float* xhat,
+                         float* inv_sigma) {
   const int body = d & ~7;
   const int rest = d - body;
   const __m256i tail = tail_mask(rest);
   const __m256 keep = _mm256_castsi256_ps(tail);
   const float df = static_cast<float>(d);
-  for (int i = i0; i < i1; ++i) {
+  for (int i = 0; i < n; ++i) {
     const std::size_t off = static_cast<std::size_t>(i) * d;
     const float* row = a + off;
     __m256 s = _mm256_setzero_ps();

@@ -55,26 +55,7 @@ void accumulate(Node* p, const Mat& delta) {
                    " vs delta shape " + sh(delta));
   float* g = p->grad.v.data();
   const float* d = delta.v.data();
-  parallel_for(delta.v.size(), par::kMinOps,
-               [g, d](std::size_t b, std::size_t e) {
-                 for (std::size_t i = b; i < e; ++i) g[i] += d[i];
-               });
-}
-
-/// Row partition for per-row kernels (softmax, layernorm, ...): each row is
-/// written by exactly one task, so results are bit-identical at any width.
-void for_rows(int n, std::size_t per_row_cost, std::size_t min_ops,
-              const std::function<void(int, int)>& body) {
-  parallel_for(static_cast<std::size_t>(n), par::grain(per_row_cost, min_ops),
-               [&body](std::size_t b, std::size_t e) {
-                 body(static_cast<int>(b), static_cast<int>(e));
-               });
-}
-
-/// Element partition for elementwise kernels.
-void for_elems(std::size_t n, std::size_t min_ops,
-               const std::function<void(std::size_t, std::size_t)>& body) {
-  parallel_for(n, min_ops, body);
+  for (std::size_t i = 0; i < delta.v.size(); ++i) g[i] += d[i];
 }
 
 }  // namespace
@@ -163,55 +144,35 @@ Tensor mul(const Tensor& a, const Tensor& b) {
                "mul: element count mismatch: " + sh(a->value) + " vs " +
                    sh(b->value));
   Mat out = a->value;
-  {
-    float* ov = out.v.data();
-    const float* bv = b->value.v.data();
-    for_elems(out.v.size(), par::kMinOps, [ov, bv](std::size_t i0, std::size_t i1) {
-      for (std::size_t i = i0; i < i1; ++i) ov[i] *= bv[i];
-    });
-  }
+  for (std::size_t i = 0; i < out.v.size(); ++i) out.v[i] *= b->value.v[i];
   Node* an = a.get();
   Node* bn = b.get();
   return make_op("mul", std::move(out), {a, b}, [an, bn](Node* o) {
     if (an->requires_grad) {
       an->ensure_grad();
-      for_elems(o->grad.v.size(), par::kMinOps,
-                [&](std::size_t i0, std::size_t i1) {
-                  for (std::size_t i = i0; i < i1; ++i) {
-                    an->grad.v[i] += o->grad.v[i] * bn->value.v[i];
-                  }
-                });
+      for (std::size_t i = 0; i < o->grad.v.size(); ++i) {
+        an->grad.v[i] += o->grad.v[i] * bn->value.v[i];
+      }
     }
     if (bn->requires_grad) {
       bn->ensure_grad();
-      for_elems(o->grad.v.size(), par::kMinOps,
-                [&](std::size_t i0, std::size_t i1) {
-                  for (std::size_t i = i0; i < i1; ++i) {
-                    bn->grad.v[i] += o->grad.v[i] * an->value.v[i];
-                  }
-                });
+      for (std::size_t i = 0; i < o->grad.v.size(); ++i) {
+        bn->grad.v[i] += o->grad.v[i] * an->value.v[i];
+      }
     }
   });
 }
 
 Tensor scale(const Tensor& a, float s) {
   Mat out = a->value;
-  {
-    float* ov = out.v.data();
-    for_elems(out.v.size(), par::kMinOps, [ov, s](std::size_t i0, std::size_t i1) {
-      for (std::size_t i = i0; i < i1; ++i) ov[i] *= s;
-    });
-  }
+  for (float& x : out.v) x *= s;
   Node* an = a.get();
   return make_op("scale", std::move(out), {a}, [an, s](Node* o) {
     if (!an->requires_grad) return;
     an->ensure_grad();
-    for_elems(o->grad.v.size(), par::kMinOps,
-              [&](std::size_t i0, std::size_t i1) {
-                for (std::size_t i = i0; i < i1; ++i) {
-                  an->grad.v[i] += s * o->grad.v[i];
-                }
-              });
+    for (std::size_t i = 0; i < o->grad.v.size(); ++i) {
+      an->grad.v[i] += s * o->grad.v[i];
+    }
   });
 }
 
@@ -222,12 +183,9 @@ Tensor relu(const Tensor& a) {
   return make_op("relu", std::move(out), {a}, [an](Node* o) {
     if (!an->requires_grad) return;
     an->ensure_grad();
-    for_elems(o->grad.v.size(), par::kMinOps,
-              [&](std::size_t i0, std::size_t i1) {
-                for (std::size_t i = i0; i < i1; ++i) {
-                  if (an->value.v[i] > 0.f) an->grad.v[i] += o->grad.v[i];
-                }
-              });
+    for (std::size_t i = 0; i < o->grad.v.size(); ++i) {
+      if (an->value.v[i] > 0.f) an->grad.v[i] += o->grad.v[i];
+    }
   });
 }
 
@@ -238,73 +196,33 @@ Tensor gelu(const Tensor& a) {
   return make_op("gelu", std::move(out), {a}, [an](Node* o) {
     if (!an->requires_grad) return;
     an->ensure_grad();
-    const bool avx2 = simd_backend() == SimdBackend::kAvx2;
-    for_elems(o->grad.v.size(), par::kMinExpOps,
-              [&](std::size_t i0, std::size_t i1) {
-                if (avx2) {
-                  detail::gelu_backward_avx2(an->value.v.data() + i0,
-                                             o->grad.v.data() + i0,
-                                             an->grad.v.data() + i0, i1 - i0);
-                  return;
-                }
-                for (std::size_t i = i0; i < i1; ++i) {
-                  const float x = an->value.v[i];
-                  const float u = fwd::kGeluC * (x + fwd::kGeluB * x * x * x);
-                  const float t = std::tanh(u);
-                  const float du = fwd::kGeluC * (1.f + 3.f * fwd::kGeluB * x * x);
-                  const float dy =
-                      0.5f * (1.f + t) + 0.5f * x * (1.f - t * t) * du;
-                  an->grad.v[i] += o->grad.v[i] * dy;
-                }
-              });
-  });
-}
-
-Tensor tanh_op(const Tensor& a) {
-  Mat out = a->value;
-  {
-    float* ov = out.v.data();
-    for_elems(out.v.size(), par::kMinExpOps,
-              [ov](std::size_t i0, std::size_t i1) {
-                for (std::size_t i = i0; i < i1; ++i) ov[i] = std::tanh(ov[i]);
-              });
-  }
-  Node* an = a.get();
-  return make_op("tanh", std::move(out), {a}, [an](Node* o) {
-    if (!an->requires_grad) return;
-    an->ensure_grad();
-    for_elems(o->grad.v.size(), par::kMinOps,
-              [&](std::size_t i0, std::size_t i1) {
-                for (std::size_t i = i0; i < i1; ++i) {
-                  const float y = o->value.v[i];
-                  an->grad.v[i] += o->grad.v[i] * (1.f - y * y);
-                }
-              });
+    if (simd_backend() == SimdBackend::kAvx2) {
+      detail::gelu_backward_avx2(an->value.v.data(), o->grad.v.data(),
+                                 an->grad.v.data(), o->grad.v.size());
+      return;
+    }
+    for (std::size_t i = 0; i < o->grad.v.size(); ++i) {
+      const float x = an->value.v[i];
+      const float u = fwd::kGeluC * (x + fwd::kGeluB * x * x * x);
+      const float t = std::tanh(u);
+      const float du = fwd::kGeluC * (1.f + 3.f * fwd::kGeluB * x * x);
+      const float dy = 0.5f * (1.f + t) + 0.5f * x * (1.f - t * t) * du;
+      an->grad.v[i] += o->grad.v[i] * dy;
+    }
   });
 }
 
 Tensor sigmoid(const Tensor& a) {
   Mat out = a->value;
-  {
-    float* ov = out.v.data();
-    for_elems(out.v.size(), par::kMinExpOps,
-              [ov](std::size_t i0, std::size_t i1) {
-                for (std::size_t i = i0; i < i1; ++i) {
-                  ov[i] = 1.f / (1.f + std::exp(-ov[i]));
-                }
-              });
-  }
+  for (float& x : out.v) x = 1.f / (1.f + std::exp(-x));
   Node* an = a.get();
   return make_op("sigmoid", std::move(out), {a}, [an](Node* o) {
     if (!an->requires_grad) return;
     an->ensure_grad();
-    for_elems(o->grad.v.size(), par::kMinOps,
-              [&](std::size_t i0, std::size_t i1) {
-                for (std::size_t i = i0; i < i1; ++i) {
-                  const float y = o->value.v[i];
-                  an->grad.v[i] += o->grad.v[i] * y * (1.f - y);
-                }
-              });
+    for (std::size_t i = 0; i < o->grad.v.size(); ++i) {
+      const float y = o->value.v[i];
+      an->grad.v[i] += o->grad.v[i] * y * (1.f - y);
+    }
   });
 }
 
@@ -451,25 +369,20 @@ void softmax_row_backward(const float* y, const float* dy, float* dx, int d) {
 
 Tensor softmax_rows(const Tensor& a) {
   const int n = a->value.rows, d = a->value.cols;
-  const std::size_t row_cost = static_cast<std::size_t>(d);
   Mat out(n, d);
-  for_rows(n, row_cost, par::kMinExpOps, [&](int i0, int i1) {
-    for (int i = i0; i < i1; ++i) {
-      const std::size_t r = static_cast<std::size_t>(i) * d;
-      fwd::softmax_row(a->value.v.data() + r, out.v.data() + r, d);
-    }
-  });
+  for (int i = 0; i < n; ++i) {
+    const std::size_t r = static_cast<std::size_t>(i) * d;
+    fwd::softmax_row(a->value.v.data() + r, out.v.data() + r, d);
+  }
   Node* an = a.get();
-  return make_op("softmax_rows", std::move(out), {a}, [an, n, d, row_cost](Node* o) {
+  return make_op("softmax_rows", std::move(out), {a}, [an, n, d](Node* o) {
     if (!an->requires_grad) return;
     an->ensure_grad();
-    for_rows(n, row_cost, par::kMinOps, [&](int i0, int i1) {
-      for (int i = i0; i < i1; ++i) {
-        const std::size_t r = static_cast<std::size_t>(i) * d;
-        softmax_row_backward(o->value.v.data() + r, o->grad.v.data() + r,
-                             an->grad.v.data() + r, d);
-      }
-    });
+    for (int i = 0; i < n; ++i) {
+      const std::size_t r = static_cast<std::size_t>(i) * d;
+      softmax_row_backward(o->value.v.data() + r, o->grad.v.data() + r,
+                           an->grad.v.data() + r, d);
+    }
   });
 }
 
@@ -543,13 +456,11 @@ Tensor attention_heads(const Tensor& q, const Tensor& k, const Tensor& v,
           }
           if (!score_grad) continue;
           // P = softmax(ss), ss = s * scores
-          for_rows(n, static_cast<std::size_t>(n), par::kMinOps, [&](int i0, int i1) {
-            for (int i = i0; i < i1; ++i) {
-              const std::size_t r = static_cast<std::size_t>(i) * n;
-              softmax_row_backward(ph + r, dp + r, dss + r, n);
-              for (int j = 0; j < n; ++j) dsc[r + j] += s * dss[r + j];
-            }
-          });
+          for (int i = 0; i < n; ++i) {
+            const std::size_t r = static_cast<std::size_t>(i) * n;
+            softmax_row_backward(ph + r, dp + r, dss + r, n);
+            for (int j = 0; j < n; ++j) dsc[r + j] += s * dss[r + j];
+          }
           // scores = qh kh^T
           fwd::copy_head(qn->value, h, dh, qh);
           fwd::copy_head(kn->value, h, dh, kh);
@@ -597,25 +508,22 @@ Tensor layernorm_rows(const Tensor& a, const Tensor& gamma, const Tensor& beta,
         }
         if (an->requires_grad) {
           an->ensure_grad();
-          for_rows(n, static_cast<std::size_t>(d), par::kMinOps,
-                   [&](int i0, int i1) {
-            for (int i = i0; i < i1; ++i) {
-              // g = dOut * gamma ; dx = is * (g - mean(g) - xhat * mean(g*xhat))
-              float mg = 0.f, mgx = 0.f;
-              for (int j = 0; j < d; ++j) {
-                const float g = o->grad.at(i, j) * gn->value.at(0, j);
-                mg += g;
-                mgx += g * xhat.at(i, j);
-              }
-              mg /= static_cast<float>(d);
-              mgx /= static_cast<float>(d);
-              const float is = inv_sigma[static_cast<std::size_t>(i)];
-              for (int j = 0; j < d; ++j) {
-                const float g = o->grad.at(i, j) * gn->value.at(0, j);
-                an->grad.at(i, j) += is * (g - mg - xhat.at(i, j) * mgx);
-              }
+          for (int i = 0; i < n; ++i) {
+            // g = dOut * gamma ; dx = is * (g - mean(g) - xhat * mean(g*xhat))
+            float mg = 0.f, mgx = 0.f;
+            for (int j = 0; j < d; ++j) {
+              const float g = o->grad.at(i, j) * gn->value.at(0, j);
+              mg += g;
+              mgx += g * xhat.at(i, j);
             }
-          });
+            mg /= static_cast<float>(d);
+            mgx /= static_cast<float>(d);
+            const float is = inv_sigma[static_cast<std::size_t>(i)];
+            for (int j = 0; j < d; ++j) {
+              const float g = o->grad.at(i, j) * gn->value.at(0, j);
+              an->grad.at(i, j) += is * (g - mg - xhat.at(i, j) * mgx);
+            }
+          }
         }
       });
 }
@@ -642,55 +550,30 @@ Tensor normalize_rows(const Tensor& a, float eps) {
   const int n = a->value.rows, d = a->value.cols;
   Mat out(n, d);
   std::vector<float> norms(static_cast<std::size_t>(n));
-  const std::size_t row_cost = static_cast<std::size_t>(d) * 3;
-  for_rows(n, row_cost, par::kMinOps, [&](int b, int e) {
-    for (int i = b; i < e; ++i) {
-      float s = 0.f;
-      for (int j = 0; j < d; ++j) s += a->value.at(i, j) * a->value.at(i, j);
-      const float nm = std::sqrt(s) + eps;
-      norms[static_cast<std::size_t>(i)] = nm;
-      for (int j = 0; j < d; ++j) out.at(i, j) = a->value.at(i, j) / nm;
-    }
-  });
-  Node* an = a.get();
-  return make_op("normalize_rows", std::move(out), {a},
-                 [an, n, d, row_cost, norms = std::move(norms)](Node* o) {
-                   if (!an->requires_grad) return;
-                   an->ensure_grad();
-                   for_rows(n, row_cost, par::kMinOps, [&](int b, int e) {
-                     for (int i = b; i < e; ++i) {
-                       float dot = 0.f;
-                       for (int j = 0; j < d; ++j) {
-                         dot += o->grad.at(i, j) * o->value.at(i, j);
-                       }
-                       const float inv =
-                           1.f / norms[static_cast<std::size_t>(i)];
-                       for (int j = 0; j < d; ++j) {
-                         an->grad.at(i, j) +=
-                             (o->grad.at(i, j) - o->value.at(i, j) * dot) * inv;
-                       }
-                     }
-                   });
-                 });
-}
-
-Tensor dropout(const Tensor& a, float p, bool train, Rng& rng) {
-  if (!train || p <= 0.f) return a;
-  Mat out = a->value;
-  std::vector<float> mask(out.v.size());
-  const float keep = 1.f - p;
-  for (std::size_t i = 0; i < out.v.size(); ++i) {
-    mask[i] = rng.chance(p) ? 0.f : 1.f / keep;
-    out.v[i] *= mask[i];
+  for (int i = 0; i < n; ++i) {
+    float s = 0.f;
+    for (int j = 0; j < d; ++j) s += a->value.at(i, j) * a->value.at(i, j);
+    const float nm = std::sqrt(s) + eps;
+    norms[static_cast<std::size_t>(i)] = nm;
+    for (int j = 0; j < d; ++j) out.at(i, j) = a->value.at(i, j) / nm;
   }
   Node* an = a.get();
-  return make_op("dropout", std::move(out), {a}, [an, mask = std::move(mask)](Node* o) {
-    if (!an->requires_grad) return;
-    an->ensure_grad();
-    for (std::size_t i = 0; i < o->grad.v.size(); ++i) {
-      an->grad.v[i] += o->grad.v[i] * mask[i];
-    }
-  });
+  return make_op("normalize_rows", std::move(out), {a},
+                 [an, n, d, norms = std::move(norms)](Node* o) {
+                   if (!an->requires_grad) return;
+                   an->ensure_grad();
+                   for (int i = 0; i < n; ++i) {
+                     float dot = 0.f;
+                     for (int j = 0; j < d; ++j) {
+                       dot += o->grad.at(i, j) * o->value.at(i, j);
+                     }
+                     const float inv = 1.f / norms[static_cast<std::size_t>(i)];
+                     for (int j = 0; j < d; ++j) {
+                       an->grad.at(i, j) +=
+                           (o->grad.at(i, j) - o->value.at(i, j) * dot) * inv;
+                     }
+                   }
+                 });
 }
 
 Tensor cross_entropy(const Tensor& logits, const std::vector<int>& targets) {
@@ -698,28 +581,27 @@ Tensor cross_entropy(const Tensor& logits, const std::vector<int>& targets) {
   NETTAG_CHECK(static_cast<int>(targets.size()) == n,
                "cross_entropy: " + std::to_string(targets.size()) +
                    " targets for logits " + sh(logits->value));
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    NETTAG_CHECK(targets[i] >= 0 && targets[i] < c,
+                 "cross_entropy: target " + std::to_string(targets[i]) +
+                     " of row " + std::to_string(i) + " outside [0, " +
+                     std::to_string(c) + ") for logits " + sh(logits->value));
+  }
   Mat probs(n, c);
-  // Per-row terms in parallel; the final reduction stays a serial loop in row
-  // order so the loss matches the serial float-addition sequence exactly.
-  std::vector<double> row_loss(static_cast<std::size_t>(n));
-  for_rows(n, static_cast<std::size_t>(c) * 3, par::kMinExpOps,
-           [&](int rb, int re) {
-    for (int i = rb; i < re; ++i) {
-      float mx = logits->value.at(i, 0);
-      for (int j = 1; j < c; ++j) mx = std::max(mx, logits->value.at(i, j));
-      float sum = 0.f;
-      for (int j = 0; j < c; ++j) {
-        const float e = std::exp(logits->value.at(i, j) - mx);
-        probs.at(i, j) = e;
-        sum += e;
-      }
-      for (int j = 0; j < c; ++j) probs.at(i, j) /= sum;
-      row_loss[static_cast<std::size_t>(i)] = -std::log(std::max(
-          probs.at(i, targets[static_cast<std::size_t>(i)]), 1e-12f));
-    }
-  });
   double loss = 0.0;
-  for (int i = 0; i < n; ++i) loss += row_loss[static_cast<std::size_t>(i)];
+  for (int i = 0; i < n; ++i) {
+    float mx = logits->value.at(i, 0);
+    for (int j = 1; j < c; ++j) mx = std::max(mx, logits->value.at(i, j));
+    float sum = 0.f;
+    for (int j = 0; j < c; ++j) {
+      const float e = std::exp(logits->value.at(i, j) - mx);
+      probs.at(i, j) = e;
+      sum += e;
+    }
+    for (int j = 0; j < c; ++j) probs.at(i, j) /= sum;
+    loss += -std::log(std::max(
+        probs.at(i, targets[static_cast<std::size_t>(i)]), 1e-12f));
+  }
   Mat out(1, 1);
   out.v[0] = static_cast<float>(loss / n);
   Node* ln = logits.get();
@@ -728,18 +610,13 @@ Tensor cross_entropy(const Tensor& logits, const std::vector<int>& targets) {
                    if (!ln->requires_grad) return;
                    ln->ensure_grad();
                    const float g = o->grad.v[0] / static_cast<float>(n);
-                   for_rows(n, static_cast<std::size_t>(c) * 2, par::kMinOps,
-                            [&](int rb, int re) {
-                     for (int i = rb; i < re; ++i) {
-                       for (int j = 0; j < c; ++j) {
-                         float d = probs.at(i, j);
-                         if (j == targets[static_cast<std::size_t>(i)]) {
-                           d -= 1.f;
-                         }
-                         ln->grad.at(i, j) += g * d;
-                       }
+                   for (int i = 0; i < n; ++i) {
+                     for (int j = 0; j < c; ++j) {
+                       float d = probs.at(i, j);
+                       if (j == targets[static_cast<std::size_t>(i)]) d -= 1.f;
+                       ln->grad.at(i, j) += g * d;
                      }
-                   });
+                   }
                  });
 }
 
@@ -759,11 +636,9 @@ Tensor mse_loss(const Tensor& pred, const Mat& target) {
     if (!pn->requires_grad) return;
     pn->ensure_grad();
     const float g = o->grad.v[0] * 2.f / static_cast<float>(target.v.size());
-    for_elems(target.v.size(), par::kMinOps, [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        pn->grad.v[i] += g * (pn->value.v[i] - target.v[i]);
-      }
-    });
+    for (std::size_t i = 0; i < target.v.size(); ++i) {
+      pn->grad.v[i] += g * (pn->value.v[i] - target.v[i]);
+    }
   });
 }
 

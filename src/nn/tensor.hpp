@@ -104,7 +104,6 @@ Tensor mul(const Tensor& a, const Tensor& b);        ///< elementwise
 Tensor scale(const Tensor& a, float s);
 Tensor relu(const Tensor& a);
 Tensor gelu(const Tensor& a);                        ///< tanh approximation
-Tensor tanh_op(const Tensor& a);
 Tensor sigmoid(const Tensor& a);
 Tensor transpose(const Tensor& a);
 Tensor concat_cols(const Tensor& a, const Tensor& b);
@@ -127,8 +126,6 @@ Tensor layernorm_rows(const Tensor& a, const Tensor& gamma, const Tensor& beta,
 Tensor embedding(const Tensor& table, const std::vector<int>& ids);
 /// L2-normalizes each row (for cosine similarity).
 Tensor normalize_rows(const Tensor& a, float eps = 1e-8f);
-/// Inverted dropout; identity when `train` is false or p == 0.
-Tensor dropout(const Tensor& a, float p, bool train, Rng& rng);
 
 // --- losses (return 1x1 scalars) ----------------------------------------------
 
@@ -162,7 +159,6 @@ class Adam {
   /// Applies one update from the accumulated gradients, then zeroes them.
   void step();
   void zero_grad();
-  void set_lr(float lr) { lr_ = lr; }
   float lr() const { return lr_; }
 
   // --- checkpoint access (nn/train_state.hpp) -----------------------------

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "analysis/check.hpp"
-#include "util/parallel.hpp"
 
 namespace nettag {
 
@@ -19,57 +18,20 @@ constexpr double kSetupTime = 0.04;   // ns
 constexpr double kClkToQ = 0.06;      // ns
 constexpr double kVdd = 1.1;          // V
 
-/// Longest-path levelization: sources (ports, constants, registers, and
-/// fanin-free gates) at level 0, every other gate strictly above all of its
-/// fanins. Gates within one level never feed each other, so each level can
-/// be evaluated in parallel with results bit-identical to the serial
-/// topological sweep — every per-gate value is written by exactly one task
-/// and depends only on lower levels.
-std::vector<std::vector<GateId>> levelize(const Netlist& nl) {
-  const std::vector<GateId> order = nl.topo_order();
-  std::vector<int> level(nl.size(), 0);
-  int max_level = 0;
-  for (GateId id : order) {
-    const Gate& g = nl.gate(id);
-    if (g.type == CellType::kPort || g.type == CellType::kConst0 ||
-        g.type == CellType::kConst1 || g.type == CellType::kDff) {
-      continue;
-    }
-    int lv = 0;
-    for (GateId f : g.fanins) {
-      lv = std::max(lv, level[static_cast<std::size_t>(f)] + 1);
-    }
-    level[static_cast<std::size_t>(id)] = lv;
-    max_level = std::max(max_level, lv);
-  }
-  std::vector<std::vector<GateId>> levels(static_cast<std::size_t>(max_level) + 1);
-  for (GateId id : order) {
-    levels[static_cast<std::size_t>(level[static_cast<std::size_t>(id)])]
-        .push_back(id);
-  }
-  return levels;
-}
-
-/// Grain for per-gate node loops (each item is tens of flops).
-constexpr std::size_t kGateGrain = 256;
-
 }  // namespace
 
 Parasitics extract_parasitics(const Netlist& nl, const Placement& pl) {
   Parasitics para;
   para.nets.resize(nl.size());
-  parallel_for(nl.size(), kGateGrain, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      const Gate& g = nl.gate(static_cast<GateId>(i));
-      NetParasitics& net = para.nets[i];
-      const double len = net_hpwl(nl, pl, g.id);
-      net.wire_res = para.r_per_um * len;
-      net.wire_cap = para.c_per_um * len;
-      for (GateId s : g.fanouts) {
-        net.pin_cap += cell_info(nl.gate(s).type).input_cap;
-      }
+  for (const Gate& g : nl.gates()) {
+    NetParasitics& net = para.nets[static_cast<std::size_t>(g.id)];
+    const double len = net_hpwl(nl, pl, g.id);
+    net.wire_res = para.r_per_um * len;
+    net.wire_cap = para.c_per_um * len;
+    for (GateId s : g.fanouts) {
+      net.pin_cap += cell_info(nl.gate(s).type).input_cap;
     }
-  });
+  }
   return para;
 }
 
@@ -82,40 +44,34 @@ TimingReport run_sta(const Netlist& nl, const Parasitics& para,
   rep.slack.assign(n, kInf);
   rep.clock_period = clock_period;
 
-  // Level-parallel arrival propagation: a gate's arrival depends only on
-  // strictly lower levels, so each level is a parallel sweep and the result
-  // is bit-identical to the serial topological walk.
-  for (const std::vector<GateId>& lvl : levelize(nl)) {
-    parallel_for(lvl.size(), kGateGrain, [&](std::size_t b, std::size_t e) {
-      for (std::size_t u = b; u < e; ++u) {
-        const GateId id = lvl[u];
-        const Gate& g = nl.gate(id);
-        const NetParasitics& net = para.nets[static_cast<std::size_t>(id)];
-        const CellInfo& info = cell_info(g.type);
-        // Stage delay: cell intrinsic + drive * load + Elmore wire term.
-        const double drive_delay = info.drive_res * net.load() * kRcToNs;
-        const double wire_delay =
-            net.wire_res * (net.wire_cap / 2 + net.pin_cap) * kRcToNs;
-        const double stage = info.intrinsic_delay + drive_delay + wire_delay;
-        rep.gate_delay[static_cast<std::size_t>(id)] = stage;
+  // Arrival propagation in topological order: ports, constants and
+  // registers launch, and every other gate follows all of its fanins.
+  for (const GateId id : nl.topo_order()) {
+    const Gate& g = nl.gate(id);
+    const NetParasitics& net = para.nets[static_cast<std::size_t>(id)];
+    const CellInfo& info = cell_info(g.type);
+    // Stage delay: cell intrinsic + drive * load + Elmore wire term.
+    const double drive_delay = info.drive_res * net.load() * kRcToNs;
+    const double wire_delay =
+        net.wire_res * (net.wire_cap / 2 + net.pin_cap) * kRcToNs;
+    const double stage = info.intrinsic_delay + drive_delay + wire_delay;
+    rep.gate_delay[static_cast<std::size_t>(id)] = stage;
 
-        if (g.type == CellType::kPort || g.type == CellType::kConst0 ||
-            g.type == CellType::kConst1) {
-          rep.arrival[static_cast<std::size_t>(id)] = drive_delay + wire_delay;
-          continue;
-        }
-        if (g.type == CellType::kDff) {
-          rep.arrival[static_cast<std::size_t>(id)] =
-              kClkToQ + drive_delay + wire_delay;
-          continue;
-        }
-        double worst_in = 0.0;
-        for (GateId f : g.fanins) {
-          worst_in = std::max(worst_in, rep.arrival[static_cast<std::size_t>(f)]);
-        }
-        rep.arrival[static_cast<std::size_t>(id)] = worst_in + stage;
-      }
-    });
+    if (g.type == CellType::kPort || g.type == CellType::kConst0 ||
+        g.type == CellType::kConst1) {
+      rep.arrival[static_cast<std::size_t>(id)] = drive_delay + wire_delay;
+      continue;
+    }
+    if (g.type == CellType::kDff) {
+      rep.arrival[static_cast<std::size_t>(id)] =
+          kClkToQ + drive_delay + wire_delay;
+      continue;
+    }
+    double worst_in = 0.0;
+    for (GateId f : g.fanins) {
+      worst_in = std::max(worst_in, rep.arrival[static_cast<std::size_t>(f)]);
+    }
+    rep.arrival[static_cast<std::size_t>(id)] = worst_in + stage;
   }
 
   rep.wns = kInf;
@@ -182,8 +138,8 @@ PowerReport run_power(const Netlist& nl, const Parasitics& para,
   // steady state).
   //
   // The enumeration allocates nothing: per-input factors and the cell's
-  // truth table live in fixed-size arrays on the task's own stack (the
-  // sweeps below run level-parallel), sized by the library's arity bound.
+  // truth table live in fixed-size arrays on the stack, sized by the
+  // library's arity bound.
   // Each pattern probability is the same product, in the same order, as a
   // per-pattern evaluation of those factors.
   auto propagate_gate = [&](const Gate& g) {
@@ -267,28 +223,22 @@ PowerReport run_power(const Netlist& nl, const Parasitics& para,
   // drives anything (every register cone: its one register is the output),
   // the pull cannot change any gate's inputs, so sweeps 2 and 3 would
   // recompute sweep 1 bit for bit; one sweep then gives the same report.
-  // Level-parallel sweeps: within a level no gate feeds another, so the
-  // pairwise-joint propagation reads only stable lower-level statistics and
-  // the result matches the serial sweep bit-for-bit. The activity
-  // enumeration is 4^fanin per gate, so the grain is small.
+  // Each sweep visits gates in topological order, so a gate reads the
+  // statistics its fanins computed in the same sweep.
   const bool registers_have_fanout =
       std::any_of(nl.gates().begin(), nl.gates().end(), [](const Gate& g) {
         return g.type == CellType::kDff && !g.fanouts.empty();
       });
   const int sweeps = registers_have_fanout ? 3 : 1;
-  const std::vector<std::vector<GateId>> levels = levelize(nl);
+  const std::vector<GateId> order = nl.topo_order();
   for (int sweep = 0; sweep < sweeps; ++sweep) {
-    for (const std::vector<GateId>& lvl : levels) {
-      parallel_for(lvl.size(), 16, [&](std::size_t b, std::size_t e) {
-        for (std::size_t u = b; u < e; ++u) {
-          const Gate& g = nl.gate(lvl[u]);
-          if (g.type == CellType::kPort || g.type == CellType::kConst0 ||
-              g.type == CellType::kConst1 || g.type == CellType::kDff) {
-            continue;
-          }
-          propagate_gate(g);
-        }
-      });
+    for (const GateId id : order) {
+      const Gate& g = nl.gate(id);
+      if (g.type == CellType::kPort || g.type == CellType::kConst0 ||
+          g.type == CellType::kConst1 || g.type == CellType::kDff) {
+        continue;
+      }
+      propagate_gate(g);
     }
     for (const Gate& g : nl.gates()) {
       if (g.type != CellType::kDff) continue;
@@ -298,22 +248,16 @@ PowerReport run_power(const Netlist& nl, const Parasitics& para,
     }
   }
 
-  // Per-gate power in parallel; the totals are reduced serially in gate
-  // order to preserve the serial float-addition sequence.
-  std::vector<double> dyn(n), leak(n);
-  parallel_for(n, kGateGrain, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      const Gate& g = nl.gate(static_cast<GateId>(i));
-      const NetParasitics& net = para.nets[i];
-      // Dynamic: 0.5 * C * V^2 * f * alpha. C in fF, f in GHz -> power in uW.
-      dyn[i] = 0.5 * net.load() * kVdd * kVdd * clock_ghz * rep.toggle[i];
-      leak[i] = cell_info(g.type).leakage * 1e-3;  // nW -> uW
-      rep.gate_power[i] = dyn[i] + leak[i];
-    }
-  });
   for (std::size_t i = 0; i < n; ++i) {
-    rep.dynamic_power += dyn[i];
-    rep.leakage_power += leak[i];
+    const Gate& g = nl.gate(static_cast<GateId>(i));
+    const NetParasitics& net = para.nets[i];
+    // Dynamic: 0.5 * C * V^2 * f * alpha. C in fF, f in GHz -> power in uW.
+    const double dyn =
+        0.5 * net.load() * kVdd * kVdd * clock_ghz * rep.toggle[i];
+    const double leak = cell_info(g.type).leakage * 1e-3;  // nW -> uW
+    rep.gate_power[i] = dyn + leak;
+    rep.dynamic_power += dyn;
+    rep.leakage_power += leak;
   }
   return rep;
 }
@@ -344,14 +288,12 @@ LayoutGraph build_layout_graph(const Netlist& nl, const Placement& pl,
                                const TimingReport& timing) {
   LayoutGraph lg;
   lg.node_feats.resize(nl.size());
-  parallel_for(nl.size(), kGateGrain, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      const NetParasitics& net = para.nets[i];
-      lg.node_feats[i] = {net.wire_cap, net.wire_res, net.load(),
-                          timing.gate_delay[i], pl.x[i], pl.y[i]};
-    }
-  });
-  // Edge list order matters downstream — keep the serial append.
+  for (std::size_t i = 0; i < nl.size(); ++i) {
+    const NetParasitics& net = para.nets[i];
+    lg.node_feats[i] = {net.wire_cap, net.wire_res, net.load(),
+                        timing.gate_delay[i], pl.x[i], pl.y[i]};
+  }
+  // Edge list order matters downstream.
   for (const Gate& g : nl.gates()) {
     for (GateId s : g.fanouts) {
       lg.edges.emplace_back(static_cast<int>(g.id), static_cast<int>(s));

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "util/parallel.hpp"
-
 namespace nettag {
 
 double net_hpwl(const Netlist& nl, const Placement& pl, GateId driver) {
@@ -23,16 +21,10 @@ double net_hpwl(const Netlist& nl, const Placement& pl, GateId driver) {
 }
 
 double total_hpwl(const Netlist& nl, const Placement& pl) {
-  // Per-net lengths in parallel, reduced serially in gate order so the
-  // float-addition sequence matches the serial loop exactly.
-  std::vector<double> len(nl.size());
-  parallel_for(nl.size(), 256, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      len[i] = net_hpwl(nl, pl, static_cast<GateId>(i));
-    }
-  });
   double sum = 0.0;
-  for (double l : len) sum += l;
+  for (std::size_t i = 0; i < nl.size(); ++i) {
+    sum += net_hpwl(nl, pl, static_cast<GateId>(i));
+  }
   return sum;
 }
 

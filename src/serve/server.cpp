@@ -381,7 +381,7 @@ Response Server::process_netlist_op(const Request& request,
       const std::vector<double> scores = task_fn(model, nl);
       // Head time is dominated by the embed inside task_fn; attribute it to
       // the TAGFormer stage (the head itself is a few matmuls).
-      atomic_add_seconds(timing.tagformer, task_timer.seconds());
+      timing.tagformer.fetch_add(task_timer.seconds());
       payload = "{\"task\":\"" + json_escape(request.task) + "\",\"scores\":[";
       for (std::size_t i = 0; i < scores.size(); ++i) {
         if (i) payload += ',';

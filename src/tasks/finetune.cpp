@@ -1,12 +1,11 @@
 #include "tasks/finetune.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <string>
 
-#include "util/parallel.hpp"
+#include "analysis/check.hpp"
 
 namespace nettag {
 
@@ -55,14 +54,19 @@ bool head_stop_requested(const TrainCheckpoint& ck, long executed) {
 }  // namespace
 
 Mat vstack(const std::vector<Mat>& rows) {
-  assert(!rows.empty());
+  NETTAG_CHECK(!rows.empty(), "vstack: no rows to stack");
   const int d = rows[0].cols;
   int total = 0;
-  for (const Mat& r : rows) total += r.rows;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    NETTAG_CHECK(rows[i].cols == d,
+                 "vstack: row " + std::to_string(i) + " has " +
+                     std::to_string(rows[i].cols) + " cols, row 0 has " +
+                     std::to_string(d));
+    total += rows[i].rows;
+  }
   Mat out(total, d);
   int at = 0;
   for (const Mat& r : rows) {
-    assert(r.cols == d);
     std::copy(r.v.begin(), r.v.end(),
               out.v.begin() + static_cast<std::ptrdiff_t>(at) * d);
     at += r.rows;
@@ -72,15 +76,11 @@ Mat vstack(const std::vector<Mat>& rows) {
 
 Mat take_rows(const Mat& x, const std::vector<int>& idx) {
   Mat out(static_cast<int>(idx.size()), x.cols);
-  parallel_for(idx.size(),
-               par::grain(static_cast<std::size_t>(x.cols), par::kMinOps),
-               [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      for (int j = 0; j < x.cols; ++j) {
-        out.at(static_cast<int>(i), j) = x.at(idx[i], j);
-      }
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    for (int j = 0; j < x.cols; ++j) {
+      out.at(static_cast<int>(i), j) = x.at(idx[i], j);
     }
-  });
+  }
   return out;
 }
 
@@ -89,22 +89,17 @@ void fit_column_stats(const Mat& x, std::vector<float>* mean,
   mean->assign(static_cast<std::size_t>(x.cols), 0.f);
   std->assign(static_cast<std::size_t>(x.cols), 1.f);
   if (x.rows == 0) return;
-  // Columns are independent reductions; each keeps its serial row order.
-  parallel_for(static_cast<std::size_t>(x.cols),
-               par::grain(static_cast<std::size_t>(x.rows) * 3, par::kMinOps),
-               [&](std::size_t jb, std::size_t je) {
-    for (int j = static_cast<int>(jb); j < static_cast<int>(je); ++j) {
-      double s = 0, sq = 0;
-      for (int i = 0; i < x.rows; ++i) {
-        s += x.at(i, j);
-        sq += static_cast<double>(x.at(i, j)) * x.at(i, j);
-      }
-      const double m = s / x.rows;
-      const double v = std::max(sq / x.rows - m * m, 1e-8);
-      (*mean)[static_cast<std::size_t>(j)] = static_cast<float>(m);
-      (*std)[static_cast<std::size_t>(j)] = static_cast<float>(std::sqrt(v));
+  for (int j = 0; j < x.cols; ++j) {
+    double s = 0, sq = 0;
+    for (int i = 0; i < x.rows; ++i) {
+      s += x.at(i, j);
+      sq += static_cast<double>(x.at(i, j)) * x.at(i, j);
     }
-  });
+    const double m = s / x.rows;
+    const double v = std::max(sq / x.rows - m * m, 1e-8);
+    (*mean)[static_cast<std::size_t>(j)] = static_cast<float>(m);
+    (*std)[static_cast<std::size_t>(j)] = static_cast<float>(std::sqrt(v));
+  }
   // Floor each column std at a fraction of the average std: columns with
   // near-zero variance would otherwise amplify noise after division.
   double avg = 0;
@@ -118,16 +113,12 @@ Mat apply_column_stats(const Mat& x, const std::vector<float>& mean,
                        const std::vector<float>& std) {
   if (mean.empty()) return x;
   Mat out = x;
-  parallel_for(static_cast<std::size_t>(out.rows),
-               par::grain(static_cast<std::size_t>(out.cols) * 2, par::kMinOps),
-               [&](std::size_t ib, std::size_t ie) {
-    for (int i = static_cast<int>(ib); i < static_cast<int>(ie); ++i) {
-      for (int j = 0; j < out.cols; ++j) {
-        out.at(i, j) = (out.at(i, j) - mean[static_cast<std::size_t>(j)]) /
-                       std[static_cast<std::size_t>(j)];
-      }
+  for (int i = 0; i < out.rows; ++i) {
+    for (int j = 0; j < out.cols; ++j) {
+      out.at(i, j) = (out.at(i, j) - mean[static_cast<std::size_t>(j)]) /
+                     std[static_cast<std::size_t>(j)];
     }
-  });
+  }
   return out;
 }
 
@@ -153,7 +144,16 @@ bool ClassifierHead::resume_fit(const Mat& x, const std::vector<int>& y,
 
 bool ClassifierHead::fit_impl(const Mat& x_raw, const std::vector<int>& y,
                               Rng& rng, const TrainState* resume) {
-  assert(x_raw.rows == static_cast<int>(y.size()));
+  NETTAG_CHECK(x_raw.rows == static_cast<int>(y.size()),
+               "ClassifierHead::fit: " + std::to_string(x_raw.rows) +
+                   " feature rows but " + std::to_string(y.size()) +
+                   " labels");
+  for (std::size_t i = 0; i < y.size(); ++i) {
+    NETTAG_CHECK(y[i] >= 0 && y[i] < num_classes_,
+                 "ClassifierHead::fit: label " + std::to_string(y[i]) +
+                     " of row " + std::to_string(i) + " outside [0, " +
+                     std::to_string(num_classes_) + ")");
+  }
   if (x_raw.rows == 0) return true;
   fit_column_stats(x_raw, &col_mean_, &col_std_);
   const Mat x = apply_column_stats(x_raw, col_mean_, col_std_);
@@ -223,17 +223,13 @@ Mat ClassifierHead::scores(const Mat& x) const {
 std::vector<int> ClassifierHead::predict(const Mat& x) const {
   const Mat s = scores(x);
   std::vector<int> out(static_cast<std::size_t>(s.rows));
-  parallel_for(out.size(),
-               par::grain(static_cast<std::size_t>(s.cols), par::kMinOps),
-               [&](std::size_t b, std::size_t e) {
-    for (int i = static_cast<int>(b); i < static_cast<int>(e); ++i) {
-      int best = 0;
-      for (int j = 1; j < s.cols; ++j) {
-        if (s.at(i, j) > s.at(i, best)) best = j;
-      }
-      out[static_cast<std::size_t>(i)] = best;
+  for (int i = 0; i < s.rows; ++i) {
+    int best = 0;
+    for (int j = 1; j < s.cols; ++j) {
+      if (s.at(i, j) > s.at(i, best)) best = j;
     }
-  });
+    out[static_cast<std::size_t>(i)] = best;
+  }
   return out;
 }
 

@@ -79,8 +79,6 @@ ThreadPool& ThreadPool::instance() {
   return pool;
 }
 
-bool ThreadPool::in_worker() { return t_in_pool_task; }
-
 int parallel_width() { return ThreadPool::instance().width(); }
 
 ThreadPool::ThreadPool(int width) : impl_(new Impl) { start(width); }
@@ -183,32 +181,11 @@ void ThreadPool::run_indexed(std::size_t count,
     std::unique_lock<std::mutex> lk(impl_->mu);
     impl_->done_cv.wait(
         lk, [&] { return job.finished == job.count && job.busy == 0; });
-    impl_->job = nullptr;
+    // Another outside caller may have posted its own job over this one;
+    // clearing that would leave its remaining tasks without helper lanes.
+    if (impl_->job == &job) impl_->job = nullptr;
   }
   if (job.error) std::rethrow_exception(job.error);
-}
-
-void parallel_for(std::size_t n, std::size_t grain,
-                  const std::function<void(std::size_t, std::size_t)>& body) {
-  if (n == 0) return;
-  if (grain == 0) grain = 1;
-  ThreadPool& pool = ThreadPool::instance();
-  const std::size_t width = static_cast<std::size_t>(pool.width());
-  if (width <= 1 || ThreadPool::in_worker() || n <= grain) {
-    body(0, n);
-    return;
-  }
-  std::size_t chunks = (n + grain - 1) / grain;
-  if (chunks > width) chunks = width;
-  if (chunks <= 1) {
-    body(0, n);
-    return;
-  }
-  pool.run_indexed(chunks, [&](std::size_t c) {
-    const std::size_t begin = n * c / chunks;
-    const std::size_t end = n * (c + 1) / chunks;
-    if (begin < end) body(begin, end);
-  });
 }
 
 }  // namespace nettag

@@ -1,13 +1,14 @@
-// Shared fixed-size thread pool and deterministic parallel-for.
+// Shared fixed-size thread pool.
 //
 // One process-wide pool (no work stealing: a parallel region is a fixed set
-// of index tasks drained from an atomic counter) parallelizes the tensor
-// kernels, the data-parallel pre-training steps, and the embarrassingly
-// parallel node loops in the physical passes. Determinism contract:
+// of index tasks drained from an atomic counter) spreads independent items
+// over its lanes: register cones of one embed, texts of one encode batch,
+// pretraining replica shards, Adam's parameters and per-design task loops.
+// Tensor, GEMM and physical-flow kernels never fork; they run serially on
+// whichever thread calls them. Determinism contract:
 //
-//   * Every parallel kernel partitions its output by ownership (each element
-//     is written by exactly one task), so kernel results are bit-identical
-//     to the serial loop at ANY width.
+//   * Each item writes only its own outputs, so a region's results are
+//     bit-identical to running its items in index order.
 //   * Reductions that are order-sensitive (gradient accumulation across
 //     data-parallel shards) use per-shard buffers reduced in a fixed shard
 //     order, and the shard count does not depend on the width, so they too
@@ -30,12 +31,6 @@ class ThreadPool {
   /// The process-wide pool (created on first use).
   static ThreadPool& instance();
 
-  /// True while the calling thread is executing a pool task. Nested parallel
-  /// regions detect this and run inline, so kernels may be freely composed
-  /// (a data-parallel training shard calling a parallel matmul does not
-  /// deadlock or oversubscribe).
-  static bool in_worker();
-
   /// Number of parallel lanes (1 == fully serial, no worker threads).
   int width() const { return width_; }
 
@@ -46,7 +41,11 @@ class ThreadPool {
   /// Runs task(0) .. task(count-1), any order, blocking until all complete.
   /// The calling thread participates. The first exception thrown by any task
   /// is rethrown on the caller after the region drains. Runs inline when the
-  /// pool is serial, the caller is already a worker, or count <= 1.
+  /// pool is serial, count <= 1, or the caller is itself running a pool task,
+  /// so regions may nest (a pretraining shard running encode_batch does not
+  /// deadlock or oversubscribe). Threads outside the pool may call this
+  /// concurrently: each drains its own region, and only the helper lanes are
+  /// shared.
   void run_indexed(std::size_t count,
                    const std::function<void(std::size_t)>& task);
 
@@ -77,27 +76,5 @@ int parallel_width();
 /// rejection there. Exposed for unit tests; the pool uses it at startup.
 int parse_thread_count(const char* text, int fallback,
                        std::string* warning = nullptr);
-
-/// Splits [0, n) into at most width() contiguous chunks of at least `grain`
-/// items and runs body(begin, end) for each, blocking. Chunk boundaries
-/// depend only on (n, grain, width), so a fixed NETTAG_THREADS gives a fixed
-/// partition. Runs body(0, n) inline when n <= grain or the pool is serial.
-void parallel_for(std::size_t n, std::size_t grain,
-                  const std::function<void(std::size_t, std::size_t)>& body);
-
-namespace par {
-/// Minimum arithmetic ops per task for cheap (add/mul) kernels — below this
-/// the dispatch overhead beats the win and the kernel stays serial.
-constexpr std::size_t kMinOps = std::size_t{1} << 16;
-/// Minimum ops per task for transcendental kernels (exp/tanh/log).
-constexpr std::size_t kMinExpOps = std::size_t{1} << 12;
-
-/// Grain (items per task) so that each task carries at least `min_ops` work
-/// given a per-item cost.
-inline std::size_t grain(std::size_t per_item_cost, std::size_t min_ops) {
-  if (per_item_cost == 0) per_item_cost = 1;
-  return (min_ops + per_item_cost - 1) / per_item_cost;
-}
-}  // namespace par
 
 }  // namespace nettag

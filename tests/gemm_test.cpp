@@ -555,9 +555,8 @@ TEST(SimdRowKernels, NonFiniteInputsGiveNonFiniteOutputsLikeScalar) {
 }
 
 TEST(SimdRowKernels, GeluBytesIndependentOfPoolWidth) {
-  // 8 * 4096 + 13 elements: past the elementwise grain (4096) at every
-  // width, so widths 2..8 split the array into 2..8 chunks whose ends fall
-  // off the 8-lane grid (16390, 10927, 8195, 4097, ...).
+  // The GELU kernels run serially on their caller, so no pool width may
+  // change their bytes. 8 * 4096 + 13 elements end off the 8-lane grid.
   const int kRows = 3, kCols = (8 * 4096 + 13) / 3 + 1;
   Rng rng(56);
   const Mat x = gelu_input(rng, kRows, kCols, 4.f);

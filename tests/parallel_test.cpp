@@ -1,10 +1,11 @@
 // Thread-pool determinism contract tests.
 //
 // Three layers, matching the contract documented in util/parallel.hpp:
-//   1. pool sanity — exceptions propagate to the caller, nested submission
-//      runs inline instead of deadlocking, chunk partitions cover the range;
-//   2. tensor kernels are ownership-partitioned, so forward AND backward are
-//      bit-identical to the serial path at any width;
+//   1. pool sanity — every index runs once, exceptions propagate to their
+//      own caller, nested submission runs inline instead of deadlocking, and
+//      threads outside the pool may open regions concurrently;
+//   2. tensor kernels run serially on their caller, so forward AND backward
+//      give the same bytes at any pool width;
 //   3. a whole pre-training run is bit-identical at every width: the step
 //      always runs the same fixed number of replica shards, whose gradients
 //      are reduced in shard order, and the data it samples never depends on
@@ -16,6 +17,8 @@
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "core/pretrain.hpp"
@@ -58,13 +61,46 @@ TEST(ThreadPool, NestedSubmitRunsInlineWithoutDeadlock) {
   EXPECT_EQ(inner_total.load(), 8 * 16);
 }
 
-TEST(ThreadPool, ParallelForCoversRangeOnce) {
-  WidthGuard guard(3);
-  std::vector<std::atomic<int>> hits(1001);
-  parallel_for(hits.size(), 1, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) ++hits[i];
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+TEST(ThreadPool, ConcurrentOutsideCallersEachRunTheirOwnRegion) {
+  WidthGuard guard(4);
+  constexpr std::size_t kCallers = 4;
+  constexpr std::size_t kCount = 301;
+  constexpr int kRounds = 25;
+  // hits[c * kCount + i]: how often caller c's region ran index i.
+  std::vector<std::atomic<int>> hits(kCallers * kCount);
+  std::vector<int> caught(kCallers, 0);
+  std::vector<int> foreign(kCallers, 0);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      while (!go.load()) std::this_thread::yield();
+      for (int r = 0; r < kRounds; ++r) {
+        try {
+          ThreadPool::instance().run_indexed(kCount, [&, c](std::size_t i) {
+            ++hits[c * kCount + i];
+            // Odd callers' regions throw, naming their caller.
+            if (c % 2 == 1 && i == 7 * c) {
+              throw std::runtime_error(std::to_string(c));
+            }
+          });
+        } catch (const std::runtime_error& e) {
+          ++caught[c];
+          if (e.what() != std::to_string(c)) ++foreign[c];
+        }
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& t : callers) t.join();
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    for (std::size_t i = 0; i < kCount; ++i) {
+      ASSERT_EQ(hits[c * kCount + i].load(), kRounds)
+          << "caller " << c << ", index " << i;
+    }
+    EXPECT_EQ(caught[c], c % 2 == 1 ? kRounds : 0) << "caller " << c;
+    EXPECT_EQ(foreign[c], 0) << "caller " << c;
+  }
 }
 
 /// One matmul + elementwise + softmax forward/backward round at a given
@@ -78,8 +114,7 @@ struct KernelRun {
 KernelRun kernel_round(int width) {
   WidthGuard guard(width);
   Rng rng(42);
-  // Large enough that matmul/gelu/softmax all clear their parallel grain
-  // thresholds (the whole point is to exercise the threaded code paths).
+  // Large enough to exercise every GEMM tile and row-kernel tail path.
   Tensor a = make_param(300, 200, rng);
   Tensor b = make_param(200, 300, rng);
   Tensor y = softmax_rows(gelu(matmul(a, b)));
@@ -115,8 +150,7 @@ struct AttentionRun {
 AttentionRun attention_round(int width) {
   WidthGuard guard(width);
   Rng rng(43);
-  // 4 heads of width 32 over 160 rows: the score/value GEMMs and the
-  // per-row softmax passes all clear their parallel grain thresholds.
+  // 4 heads of width 32 over 160 rows.
   Tensor q = make_param(160, 128, rng);
   Tensor k = make_param(160, 128, rng);
   Tensor v = make_param(160, 128, rng);
@@ -146,9 +180,9 @@ TEST(ParallelKernels, BackwardSeededMatchesBackward) {
   Tensor a2 = make_param(8, 6, rng2);
   // Same graph twice: once driven by backward(), once by seeding the root
   // gradient by hand and continuing with backward_seeded().
-  Tensor y1 = mse_loss(tanh_op(a1), Mat(8, 6));
+  Tensor y1 = mse_loss(sigmoid(a1), Mat(8, 6));
   backward(y1);
-  Tensor y2 = mse_loss(tanh_op(a2), Mat(8, 6));
+  Tensor y2 = mse_loss(sigmoid(a2), Mat(8, 6));
   y2->ensure_grad();
   y2->grad.v[0] = 1.f;
   backward_seeded(y2);

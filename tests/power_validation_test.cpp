@@ -219,11 +219,11 @@ TEST(Tokenizer, SlotShapesCaseAndVocabWords) {
 
 // --- The original run_power, kept as the oracle ------------------------------
 //
-// run_power() enumerates input patterns into fixed-size scratch and runs one
-// sweep when no register has a fanout. This is the implementation it
-// replaced, verbatim: a heap-allocated std::vector<bool> per pattern and
-// three level-parallel sweeps everywhere. Reports must match it byte for
-// byte.
+// run_power() enumerates input patterns into fixed-size scratch, sweeps the
+// gates in topological order and runs one sweep when no register has a
+// fanout. This is the implementation it replaced: a heap-allocated
+// std::vector<bool> per pattern and three level-by-level sweeps everywhere.
+// Reports must match it byte for byte.
 
 std::vector<std::vector<GateId>> reference_levelize(const Netlist& nl) {
   std::vector<int> level(nl.size(), 0);
@@ -254,7 +254,6 @@ PowerReport reference_run_power(const Netlist& nl, const Parasitics& para,
                                 double input_prob = 0.5,
                                 double clock_ghz = 1.0) {
   constexpr double kVdd = 1.1;
-  constexpr std::size_t kGateGrain = 256;
   PowerReport rep;
   const std::size_t n = nl.size();
   rep.prob.assign(n, 0.0);
@@ -334,16 +333,14 @@ PowerReport reference_run_power(const Netlist& nl, const Parasitics& para,
   const std::vector<std::vector<GateId>> levels = reference_levelize(nl);
   for (int sweep = 0; sweep < kSweeps; ++sweep) {
     for (const std::vector<GateId>& lvl : levels) {
-      parallel_for(lvl.size(), 16, [&](std::size_t b, std::size_t e) {
-        for (std::size_t u = b; u < e; ++u) {
-          const Gate& g = nl.gate(lvl[u]);
-          if (g.type == CellType::kPort || g.type == CellType::kConst0 ||
-              g.type == CellType::kConst1 || g.type == CellType::kDff) {
-            continue;
-          }
-          propagate_gate(g);
+      for (const GateId id : lvl) {
+        const Gate& g = nl.gate(id);
+        if (g.type == CellType::kPort || g.type == CellType::kConst0 ||
+            g.type == CellType::kConst1 || g.type == CellType::kDff) {
+          continue;
         }
-      });
+        propagate_gate(g);
+      }
     }
     for (const Gate& g : nl.gates()) {
       if (g.type != CellType::kDff) continue;
@@ -354,15 +351,13 @@ PowerReport reference_run_power(const Netlist& nl, const Parasitics& para,
   }
 
   std::vector<double> dyn(n), leak(n);
-  parallel_for(n, kGateGrain, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      const Gate& g = nl.gate(static_cast<GateId>(i));
-      const NetParasitics& net = para.nets[i];
-      dyn[i] = 0.5 * net.load() * kVdd * kVdd * clock_ghz * rep.toggle[i];
-      leak[i] = cell_info(g.type).leakage * 1e-3;
-      rep.gate_power[i] = dyn[i] + leak[i];
-    }
-  });
+  for (std::size_t i = 0; i < n; ++i) {
+    const Gate& g = nl.gate(static_cast<GateId>(i));
+    const NetParasitics& net = para.nets[i];
+    dyn[i] = 0.5 * net.load() * kVdd * kVdd * clock_ghz * rep.toggle[i];
+    leak[i] = cell_info(g.type).leakage * 1e-3;
+    rep.gate_power[i] = dyn[i] + leak[i];
+  }
   for (std::size_t i = 0; i < n; ++i) {
     rep.dynamic_power += dyn[i];
     rep.leakage_power += leak[i];

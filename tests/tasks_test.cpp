@@ -124,6 +124,32 @@ TEST(Finetune, ColumnStatsFloorPreventsBlowup) {
   for (float v : z.v) EXPECT_LT(std::abs(v), 100.f);
 }
 
+TEST(Finetune, VstackRejectsEmptyInput) {
+  EXPECT_THROW(vstack({}), CheckError);
+}
+
+TEST(Finetune, VstackRejectsRowOfAnotherWidth) {
+  EXPECT_THROW(vstack({Mat(1, 3), Mat(1, 2)}), CheckError);
+  EXPECT_THROW(vstack({Mat(1, 2), Mat(1, 3)}), CheckError);
+}
+
+TEST(ClassifierHead, FitRejectsRowLabelCountMismatch) {
+  Rng rng(5);
+  FinetuneOptions fo;
+  fo.steps = 1;
+  ClassifierHead head(2, 2, fo, rng);
+  EXPECT_THROW(head.fit(Mat(4, 2), {0, 1, 0}, rng), CheckError);
+}
+
+TEST(ClassifierHead, FitRejectsLabelOutsideClassRange) {
+  Rng rng(6);
+  FinetuneOptions fo;
+  fo.steps = 1;
+  ClassifierHead head(2, 2, fo, rng);
+  EXPECT_THROW(head.fit(Mat(3, 2), {0, 2, 1}, rng), CheckError);
+  EXPECT_THROW(head.fit(Mat(3, 2), {0, -1, 1}, rng), CheckError);
+}
+
 // --- task runner smoke tests (tiny corpus, reduced budgets) -----------------
 
 struct TaskFixture : public ::testing::Test {
