@@ -1,17 +1,21 @@
 #include "core/corpus_stream.hpp"
 
 #include <dirent.h>
+#include <fcntl.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iterator>
+#include <cstring>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "analysis/lint.hpp"
@@ -19,6 +23,9 @@
 #include "nn/serialize.hpp"
 #include "util/atomic_io.hpp"
 #include "util/checksum.hpp"
+#include "util/cli.hpp"
+#include "util/parallel.hpp"
+#include "util/words.hpp"
 
 namespace nettag {
 
@@ -113,65 +120,122 @@ void write_blob(std::ostream& os, const std::string& tag,
   os << tag << ' ' << bytes.size() << '\n' << bytes << '\n';
 }
 
-std::string serialize_shard(const Corpus& corpus,
-                            const CorpusExpressions& exprs) {
+/// One design's block of a shard, from its `design` line through
+/// `enddesign`. A shard is its header line, its designs' blocks in design
+/// order and the `end` line, so the blocks are built independently.
+std::string serialize_design(const DesignSample& ds,
+                             const std::vector<std::vector<std::string>>& es) {
   std::ostringstream os;
-  os << kShardHeader << '\n';
-  for (std::size_t d = 0; d < corpus.designs.size(); ++d) {
-    const DesignSample& ds = corpus.designs[d];
-    os << "design " << ds.gen.netlist.name() << ' '
-       << ds.gen.netlist.source() << '\n';
-    os << "labels " << fmt_double(ds.area_wo_opt) << ' '
-       << fmt_double(ds.power_wo_opt) << ' ' << fmt_double(ds.area_w_opt)
-       << ' ' << fmt_double(ds.power_w_opt) << ' '
-       << fmt_double(ds.tool_area) << ' ' << fmt_double(ds.tool_power) << ' '
-       << fmt_double(ds.pr_runtime_seconds) << '\n';
-    write_blob(os, "rtl", ds.gen.rtl_text);
-    // unordered_map order is not stable across implementations; sort so the
-    // shard bytes are a pure function of (seed, options).
-    std::vector<std::pair<std::string, std::string>> regs(
-        ds.gen.reg_rtl.begin(), ds.gen.reg_rtl.end());
-    std::sort(regs.begin(), regs.end());
-    os << "regrtl " << regs.size() << '\n';
-    for (const auto& [reg, text] : regs) write_blob(os, "reg " + reg, text);
-    write_blob(os, "netlist", netlist_to_string(ds.gen.netlist));
-    os << "cones " << ds.cones.size() << '\n';
-    for (std::size_t c = 0; c < ds.cones.size(); ++c) {
-      const ConeSample& cs = ds.cones[c];
-      os << "cone " << cs.register_name << ' ' << (cs.is_state_reg ? 1 : 0)
-         << ' ' << (cs.has_layout ? 1 : 0) << ' ' << fmt_double(cs.slack_label)
-         << ' ' << fmt_double(cs.clock_period) << '\n';
-      write_blob(os, "rtl", cs.rtl_text);
-      write_blob(os, "conenet", netlist_to_string(cs.cone));
-      const std::vector<std::string>& es = exprs[d][c];
-      os << "exprs " << es.size() << '\n';
-      for (const std::string& e : es) os << "e " << e << '\n';
-      os << "layout " << cs.layout.node_feats.size() << ' '
-         << cs.layout.edges.size() << '\n';
-      for (const auto& nf : cs.layout.node_feats) {
-        os << 'n';
-        for (double f : nf) os << ' ' << fmt_double(f);
-        os << '\n';
-      }
-      for (const auto& [u, v] : cs.layout.edges) {
-        os << "g " << u << ' ' << v << '\n';
-      }
-      os << "endcone\n";
+  os << "design " << ds.gen.netlist.name() << ' ' << ds.gen.netlist.source()
+     << '\n';
+  os << "labels " << fmt_double(ds.area_wo_opt) << ' '
+     << fmt_double(ds.power_wo_opt) << ' ' << fmt_double(ds.area_w_opt) << ' '
+     << fmt_double(ds.power_w_opt) << ' ' << fmt_double(ds.tool_area) << ' '
+     << fmt_double(ds.tool_power) << ' ' << fmt_double(ds.pr_runtime_seconds)
+     << '\n';
+  write_blob(os, "rtl", ds.gen.rtl_text);
+  // unordered_map order is not stable across implementations; sort so the
+  // shard bytes are a pure function of (seed, options).
+  std::vector<std::pair<std::string, std::string>> regs(
+      ds.gen.reg_rtl.begin(), ds.gen.reg_rtl.end());
+  std::sort(regs.begin(), regs.end());
+  os << "regrtl " << regs.size() << '\n';
+  for (const auto& [reg, text] : regs) write_blob(os, "reg " + reg, text);
+  write_blob(os, "netlist", netlist_to_string(ds.gen.netlist));
+  os << "cones " << ds.cones.size() << '\n';
+  for (std::size_t c = 0; c < ds.cones.size(); ++c) {
+    const ConeSample& cs = ds.cones[c];
+    os << "cone " << cs.register_name << ' ' << (cs.is_state_reg ? 1 : 0)
+       << ' ' << (cs.has_layout ? 1 : 0) << ' ' << fmt_double(cs.slack_label)
+       << ' ' << fmt_double(cs.clock_period) << '\n';
+    write_blob(os, "rtl", cs.rtl_text);
+    write_blob(os, "conenet", netlist_to_string(cs.cone));
+    os << "exprs " << es[c].size() << '\n';
+    for (const std::string& e : es[c]) os << "e " << e << '\n';
+    os << "layout " << cs.layout.node_feats.size() << ' '
+       << cs.layout.edges.size() << '\n';
+    for (const auto& nf : cs.layout.node_feats) {
+      os << 'n';
+      for (double f : nf) os << ' ' << fmt_double(f);
+      os << '\n';
     }
-    os << "enddesign\n";
+    for (const auto& [u, v] : cs.layout.edges) {
+      os << "g " << u << ' ' << v << '\n';
+    }
+    os << "endcone\n";
   }
-  os << "end " << corpus.designs.size() << '\n';
+  os << "enddesign\n";
   return os.str();
 }
 
 // --- shard parsing -----------------------------------------------------------
 
-/// Line/byte-tracking cursor so every rejection names the exact location.
+/// memchr is vectorized in libc; std::count over a 2 MB shard took 2.5x
+/// as long.
+std::size_t count_newlines(std::string_view s) {
+  std::size_t n = 0;
+  const char* p = s.data();
+  const char* const end = p + s.size();
+  while (const void* hit =
+             std::memchr(p, '\n', static_cast<std::size_t>(end - p))) {
+    p = static_cast<const char*>(hit) + 1;
+    ++n;
+  }
+  return n;
+}
+
+/// Reads a std::size_t the way `std::istream >> std::size_t` does (libstdc++,
+/// C locale): optional space, an optional sign, then digits up to the first
+/// non-digit, which stays unread. A minus sign wraps modulo 2^64; no digits,
+/// or a value past 2^64 - 1, fails.
+bool next_size(Words& ws, std::size_t* out) {
+  std::string_view& r = ws.rest;
+  std::size_t i = 0;
+  while (i < r.size() && is_space(r[i])) ++i;
+  const bool minus = i < r.size() && r[i] == '-';
+  if (i < r.size() && (r[i] == '-' || r[i] == '+')) ++i;
+  const std::size_t first = i;
+  std::size_t v = 0;
+  for (; i < r.size() && r[i] >= '0' && r[i] <= '9'; ++i) {
+    const auto d = static_cast<std::size_t>(r[i] - '0');
+    if (v > (std::numeric_limits<std::size_t>::max() - d) / 10) return false;
+    v = v * 10 + d;
+  }
+  if (i == first) return false;
+  r.remove_prefix(i);
+  *out = minus ? 0 - v : v;
+  return true;
+}
+
+/// A word copied into a NUL-terminated buffer for strtod/strtol, which then
+/// stop at a NUL byte inside the word, as they do on a std::string's c_str().
+class CWord {
+ public:
+  explicit CWord(std::string_view w) {
+    if (w.size() < sizeof small_) {
+      std::memcpy(small_, w.data(), w.size());
+      small_[w.size()] = '\0';
+    } else {
+      big_.assign(w);
+    }
+  }
+  CWord(const CWord&) = delete;
+  CWord& operator=(const CWord&) = delete;
+  const char* c_str() const { return big_.empty() ? small_ : big_.c_str(); }
+
+ private:
+  char small_[64];
+  std::string big_;
+};
+
+/// Line/byte-tracking cursor over a shard body, so every rejection names the
+/// exact location. Lines and blobs are views into the body.
 struct Cursor {
-  const std::string& text;
+  std::string_view text;
   const std::string& path;
   std::size_t pos = 0;
   std::size_t line = 1;
+  std::size_t newlines = 0;  ///< '\n' bytes in text, for lines_left()
 
   [[noreturn]] void fail(const std::string& why) const {
     throw std::runtime_error("shard " + path + ": " + why + " (line " +
@@ -179,60 +243,79 @@ struct Cursor {
                              std::to_string(pos) + ")");
   }
 
-  std::string next_line() {
+  std::string_view next_line() {
     if (pos >= text.size()) fail("unexpected end of shard");
     const std::size_t nl = text.find('\n', pos);
-    if (nl == std::string::npos) fail("unterminated line");
-    std::string out = text.substr(pos, nl - pos);
+    if (nl == std::string_view::npos) fail("unterminated line");
+    const std::string_view out = text.substr(pos, nl - pos);
     pos = nl + 1;
     ++line;
     return out;
   }
 
-  /// Reads a `<tag> <n>` header line then n raw bytes plus the trailing
-  /// newline.
-  std::string read_blob(const std::string& tag) {
-    const std::string header = next_line();
-    std::istringstream is(header);
-    std::string got;
-    std::size_t n = 0;
-    if (!(is >> got) || got != tag || !(is >> n)) {
-      fail("expected '" + tag + " <bytes>', got '" + header + "'");
+  /// Whole lines after the cursor.
+  std::size_t lines_left() const { return newlines - (line - 1); }
+
+  /// Rejects a count of items that each take at least one line when the
+  /// lines left cannot hold them, before anything is reserved for them.
+  void check_count(std::size_t n, const char* what) const {
+    if (n > lines_left()) {
+      fail(std::string(what) + " count " + std::to_string(n) +
+           " exceeds the " + std::to_string(lines_left()) + " lines left");
     }
-    if (pos + n + 1 > text.size()) fail("blob extends past end of shard");
-    std::string bytes = text.substr(pos, n);
+  }
+
+  /// n raw bytes plus their trailing newline.
+  std::string_view take_blob(std::size_t n, const char* past_end) {
+    if (n >= text.size() - pos) fail(past_end);
+    const std::string_view bytes = text.substr(pos, n);
     pos += n;
     if (text[pos] != '\n') fail("blob missing trailing newline");
     ++pos;
-    line += static_cast<std::size_t>(
-                std::count(bytes.begin(), bytes.end(), '\n')) + 1;
+    line += count_newlines(bytes) + 1;
     return bytes;
+  }
+
+  /// Reads a `<tag> <n>` header line then n raw bytes plus the trailing
+  /// newline.
+  std::string_view read_blob(const char* tag) {
+    const std::string_view header = next_line();
+    Words ws{header};
+    std::size_t n = 0;
+    if (ws.next() != tag || !next_size(ws, &n)) {
+      fail("expected '" + std::string(tag) + " <bytes>', got '" +
+           std::string(header) + "'");
+    }
+    return take_blob(n, "blob extends past end of shard");
   }
 };
 
-double parse_double(Cursor& cur, std::istringstream& is,
-                    const std::string& what) {
-  std::string tok;
-  if (!(is >> tok)) cur.fail("missing " + what);
+double parse_double(const Cursor& cur, Words& ws, const char* what) {
+  const std::string_view w = ws.next();
+  if (w.empty()) cur.fail(std::string("missing ") + what);
+  const CWord tok(w);
   char* end = nullptr;
   const double v = std::strtod(tok.c_str(), &end);
-  if (end == tok.c_str() || *end != '\0') cur.fail("bad " + what + ": " + tok);
-  return v;
-}
-
-long parse_long(Cursor& cur, std::istringstream& is, const std::string& what,
-                long lo, long hi) {
-  std::string tok;
-  if (!(is >> tok)) cur.fail("missing " + what);
-  char* end = nullptr;
-  const long v = std::strtol(tok.c_str(), &end, 10);
-  if (end == tok.c_str() || *end != '\0' || v < lo || v > hi) {
-    cur.fail("bad " + what + ": " + tok);
+  if (end == tok.c_str() || *end != '\0') {
+    cur.fail(std::string("bad ") + what + ": " + std::string(w));
   }
   return v;
 }
 
-ShardedCorpus::Shard parse_shard(const std::string& text,
+long parse_long(const Cursor& cur, Words& ws, const char* what, long lo,
+                long hi) {
+  const std::string_view w = ws.next();
+  if (w.empty()) cur.fail(std::string("missing ") + what);
+  const CWord tok(w);
+  char* end = nullptr;
+  const long v = std::strtol(tok.c_str(), &end, 10);
+  if (end == tok.c_str() || *end != '\0' || v < lo || v > hi) {
+    cur.fail(std::string("bad ") + what + ": " + std::string(w));
+  }
+  return v;
+}
+
+ShardedCorpus::Shard parse_shard(std::string_view text,
                                  const std::string& path,
                                  const std::vector<std::string>& families) {
   // Checksum first: a truncated or bit-flipped shard must be rejected before
@@ -240,27 +323,25 @@ ShardedCorpus::Shard parse_shard(const std::string& text,
   Cursor probe{text, path};
   if (text.empty() || text.back() != '\n') {
     probe.pos = text.size();
-    probe.line = static_cast<std::size_t>(
-                     std::count(text.begin(), text.end(), '\n')) + 1;
+    probe.line = count_newlines(text) + 1;
     probe.fail("truncated shard: no trailing newline");
   }
   const std::size_t prev_nl = text.rfind('\n', text.size() - 2);
   const std::size_t last_start = prev_nl == std::string::npos ? 0 : prev_nl + 1;
-  const std::string last =
+  const std::string_view last =
       text.substr(last_start, text.size() - 1 - last_start);
   probe.pos = last_start;
-  probe.line = static_cast<std::size_t>(
-                   std::count(text.begin(), text.begin() +
-                              static_cast<std::ptrdiff_t>(last_start), '\n')) + 1;
-  if (last.rfind("checksum ", 0) != 0) {
+  probe.line = count_newlines(text.substr(0, last_start)) + 1;
+  if (!last.starts_with("checksum ")) {
     probe.fail("truncated shard: final line is not a checksum");
   }
-  const std::string body = text.substr(0, last_start);
-  if (crc32_hex(crc32(body)) != last.substr(9)) {
+  const std::string_view body = text.substr(0, last_start);
+  if (crc32_hex(crc32(body.data(), body.size())) != last.substr(9)) {
     probe.fail("checksum mismatch: shard is corrupt");
   }
 
   Cursor cur{body, path};
+  cur.newlines = probe.line - 1;
   if (cur.next_line() != kShardHeader) {
     cur.fail(std::string("bad shard header, expected '") + kShardHeader + "'");
   }
@@ -268,25 +349,26 @@ ShardedCorpus::Shard parse_shard(const std::string& text,
   ShardedCorpus::Shard shard;
   shard.corpus.families = families;
   while (true) {
-    std::string head = cur.next_line();
-    if (head.rfind("end ", 0) == 0) {
-      std::istringstream is(head.substr(4));
+    const std::string_view head = cur.next_line();
+    if (head.starts_with("end ")) {
+      Words ws{head.substr(4)};
       std::size_t n = 0;
-      if (!(is >> n) || n != shard.corpus.designs.size()) {
+      if (!next_size(ws, &n) || n != shard.corpus.designs.size()) {
         cur.fail("design count mismatch in end marker");
       }
       break;
     }
-    std::istringstream is(head);
-    std::string tag, name, family;
-    if (!(is >> tag >> name >> family) || tag != "design") {
-      cur.fail("expected 'design <name> <family>', got '" + head + "'");
+    Words hw{head};
+    const std::string_view tag = hw.next(), name = hw.next(),
+                           family = hw.next();
+    if (family.empty() || tag != "design") {
+      cur.fail("expected 'design <name> <family>', got '" + std::string(head) +
+               "'");
     }
     DesignSample ds;
 
-    std::istringstream ls(cur.next_line());
-    std::string ltag;
-    if (!(ls >> ltag) || ltag != "labels") cur.fail("expected labels line");
+    Words ls{cur.next_line()};
+    if (ls.next() != "labels") cur.fail("expected labels line");
     ds.area_wo_opt = parse_double(cur, ls, "area_wo_opt");
     ds.power_wo_opt = parse_double(cur, ls, "power_wo_opt");
     ds.area_w_opt = parse_double(cur, ls, "area_w_opt");
@@ -296,96 +378,91 @@ ShardedCorpus::Shard parse_shard(const std::string& text,
     ds.pr_runtime_seconds = parse_double(cur, ls, "pr_runtime_seconds");
 
     ds.gen.rtl_text = cur.read_blob("rtl");
-    std::istringstream rs(cur.next_line());
-    std::string rtag;
+    Words rs{cur.next_line()};
     std::size_t nregs = 0;
-    if (!(rs >> rtag >> nregs) || rtag != "regrtl") {
+    if (rs.next() != "regrtl" || !next_size(rs, &nregs)) {
       cur.fail("expected 'regrtl <count>'");
     }
+    cur.check_count(nregs, "regrtl");
     for (std::size_t r = 0; r < nregs; ++r) {
       // Blob tag carries the register name: "reg <name> <bytes>".
-      const std::string header = cur.next_line();
-      std::istringstream hs(header);
-      std::string htag, reg;
+      const std::string_view header = cur.next_line();
+      Words hs{header};
+      const std::string_view htag = hs.next(), reg = hs.next();
       std::size_t nbytes = 0;
-      if (!(hs >> htag >> reg >> nbytes) || htag != "reg") {
-        cur.fail("expected 'reg <name> <bytes>', got '" + header + "'");
+      if (reg.empty() || !next_size(hs, &nbytes) || htag != "reg") {
+        cur.fail("expected 'reg <name> <bytes>', got '" + std::string(header) +
+                 "'");
       }
-      if (cur.pos + nbytes + 1 > cur.text.size()) {
-        cur.fail("register RTL blob extends past end of shard");
-      }
-      std::string bytes = cur.text.substr(cur.pos, nbytes);
-      cur.pos += nbytes;
-      if (cur.text[cur.pos] != '\n') cur.fail("blob missing trailing newline");
-      ++cur.pos;
-      cur.line += static_cast<std::size_t>(
-                      std::count(bytes.begin(), bytes.end(), '\n')) + 1;
-      ds.gen.reg_rtl[reg] = std::move(bytes);
+      ds.gen.reg_rtl[std::string(reg)] =
+          cur.take_blob(nbytes, "register RTL blob extends past end of shard");
     }
     try {
-      ds.gen.netlist = netlist_from_string(cur.read_blob("netlist"));
+      ds.gen.netlist = read_netlist(cur.read_blob("netlist"));
     } catch (const std::exception& e) {
       cur.fail(std::string("embedded netlist: ") + e.what());
     }
 
-    std::istringstream cs(cur.next_line());
-    std::string ctag;
+    Words cs{cur.next_line()};
     std::size_t ncones = 0;
-    if (!(cs >> ctag >> ncones) || ctag != "cones") {
+    if (cs.next() != "cones" || !next_size(cs, &ncones)) {
       cur.fail("expected 'cones <count>'");
     }
+    cur.check_count(ncones, "cones");
     std::vector<std::vector<std::string>> design_exprs;
     for (std::size_t c = 0; c < ncones; ++c) {
-      std::istringstream hs(cur.next_line());
-      std::string htag;
+      Words hs{cur.next_line()};
       ConeSample cone;
       cone.family = family;
       cone.design = name;
-      if (!(hs >> htag >> cone.register_name) || htag != "cone") {
+      const std::string_view htag = hs.next(), reg = hs.next();
+      if (reg.empty() || htag != "cone") {
         cur.fail("expected 'cone <register> ...'");
       }
+      cone.register_name = reg;
       cone.is_state_reg = parse_long(cur, hs, "is_state_reg", 0, 1) != 0;
       cone.has_layout = parse_long(cur, hs, "has_layout", 0, 1) != 0;
       cone.slack_label = parse_double(cur, hs, "slack_label");
       cone.clock_period = parse_double(cur, hs, "clock_period");
       cone.rtl_text = cur.read_blob("rtl");
       try {
-        cone.cone = netlist_from_string(cur.read_blob("conenet"));
+        cone.cone = read_netlist(cur.read_blob("conenet"));
       } catch (const std::exception& e) {
         cur.fail(std::string("embedded cone netlist: ") + e.what());
       }
-      std::istringstream es(cur.next_line());
-      std::string etag;
+      Words es{cur.next_line()};
       std::size_t nexprs = 0;
-      if (!(es >> etag >> nexprs) || etag != "exprs") {
+      if (es.next() != "exprs" || !next_size(es, &nexprs)) {
         cur.fail("expected 'exprs <count>'");
       }
+      cur.check_count(nexprs, "exprs");
       std::vector<std::string> cexprs;
       cexprs.reserve(nexprs);
       for (std::size_t e = 0; e < nexprs; ++e) {
-        const std::string el = cur.next_line();
-        if (el.rfind("e ", 0) != 0) cur.fail("expected 'e <expression>'");
-        cexprs.push_back(el.substr(2));
+        const std::string_view el = cur.next_line();
+        if (!el.starts_with("e ")) cur.fail("expected 'e <expression>'");
+        cexprs.emplace_back(el.substr(2));
       }
-      std::istringstream lgs(cur.next_line());
-      std::string lgtag;
+      Words lgs{cur.next_line()};
       std::size_t nnodes = 0, nedges = 0;
-      if (!(lgs >> lgtag >> nnodes >> nedges) || lgtag != "layout") {
+      if (lgs.next() != "layout" || !next_size(lgs, &nnodes) ||
+          !next_size(lgs, &nedges)) {
         cur.fail("expected 'layout <nodes> <edges>'");
       }
+      cur.check_count(nnodes, "layout node");
+      cur.check_count(nedges, "layout edge");
+      cur.check_count(nnodes + nedges, "layout line");
       cone.layout.node_feats.reserve(nnodes);
       for (std::size_t nidx = 0; nidx < nnodes; ++nidx) {
-        std::istringstream ns(cur.next_line());
-        std::string ntag;
-        if (!(ns >> ntag) || ntag != "n") cur.fail("expected layout node line");
+        Words ns{cur.next_line()};
+        if (ns.next() != "n") cur.fail("expected layout node line");
         std::array<double, 6> feats{};
         for (double& f : feats) f = parse_double(cur, ns, "node feature");
         cone.layout.node_feats.push_back(feats);
       }
       for (std::size_t eidx = 0; eidx < nedges; ++eidx) {
-        std::istringstream gs(cur.next_line());
-        std::string gtag;
-        if (!(gs >> gtag) || gtag != "g") cur.fail("expected layout edge line");
+        Words gs{cur.next_line()};
+        if (gs.next() != "g") cur.fail("expected layout edge line");
         const long u = parse_long(cur, gs, "edge endpoint", 0,
                                   static_cast<long>(nnodes) - 1);
         const long v = parse_long(cur, gs, "edge endpoint", 0,
@@ -406,10 +483,28 @@ ShardedCorpus::Shard parse_shard(const std::string& text,
 }
 
 std::string read_file_or_throw(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open shard " + path);
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw std::runtime_error("cannot open shard " + path);
+  struct stat st;
+  std::string out;
+  // One spare byte, so a file of the size fstat reported ends in a read of 0.
+  out.resize(::fstat(fd, &st) == 0 ? static_cast<std::size_t>(st.st_size) + 1
+                                   : 4096);
+  std::size_t got = 0;
+  while (true) {
+    if (got == out.size()) out.resize(2 * out.size());  // it grew meanwhile
+    const ssize_t n = ::read(fd, out.data() + got, out.size() - got);
+    if (n == 0) break;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      throw std::runtime_error("cannot read shard " + path);
+    }
+    got += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  out.resize(got);
+  return out;
 }
 
 }  // namespace
@@ -503,33 +598,47 @@ StreamProgress build_corpus_stream(
       return progress;
     }
 
-    // Produce: one fork per design, fixed global order.
+    // Produce on the pool. The designs' Rng forks are taken in global
+    // design order first, so each design's bytes depend on (seed, options,
+    // design index) alone and the shard is the same at any pool width.
+    const std::size_t n = hi - lo;
+    std::vector<Rng> rngs;
+    rngs.reserve(n);
+    for (std::size_t i = lo; i < hi; ++i) rngs.push_back(root.fork());
     Corpus shard_corpus;
     for (const FamilyProfile& f : fams) shard_corpus.families.push_back(f.name);
-    for (std::size_t i = lo; i < hi; ++i) {
-      Rng drng = root.fork();
+    shard_corpus.designs.resize(n);
+    ThreadPool::instance().run_indexed(n, [&](std::size_t k) {
+      const std::size_t i = lo + k;
       const FamilyProfile& profile = fams[i % fams.size()];
-      const std::size_t idx = i / fams.size();
       const std::string name = profile.name +
                                (options.hierarchical ? "_h" : "_d") +
-                               std::to_string(idx);
+                               std::to_string(i / fams.size());
       GeneratedDesign gen =
           options.hierarchical
-              ? generate_hierarchical_design(profile, options.hierarchy, drng,
-                                             name)
-              : generate_design(profile, drng, name);
-      shard_corpus.designs.push_back(
-          make_design_sample(std::move(gen), options.corpus, drng));
-    }
+              ? generate_hierarchical_design(profile, options.hierarchy,
+                                             rngs[k], name)
+              : generate_design(profile, rngs[k], name);
+      shard_corpus.designs[k] =
+          make_design_sample(std::move(gen), options.corpus, rngs[k]);
+    });
     // Lint: the same assembly gate build_corpus runs corpus-wide, applied
     // per shard so it never needs the whole dataset in RAM.
     enforce_clean(lint_corpus(shard_corpus),
                   "corpus shard " + std::to_string(s));
-    // Embed: derive every cone's expressions once; readers reuse them.
-    const CorpusExpressions exprs =
-        corpus_expressions(shard_corpus, options.corpus.k_hop);
-
-    const std::string body = serialize_shard(shard_corpus, exprs);
+    // Embed and serialize, on the pool too: every cone's expressions are
+    // derived once (readers reuse them) and each design becomes one block
+    // of shard text. The blocks are joined in design order.
+    CorpusExpressions exprs(n);
+    std::vector<std::string> blocks(n);
+    ThreadPool::instance().run_indexed(n, [&](std::size_t k) {
+      exprs[k] = design_expressions(shard_corpus.designs[k],
+                                    options.corpus.k_hop);
+      blocks[k] = serialize_design(shard_corpus.designs[k], exprs[k]);
+    });
+    std::string body = std::string(kShardHeader) + '\n';
+    for (const std::string& b : blocks) body += b;
+    body += "end " + std::to_string(n) + '\n';
     const std::string path = dir + "/" + shard_filename(s);
     const std::string crc = crc32_hex(crc32(body));
     {
@@ -568,42 +677,70 @@ StreamProgress build_corpus_stream(
 
 ShardedCorpus::ShardedCorpus(const std::string& dir) : dir_(dir) {
   const std::string manifest_path = dir + "/" + std::string(kManifestName);
-  const auto entries = load_manifest(manifest_path);
-  std::map<std::string, std::string> by_key(entries.begin(), entries.end());
-  const auto format = by_key.find("format");
-  if (format == by_key.end() || format->second != kManifestFormat) {
-    throw std::runtime_error(
-        "corpus manifest " + manifest_path + ": unsupported format '" +
-        (format == by_key.end() ? "<missing>" : format->second) + "'");
+  std::vector<int> linenos;
+  const auto entries = load_manifest(manifest_path, &linenos);
+  std::map<std::string, std::size_t> first;  // key -> its first entry
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    first.emplace(entries[i].first, i);
   }
-  const auto require = [&](const char* key) -> const std::string& {
-    const auto it = by_key.find(key);
-    if (it == by_key.end()) {
+  const auto require = [&](const std::string& key) -> std::size_t {
+    const auto it = first.find(key);
+    if (it == first.end()) {
       throw std::runtime_error("corpus manifest " + manifest_path +
                                ": missing key '" + key + "'");
     }
     return it->second;
   };
-  seed_ = std::stoull(require("seed"));
-  k_hop_ = std::stoi(require("k_hop"));
-  families_ = split_csv(require("families"));
+  const auto bad = [&](std::size_t i, const std::string& why) {
+    return std::runtime_error("corpus manifest " + manifest_path + ": line " +
+                              std::to_string(linenos[i]) + ": key '" +
+                              entries[i].first + "': " + why);
+  };
+  const auto u64 = [&](std::size_t i, const std::string& text) {
+    std::uint64_t v = 0;
+    std::string err;
+    if (!cli::parse_u64(text.c_str(), &v, &err)) throw bad(i, err);
+    return v;
+  };
+  const auto format = first.find("format");
+  if (format == first.end() ||
+      entries[format->second].second != kManifestFormat) {
+    throw std::runtime_error(
+        "corpus manifest " + manifest_path + ": unsupported format '" +
+        (format == first.end() ? "<missing>" : entries[format->second].second) +
+        "'");
+  }
+  const std::size_t seed_at = require("seed");
+  seed_ = u64(seed_at, entries[seed_at].second);
+  const std::size_t k_hop_at = require("k_hop");
+  long long k_hop = 0;
+  std::string err;
+  if (!cli::parse_int(entries[k_hop_at].second.c_str(), 0, 1 << 20, &k_hop,
+                      &err)) {
+    throw bad(k_hop_at, err);
+  }
+  k_hop_ = static_cast<int>(k_hop);
+  families_ = split_csv(entries[require("families")].second);
   if (families_.empty()) {
     throw std::runtime_error("corpus manifest " + manifest_path +
                              ": empty family list");
   }
-  complete_ = require("complete") == "1";
-  const std::size_t nshards = std::stoull(require("shards"));
-  for (std::size_t s = 0; s < nshards; ++s) {
-    const std::string& row = require(("shard" + std::to_string(s)).c_str());
-    std::istringstream is(row);
-    std::string filename, crc;
-    std::size_t designs = 0;
-    if (!(is >> filename >> crc >> designs)) {
-      throw std::runtime_error("corpus manifest " + manifest_path +
-                               ": malformed shard row '" + row + "'");
+  complete_ = entries[require("complete")].second == "1";
+  const std::size_t shards_at = require("shards");
+  const std::uint64_t nshards = u64(shards_at, entries[shards_at].second);
+  for (std::uint64_t s = 0; s < nshards; ++s) {
+    const std::size_t at = require("shard" + std::to_string(s));
+    const std::string& row = entries[at].second;
+    Words ws{row};
+    const std::string_view filename = ws.next();
+    ws.next();  // the row's CRC; load() verifies the shard's own checksum
+    const std::string_view designs = ws.next();
+    if (designs.empty() || !ws.next().empty()) {
+      throw bad(at, "malformed shard row '" + row +
+                        "', expected '<file> <crc32> <designs>'");
     }
-    shards_.push_back(dir + "/" + filename);
-    total_designs_ += designs;
+    shards_.push_back(dir + "/" + std::string(filename));
+    total_designs_ += u64(at, std::string(designs));
   }
 }
 
@@ -613,8 +750,8 @@ ShardedCorpus::Shard ShardedCorpus::load(std::size_t index) const {
                             " out of range (have " +
                             std::to_string(shards_.size()) + ")");
   }
-  const std::string text = read_file_or_throw(shards_[index]);
-  return parse_shard(text, shards_[index], families_);
+  return parse_shard(read_file_or_throw(shards_[index]), shards_[index],
+                     families_);
 }
 
 }  // namespace nettag

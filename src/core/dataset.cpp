@@ -131,13 +131,21 @@ std::vector<std::string> cone_expressions(const Netlist& cone, int k_hop) {
   return out;
 }
 
+std::vector<std::vector<std::string>> design_expressions(
+    const DesignSample& design, int k_hop) {
+  std::vector<std::vector<std::string>> exprs;
+  exprs.reserve(design.cones.size());
+  for (const ConeSample& c : design.cones) {
+    exprs.push_back(cone_expressions(c.cone, k_hop));
+  }
+  return exprs;
+}
+
 CorpusExpressions corpus_expressions(const Corpus& corpus, int k_hop) {
-  CorpusExpressions exprs(corpus.designs.size());
-  for (std::size_t d = 0; d < corpus.designs.size(); ++d) {
-    exprs[d].reserve(corpus.designs[d].cones.size());
-    for (const ConeSample& c : corpus.designs[d].cones) {
-      exprs[d].push_back(cone_expressions(c.cone, k_hop));
-    }
+  CorpusExpressions exprs;
+  exprs.reserve(corpus.designs.size());
+  for (const DesignSample& d : corpus.designs) {
+    exprs.push_back(design_expressions(d, k_hop));
   }
   return exprs;
 }

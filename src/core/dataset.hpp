@@ -72,6 +72,11 @@ DesignSample make_design_sample(GeneratedDesign gen,
 /// `khop_expression` gate-by-gate on their own.
 std::vector<std::string> cone_expressions(const Netlist& cone, int k_hop);
 
+/// Expressions of every cone of one design, `[cone]` parallel to
+/// `design.cones[c]`.
+std::vector<std::vector<std::string>> design_expressions(
+    const DesignSample& design, int k_hop);
+
 /// Expressions of every cone of every design, computed once and shared.
 /// Indexing: `[design][cone]` parallel to `corpus.designs[d].cones[c]`.
 using CorpusExpressions = std::vector<std::vector<std::vector<std::string>>>;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/words.hpp"
+
 namespace nettag {
 
 namespace {
@@ -30,8 +32,8 @@ constexpr std::string_view kKeywords[] = {
     "<num>",
 };
 
-// Character classes of the C locale (nothing in the tree calls setlocale).
-bool is_space(unsigned char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+// Character classes of the C locale (nothing in the tree calls setlocale);
+// is_space comes from util/words.hpp.
 bool is_digit(unsigned char c) { return c >= '0' && c <= '9'; }
 bool is_alpha(unsigned char c) {
   return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');

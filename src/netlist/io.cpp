@@ -1,8 +1,12 @@
 #include "netlist/io.hpp"
 
+#include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "util/words.hpp"
 
 namespace nettag {
 
@@ -69,45 +73,55 @@ std::string netlist_to_string(const Netlist& nl) {
   return ss.str();
 }
 
-Netlist read_netlist(std::istream& is) {
+Netlist read_netlist(std::string_view text) {
   Netlist nl;
-  std::string line;
   int lineno = 0;
   bool in_module = false, done = false;
-  auto fail = [&](const std::string& why) {
-    throw std::runtime_error("read_netlist: line " + std::to_string(lineno) +
-                             ": " + why);
+  auto where = [&lineno] {
+    return "read_netlist: line " + std::to_string(lineno) + ": ";
   };
-  auto read_attrs = [&](std::istringstream& ls, GateId id) {
-    std::string attr;
-    while (ls >> attr) {
+  auto fail = [&where](const std::string& why) {
+    throw std::runtime_error(where() + why);
+  };
+  // Netlist's lookups and constructors take std::string; these buffers keep
+  // their capacity from line to line.
+  std::string name, other;
+  std::vector<GateId> fanins;
+  auto read_attrs = [&](Words& ws, GateId id) {
+    for (std::string_view attr = ws.next(); !attr.empty(); attr = ws.next()) {
       if (attr == "state") {
         nl.gate(id).is_state_reg = true;
       } else if (attr == "out") {
         nl.mark_output(id);
-      } else if (attr.rfind("block=", 0) == 0) {
+      } else if (attr.starts_with("block=")) {
         nl.gate(id).rtl_block = attr.substr(6);
       } else {
-        fail("unknown attribute '" + attr + "'");
+        fail("unknown attribute '" + std::string(attr) + "'");
       }
     }
   };
 
-  while (std::getline(is, line)) {
+  // Lines end at '\n', as std::getline splits them; a final line without
+  // one still counts.
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    std::size_t nl_at = text.find('\n', pos);
+    if (nl_at == std::string_view::npos) nl_at = text.size();
+    Words ws{text.substr(pos, nl_at - pos)};
+    pos = nl_at + 1;
     ++lineno;
-    std::istringstream ls(line);
-    std::string word;
-    if (!(ls >> word) || word[0] == '#') continue;
+    const std::string_view word = ws.next();
+    if (word.empty() || word[0] == '#') continue;
     if (word == "module") {
-      std::string name;
-      if (!(ls >> name)) fail("module without name");
-      nl.set_name(name);
-      std::string key;
-      if (ls >> key) {
+      const std::string_view mname = ws.next();
+      if (mname.empty()) fail("module without name");
+      nl.set_name(std::string(mname));
+      const std::string_view key = ws.next();
+      if (!key.empty()) {
         if (key != "source") fail("unexpected token after module name");
-        std::string src;
-        if (!(ls >> src)) fail("source without value");
-        nl.set_source(src);
+        const std::string_view src = ws.next();
+        if (src.empty()) fail("source without value");
+        nl.set_source(std::string(src));
       }
       in_module = true;
       continue;
@@ -118,38 +132,46 @@ Netlist read_netlist(std::istream& is) {
       break;
     }
 
-    if (word == "port") {
-      std::string name;
-      if (!(ls >> name)) fail("port without name");
-      read_attrs(ls, nl.add_port(name));
-    } else if (word == "reg") {
-      std::string name;
-      if (!(ls >> name)) fail("reg without name");
-      read_attrs(ls, nl.add_register(name));
-    } else if (word == "drive") {
-      std::string rname, dname;
-      if (!(ls >> rname >> dname)) fail("malformed drive");
-      const GateId r = nl.find(rname);
-      const GateId d = nl.find(dname);
-      if (r == kNoGate) fail("drive of unknown register '" + rname + "'");
-      if (d == kNoGate) fail("drive from unknown signal '" + dname + "'");
-      nl.connect_register(r, d);
-    } else if (word == "gate") {
-      std::string cell, name;
-      if (!(ls >> cell >> name)) fail("gate without cell/name");
-      const CellType type = cell_type_from_name(cell);
-      const int arity = cell_info(type).num_inputs;
-      std::vector<GateId> fanins;
-      for (int i = 0; i < arity; ++i) {
-        std::string fan;
-        if (!(ls >> fan)) fail("missing fanin on " + name);
-        const GateId f = nl.find(fan);
-        if (f == kNoGate) fail("unknown fanin '" + fan + "' on " + name);
-        fanins.push_back(f);
+    // Netlist reports an unknown cell, a duplicate name or a second drive
+    // of one register as std::invalid_argument; add the line and rethrow.
+    try {
+      if (word == "port") {
+        name = ws.next();
+        if (name.empty()) fail("port without name");
+        read_attrs(ws, nl.add_port(name));
+      } else if (word == "reg") {
+        name = ws.next();
+        if (name.empty()) fail("reg without name");
+        read_attrs(ws, nl.add_register(name));
+      } else if (word == "drive") {
+        name = ws.next();
+        other = ws.next();
+        if (name.empty() || other.empty()) fail("malformed drive");
+        const GateId r = nl.find(name);
+        const GateId d = nl.find(other);
+        if (r == kNoGate) fail("drive of unknown register '" + name + "'");
+        if (d == kNoGate) fail("drive from unknown signal '" + other + "'");
+        nl.connect_register(r, d);
+      } else if (word == "gate") {
+        const std::string_view cell = ws.next();
+        name = ws.next();
+        if (cell.empty() || name.empty()) fail("gate without cell/name");
+        const CellType type = cell_type_from_name(std::string(cell));
+        const int arity = cell_info(type).num_inputs;
+        fanins.clear();
+        for (int i = 0; i < arity; ++i) {
+          other = ws.next();
+          if (other.empty()) fail("missing fanin on " + name);
+          const GateId f = nl.find(other);
+          if (f == kNoGate) fail("unknown fanin '" + other + "' on " + name);
+          fanins.push_back(f);
+        }
+        read_attrs(ws, nl.add_gate(type, name, fanins));
+      } else {
+        fail("unknown directive '" + std::string(word) + "'");
       }
-      read_attrs(ls, nl.add_gate(type, name, fanins));
-    } else {
-      fail("unknown directive '" + word + "'");
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(where() + e.what());
     }
   }
   if (!done) fail("missing endmodule");
@@ -163,9 +185,14 @@ Netlist read_netlist(std::istream& is) {
   return nl;
 }
 
+Netlist read_netlist(std::istream& is) {
+  const std::string text((std::istreambuf_iterator<char>(is)),
+                         std::istreambuf_iterator<char>());
+  return read_netlist(std::string_view(text));
+}
+
 Netlist netlist_from_string(const std::string& text) {
-  std::istringstream ss(text);
-  return read_netlist(ss);
+  return read_netlist(std::string_view(text));
 }
 
 }  // namespace nettag

@@ -22,6 +22,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "netlist/netlist.hpp"
 
@@ -31,8 +32,13 @@ namespace nettag {
 void write_netlist(std::ostream& os, const Netlist& nl);
 std::string netlist_to_string(const Netlist& nl);
 
-/// Parses the format produced by write_netlist. Throws std::runtime_error
-/// with a line number on malformed input.
+/// Parses the format produced by write_netlist; text after `endmodule` is
+/// ignored. Throws std::runtime_error naming the line on malformed input,
+/// or naming a register that is never driven. An unknown cell, a duplicate
+/// name or a register driven twice throws std::invalid_argument, also
+/// naming the line.
+Netlist read_netlist(std::string_view text);
+/// Reads `is` to its end, then parses it as above.
 Netlist read_netlist(std::istream& is);
 Netlist netlist_from_string(const std::string& text);
 

@@ -1,15 +1,20 @@
 #include "util/metrics.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <map>
+#include <string>
+
+#include "analysis/check.hpp"
 
 namespace nettag {
 
 ClassificationReport classification_report(const std::vector<int>& y_true,
                                            const std::vector<int>& y_pred) {
-  assert(y_true.size() == y_pred.size());
+  NETTAG_CHECK(y_true.size() == y_pred.size(),
+               "classification_report: " + std::to_string(y_true.size()) +
+                   " true values but " + std::to_string(y_pred.size()) +
+                   " predictions");
   ClassificationReport rep;
   rep.num_samples = y_true.size();
   if (y_true.empty()) return rep;
@@ -57,7 +62,10 @@ ClassificationReport classification_report(const std::vector<int>& y_true,
 
 BinaryReport binary_report(const std::vector<int>& y_true,
                            const std::vector<int>& y_pred) {
-  assert(y_true.size() == y_pred.size());
+  NETTAG_CHECK(y_true.size() == y_pred.size(),
+               "binary_report: " + std::to_string(y_true.size()) +
+                   " true values but " + std::to_string(y_pred.size()) +
+                   " predictions");
   BinaryReport rep;
   std::size_t tp = 0, tn = 0, fp = 0, fn = 0;
   for (std::size_t i = 0; i < y_true.size(); ++i) {
@@ -77,7 +85,9 @@ BinaryReport binary_report(const std::vector<int>& y_true,
 }
 
 double pearson(const std::vector<double>& a, const std::vector<double>& b) {
-  assert(a.size() == b.size());
+  NETTAG_CHECK(a.size() == b.size(), "pearson: " + std::to_string(a.size()) +
+                                         " values against " +
+                                         std::to_string(b.size()));
   const std::size_t n = a.size();
   if (n < 2) return 0.0;
   double ma = 0, mb = 0;
@@ -100,7 +110,10 @@ double pearson(const std::vector<double>& a, const std::vector<double>& b) {
 RegressionReport regression_report(const std::vector<double>& y_true,
                                    const std::vector<double>& y_pred,
                                    double mape_floor) {
-  assert(y_true.size() == y_pred.size());
+  NETTAG_CHECK(y_true.size() == y_pred.size(),
+               "regression_report: " + std::to_string(y_true.size()) +
+                   " true values but " + std::to_string(y_pred.size()) +
+                   " predictions");
   RegressionReport rep;
   rep.num_samples = y_true.size();
   if (y_true.empty()) return rep;

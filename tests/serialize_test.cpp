@@ -15,9 +15,48 @@
 #include "nn/serialize.hpp"
 #include "nn/train_state.hpp"
 #include "util/atomic_io.hpp"
+#include "util/checksum.hpp"
 
 namespace nettag {
 namespace {
+
+/// The CRC-32 definition, one bit at a time.
+std::uint32_t bitwise_crc32(const unsigned char* p, std::size_t n,
+                            std::uint32_t crc) {
+  std::uint32_t c = crc ^ 0xffffffffu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Checksum, Crc32MatchesBytewiseReference) {
+  EXPECT_EQ(crc32(std::string("123456789")), 0xcbf43926u);  // the check value
+  EXPECT_EQ(crc32(std::string()), 0u);
+  Rng rng(0xc4c);
+  std::vector<unsigned char> buf(64 + 8);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.index(256));
+  // Every length 0-64 at every alignment 0-7, so the 8-byte body and the
+  // bytewise tail both run from every starting offset.
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      ASSERT_EQ(crc32(buf.data() + off, len),
+                bitwise_crc32(buf.data() + off, len, 0))
+          << "offset " << off << " length " << len;
+      ASSERT_EQ(crc32(buf.data() + off, len, 0x1234abcdu),
+                bitwise_crc32(buf.data() + off, len, 0x1234abcdu));
+    }
+  }
+  // Chained calls equal one call over the concatenation at every split.
+  const std::uint32_t whole = crc32(buf.data(), buf.size());
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    EXPECT_EQ(crc32(buf.data() + split, buf.size() - split,
+                    crc32(buf.data(), split)),
+              whole)
+        << "split " << split;
+  }
+}
 
 TEST(Serialize, RoundTripPreservesValues) {
   Rng rng(1);

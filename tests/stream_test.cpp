@@ -22,6 +22,7 @@
 #include "netlist/io.hpp"
 #include "nn/train_state.hpp"
 #include "rtlgen/hierarchy.hpp"
+#include "util/checksum.hpp"
 #include "width_guard.hpp"
 
 namespace fs = std::filesystem;
@@ -320,6 +321,205 @@ TEST(Stream, OptionMismatchRefusedInsteadOfMixingCorpora) {
   StreamOptions other = small_stream_options();
   other.designs_per_shard = 3;
   EXPECT_THROW(build_corpus_stream(dir, other, 0x21), std::runtime_error);
+  fs::remove_all(dir);
+}
+
+TEST(Stream, ShardBytesIndependentOfPoolWidth) {
+  // A shard's designs are produced, embedded and serialized on the pool;
+  // their bytes must not depend on how many lanes it has. Three designs per
+  // shard keep three lanes busy and leave an uneven last shard.
+  for (const bool hierarchical : {false, true}) {
+    StreamOptions so = small_stream_options(/*with_physical=*/true);
+    so.designs_per_shard = 3;
+    so.hierarchical = hierarchical;
+    so.hierarchy.levels = 2;
+    so.hierarchy.min_blocks_per_level = 2;
+    so.hierarchy.max_blocks_per_level = 2;
+    so.hierarchy.shared_blocks = 1;
+    std::map<std::string, std::string> reference;
+    for (const int width : {1, 2, 4}) {
+      const WidthGuard guard(width);
+      const std::string dir =
+          temp_dir("nettag_stream_width" + std::to_string(width));
+      EXPECT_TRUE(build_corpus_stream(dir, so, 0x5151).complete);
+      std::map<std::string, std::string> files;
+      for (const auto& entry : fs::directory_iterator(dir)) {
+        files[entry.path().filename().string()] =
+            read_file(entry.path().string());
+      }
+      EXPECT_EQ(files.size(), 3u);  // the manifest and two shards
+      if (width == 1) {
+        reference = files;
+      } else {
+        EXPECT_TRUE(files == reference)
+            << "hierarchical=" << hierarchical << " width " << width;
+      }
+      fs::remove_all(dir);
+    }
+  }
+}
+
+// --- crafted and mutated shards and manifests --------------------------------
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+/// The text before a shard's or manifest's final `checksum` line.
+std::string without_checksum(const std::string& text) {
+  return text.substr(0, text.rfind("checksum "));
+}
+
+/// `body` with a fresh checksum line, so the parser itself meets any edit.
+std::string with_checksum(const std::string& body) {
+  return body + "checksum " + crc32_hex(crc32(body)) + "\n";
+}
+
+/// Replaces the first line after the first that starts with `prefix`.
+std::string replace_line(const std::string& text, const std::string& prefix,
+                         const std::string& line) {
+  const std::size_t at = text.find("\n" + prefix) + 1;
+  EXPECT_NE(at, 0u) << prefix;
+  return text.substr(0, at) + line + text.substr(text.find('\n', at));
+}
+
+/// Runs `load`, which must throw std::runtime_error naming `path`, a line
+/// and `what` (and a byte offset, when `offset` is set).
+template <class Load>
+void expect_located_error(Load load, const std::string& path,
+                          const std::string& what, bool offset) {
+  try {
+    load();
+    ADD_FAILURE() << what << ": accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(path), std::string::npos) << msg;
+    EXPECT_NE(msg.find("line "), std::string::npos) << msg;
+    EXPECT_NE(msg.find(what), std::string::npos) << msg;
+    if (offset) EXPECT_NE(msg.find("byte offset "), std::string::npos) << msg;
+  }
+}
+
+TEST(Stream, ExprsCountBeyondLinesLeftRejectedBeforeReserving) {
+  const std::string dir = temp_dir("nettag_stream_exprs_count");
+  build_corpus_stream(dir, small_stream_options(), 0x41);
+  const ShardedCorpus corpus(dir);
+  const std::string path = corpus.shard_path(0);
+  // Four billion strings would reserve 128 GB; the shard has a few hundred
+  // lines, so the count is refused before anything is reserved.
+  write_file(path, with_checksum(replace_line(
+                       without_checksum(read_file(path)), "exprs ",
+                       "exprs 4000000000")));
+  expect_located_error([&] { corpus.load(0); }, path,
+                       "exprs count 4000000000 exceeds", true);
+  fs::remove_all(dir);
+}
+
+TEST(Stream, LayoutCountBeyondLinesLeftRejectedBeforeReserving) {
+  const std::string dir = temp_dir("nettag_stream_layout_count");
+  build_corpus_stream(dir, small_stream_options(), 0x42);
+  const ShardedCorpus corpus(dir);
+  const std::string path = corpus.shard_path(0);
+  write_file(path, with_checksum(replace_line(
+                       without_checksum(read_file(path)), "layout ",
+                       "layout 999999999 0")));
+  expect_located_error([&] { corpus.load(0); }, path,
+                       "layout node count 999999999 exceeds", true);
+  fs::remove_all(dir);
+}
+
+TEST(Stream, ManifestSeedWithTrailingJunkRejected) {
+  const std::string dir = temp_dir("nettag_manifest_seed");
+  build_corpus_stream(dir, small_stream_options(), 0x43);
+  const std::string manifest = dir + "/corpus.manifest";
+  write_file(manifest,
+             with_checksum(replace_line(without_checksum(read_file(manifest)),
+                                        "seed ", "seed 20x5")));
+  expect_located_error([&] { ShardedCorpus c(dir); }, manifest,
+                       "line 2: key 'seed'", false);
+  fs::remove_all(dir);
+}
+
+TEST(Stream, ManifestShardRowDesignCountWithTrailingJunkRejected) {
+  const std::string dir = temp_dir("nettag_manifest_row");
+  build_corpus_stream(dir, small_stream_options(), 0x44);
+  const std::string manifest = dir + "/corpus.manifest";
+  const std::string text = without_checksum(read_file(manifest));
+  const std::size_t row = text.find("\nshard0 ") + 1;
+  const std::string line = text.substr(row, text.find('\n', row) - row);
+  write_file(manifest,
+             with_checksum(replace_line(text, "shard0 ", line + "x")));
+  expect_located_error([&] { ShardedCorpus c(dir); }, manifest,
+                       "key 'shard0'", false);
+  fs::remove_all(dir);
+}
+
+TEST(Stream, ManifestKHopOutOfRangeNamesKeyAndLine) {
+  const std::string dir = temp_dir("nettag_manifest_khop");
+  build_corpus_stream(dir, small_stream_options(), 0x45);
+  const std::string manifest = dir + "/corpus.manifest";
+  write_file(manifest,
+             with_checksum(replace_line(without_checksum(read_file(manifest)),
+                                        "k_hop ", "k_hop 99999999999")));
+  expect_located_error([&] { ShardedCorpus c(dir); }, manifest,
+                       "line 7: key 'k_hop'", false);
+  fs::remove_all(dir);
+}
+
+TEST(Stream, MutatedShardsParseOrFailWithLocation) {
+  // Seeded mutants of a one-design shard, each re-checksummed so the parser
+  // meets it: truncations, byte flips, deleted and duplicated lines. Each
+  // must load, or throw std::runtime_error naming the shard, a line and a
+  // byte offset; none may crash or throw anything else.
+  const std::string dir = temp_dir("nettag_stream_mutants");
+  StreamOptions so = small_stream_options(/*with_physical=*/true);
+  so.designs_per_shard = 1;
+  build_corpus_stream(dir, so, 0x46);
+  const ShardedCorpus corpus(dir);
+  const std::string path = corpus.shard_path(0);
+  const std::string body = without_checksum(read_file(path));
+  std::vector<std::size_t> line_starts = {0};
+  for (std::size_t i = 0; i + 1 < body.size(); ++i) {
+    if (body[i] == '\n') line_starts.push_back(i + 1);
+  }
+  line_starts.push_back(body.size());
+  const auto line_at = [&](std::size_t k) {
+    return body.substr(line_starts[k], line_starts[k + 1] - line_starts[k]);
+  };
+  Rng rng(0x3a7e);
+  int loaded = 0, rejected = 0;
+  for (int t = 0; t < 400; ++t) {
+    std::string m = body;
+    const std::size_t k = rng.index(line_starts.size() - 1);
+    switch (t % 4) {
+      case 0:
+        m.resize(rng.index(m.size() + 1));
+        break;
+      case 1:
+        m[rng.index(m.size())] = static_cast<char>(rng.index(256));
+        break;
+      case 2:
+        m.erase(line_starts[k], line_starts[k + 1] - line_starts[k]);
+        break;
+      default:
+        m.insert(line_starts[k], line_at(k));
+        break;
+    }
+    write_file(path, with_checksum(m));
+    try {
+      corpus.load(0);
+      ++loaded;
+    } catch (const std::runtime_error& e) {
+      ++rejected;
+      const std::string msg = e.what();
+      ASSERT_EQ(msg.rfind("shard " + path + ": ", 0), 0u) << msg;
+      ASSERT_NE(msg.find("(line "), std::string::npos) << msg;
+      ASSERT_NE(msg.find("byte offset "), std::string::npos) << msg;
+    }
+  }
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(loaded, 0);  // byte flips inside RTL text still parse
   fs::remove_all(dir);
 }
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <set>
 
+#include "analysis/check.hpp"
 #include "expr/tokenizer.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
@@ -177,6 +178,31 @@ TEST(Metrics, MapeSkipsNearZeroTargets) {
   const std::vector<double> yp = {5.0, 110.0};
   const auto rep = regression_report(yt, yp);
   EXPECT_NEAR(rep.mape, 10.0, 1e-9);  // only the 100 target counts
+}
+
+// Vectors of different sizes are a caller bug; each report throws a
+// CheckError naming both sizes rather than aborting the process.
+TEST(Metrics, ClassificationReportRejectsSizeMismatch) {
+  EXPECT_THROW(classification_report({1, 0, 1}, {1, 0}), CheckError);
+}
+
+TEST(Metrics, BinaryReportRejectsSizeMismatch) {
+  EXPECT_THROW(binary_report({1}, {1, 0}), CheckError);
+}
+
+TEST(Metrics, PearsonRejectsSizeMismatch) {
+  try {
+    pearson({1, 2, 3}, {1, 2});
+    FAIL() << "size mismatch accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("3 values against 2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Metrics, RegressionReportRejectsSizeMismatch) {
+  EXPECT_THROW(regression_report({1.0, 2.0}, {1.0}), CheckError);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
