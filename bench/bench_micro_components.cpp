@@ -3,10 +3,10 @@
 // sweep behind the paper's footnote 3 ("we choose 2-hop to balance the
 // expression expansion and runtime").
 //
-// The custom main first times the GEMM kernel backends and the row kernels
-// (softmax, GELU, layer norm) head-to-head (scalar vs AVX2,
-// docs/PERFORMANCE.md §4) and writes the machine-readable snapshot
-// BENCH_micro_components.json, with a host block, to the working
+// The custom main first times the GEMM kernel backends, the row kernels
+// (softmax, GELU, layer norm) and one layer's attention_heads head-to-head
+// (scalar vs AVX2, docs/PERFORMANCE.md §4) and writes the machine-readable
+// snapshot BENCH_micro_components.json, with a host block, to the working
 // directory, then hands over to the google-benchmark suite for the
 // pipeline-stage benches.
 #include <benchmark/benchmark.h>
@@ -138,13 +138,45 @@ void BM_AigConversion(benchmark::State& state) {
 }
 BENCHMARK(BM_AigConversion);
 
-// --- GEMM backend head-to-head (hand-rolled: needs backend switching) --------
+// --- kernel head-to-heads (hand-rolled: they need backend switching) --------
+
+constexpr int kReps = 15;
+
+/// One call's time, in ns: the median, min and max over kReps repetitions.
+struct Timing {
+  double median_ns = 0.0, min_ns = 0.0, max_ns = 0.0;
+};
+
+/// Times `fn` after one warm-up call (first touch, dispatch resolution).
+/// Each repetition makes enough calls for ~2 ms, so timer resolution is
+/// noise.
+template <typename Fn>
+Timing time_calls(Fn&& fn) {
+  fn();
+  int calls = 1;
+  for (Timer t; t.seconds() < 2e-3; ++calls) fn();
+  std::vector<double> ns;
+  for (int rep = 0; rep < kReps; ++rep) {
+    Timer t;
+    for (int c = 0; c < calls; ++c) fn();
+    ns.push_back(t.seconds() * 1e9 / calls);
+  }
+  std::sort(ns.begin(), ns.end());
+  return {ns[ns.size() / 2], ns.front(), ns.back()};
+}
+
+std::vector<SimdBackend> bench_backends() {
+  std::vector<SimdBackend> backends{SimdBackend::kScalar};
+  if (simd_avx2_supported()) backends.push_back(SimdBackend::kAvx2);
+  return backends;
+}
 
 struct GemmResult {
   std::string kernel;   // "gemm_nn" | "gemm_nt" | "gemm_tn"
   std::string backend;  // "scalar" | "avx2"
   int n, k, m;
-  double gflops = 0.0;
+  Timing t;
+  double gflops = 0.0;  // 2*n*k*m flops at the median time
 };
 
 Mat bench_mat(int rows, int cols, Rng& rng) {
@@ -153,25 +185,17 @@ Mat bench_mat(int rows, int cols, Rng& rng) {
   return x;
 }
 
-/// Times `fn` (one full C += A*B pass per call) until ~0.2s elapse and
-/// returns GFLOP/s for a 2*n*k*m-flop product.
-template <typename Fn>
-double time_gflops(int n, int k, int m, Fn&& fn) {
-  const double flops = 2.0 * n * k * m;
-  fn();  // warm-up (first-touch, dispatch resolution)
-  int iters = 0;
-  Timer t;
-  do {
-    fn();
-    ++iters;
-  } while (t.seconds() < 0.2);
-  return flops * iters / t.seconds() / 1e9;
-}
-
-/// Shapes matching the model's real products: d_model-sized encoder blocks
-/// and the wide token-batch panels of the text encoder.
+/// gemm_nn(n, k, m) shapes, each also run as gemm_nt(n, k, m) and
+/// gemm_tn(n, k, m). The first three are wide panels without a column or
+/// row tail. The rest are the products the encoders make per call, all but
+/// one with a tail: the `base` text encoder on a 33-token attribute
+/// (d_model 48, 4 heads of 12; scores, P*V, a projection, the FFN's first
+/// layer) and TAGFormer on a 16-gate cone plus CLS (d_model 64, 2 heads of
+/// 32; scores, P*V, a projection on 18 rows, the adjacency product).
 const struct { int n, k, m; } kGemmShapes[] = {
-    {64, 64, 64}, {256, 128, 128}, {512, 64, 256}};
+    {64, 64, 64}, {256, 128, 128}, {512, 64, 256}, {33, 12, 33},
+    {33, 33, 12}, {33, 48, 48},    {33, 48, 96},   {17, 32, 17},
+    {17, 17, 32}, {18, 64, 64},    {18, 18, 64}};
 
 std::vector<GemmResult> run_gemm_benches() {
   std::vector<GemmResult> out;
@@ -181,27 +205,24 @@ std::vector<GemmResult> run_gemm_benches() {
     const Mat a = bench_mat(s.n, s.k, rng);
     const Mat b = bench_mat(s.k, s.m, rng);
     const Mat g = bench_mat(s.n, s.m, rng);
-    std::vector<SimdBackend> backends{SimdBackend::kScalar};
-    if (simd_avx2_supported()) backends.push_back(SimdBackend::kAvx2);
-    for (SimdBackend backend : backends) {
+    const double flops = 2.0 * s.n * s.k * s.m;
+    for (SimdBackend backend : bench_backends()) {
       set_simd_backend(backend);
       const char* name = simd_backend_name(backend);
       Mat c(s.n, s.m), ca(s.n, s.k), cb(s.k, s.m);
-      out.push_back({"gemm_nn", name, s.n, s.k, s.m,
-                     time_gflops(s.n, s.k, s.m, [&] {
-                       gemm_nn(s.n, s.k, s.m, a.v.data(), b.v.data(),
-                               c.v.data());
-                     })});
-      out.push_back({"gemm_nt", name, s.n, s.k, s.m,
-                     time_gflops(s.n, s.k, s.m, [&] {
-                       gemm_nt(s.n, s.k, s.m, g.v.data(), b.v.data(),
-                               ca.v.data());
-                     })});
-      out.push_back({"gemm_tn", name, s.n, s.k, s.m,
-                     time_gflops(s.n, s.k, s.m, [&] {
-                       gemm_tn(s.n, s.k, s.m, a.v.data(), g.v.data(),
-                               cb.v.data());
-                     })});
+      auto add = [&](const char* kernel, const Timing& t) {
+        out.push_back({kernel, name, s.n, s.k, s.m, t,
+                       flops / t.median_ns});
+      };
+      add("gemm_nn", time_calls([&] {
+            gemm_nn(s.n, s.k, s.m, a.v.data(), b.v.data(), c.v.data());
+          }));
+      add("gemm_nt", time_calls([&] {
+            gemm_nt(s.n, s.k, s.m, g.v.data(), b.v.data(), ca.v.data());
+          }));
+      add("gemm_tn", time_calls([&] {
+            gemm_tn(s.n, s.k, s.m, a.v.data(), g.v.data(), cb.v.data());
+          }));
     }
   }
   set_simd_backend(saved);
@@ -231,7 +252,7 @@ struct RowResult {
   std::string kernel;   // "softmax_row" | "gelu" | "layernorm_rows"
   std::string backend;  // "scalar" | "avx2"
   int rows, cols;
-  double median_ns = 0.0, min_ns = 0.0, max_ns = 0.0;  // per call
+  Timing t;                   // per call
   double max_abs_diff = 0.0;  // against the scalar backend's output
 };
 
@@ -242,8 +263,6 @@ struct RowResult {
 const struct { const char* kernel; int rows, cols; } kRowShapes[] = {
     {"softmax_row", 17, 17},    {"softmax_row", 33, 33}, {"gelu", 33, 96},
     {"layernorm_rows", 17, 64}, {"layernorm_rows", 33, 48}};
-
-constexpr int kRowReps = 15;
 
 /// One kernel call on `in` into `out`, as the encoders make it: softmax
 /// over every row, GELU in place (on a copy of `in`, which the timing
@@ -268,19 +287,17 @@ std::vector<RowResult> run_row_benches() {
   std::vector<RowResult> out;
   Rng rng(43);
   const SimdBackend saved = simd_backend();
-  std::vector<SimdBackend> backends{SimdBackend::kScalar};
-  if (simd_avx2_supported()) backends.push_back(SimdBackend::kAvx2);
   for (const auto& s : kRowShapes) {
     const std::string kernel = s.kernel;
     const Mat in = bench_mat(s.rows, s.cols, rng);
     const Mat gamma = bench_mat(1, s.cols, rng);
     const Mat beta = bench_mat(1, s.cols, rng);
     Mat scalar_out(s.rows, s.cols);
-    for (SimdBackend backend : backends) {
+    for (SimdBackend backend : bench_backends()) {
       set_simd_backend(backend);
       Mat o(s.rows, s.cols);
-      run_row_kernel(kernel, in, gamma, beta, o);  // warm-up, reference
-      RowResult r{kernel, simd_backend_name(backend), s.rows, s.cols};
+      run_row_kernel(kernel, in, gamma, beta, o);  // reference output
+      RowResult r{kernel, simd_backend_name(backend), s.rows, s.cols, {}, 0.0};
       if (backend == SimdBackend::kScalar) {
         scalar_out = o;
       } else {
@@ -290,21 +307,7 @@ std::vector<RowResult> run_row_benches() {
               static_cast<double>(std::fabs(o.v[i] - scalar_out.v[i])));
         }
       }
-      // Calls per repetition: enough for ~2 ms, so timer resolution is noise.
-      int calls = 1;
-      for (Timer t; t.seconds() < 2e-3; ++calls) {
-        run_row_kernel(kernel, in, gamma, beta, o);
-      }
-      std::vector<double> ns;
-      for (int rep = 0; rep < kRowReps; ++rep) {
-        Timer t;
-        for (int c = 0; c < calls; ++c) run_row_kernel(kernel, in, gamma, beta, o);
-        ns.push_back(t.seconds() * 1e9 / calls);
-      }
-      std::sort(ns.begin(), ns.end());
-      r.median_ns = ns[ns.size() / 2];
-      r.min_ns = ns.front();
-      r.max_ns = ns.back();
+      r.t = time_calls([&] { run_row_kernel(kernel, in, gamma, beta, o); });
       out.push_back(r);
     }
   }
@@ -312,22 +315,66 @@ std::vector<RowResult> run_row_benches() {
   return out;
 }
 
+// --- fwd::attention_heads: one layer's heads, as MultiHeadAttention::infer --
+
+struct AttentionResult {
+  std::string backend;  // "scalar" | "avx2"
+  int n, d, heads;
+  Timing t;  // per call
+};
+
+/// The `base` text encoder on a 33-token attribute and TAGFormer on a
+/// 16-gate cone plus CLS.
+const struct { int n, d, heads; } kAttentionShapes[] = {{33, 48, 4},
+                                                        {17, 64, 2}};
+
+std::vector<AttentionResult> run_attention_benches() {
+  std::vector<AttentionResult> out;
+  Rng rng(44);
+  const SimdBackend saved = simd_backend();
+  for (const auto& s : kAttentionShapes) {
+    const Mat q = bench_mat(s.n, s.d, rng);
+    const Mat k = bench_mat(s.n, s.d, rng);
+    const Mat v = bench_mat(s.n, s.d, rng);
+    for (SimdBackend backend : bench_backends()) {
+      set_simd_backend(backend);
+      Mat heads(s.n, s.d);
+      out.push_back({simd_backend_name(backend), s.n, s.d, s.heads,
+                     time_calls([&] {
+                       fwd::attention_heads(q, k, v, s.heads, heads, nullptr);
+                     })});
+    }
+  }
+  set_simd_backend(saved);
+  return out;
+}
+
+/// "median_ns": ..., "min_ns": ..., "max_ns": ... of one timing.
+std::string timing_json(const Timing& t) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf),
+                "\"median_ns\": %.0f, \"min_ns\": %.0f, \"max_ns\": %.0f",
+                t.median_ns, t.min_ns, t.max_ns);
+  return buf;
+}
+
 void write_json(const std::vector<GemmResult>& rs,
-                const std::vector<RowResult>& rows) {
+                const std::vector<RowResult>& rows,
+                const std::vector<AttentionResult>& attention) {
   std::ofstream json("BENCH_micro_components.json");
   json << "{\n  \"bench\": \"micro_components\",\n  \"host\": "
        << bench::host_json() << ",\n  \"simd_supported\": "
        << (simd_avx2_supported() ? "true" : "false")
        << ",\n  \"default_backend\": \"" << simd_backend_name()
-       << "\",\n  \"gemm\": [";
+       << "\",\n  \"repetitions\": " << kReps << ",\n  \"gemm\": [";
   for (std::size_t i = 0; i < rs.size(); ++i) {
     const GemmResult& r = rs[i];
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.3f", r.gflops);
     json << (i ? "," : "") << "\n    {\"kernel\": \"" << r.kernel
          << "\", \"backend\": \"" << r.backend << "\", \"n\": " << r.n
-         << ", \"k\": " << r.k << ", \"m\": " << r.m
-         << ", \"gflops\": " << buf << "}";
+         << ", \"k\": " << r.k << ", \"m\": " << r.m << ", "
+         << timing_json(r.t) << ", \"gflops\": " << buf << "}";
   }
   char nn[32], nt[32], tn[32];
   std::snprintf(nn, sizeof(nn), "%.2f", speedup_of(rs, "gemm_nn"));
@@ -335,20 +382,24 @@ void write_json(const std::vector<GemmResult>& rs,
   std::snprintf(tn, sizeof(tn), "%.2f", speedup_of(rs, "gemm_tn"));
   json << "\n  ],\n  \"avx2_speedup_geomean\": {\"gemm_nn\": " << nn
        << ", \"gemm_nt\": " << nt << ", \"gemm_tn\": " << tn << "},\n"
-       << "  \"row_kernels\": {\"repetitions\": " << kRowReps
-       << ", \"runs\": [";
+       << "  \"row_kernels\": [";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const RowResult& r = rows[i];
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "\"median_ns\": %.0f, \"min_ns\": %.0f, \"max_ns\": %.0f, "
-                  "\"max_abs_diff\": %.3g",
-                  r.median_ns, r.min_ns, r.max_ns, r.max_abs_diff);
+    char buf[48];
+    std::snprintf(buf, sizeof(buf), "%.3g", r.max_abs_diff);
     json << (i ? "," : "") << "\n    {\"kernel\": \"" << r.kernel
          << "\", \"backend\": \"" << r.backend << "\", \"rows\": " << r.rows
-         << ", \"cols\": " << r.cols << ", " << buf << "}";
+         << ", \"cols\": " << r.cols << ", " << timing_json(r.t)
+         << ", \"max_abs_diff\": " << buf << "}";
   }
-  json << "\n  ]}\n}\n";
+  json << "\n  ],\n  \"attention_heads\": [";
+  for (std::size_t i = 0; i < attention.size(); ++i) {
+    const AttentionResult& r = attention[i];
+    json << (i ? "," : "") << "\n    {\"backend\": \"" << r.backend
+         << "\", \"n\": " << r.n << ", \"d\": " << r.d
+         << ", \"heads\": " << r.heads << ", " << timing_json(r.t) << "}";
+  }
+  json << "\n  ]\n}\n";
 }
 
 }  // namespace
@@ -356,8 +407,10 @@ void write_json(const std::vector<GemmResult>& rs,
 int main(int argc, char** argv) {
   const std::vector<GemmResult> gemm = run_gemm_benches();
   for (const GemmResult& r : gemm) {
-    std::printf("# %-12s %-6s %4dx%3dx%3d  %8.3f GFLOP/s\n", r.kernel.c_str(),
-                r.backend.c_str(), r.n, r.k, r.m, r.gflops);
+    std::printf("# %-8s %-6s %3dx%3dx%3d  median %9.0f ns [%9.0f, %9.0f]  "
+                "%7.2f GFLOP/s\n",
+                r.kernel.c_str(), r.backend.c_str(), r.n, r.k, r.m,
+                r.t.median_ns, r.t.min_ns, r.t.max_ns, r.gflops);
   }
   if (simd_avx2_supported()) {
     std::printf("# avx2/scalar geomean speedup: nn %.2fx nt %.2fx tn %.2fx\n",
@@ -369,9 +422,16 @@ int main(int argc, char** argv) {
     std::printf("# %-14s %-6s %3dx%-3d median %9.0f ns [%9.0f, %9.0f]  "
                 "max|d| %.3g\n",
                 r.kernel.c_str(), r.backend.c_str(), r.rows, r.cols,
-                r.median_ns, r.min_ns, r.max_ns, r.max_abs_diff);
+                r.t.median_ns, r.t.min_ns, r.t.max_ns, r.max_abs_diff);
   }
-  write_json(gemm, rows);
+  const std::vector<AttentionResult> attention = run_attention_benches();
+  for (const AttentionResult& r : attention) {
+    std::printf("# attention_heads %-6s n %2d d %2d heads %d  median %9.0f ns "
+                "[%9.0f, %9.0f]\n",
+                r.backend.c_str(), r.n, r.d, r.heads, r.t.median_ns,
+                r.t.min_ns, r.t.max_ns);
+  }
+  write_json(gemm, rows, attention);
   std::printf("# JSON written to BENCH_micro_components.json\n");
 
   benchmark::Initialize(&argc, argv);

@@ -315,9 +315,15 @@ long parse_long(const Cursor& cur, Words& ws, const char* what, long lo,
   return v;
 }
 
+/// Parses one shard's text, which must carry the checksum `want_crc` and
+/// hold `want_designs` designs, as its manifest row (`listed_by`, "corpus
+/// manifest <path>: line <n>, key 'shard<i>'") says.
 ShardedCorpus::Shard parse_shard(std::string_view text,
                                  const std::string& path,
-                                 const std::vector<std::string>& families) {
+                                 const std::vector<std::string>& families,
+                                 std::string_view want_crc,
+                                 std::size_t want_designs,
+                                 const std::string& listed_by) {
   // Checksum first: a truncated or bit-flipped shard must be rejected before
   // any of it is interpreted.
   Cursor probe{text, path};
@@ -339,6 +345,12 @@ ShardedCorpus::Shard parse_shard(std::string_view text,
   if (crc32_hex(crc32(body.data(), body.size())) != last.substr(9)) {
     probe.fail("checksum mismatch: shard is corrupt");
   }
+  // An intact shard can still be the wrong one: another shard's file copied
+  // over this one passes its own checksum.
+  if (last.substr(9) != want_crc) {
+    probe.fail("checksum " + std::string(last.substr(9)) + " differs from " +
+               std::string(want_crc) + ", listed by " + listed_by);
+  }
 
   Cursor cur{body, path};
   cur.newlines = probe.line - 1;
@@ -355,6 +367,10 @@ ShardedCorpus::Shard parse_shard(std::string_view text,
       std::size_t n = 0;
       if (!next_size(ws, &n) || n != shard.corpus.designs.size()) {
         cur.fail("design count mismatch in end marker");
+      }
+      if (n != want_designs) {
+        cur.fail(std::to_string(n) + " designs differ from " +
+                 std::to_string(want_designs) + ", listed by " + listed_by);
       }
       break;
     }
@@ -675,8 +691,9 @@ StreamProgress build_corpus_stream(
 
 // --- reader ------------------------------------------------------------------
 
-ShardedCorpus::ShardedCorpus(const std::string& dir) : dir_(dir) {
-  const std::string manifest_path = dir + "/" + std::string(kManifestName);
+ShardedCorpus::ShardedCorpus(const std::string& dir)
+    : dir_(dir), manifest_path_(dir + "/" + std::string(kManifestName)) {
+  const std::string& manifest_path = manifest_path_;
   std::vector<int> linenos;
   const auto entries = load_manifest(manifest_path, &linenos);
   std::map<std::string, std::size_t> first;  // key -> its first entry
@@ -733,14 +750,16 @@ ShardedCorpus::ShardedCorpus(const std::string& dir) : dir_(dir) {
     const std::string& row = entries[at].second;
     Words ws{row};
     const std::string_view filename = ws.next();
-    ws.next();  // the row's CRC; load() verifies the shard's own checksum
+    const std::string_view crc = ws.next();
     const std::string_view designs = ws.next();
     if (designs.empty() || !ws.next().empty()) {
       throw bad(at, "malformed shard row '" + row +
                         "', expected '<file> <crc32> <designs>'");
     }
-    shards_.push_back(dir + "/" + std::string(filename));
-    total_designs_ += u64(at, std::string(designs));
+    const std::uint64_t count = u64(at, std::string(designs));
+    shards_.push_back({dir + "/" + std::string(filename), std::string(crc),
+                       static_cast<std::size_t>(count), linenos[at]});
+    total_designs_ += count;
   }
 }
 
@@ -750,8 +769,12 @@ ShardedCorpus::Shard ShardedCorpus::load(std::size_t index) const {
                             " out of range (have " +
                             std::to_string(shards_.size()) + ")");
   }
-  return parse_shard(read_file_or_throw(shards_[index]), shards_[index],
-                     families_);
+  const ShardRow& row = shards_[index];
+  return parse_shard(read_file_or_throw(row.path), row.path, families_,
+                     row.crc, row.designs,
+                     "corpus manifest " + manifest_path_ + ": line " +
+                         std::to_string(row.line) + ", key 'shard" +
+                         std::to_string(index) + "'");
 }
 
 }  // namespace nettag

@@ -124,17 +124,29 @@ class ShardedCorpus {
   };
 
   /// Loads shard `index` fully. Throws std::runtime_error with the shard
-  /// path plus byte offset and line on truncation or corruption.
+  /// path plus byte offset and line on truncation or corruption, or when
+  /// the shard's checksum line or design count differs from its manifest
+  /// row (another intact shard copied over this one); that error also names
+  /// the manifest line and both values.
   Shard load(std::size_t index) const;
 
   /// Path of shard `index` (for tooling/diagnostics).
   const std::string& shard_path(std::size_t index) const {
-    return shards_.at(index);
+    return shards_.at(index).path;
   }
 
  private:
+  /// One manifest row: `shard<i> <file> <crc32> <designs>`.
+  struct ShardRow {
+    std::string path;     ///< dir + "/" + file
+    std::string crc;      ///< the checksum the shard's last line must carry
+    std::size_t designs;  ///< the designs the shard must hold
+    int line;             ///< the row's line in the manifest
+  };
+
   std::string dir_;
-  std::vector<std::string> shards_;  // absolute paths, shard order
+  std::string manifest_path_;
+  std::vector<ShardRow> shards_;  // shard order
   std::vector<std::string> families_;
   std::uint64_t seed_ = 0;
   int k_hop_ = 2;

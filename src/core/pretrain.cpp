@@ -68,6 +68,18 @@ struct ReplicaSet {
     });
   }
 
+  /// Frees every replica's value and gradient storage at the end of a
+  /// phase: the replica models outlive it (ReplicaModels), and refresh()
+  /// reallocates both before their next use.
+  void release() {
+    for (const std::vector<Tensor>& clone : clones) {
+      for (const Tensor& p : clone) {
+        p->value = Mat();
+        p->grad = Mat();
+      }
+    }
+  }
+
   /// Accumulates replica gradients into the master gradients. The shard loop
   /// is innermost and strictly ordered (s = 0, 1, ...), so the float-addition
   /// sequence per element is fixed; parallelism is across parameters, which
@@ -82,6 +94,45 @@ struct ReplicaSet {
       }
     });
   }
+};
+
+/// The replica models of the sharded steps, in shard order, built on first
+/// use and reused by every later step, phase and shard of one run on one
+/// model. Their init values are never read (ReplicaSet::refresh() overwrites
+/// them before each step), so one set per run trains the same bytes as one
+/// per shard, without drawing ~52k normals per replica per shard. Between
+/// phases they hold no storage (ReplicaSet::release()).
+class ReplicaModels {
+ public:
+  /// The first `count` text-encoder replicas of `master`.
+  std::vector<TextEncoder*> text(const TextEncoder& master, int count) {
+    while (static_cast<int>(text_.size()) < count) {
+      text_.push_back(std::make_unique<TextEncoder>(
+          master.vocab(), master.config(), text_rng_));
+    }
+    return first(text_, count);
+  }
+
+  /// The first `count` TAGFormer replicas of `master`.
+  std::vector<TagFormer*> tag(const TagFormer& master, int count) {
+    while (static_cast<int>(tag_.size()) < count) {
+      tag_.push_back(std::make_unique<TagFormer>(master.config(), tag_rng_));
+    }
+    return first(tag_, count);
+  }
+
+ private:
+  template <typename T>
+  static std::vector<T*> first(const std::vector<std::unique_ptr<T>>& all,
+                               int count) {
+    std::vector<T*> out;
+    for (int s = 0; s < count; ++s) out.push_back(all[s].get());
+    return out;
+  }
+
+  Rng text_rng_{0}, tag_rng_{0};
+  std::vector<std::unique_ptr<TextEncoder>> text_;
+  std::vector<std::unique_ptr<TagFormer>> tag_;
 };
 
 /// Copies the gradient accumulated on a detached leaf back onto the replica
@@ -229,7 +280,7 @@ std::vector<float> train_expr_phase(
     TextEncoder& encoder, const std::vector<std::string>& expressions,
     const PretrainOptions& options, Rng& rng, const TrainState* resume,
     const PhaseCtx& ctx, const std::function<void(TrainState)>& save_state,
-    bool* stopped) {
+    ReplicaModels& replicas, bool* stopped) {
   *stopped = false;
   std::vector<float> losses;
   if (expressions.empty() || options.expr_steps <= 0) return losses;
@@ -260,18 +311,14 @@ std::vector<float> train_expr_phase(
     start_step = static_cast<int>(resume->next_step);
   }
 
-  // Encoder replicas, one per shard. Replica init weights are irrelevant —
-  // refresh() overwrites them each step.
+  // Encoder replicas, one per shard.
   const int shards = std::min(kTrainShards, options.expr_batch);
   const auto ranges = shard_ranges(options.expr_batch, shards);
-  std::vector<std::unique_ptr<TextEncoder>> clones;
+  const std::vector<TextEncoder*> clones = replicas.text(encoder, shards);
   ReplicaSet reps;
   reps.master = encoder.params();
-  Rng clone_rng(0);
-  for (int s = 0; s < shards; ++s) {
-    clones.push_back(std::make_unique<TextEncoder>(encoder.vocab(),
-                                                   encoder.config(), clone_rng));
-    reps.clones.push_back(clones.back()->params());
+  for (const TextEncoder* clone : clones) {
+    reps.clones.push_back(clone->params());
   }
 
   for (int step = start_step; step < options.expr_steps; ++step) {
@@ -341,6 +388,7 @@ std::vector<float> train_expr_phase(
       break;
     }
   }
+  reps.release();
   return losses;
 }
 
@@ -433,7 +481,7 @@ namespace {
 /// halt_after_steps across a whole streaming run.
 PretrainReport pretrain_impl(NetTag& model, const Corpus& corpus,
                              const PretrainOptions& options, Rng& rng,
-                             const TrainState* resume,
+                             const TrainState* resume, ReplicaModels& replicas,
                              const CorpusExpressions* shard_exprs = nullptr,
                              long* outer_steps = nullptr) {
   PretrainReport report;
@@ -507,7 +555,7 @@ PretrainReport pretrain_impl(NetTag& model, const Corpus& corpus,
           save_phase_state(std::move(st), {});
         })
                      : std::function<void(TrainState)>(),
-        &stopped);
+        replicas, &stopped);
     model.clear_text_cache();  // encoder weights changed
     if (stopped) {
       report.interrupted = true;
@@ -668,14 +716,12 @@ PretrainReport pretrain_impl(NetTag& model, const Corpus& corpus,
   // TAGFormer replicas, one per shard.
   const int tag_shards = std::min(kTrainShards, options.graph_batch);
   const auto ranges = shard_ranges(options.graph_batch, tag_shards);
-  std::vector<std::unique_ptr<TagFormer>> tf_clones;
+  const std::vector<TagFormer*> tf_clones =
+      replicas.tag(model.tagformer(), tag_shards);
   ReplicaSet tf_reps;
   tf_reps.master = model.tagformer().params();
-  Rng clone_rng(0);
-  for (int s = 0; s < tag_shards; ++s) {
-    tf_clones.push_back(
-        std::make_unique<TagFormer>(model.tagformer().config(), clone_rng));
-    tf_reps.clones.push_back(tf_clones.back()->params());
+  for (const TagFormer* clone : tf_clones) {
+    tf_reps.clones.push_back(clone->params());
   }
 
   for (int step = tag_start; step < options.tag_steps; ++step) {
@@ -826,6 +872,7 @@ PretrainReport pretrain_impl(NetTag& model, const Corpus& corpus,
       break;
     }
   }
+  tf_reps.release();
   if (!report.interrupted) save_done_state(tag_losses);
   report.tag_losses = std::move(tag_losses);
   if (!report.tag_losses.empty()) {
@@ -880,6 +927,7 @@ PretrainReport pretrain_streaming_impl(NetTag& model,
 
   PretrainReport report;
   long global_steps = 0;  // halt_after_steps counts across shards
+  ReplicaModels replicas;
   for (std::size_t s = 0; s < shards; ++s) {
     Rng shard_rng = rng.fork();  // always consumed, trained or skipped
     if (s < start_shard) continue;
@@ -905,7 +953,8 @@ PretrainReport pretrain_streaming_impl(NetTag& model,
     so.checkpoint_shard = s;
     const PretrainReport r =
         pretrain_impl(model, shard.corpus, so, shard_rng, shard_resume,
-                      reuse_exprs ? &shard.exprs : nullptr, &global_steps);
+                      replicas, reuse_exprs ? &shard.exprs : nullptr,
+                      &global_steps);
 
     report.expr_losses.insert(report.expr_losses.end(), r.expr_losses.begin(),
                               r.expr_losses.end());
@@ -935,7 +984,8 @@ PretrainReport pretrain_streaming_impl(NetTag& model,
 
 PretrainReport pretrain(NetTag& model, const Corpus& corpus,
                         const PretrainOptions& options, Rng& rng) {
-  return pretrain_impl(model, corpus, options, rng, nullptr);
+  ReplicaModels replicas;
+  return pretrain_impl(model, corpus, options, rng, nullptr, replicas);
 }
 
 PretrainReport resume_pretrain(NetTag& model, const Corpus& corpus,
@@ -949,7 +999,8 @@ PretrainReport resume_pretrain(NetTag& model, const Corpus& corpus,
   // Model weights as of the checkpoint; the expression encoder must be
   // restored *before* cone preparation, whose input features it produces.
   model.load(options.checkpoint.prefix);
-  return pretrain_impl(model, corpus, options, rng, &state);
+  ReplicaModels replicas;
+  return pretrain_impl(model, corpus, options, rng, &state, replicas);
 }
 
 PretrainReport pretrain_streaming(NetTag& model, const ShardedCorpus& corpus,

@@ -1,10 +1,13 @@
 #include "expr/bdd.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <climits>
 #include <cmath>
 #include <functional>
 #include <stdexcept>
+#include <string>
+
+#include "analysis/check.hpp"
 
 namespace nettag {
 
@@ -13,11 +16,15 @@ namespace {
 constexpr int kTerminalVar = INT_MAX;
 
 /// Exact packing of (a, b, c) into 64 bits: 20 + 22 + 22. Collision-free as
-/// long as variable count < 2^20 and node count < 2^22 (assert-guarded), so
-/// the unique table keeps BDDs canonical.
+/// long as variable count < 2^20 and node count < 2^22 (checked), so the
+/// unique table keeps BDDs canonical.
 std::uint64_t key3(std::uint32_t a, std::uint32_t b, std::uint32_t c) {
-  assert(a < (1u << 20) || a == static_cast<std::uint32_t>(kTerminalVar));
-  assert(b < (1u << 22) && c < (1u << 22));
+  NETTAG_CHECK(a < (1u << 20) || a == static_cast<std::uint32_t>(kTerminalVar),
+               "BddManager: variable " + std::to_string(a) +
+                   " past the 2^20 the unique-table key holds");
+  NETTAG_CHECK(b < (1u << 22) && c < (1u << 22),
+               "BddManager: node " + std::to_string(std::max(b, c)) +
+                   " past the 2^22 the unique-table key holds");
   const std::uint64_t av = a == static_cast<std::uint32_t>(kTerminalVar)
                                ? ((1u << 20) - 1)
                                : a;

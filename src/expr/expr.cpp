@@ -1,7 +1,6 @@
 #include "expr/expr.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cctype>
 #include <set>
 #include <stdexcept>

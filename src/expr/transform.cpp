@@ -1,7 +1,9 @@
 #include "expr/transform.hpp"
 
-#include <cassert>
 #include <functional>
+#include <string>
+
+#include "analysis/check.hpp"
 
 namespace nettag {
 
@@ -54,16 +56,18 @@ bool is_nary(const ExprPtr& e) {
 }
 
 ExprPtr make_same(ExprKind kind, std::vector<ExprPtr> kids) {
+  NETTAG_CHECK(kind == ExprKind::kAnd || kind == ExprKind::kOr ||
+                   kind == ExprKind::kXor,
+               "make_same: expression kind " +
+                   std::to_string(static_cast<int>(kind)) +
+                   " is not and/or/xor");
   switch (kind) {
     case ExprKind::kAnd:
       return Expr::land(std::move(kids));
     case ExprKind::kOr:
       return Expr::lor(std::move(kids));
-    case ExprKind::kXor:
-      return Expr::lxor(std::move(kids));
     default:
-      assert(false);
-      return kids.front();
+      return Expr::lxor(std::move(kids));
   }
 }
 

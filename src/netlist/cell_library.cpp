@@ -1,7 +1,6 @@
 #include "netlist/cell_library.hpp"
 
 #include <array>
-#include <cassert>
 #include <cctype>
 #include <stdexcept>
 #include <unordered_map>
@@ -72,7 +71,11 @@ CellType cell_type_from_name(const std::string& name) {
 }
 
 ExprPtr cell_function(CellType type, const std::vector<ExprPtr>& in) {
-  assert(static_cast<int>(in.size()) == cell_info(type).num_inputs);
+  const CellInfo& info = cell_info(type);
+  NETTAG_CHECK(static_cast<int>(in.size()) == info.num_inputs,
+               std::string("cell_function: ") + info.name + " takes " +
+                   std::to_string(info.num_inputs) + " inputs, got " +
+                   std::to_string(in.size()));
   switch (type) {
     case CellType::kPort:
       throw std::invalid_argument("PORT has no local function");
@@ -208,7 +211,9 @@ int num_gate_classes() {
 }
 
 CellType gate_class_to_type(int cls) {
-  assert(cls >= 0 && cls < num_gate_classes());
+  NETTAG_CHECK(cls >= 0 && cls < num_gate_classes(),
+               "gate_class_to_type: class " + std::to_string(cls) +
+                   " outside [0, " + std::to_string(num_gate_classes()) + ")");
   return static_cast<CellType>(cls + static_cast<int>(CellType::kInv));
 }
 

@@ -1,9 +1,11 @@
 #include "netlist/netlist.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <deque>
 #include <stdexcept>
+#include <string>
+
+#include "analysis/check.hpp"
 
 namespace nettag {
 
@@ -84,7 +86,11 @@ void Netlist::replace_fanin(GateId id, GateId old_fanin, GateId new_fanin) {
   auto& old_fo = gate(old_fanin).fanouts;
   for (int k = 0; k < replaced; ++k) {
     auto it = std::find(old_fo.begin(), old_fo.end(), id);
-    assert(it != old_fo.end());
+    NETTAG_CHECK(it != old_fo.end(),
+                 "replace_fanin: " + gate(old_fanin).name +
+                     " lists no fanout to " + g.name + " for fanin " +
+                     std::to_string(k + 1) + " of " +
+                     std::to_string(replaced) + " it replaces");
     old_fo.erase(it);
     gate(new_fanin).fanouts.push_back(id);
   }
@@ -222,7 +228,10 @@ ExprPtr khop_expression(const Netlist& nl, GateId id, int k) {
 }
 
 std::vector<bool> simulate(const Netlist& nl, const std::vector<bool>& sources) {
-  assert(sources.size() == nl.size());
+  NETTAG_CHECK(sources.size() == nl.size(),
+               "simulate: " + std::to_string(sources.size()) +
+                   " source values for " + std::to_string(nl.size()) +
+                   " gates of " + nl.name());
   std::vector<bool> value(nl.size(), false);
   for (GateId id : nl.topo_order()) {
     const Gate& g = nl.gate(id);

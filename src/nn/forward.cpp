@@ -79,16 +79,20 @@ void mean_rows(const Mat& a, Mat& out) {
   for (int j = 0; j < d; ++j) out.at(0, j) /= static_cast<float>(n);
 }
 
-void softmax_row(const float* x, float* y, int d) {
+void softmax_row(const float* x, float* y, int d, float scale) {
   if (simd_backend() == SimdBackend::kAvx2) {
-    detail::softmax_row_avx2(x, y, d);
+    detail::softmax_row_avx2(x, y, d, scale);
     return;
   }
-  float mx = x[0];
-  for (int j = 1; j < d; ++j) mx = std::max(mx, x[j]);
+  y[0] = x[0] * scale;
+  float mx = y[0];
+  for (int j = 1; j < d; ++j) {
+    y[j] = x[j] * scale;
+    mx = std::max(mx, y[j]);
+  }
   float sum = 0.f;
   for (int j = 0; j < d; ++j) {
-    const float e = std::exp(x[j] - mx);
+    const float e = std::exp(y[j] - mx);
     y[j] = e;
     sum += e;
   }
@@ -149,37 +153,26 @@ void attention_heads(const Mat& q, const Mat& k, const Mat& v, int num_heads,
   check_out(out, q.rows, q.cols, "attention_heads");
   const int n = q.rows, d = q.cols, dh = d / num_heads;
   const float s = 1.f / std::sqrt(static_cast<float>(dh));
-  const std::size_t nd = static_cast<std::size_t>(n) * dh;
   const std::size_t nn = static_cast<std::size_t>(n) * n;
-  std::vector<float> buf(5 * nd + nn);
-  float* qh = buf.data();
-  float* kh = qh + nd;
-  float* kh_t = kh + nd;
-  float* vh = kh_t + nd;
-  float* oh = vh + nd;
-  float* scores = oh + nd;
+  // The one scratch buffer: k transposed (D x N), where head h's k^T is the
+  // contiguous rows [h*dh, (h+1)*dh), then one head's N x N scores. The q
+  // and v heads are read, and each head's output written, in place.
+  std::vector<float> buf(static_cast<std::size_t>(d) * n + nn);
+  float* k_t = buf.data();
+  float* scores = k_t + static_cast<std::size_t>(d) * n;
+  transpose_mat(n, d, k.v.data(), k_t);
+  std::fill(out.v.begin(), out.v.end(), 0.f);
   for (int h = 0; h < num_heads; ++h) {
-    copy_head(q, h, dh, qh);
-    copy_head(k, h, dh, kh);
-    copy_head(v, h, dh, vh);
-    transpose_mat(n, dh, kh, kh_t);
+    const std::size_t col0 = static_cast<std::size_t>(h) * dh;
     std::fill(scores, scores + nn, 0.f);
-    gemm_nn(n, dh, n, qh, kh_t, scores);
+    gemm_nn(n, dh, n, q.v.data() + col0, d, k_t + col0 * n, n, scores, n);
     // Without a probs buffer the softmax overwrites the scores in place.
     float* ph = probs != nullptr ? probs + h * nn : scores;
     for (int i = 0; i < n; ++i) {
-      float* row = scores + static_cast<std::size_t>(i) * n;
-      for (int j = 0; j < n; ++j) row[j] *= s;
-      softmax_row(row, ph + static_cast<std::size_t>(i) * n, n);
+      const std::size_t r = static_cast<std::size_t>(i) * n;
+      softmax_row(scores + r, ph + r, n, s);
     }
-    std::fill(oh, oh + nd, 0.f);
-    gemm_nn(n, n, dh, ph, vh, oh);
-    const std::size_t col0 = static_cast<std::size_t>(h) * dh;
-    for (int i = 0; i < n; ++i) {
-      std::copy(oh + static_cast<std::size_t>(i) * dh,
-                oh + static_cast<std::size_t>(i + 1) * dh,
-                out.v.data() + static_cast<std::size_t>(i) * d + col0);
-    }
+    gemm_nn(n, n, dh, ph, n, v.v.data() + col0, d, out.v.data() + col0, d);
   }
 }
 

@@ -55,9 +55,11 @@ void gelu(Mat& x);
 /// out (1 x D, zeroed) = the mean of a's N rows.
 void mean_rows(const Mat& a, Mat& out);
 
-/// y = softmax(x) over one row of d >= 1 values; y may alias x. The one
-/// softmax kernel, shared by softmax_rows and attention_heads.
-void softmax_row(const float* x, float* y, int d);
+/// y = softmax(scale * x) over one row of d >= 1 values; y may alias x.
+/// scale * x is rounded once, as a separate multiply would round it. The
+/// one softmax kernel, shared by softmax_rows and attention_heads (which
+/// passes 1/sqrt(dh)).
+void softmax_row(const float* x, float* y, int d, float scale = 1.f);
 
 /// out (N x D) = gamma * (a - mean) / sqrt(var + eps) + beta, per row. When
 /// non-null, `xhat` (N x D) receives the normalized rows and `inv_sigma` (N
@@ -66,13 +68,14 @@ void layernorm_rows(const Mat& a, const Mat& gamma, const Mat& beta, float eps,
                     Mat& out, Mat* xhat, float* inv_sigma);
 
 /// Copies head h's column block of the N x D matrix `m` into the contiguous
-/// N x dh buffer `out`: the head layout attention_heads and its backward share.
+/// N x dh buffer `out`: the head layout of attention_heads' backward.
 void copy_head(const Mat& m, int h, int dh, float* out);
 
 /// Scaled dot-product self-attention over every head (see attention_heads in
-/// nn/tensor.hpp) into out (N x D). When `probs` is non-null it
-/// receives head h's N x N probabilities at rows [h*N, (h+1)*N), which the
-/// backward reads; when null, each head's probabilities live only in scratch.
+/// nn/tensor.hpp) into out (N x D), which it overwrites. When `probs` is
+/// non-null it receives head h's N x N probabilities at rows [h*N, (h+1)*N),
+/// which the backward reads; when null, each head's probabilities live only
+/// in scratch.
 void attention_heads(const Mat& q, const Mat& k, const Mat& v, int num_heads,
                      Mat& out, float* probs);
 

@@ -14,14 +14,14 @@ namespace nettag {
 
 namespace detail {
 
-void gemm_nn_scalar(int n, int k, int m, const float* a, const float* b,
-                    float* c) {
+void gemm_nn_scalar(int n, int k, int m, const float* a, int lda,
+                    const float* b, int ldb, float* c, int ldc) {
   for (int i = 0; i < n; ++i) {
     for (int p = 0; p < k; ++p) {
-      const float aip = a[static_cast<std::size_t>(i) * k + p];
+      const float aip = a[static_cast<std::size_t>(i) * lda + p];
       if (aip == 0.f) continue;
-      const float* brow = b + static_cast<std::size_t>(p) * m;
-      float* crow = c + static_cast<std::size_t>(i) * m;
+      const float* brow = b + static_cast<std::size_t>(p) * ldb;
+      float* crow = c + static_cast<std::size_t>(i) * ldc;
       for (int j = 0; j < m; ++j) crow[j] += aip * brow[j];
     }
   }
@@ -56,9 +56,9 @@ void gemm_tn_scalar(int n, int k, int m, const float* a, const float* g,
 
 #if !defined(__x86_64__) && !defined(_M_X64)
 // Non-x86 builds still link the avx2 symbols (dispatch never selects them).
-void gemm_nn_avx2(int n, int k, int m, const float* a, const float* b,
-                  float* c) {
-  gemm_nn_scalar(n, k, m, a, b, c);
+void gemm_nn_avx2(int n, int k, int m, const float* a, int lda,
+                  const float* b, int ldb, float* c, int ldc) {
+  gemm_nn_scalar(n, k, m, a, lda, b, ldb, c, ldc);
 }
 void gemm_nt_avx2(int n, int k, int m, const float* g, const float* b,
                   float* c) {
@@ -70,7 +70,7 @@ void gemm_tn_avx2(int n, int k, int m, const float* a, const float* g,
 }
 // The row kernels' scalar loops live in nn/forward.cpp, which only calls
 // these when simd_backend() is AVX2: never on this architecture.
-void softmax_row_avx2(const float*, float*, int) { std::abort(); }
+void softmax_row_avx2(const float*, float*, int, float) { std::abort(); }
 void gelu_avx2(float*, std::size_t) { std::abort(); }
 void gelu_backward_avx2(const float*, const float*, float*, std::size_t) {
   std::abort();
@@ -151,10 +151,15 @@ const char* simd_backend_name() { return simd_backend_name(simd_backend()); }
 // --- public kernels ----------------------------------------------------------
 
 void gemm_nn(int n, int k, int m, const float* a, const float* b, float* c) {
+  gemm_nn(n, k, m, a, k, b, m, c, m);
+}
+
+void gemm_nn(int n, int k, int m, const float* a, int lda, const float* b,
+             int ldb, float* c, int ldc) {
   if (simd_backend() == SimdBackend::kAvx2) {
-    detail::gemm_nn_avx2(n, k, m, a, b, c);
+    detail::gemm_nn_avx2(n, k, m, a, lda, b, ldb, c, ldc);
   } else {
-    detail::gemm_nn_scalar(n, k, m, a, b, c);
+    detail::gemm_nn_scalar(n, k, m, a, lda, b, ldb, c, ldc);
   }
 }
 

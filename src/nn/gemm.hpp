@@ -68,6 +68,14 @@ SimdBackend parse_simd_backend(const char* text, SimdBackend fallback,
 /// C[n x m] += A[n x k] * B[k x m] — the forward matmul.
 void gemm_nn(int n, int k, int m, const float* a, const float* b, float* c);
 
+/// gemm_nn on operands with leading dimensions: row i of A starts at
+/// a + i*lda, row p of B at b + p*ldb and row i of C at c + i*ldc
+/// (lda >= k, ldb >= m, ldc >= m). Each output gets the same arithmetic as
+/// in the contiguous call, so attention_heads reads and writes one head's
+/// column block in place through it.
+void gemm_nn(int n, int k, int m, const float* a, int lda, const float* b,
+             int ldb, float* c, int ldc);
+
 /// C[n x k] += G[n x m] * B^T, with B stored [k x m]:
 /// C[i,p] += sum_j G[i,j] * B[p,j] — the dA backward contraction.
 void gemm_nt(int n, int k, int m, const float* g, const float* b, float* c);
@@ -82,17 +90,18 @@ void gemm_tn(int n, int k, int m, const float* a, const float* g, float* c);
 void transpose_mat(int n, int m, const float* a, float* out);
 
 // --- internal: raw per-backend kernels (gemm.cpp / gemm_avx2.cpp) -----------
-// Same shapes and contracts as the public kernels above.
+// Same shapes and contracts as the public kernels above; the gemm_nn pair
+// takes the leading dimensions of the strided overload.
 namespace detail {
-void gemm_nn_scalar(int n, int k, int m, const float* a, const float* b,
-                    float* c);
+void gemm_nn_scalar(int n, int k, int m, const float* a, int lda,
+                    const float* b, int ldb, float* c, int ldc);
 void gemm_nt_scalar(int n, int k, int m, const float* g, const float* b,
                     float* c);
 void gemm_tn_scalar(int n, int k, int m, const float* a, const float* g,
                     float* c);
 // Compiled with -mavx2 -mfma; call only when simd_avx2_supported().
-void gemm_nn_avx2(int n, int k, int m, const float* a, const float* b,
-                  float* c);
+void gemm_nn_avx2(int n, int k, int m, const float* a, int lda,
+                  const float* b, int ldb, float* c, int ldc);
 void gemm_nt_avx2(int n, int k, int m, const float* g, const float* b,
                   float* c);
 void gemm_tn_avx2(int n, int k, int m, const float* a, const float* g,
@@ -100,8 +109,9 @@ void gemm_tn_avx2(int n, int k, int m, const float* a, const float* g,
 
 // AVX2 forms of the nn/forward.hpp row kernels (same translation unit, same
 // cpuid rule). Tails run through masked lanes, never a scalar loop.
-/// fwd::softmax_row: y = softmax(x) over d >= 1 values; y may alias x.
-void softmax_row_avx2(const float* x, float* y, int d);
+/// fwd::softmax_row: y = softmax(scale * x) over d >= 1 values; y may
+/// alias x.
+void softmax_row_avx2(const float* x, float* y, int d, float scale);
 /// fwd::gelu on x[0..n), in place.
 void gelu_avx2(float* x, std::size_t n);
 /// The gelu op's backward on [0..n): dx += dy * gelu'(x), with the tanh of

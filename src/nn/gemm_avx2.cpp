@@ -4,10 +4,21 @@
 // rest of the library keeps the project-wide baseline ISA.
 //
 // Kernel shape (docs/PERFORMANCE.md §3):
-//   * gemm_nn — 4x16 register tile: 8 ymm accumulators hold a 4-row by
-//     16-column block of C across the whole k loop; each k step is 4
-//     broadcast loads of A, 2 vector loads of B, 8 FMAs. Row/column tails
-//     fall back to a 1x8 FMA loop and a scalar edge.
+//   * gemm_nn — one register-tile body for every shape. A tile is 1-4 rows
+//     of C by 16 columns (2 ymm per row) or 8 columns (1 ymm), held in
+//     accumulators across the whole k loop; each k step is one broadcast
+//     of A per row, one vector load of B per 8 columns and one FMA per
+//     accumulator. Rows go in blocks of 4, the last 1-3 rows as a shorter
+//     tile; columns go in 16s, and the last 1-15 columns as one 16- or
+//     8-column tile whose last 8 lanes are masked (maskload/maskstore) to
+//     the columns that exist, so no lane past the matrix is read or
+//     written. Leading dimensions are parameters, so attention_heads runs
+//     it on a head's column block in place. Every output is
+//     fma(a[i,p], b[p,j], c) chained over ascending p from C's value, in
+//     every tile: a zero in A multiplies its B entry like any other value,
+//     so 0 * Inf or 0 * NaN in B gives NaN wherever the column falls (the
+//     scalar kernel skips zero A entries, and its bytes stay the
+//     reference).
 //   * gemm_nt — per-(row, row) dot products with 2 independent 8-lane
 //     accumulators (hides FMA latency), horizontal-summed once per output.
 //   * gemm_tn — rank-1 row accumulation: broadcast A[i,p], FMA G row i into
@@ -24,7 +35,8 @@
 //     the exponent bits.
 //   * tanh8 — 1 - 2/(1 + e^{2|u|}) written as 1 - 2e/(1 + e) with
 //     e = e^{-2|u|} <= 1, so it never overflows, then the sign of u.
-//   * softmax_row — 8-lane max, exp and sum, then the division.
+//   * softmax_row — scale * x stored into y with the 8-lane max, then exp
+//     and sum, then the division.
 //   * gelu and its backward — elementwise over 8 lanes through tanh8.
 //   * layernorm_rows — 8-lane mean and variance sums, then the normalize
 //     pass.
@@ -59,91 +71,123 @@ inline float hsum8(__m256 v) {
   return _mm_cvtss_f32(s);
 }
 
-/// One C row: crow[0..count) += sum_p arow[p] * b[p*stride + 0..count),
-/// vectorized over j. `stride` is B's row stride (the full m); `count` may
-/// be a column tail narrower than the stride.
-inline void nn_row(int k, int stride, int count, const float* arow,
-                   const float* b, float* crow) {
-  for (int p = 0; p < k; ++p) {
-    const float aip = arow[p];
-    if (aip == 0.f) continue;
-    const __m256 av = _mm256_set1_ps(aip);
-    const float* brow = b + static_cast<std::size_t>(p) * stride;
-    int j = 0;
-    for (; j + 8 <= count; j += 8) {
-      const __m256 cv = _mm256_loadu_ps(crow + j);
-      _mm256_storeu_ps(crow + j,
-                       _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + j), cv));
+/// All-ones lanes [0, count), zero lanes [count, 8): the maskload/maskstore
+/// mask of a row tail of `count` (0..8) elements.
+inline __m256i tail_mask(int count) {
+  static const int kBits[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                0,  0,  0,  0,  0,  0,  0,  0};
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(kBits + 8 - count));
+}
+
+/// 8 lanes at p: all of them, or only those of `mask` (the rest read 0).
+template <bool kMasked>
+inline __m256 load8(const float* p, __m256i mask) {
+  if constexpr (kMasked) return _mm256_maskload_ps(p, mask);
+  return _mm256_loadu_ps(p);
+}
+
+template <bool kMasked>
+inline void store8(float* p, __m256i mask, __m256 v) {
+  if constexpr (kMasked) {
+    _mm256_maskstore_ps(p, mask, v);
+  } else {
+    _mm256_storeu_ps(p, v);
+  }
+}
+
+/// The gemm_nn register tile: an R-row by 8V-column block of C
+/// (1 <= R <= 4, V = 1 or 2) held in R*V accumulators across the whole k
+/// loop. With kMasked the last 8-lane group covers only the lanes of
+/// `mask`: B and C are read and C is written there alone. Every output is
+/// fma(a[i,p], b[p,j], c) chained over ascending p from C's value, whatever
+/// the tile, so the bytes do not depend on where a block falls. Forced
+/// inline: as a call per tile, the short-k products ran slower (18x18x64 by
+/// about 13%).
+template <int R, int V, bool kMasked>
+[[gnu::always_inline]] inline void nn_tile(int k, const float* a,
+                                           std::size_t lda, const float* b,
+                                           std::size_t ldb, float* c,
+                                           std::size_t ldc, __m256i mask) {
+  __m256 acc[R][V];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      acc[r][v] = v == V - 1 ? load8<kMasked>(c + r * ldc + 8 * v, mask)
+                             : _mm256_loadu_ps(c + r * ldc + 8 * v);
     }
-    for (; j < count; ++j) crow[j] += aip * brow[j];
+  }
+  for (int p = 0; p < k; ++p) {
+    const float* brow = b + static_cast<std::size_t>(p) * ldb;
+    __m256 bv[V];
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      bv[v] = v == V - 1 ? load8<kMasked>(brow + 8 * v, mask)
+                         : _mm256_loadu_ps(brow + 8 * v);
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m256 av = _mm256_set1_ps(a[r * lda + p]);
+#pragma GCC unroll 2
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_fmadd_ps(av, bv[v], acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 2
+    for (int v = 0; v < V; ++v) {
+      if (v == V - 1) {
+        store8<kMasked>(c + r * ldc + 8 * v, mask, acc[r][v]);
+      } else {
+        _mm256_storeu_ps(c + r * ldc + 8 * v, acc[r][v]);
+      }
+    }
+  }
+}
+
+/// R rows of C, left to right: 16-column tiles, then the last 1-15 columns
+/// as one 16- or 8-column tile, masked unless they fill it.
+template <int R>
+void nn_rows(int k, int m, const float* a, std::size_t lda, const float* b,
+             std::size_t ldb, float* c, std::size_t ldc) {
+  int j = 0;
+  for (; j + 16 <= m; j += 16) {
+    nn_tile<R, 2, false>(k, a, lda, b + j, ldb, c + j, ldc, __m256i{});
+  }
+  const int rest = m - j;
+  if (rest > 8) {
+    nn_tile<R, 2, true>(k, a, lda, b + j, ldb, c + j, ldc,
+                        tail_mask(rest - 8));
+  } else if (rest == 8) {
+    nn_tile<R, 1, false>(k, a, lda, b + j, ldb, c + j, ldc, __m256i{});
+  } else if (rest > 0) {
+    nn_tile<R, 1, true>(k, a, lda, b + j, ldb, c + j, ldc, tail_mask(rest));
   }
 }
 
 }  // namespace
 
-void gemm_nn_avx2(int n, int k, int m, const float* a, const float* b,
-                  float* c) {
+void gemm_nn_avx2(int n, int k, int m, const float* a, int lda,
+                  const float* b, int ldb, float* c, int ldc) {
+  const std::size_t sa = static_cast<std::size_t>(lda);
+  const std::size_t sb = static_cast<std::size_t>(ldb);
+  const std::size_t sc = static_cast<std::size_t>(ldc);
+  // Blocks of 4 rows stream B's k x 16 panels once per 4 output rows; the
+  // last 1-3 rows take a shorter tile of the same shape.
   int i = 0;
-  // 4x16 register-tiled main loop: B's k x 16 panel is streamed once per
-  // 4 output rows instead of once per row.
   for (; i + 4 <= n; i += 4) {
-    const float* a0 = a + static_cast<std::size_t>(i) * k;
-    const float* a1 = a0 + k;
-    const float* a2 = a1 + k;
-    const float* a3 = a2 + k;
-    float* c0 = c + static_cast<std::size_t>(i) * m;
-    float* c1 = c0 + m;
-    float* c2 = c1 + m;
-    float* c3 = c2 + m;
-    int j = 0;
-    for (; j + 16 <= m; j += 16) {
-      __m256 acc00 = _mm256_loadu_ps(c0 + j);
-      __m256 acc01 = _mm256_loadu_ps(c0 + j + 8);
-      __m256 acc10 = _mm256_loadu_ps(c1 + j);
-      __m256 acc11 = _mm256_loadu_ps(c1 + j + 8);
-      __m256 acc20 = _mm256_loadu_ps(c2 + j);
-      __m256 acc21 = _mm256_loadu_ps(c2 + j + 8);
-      __m256 acc30 = _mm256_loadu_ps(c3 + j);
-      __m256 acc31 = _mm256_loadu_ps(c3 + j + 8);
-      for (int p = 0; p < k; ++p) {
-        const float* brow = b + static_cast<std::size_t>(p) * m + j;
-        const __m256 b0 = _mm256_loadu_ps(brow);
-        const __m256 b1 = _mm256_loadu_ps(brow + 8);
-        __m256 av = _mm256_set1_ps(a0[p]);
-        acc00 = _mm256_fmadd_ps(av, b0, acc00);
-        acc01 = _mm256_fmadd_ps(av, b1, acc01);
-        av = _mm256_set1_ps(a1[p]);
-        acc10 = _mm256_fmadd_ps(av, b0, acc10);
-        acc11 = _mm256_fmadd_ps(av, b1, acc11);
-        av = _mm256_set1_ps(a2[p]);
-        acc20 = _mm256_fmadd_ps(av, b0, acc20);
-        acc21 = _mm256_fmadd_ps(av, b1, acc21);
-        av = _mm256_set1_ps(a3[p]);
-        acc30 = _mm256_fmadd_ps(av, b0, acc30);
-        acc31 = _mm256_fmadd_ps(av, b1, acc31);
-      }
-      _mm256_storeu_ps(c0 + j, acc00);
-      _mm256_storeu_ps(c0 + j + 8, acc01);
-      _mm256_storeu_ps(c1 + j, acc10);
-      _mm256_storeu_ps(c1 + j + 8, acc11);
-      _mm256_storeu_ps(c2 + j, acc20);
-      _mm256_storeu_ps(c2 + j + 8, acc21);
-      _mm256_storeu_ps(c3 + j, acc30);
-      _mm256_storeu_ps(c3 + j + 8, acc31);
-    }
-    if (j < m) {
-      // Column tail of the 4-row block: per-row vector loop over [j, m).
-      const int tail = m - j;
-      nn_row(k, m, tail, a0, b + j, c0 + j);
-      nn_row(k, m, tail, a1, b + j, c1 + j);
-      nn_row(k, m, tail, a2, b + j, c2 + j);
-      nn_row(k, m, tail, a3, b + j, c3 + j);
-    }
+    nn_rows<4>(k, m, a + i * sa, sa, b, sb, c + i * sc, sc);
   }
-  // Row tail.
-  for (; i < n; ++i) {
-    nn_row(k, m, m, a + static_cast<std::size_t>(i) * k, b,
-           c + static_cast<std::size_t>(i) * m);
+  const float* ai = a + i * sa;
+  float* ci = c + i * sc;
+  switch (n - i) {
+    case 3: nn_rows<3>(k, m, ai, sa, b, sb, ci, sc); break;
+    case 2: nn_rows<2>(k, m, ai, sa, b, sb, ci, sc); break;
+    case 1: nn_rows<1>(k, m, ai, sa, b, sb, ci, sc); break;
+    default: break;
   }
 }
 
@@ -197,15 +241,6 @@ void gemm_tn_avx2(int n, int k, int m, const float* a, const float* g,
 // --- row kernels -------------------------------------------------------------
 
 namespace {
-
-/// All-ones lanes [0, count), zero lanes [count, 8): the maskload/maskstore
-/// mask of a row tail of `count` (0..8) elements.
-inline __m256i tail_mask(int count) {
-  static const int kBits[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
-                                0,  0,  0,  0,  0,  0,  0,  0};
-  return _mm256_loadu_si256(
-      reinterpret_cast<const __m256i*>(kBits + 8 - count));
-}
 
 /// Largest of the 8 lanes of `v`.
 inline float hmax8(__m256 v) {
@@ -290,21 +325,27 @@ inline __m256 gelu_backward8(__m256 x, __m256 dy, __m256 dx) {
 
 }  // namespace
 
-void softmax_row_avx2(const float* x, float* y, int d) {
+void softmax_row_avx2(const float* x, float* y, int d, float scale) {
   const int body = d & ~7;
   const int rest = d - body;
   const __m256i tail = tail_mask(rest);
   const __m256 keep = _mm256_castsi256_ps(tail);
   const __m256 neg_inf =
       _mm256_set1_ps(-std::numeric_limits<float>::infinity());
+  const __m256 vscale = _mm256_set1_ps(scale);
+  // y = scale * x, rounded and stored before the exp pass reads it back, so
+  // no FMA contraction can fuse the scaling into x * scale - max.
   __m256 vmax = neg_inf;
   for (int j = 0; j < body; j += 8) {
-    vmax = _mm256_max_ps(vmax, _mm256_loadu_ps(x + j));
+    const __m256 xs = _mm256_mul_ps(_mm256_loadu_ps(x + j), vscale);
+    _mm256_storeu_ps(y + j, xs);
+    vmax = _mm256_max_ps(vmax, xs);
   }
   if (rest > 0) {
-    vmax = _mm256_max_ps(
-        vmax, _mm256_blendv_ps(neg_inf, _mm256_maskload_ps(x + body, tail),
-                               keep));
+    const __m256 xs =
+        _mm256_mul_ps(_mm256_maskload_ps(x + body, tail), vscale);
+    _mm256_maskstore_ps(y + body, tail, xs);
+    vmax = _mm256_max_ps(vmax, _mm256_blendv_ps(neg_inf, xs, keep));
   }
   // A NaN may drop out of the max; it still reaches the sum through its own
   // exp below, and the sum carries it into every output, as in the scalar
@@ -312,13 +353,13 @@ void softmax_row_avx2(const float* x, float* y, int d) {
   const __m256 mx = _mm256_set1_ps(hmax8(vmax));
   __m256 vsum = _mm256_setzero_ps();
   for (int j = 0; j < body; j += 8) {
-    const __m256 e = exp8(_mm256_sub_ps(_mm256_loadu_ps(x + j), mx));
+    const __m256 e = exp8(_mm256_sub_ps(_mm256_loadu_ps(y + j), mx));
     _mm256_storeu_ps(y + j, e);
     vsum = _mm256_add_ps(vsum, e);
   }
   if (rest > 0) {
     const __m256 e = _mm256_and_ps(
-        exp8(_mm256_sub_ps(_mm256_maskload_ps(x + body, tail), mx)), keep);
+        exp8(_mm256_sub_ps(_mm256_maskload_ps(y + body, tail), mx)), keep);
     _mm256_maskstore_ps(y + body, tail, e);
     vsum = _mm256_add_ps(vsum, e);
   }

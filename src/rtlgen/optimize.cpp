@@ -1,6 +1,5 @@
 #include "rtlgen/optimize.hpp"
 
-#include <cassert>
 #include <deque>
 #include <functional>
 #include <stdexcept>

@@ -1,10 +1,12 @@
 #include "rtlgen/synthesizer.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+
+#include "analysis/check.hpp"
 
 namespace nettag {
 
@@ -165,6 +167,18 @@ void Synthesizer::connect_reg(const Bus& q, const Bus& d) {
 
 // --- combinational operators -----------------------------------------------
 
+namespace {
+
+/// Bitwise operands must match bit for bit.
+void check_same_width(const Bus& a, const Bus& b, const char* op) {
+  NETTAG_CHECK(a.width() == b.width(),
+               std::string("Synthesizer::") + op + ": operand widths differ: " +
+                   a.name + " is " + std::to_string(a.width()) + " bits, " +
+                   b.name + " is " + std::to_string(b.width()));
+}
+
+}  // namespace
+
 Bus Synthesizer::bit_not(const Bus& a) {
   label_ = "bitwise";
   std::vector<GateId> bits;
@@ -173,7 +187,7 @@ Bus Synthesizer::bit_not(const Bus& a) {
 }
 
 Bus Synthesizer::bit_and(const Bus& a, const Bus& b) {
-  assert(a.width() == b.width());
+  check_same_width(a, b, "bit_and");
   label_ = "bitwise";
   std::vector<GateId> bits;
   for (int i = 0; i < a.width(); ++i) {
@@ -184,7 +198,7 @@ Bus Synthesizer::bit_and(const Bus& a, const Bus& b) {
 }
 
 Bus Synthesizer::bit_or(const Bus& a, const Bus& b) {
-  assert(a.width() == b.width());
+  check_same_width(a, b, "bit_or");
   label_ = "bitwise";
   std::vector<GateId> bits;
   for (int i = 0; i < a.width(); ++i) {
@@ -195,7 +209,7 @@ Bus Synthesizer::bit_or(const Bus& a, const Bus& b) {
 }
 
 Bus Synthesizer::bit_xor(const Bus& a, const Bus& b) {
-  assert(a.width() == b.width());
+  check_same_width(a, b, "bit_xor");
   label_ = "bitwise";
   std::vector<GateId> bits;
   for (int i = 0; i < a.width(); ++i) {
@@ -217,7 +231,7 @@ namespace {
 }  // namespace
 
 Bus Synthesizer::add(const Bus& a, const Bus& b) {
-  assert(a.width() == b.width());
+  check_same_width(a, b, "add");
   label_ = "add";
   std::vector<GateId> bits;
   // Half adder for bit 0, full adders above.
@@ -238,7 +252,7 @@ Bus Synthesizer::add(const Bus& a, const Bus& b) {
 }
 
 Bus Synthesizer::sub(const Bus& a, const Bus& b) {
-  assert(a.width() == b.width());
+  check_same_width(a, b, "sub");
   label_ = "sub";
   // a - b = a + ~b + 1.
   std::vector<GateId> bits;
@@ -291,7 +305,7 @@ Bus Synthesizer::mul(const Bus& a, const Bus& b) {
 }
 
 Bus Synthesizer::cmp_eq(const Bus& a, const Bus& b) {
-  assert(a.width() == b.width());
+  check_same_width(a, b, "cmp_eq");
   label_ = "cmp";
   std::vector<GateId> eq_bits;
   for (int i = 0; i < a.width(); ++i) {
@@ -326,7 +340,7 @@ Bus Synthesizer::cmp_eq(const Bus& a, const Bus& b) {
 }
 
 Bus Synthesizer::cmp_lt(const Bus& a, const Bus& b) {
-  assert(a.width() == b.width());
+  check_same_width(a, b, "cmp_lt");
   label_ = "cmp";
   // LSB-to-MSB borrow recurrence: lt = (!a&b) | ((a xnor b) & lt_prev).
   GateId lt = kNoGate;
@@ -347,8 +361,10 @@ Bus Synthesizer::cmp_lt(const Bus& a, const Bus& b) {
 }
 
 Bus Synthesizer::mux(const Bus& a, const Bus& b, const Bus& sel) {
-  assert(a.width() == b.width());
-  assert(sel.width() == 1);
+  check_same_width(a, b, "mux");
+  NETTAG_CHECK(sel.width() == 1, "Synthesizer::mux: select " + sel.name +
+                                     " is " + std::to_string(sel.width()) +
+                                     " bits, want 1");
   label_ = "mux";
   std::vector<GateId> bits;
   for (int i = 0; i < a.width(); ++i) {

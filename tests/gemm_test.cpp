@@ -18,6 +18,9 @@
 #include <string>
 #include <vector>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include "analysis/check.hpp"
 #include "gtest/gtest.h"
 #include "nn/forward.hpp"
@@ -64,9 +67,30 @@ const Shape kShapes[] = {
     {8, 16, 32}, {7, 33, 19}, {13, 64, 48}, {2, 5, 100}, {100, 3, 2},
 };
 
+/// A rows x cols matrix inside a buffer of row stride `ld` >= cols: the
+/// elements past each row's end hold `pad`, which no kernel may read into
+/// an output or overwrite.
+struct Strided {
+  int rows, cols, ld;
+  std::vector<float> v;
+  Strided(const Mat& m, int ld_, float pad)
+      : rows(m.rows), cols(m.cols), ld(ld_),
+        v(static_cast<std::size_t>(m.rows) * ld_, pad) {
+    for (int i = 0; i < rows; ++i) {
+      std::copy(m.v.begin() + static_cast<std::ptrdiff_t>(i) * cols,
+                m.v.begin() + static_cast<std::ptrdiff_t>(i + 1) * cols,
+                v.begin() + static_cast<std::ptrdiff_t>(i) * ld);
+    }
+  }
+  float at(int i, int j) const {
+    return v[static_cast<std::size_t>(i) * ld + j];
+  }
+};
+
 TEST(Gemm, ScalarBackendMatchesReferenceLoopsExactly) {
   BackendGuard guard(SimdBackend::kScalar);
   Rng rng(7);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
   for (const Shape& s : kShapes) {
     const Mat a = random_mat(s.n, s.k, rng, /*zero_fraction=*/0.3f);
     const Mat b = random_mat(s.k, s.m, rng);
@@ -84,6 +108,24 @@ TEST(Gemm, ScalarBackendMatchesReferenceLoopsExactly) {
     for (std::size_t t = 0; t < want.v.size(); ++t) {
       ASSERT_EQ(want.v[t], got.v[t])
           << "shape " << s.n << "x" << s.k << "x" << s.m << " elem " << t;
+    }
+    // The strided overload: the same bytes, pads neither read nor written.
+    const Strided sa(a, s.k + 3, nan);
+    const Strided sb(b, s.m + 5, nan);
+    Strided sc(Mat(s.n, s.m), s.m + 2, nan);
+    gemm_nn(s.n, s.k, s.m, sa.v.data(), sa.ld, sb.v.data(), sb.ld,
+            sc.v.data(), sc.ld);
+    for (int i = 0; i < s.n; ++i) {
+      for (int j = 0; j < sc.ld; ++j) {
+        if (j < s.m) {
+          ASSERT_EQ(want.at(i, j), sc.at(i, j))
+              << "strided shape " << s.n << "x" << s.k << "x" << s.m
+              << " at " << i << "," << j;
+        } else {
+          ASSERT_TRUE(std::isnan(sc.at(i, j)))
+              << "pad written at " << i << "," << j;
+        }
+      }
     }
   }
 }
@@ -128,6 +170,163 @@ TEST(Gemm, Avx2AgreesWithScalarWithinEpsilon) {
     expect_close(nn_s, nn_v, tol, "gemm_nn");
     expect_close(nt_s, nt_v, tol, "gemm_nt");
     expect_close(tn_s, tn_v, tol, "gemm_tn");
+  }
+}
+
+// --- the AVX2 gemm_nn register tiles ----------------------------------------
+//
+// Every output of the AVX2 gemm_nn is fma(a[i,p], b[p,j], c) chained over
+// ascending p from C's value, in each of its tiles (1-4 rows by 16, 8 or a
+// masked 1-7 columns) and whatever the leading dimensions. The oracle below
+// is that chain, element by element.
+
+/// want[i,j] = the std::fma chain over ascending p, from c0[i,j].
+Mat fma_chain(const Mat& a, const Mat& b, const Mat& c0) {
+  Mat want = c0;
+  for (int i = 0; i < a.rows; ++i) {
+    for (int j = 0; j < b.cols; ++j) {
+      float acc = c0.at(i, j);
+      for (int p = 0; p < a.cols; ++p) {
+        acc = std::fma(a.at(i, p), b.at(p, j), acc);
+      }
+      want.at(i, j) = acc;
+    }
+  }
+  return want;
+}
+
+bool same_float_bytes(float x, float y) {
+  return std::memcmp(&x, &y, sizeof(float)) == 0;
+}
+
+TEST(Gemm, Avx2NnTilesMatchFmaChainOnEveryShape) {
+  BackendGuard guard(SimdBackend::kAvx2);
+  if (!guard.forced()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
+  std::vector<int> ns{1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 33};
+  std::vector<int> ms;
+  for (int m = 1; m <= 40; ++m) ms.push_back(m);
+  for (const int m : {48, 64, 96}) ms.push_back(m);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(17);
+  for (const int k : {1, 7, 12, 33, 64}) {
+    for (const int n : ns) {
+      for (const int m : ms) {
+        const Mat a = random_mat(n, k, rng, /*zero_fraction=*/0.3f);
+        const Mat b = random_mat(k, m, rng);
+        const Mat c0 = random_mat(n, m, rng);
+        const Mat want = fma_chain(a, b, c0);
+        const std::string shape = std::to_string(n) + "x" + std::to_string(k) +
+                                  "x" + std::to_string(m);
+        Mat got = c0;
+        gemm_nn(n, k, m, a.v.data(), b.v.data(), got.v.data());
+        for (std::size_t t = 0; t < want.v.size(); ++t) {
+          ASSERT_TRUE(same_float_bytes(want.v[t], got.v[t]))
+              << "contiguous " << shape << " elem " << t << ": " << want.v[t]
+              << " vs " << got.v[t];
+        }
+        // Leading dimensions wider than the rows, NaN in every pad: a pad
+        // read into an output or a pad written shows up here.
+        const Strided sa(a, k + 1 + (m % 5), nan);
+        const Strided sb(b, m + 1 + (n % 7), nan);
+        Strided sc(c0, m + 3, nan);
+        gemm_nn(n, k, m, sa.v.data(), sa.ld, sb.v.data(), sb.ld, sc.v.data(),
+                sc.ld);
+        for (int i = 0; i < n; ++i) {
+          for (int j = 0; j < sc.ld; ++j) {
+            if (j < m) {
+              ASSERT_TRUE(same_float_bytes(want.at(i, j), sc.at(i, j)))
+                  << "strided " << shape << " at " << i << "," << j;
+            } else {
+              ASSERT_TRUE(std::isnan(sc.at(i, j)))
+                  << "strided " << shape << ": pad written at " << i << ","
+                  << j;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+/// `count` floats whose last one ends where an inaccessible (PROT_NONE)
+/// page begins, so any access past the end faults.
+class GuardedFloats {
+ public:
+  explicit GuardedFloats(std::size_t count) {
+    const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    const std::size_t data = (count * sizeof(float) + page - 1) / page * page;
+    bytes_ = data + page;
+    base_ = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base_ == MAP_FAILED) {
+      base_ = nullptr;
+      return;
+    }
+    char* guard = static_cast<char*>(base_) + data;
+    if (mprotect(guard, page, PROT_NONE) != 0) return;
+    data_ = reinterpret_cast<float*>(guard) - count;
+  }
+  ~GuardedFloats() {
+    if (base_ != nullptr) munmap(base_, bytes_);
+  }
+  GuardedFloats(const GuardedFloats&) = delete;
+  GuardedFloats& operator=(const GuardedFloats&) = delete;
+  float* data() const { return data_; }
+
+ private:
+  void* base_ = nullptr;
+  std::size_t bytes_ = 0;
+  float* data_ = nullptr;
+};
+
+TEST(Gemm, Avx2NnTailsStayInsideOperandsEndingAtAGuardPage) {
+  BackendGuard guard(SimdBackend::kAvx2);
+  if (!guard.forced()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
+  Rng rng(19);
+  for (const int n : {1, 2, 3, 4, 5}) {
+    for (int m = 1; m <= 25; ++m) {
+      for (const int k : {1, 3}) {
+        // ld == the width: the last row of each operand is the end of its
+        // buffer, so a masked tail that touched a lane past column m-1 of
+        // that row would fault.
+        const Mat a = random_mat(n, k, rng, /*zero_fraction=*/0.3f);
+        const Mat b = random_mat(k, m, rng);
+        const Mat c0 = random_mat(n, m, rng);
+        GuardedFloats ga(a.v.size()), gb(b.v.size()), gc(c0.v.size());
+        ASSERT_NE(ga.data(), nullptr);
+        ASSERT_NE(gb.data(), nullptr);
+        ASSERT_NE(gc.data(), nullptr);
+        std::copy(a.v.begin(), a.v.end(), ga.data());
+        std::copy(b.v.begin(), b.v.end(), gb.data());
+        std::copy(c0.v.begin(), c0.v.end(), gc.data());
+        gemm_nn(n, k, m, ga.data(), gb.data(), gc.data());
+        const Mat want = fma_chain(a, b, c0);
+        for (std::size_t t = 0; t < want.v.size(); ++t) {
+          ASSERT_TRUE(same_float_bytes(want.v[t], gc.data()[t]))
+              << n << "x" << k << "x" << m << " elem " << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(Gemm, Avx2NnMultipliesZeroAEntriesInEveryTile) {
+  // No tile skips a zero in A, so 0 * Inf = NaN reaches the output wherever
+  // the column falls: a 16-column tile, an 8-column one or a masked edge.
+  BackendGuard guard(SimdBackend::kAvx2);
+  if (!guard.forced()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
+  const int n = 5, k = 3, m = 29;  // tiles: 16, then a 13-wide masked edge
+  for (int col = 0; col < m; ++col) {
+    Mat a(n, k), b(k, m), c(n, m);
+    std::fill(b.v.begin(), b.v.end(), 1.f);
+    b.at(1, col) = std::numeric_limits<float>::infinity();
+    gemm_nn(n, k, m, a.v.data(), b.v.data(), c.v.data());
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < m; ++j) {
+        ASSERT_EQ(std::isnan(c.at(i, j)), j == col)
+            << "row " << i << " col " << j << " (Inf at " << col << ")";
+      }
+    }
   }
 }
 
@@ -551,6 +750,36 @@ TEST(SimdRowKernels, NonFiniteInputsGiveNonFiniteOutputsLikeScalar) {
     }
     expect_same_finiteness(sm[0].data(), sm[1].data(), d,
                            "all -inf softmax, d " + std::to_string(d));
+  }
+}
+
+TEST(SimdRowKernels, ScaledSoftmaxMatchesScaleThenSoftmax) {
+  // softmax_row's scale rounds scale * x once, as the multiply pass that
+  // attention_heads used to make before the softmax did, under both
+  // backends and in place or not.
+  Rng rng(57);
+  for (const SimdBackend backend : {SimdBackend::kScalar, SimdBackend::kAvx2}) {
+    BackendGuard guard(backend);
+    if (!guard.forced()) continue;
+    for (const float scale : {1.f / std::sqrt(12.f), 1.f / std::sqrt(32.f),
+                              0.5f, 1.f}) {
+      for (int d = 1; d <= kMaxRowLen; ++d) {
+        const Mat x = row_input(rng, 1, d, 4.f);
+        Mat scaled = x;
+        for (float& v : scaled.v) v *= scale;
+        const std::vector<float> want = run_softmax(scaled.v.data(), d);
+        std::vector<float> got(d);
+        fwd::softmax_row(x.v.data(), got.data(), d, scale);
+        Mat in_place = x;
+        fwd::softmax_row(in_place.v.data(), in_place.v.data(), d, scale);
+        const std::string where = std::string(simd_backend_name(backend)) +
+                                  " scale " + std::to_string(scale) + " d " +
+                                  std::to_string(d);
+        EXPECT_TRUE(same_bytes(want.data(), got.data(), d)) << where;
+        EXPECT_TRUE(same_bytes(want.data(), in_place.v.data(), d))
+            << "in place, " << where;
+      }
+    }
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <sstream>
 
+#include "analysis/check.hpp"
 #include "expr/expr.hpp"
 #include "netlist/cell_library.hpp"
 #include "netlist/io.hpp"
@@ -159,6 +160,50 @@ TEST(Netlist, ReplaceFaninRewiresFanouts) {
   EXPECT_TRUE(nl.gate(r1).fanouts.empty());
   EXPECT_EQ(nl.gate(u1).fanins[0], r2);
   nl.validate();
+}
+
+/// Runs `fn`, which must throw CheckError whose message holds `what`.
+template <class Fn>
+void expect_check_error(Fn fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << "no CheckError for: " << what;
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+TEST(Netlist, ReplaceFaninOnBrokenFanoutListThrows) {
+  // Gate::fanouts is writable through Netlist::gate(); a list that no longer
+  // names the rewired gate is reported, not an abort.
+  Netlist nl = paper_example();
+  const GateId r1 = nl.find("R1");
+  nl.gate(r1).fanouts.clear();
+  expect_check_error(
+      [&] { nl.replace_fanin(nl.find("U1"), r1, nl.find("R2")); },
+      "replace_fanin: R1 lists no fanout to U1 for fanin 1 of 1");
+}
+
+TEST(Netlist, SimulateRejectsWrongSourceCount) {
+  const Netlist nl = paper_example();
+  expect_check_error([&] { simulate(nl, std::vector<bool>(3, false)); },
+                     "simulate: 3 source values for 5 gates");
+}
+
+TEST(CellLibrary, CellFunctionRejectsWrongInputCount) {
+  expect_check_error(
+      [] { cell_function(CellType::kAnd2, {Expr::var("a")}); },
+      "cell_function: AND2 takes 2 inputs, got 1");
+}
+
+TEST(CellLibrary, GateClassOutsideRangeThrows) {
+  const std::string range = " outside [0, " +
+                            std::to_string(num_gate_classes()) + ")";
+  expect_check_error([] { gate_class_to_type(-1); },
+                     "gate_class_to_type: class -1" + range);
+  expect_check_error([] { gate_class_to_type(num_gate_classes()); },
+                     "gate_class_to_type: class " +
+                         std::to_string(num_gate_classes()) + range);
 }
 
 TEST(Netlist, StatsCountCorrectly) {

@@ -1,6 +1,9 @@
 // Tests for the synthesizer, design generator, and optimization passes.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "analysis/check.hpp"
 #include "netlist/io.hpp"
 #include "rtlgen/generator.hpp"
 #include "rtlgen/optimize.hpp"
@@ -28,6 +31,37 @@ std::uint64_t eval_bus(const Netlist& nl, const Bus& bus,
     }
   }
   return out;
+}
+
+/// Runs `fn`, which must throw CheckError whose message holds `what`.
+template <class Fn>
+void expect_check_error(Fn fn, const std::string& what) {
+  try {
+    fn();
+    ADD_FAILURE() << "no CheckError for: " << what;
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
+}
+
+TEST(Synthesizer, OperandWidthMismatchThrowsNamingBothWidths) {
+  Synthesizer syn("t");
+  const Bus a = syn.input("a", 4);
+  const Bus b = syn.input("b", 3);
+  const std::string widths =
+      "operand widths differ: " + a.name + " is 4 bits, " + b.name + " is 3";
+  expect_check_error([&] { syn.bit_and(a, b); }, "bit_and: " + widths);
+  expect_check_error([&] { syn.bit_or(a, b); }, "bit_or: " + widths);
+  expect_check_error([&] { syn.bit_xor(a, b); }, "bit_xor: " + widths);
+  expect_check_error([&] { syn.add(a, b); }, "add: " + widths);
+  expect_check_error([&] { syn.sub(a, b); }, "sub: " + widths);
+  expect_check_error([&] { syn.cmp_eq(a, b); }, "cmp_eq: " + widths);
+  expect_check_error([&] { syn.cmp_lt(a, b); }, "cmp_lt: " + widths);
+  const Bus sel = syn.input("s", 1);
+  expect_check_error([&] { syn.mux(a, b, sel); }, "mux: " + widths);
+  const Bus sel2 = syn.input("s2", 2);
+  expect_check_error([&] { syn.mux(a, a, sel2); },
+                     "mux: select " + sel2.name + " is 2 bits, want 1");
 }
 
 TEST(Synthesizer, AddComputesSum) {

@@ -384,6 +384,37 @@ std::string replace_line(const std::string& text, const std::string& prefix,
   return text.substr(0, at) + line + text.substr(text.find('\n', at));
 }
 
+/// The CRC-32 on the final `checksum` line of a shard or manifest.
+std::string trailing_checksum(const std::string& text) {
+  return text.substr(text.rfind("checksum ") + 9, 8);
+}
+
+/// The 1-based line of `text` that starts with `prefix`.
+int line_of(const std::string& text, const std::string& prefix) {
+  const std::size_t at = text.find("\n" + prefix) + 1;
+  EXPECT_NE(at, 0u) << prefix;
+  return static_cast<int>(std::count(text.begin(), text.begin() + at, '\n')) +
+         1;
+}
+
+/// Writes `shard` (with its checksum line) as shard `index` of the corpus
+/// in `dir` and lists that checksum in the shard's manifest row, so that a
+/// reader built afterwards parses the shard instead of rejecting it as
+/// another shard's file.
+void write_listed_shard(const std::string& dir, std::size_t index,
+                        const std::string& shard) {
+  write_file(ShardedCorpus(dir).shard_path(index), shard);
+  const std::string manifest_path = dir + "/corpus.manifest";
+  const std::string manifest = without_checksum(read_file(manifest_path));
+  const std::string key = "shard" + std::to_string(index) + " ";
+  const std::size_t at = manifest.find("\n" + key) + 1;
+  std::string row = manifest.substr(at, manifest.find('\n', at) - at);
+  // "shard<i> <file> <crc32> <designs>": the CRC is the third word.
+  row.replace(row.find(' ', row.find(' ') + 1) + 1, 8,
+              trailing_checksum(shard));
+  write_file(manifest_path, with_checksum(replace_line(manifest, key, row)));
+}
+
 /// Runs `load`, which must throw std::runtime_error naming `path`, a line
 /// and `what` (and a byte offset, when `offset` is set).
 template <class Load>
@@ -404,14 +435,14 @@ void expect_located_error(Load load, const std::string& path,
 TEST(Stream, ExprsCountBeyondLinesLeftRejectedBeforeReserving) {
   const std::string dir = temp_dir("nettag_stream_exprs_count");
   build_corpus_stream(dir, small_stream_options(), 0x41);
-  const ShardedCorpus corpus(dir);
-  const std::string path = corpus.shard_path(0);
+  const std::string path = ShardedCorpus(dir).shard_path(0);
   // Four billion strings would reserve 128 GB; the shard has a few hundred
   // lines, so the count is refused before anything is reserved.
-  write_file(path, with_checksum(replace_line(
-                       without_checksum(read_file(path)), "exprs ",
-                       "exprs 4000000000")));
-  expect_located_error([&] { corpus.load(0); }, path,
+  write_listed_shard(dir, 0,
+                     with_checksum(replace_line(
+                         without_checksum(read_file(path)), "exprs ",
+                         "exprs 4000000000")));
+  expect_located_error([&] { ShardedCorpus(dir).load(0); }, path,
                        "exprs count 4000000000 exceeds", true);
   fs::remove_all(dir);
 }
@@ -419,12 +450,12 @@ TEST(Stream, ExprsCountBeyondLinesLeftRejectedBeforeReserving) {
 TEST(Stream, LayoutCountBeyondLinesLeftRejectedBeforeReserving) {
   const std::string dir = temp_dir("nettag_stream_layout_count");
   build_corpus_stream(dir, small_stream_options(), 0x42);
-  const ShardedCorpus corpus(dir);
-  const std::string path = corpus.shard_path(0);
-  write_file(path, with_checksum(replace_line(
-                       without_checksum(read_file(path)), "layout ",
-                       "layout 999999999 0")));
-  expect_located_error([&] { corpus.load(0); }, path,
+  const std::string path = ShardedCorpus(dir).shard_path(0);
+  write_listed_shard(dir, 0,
+                     with_checksum(replace_line(
+                         without_checksum(read_file(path)), "layout ",
+                         "layout 999999999 0")));
+  expect_located_error([&] { ShardedCorpus(dir).load(0); }, path,
                        "layout node count 999999999 exceeds", true);
   fs::remove_all(dir);
 }
@@ -467,17 +498,63 @@ TEST(Stream, ManifestKHopOutOfRangeNamesKeyAndLine) {
   fs::remove_all(dir);
 }
 
+TEST(Stream, SwappedShardRejectedAgainstManifestRow) {
+  // Shard 1 copied over shard 0 is intact, so its own checksum line holds;
+  // shard 0's manifest row lists another checksum.
+  const std::string dir = temp_dir("nettag_stream_swapped");
+  build_corpus_stream(dir, small_stream_options(), 0x46);
+  const ShardedCorpus corpus(dir);
+  const std::string manifest = dir + "/corpus.manifest";
+  const std::string shard0 = read_file(corpus.shard_path(0));
+  const std::string shard1 = read_file(corpus.shard_path(1));
+  const std::string crc0 = trailing_checksum(shard0);
+  const std::string crc1 = trailing_checksum(shard1);
+  ASSERT_NE(crc0, crc1);
+  write_file(corpus.shard_path(0), shard1);
+  const int line = line_of(read_file(manifest), "shard0 ");
+  const std::string row =
+      manifest + ": line " + std::to_string(line) + ", key 'shard0'";
+  expect_located_error([&] { corpus.load(0); }, corpus.shard_path(0),
+                       "checksum " + crc1 + " differs from " + crc0 +
+                           ", listed by corpus manifest " + row,
+                       true);
+  EXPECT_NO_THROW(corpus.load(1));
+  write_file(corpus.shard_path(0), shard0);
+  EXPECT_NO_THROW(corpus.load(0));
+  fs::remove_all(dir);
+}
+
+TEST(Stream, ShardDesignCountRejectedAgainstManifestRow) {
+  const std::string dir = temp_dir("nettag_stream_row_designs");
+  build_corpus_stream(dir, small_stream_options(), 0x47);
+  const std::string manifest = dir + "/corpus.manifest";
+  const std::string text = without_checksum(read_file(manifest));
+  const std::size_t at = text.find("\nshard1 ") + 1;
+  std::string row = text.substr(at, text.find('\n', at) - at);
+  ASSERT_EQ(row.substr(row.size() - 2), " 2") << row;
+  row.back() = '3';
+  write_file(manifest, with_checksum(replace_line(text, "shard1 ", row)));
+  const ShardedCorpus corpus(dir);
+  EXPECT_NO_THROW(corpus.load(0));
+  const std::string line = "line " + std::to_string(line_of(text, "shard1 "));
+  expect_located_error([&] { corpus.load(1); }, corpus.shard_path(1),
+                       "2 designs differ from 3, listed by corpus manifest " +
+                           manifest + ": " + line + ", key 'shard1'",
+                       true);
+  fs::remove_all(dir);
+}
+
 TEST(Stream, MutatedShardsParseOrFailWithLocation) {
-  // Seeded mutants of a one-design shard, each re-checksummed so the parser
-  // meets it: truncations, byte flips, deleted and duplicated lines. Each
-  // must load, or throw std::runtime_error naming the shard, a line and a
-  // byte offset; none may crash or throw anything else.
+  // Seeded mutants of a one-design shard, each re-checksummed and listed
+  // with that checksum in the manifest so the parser meets it: truncations,
+  // byte flips, deleted and duplicated lines. Each must load, or throw
+  // std::runtime_error naming the shard, a line and a byte offset; none may
+  // crash or throw anything else.
   const std::string dir = temp_dir("nettag_stream_mutants");
   StreamOptions so = small_stream_options(/*with_physical=*/true);
   so.designs_per_shard = 1;
   build_corpus_stream(dir, so, 0x46);
-  const ShardedCorpus corpus(dir);
-  const std::string path = corpus.shard_path(0);
+  const std::string path = ShardedCorpus(dir).shard_path(0);
   const std::string body = without_checksum(read_file(path));
   std::vector<std::size_t> line_starts = {0};
   for (std::size_t i = 0; i + 1 < body.size(); ++i) {
@@ -506,9 +583,9 @@ TEST(Stream, MutatedShardsParseOrFailWithLocation) {
         m.insert(line_starts[k], line_at(k));
         break;
     }
-    write_file(path, with_checksum(m));
+    write_listed_shard(dir, 0, with_checksum(m));
     try {
-      corpus.load(0);
+      ShardedCorpus(dir).load(0);
       ++loaded;
     } catch (const std::runtime_error& e) {
       ++rejected;
