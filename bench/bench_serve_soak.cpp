@@ -8,19 +8,27 @@
 // production traffic. (Plain fork without exec is unsafe here: the parent
 // is multi-threaded by the time clients spawn.)
 //
-// Three arms, all over a zipf-skewed mix of distinct ladder netlists (skew
-// models production traffic: a few hot designs, a long cold tail):
+// Three in-process arms call Server::submit without sockets, over the 48
+// distinct ladder netlists of the zipf pool's first ranks:
+//   * in_process_single_client — one blocking client, cold result cache
+//     (the latency floor, and the soak's pass reference);
+//   * in_process_8_clients     — eight client threads, cold cache: each
+//     request runs on its caller's thread, sharing the thread pool;
+//   * in_process_cache_warm    — the single client replays the requests
+//     against the now-warm result cache; it must beat both cold arms.
+// Three daemon arms, all over a zipf-skewed mix of distinct ladder netlists
+// (skew models production traffic: a few hot designs, a long cold tail):
 //   * single_client — one process, one connection, sequential requests: the
-//     daemon-transport latency floor (compare BENCH_serve_throughput.json's
-//     single_client, which measures the in-process server without sockets);
+//     daemon-transport latency floor;
 //   * soak          — 24 processes x 8 connections = 192 concurrent clients
 //     hammering a 4-worker daemon; the pass bar is zero protocol errors and
-//     multi-client qps >= the in-process single-client reference;
+//     multi-client qps >= the in-process single-client median;
 //   * forced_shed   — a deliberately starved daemon (1 worker, queue depth 1)
 //     under cold cache-missing traffic: backpressure must answer `too_busy`
 //     (counted, not an error) and never drop a connection or corrupt a line.
-// Every arm runs kRuns times, each against a fresh daemon loaded from the
-// same checkpoint, and the snapshot records each arm's median/min/max.
+// Every arm runs kRuns times, each against a fresh server or daemon loaded
+// from the same checkpoint, and the snapshot records each arm's
+// median/min/max.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -53,8 +61,8 @@ namespace {
 constexpr int kDistinct = 64;     ///< distinct netlists in the zipf pool
 constexpr double kZipfAlpha = 1.1;
 
-/// Same ladder construction as bench_serve_throughput: depth plus extra INV
-/// perturbation gates make every rank a distinct structure.
+/// An INV/AND2 ladder of `depth` rungs; zipf_pool_netlist adds extra INV
+/// perturbation gates so that every rank is a distinct structure.
 std::string ladder_netlist(int depth) {
   std::string text = "module ladder source synthetic\nport a\nport b\n";
   std::string prev_a = "a", prev_b = "b";
@@ -352,26 +360,59 @@ std::string spread_json(const Spread& s) {
   return buf;
 }
 
-/// Reads the single_client qps out of the committed throughput bench JSON;
-/// falls back to the last recorded value when the file is absent.
-double reference_single_client_qps() {
-  std::ifstream in("BENCH_serve_throughput.json");
-  if (!in) return 1146.67;
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  serve::Json j;
-  std::string error;
-  if (!serve::Json::parse(text, &j, &error)) return 1146.67;
-  const serve::Json* runs = j.find("runs");
-  if (runs == nullptr || !runs->is_array()) return 1146.67;
-  for (const serve::Json& run : runs->items()) {
-    if (run.find("mode") != nullptr &&
-        run.find("mode")->as_string() == "single_client" &&
-        run.find("qps") != nullptr) {
-      return run.find("qps")->as_number();
+constexpr int kInProcessRequests = 48;  ///< the zipf pool's first ranks
+
+/// Each in-process arm: its mode and its number of client threads.
+constexpr std::pair<const char*, int> kInProcessArms[] = {
+    {"in_process_single_client", 1},
+    {"in_process_8_clients", 8},
+    {"in_process_cache_warm", 1}};
+
+/// Sends every request through Server::submit from `clients` threads, the
+/// caller among them, and returns the seconds taken. Exits 1 on a failed
+/// request.
+double submit_all(serve::Server& server,
+                  const std::vector<serve::Request>& reqs, int clients) {
+  std::atomic<std::size_t> next{0};
+  const auto drain = [&] {
+    for (std::size_t i; (i = next.fetch_add(1)) < reqs.size();) {
+      const serve::Response resp = server.submit(reqs[i]);
+      if (!resp.ok()) {
+        std::fprintf(stderr, "bench_serve_soak: request failed: %s\n",
+                     resp.error_message.c_str());
+        std::exit(1);
+      }
     }
+  };
+  Timer t;
+  std::vector<std::thread> threads;
+  for (int c = 1; c < clients; ++c) threads.emplace_back(drain);
+  drain();
+  for (std::thread& th : threads) th.join();
+  return t.seconds();
+}
+
+/// Runs kInProcessArms in order against one fresh server loaded from
+/// `ckpt`, appending one result per arm to `out`. The result cache is
+/// cleared before the multi-client arm, so that it starts cold too; the warm
+/// arm then replays the requests that arm cached.
+void run_in_process_arms(const std::string& ckpt,
+                         std::vector<ArmResult>* out) {
+  serve::ServerConfig sc;
+  sc.cache_entries = 512;
+  serve::Server server(sc, load_checkpoint(ckpt));
+  std::vector<serve::Request> reqs(kInProcessRequests);
+  for (int d = 0; d < kInProcessRequests; ++d) {
+    reqs[d].op = serve::Op::kEmbedGates;
+    reqs[d].netlist_text = zipf_pool_netlist(d);
   }
-  return 1146.67;
+  for (const auto& [mode, clients] : kInProcessArms) {
+    if (clients > 1) server.cache().clear();
+    ArmResult r;
+    r.requests = reqs.size();
+    r.seconds = submit_all(server, reqs, clients);
+    out->push_back(r);
+  }
 }
 
 }  // namespace
@@ -418,18 +459,34 @@ int main(int argc, char** argv) {
         {"soak_192_clients", kProcs, kConns, kReqs, "zipf"}}},
       {1, 1, 64, {{"forced_shed", 8, 4, 8, "distinct"}}}};
   struct Arm {
-    const ArmSpec* spec;
-    const DaemonSpec* daemon;
+    std::string mode;
+    std::string shape;       ///< "<workers> x <queue depth>" or "in-process"
+    std::string json_shape;  ///< the same as JSON fields
   };
   std::vector<Arm> arms;
-  for (const DaemonSpec& d : daemons) {
-    for (const ArmSpec& a : d.arms) arms.push_back({&a, &d});
+  for (const auto& [mode, clients] : kInProcessArms) {
+    arms.push_back(
+        {mode, "in-process", "\"clients\": " + std::to_string(clients)});
   }
+  for (const DaemonSpec& d : daemons) {
+    for (const ArmSpec& a : d.arms) {
+      const std::string w = std::to_string(d.workers);
+      const std::string q = std::to_string(d.queue_depth);
+      arms.push_back({a.mode, w + " x " + q,
+                      "\"workers\": " + w + ", \"queue_depth\": " + q});
+    }
+  }
+  const auto arm_index = [&](const std::string& mode) {
+    std::size_t a = 0;
+    while (arms[a].mode != mode) ++a;
+    return a;
+  };
 
   std::vector<std::vector<ArmResult>> runs(arms.size());
   bool run_ok = true;
   for (int run = 0; run < kRuns; ++run) {
     std::vector<ArmResult> results;
+    run_in_process_arms(ckpt, &results);
     for (const DaemonSpec& d : daemons) {
       run_ok &= run_daemon_arms(self_exe, ckpt, d, &results);
     }
@@ -475,49 +532,57 @@ int main(int argc, char** argv) {
     std::snprintf(shed, sizeof(shed), "%.0f", s.shed.median);
     std::snprintf(shed_range, sizeof(shed_range), "%.0f-%.0f", s.shed.min,
                   s.shed.max);
-    table.add_row({arms[a].spec->mode,
-                   std::to_string(arms[a].daemon->workers) + " x " +
-                       std::to_string(arms[a].daemon->queue_depth),
-                   std::to_string(s.requests), qps, qps_range, shed,
-                   shed_range, std::to_string(s.protocol_errors)});
+    table.add_row({arms[a].mode, arms[a].shape, std::to_string(s.requests),
+                   qps, qps_range, shed, shed_range,
+                   std::to_string(s.protocol_errors)});
   }
   table.print(std::cout);
 
-  const double reference = reference_single_client_qps();
+  const double cold_single =
+      summaries[arm_index("in_process_single_client")].qps.median;
+  const double cold_multi =
+      summaries[arm_index("in_process_8_clients")].qps.median;
+  const double warm = summaries[arm_index("in_process_cache_warm")].qps.median;
+  const Summary& soak = summaries[arm_index("soak_192_clients")];
+  const Summary& forced_shed = summaries[arm_index("forced_shed")];
   std::uint64_t total_errors = 0;
   for (const Summary& s : summaries) total_errors += s.protocol_errors;
-  const bool multi_exceeds = summaries[1].qps.median >= reference;
-  const bool shed_observed = summaries[2].shed.min > 0;
-  const bool pass =
-      run_ok && total_errors == 0 && multi_exceeds && shed_observed;
+  const bool warm_faster = warm > cold_single && warm > cold_multi;
+  const bool multi_exceeds = soak.qps.median >= cold_single;
+  const bool shed_observed = forced_shed.shed.min > 0;
+  const bool pass = run_ok && total_errors == 0 && warm_faster &&
+                    multi_exceeds && shed_observed;
   std::cout << "# " << kRuns << " runs per arm; " << kClients
-            << " concurrent clients, " << summaries[1].requests
+            << " concurrent clients, " << soak.requests
             << " soak requests per run, " << total_errors
             << " protocol errors\n"
-            << "# median soak qps " << summaries[1].qps.median
+            << "# median in-process cache-warm qps " << warm
+            << (warm_faster ? " exceeds" : " DOES NOT exceed")
+            << " both cold in-process arms\n"
+            << "# median soak qps " << soak.qps.median
             << (multi_exceeds ? " exceeds" : " DOES NOT exceed")
-            << " in-process single-client reference " << reference << "\n"
-            << "# forced-shed arm shed at least " << summaries[2].shed.min
+            << " in-process single-client median " << cold_single << "\n"
+            << "# forced-shed arm shed at least " << forced_shed.shed.min
             << " requests per run via too_busy (connections never dropped)\n";
 
   std::ofstream json("BENCH_serve_soak.json");
   json << "{\n  \"bench\": \"serve_soak\",\n  \"host\": " << bench::host_json()
        << ",\n  \"concurrent_clients\": " << kClients
        << ",\n  \"distinct_netlists\": " << kDistinct
+       << ",\n  \"in_process_requests\": " << kInProcessRequests
        << ",\n  \"zipf_alpha\": " << kZipfAlpha
        << ",\n  \"repetitions\": " << kRuns << ",\n  \"arms\": [";
   for (std::size_t a = 0; a < arms.size(); ++a) {
     const Summary& s = summaries[a];
-    json << (a ? "," : "") << "\n    {\"mode\": \"" << arms[a].spec->mode
-         << "\", \"workers\": " << arms[a].daemon->workers
-         << ", \"queue_depth\": " << arms[a].daemon->queue_depth
-         << ", \"requests\": " << s.requests
+    json << (a ? "," : "") << "\n    {\"mode\": \"" << arms[a].mode
+         << "\", " << arms[a].json_shape << ", \"requests\": " << s.requests
          << ",\n     \"qps\": " << spread_json(s.qps)
          << ",\n     \"seconds\": " << spread_json(s.seconds)
          << ",\n     \"shed\": " << spread_json(s.shed)
          << ", \"protocol_errors\": " << s.protocol_errors << "}";
   }
-  json << "\n  ],\n  \"reference_single_client_qps\": " << reference
+  json << "\n  ],\n  \"warm_faster_than_cold\": "
+       << (warm_faster ? "true" : "false")
        << ",\n  \"multi_client_qps_exceeds_reference\": "
        << (multi_exceeds ? "true" : "false")
        << ",\n  \"shed_observed\": " << (shed_observed ? "true" : "false")

@@ -42,14 +42,6 @@ std::size_t LintReport::count(Severity severity) const {
   return n;
 }
 
-std::size_t LintReport::count_rule(const std::string& rule) const {
-  std::size_t n = 0;
-  for (const Diagnostic& d : diags_) {
-    if (d.rule == rule) ++n;
-  }
-  return n;
-}
-
 std::string to_text(const LintReport& report) {
   if (report.empty()) return "";
   // Stable sort by descending severity; ties keep discovery order.

@@ -44,7 +44,6 @@ class LintReport {
 
   const std::vector<Diagnostic>& diagnostics() const { return diags_; }
   std::size_t count(Severity severity) const;
-  std::size_t count_rule(const std::string& rule) const;
   bool has_errors() const { return count(Severity::kError) > 0; }
   bool empty() const { return diags_.empty(); }
   std::size_t size() const { return diags_.size(); }

@@ -695,7 +695,7 @@ ShardedCorpus::ShardedCorpus(const std::string& dir)
     : dir_(dir), manifest_path_(dir + "/" + std::string(kManifestName)) {
   const std::string& manifest_path = manifest_path_;
   std::vector<int> linenos;
-  const auto entries = load_manifest(manifest_path, &linenos);
+  const auto entries = load_manifest(manifest_path, &linenos, &checksum_);
   std::map<std::string, std::size_t> first;  // key -> its first entry
   for (std::size_t i = 0; i < entries.size(); ++i) {
     first.emplace(entries[i].first, i);

@@ -117,6 +117,9 @@ class ShardedCorpus {
   const std::vector<std::string>& families() const { return families_; }
   /// Designs summed over committed shards.
   std::size_t total_designs() const { return total_designs_; }
+  /// The manifest's checksum line: it covers the options and every shard
+  /// row with its CRC, so a rebuilt corpus gets a different one.
+  const std::string& checksum() const { return checksum_; }
 
   struct Shard {
     Corpus corpus;           ///< families mirrors ShardedCorpus::families()
@@ -152,6 +155,7 @@ class ShardedCorpus {
   int k_hop_ = 2;
   std::size_t total_designs_ = 0;
   bool complete_ = false;
+  std::string checksum_;
 };
 
 }  // namespace nettag

@@ -7,13 +7,6 @@
 
 namespace nettag {
 
-std::string gate_text_attribute(const Netlist& nl, GateId id, int k_hop) {
-  const PowerReport activity = netlist_stage_power(nl);
-  return gate_text_attribute(nl, id, k_hop,
-                             activity.toggle[static_cast<std::size_t>(id)],
-                             activity.prob[static_cast<std::size_t>(id)]);
-}
-
 std::string gate_text_attribute(const Netlist& nl, GateId id, int k_hop,
                                 double toggle, double prob) {
   const Gate& g = nl.gate(id);

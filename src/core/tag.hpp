@@ -31,12 +31,8 @@ struct TagGraph {
 };
 
 /// Text attribute of one gate (name, cell type, k-hop expression, bucketized
-/// physical characteristics including toggle rate / signal probability).
-/// This overload computes the activity report itself; prefer build_tag()
-/// for whole netlists (it shares one report across gates).
-std::string gate_text_attribute(const Netlist& nl, GateId id, int k_hop = 2);
-
-/// As above with precomputed activity values for this gate.
+/// physical characteristics including the gate's toggle rate and signal
+/// probability, which build_tag takes from one activity report per netlist).
 std::string gate_text_attribute(const Netlist& nl, GateId id, int k_hop,
                                 double toggle, double prob);
 

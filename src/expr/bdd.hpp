@@ -5,7 +5,7 @@
 // our side. It provides canonical representations of Boolean functions, so
 // expression equivalence (and netlist output equivalence) can be decided
 // *exactly* for supports far beyond the truth-table limit, complementing the
-// hash-based semantic_signature() fast path.
+// hash-based semantically_equal() fast path.
 //
 // Classic implementation: unique table for node hash-consing, memoized ITE.
 #pragma once

@@ -135,23 +135,6 @@ std::string to_string(const ExprPtr& e) {
   return out;
 }
 
-std::vector<bool> truth_table(const ExprPtr& e) {
-  const auto vars = support(e);
-  if (vars.size() > 20) {
-    throw std::invalid_argument("truth_table: support too large");
-  }
-  const std::size_t rows = std::size_t{1} << vars.size();
-  std::vector<bool> table(rows);
-  Assignment a;
-  for (std::size_t row = 0; row < rows; ++row) {
-    for (std::size_t j = 0; j < vars.size(); ++j) {
-      a[vars[j]] = (row >> j) & 1u;
-    }
-    table[row] = eval(e, a);
-  }
-  return table;
-}
-
 namespace {
 
 constexpr int kSemanticSamples = 192;
@@ -211,10 +194,6 @@ std::uint64_t signature_over(const ExprPtr& e,
 }
 
 }  // namespace
-
-std::uint64_t semantic_signature(const ExprPtr& e) {
-  return signature_over(e, support(e));
-}
 
 bool semantically_equal(const ExprPtr& a, const ExprPtr& b) {
   std::set<std::string> both;

@@ -80,19 +80,10 @@ std::vector<std::string> support(const ExprPtr& e);
 /// N-ary operators are parenthesized as one group: "(a&b&c)".
 std::string to_string(const ExprPtr& e);
 
-/// Exhaustive truth table over the expression's support; bit i of the result
-/// corresponds to assignment i (variable j of the sorted support = bit j of
-/// i). Only valid when support size <= 20; larger supports abort.
-std::vector<bool> truth_table(const ExprPtr& e);
-
-/// 64-bit semantic signature: exact truth-table hash when the support is
-/// small, otherwise a hash of the outputs under `kSemanticSamples`
-/// deterministic pseudo-random assignments. Equal expressions always get
-/// equal signatures; unequal ones collide with negligible probability.
-std::uint64_t semantic_signature(const ExprPtr& e);
-
 /// True when the two expressions compute the same function of their combined
-/// support (exact for small supports, sampled otherwise).
+/// support: a hash of the exact truth table when the support is small,
+/// otherwise of the outputs under deterministic pseudo-random assignments
+/// (unequal functions collide with negligible probability).
 bool semantically_equal(const ExprPtr& a, const ExprPtr& b);
 
 /// Deepest nesting parse_expr accepts: the number of '(' groups and '!'

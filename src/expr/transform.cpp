@@ -192,23 +192,6 @@ const std::vector<RewriteRule>& all_rewrite_rules() {
   return rules;
 }
 
-std::string rule_name(RewriteRule rule) {
-  switch (rule) {
-    case RewriteRule::kDeMorganExpand: return "demorgan_expand";
-    case RewriteRule::kDeMorganFold: return "demorgan_fold";
-    case RewriteRule::kDoubleNegInsert: return "double_neg_insert";
-    case RewriteRule::kDoubleNegRemove: return "double_neg_remove";
-    case RewriteRule::kCommutative: return "commutative";
-    case RewriteRule::kAssociativeGroup: return "associative_group";
-    case RewriteRule::kAssociativeFlatten: return "associative_flatten";
-    case RewriteRule::kDistribute: return "distribute";
-    case RewriteRule::kXorExpand: return "xor_expand";
-    case RewriteRule::kIdempotent: return "idempotent";
-    case RewriteRule::kIdentityConst: return "identity_const";
-  }
-  return "unknown";
-}
-
 ExprPtr apply_rule(const ExprPtr& e, RewriteRule rule, Rng& rng) {
   std::vector<ExprPtr> nodes;
   collect_nodes(e, nodes);
@@ -231,28 +214,6 @@ ExprPtr random_equivalent(const ExprPtr& e, Rng& rng, int steps) {
     cur = apply_rule(cur, rules[rng.index(rules.size())], rng);
   }
   return cur;
-}
-
-ExprPtr random_nonequivalent(const ExprPtr& e, Rng& rng, int max_tries) {
-  std::vector<ExprPtr> nodes;
-  collect_nodes(e, nodes);
-  for (int t = 0; t < max_tries; ++t) {
-    const std::size_t idx = rng.index(nodes.size());
-    const ExprPtr& n = nodes[idx];
-    ExprPtr mutant;
-    if (is_nary(n)) {
-      // Swap the operator.
-      const ExprKind new_kind = n->kind() == ExprKind::kAnd ? ExprKind::kOr
-                                : n->kind() == ExprKind::kOr ? ExprKind::kXor
-                                                             : ExprKind::kAnd;
-      mutant = make_same(new_kind, n->children());
-    } else {
-      mutant = n->kind() == ExprKind::kNot ? n->children()[0] : Expr::lnot(n);
-    }
-    ExprPtr candidate = rebuild_with(e, idx, mutant);
-    if (!semantically_equal(candidate, e)) return candidate;
-  }
-  return nullptr;
 }
 
 }  // namespace nettag

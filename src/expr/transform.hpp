@@ -8,7 +8,6 @@
 // the logic-rewriting synthesis pass.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "expr/expr.hpp"
@@ -35,9 +34,6 @@ enum class RewriteRule {
 /// All rules, in a stable order.
 const std::vector<RewriteRule>& all_rewrite_rules();
 
-/// Human-readable rule name (for logs/benches).
-std::string rule_name(RewriteRule rule);
-
 /// Applies `rule` once at a random applicable position. Returns the original
 /// expression unchanged if the rule matches nowhere.
 ExprPtr apply_rule(const ExprPtr& e, RewriteRule rule, Rng& rng);
@@ -46,12 +42,5 @@ ExprPtr apply_rule(const ExprPtr& e, RewriteRule rule, Rng& rng);
 /// at random positions. The result is always functionally equivalent to the
 /// input; with high probability its text differs.
 ExprPtr random_equivalent(const ExprPtr& e, Rng& rng, int steps = 3);
-
-/// Generates a *non*-equivalent mutant by structurally perturbing the
-/// expression (operator swap or input negation) and re-rolling until the
-/// function actually changes. Used to build hard negatives in tests and
-/// encoder-quality probes. Returns nullptr if no mutant is found in
-/// `max_tries` attempts (e.g. for constants).
-ExprPtr random_nonequivalent(const ExprPtr& e, Rng& rng, int max_tries = 16);
 
 }  // namespace nettag

@@ -182,21 +182,4 @@ AigResult to_aig(const Netlist& nl) {
   return res;
 }
 
-bool is_aig(const Netlist& nl) {
-  for (const Gate& g : nl.gates()) {
-    switch (g.type) {
-      case CellType::kPort:
-      case CellType::kConst0:
-      case CellType::kConst1:
-      case CellType::kDff:
-      case CellType::kInv:
-      case CellType::kAnd2:
-        break;
-      default:
-        return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace nettag

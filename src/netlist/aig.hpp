@@ -24,7 +24,4 @@ struct AigResult {
 /// cells. Output markers, labels, and register flags are carried over.
 AigResult to_aig(const Netlist& nl);
 
-/// True if the netlist contains only AIG-legal cell types.
-bool is_aig(const Netlist& nl);
-
 }  // namespace nettag

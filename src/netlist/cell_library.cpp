@@ -49,11 +49,6 @@ const CellInfo& cell_info(CellType type) {
   return kCells[static_cast<std::size_t>(type)];
 }
 
-const std::vector<CellInfo>& all_cells() {
-  static const std::vector<CellInfo> v(kCells.begin(), kCells.end());
-  return v;
-}
-
 CellType cell_type_from_name(const std::string& name) {
   static const std::unordered_map<std::string, CellType> index = [] {
     std::unordered_map<std::string, CellType> m;
@@ -208,13 +203,6 @@ int gate_class_of(CellType type) {
 
 int num_gate_classes() {
   return static_cast<int>(CellType::kMaj3) - static_cast<int>(CellType::kInv) + 1;
-}
-
-CellType gate_class_to_type(int cls) {
-  NETTAG_CHECK(cls >= 0 && cls < num_gate_classes(),
-               "gate_class_to_type: class " + std::to_string(cls) +
-                   " outside [0, " + std::to_string(num_gate_classes()) + ")");
-  return static_cast<CellType>(cls + static_cast<int>(CellType::kInv));
 }
 
 }  // namespace nettag

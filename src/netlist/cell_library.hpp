@@ -65,9 +65,6 @@ struct CellInfo {
 /// Library lookup by type. Data is immutable and process-wide.
 const CellInfo& cell_info(CellType type);
 
-/// All cells in enum order.
-const std::vector<CellInfo>& all_cells();
-
 /// Parses a cell name ("NAND2", case-insensitive) back to its type.
 /// Throws std::invalid_argument for unknown names.
 CellType cell_type_from_name(const std::string& name);
@@ -91,6 +88,5 @@ bool cell_eval_bits(CellType type, unsigned inputs);
 /// combinational logic cells (PORT/CONST/DFF excluded).
 int gate_class_of(CellType type);          ///< -1 if not a logic cell
 int num_gate_classes();                    ///< number of logic-cell classes
-CellType gate_class_to_type(int cls);      ///< inverse of gate_class_of
 
 }  // namespace nettag

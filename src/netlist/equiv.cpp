@@ -141,13 +141,16 @@ EquivResult check_equivalence(const Netlist& a, const Netlist& b) {
   // expose the same name (renamed outputs after resynthesis are skipped —
   // register checkpoints still cover the sequential behaviour).
   std::map<std::string, GateId> outs_b;
-  for (GateId o : b.outputs()) outs_b[b.gate(o).name] = o;
-  for (GateId o : a.outputs()) {
-    auto it = outs_b.find(a.gate(o).name);
+  for (const Gate& g : b.gates()) {
+    if (g.is_primary_output) outs_b[g.name] = g.id;
+  }
+  for (const Gate& g : a.gates()) {
+    if (!g.is_primary_output) continue;
+    auto it = outs_b.find(g.name);
     if (it == outs_b.end()) continue;
     ++res.checkpoints;
-    if (fa[static_cast<std::size_t>(o)] != fb[static_cast<std::size_t>(it->second)]) {
-      res.mismatch = a.gate(o).name;
+    if (fa[static_cast<std::size_t>(g.id)] != fb[static_cast<std::size_t>(it->second)]) {
+      res.mismatch = g.name;
       return res;
     }
   }

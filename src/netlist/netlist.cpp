@@ -138,50 +138,10 @@ std::vector<GateId> Netlist::topo_order() const {
   return order;
 }
 
-std::vector<std::size_t> Netlist::type_counts() const {
-  std::vector<std::size_t> counts(kNumCellTypes, 0);
-  for (const Gate& g : gates_) counts[static_cast<std::size_t>(g.type)]++;
-  return counts;
-}
-
-NetlistStats Netlist::stats() const {
-  NetlistStats s;
-  s.num_gates = gates_.size();
-  for (const Gate& g : gates_) {
-    const CellInfo& info = cell_info(g.type);
-    s.total_area += info.area;
-    s.total_leakage += info.leakage;
-    if (g.type == CellType::kDff) {
-      ++s.num_registers;
-    } else if (g.type == CellType::kPort) {
-      ++s.num_ports;
-    } else if (g.type != CellType::kConst0 && g.type != CellType::kConst1) {
-      ++s.num_logic;
-    }
-  }
-  return s;
-}
-
 std::vector<GateId> Netlist::registers() const {
   std::vector<GateId> out;
   for (const Gate& g : gates_) {
     if (g.type == CellType::kDff) out.push_back(g.id);
-  }
-  return out;
-}
-
-std::vector<GateId> Netlist::ports() const {
-  std::vector<GateId> out;
-  for (const Gate& g : gates_) {
-    if (g.type == CellType::kPort) out.push_back(g.id);
-  }
-  return out;
-}
-
-std::vector<GateId> Netlist::outputs() const {
-  std::vector<GateId> out;
-  for (const Gate& g : gates_) {
-    if (g.is_primary_output) out.push_back(g.id);
   }
   return out;
 }

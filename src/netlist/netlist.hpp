@@ -32,16 +32,6 @@ struct Gate {
   bool is_state_reg = false;     ///< DFF only: state vs data register (Task 2)
 };
 
-/// Aggregate statistics (Table II-style).
-struct NetlistStats {
-  std::size_t num_gates = 0;       ///< all nodes incl. ports
-  std::size_t num_logic = 0;       ///< combinational logic cells
-  std::size_t num_registers = 0;   ///< DFF count
-  std::size_t num_ports = 0;       ///< primary inputs
-  double total_area = 0.0;
-  double total_leakage = 0.0;
-};
-
 /// Mutable netlist. Gates are created via add_* and referenced by GateId.
 class Netlist {
  public:
@@ -90,19 +80,8 @@ class Netlist {
   /// combinational fanins. Throws std::runtime_error on a combinational cycle.
   std::vector<GateId> topo_order() const;
 
-  /// Per-cell-type instance counts (indexed by CellType value).
-  std::vector<std::size_t> type_counts() const;
-
-  NetlistStats stats() const;
-
   /// All DFF gate ids.
   std::vector<GateId> registers() const;
-
-  /// All PORT gate ids.
-  std::vector<GateId> ports() const;
-
-  /// Primary output gate ids.
-  std::vector<GateId> outputs() const;
 
   /// Structural sanity check: arities match, fanins in range, names unique,
   /// no combinational cycles. Throws std::runtime_error with a description

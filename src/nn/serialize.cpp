@@ -104,7 +104,8 @@ void save_manifest(
 }
 
 std::vector<std::pair<std::string, std::string>> load_manifest(
-    const std::string& path, std::vector<int>* linenos) {
+    const std::string& path, std::vector<int>* linenos,
+    std::string* checksum) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("load_manifest: cannot open " + path);
   std::stringstream buffer;
@@ -138,6 +139,7 @@ std::vector<std::pair<std::string, std::string>> load_manifest(
                              ": checksum mismatch (file truncated or "
                              "corrupted)");
   }
+  if (checksum) *checksum = sum;
 
   std::vector<std::pair<std::string, std::string>> entries;
   std::istringstream lines(content.substr(0, body_len));

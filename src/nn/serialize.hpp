@@ -44,9 +44,11 @@ void save_manifest(
 /// stripped from the result; a manifest without one, or whose bytes do not
 /// match it (truncation, corruption, hand edits), is rejected. When
 /// `linenos` is non-null it receives the 1-based source line of each
-/// returned entry (duplicate-key diagnostics). Throws std::runtime_error on
+/// returned entry (duplicate-key diagnostics), and a non-null `checksum`
+/// receives the verified checksum's hex text. Throws std::runtime_error on
 /// I/O failure, a line with no value, or checksum mismatch.
 std::vector<std::pair<std::string, std::string>> load_manifest(
-    const std::string& path, std::vector<int>* linenos = nullptr);
+    const std::string& path, std::vector<int>* linenos = nullptr,
+    std::string* checksum = nullptr);
 
 }  // namespace nettag

@@ -120,49 +120,6 @@ Tensor add_rowvec(const Tensor& a, const Tensor& b) {
   });
 }
 
-Tensor sub(const Tensor& a, const Tensor& b) {
-  NETTAG_CHECK(
-      a->value.rows == b->value.rows && a->value.cols == b->value.cols,
-      "sub: shape mismatch: " + sh(a->value) + " vs " + sh(b->value));
-  Mat out = a->value;
-  for (std::size_t i = 0; i < out.v.size(); ++i) out.v[i] -= b->value.v[i];
-  Node* an = a.get();
-  Node* bn = b.get();
-  return make_op("sub", std::move(out), {a, b}, [an, bn](Node* o) {
-    accumulate(an, o->grad);
-    if (bn->requires_grad) {
-      bn->ensure_grad();
-      for (std::size_t i = 0; i < o->grad.v.size(); ++i) {
-        bn->grad.v[i] -= o->grad.v[i];
-      }
-    }
-  });
-}
-
-Tensor mul(const Tensor& a, const Tensor& b) {
-  NETTAG_CHECK(a->value.v.size() == b->value.v.size(),
-               "mul: element count mismatch: " + sh(a->value) + " vs " +
-                   sh(b->value));
-  Mat out = a->value;
-  for (std::size_t i = 0; i < out.v.size(); ++i) out.v[i] *= b->value.v[i];
-  Node* an = a.get();
-  Node* bn = b.get();
-  return make_op("mul", std::move(out), {a, b}, [an, bn](Node* o) {
-    if (an->requires_grad) {
-      an->ensure_grad();
-      for (std::size_t i = 0; i < o->grad.v.size(); ++i) {
-        an->grad.v[i] += o->grad.v[i] * bn->value.v[i];
-      }
-    }
-    if (bn->requires_grad) {
-      bn->ensure_grad();
-      for (std::size_t i = 0; i < o->grad.v.size(); ++i) {
-        bn->grad.v[i] += o->grad.v[i] * an->value.v[i];
-      }
-    }
-  });
-}
-
 Tensor scale(const Tensor& a, float s) {
   Mat out = a->value;
   for (float& x : out.v) x *= s;

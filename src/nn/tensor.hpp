@@ -99,8 +99,6 @@ Tensor make_param(int rows, int cols, Rng& rng, float scale = 1.0f);
 Tensor matmul(const Tensor& a, const Tensor& b);
 Tensor add(const Tensor& a, const Tensor& b);        ///< same shape
 Tensor add_rowvec(const Tensor& a, const Tensor& b); ///< a: NxD, b: 1xD
-Tensor sub(const Tensor& a, const Tensor& b);
-Tensor mul(const Tensor& a, const Tensor& b);        ///< elementwise
 Tensor scale(const Tensor& a, float s);
 Tensor relu(const Tensor& a);
 Tensor gelu(const Tensor& a);                        ///< tanh approximation

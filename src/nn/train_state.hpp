@@ -1,5 +1,5 @@
 // TrainState: the optimizer-and-progress companion of a model checkpoint, so
-// an interrupted pre-training or fine-tuning run can resume *bit-identically*
+// an interrupted pre-training run can resume *bit-identically*
 // (docs/ARCHITECTURE.md §8).
 //
 // A checkpoint prefix owns three files: `<prefix>.exprllm.bin` and
@@ -8,8 +8,8 @@
 // training loop needs beyond the parameters themselves: which phase the run
 // was in, the next step to execute, the training-loop RNG stream, Adam's
 // bias-correction count and moment estimates, the values of any parameters
-// trained outside the model files (fine-tuning heads, the [MASK] embedding),
-// and the loss history so a resumed run reports the same curve.
+// trained outside the model files (the pretraining heads and the [MASK]
+// embedding), and the loss history so a resumed run reports the same curve.
 //
 // All writes go through temp+rename and carry a trailing CRC-32; a load
 // either returns a fully validated record or throws — never partial state.
@@ -24,7 +24,7 @@
 
 namespace nettag {
 
-/// Checkpointing policy a training loop (pretrain, finetune heads) follows.
+/// Checkpointing policy the pretraining loop follows.
 /// Default-constructed, checkpointing is off and the loop behaves exactly as
 /// before this struct existed.
 struct TrainCheckpoint {
@@ -47,8 +47,8 @@ struct TrainCheckpoint {
 };
 
 struct TrainState {
-  /// Training phase the checkpoint was taken in. Pre-training uses "expr"
-  /// (step 1), "tag" (step 2), and "done"; fine-tuning heads use "head".
+  /// Training phase the checkpoint was taken in: "expr" (step 1), "tag"
+  /// (step 2), or "done".
   std::string phase;
   /// First step of `phase` that has NOT been executed yet (0 at a phase
   /// boundary, i.e. the step-1/step-2 handoff checkpoint).
@@ -64,9 +64,8 @@ struct TrainState {
   std::vector<Mat> adam_m;
   std::vector<Mat> adam_v;
   /// Flat values of trainable tensors that live outside the model parameter
-  /// files, concatenated in a fixed order the producing loop documents
-  /// (pre-training: class head, size head, [MASK] embedding; fine-tuning:
-  /// the head's own parameters).
+  /// files, concatenated in a fixed order: class head, size head, [MASK]
+  /// embedding.
   std::vector<float> extra_params;
   /// Per-step losses of the current phase, up to (excluding) next_step.
   std::vector<float> loss_history;

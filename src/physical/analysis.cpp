@@ -283,23 +283,4 @@ ToolEstimate synthesis_estimate(const Netlist& nl, double utilization,
   return est;
 }
 
-LayoutGraph build_layout_graph(const Netlist& nl, const Placement& pl,
-                               const Parasitics& para,
-                               const TimingReport& timing) {
-  LayoutGraph lg;
-  lg.node_feats.resize(nl.size());
-  for (std::size_t i = 0; i < nl.size(); ++i) {
-    const NetParasitics& net = para.nets[i];
-    lg.node_feats[i] = {net.wire_cap, net.wire_res, net.load(),
-                        timing.gate_delay[i], pl.x[i], pl.y[i]};
-  }
-  // Edge list order matters downstream.
-  for (const Gate& g : nl.gates()) {
-    for (GateId s : g.fanouts) {
-      lg.edges.emplace_back(static_cast<int>(g.id), static_cast<int>(s));
-    }
-  }
-  return lg;
-}
-
 }  // namespace nettag

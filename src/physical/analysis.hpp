@@ -111,7 +111,4 @@ struct LayoutGraph {
   std::vector<std::pair<int, int>> edges;  ///< driver -> sink
 };
 
-LayoutGraph build_layout_graph(const Netlist& nl, const Placement& pl,
-                               const Parasitics& para, const TimingReport& timing);
-
 }  // namespace nettag

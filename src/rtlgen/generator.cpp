@@ -375,15 +375,4 @@ GeneratedDesign generate_design(const FamilyProfile& profile, Rng& rng,
   return finalize_design(syn, profile, rng, design_name, "rtlgen");
 }
 
-std::vector<GeneratedDesign> generate_corpus(const FamilyProfile& profile,
-                                             int count, Rng& rng) {
-  std::vector<GeneratedDesign> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    out.push_back(
-        generate_design(profile, rng, profile.name + "_d" + std::to_string(i)));
-  }
-  return out;
-}
-
 }  // namespace nettag

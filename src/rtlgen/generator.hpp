@@ -79,8 +79,4 @@ GeneratedDesign finalize_design(Synthesizer& syn, const FamilyProfile& profile,
 GeneratedDesign generate_design(const FamilyProfile& profile, Rng& rng,
                                 const std::string& design_name);
 
-/// Generates `count` designs named "<family>_d<i>".
-std::vector<GeneratedDesign> generate_corpus(const FamilyProfile& profile,
-                                             int count, Rng& rng);
-
 }  // namespace nettag

@@ -179,13 +179,6 @@ void check_same_width(const Bus& a, const Bus& b, const char* op) {
 
 }  // namespace
 
-Bus Synthesizer::bit_not(const Bus& a) {
-  label_ = "bitwise";
-  std::vector<GateId> bits;
-  for (GateId b : a.bits) bits.push_back(g(CellType::kInv, {b}));
-  return fresh_bus(std::move(bits), {&a}, "not ( " + a.name + " )");
-}
-
 Bus Synthesizer::bit_and(const Bus& a, const Bus& b) {
   check_same_width(a, b, "bit_and");
   label_ = "bitwise";

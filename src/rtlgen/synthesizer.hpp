@@ -45,7 +45,6 @@ class Synthesizer {
   void connect_reg(const Bus& q, const Bus& d);
 
   // --- combinational operators (each emits one RTL statement) -------------
-  Bus bit_not(const Bus& a);
   Bus bit_and(const Bus& a, const Bus& b);
   Bus bit_or(const Bus& a, const Bus& b);
   Bus bit_xor(const Bus& a, const Bus& b);

@@ -135,11 +135,6 @@ bool ModelRegistry::has(const std::string& name) const {
   return replicas_.count(name) > 0;
 }
 
-std::size_t ModelRegistry::size() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return replicas_.size();
-}
-
 std::vector<ReplicaInfo> ModelRegistry::list() const {
   std::vector<ReplicaInfo> out;
   std::lock_guard<std::mutex> lk(mu_);

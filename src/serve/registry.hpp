@@ -119,7 +119,6 @@ class ModelRegistry {
   bool snapshot(const std::string& name, ReplicaSnapshot* out) const;
 
   bool has(const std::string& name) const;
-  std::size_t size() const;
   /// Rows sorted by name (std::map order) — stable for stats/model_list.
   std::vector<ReplicaInfo> list() const;
 

@@ -83,10 +83,6 @@ bool Server::load_model(const std::string& name, const std::string& prefix,
   return registry_.load(name, prefix, error);
 }
 
-bool Server::unload_model(const std::string& name) {
-  return registry_.unload(name);
-}
-
 void Server::register_task(const std::string& name, TaskFn fn) {
   std::lock_guard<std::mutex> lk(tasks_mu_);
   tasks_[name] = std::move(fn);

@@ -86,8 +86,6 @@ class Server {
   /// benchmark/src/replay.cpp still passes -1 there.
   bool load_model(const std::string& name, const std::string& prefix, int,
                   std::string* error);
-  /// Removes a named replica; later requests for it answer unknown_model.
-  bool unload_model(const std::string& name);
 
   const ModelRegistry& registry() const { return registry_; }
   const ServerConfig& config() const { return config_; }
@@ -97,7 +95,8 @@ class Server {
   /// Fine-tuned task head hook: `fn` maps (shared model, admitted netlist)
   /// to a score vector. Registered heads answer `predict` requests; results
   /// are cached under the task name. `fn` must be thread-safe (heads only
-  /// read their trained weights).
+  /// read their trained weights). No shipped tool registers a head; the
+  /// tests do.
   using TaskFn =
       std::function<std::vector<double>(const NetTag&, const Netlist&)>;
   void register_task(const std::string& name, TaskFn fn);

@@ -2,56 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <string>
 
 #include "analysis/check.hpp"
 
 namespace nettag {
-
-namespace {
-
-// Checkpoint/stop plumbing for the head-fit loop. A head persists only a
-// TrainState record (phase "head"): the MLP parameters ride in extra_params
-// and everything else about a fit — normalization statistics, the class-pool
-// partition — is a deterministic function of the data, so a resume
-// recomputes it and restores just the trained state.
-
-void validate_head_resume(const TrainState& st, int rows) {
-  if (st.phase != "head") {
-    throw std::runtime_error("resume_fit: checkpoint phase '" + st.phase +
-                             "' is not a head checkpoint");
-  }
-  if (st.dataset_size != static_cast<std::uint64_t>(rows)) {
-    throw std::runtime_error(
-        "resume_fit: dataset has " + std::to_string(rows) +
-        " rows but the checkpoint saw " + std::to_string(st.dataset_size) +
-        " (data changed — resume cannot be bit-identical)");
-  }
-}
-
-void save_head_state(const TrainCheckpoint& ck, int next_step, Rng& rng,
-                     const Adam& opt, const Mlp& mlp,
-                     const std::vector<float>& losses, int rows) {
-  TrainState st;
-  st.phase = "head";
-  st.next_step = static_cast<std::uint64_t>(next_step);
-  st.rng_state = rng.state();
-  st.adam_t = opt.step_count();
-  st.adam_m = opt.moment1();
-  st.adam_v = opt.moment2();
-  st.extra_params = flatten_param_values(mlp.params());
-  st.loss_history = losses;
-  st.dataset_size = static_cast<std::uint64_t>(rows);
-  save_train_state(train_state_path(ck.prefix), st);
-}
-
-bool head_stop_requested(const TrainCheckpoint& ck, long executed) {
-  if (ck.stop && ck.stop->load(std::memory_order_relaxed)) return true;
-  return ck.halt_after_steps >= 0 && executed >= ck.halt_after_steps;
-}
-
-}  // namespace
 
 Mat vstack(const std::vector<Mat>& rows) {
   NETTAG_CHECK(!rows.empty(), "vstack: no rows to stack");
@@ -128,22 +83,8 @@ ClassifierHead::ClassifierHead(int in_dim, int num_classes,
   mlp_ = std::make_unique<Mlp>(in_dim, options.hidden, num_classes, rng);
 }
 
-bool ClassifierHead::fit(const Mat& x, const std::vector<int>& y, Rng& rng) {
-  return fit_impl(x, y, rng, nullptr);
-}
-
-bool ClassifierHead::resume_fit(const Mat& x, const std::vector<int>& y,
-                                Rng& rng) {
-  if (!options_.checkpoint.enabled()) {
-    throw std::runtime_error("resume_fit: options.checkpoint.prefix is empty");
-  }
-  const TrainState st =
-      load_train_state(train_state_path(options_.checkpoint.prefix));
-  return fit_impl(x, y, rng, &st);
-}
-
-bool ClassifierHead::fit_impl(const Mat& x_raw, const std::vector<int>& y,
-                              Rng& rng, const TrainState* resume) {
+void ClassifierHead::fit(const Mat& x_raw, const std::vector<int>& y,
+                         Rng& rng) {
   NETTAG_CHECK(x_raw.rows == static_cast<int>(y.size()),
                "ClassifierHead::fit: " + std::to_string(x_raw.rows) +
                    " feature rows but " + std::to_string(y.size()) +
@@ -154,22 +95,10 @@ bool ClassifierHead::fit_impl(const Mat& x_raw, const std::vector<int>& y,
                      " of row " + std::to_string(i) + " outside [0, " +
                      std::to_string(num_classes_) + ")");
   }
-  if (x_raw.rows == 0) return true;
+  if (x_raw.rows == 0) return;
   fit_column_stats(x_raw, &col_mean_, &col_std_);
   const Mat x = apply_column_stats(x_raw, col_mean_, col_std_);
   Adam opt(mlp_->params(), options_.lr);
-
-  const TrainCheckpoint& ck = options_.checkpoint;
-  std::vector<float> losses;
-  int start_step = 0;
-  if (resume) {
-    validate_head_resume(*resume, x_raw.rows);
-    restore_param_values(mlp_->params(), resume->extra_params);
-    opt.restore(resume->adam_t, resume->adam_m, resume->adam_v);
-    rng.set_state(resume->rng_state);
-    losses = resume->loss_history;
-    start_step = static_cast<int>(resume->next_step);
-  }
 
   // Optional inverse-frequency resampling for imbalanced tasks: oversample
   // minority classes in the minibatch draw.
@@ -182,8 +111,7 @@ bool ClassifierHead::fit_impl(const Mat& x_raw, const std::vector<int>& y,
     if (!by_class[static_cast<std::size_t>(c)].empty()) nonempty.push_back(c);
   }
 
-  long executed = 0;
-  for (int step = start_step; step < options_.steps; ++step) {
+  for (int step = 0; step < options_.steps; ++step) {
     std::vector<int> idx;
     std::vector<int> labels;
     for (int b = 0; b < options_.batch; ++b) {
@@ -202,16 +130,7 @@ bool ClassifierHead::fit_impl(const Mat& x_raw, const std::vector<int>& y,
     Tensor loss = cross_entropy(logits, labels);
     backward(loss);
     opt.step();
-    losses.push_back(loss->value.v[0]);
-    ++executed;
-    const bool stop_now = head_stop_requested(ck, executed);
-    if (ck.enabled() &&
-        (stop_now || (ck.every > 0 && (step + 1) % ck.every == 0))) {
-      save_head_state(ck, step + 1, rng, opt, *mlp_, losses, x_raw.rows);
-    }
-    if (stop_now) return false;
   }
-  return true;
 }
 
 Mat ClassifierHead::scores(const Mat& x) const {

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "nn/layers.hpp"
-#include "nn/train_state.hpp"
 
 namespace nettag {
 
@@ -19,12 +18,6 @@ struct FinetuneOptions {
   float lr = 3e-3f;
   int hidden = 96;
   bool class_weighted = false;  ///< inverse-frequency weights (imbalanced tasks)
-  /// Crash-safe checkpointing + cooperative interruption for fit() (off by
-  /// default). Head checkpoints consist of the TrainState record alone
-  /// (`<prefix>.trainer.bin`): head parameters travel in extra_params, and
-  /// the input/target normalization statistics are recomputed
-  /// deterministically from the data on resume.
-  TrainCheckpoint checkpoint;
 };
 
 /// Trained classification head over fixed feature rows.
@@ -33,17 +26,8 @@ class ClassifierHead {
   ClassifierHead(int in_dim, int num_classes, const FinetuneOptions& options,
                  Rng& rng);
 
-  /// Trains on rows of X (N x in_dim) with integer labels. Returns false
-  /// when stopped early by options.checkpoint (a resumable record was
-  /// saved); true on a completed fit.
-  bool fit(const Mat& x, const std::vector<int>& y, Rng& rng);
-
-  /// Continues an interrupted fit from options.checkpoint.prefix. Callers
-  /// must pass the same data and a freshly derived rng identical to the
-  /// original call's; the fitted head is then bit-identical to an
-  /// uninterrupted fit. Throws std::runtime_error on a missing/corrupt
-  /// record or mismatched dataset.
-  bool resume_fit(const Mat& x, const std::vector<int>& y, Rng& rng);
+  /// Trains on rows of X (N x in_dim) with integer labels.
+  void fit(const Mat& x, const std::vector<int>& y, Rng& rng);
 
   /// Argmax predictions for rows of X.
   std::vector<int> predict(const Mat& x) const;
@@ -52,9 +36,6 @@ class ClassifierHead {
   Mat scores(const Mat& x) const;
 
  private:
-  bool fit_impl(const Mat& x, const std::vector<int>& y, Rng& rng,
-                const TrainState* resume);
-
   FinetuneOptions options_;
   int num_classes_;
   std::unique_ptr<Mlp> mlp_;

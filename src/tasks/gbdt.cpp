@@ -121,8 +121,6 @@ struct GbdtRegressor::Impl {
 GbdtRegressor::GbdtRegressor(const GbdtOptions& options)
     : impl_(std::make_unique<Impl>()), options_(options) {}
 GbdtRegressor::~GbdtRegressor() = default;
-GbdtRegressor::GbdtRegressor(GbdtRegressor&&) noexcept = default;
-GbdtRegressor& GbdtRegressor::operator=(GbdtRegressor&&) noexcept = default;
 
 void GbdtRegressor::fit(const Mat& x, const std::vector<double>& y, Rng& rng) {
   impl_->trees.clear();
@@ -163,10 +161,6 @@ std::vector<double> GbdtRegressor::predict(const Mat& x) const {
   std::vector<double> out(static_cast<std::size_t>(x.rows));
   for (int r = 0; r < x.rows; ++r) out[static_cast<std::size_t>(r)] = predict_row(x, r);
   return out;
-}
-
-int GbdtRegressor::num_trees() const {
-  return static_cast<int>(impl_->trees.size());
 }
 
 }  // namespace nettag

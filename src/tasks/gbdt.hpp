@@ -26,17 +26,12 @@ class GbdtRegressor {
  public:
   explicit GbdtRegressor(const GbdtOptions& options = {});
   ~GbdtRegressor();
-  GbdtRegressor(GbdtRegressor&&) noexcept;
-  GbdtRegressor& operator=(GbdtRegressor&&) noexcept;
 
   /// Fits on rows of `x` against targets `y`.
   void fit(const Mat& x, const std::vector<double>& y, Rng& rng);
 
   std::vector<double> predict(const Mat& x) const;
   double predict_row(const Mat& x, int row) const;
-
-  /// Number of fitted trees (0 before fit).
-  int num_trees() const;
 
  private:
   struct Impl;

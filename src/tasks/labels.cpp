@@ -1,23 +1,6 @@
 #include "tasks/labels.hpp"
 
-#include <algorithm>
-
 namespace nettag {
-
-const std::vector<std::string>& task1_labels() {
-  static const std::vector<std::string> labels = {
-      "add",    "sub",    "mul",    "cmp",  "mux",  "bitwise",
-      "shift",  "parity", "reduce", "decode", "encode", "fsm",
-      "counter", "crc",   "lfsr",   "alu",  "datapath",
-  };
-  return labels;
-}
-
-int task1_label_id(const std::string& label) {
-  const auto& l = task1_labels();
-  const auto it = std::find(l.begin(), l.end(), label);
-  return it == l.end() ? -1 : static_cast<int>(it - l.begin());
-}
 
 const std::vector<std::string>& task1_classes() {
   static const std::vector<std::string> classes = {

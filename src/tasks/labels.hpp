@@ -8,12 +8,6 @@
 
 namespace nettag {
 
-/// Fixed, ordered label set for combinational gate function identification.
-const std::vector<std::string>& task1_labels();
-
-/// Index of a label in task1_labels(); -1 if unknown/empty.
-int task1_label_id(const std::string& label);
-
 /// Evaluation classes for Task 1 at GNN-RE granularity (adder, subtractor,
 /// multiplier, comparator, interconnect/mux, logic, control, sequential-
 /// support): the fine RTL-block labels are grouped into these.

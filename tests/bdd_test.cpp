@@ -7,6 +7,7 @@
 
 #include "expr/bdd.hpp"
 #include "expr/transform.hpp"
+#include "expr_mutant.hpp"
 #include "util/rng.hpp"
 
 namespace nettag {

@@ -10,13 +10,17 @@ reference at NETTAG_THREADS=2, halts a second run with --halt-after at
 NETTAG_THREADS=4, and resumes it at NETTAG_THREADS=1 with the command the
 halted run printed. The resumed run's .exprllm.bin, .tagformer.bin and
 .trainer.bin must equal the reference's byte for byte, and resuming the
-finished run once more must leave all three unchanged. Uses only the Python
-standard library.
+finished run once more must leave all three unchanged. Last, a run halted on
+a sharded corpus that is then deleted and rebuilt at the same path with
+another seed must refuse --resume with exit 2, naming the manifest checksum
+the run recorded and the rebuilt corpus's. Uses only the Python standard
+library.
 """
 
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -99,6 +103,41 @@ def scenario(train, name, tmp, extra, failures):
                         % name)
 
 
+def manifest_checksum(corpus):
+    with open(os.path.join(corpus, "corpus.manifest")) as f:
+        return f.read().split()[-1]
+
+
+def rebuilt_corpus(train, tmp, failures):
+    corpus = os.path.join(tmp, "rebuilt")
+    prefix = os.path.join(tmp, "rebuilt-run")
+    build = [train, "--build-corpus", corpus, "--designs", "1",
+             "--shard-designs", "2", "--no-align", "--seed"]
+    if not run(build + ["1"], 2, failures, "first corpus build"):
+        return
+    recorded = manifest_checksum(corpus)
+    if not run([train, "--out", prefix, "--corpus", corpus, "--halt-after",
+                "3"] + TRAIN_FLAGS, 2, failures, "run on the first corpus"):
+        return
+    shutil.rmtree(corpus)
+    if not run(build + ["2"], 2, failures, "rebuild with another seed"):
+        return
+    rebuilt = manifest_checksum(corpus)
+    if rebuilt == recorded:
+        failures.append("rebuilt corpus kept manifest checksum %s" % rebuilt)
+        return
+    proc = subprocess.run([train, "--resume", prefix], stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=TIMEOUT_S)
+    if proc.returncode != 2:
+        failures.append("resume on the rebuilt corpus: exit %d, want 2"
+                        % proc.returncode)
+    for checksum in (recorded, rebuilt):
+        if checksum not in proc.stderr:
+            failures.append("resume on the rebuilt corpus does not name "
+                            "checksum %s: %r" % (checksum,
+                                                 proc.stderr.strip()[-400:]))
+
+
 def main():
     if len(sys.argv) != 2:
         print(__doc__.strip().splitlines()[3].strip())
@@ -112,10 +151,12 @@ def main():
                 "--shard-designs", "2", "--flat", "--no-align"], 2, failures,
                "corpus build"):
             scenario(train, "sharded", tmp, ["--corpus", corpus], failures)
+        rebuilt_corpus(train, tmp, failures)
     for failure in failures:
         print("FAIL " + failure)
     if not failures:
-        print("nettag_train resumes bit-identically across widths")
+        print("nettag_train resumes bit-identically across widths and "
+              "refuses a rebuilt corpus")
     return 1 if failures else 0
 
 

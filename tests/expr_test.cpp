@@ -84,13 +84,11 @@ TEST(Expr, SizeAndDepth) {
 
 TEST(Expr, TruthTableXor) {
   auto e = Expr::lxor(Expr::var("a"), Expr::var("b"));
-  const auto tt = truth_table(e);
-  ASSERT_EQ(tt.size(), 4u);
-  // bit j of row index corresponds to sorted support var j ("a" then "b").
-  EXPECT_FALSE(tt[0]);  // a=0 b=0
-  EXPECT_TRUE(tt[1]);   // a=1 b=0
-  EXPECT_TRUE(tt[2]);   // a=0 b=1
-  EXPECT_FALSE(tt[3]);  // a=1 b=1
+  ASSERT_EQ(support(e), (std::vector<std::string>{"a", "b"}));
+  EXPECT_FALSE(eval(e, {{"a", false}, {"b", false}}));
+  EXPECT_TRUE(eval(e, {{"a", true}, {"b", false}}));
+  EXPECT_TRUE(eval(e, {{"a", false}, {"b", true}}));
+  EXPECT_FALSE(eval(e, {{"a", true}, {"b", true}}));
 }
 
 TEST(Expr, SemanticEqualityDeMorgan) {
@@ -159,7 +157,7 @@ TEST(ExprParser, MalformedThrows) {
 
 TEST(Expr, SignatureStableAcrossCalls) {
   auto e = parse_expr("!((R1^R2)|!R2)");
-  EXPECT_EQ(semantic_signature(e), semantic_signature(parse_expr("!((R1^R2)|!R2)")));
+  EXPECT_TRUE(semantically_equal(e, parse_expr("!((R1^R2)|!R2)")));
 }
 
 // The parser recurses once per '(' group and '!' prefix; nesting beyond

@@ -2,6 +2,8 @@
 // expression extraction, and file I/O.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <sstream>
 
 #include "analysis/check.hpp"
@@ -9,6 +11,8 @@
 #include "netlist/cell_library.hpp"
 #include "netlist/io.hpp"
 #include "netlist/netlist.hpp"
+#include "netlist_counts.hpp"
+#include "physical/analysis.hpp"
 #include "rtlgen/generator.hpp"
 #include "util/rng.hpp"
 
@@ -38,7 +42,8 @@ TEST(CellLibrary, ArityMatchesEnum) {
 }
 
 TEST(CellLibrary, NameRoundTrip) {
-  for (const CellInfo& c : all_cells()) {
+  for (int t = 0; t < kNumCellTypes; ++t) {
+    const CellInfo& c = cell_info(static_cast<CellType>(t));
     EXPECT_EQ(cell_type_from_name(c.name), c.type);
   }
   EXPECT_EQ(cell_type_from_name("nand2"), CellType::kNand2);  // case-insensitive
@@ -46,21 +51,22 @@ TEST(CellLibrary, NameRoundTrip) {
 }
 
 TEST(CellLibrary, OnlyDffSequential) {
-  for (const CellInfo& c : all_cells()) {
+  for (int t = 0; t < kNumCellTypes; ++t) {
+    const CellInfo& c = cell_info(static_cast<CellType>(t));
     EXPECT_EQ(c.sequential, c.type == CellType::kDff) << c.name;
   }
 }
 
 TEST(CellLibrary, GateClassBijection) {
-  int count = 0;
-  for (const CellInfo& c : all_cells()) {
-    const int cls = gate_class_of(c.type);
+  std::set<int> classes;
+  for (int t = 0; t < kNumCellTypes; ++t) {
+    const int cls = gate_class_of(static_cast<CellType>(t));
     if (cls >= 0) {
-      EXPECT_EQ(gate_class_to_type(cls), c.type);
-      ++count;
+      EXPECT_LT(cls, num_gate_classes());
+      EXPECT_TRUE(classes.insert(cls).second) << "class " << cls << " twice";
     }
   }
-  EXPECT_EQ(count, num_gate_classes());
+  EXPECT_EQ(static_cast<int>(classes.size()), num_gate_classes());
   EXPECT_EQ(gate_class_of(CellType::kPort), -1);
   EXPECT_EQ(gate_class_of(CellType::kDff), -1);
 }
@@ -91,8 +97,10 @@ TEST_P(CellSemantics, EvalMatchesFunction) {
 INSTANTIATE_TEST_SUITE_P(
     AllLogicCells, CellSemantics, ::testing::ValuesIn([] {
       std::vector<CellType> types;
-      for (const CellInfo& c : all_cells()) {
-        if (c.type != CellType::kPort) types.push_back(c.type);
+      for (int t = 0; t < kNumCellTypes; ++t) {
+        if (static_cast<CellType>(t) != CellType::kPort) {
+          types.push_back(static_cast<CellType>(t));
+        }
       }
       return types;
     }()),
@@ -196,24 +204,13 @@ TEST(CellLibrary, CellFunctionRejectsWrongInputCount) {
       "cell_function: AND2 takes 2 inputs, got 1");
 }
 
-TEST(CellLibrary, GateClassOutsideRangeThrows) {
-  const std::string range = " outside [0, " +
-                            std::to_string(num_gate_classes()) + ")";
-  expect_check_error([] { gate_class_to_type(-1); },
-                     "gate_class_to_type: class -1" + range);
-  expect_check_error([] { gate_class_to_type(num_gate_classes()); },
-                     "gate_class_to_type: class " +
-                         std::to_string(num_gate_classes()) + range);
-}
-
 TEST(Netlist, StatsCountCorrectly) {
   Netlist nl = paper_example();
-  const NetlistStats s = nl.stats();
-  EXPECT_EQ(s.num_gates, 5u);
-  EXPECT_EQ(s.num_ports, 2u);
-  EXPECT_EQ(s.num_logic, 3u);
-  EXPECT_EQ(s.num_registers, 0u);
-  EXPECT_GT(s.total_area, 0.0);
+  EXPECT_EQ(nl.size(), 5u);
+  EXPECT_EQ(type_counts(nl)[static_cast<std::size_t>(CellType::kPort)], 2u);
+  EXPECT_EQ(logic_count(nl), 3u);
+  EXPECT_TRUE(nl.registers().empty());
+  EXPECT_GT(run_area(nl, 1.0).cell_area, 0.0);
 }
 
 TEST(Netlist, KhopExpressionPaperExample) {
@@ -317,7 +314,11 @@ TEST(NetlistIo, GeneratedDesignRoundTrip) {
     back.validate();
     EXPECT_EQ(back.size(), nl.size());
     EXPECT_EQ(back.registers().size(), nl.registers().size());
-    EXPECT_EQ(back.outputs().size(), nl.outputs().size());
+    const auto outputs = [](const Netlist& n) {
+      return std::count_if(n.gates().begin(), n.gates().end(),
+                           [](const Gate& g) { return g.is_primary_output; });
+    };
+    EXPECT_EQ(outputs(back), outputs(nl));
   }
 }
 

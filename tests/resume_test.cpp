@@ -12,7 +12,6 @@
 
 #include "core/pretrain.hpp"
 #include "nn/train_state.hpp"
-#include "tasks/finetune.hpp"
 
 namespace nettag {
 namespace {
@@ -197,82 +196,6 @@ TEST(PretrainResume, MissingCheckpointRejected) {
   Rng rng(7);
   EXPECT_THROW(resume_pretrain(model, shared_corpus(), po, rng),
                std::runtime_error);
-}
-
-// --- fine-tuning heads -------------------------------------------------------
-
-Mat synthetic_features(int rows, int cols) {
-  Mat x(rows, cols);
-  Rng rng(31);
-  for (float& v : x.v) v = static_cast<float>(rng.normal());
-  return x;
-}
-
-TEST(FinetuneResume, ClassifierHeadBitIdentical) {
-  const std::string prefix = "/tmp/nettag_resume_cls";
-  const Mat x = synthetic_features(48, 6);
-  std::vector<int> y(48);
-  for (int i = 0; i < 48; ++i) y[i] = i % 3;
-  FinetuneOptions fo;
-  fo.steps = 20;
-  fo.batch = 16;
-  fo.hidden = 8;
-
-  Rng init(5);
-  ClassifierHead baseline(6, 3, fo, init);
-  Rng fit_rng(9);
-  EXPECT_TRUE(baseline.fit(x, y, fit_rng));
-
-  FinetuneOptions fo2 = fo;
-  fo2.checkpoint.prefix = prefix;
-  fo2.checkpoint.halt_after_steps = 7;
-  Rng init2(5);
-  ClassifierHead halted(6, 3, fo2, init2);
-  Rng fit2(9);
-  EXPECT_FALSE(halted.fit(x, y, fit2));  // stopped early, record saved
-  EXPECT_EQ(load_train_state(train_state_path(prefix)).phase, "head");
-
-  FinetuneOptions fo3 = fo;
-  fo3.checkpoint.prefix = prefix;
-  Rng init3(77);  // construction state must not matter after resume
-  ClassifierHead resumed(6, 3, fo3, init3);
-  Rng fit3(9);
-  EXPECT_TRUE(resumed.resume_fit(x, y, fit3));
-
-  const Mat want = baseline.scores(x);
-  const Mat got = resumed.scores(x);
-  ASSERT_EQ(want.v.size(), got.v.size());
-  for (std::size_t i = 0; i < want.v.size(); ++i) {
-    ASSERT_EQ(want.v[i], got.v[i]) << "score lane " << i;
-  }
-  std::remove(train_state_path(prefix).c_str());
-}
-
-TEST(FinetuneResume, DatasetMismatchRejected) {
-  const std::string prefix = "/tmp/nettag_resume_headmm";
-  const Mat x = synthetic_features(30, 4);
-  std::vector<int> y(30, 0);
-  for (int i = 0; i < 30; i += 2) y[i] = 1;
-  FinetuneOptions fo;
-  fo.steps = 12;
-  fo.batch = 8;
-  fo.hidden = 8;
-  fo.checkpoint.prefix = prefix;
-  fo.checkpoint.halt_after_steps = 4;
-  Rng init(5);
-  ClassifierHead halted(4, 2, fo, init);
-  Rng fit_rng(9);
-  EXPECT_FALSE(halted.fit(x, y, fit_rng));
-
-  const Mat wrong = synthetic_features(20, 4);  // different row count
-  std::vector<int> wy(20, 0);
-  FinetuneOptions fo2 = fo;
-  fo2.checkpoint.halt_after_steps = -1;
-  Rng init2(5);
-  ClassifierHead resumed(4, 2, fo2, init2);
-  Rng fit2(9);
-  EXPECT_THROW(resumed.resume_fit(wrong, wy, fit2), std::runtime_error);
-  std::remove(train_state_path(prefix).c_str());
 }
 
 }  // namespace

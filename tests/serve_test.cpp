@@ -950,7 +950,7 @@ TEST(Server, TwoReplicasServeIndependently) {
   std::string err;
   ASSERT_TRUE(server.load_model("a", pa, -1, &err)) << err;
   ASSERT_TRUE(server.load_model("b", pb, -1, &err)) << err;
-  EXPECT_EQ(server.registry().size(), 2u);
+  EXPECT_EQ(server.registry().list().size(), 2u);
   EXPECT_NE(server.model_snapshot("a"), nullptr);
   EXPECT_EQ(server.model_snapshot("missing"), nullptr);
 
@@ -1097,7 +1097,7 @@ TEST(Server, ModelAdminLifecycleOverTheWire) {
       &j, &err))
       << err;
   EXPECT_EQ(j.find("status")->as_string(), "error");
-  EXPECT_EQ(server.registry().size(), 0u);
+  EXPECT_EQ(server.registry().list().size(), 0u);
   remove_tiny_checkpoint(p);
 }
 
@@ -1119,7 +1119,11 @@ TEST(Server, ModelUnloadDrainsQueuedRequestsWithUnknownModel) {
     pool.submit(model_request(kAndNetlist, "a"),
                 [done](Response r) { done->set_value(std::move(r)); });
   }
-  ASSERT_TRUE(server.unload_model("a"));
+  Json j;
+  ASSERT_TRUE(Json::parse(
+      server.handle_line(R"({"op":"model_unload","model":"a"})"), &j, &err))
+      << err;
+  ASSERT_TRUE(j.find("result")->find("unloaded")->as_bool());
   pool.resume();
   for (auto& f : queued) {
     const Response r = f.get();

@@ -5,10 +5,29 @@
 
 #include "expr/expr.hpp"
 #include "expr/transform.hpp"
+#include "expr_mutant.hpp"
 #include "util/rng.hpp"
 
 namespace nettag {
 namespace {
+
+// Each rule's name, which names its PreservesSemantics instance.
+std::string rule_name(RewriteRule rule) {
+  switch (rule) {
+    case RewriteRule::kDeMorganExpand: return "demorgan_expand";
+    case RewriteRule::kDeMorganFold: return "demorgan_fold";
+    case RewriteRule::kDoubleNegInsert: return "double_neg_insert";
+    case RewriteRule::kDoubleNegRemove: return "double_neg_remove";
+    case RewriteRule::kCommutative: return "commutative";
+    case RewriteRule::kAssociativeGroup: return "associative_group";
+    case RewriteRule::kAssociativeFlatten: return "associative_flatten";
+    case RewriteRule::kDistribute: return "distribute";
+    case RewriteRule::kXorExpand: return "xor_expand";
+    case RewriteRule::kIdempotent: return "idempotent";
+    case RewriteRule::kIdentityConst: return "identity_const";
+  }
+  return "unknown";
+}
 
 ExprPtr sample_expr(Rng& rng, int depth) {
   if (depth == 0 || rng.chance(0.25)) {

@@ -36,7 +36,9 @@
 // A fresh run first writes `<PREFIX>.run` — a checksummed manifest of the
 // corpus/training knobs — so `--resume PREFIX` can rebuild the exact same
 // corpus and option set without the user re-typing (and possibly mistyping)
-// them. Architecture comes from `<PREFIX>.ckpt` via read_checkpoint_config.
+// them. A --corpus run also records the corpus manifest's checksum, and
+// --resume exits 2 when the corpus at that path no longer carries it.
+// Architecture comes from `<PREFIX>.ckpt` via read_checkpoint_config.
 //
 // SIGINT/SIGTERM are handled cooperatively: the loop finishes the step in
 // flight, writes a checkpoint, and the tool exits 0 with a "resume with"
@@ -91,6 +93,9 @@ struct RunSpec {
   /// Sharded corpus directory ("": build an in-memory corpus). Recorded so
   /// --resume re-opens the same corpus and lands mid-corpus.
   std::string corpus_dir;
+  /// That corpus's manifest checksum: --resume refuses a corpus rebuilt at
+  /// the same path.
+  std::string corpus_checksum;
   bool tiny = false;
   bool align = true;
   int expr_steps = -1;  ///< -1: PretrainOptions default (resolved on write)
@@ -103,14 +108,17 @@ std::string run_manifest_path(const std::string& prefix) {
 
 void write_run_manifest(const std::string& prefix, const RunSpec& s) {
   std::vector<std::pair<std::string, std::string>> entries;
-  // Format 2 adds the `corpus` key, written only for sharded-corpus runs
-  // (a manifest value cannot be empty). Run manifests are session-scoped
-  // companions of a checkpoint prefix, so there is no format-1 read path
-  // (same policy as TrainState's magic bump).
-  entries.emplace_back("format", "2");
+  // Format 3 adds `corpus_checksum` next to `corpus`; both are written only
+  // for sharded-corpus runs (a manifest value cannot be empty). Run
+  // manifests are session-scoped companions of a checkpoint prefix, so
+  // there is no format-2 read path (same policy as TrainState's magic bump).
+  entries.emplace_back("format", "3");
   entries.emplace_back("seed", std::to_string(s.seed));
   entries.emplace_back("designs", std::to_string(s.designs));
-  if (!s.corpus_dir.empty()) entries.emplace_back("corpus", s.corpus_dir);
+  if (!s.corpus_dir.empty()) {
+    entries.emplace_back("corpus", s.corpus_dir);
+    entries.emplace_back("corpus_checksum", s.corpus_checksum);
+  }
   entries.emplace_back("tiny", s.tiny ? "1" : "0");
   entries.emplace_back("align", s.align ? "1" : "0");
   entries.emplace_back("expr_steps", std::to_string(s.expr_steps));
@@ -132,10 +140,11 @@ RunSpec read_run_manifest(const std::string& prefix) {
     if (it == kv.end()) throw fail(std::string("missing key '") + key + "'");
     return it->second;
   };
-  if (get("format") != "2") throw fail("unknown format '" + get("format") + "'");
+  if (get("format") != "3") throw fail("unknown format '" + get("format") + "'");
   RunSpec s;
   if (const auto it = kv.find("corpus"); it != kv.end()) {
     s.corpus_dir = it->second;
+    s.corpus_checksum = get("corpus_checksum");
   }
   std::string err;
   if (!cli::parse_u64(get("seed").c_str(), &s.seed, &err)) throw fail(err);
@@ -359,10 +368,18 @@ int main(int argc, char** argv) {
                    corpus.total_designs(),
                    static_cast<unsigned long long>(corpus.seed()));
       if (resuming) {
+        if (corpus.checksum() != spec.corpus_checksum) {
+          throw std::runtime_error(
+              "corpus '" + spec.corpus_dir + "' has manifest checksum " +
+              corpus.checksum() + ", but " + run_manifest_path(prefix) +
+              " recorded " + spec.corpus_checksum +
+              " (the corpus was rebuilt since the run started)");
+        }
         std::fprintf(stderr, "nettag_train: resuming from '%s'...\n",
                      prefix.c_str());
         report = resume_pretrain_streaming(model, corpus, po, rng);
       } else {
+        spec.corpus_checksum = corpus.checksum();
         write_run_manifest(prefix, spec);
         std::fprintf(stderr,
                      "nettag_train: pre-training (%d expr + %d tag steps "
