@@ -14,6 +14,10 @@ namespace nettag {
 
 namespace {
 
+/// Cap on TG004 semantic comparisons per graph (cones are small; flat
+/// circuits are sampled deterministically from node 0 upward).
+constexpr std::size_t kMaxExprChecks = 256;
+
 bool is_source_type(CellType t) {
   return t == CellType::kPort || t == CellType::kConst0 ||
          t == CellType::kConst1 || t == CellType::kDff;
@@ -371,7 +375,7 @@ LintReport lint_tag(const Netlist& nl, const TagGraph& tag,
   if (options.deep && nl_clean && static_cast<std::size_t>(n) == nl.size() &&
       options.enabled("TG004")) {
     std::size_t checked = 0;
-    for (int i = 0; i < n && checked < options.max_expr_checks; ++i) {
+    for (int i = 0; i < n && checked < kMaxExprChecks; ++i) {
       const Gate& g = nl.gate(static_cast<GateId>(i));
       const std::string text =
           attr_expression(tag.attrs[static_cast<std::size_t>(i)]);

@@ -37,9 +37,6 @@ struct LintOptions {
   /// equivalence). Off by default at pipeline seams; on in `nettag_lint
   /// --deep` and the deep CI gate.
   bool deep = false;
-  /// Cap on TG004 semantic comparisons per graph (cones are small; flat
-  /// circuits are sampled deterministically from node 0 upward).
-  std::size_t max_expr_checks = 256;
   /// Rule ids to skip (e.g. {"NL004"} to allow dead logic).
   std::unordered_set<std::string> disabled;
 

@@ -84,7 +84,7 @@ std::vector<std::pair<std::string, std::string>> config_entries(
       {"designs_per_shard", std::to_string(o.designs_per_shard)},
       {"hierarchical", o.hierarchical ? "1" : "0"},
       {"k_hop", std::to_string(o.corpus.k_hop)},
-      {"max_cone_gates", std::to_string(o.corpus.max_cone_gates)},
+      {"max_cone_gates", std::to_string(kMaxConeGates)},
       {"with_physical", o.corpus.with_physical ? "1" : "0"},
       {"placement_passes", std::to_string(o.corpus.placement_passes)},
       {"hier_levels", std::to_string(o.hierarchy.levels)},

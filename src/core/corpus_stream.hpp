@@ -59,12 +59,12 @@ namespace nettag {
 /// Streaming-corpus shape. Deterministic: (seed, options) fully determine
 /// every shard byte.
 struct StreamOptions {
-  CorpusOptions corpus;        ///< per-design knobs (cones, flow, k_hop)
+  CorpusOptions corpus;        ///< per-design knobs (flow, k_hop)
   int designs_per_family = 8;  ///< total designs per family, across shards
   int designs_per_shard = 4;   ///< shard granularity == peak RAM bound
   bool hierarchical = true;    ///< hierarchical vs flat designs
   HierarchyOptions hierarchy;
-  /// Test/CI hook: stop after writing this many *new* shards (0 = run to
+  /// Test hook: stop after writing this many *new* shards (0 = run to
   /// completion). The manifest stays resumable.
   int halt_after_shards = 0;
 };

@@ -16,10 +16,9 @@ namespace {
 /// (post-layout) netlist: nodes/edges follow the implemented cone, features
 /// come from placement/parasitics/timing of the full implementation.
 LayoutGraph cone_layout_graph(const PhysicalResult& flow, GateId register_id,
-                              std::size_t max_cone_gates,
                               const std::vector<std::size_t>& topo_position) {
   const RegisterCone rc = extract_cone(flow.implemented, register_id,
-                                       max_cone_gates, topo_position);
+                                       kMaxConeGates, topo_position);
   LayoutGraph lg;
   lg.node_feats.resize(rc.cone.size());
   for (const Gate& g : rc.cone.gates()) {
@@ -78,8 +77,7 @@ DesignSample make_design_sample(GeneratedDesign gen,
                             : std::vector<std::size_t>();
   for (GateId r : nl.registers()) {
     ConeSample cone;
-    const RegisterCone rc =
-        extract_cone(nl, r, options.max_cone_gates, position);
+    const RegisterCone rc = extract_cone(nl, r, kMaxConeGates, position);
     cone.cone = rc.cone;
     cone.family = nl.source();
     cone.design = nl.name();
@@ -93,8 +91,7 @@ DesignSample make_design_sample(GeneratedDesign gen,
         cone.clock_period = flow_opt.timing.clock_period;
         cone.slack_label =
             flow_opt.timing.slack[static_cast<std::size_t>(impl_reg)];
-        cone.layout = cone_layout_graph(flow_opt, impl_reg,
-                                        options.max_cone_gates, impl_position);
+        cone.layout = cone_layout_graph(flow_opt, impl_reg, impl_position);
         cone.has_layout = true;
       }
     }

@@ -17,9 +17,8 @@ namespace nettag {
 
 struct CorpusOptions {
   int designs_per_family = 5;
-  std::size_t max_cone_gates = 120;  ///< cone backtrace cap (paper bounds cones)
-  int k_hop = 2;                     ///< symbolic expression depth
-  bool with_physical = true;         ///< run the physical flow for labels
+  int k_hop = 2;              ///< symbolic expression depth
+  bool with_physical = true;  ///< run the physical flow for labels
   int placement_passes = 4;
 };
 

@@ -27,6 +27,7 @@
 #include "core/tag.hpp"
 #include "model/tagformer.hpp"
 #include "model/text_encoder.hpp"
+#include "netlist/cone.hpp"
 #include "netlist/netlist.hpp"
 
 namespace nettag {
@@ -88,7 +89,8 @@ class NetTag {
 
   /// Circuit-level embedding: [CLS] for combinational circuits, sum of
   /// register-cone [CLS] embeddings for sequential ones (paper §II-F).
-  Mat embed_circuit(const Netlist& nl, std::size_t max_cone_gates = 120,
+  Mat embed_circuit(const Netlist& nl,
+                    std::size_t max_cone_gates = kMaxConeGates,
                     EmbedTiming* timing = nullptr) const;
 
   /// Register-cone feature row for fine-tuning (Tasks 2/3): the cone [CLS]

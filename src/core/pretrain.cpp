@@ -39,6 +39,14 @@ namespace {
 /// Logical shards per training step (the most a step can run in parallel).
 constexpr int kTrainShards = 4;
 
+// Pre-training hyperparameters (paper §II-D/E, scaled to this substrate).
+constexpr int kExprBatch = 8;           ///< step-1 expression pairs per step
+constexpr int kExprTransformSteps = 3;  ///< rewrite steps per positive sample
+constexpr int kGraphBatch = 6;          ///< step-2 cones per step
+constexpr float kMaskFraction = 0.2f;   ///< #2.1: masked share of logic gates
+constexpr int kAuxBatch = 6;            ///< auxiliary-encoder pairs per step
+constexpr float kLearningRate = 2e-3f;  ///< Adam, in every phase
+
 /// Contiguous [begin, end) batch ranges, one per shard: a pure function of
 /// (n, shards).
 std::vector<std::pair<int, int>> shard_ranges(int n, int shards) {
@@ -272,9 +280,10 @@ Mat expression_properties(const std::string& text) {
 
 namespace {
 
-/// Step-1 training loop (Objective #1 + the property auxiliary), factored so
-/// pretrain() can checkpoint/resume it. `resume` (may be null) must be an
-/// "expr"-phase TrainState; `save_state` (may be null) persists one. Returns
+/// Step-1 training loop (Objective #1 + the expression-property auxiliary of
+/// DESIGN.md §6.1, which has no switch), factored so pretrain() can
+/// checkpoint/resume it. `resume` (may be null) must be an "expr"-phase
+/// TrainState; `save_state` (may be null) persists one. Returns
 /// the per-step loss history; *stopped reports an early cooperative exit.
 std::vector<float> train_expr_phase(
     TextEncoder& encoder, const std::vector<std::string>& expressions,
@@ -295,10 +304,8 @@ std::vector<float> train_expr_phase(
   Rng head_rng = rng.fork();
   Mlp prop_head(encoder.config().out_dim, 32, 6, head_rng);
   std::vector<Tensor> params = encoder.params();
-  if (options.objective_expr_props) {
-    for (const Tensor& p : prop_head.params()) params.push_back(p);
-  }
-  Adam opt(params, options.expr_lr);
+  for (const Tensor& p : prop_head.params()) params.push_back(p);
+  Adam opt(params, kLearningRate);
 
   int start_step = 0;
   if (resume && resume->next_step > 0) {
@@ -312,8 +319,8 @@ std::vector<float> train_expr_phase(
   }
 
   // Encoder replicas, one per shard.
-  const int shards = std::min(kTrainShards, options.expr_batch);
-  const auto ranges = shard_ranges(options.expr_batch, shards);
+  const int shards = std::min(kTrainShards, kExprBatch);
+  const auto ranges = shard_ranges(kExprBatch, shards);
   const std::vector<TextEncoder*> clones = replicas.text(encoder, shards);
   ReplicaSet reps;
   reps.master = encoder.params();
@@ -323,11 +330,10 @@ std::vector<float> train_expr_phase(
 
   for (int step = start_step; step < options.expr_steps; ++step) {
     std::vector<std::string> anchors, positives;
-    for (int b = 0; b < options.expr_batch; ++b) {
+    for (int b = 0; b < kExprBatch; ++b) {
       const std::string& e = expressions[rng.index(expressions.size())];
       anchors.push_back(e);
-      positives.push_back(
-          transformed_expression(e, options.expr_transform_steps, rng));
+      positives.push_back(transformed_expression(e, kExprTransformSteps, rng));
     }
     reps.refresh();
     std::vector<Tensor> raw_a(static_cast<std::size_t>(shards)),
@@ -347,15 +353,13 @@ std::vector<float> train_expr_phase(
     }
     const Tensor a = concat_rows(leaf_a);
     const Tensor p = concat_rows(leaf_p);
-    Tensor loss = info_nce(a, p, options.temperature);
-    if (options.objective_expr_props) {
-      Mat targets(static_cast<int>(anchors.size()), 6);
-      for (std::size_t i = 0; i < anchors.size(); ++i) {
-        const Mat y = expression_properties(anchors[i]);
-        for (int j = 0; j < 6; ++j) targets.at(static_cast<int>(i), j) = y.at(0, j);
-      }
-      loss = add(loss, mse_loss(prop_head.forward(a), targets));
+    Tensor loss = info_nce(a, p);
+    Mat targets(static_cast<int>(anchors.size()), 6);
+    for (std::size_t i = 0; i < anchors.size(); ++i) {
+      const Mat y = expression_properties(anchors[i]);
+      for (int j = 0; j < 6; ++j) targets.at(static_cast<int>(i), j) = y.at(0, j);
     }
+    loss = add(loss, mse_loss(prop_head.forward(a), targets));
     backward(loss);
     // Continue the backward pass through each shard's replica graph, then
     // fold replica gradients into the master encoder in shard order.
@@ -398,16 +402,16 @@ void pretrain_rtl_encoder(TextEncoder& encoder,
                           const std::vector<std::string>& rtl_texts,
                           const PretrainOptions& options, Rng& rng) {
   if (rtl_texts.empty()) return;
-  Adam opt(encoder.params(), options.aux_lr);
+  Adam opt(encoder.params(), kLearningRate);
   for (int step = 0; step < options.aux_steps; ++step) {
     std::vector<std::string> anchors, positives;
-    for (int b = 0; b < options.aux_batch; ++b) {
+    for (int b = 0; b < kAuxBatch; ++b) {
       const std::string& t = rtl_texts[rng.index(rtl_texts.size())];
       anchors.push_back(t);
       positives.push_back(shuffled_lines(t, rng));
     }
     Tensor loss = info_nce(encoder.encode_batch(anchors),
-                           encoder.encode_batch(positives), options.temperature);
+                           encoder.encode_batch(positives));
     backward(loss);
     opt.step();
   }
@@ -417,13 +421,13 @@ void pretrain_layout_encoder(Gcn& encoder,
                              const std::vector<LayoutGraph>& layouts,
                              const PretrainOptions& options, Rng& rng) {
   if (layouts.empty()) return;
-  Adam opt(encoder.params(), options.aux_lr);
+  Adam opt(encoder.params(), kLearningRate);
   for (int step = 0; step < options.aux_steps; ++step) {
     // Sample serially (the rng draw order must not depend on the width),
     // then fan the pure GCN forwards out across the pool in item order.
     std::vector<const LayoutGraph*> graphs;
     std::vector<Mat> jittered;
-    for (int b = 0; b < options.aux_batch; ++b) {
+    for (int b = 0; b < kAuxBatch; ++b) {
       const LayoutGraph& lg = layouts[rng.index(layouts.size())];
       if (lg.node_feats.empty()) continue;
       graphs.push_back(&lg);
@@ -440,8 +444,7 @@ void pretrain_layout_encoder(Gcn& encoder,
           make_tensor(jittered[i], false), adj);
     });
     if (anchors.size() < 2) continue;
-    Tensor loss = info_nce(concat_rows(anchors), concat_rows(positives),
-                           options.temperature);
+    Tensor loss = info_nce(concat_rows(anchors), concat_rows(positives));
     backward(loss);
     opt.step();
   }
@@ -478,12 +481,14 @@ namespace {
 /// `shard_exprs` (may be null): precomputed per-cone expressions for this
 /// corpus (the streaming shard embed product) — used instead of re-deriving
 /// them. `outer_steps` (may be null): cross-shard iteration counter backing
-/// halt_after_steps across a whole streaming run.
+/// halt_after_steps across a whole streaming run. `shard_index` is stamped
+/// into every TrainState this call saves (0 for in-memory training).
 PretrainReport pretrain_impl(NetTag& model, const Corpus& corpus,
                              const PretrainOptions& options, Rng& rng,
                              const TrainState* resume, ReplicaModels& replicas,
                              const CorpusExpressions* shard_exprs = nullptr,
-                             long* outer_steps = nullptr) {
+                             long* outer_steps = nullptr,
+                             std::uint64_t shard_index = 0) {
   PretrainReport report;
   Timer timer;
   const TrainCheckpoint& ck = options.checkpoint;
@@ -528,7 +533,7 @@ PretrainReport pretrain_impl(NetTag& model, const Corpus& corpus,
 
   auto save_phase_state = [&](TrainState st, std::vector<float> prior) {
     st.prior_losses = std::move(prior);
-    st.shard_index = options.checkpoint_shard;
+    st.shard_index = shard_index;
     save_checkpoint(model, ck.prefix);
     save_train_state(train_state_path(ck.prefix), st);
   };
@@ -601,10 +606,8 @@ PretrainReport pretrain_impl(NetTag& model, const Corpus& corpus,
       }
     }
     pretrain_rtl_encoder(*rtl_encoder, rtl_texts, options, aux_rng);
-    GcnConfig gc;
-    gc.in_dim = layout_feature_dim();
-    gc.out_dim = model.embedding_dim();
-    layout_encoder = std::make_unique<Gcn>(gc, aux_rng);
+    layout_encoder = std::make_unique<Gcn>(layout_feature_dim(),
+                                           model.embedding_dim(), aux_rng);
     pretrain_layout_encoder(*layout_encoder, layouts, options, aux_rng);
   }
 
@@ -701,7 +704,7 @@ PretrainReport pretrain_impl(NetTag& model, const Corpus& corpus,
   for (const Tensor& t : size_head.params()) extra_params.push_back(t);
   extra_params.push_back(mask_emb);
   for (const Tensor& t : extra_params) params.push_back(t);
-  Adam opt(params, options.tag_lr);
+  Adam opt(params, kLearningRate);
 
   std::vector<float> tag_losses;
   int tag_start = 0;
@@ -714,8 +717,8 @@ PretrainReport pretrain_impl(NetTag& model, const Corpus& corpus,
   }
 
   // TAGFormer replicas, one per shard.
-  const int tag_shards = std::min(kTrainShards, options.graph_batch);
-  const auto ranges = shard_ranges(options.graph_batch, tag_shards);
+  const int tag_shards = std::min(kTrainShards, kGraphBatch);
+  const auto ranges = shard_ranges(kGraphBatch, tag_shards);
   const std::vector<TagFormer*> tf_clones =
       replicas.tag(model.tagformer(), tag_shards);
   ReplicaSet tf_reps;
@@ -726,7 +729,7 @@ PretrainReport pretrain_impl(NetTag& model, const Corpus& corpus,
 
   for (int step = tag_start; step < options.tag_steps; ++step) {
     std::vector<const PreparedCone*> batch;
-    for (int b = 0; b < options.graph_batch; ++b) {
+    for (int b = 0; b < kGraphBatch; ++b) {
       batch.push_back(&prepared[rng_tag.index(prepared.size())]);
     }
     const std::size_t bsz = batch.size();
@@ -789,7 +792,7 @@ PretrainReport pretrain_impl(NetTag& model, const Corpus& corpus,
       }
       if (maskable.size() >= 2) {
         const std::size_t k = std::max<std::size_t>(
-            1, static_cast<std::size_t>(options.mask_fraction *
+            1, static_cast<std::size_t>(kMaskFraction *
                                         static_cast<double>(maskable.size())));
         const auto pick = rng_tag.sample_indices(maskable.size(), k);
         Mat zeroed = p->features;
@@ -816,16 +819,13 @@ PretrainReport pretrain_impl(NetTag& model, const Corpus& corpus,
 
     // #2.2 netlist graph contrastive.
     if (options.objective_graph_cl && cls_aug.size() >= 2) {
-      losses.push_back(info_nce(concat_rows(cls_orig), concat_rows(cls_aug),
-                                options.temperature));
+      losses.push_back(info_nce(concat_rows(cls_orig), concat_rows(cls_aug)));
     }
     // #3 cross-stage alignment.
     if (options.objective_align && all_aligned && cls_orig.size() >= 2) {
       Tensor n_cls = concat_rows(cls_orig);
-      losses.push_back(
-          info_nce(n_cls, concat_rows(rtl_rows), options.temperature));
-      losses.push_back(
-          info_nce(n_cls, concat_rows(layout_rows), options.temperature));
+      losses.push_back(info_nce(n_cls, concat_rows(rtl_rows)));
+      losses.push_back(info_nce(n_cls, concat_rows(layout_rows)));
     }
 
     if (!losses.empty()) {
@@ -950,11 +950,10 @@ PretrainReport pretrain_streaming_impl(NetTag& model,
     PretrainOptions so = options;
     so.expr_steps = slice(options.expr_steps, s);
     so.tag_steps = slice(options.tag_steps, s);
-    so.checkpoint_shard = s;
     const PretrainReport r =
         pretrain_impl(model, shard.corpus, so, shard_rng, shard_resume,
                       replicas, reuse_exprs ? &shard.exprs : nullptr,
-                      &global_steps);
+                      &global_steps, s);
 
     report.expr_losses.insert(report.expr_losses.end(), r.expr_losses.begin(),
                               r.expr_losses.end());

@@ -10,8 +10,10 @@
 //            #3   cross-stage contrastive alignment with frozen RTL and
 //                 layout encoder embeddings.
 //
-// Every objective has an on/off switch so the Fig. 6 ablation re-runs
-// pre-training with single objectives removed.
+// Each of these paper objectives has an on/off switch so the Fig. 6
+// ablation re-runs pre-training with single objectives removed. Step 1's
+// auxiliary expression-property objective (DESIGN.md §6.1) has none: it is
+// always on.
 #pragma once
 
 #include <vector>
@@ -29,24 +31,11 @@ namespace nettag {
 struct PretrainOptions {
   // Step 1 (ExprLLM).
   int expr_steps = 220;
-  int expr_batch = 8;
-  float expr_lr = 2e-3f;
-  int expr_transform_steps = 3;   ///< rewrite steps per positive sample
   std::size_t max_expressions = 2400;
   bool objective_expr_cl = true;  ///< #1
-  /// Auxiliary static-analysis objective in step 1: regress operator counts,
-  /// depth, and support size from the expression embedding. The paper's
-  /// ExprLLM starts from an 8B-parameter LLM that already "knows" Boolean
-  /// composition; training from scratch, this objective supplies that
-  /// inductive signal (documented as a substitution in DESIGN.md).
-  bool objective_expr_props = true;
 
   // Step 2 (TAGFormer).
   int tag_steps = 200;
-  int graph_batch = 6;
-  float tag_lr = 2e-3f;
-  float mask_fraction = 0.2f;
-  float temperature = 0.1f;
   std::size_t max_cones = 160;
   bool objective_mask = true;      ///< #2.1
   bool objective_graph_cl = true;  ///< #2.2
@@ -55,15 +44,10 @@ struct PretrainOptions {
 
   // Auxiliary RTL / layout encoders (only needed when aligning).
   int aux_steps = 50;
-  int aux_batch = 6;
-  float aux_lr = 2e-3f;
 
   /// Crash-safe checkpointing + cooperative interruption (off by default —
   /// a default TrainCheckpoint leaves training behavior untouched).
   TrainCheckpoint checkpoint;
-  /// Shard index stamped into every TrainState this run saves. Set by the
-  /// streaming driver (pretrain_streaming); leave 0 for in-memory training.
-  std::uint64_t checkpoint_shard = 0;
 };
 
 struct PretrainReport {

@@ -2,10 +2,17 @@
 
 namespace nettag {
 
-Gcn::Gcn(const GcnConfig& config, Rng& rng) : config_(config) {
-  int in = config.in_dim;
-  for (int l = 0; l < config.num_layers; ++l) {
-    const int out = l + 1 == config.num_layers ? config.out_dim : config.hidden;
+namespace {
+
+constexpr int kLayers = 3;
+constexpr int kHidden = 48;
+
+}  // namespace
+
+Gcn::Gcn(int in_dim, int out_dim, Rng& rng) {
+  int in = in_dim;
+  for (int l = 0; l < kLayers; ++l) {
+    const int out = l + 1 == kLayers ? out_dim : kHidden;
     layers_.push_back(std::make_unique<Linear>(in, out, rng));
     in = out;
   }

@@ -11,16 +11,10 @@
 
 namespace nettag {
 
-struct GcnConfig {
-  int in_dim = 0;
-  int hidden = 48;
-  int num_layers = 3;
-  int out_dim = 48;
-};
-
 class Gcn : public Module {
  public:
-  Gcn(const GcnConfig& config, Rng& rng);
+  /// Three propagation layers, 48 wide inside.
+  Gcn(int in_dim, int out_dim, Rng& rng);
 
   /// Node embeddings: N x out_dim.
   Tensor forward_nodes(const Tensor& feats, const Tensor& adj) const;
@@ -28,11 +22,9 @@ class Gcn : public Module {
   /// Graph embedding: 1 x out_dim (mean pooled).
   Tensor forward_graph(const Tensor& feats, const Tensor& adj) const;
 
-  const GcnConfig& config() const { return config_; }
   std::vector<Tensor> params() const override;
 
  private:
-  GcnConfig config_;
   std::vector<std::unique_ptr<Linear>> layers_;
 };
 

@@ -7,8 +7,16 @@
 #include <cstdio>
 #include <utility>
 
-
 namespace nettag::net {
+
+namespace {
+
+constexpr std::size_t kMaxConnections = 512;  ///< accepted beyond: closed
+constexpr std::size_t kMaxLineBytes = 8u << 20;  ///< unterminated-line bound
+/// Quiet connections with nothing in flight close after this long.
+constexpr int kIdleTimeoutMs = 60000;
+
+}  // namespace
 
 Daemon::Daemon(serve::Server& server, DaemonConfig config)
     : server_(server), config_(std::move(config)) {}
@@ -149,11 +157,11 @@ void Daemon::poll_once(int timeout_ms, bool accepting, bool reading) {
             .count();
     if (!conn.closing && conn.in_flight == 0 &&
         conn.woff >= conn.wbuf.size() && conn.rbuf.pending_bytes() == 0 &&
-        idle > config_.idle_timeout_ms) {
+        idle > kIdleTimeoutMs) {
       idle_closed_.fetch_add(1, std::memory_order_relaxed);
       dead.push_back(conn.id);
     } else if (conn.closing && conn.in_flight == 0 &&
-               idle > config_.idle_timeout_ms) {
+               idle > kIdleTimeoutMs) {
       // A closing connection normally dies when its wbuf flushes; a peer
       // that never reads would keep it (and its buffered responses) pinned
       // forever, so the idle timeout drops it with its backlog unflushed.
@@ -178,7 +186,7 @@ void Daemon::accept_new_connections() {
       }
       return;
     }
-    if (conns_.size() >= config_.max_connections) {
+    if (conns_.size() >= kMaxConnections) {
       // Over the cap the daemon closes immediately rather than queueing the
       // connection — request-level pushback is too_busy, connection-level
       // pushback is a refused session the client retries.
@@ -187,8 +195,7 @@ void Daemon::accept_new_connections() {
     }
     accepts_.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t id = next_conn_id_++;
-    auto conn = std::make_unique<Conn>(std::move(fd), id,
-                                       config_.max_line_bytes);
+    auto conn = std::make_unique<Conn>(std::move(fd), id, kMaxLineBytes);
     conn->last_activity = std::chrono::steady_clock::now();
     conns_.emplace(id, std::move(conn));
     const std::uint64_t gauge =
@@ -218,8 +225,7 @@ bool Daemon::service_reads(Conn& conn) {
       serve::Response response;
       response.error = serve::ErrorCode::kBadRequest;
       response.error_message =
-          "request line exceeds " +
-          std::to_string(config_.max_line_bytes) +
+          "request line exceeds " + std::to_string(kMaxLineBytes) +
           " bytes without a newline; closing connection";
       conn.wbuf += serve::render_response(response);
       conn.wbuf += '\n';

@@ -48,14 +48,11 @@ struct DaemonConfig {
   /// Per worker, at most ShardPool::kMaxQueueDepth: the queue holds
   /// shards × queue_depth netlist ops; beyond it, they shed.
   std::size_t queue_depth = 64;
-  std::size_t max_connections = 512; ///< accepted beyond this: closed at once
-  std::size_t max_line_bytes = 8u << 20;  ///< unterminated-line bound
   /// Unwritten response bytes buffered per connection before the daemon
   /// stops reading from it and closes it once (if ever) the backlog
   /// flushes. Bounds the memory a client that submits requests but never
   /// reads responses can pin.
   std::size_t max_wbuf_bytes = 8u << 20;
-  int idle_timeout_ms = 60000;       ///< quiet connections with no in-flight
   int poll_interval_ms = 200;        ///< poll() tick; bounds stop-flag latency
   int drain_timeout_ms = 10000;      ///< bound on the graceful-drain flush
 };

@@ -15,6 +15,11 @@
 
 namespace nettag {
 
+/// The cone cap of corpus building, NetTag::embed_circuit and served
+/// requests that name none: the paper bounds cone growth, and a corpus
+/// manifest records the cap it was built with.
+inline constexpr std::size_t kMaxConeGates = 120;
+
 /// One register cone: a standalone combinational netlist whose boundary
 /// nodes (other registers, primary inputs) are PORT nodes, terminating in a
 /// single DFF (the cone's register, marked as primary output).

@@ -131,11 +131,15 @@ Tensor normalize_rows(const Tensor& a, float eps = 1e-8f);
 Tensor cross_entropy(const Tensor& logits, const std::vector<int>& targets);
 /// Mean squared error against a constant target matrix.
 Tensor mse_loss(const Tensor& pred, const Mat& target);
+/// The temperature of every contrastive objective: pre-training's #1, #2.2,
+/// #3 and the auxiliary encoders', and the FGNN-style AIG baseline's.
+inline constexpr float kInfoNceTemperature = 0.1f;
+
 /// InfoNCE: rows of `anchors` vs rows of `positives` (both NxD); the i-th
 /// positive is the matching row, all other rows in `positives` are negatives.
 /// Cosine similarities scaled by 1/temperature.
 Tensor info_nce(const Tensor& anchors, const Tensor& positives,
-                float temperature = 0.1f);
+                float temperature = kInfoNceTemperature);
 
 // --- engine -------------------------------------------------------------------
 

@@ -102,10 +102,6 @@ enum class ErrorCode {
 
 const char* error_code_name(ErrorCode code);
 
-/// The one authoritative default for the embed_circuit cone cap. Request
-/// carries 0 for "absent" and the server resolves it to this constant.
-inline constexpr std::size_t kDefaultMaxConeGates = 120;
-
 /// The replica every v1 request (no "model" field) targets.
 inline constexpr const char* kDefaultModelName = "default";
 
@@ -114,8 +110,8 @@ struct Request {
   Op op = Op::kInvalid;
   std::string netlist_text;        ///< netlist/io.hpp structural format
   int k_hop = 0;                   ///< 0 = model default
-  std::size_t max_cone_gates = 0;  ///< embed_circuit cone cap; 0 = server
-                                   ///< default (ServerConfig::max_cone_gates)
+  std::size_t max_cone_gates = 0;  ///< embed_circuit cone cap; 0 = the
+                                   ///< default, kMaxConeGates (netlist/cone)
   std::string task;                ///< predict: registered head name
   std::string model;               ///< target replica; "" = kDefaultModelName
   std::string model_prefix;        ///< reload/model_load: checkpoint prefix

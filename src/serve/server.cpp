@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "analysis/diagnostic.hpp"
+#include "netlist/cone.hpp"
 #include "nn/gemm.hpp"
 #include "serve/canonical.hpp"
 #include "util/checksum.hpp"
@@ -148,7 +149,7 @@ std::string Server::stats_json() const {
   // resolves to without reading the server's flags.
   Json defaults = Json::object();
   defaults.set("max_gates", static_cast<double>(config_.max_gates));
-  defaults.set("max_cone_gates", static_cast<double>(kDefaultMaxConeGates));
+  defaults.set("max_cone_gates", static_cast<double>(kMaxConeGates));
   defaults.set("reject_warnings", config_.reject_warnings);
   j.set("defaults", std::move(defaults));
   {
@@ -325,7 +326,7 @@ Response Server::process_netlist_op(const Request& request,
   // share one entry.
   const std::size_t max_cone_gates = request.max_cone_gates != 0
                                          ? request.max_cone_gates
-                                         : kDefaultMaxConeGates;
+                                         : kMaxConeGates;
 
   // Stage 3: content-addressed cache. embed_gates returns one row per gate
   // in declaration order, so its key and fingerprint are declaration-order

@@ -13,6 +13,14 @@ namespace nettag {
 
 namespace {
 
+constexpr int kNumTestDesigns = 6;
+constexpr float kLr = 2e-3f;      ///< both baseline encoders' Adam rate
+constexpr int kSimPatterns = 64;  ///< random patterns for DeepGate supervision
+/// Expression hops on the AIG (DESIGN.md §6.6): each library cell
+/// decomposes into 2-4 AND/INV levels, so 4 AIG hops match the paper's 2
+/// netlist hops.
+constexpr int kAigKHop = 4;
+
 struct AigDesign {
   Netlist aig;
   Mat feats;
@@ -67,7 +75,7 @@ AigCompareResult run_aig_comparison(NetTag& model, const Corpus& corpus,
   std::vector<int> order(designs.size());
   std::iota(order.begin(), order.end(), 0);
   rng.shuffle(order);
-  const int n_test = std::min<int>(options.num_test_designs,
+  const int n_test = std::min<int>(kNumTestDesigns,
                                    static_cast<int>(order.size()) / 2);
   std::vector<int> test(order.begin(), order.begin() + n_test);
   std::vector<int> train(order.begin() + n_test, order.end());
@@ -77,11 +85,8 @@ AigCompareResult run_aig_comparison(NetTag& model, const Corpus& corpus,
   // ---- FGNN-like: graph-contrastive pre-trained GCN ------------------------
   {
     Rng enc_rng = rng.fork();
-    GcnConfig gc;
-    gc.in_dim = netlist_base_feature_dim();
-    gc.out_dim = model.embedding_dim();
-    Gcn enc(gc, enc_rng);
-    Adam opt(enc.params(), options.lr);
+    Gcn enc(netlist_base_feature_dim(), model.embedding_dim(), enc_rng);
+    Adam opt(enc.params(), kLr);
     for (int step = 0; step < options.pretrain_steps; ++step) {
       std::vector<Tensor> anchors, positives;
       for (int b = 0; b < 4; ++b) {
@@ -95,7 +100,7 @@ AigCompareResult run_aig_comparison(NetTag& model, const Corpus& corpus,
         positives.push_back(enc.forward_graph(make_tensor(aug_feats, false),
                                               make_tensor(aug_adj, false)));
       }
-      Tensor loss = info_nce(concat_rows(anchors), concat_rows(positives), 0.1f);
+      Tensor loss = info_nce(concat_rows(anchors), concat_rows(positives));
       backward(loss);
       opt.step();
     }
@@ -112,19 +117,16 @@ AigCompareResult run_aig_comparison(NetTag& model, const Corpus& corpus,
   // ---- DeepGate-like: simulation-probability pre-trained GCN ----------------
   {
     Rng enc_rng = rng.fork();
-    GcnConfig gc;
-    gc.in_dim = netlist_base_feature_dim();
-    gc.out_dim = model.embedding_dim();
-    Gcn enc(gc, enc_rng);
+    Gcn enc(netlist_base_feature_dim(), model.embedding_dim(), enc_rng);
     Linear prob_head(model.embedding_dim(), 1, enc_rng);
     std::vector<Tensor> params = enc.params();
     for (const Tensor& p : prob_head.params()) params.push_back(p);
-    Adam opt(params, options.lr);
+    Adam opt(params, kLr);
     // Per-design simulated signal probabilities (DeepGate supervision).
     std::vector<Mat> prob_targets;
     for (const AigDesign& a : designs) {
       std::vector<int> ones(a.aig.size(), 0);
-      for (int pat = 0; pat < options.sim_patterns; ++pat) {
+      for (int pat = 0; pat < kSimPatterns; ++pat) {
         std::vector<bool> src(a.aig.size(), false);
         for (const Gate& g : a.aig.gates()) {
           if (g.type == CellType::kPort || g.type == CellType::kDff) {
@@ -137,7 +139,7 @@ AigCompareResult run_aig_comparison(NetTag& model, const Corpus& corpus,
       Mat t(static_cast<int>(a.aig.size()), 1);
       for (std::size_t i = 0; i < ones.size(); ++i) {
         t.at(static_cast<int>(i), 0) =
-            static_cast<float>(ones[i]) / static_cast<float>(options.sim_patterns);
+            static_cast<float>(ones[i]) / static_cast<float>(kSimPatterns);
       }
       prob_targets.push_back(std::move(t));
     }
@@ -165,7 +167,7 @@ AigCompareResult run_aig_comparison(NetTag& model, const Corpus& corpus,
   {
     std::vector<Mat> emb;
     for (const AigDesign& a : designs) {
-      const TagGraph tag = build_tag(a.aig, options.aig_k_hop);
+      const TagGraph tag = build_tag(a.aig, kAigKHop);
       emb.push_back(model.input_features(tag, netlist_base_features(a.aig)));
     }
     Rng head_rng = rng.fork();
@@ -177,7 +179,7 @@ AigCompareResult run_aig_comparison(NetTag& model, const Corpus& corpus,
   {
     std::vector<Mat> emb;
     for (const AigDesign& a : designs) {
-      const NetTag::ConeEmbedding e = model.embed(a.aig, options.aig_k_hop);
+      const NetTag::ConeEmbedding e = model.embed(a.aig, kAigKHop);
       Mat joined(e.nodes.rows, e.nodes.cols + e.inputs.cols);
       for (int r = 0; r < e.nodes.rows; ++r) {
         for (int j = 0; j < e.nodes.cols; ++j) joined.at(r, j) = e.nodes.at(r, j);

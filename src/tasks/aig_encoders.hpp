@@ -20,15 +20,8 @@
 namespace nettag {
 
 struct AigCompareOptions {
-  int num_test_designs = 6;
   FinetuneOptions head;
-  int pretrain_steps = 120;   ///< baseline encoder pre-training
-  int sim_patterns = 64;      ///< random patterns for DeepGate supervision
-  float lr = 2e-3f;
-  /// Expression hops on the AIG: each library cell decomposes into 2-4
-  /// AND/INV levels, so k=4 on the AIG matches the 2-hop budget on the
-  /// original netlist.
-  int aig_k_hop = 4;
+  int pretrain_steps = 120;  ///< baseline encoder pre-training
 };
 
 struct AigCompareResult {

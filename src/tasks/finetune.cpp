@@ -8,6 +8,15 @@
 
 namespace nettag {
 
+namespace {
+
+// The MLP head's shape and minibatch Adam schedule.
+constexpr int kHidden = 96;
+constexpr int kBatch = 64;
+constexpr float kLearningRate = 3e-3f;
+
+}  // namespace
+
 Mat vstack(const std::vector<Mat>& rows) {
   NETTAG_CHECK(!rows.empty(), "vstack: no rows to stack");
   const int d = rows[0].cols;
@@ -80,7 +89,7 @@ Mat apply_column_stats(const Mat& x, const std::vector<float>& mean,
 ClassifierHead::ClassifierHead(int in_dim, int num_classes,
                                const FinetuneOptions& options, Rng& rng)
     : options_(options), num_classes_(num_classes) {
-  mlp_ = std::make_unique<Mlp>(in_dim, options.hidden, num_classes, rng);
+  mlp_ = std::make_unique<Mlp>(in_dim, kHidden, num_classes, rng);
 }
 
 void ClassifierHead::fit(const Mat& x_raw, const std::vector<int>& y,
@@ -98,7 +107,7 @@ void ClassifierHead::fit(const Mat& x_raw, const std::vector<int>& y,
   if (x_raw.rows == 0) return;
   fit_column_stats(x_raw, &col_mean_, &col_std_);
   const Mat x = apply_column_stats(x_raw, col_mean_, col_std_);
-  Adam opt(mlp_->params(), options_.lr);
+  Adam opt(mlp_->params(), kLearningRate);
 
   // Optional inverse-frequency resampling for imbalanced tasks: oversample
   // minority classes in the minibatch draw.
@@ -114,7 +123,7 @@ void ClassifierHead::fit(const Mat& x_raw, const std::vector<int>& y,
   for (int step = 0; step < options_.steps; ++step) {
     std::vector<int> idx;
     std::vector<int> labels;
-    for (int b = 0; b < options_.batch; ++b) {
+    for (int b = 0; b < kBatch; ++b) {
       int i;
       if (options_.class_weighted) {
         const int c = nonempty[rng.index(nonempty.size())];

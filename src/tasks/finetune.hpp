@@ -14,9 +14,6 @@ namespace nettag {
 
 struct FinetuneOptions {
   int steps = 1200;
-  int batch = 64;
-  float lr = 3e-3f;
-  int hidden = 96;
   bool class_weighted = false;  ///< inverse-frequency weights (imbalanced tasks)
 };
 

@@ -8,6 +8,13 @@ namespace nettag {
 
 namespace {
 
+constexpr int kNumTrees = 60;
+constexpr int kMaxDepth = 3;
+constexpr int kMinSamplesLeaf = 4;
+constexpr double kLearningRate = 0.15;
+constexpr double kSubsample = 0.8;       ///< row subsampling per tree
+constexpr int kMaxSplitCandidates = 24;  ///< thresholds tried per feature
+
 /// One node of a regression tree stored in a flat vector.
 struct TreeNode {
   int feature = -1;        ///< -1 for leaves
@@ -32,9 +39,8 @@ struct Tree {
 /// Recursive CART builder on residuals (squared-error criterion).
 class TreeBuilder {
  public:
-  TreeBuilder(const Mat& x, const std::vector<double>& residual,
-              const GbdtOptions& options, Rng& rng)
-      : x_(x), residual_(residual), options_(options), rng_(rng) {}
+  TreeBuilder(const Mat& x, const std::vector<double>& residual, Rng& rng)
+      : x_(x), residual_(residual), rng_(rng) {}
 
   Tree build(const std::vector<int>& rows) {
     Tree tree;
@@ -51,8 +57,8 @@ class TreeBuilder {
     mean /= std::max<std::size_t>(rows.size(), 1);
     tree.nodes[static_cast<std::size_t>(index)].value = mean;
 
-    if (depth >= options_.max_depth ||
-        static_cast<int>(rows.size()) < 2 * options_.min_samples_leaf) {
+    if (depth >= kMaxDepth ||
+        static_cast<int>(rows.size()) < 2 * kMinSamplesLeaf) {
       return index;
     }
     // Best split across features and sampled thresholds.
@@ -62,7 +68,7 @@ class TreeBuilder {
     const double total_sum = mean * static_cast<double>(rows.size());
     for (int f = 0; f < x_.cols; ++f) {
       // Candidate thresholds: values of random rows.
-      for (int c = 0; c < options_.max_split_candidates; ++c) {
+      for (int c = 0; c < kMaxSplitCandidates; ++c) {
         const float thr = x_.at(rows[rng_.index(rows.size())], f);
         double left_sum = 0;
         int left_n = 0;
@@ -73,8 +79,7 @@ class TreeBuilder {
           }
         }
         const int right_n = static_cast<int>(rows.size()) - left_n;
-        if (left_n < options_.min_samples_leaf ||
-            right_n < options_.min_samples_leaf) {
+        if (left_n < kMinSamplesLeaf || right_n < kMinSamplesLeaf) {
           continue;
         }
         const double right_sum = total_sum - left_sum;
@@ -107,7 +112,6 @@ class TreeBuilder {
 
   const Mat& x_;
   const std::vector<double>& residual_;
-  const GbdtOptions& options_;
   Rng& rng_;
 };
 
@@ -118,8 +122,7 @@ struct GbdtRegressor::Impl {
   std::vector<Tree> trees;
 };
 
-GbdtRegressor::GbdtRegressor(const GbdtOptions& options)
-    : impl_(std::make_unique<Impl>()), options_(options) {}
+GbdtRegressor::GbdtRegressor() : impl_(std::make_unique<Impl>()) {}
 GbdtRegressor::~GbdtRegressor() = default;
 
 void GbdtRegressor::fit(const Mat& x, const std::vector<double>& y, Rng& rng) {
@@ -131,19 +134,18 @@ void GbdtRegressor::fit(const Mat& x, const std::vector<double>& y, Rng& rng) {
 
   std::vector<double> pred(y.size(), impl_->base);
   std::vector<double> residual(y.size());
-  for (int t = 0; t < options_.num_trees; ++t) {
+  for (int t = 0; t < kNumTrees; ++t) {
     for (std::size_t i = 0; i < y.size(); ++i) residual[i] = y[i] - pred[i];
     // Row subsample.
     std::vector<int> rows;
     for (int r = 0; r < x.rows; ++r) {
-      if (rng.chance(options_.subsample)) rows.push_back(r);
+      if (rng.chance(kSubsample)) rows.push_back(r);
     }
-    if (static_cast<int>(rows.size()) < 2 * options_.min_samples_leaf) continue;
-    TreeBuilder builder(x, residual, options_, rng);
+    if (static_cast<int>(rows.size()) < 2 * kMinSamplesLeaf) continue;
+    TreeBuilder builder(x, residual, rng);
     Tree tree = builder.build(rows);
     for (std::size_t i = 0; i < y.size(); ++i) {
-      pred[i] += options_.learning_rate *
-                 tree.predict(x, static_cast<int>(i));
+      pred[i] += kLearningRate * tree.predict(x, static_cast<int>(i));
     }
     impl_->trees.push_back(std::move(tree));
   }
@@ -152,7 +154,7 @@ void GbdtRegressor::fit(const Mat& x, const std::vector<double>& y, Rng& rng) {
 double GbdtRegressor::predict_row(const Mat& x, int row) const {
   double out = impl_->base;
   for (const Tree& t : impl_->trees) {
-    out += options_.learning_rate * t.predict(x, row);
+    out += kLearningRate * t.predict(x, row);
   }
   return out;
 }

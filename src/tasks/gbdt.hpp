@@ -12,19 +12,10 @@
 
 namespace nettag {
 
-struct GbdtOptions {
-  int num_trees = 60;
-  int max_depth = 3;
-  int min_samples_leaf = 4;
-  double learning_rate = 0.15;
-  double subsample = 0.8;      ///< row subsampling per tree
-  int max_split_candidates = 24;  ///< thresholds tried per feature
-};
-
 /// Boosted-trees regressor on dense feature rows.
 class GbdtRegressor {
  public:
-  explicit GbdtRegressor(const GbdtOptions& options = {});
+  GbdtRegressor();
   ~GbdtRegressor();
 
   /// Fits on rows of `x` against targets `y`.
@@ -36,7 +27,6 @@ class GbdtRegressor {
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
-  GbdtOptions options_;
 };
 
 }  // namespace nettag

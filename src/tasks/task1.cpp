@@ -10,6 +10,12 @@
 
 namespace nettag {
 
+namespace {
+
+constexpr float kGnnLr = 3e-3f;  ///< GNN-RE baseline's Adam rate
+
+}  // namespace
+
 void task1_gate_labels(const Netlist& nl, std::vector<int>* gate_rows,
                        std::vector<int>* labels) {
   gate_rows->clear();
@@ -97,13 +103,8 @@ Task1Result run_task1(NetTag& model, const Corpus& corpus,
 
   // ---------------- GNN-RE baseline: supervised GCN ------------------------
   Rng gnn_rng = rng.fork();
-  GcnConfig gc;
-  gc.in_dim = netlist_base_feature_dim();
-  gc.hidden = 48;
-  gc.num_layers = 3;
-  gc.out_dim = num_classes;
-  Gcn gnn(gc, gnn_rng);
-  Adam gnn_opt(gnn.params(), options.gnn_lr);
+  Gcn gnn(netlist_base_feature_dim(), num_classes, gnn_rng);
+  Adam gnn_opt(gnn.params(), kGnnLr);
   // Precompute features/adjacency per design.
   std::vector<Mat> feats(corpus.designs.size());
   std::vector<Mat> adjs(corpus.designs.size());

@@ -19,7 +19,6 @@ struct Task1Options {
   int num_test_designs = 9;     ///< Table III lists 9 designs
   FinetuneOptions head;         ///< NetTAG fine-tuning head
   int gnn_steps = 240;          ///< baseline supervised training steps
-  float gnn_lr = 3e-3f;
 };
 
 struct Task1Row {

@@ -10,6 +10,9 @@ namespace nettag {
 
 namespace {
 
+constexpr int kNumTestDesigns = 8;  ///< Table IV lists 8 designs
+constexpr float kGnnLr = 3e-3f;     ///< ReIGNN baseline's Adam rate
+
 BinaryReport average_binary(const std::vector<BinaryReport>& reports) {
   BinaryReport avg;
   if (reports.empty()) return avg;
@@ -42,7 +45,7 @@ Task2Result run_task2(NetTag& model, const Corpus& corpus,
     for (const ConeSample& c : corpus.designs[static_cast<std::size_t>(d)].cones) {
       (c.is_state_reg ? has_state : has_data) = true;
     }
-    if (static_cast<int>(test.size()) < options.num_test_designs && has_state &&
+    if (static_cast<int>(test.size()) < kNumTestDesigns && has_state &&
         has_data) {
       test.push_back(d);
     } else {
@@ -74,12 +77,8 @@ Task2Result run_task2(NetTag& model, const Corpus& corpus,
 
   // ---------------- ReIGNN baseline: supervised GCN ------------------------
   Rng gnn_rng = rng.fork();
-  GcnConfig gc;
-  gc.in_dim = netlist_base_feature_dim();
-  gc.num_layers = 3;
-  gc.out_dim = 2;
-  Gcn gnn(gc, gnn_rng);
-  Adam opt(gnn.params(), options.gnn_lr);
+  Gcn gnn(netlist_base_feature_dim(), 2, gnn_rng);
+  Adam opt(gnn.params(), kGnnLr);
   std::vector<Mat> feats(corpus.designs.size()), adjs(corpus.designs.size());
   std::vector<std::vector<int>> reg_rows(corpus.designs.size());
   std::vector<std::vector<int>> reg_labels(corpus.designs.size());

@@ -15,10 +15,8 @@
 namespace nettag {
 
 struct Task2Options {
-  int num_test_designs = 8;  ///< Table IV lists 8 designs
   FinetuneOptions head;
   int gnn_steps = 240;
-  float gnn_lr = 3e-3f;
 };
 
 struct Task2Row {

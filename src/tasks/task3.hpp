@@ -3,24 +3,20 @@
 // timing slack for each register endpoint given only the pre-layout netlist
 // — hard because layout optimization restructures the graph [2].
 //
-// NetTAG: frozen cone [CLS] embeddings + MLP regressor.
+// NetTAG: frozen cone [CLS] embeddings + gradient-boosted trees (gbdt.hpp).
 // Baseline: the timing GNN of [2] adapted to the netlist stage — supervised
 // GCN over structural+physical features, regressing slack at register nodes.
 #pragma once
 
 #include "core/dataset.hpp"
 #include "core/nettag.hpp"
-#include "tasks/finetune.hpp"
 #include "util/metrics.hpp"
 
 namespace nettag {
 
 struct Task3Options {
   int num_test_designs = 8;
-  FinetuneOptions head;
   int gnn_steps = 700;
-  float gnn_lr = 2e-3f;
-  double mape_floor = 0.02;  ///< ns; slack magnitudes below this skip MAPE
 };
 
 struct Task3Row {

@@ -8,11 +8,15 @@
 
 #include "model/gcn.hpp"
 #include "model/graph.hpp"
+#include "tasks/finetune.hpp"
 #include "util/parallel.hpp"
 
 namespace nettag {
 
 namespace {
+
+constexpr float kGnnLr = 3e-3f;        ///< PowPrediCT-style baseline's Adam rate
+constexpr double kTestFraction = 0.3;  ///< share of designs held out
 
 /// Supervised graph-level GCN regressor for one target (PowPrediCT-style):
 /// per-node contributions are *sum*-pooled (PowPrediCT sums per-cell power),
@@ -23,16 +27,13 @@ std::vector<double> train_eval_gnn(const std::vector<Mat>& feats,
                                    const std::vector<double>& labels,
                                    const std::vector<int>& train,
                                    const std::vector<int>& test, int steps,
-                                   float lr, Rng& rng) {
-  GcnConfig gc;
-  gc.in_dim = feats[0].cols;
-  gc.num_layers = 3;
-  gc.out_dim = 8;
-  Gcn gnn(gc, rng);
-  Linear head(gc.out_dim, 1, rng);
+                                   Rng& rng) {
+  constexpr int pooled = 8;
+  Gcn gnn(feats[0].cols, pooled, rng);
+  Linear head(pooled, 1, rng);
   std::vector<Tensor> params = gnn.params();
   for (const Tensor& p : head.params()) params.push_back(p);
-  Adam opt(params, lr);
+  Adam opt(params, kGnnLr);
   // Log-scale z-normalization (area/power are positive, heavy-tailed).
   double mean = 0, stdv = 1;
   {
@@ -83,7 +84,7 @@ Task4Result run_task4(NetTag& model, const Corpus& corpus,
   std::iota(order.begin(), order.end(), 0);
   rng.shuffle(order);
   const std::size_t n_test = std::max<std::size_t>(
-      2, static_cast<std::size_t>(options.test_fraction * static_cast<double>(n)));
+      2, static_cast<std::size_t>(kTestFraction * static_cast<double>(n)));
   std::vector<int> test(order.begin(), order.begin() + static_cast<long>(n_test));
   std::vector<int> train(order.begin() + static_cast<long>(n_test), order.end());
 
@@ -183,7 +184,7 @@ Task4Result run_task4(NetTag& model, const Corpus& corpus,
     Rng gnn_rng = rng.fork();
     cell.gnn = regression_report(
         truth, train_eval_gnn(feats, adjs, labels, train, test,
-                              options.gnn_steps, options.gnn_lr, gnn_rng));
+                              options.gnn_steps, gnn_rng));
     // NetTAG: residual learning against the netlist-stage estimate — the
     // head predicts log(label / tool_estimate), so it only has to model the
     // layout-stage correction the tool cannot see. Tree-based fine-tuning

@@ -8,21 +8,18 @@
 //  * EDA tool  — the synthesis-stage estimate (synthesis_estimate()),
 //  * GNN       — PowPrediCT-style supervised graph-level GCN regressor,
 //  * NetTAG    — frozen circuit embeddings (+ tool estimate as a feature,
-//                like PowPrediCT consumes netlist-stage reports) + MLP.
+//                like PowPrediCT consumes netlist-stage reports) +
+//                gradient-boosted trees (gbdt.hpp).
 #pragma once
 
 #include "core/dataset.hpp"
 #include "core/nettag.hpp"
-#include "tasks/finetune.hpp"
 #include "util/metrics.hpp"
 
 namespace nettag {
 
 struct Task4Options {
-  double test_fraction = 0.3;
-  FinetuneOptions head;
   int gnn_steps = 300;
-  float gnn_lr = 3e-3f;
 };
 
 /// One table cell group: metric x scenario.

@@ -1,37 +1,49 @@
 #!/usr/bin/env python3
-"""Checks that an interrupted nettag_train run resumes bit-identically at
-another thread width.
+"""Checks that an interrupted nettag_train run resumes bit-identically, after
+a signal or a deterministic halt, at the same or another thread width.
 
     python3 tests/check_train_resume.py NETTAG_TRAIN
 
-Runs the scenario twice: on an in-memory corpus, and on a small sharded
-corpus built with --build-corpus. Each time it trains an uninterrupted
-reference at NETTAG_THREADS=2, halts a second run with --halt-after at
-NETTAG_THREADS=4, and resumes it at NETTAG_THREADS=1 with the command the
-halted run printed. The resumed run's .exprllm.bin, .tagformer.bin and
-.trainer.bin must equal the reference's byte for byte, and resuming the
-finished run once more must leave all three unchanged. Last, a run halted on
-a sharded corpus that is then deleted and rebuilt at the same path with
-another seed must refuse --resume with exit 2, naming the manifest checksum
-the run recorded and the rebuilt corpus's. Uses only the Python standard
-library.
+In memory, at 300 expr + 60 tag steps, it trains an uninterrupted reference
+at NETTAG_THREADS=2, then interrupts four other runs and resumes each:
+  * SIGTERM once the first --checkpoint-every 20 checkpoint exists: the run
+    must exit 0, print "interrupted (checkpoint saved)" and leave a .ckpt;
+    --resume at width 2;
+  * --halt-after 317 at width 2, --resume at width 2;
+  * --halt-after 317 at width 4, --resume at width 1 with the command the
+    halted run printed.
+Each resumed run's .exprllm.bin, .tagformer.bin and .trainer.bin must equal
+the reference's byte for byte, and resuming the finished reference must
+leave its files unchanged. On a small sharded corpus built with
+--build-corpus, a run halted at width 4 and resumed at width 1 must equal a
+width-2 reference the same way, and resuming it again must change nothing.
+Last, a run halted on a sharded corpus that is then deleted and rebuilt at
+the same path with another seed must refuse --resume with exit 2, naming the
+manifest checksum the run recorded and the rebuilt corpus's. Uses only the
+Python standard library.
 """
 
 import os
 import re
 import shlex
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 
 FILES = (".exprllm.bin", ".tagformer.bin", ".trainer.bin")
-TRAIN_FLAGS = ["--tiny", "--no-align", "--expr-steps", "16", "--tag-steps",
-               "12"]
-# 16 expr + 12 tag steps: halting after 24 lands mid tag phase in memory,
-# and mid tag phase of the second shard of the two-shard corpus (each shard
-# runs 8 expr + 6 tag steps).
-HALT_AFTER = "24"
+# 300 expr + 60 tag steps: halting after 317 lands mid tag phase.
+MEMORY_FLAGS = ["--tiny", "--no-align", "--expr-steps", "300", "--tag-steps",
+                "60"]
+MEMORY_HALT = "317"
+# 16 expr + 12 tag steps: halting after 24 lands mid tag phase of the second
+# shard of the two-shard corpus (each shard runs 8 expr + 6 tag steps).
+SHARDED_FLAGS = ["--tiny", "--no-align", "--expr-steps", "16", "--tag-steps",
+                 "12"]
+SHARDED_HALT = "24"
+POLL_S = 0.02
 TIMEOUT_S = 300
 
 
@@ -71,36 +83,117 @@ def compare(got, want, what, failures):
                             % (what, suffix))
 
 
-def scenario(train, name, tmp, extra, failures):
-    base = os.path.join(tmp, name + "-base")
-    halted = os.path.join(tmp, name + "-halted")
-    if not run([train, "--out", base] + extra + TRAIN_FLAGS, 2, failures,
-               name + " reference at width 2"):
-        return
-    reference = read_files(base)
-    proc = run([train, "--out", halted, "--halt-after", HALT_AFTER] + extra +
-               TRAIN_FLAGS, 4, failures, name + " halted run at width 4")
+def halt_and_resume(train, prefix, flags, halt, widths, reference, failures):
+    """Halts a run with --halt-after at widths[0] and resumes it at widths[1]
+    with the command it printed. Returns that command, or None on failure."""
+    name = os.path.basename(prefix)
+    proc = run([train, "--out", prefix, "--halt-after", halt] + flags,
+               widths[0], failures, "%s halted at width %d" % (name, widths[0]))
     if not proc:
-        return
+        return None
+    if not os.path.isfile(prefix + ".trainer.bin"):
+        failures.append("%s: the halted run left no .trainer.bin" % name)
+        return None
     hint = re.search(r"resume with: (.+)", proc.stderr)
     if not hint:
         failures.append("%s: halted run printed no resume command: %r"
                         % (name, proc.stderr.strip()[-400:]))
-        return
+        return None
     resume = shlex.split(hint.group(1))
-    if resume[1:] != ["--resume", halted]:
+    if resume[1:] != ["--resume", prefix]:
         failures.append("%s: halted run printed %r" % (name, hint.group(1)))
-        return
+        return None
     resume[0] = train
-    if not run(resume, 1, failures, name + " resume at width 1"):
+    what = "%s resumed at width %d" % (name, widths[1])
+    if not run(resume, widths[1], failures, what):
+        return None
+    compare(read_files(prefix), reference, what, failures)
+    return resume
+
+
+def sigterm_and_resume(train, prefix, reference, failures):
+    """SIGTERMs a width-2 run once its first periodic checkpoint exists, then
+    resumes it at width 2."""
+    cmd = [train, "--out", prefix, "--checkpoint-every", "20"] + MEMORY_FLAGS
+    env = dict(os.environ, NETTAG_THREADS="2")
+    with open(prefix + ".err", "w+") as err:
+        proc = subprocess.Popen(cmd, env=env, stdin=subprocess.DEVNULL,
+                                stdout=subprocess.DEVNULL, stderr=err)
+        deadline = time.monotonic() + 60
+        while (not os.path.isfile(prefix + ".trainer.bin") and
+               proc.poll() is None and time.monotonic() < deadline):
+            time.sleep(POLL_S)
+        if proc.poll() is not None or time.monotonic() >= deadline:
+            proc.kill()
+            proc.wait()
+            failures.append("SIGTERM run: no checkpoint while it ran (exit %s)"
+                            % proc.returncode)
+            return
+        proc.send_signal(signal.SIGTERM)
+        try:
+            code = proc.wait(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+            failures.append("SIGTERM run: still running %ds after the signal"
+                            % TIMEOUT_S)
+            return
+        err.seek(0)
+        stderr = err.read()
+    if code != 0:
+        failures.append("SIGTERM run: exit %d, want 0" % code)
+    if "interrupted (checkpoint saved)" not in stderr:
+        failures.append("SIGTERM run: no 'interrupted (checkpoint saved)': %r"
+                        % stderr.strip()[-400:])
+    if not os.path.isfile(prefix + ".ckpt"):
+        failures.append("SIGTERM run: no .ckpt")
+    if code != 0:
+        return
+    if run([train, "--resume", prefix], 2, failures,
+           "SIGTERM run resumed at width 2"):
+        compare(read_files(prefix), reference,
+                "SIGTERM run resumed at width 2", failures)
+
+
+def in_memory(train, tmp, failures):
+    base = os.path.join(tmp, "base")
+    if not run([train, "--out", base] + MEMORY_FLAGS, 2, failures,
+               "in-memory reference at width 2"):
+        return
+    reference = read_files(base)
+    sigterm_and_resume(train, os.path.join(tmp, "killed"), reference,
+                       failures)
+    halt_and_resume(train, os.path.join(tmp, "halted"), MEMORY_FLAGS,
+                    MEMORY_HALT, (2, 2), reference, failures)
+    halt_and_resume(train, os.path.join(tmp, "crossed"), MEMORY_FLAGS,
+                    MEMORY_HALT, (4, 1), reference, failures)
+    if (run([train, "--resume", base], 2, failures,
+            "resume of the finished reference") and
+            read_files(base) != reference):
+        failures.append("resuming the finished reference changed its files")
+
+
+def sharded(train, tmp, failures):
+    corpus = os.path.join(tmp, "corpus")
+    if not run([train, "--build-corpus", corpus, "--designs", "1",
+                "--shard-designs", "2", "--flat", "--no-align"], 2, failures,
+               "corpus build"):
+        return
+    flags = ["--corpus", corpus] + SHARDED_FLAGS
+    base = os.path.join(tmp, "sharded-base")
+    if not run([train, "--out", base] + flags, 2, failures,
+               "sharded reference at width 2"):
+        return
+    reference = read_files(base)
+    halted = os.path.join(tmp, "sharded-halted")
+    resume = halt_and_resume(train, halted, flags, SHARDED_HALT, (4, 1),
+                             reference, failures)
+    if not resume:
         return
     resumed = read_files(halted)
-    compare(resumed, reference, name + " resumed at width 1", failures)
-    if not run(resume, 4, failures, name + " resume of the finished run"):
-        return
-    if read_files(halted) != resumed:
-        failures.append("%s: resuming the finished run changed its files"
-                        % name)
+    if (run(resume, 4, failures, "resume of the finished sharded run") and
+            read_files(halted) != resumed):
+        failures.append("resuming the finished sharded run changed its files")
 
 
 def manifest_checksum(corpus):
@@ -117,7 +210,7 @@ def rebuilt_corpus(train, tmp, failures):
         return
     recorded = manifest_checksum(corpus)
     if not run([train, "--out", prefix, "--corpus", corpus, "--halt-after",
-                "3"] + TRAIN_FLAGS, 2, failures, "run on the first corpus"):
+                "3"] + SHARDED_FLAGS, 2, failures, "run on the first corpus"):
         return
     shutil.rmtree(corpus)
     if not run(build + ["2"], 2, failures, "rebuild with another seed"):
@@ -145,18 +238,14 @@ def main():
     train = sys.argv[1]
     failures = []
     with tempfile.TemporaryDirectory() as tmp:
-        scenario(train, "in-memory", tmp, [], failures)
-        corpus = os.path.join(tmp, "corpus")
-        if run([train, "--build-corpus", corpus, "--designs", "1",
-                "--shard-designs", "2", "--flat", "--no-align"], 2, failures,
-               "corpus build"):
-            scenario(train, "sharded", tmp, ["--corpus", corpus], failures)
+        in_memory(train, tmp, failures)
+        sharded(train, tmp, failures)
         rebuilt_corpus(train, tmp, failures)
     for failure in failures:
         print("FAIL " + failure)
     if not failures:
-        print("nettag_train resumes bit-identically across widths and "
-              "refuses a rebuilt corpus")
+        print("nettag_train resumes bit-identically after SIGTERM and halts, "
+              "across widths, and refuses a rebuilt corpus")
     return 1 if failures else 0
 
 

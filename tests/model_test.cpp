@@ -266,10 +266,7 @@ TEST(TagFormer, GradientsReachAllParams) {
 
 TEST(Gcn, NodeAndGraphShapes) {
   Rng rng(12);
-  GcnConfig cfg;
-  cfg.in_dim = 8;
-  cfg.out_dim = 5;
-  Gcn gcn(cfg, rng);
+  Gcn gcn(8, 5, rng);
   Mat feats(6, 8);
   const Mat adj = normalized_adjacency(6, {{0, 1}, {2, 3}});
   const Tensor nodes =

@@ -4,8 +4,10 @@
 // work, and the SIGTERM-drains-before-exit contract of the serve path.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -532,6 +534,65 @@ TEST(Daemon, SlowReaderExceedingWriteBufferBoundIsClosed) {
   // output for a client that is not keeping up.
   EXPECT_FALSE(client.read_line(&response, &err));
   EXPECT_EQ(fx.daemon->transport_stats().slow_reader_closed, 1u);
+}
+
+TEST(Daemon, OversizedLineClosesConnection) {
+  const std::string path = unique_sock_path("oversize");
+  DaemonConfig cfg;
+  std::string err;
+  ASSERT_TRUE(cli::parse_listen_address(("unix:" + path).c_str(), &cfg.listen,
+                                        &err))
+      << err;
+  cfg.shards = 1;
+  cfg.poll_interval_ms = 20;
+  DaemonFixture fx(cfg);
+  ASSERT_TRUE(fx.runner.joinable());
+
+  // One byte past the daemon's 8 MiB line bound and no newline, over a raw
+  // socket (Client::send_line would end the line).
+  const net::UniqueFd fd = net::connect_to(cfg.listen, 5000, &err);
+  ASSERT_TRUE(fd.valid()) << err;
+  const std::string line((8u << 20) + 1, 'x');
+  for (std::size_t off = 0; off < line.size();) {
+    const long n =
+        net::send_some(fd.get(), line.data() + off, line.size() - off);
+    ASSERT_GE(n, 0) << "connection closed after " << off << " bytes";
+    off += static_cast<std::size_t>(n);
+  }
+  // The daemon answers with one bad_request line, then closes.
+  std::string received;
+  char buf[4096];
+  for (;;) {
+    pollfd p{fd.get(), POLLIN, 0};
+    ASSERT_EQ(::poll(&p, 1, 10000), 1) << "no EOF after: " << received;
+    const long n = net::read_some(fd.get(), buf, sizeof(buf));
+    if (n < 0) break;  // EOF
+    received.append(buf, static_cast<std::size_t>(n));
+  }
+  ASSERT_EQ(std::count(received.begin(), received.end(), '\n'), 1)
+      << received;
+  ASSERT_EQ(received.back(), '\n');
+  received.pop_back();
+  Json j;
+  ASSERT_TRUE(Json::parse(received, &j, &err)) << received;
+  EXPECT_EQ(j.find("status")->as_string(), "error");
+  const Json* error = j.find("error");
+  ASSERT_NE(error, nullptr) << received;
+  EXPECT_EQ(error->find("code")->as_string(), "bad_request");
+  EXPECT_NE(error->find("message")->as_string().find("8388608"),
+            std::string::npos)
+      << received;
+  EXPECT_EQ(fx.daemon->transport_stats().oversize_closed, 1u);
+
+  // Other connections are still served.
+  Client client;
+  ASSERT_TRUE(client.connect("unix:" + path, &err)) << err;
+  std::string response;
+  ASSERT_TRUE(client.request(request_line("p1", "ping", nullptr), &response,
+                             &err))
+      << err;
+  ASSERT_TRUE(Json::parse(response, &j, &err)) << response;
+  EXPECT_EQ(j.find("status")->as_string(), "ok");
 }
 
 TEST(Daemon, ShutdownRequestDrainsAndStopsRunLoop) {

@@ -1198,7 +1198,7 @@ TEST(Server, StatsReportPerReplicaSectionAndDefaults) {
   const Json* defaults = j.find("defaults");
   ASSERT_NE(defaults, nullptr);
   EXPECT_EQ(defaults->find("max_cone_gates")->as_int(),
-            static_cast<std::int64_t>(serve::kDefaultMaxConeGates));
+            static_cast<std::int64_t>(kMaxConeGates));
   EXPECT_EQ(defaults->find("max_gates")->as_int(), 20000);
   EXPECT_EQ(j.find("weights_crc32"), nullptr);
 

@@ -621,17 +621,29 @@ PretrainOptions stream_pretrain_options() {
   return po;
 }
 
+/// A corpus directory that lives as long as the process: built on first use
+/// and removed when the process exits.
+struct ProcessCorpus {
+  std::string dir;
+  ProcessCorpus()
+      : dir(temp_dir("nettag_stream_pretrain_corpus." +
+                     std::to_string(::getpid()))) {
+    build_corpus_stream(dir, small_stream_options(), 0x77);
+  }
+  ProcessCorpus(const ProcessCorpus&) = delete;
+  ProcessCorpus& operator=(const ProcessCorpus&) = delete;
+  ~ProcessCorpus() {
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+  }
+};
+
 const std::string& shared_stream_dir() {
   // ctest runs each TEST in its own process, possibly in parallel, so the
   // corpus path must be per-process: a fixed path would let one process
   // remove_all the directory while another is mid-read.
-  static const std::string dir = [] {
-    const std::string d = temp_dir("nettag_stream_pretrain_corpus." +
-                                   std::to_string(::getpid()));
-    build_corpus_stream(d, small_stream_options(), 0x77);
-    return d;
-  }();
-  return dir;
+  static const ProcessCorpus corpus;
+  return corpus.dir;
 }
 
 std::vector<float> model_params(const NetTag& model) {

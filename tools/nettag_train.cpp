@@ -26,7 +26,6 @@
 // Flags (--build-corpus; --seed/--designs/--no-align also apply):
 //   --shard-designs N     designs per shard file (default 4; peak RAM bound)
 //   --flat                flat single-block designs instead of hierarchical
-//   --halt-shards N       stop after N new shards (test hook; resumable)
 // Flags (--out / --resume):
 //   --checkpoint-every N  also checkpoint every N steps of a phase
 //                         (phase boundaries and stop always checkpoint)
@@ -71,7 +70,7 @@ void usage(std::FILE* to) {
                "                    [--halt-after N]\n"
                "       nettag_train --build-corpus DIR [--seed S]\n"
                "                    [--designs N] [--shard-designs N]\n"
-               "                    [--flat] [--no-align] [--halt-shards N]\n"
+               "                    [--flat] [--no-align]\n"
                "       nettag_train --help\n"
                "\n"
                "Pre-trains NetTAG with crash-safe checkpoints under PREFIX\n"
@@ -172,7 +171,6 @@ int main(int argc, char** argv) {
   long halt_after = -1;
   int shard_designs = 4;
   bool flat = false;
-  int halt_shards = 0;
   bool designs_flag = false;
   // A resume replays the recorded run; run-shaping flags next to --resume
   // are almost certainly a mistake, so they are rejected instead of being
@@ -220,9 +218,6 @@ int main(int argc, char** argv) {
       ++i;
     } else if (!std::strcmp(arg, "--flat")) {
       flat = true;
-    } else if (!std::strcmp(arg, "--halt-shards")) {
-      halt_shards = static_cast<int>(need_int(i, 1, 1 << 30));
-      ++i;
     } else if (!std::strcmp(arg, "--seed")) {
       std::string err;
       if (!cli::parse_u64(need_value(i), &spec.seed, &err)) {
@@ -280,7 +275,6 @@ int main(int argc, char** argv) {
     sopt.designs_per_family = spec.designs;
     sopt.designs_per_shard = shard_designs;
     sopt.hierarchical = !flat;
-    sopt.halt_after_shards = halt_shards;
     sopt.corpus.with_physical = spec.align;
     try {
       const StreamProgress p = build_corpus_stream(
@@ -299,9 +293,8 @@ int main(int argc, char** argv) {
             }
           });
       std::fprintf(stderr,
-                   "nettag_train: corpus %s: %zu/%zu shard(s) committed "
+                   "nettag_train: corpus complete: %zu/%zu shard(s) committed "
                    "(%zu new, %zu skipped)\n",
-                   p.complete ? "complete" : "incomplete (resumable)",
                    p.shards_written + p.shards_skipped, p.shards_total,
                    p.shards_written, p.shards_skipped);
       return 0;
