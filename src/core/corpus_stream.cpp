@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -166,6 +167,67 @@ std::string serialize_design(const DesignSample& ds,
   }
   os << "enddesign\n";
   return os.str();
+}
+
+/// Designs per pool lane that one window of shards holds at least (see
+/// build_corpus_stream): a region is as slow as its slowest item, so each
+/// lane needs several designs to even out the large ones. On the benchmark's
+/// corpus (16 hierarchical designs, 4 per shard; 4-vCPU Xeon VM, pool width
+/// 4, 10 interleaved builds each) a build took a median 0.221 s shard by
+/// shard, 0.145 s with 2 designs per lane (2-shard windows) and 0.123 s
+/// with 4 (one 4-shard window), at a peak RSS of 24-27, 26-29 and 31-34 MB.
+constexpr std::size_t kDesignsPerLane = 4;
+
+/// What a window keeps of one design once its pool item ends: its block of
+/// shard text, its lint report and its counts. The DesignSample is freed in
+/// the item.
+struct DesignBlock {
+  std::string name;  ///< the netlist's name, which prefixes its lint findings
+  LintReport lint;
+  /// Produced and linted, so an `error` came from embedding or serializing.
+  bool linted = false;
+  std::string text;  ///< empty when lint found errors
+  std::size_t cones = 0;
+  std::size_t gates = 0;
+  std::size_t expressions = 0;
+  std::exception_ptr error;
+};
+
+/// Generates and assembles design `index` on its own `rng`, lints it, and
+/// when it is clean derives its cones' expressions and serializes it. An
+/// exception is kept in the block rather than thrown, so the caller can
+/// report the failures of a window in shard order.
+DesignBlock produce_block(std::size_t index, const StreamOptions& options,
+                          Rng& rng) {
+  DesignBlock b;
+  try {
+    const std::vector<FamilyProfile>& fams = benchmark_families();
+    const FamilyProfile& profile = fams[index % fams.size()];
+    const std::string name = profile.name +
+                             (options.hierarchical ? "_h" : "_d") +
+                             std::to_string(index / fams.size());
+    GeneratedDesign gen =
+        options.hierarchical
+            ? generate_hierarchical_design(profile, options.hierarchy, rng,
+                                           name)
+            : generate_design(profile, rng, name);
+    const DesignSample ds =
+        make_design_sample(std::move(gen), options.corpus, rng);
+    b.name = ds.gen.netlist.name();
+    b.lint = lint_design(ds);
+    b.linted = true;
+    if (b.lint.has_errors()) return b;
+    // Embed: every cone's expressions are derived once; readers reuse them.
+    const std::vector<std::vector<std::string>> exprs =
+        design_expressions(ds, options.corpus.k_hop);
+    b.text = serialize_design(ds, exprs);
+    b.cones = ds.cones.size();
+    b.gates = ds.gen.netlist.size();
+    for (const auto& ce : exprs) b.expressions += ce.size();
+  } catch (...) {
+    b.error = std::current_exception();
+  }
+  return b;
 }
 
 // --- shard parsing -----------------------------------------------------------
@@ -589,101 +651,108 @@ StreamProgress build_corpus_stream(
   StreamProgress progress;
   progress.shards_total = shards_total;
   Rng root(seed);
-  std::size_t written = 0;
-  for (std::size_t s = 0; s < shards_total; ++s) {
-    const std::size_t lo = s * dps;
-    const std::size_t hi = std::min(total_designs, lo + dps);
-    if (s < committed) {
-      // Committed by a previous run: consume this shard's RNG forks so the
-      // remaining shards regenerate bit-identically, but do no work.
-      for (std::size_t i = lo; i < hi; ++i) (void)root.fork();
-      ++progress.shards_skipped;
-      if (on_shard) {
-        ShardStats st;
-        st.index = s;
-        st.path = dir + "/" + shard_filename(s);
-        st.designs = hi - lo;
-        st.skipped = true;
-        on_shard(st);
-      }
-      continue;
+  for (std::size_t s = 0; s < committed; ++s) {
+    // Committed by a previous run: consume this shard's RNG forks so the
+    // remaining shards regenerate bit-identically, but do no work.
+    const std::size_t designs =
+        std::min(total_designs, (s + 1) * dps) - s * dps;
+    for (std::size_t i = 0; i < designs; ++i) (void)root.fork();
+    ++progress.shards_skipped;
+    if (on_shard) {
+      ShardStats st;
+      st.index = s;
+      st.path = dir + "/" + shard_filename(s);
+      st.designs = designs;
+      st.skipped = true;
+      on_shard(st);
     }
-    if (options.halt_after_shards > 0 &&
-        written >= static_cast<std::size_t>(options.halt_after_shards)) {
+  }
+
+  const std::size_t lanes =
+      static_cast<std::size_t>(ThreadPool::instance().width());
+  const std::size_t window =
+      std::max<std::size_t>(1, (kDesignsPerLane * lanes + dps - 1) / dps);
+  const std::size_t halt =
+      static_cast<std::size_t>(std::max(0, options.halt_after_shards));
+  for (std::size_t s0 = committed; s0 < shards_total;) {
+    if (halt > 0 && progress.shards_written >= halt) {
       write_manifest(/*complete=*/false);
       return progress;
     }
+    std::size_t s1 = std::min(shards_total, s0 + window);
+    if (halt > 0) s1 = std::min(s1, s0 + (halt - progress.shards_written));
 
-    // Produce on the pool. The designs' Rng forks are taken in global
+    // Produce, lint, embed and serialize the window's designs on the pool,
+    // one item per design. The designs' Rng forks are taken in global
     // design order first, so each design's bytes depend on (seed, options,
-    // design index) alone and the shard is the same at any pool width.
-    const std::size_t n = hi - lo;
+    // design index) alone and every shard is the same at any pool width.
+    const std::size_t lo = s0 * dps;
+    const std::size_t hi = std::min(total_designs, s1 * dps);
     std::vector<Rng> rngs;
-    rngs.reserve(n);
+    rngs.reserve(hi - lo);
     for (std::size_t i = lo; i < hi; ++i) rngs.push_back(root.fork());
-    Corpus shard_corpus;
-    for (const FamilyProfile& f : fams) shard_corpus.families.push_back(f.name);
-    shard_corpus.designs.resize(n);
-    ThreadPool::instance().run_indexed(n, [&](std::size_t k) {
-      const std::size_t i = lo + k;
-      const FamilyProfile& profile = fams[i % fams.size()];
-      const std::string name = profile.name +
-                               (options.hierarchical ? "_h" : "_d") +
-                               std::to_string(i / fams.size());
-      GeneratedDesign gen =
-          options.hierarchical
-              ? generate_hierarchical_design(profile, options.hierarchy,
-                                             rngs[k], name)
-              : generate_design(profile, rngs[k], name);
-      shard_corpus.designs[k] =
-          make_design_sample(std::move(gen), options.corpus, rngs[k]);
+    std::vector<DesignBlock> blocks(hi - lo);
+    ThreadPool::instance().run_indexed(blocks.size(), [&](std::size_t k) {
+      blocks[k] = produce_block(lo + k, options, rngs[k]);
     });
-    // Lint: the same assembly gate build_corpus runs corpus-wide, applied
-    // per shard so it never needs the whole dataset in RAM.
-    enforce_clean(lint_corpus(shard_corpus),
-                  "corpus shard " + std::to_string(s));
-    // Embed and serialize, on the pool too: every cone's expressions are
-    // derived once (readers reuse them) and each design becomes one block
-    // of shard text. The blocks are joined in design order.
-    CorpusExpressions exprs(n);
-    std::vector<std::string> blocks(n);
-    ThreadPool::instance().run_indexed(n, [&](std::size_t k) {
-      exprs[k] = design_expressions(shard_corpus.designs[k],
-                                    options.corpus.k_hop);
-      blocks[k] = serialize_design(shard_corpus.designs[k], exprs[k]);
-    });
-    std::string body = std::string(kShardHeader) + '\n';
-    for (const std::string& b : blocks) body += b;
-    body += "end " + std::to_string(n) + '\n';
-    const std::string path = dir + "/" + shard_filename(s);
-    const std::string crc = crc32_hex(crc32(body));
-    {
-      AtomicFileWriter writer(path, /*binary=*/true);
-      writer.stream() << body << "checksum " << crc << '\n';
-      writer.commit();
-    }
 
-    ShardStats st;
-    st.index = s;
-    st.path = path;
-    st.designs = shard_corpus.designs.size();
-    st.bytes = body.size() + crc.size() + 10;  // + "checksum \n"
-    for (std::size_t d = 0; d < shard_corpus.designs.size(); ++d) {
-      st.cones += shard_corpus.designs[d].cones.size();
-      st.gates += shard_corpus.designs[d].gen.netlist.size();
-      for (const auto& ce : exprs[d]) st.expressions += ce.size();
-    }
-    shard_rows.push_back(shard_filename(s) + " " + crc + " " +
-                         std::to_string(st.designs));
-    write_manifest(/*complete=*/shard_rows.size() == shards_total);
+    // Commit the window's shards in order on this thread, each as if it had
+    // been produced alone.
+    for (std::size_t s = s0; s < s1; ++s) {
+      const std::size_t first = s * dps - lo;
+      const std::size_t last = std::min(hi, (s + 1) * dps) - lo;
+      // A shard fails as it would have shard by shard: a design that could
+      // not be produced, then the lint gate (the one build_corpus applies
+      // corpus-wide, here per shard), then a design that could not be
+      // embedded or serialized. Every earlier shard is committed.
+      for (std::size_t k = first; k < last; ++k) {
+        if (blocks[k].error && !blocks[k].linted) {
+          std::rethrow_exception(blocks[k].error);
+        }
+      }
+      LintReport lint;
+      for (std::size_t k = first; k < last; ++k) {
+        lint.merge(blocks[k].lint, blocks[k].name);
+      }
+      enforce_clean(lint, "corpus shard " + std::to_string(s));
+      for (std::size_t k = first; k < last; ++k) {
+        if (blocks[k].error) std::rethrow_exception(blocks[k].error);
+      }
 
-    ++written;
-    ++progress.shards_written;
-    progress.designs += st.designs;
-    progress.cones += st.cones;
-    progress.gates += st.gates;
-    progress.expressions += st.expressions;
-    if (on_shard) on_shard(st);
+      ShardStats st;
+      st.index = s;
+      st.path = dir + "/" + shard_filename(s);
+      st.designs = last - first;
+      // Each block is freed once joined, so the window's text shrinks as
+      // its shards commit.
+      std::string body = std::string(kShardHeader) + '\n';
+      for (std::size_t k = first; k < last; ++k) {
+        body += blocks[k].text;
+        std::string().swap(blocks[k].text);
+        st.cones += blocks[k].cones;
+        st.gates += blocks[k].gates;
+        st.expressions += blocks[k].expressions;
+      }
+      body += "end " + std::to_string(st.designs) + '\n';
+      const std::string crc = crc32_hex(crc32(body));
+      {
+        AtomicFileWriter writer(st.path, /*binary=*/true);
+        writer.stream() << body << "checksum " << crc << '\n';
+        writer.commit();
+      }
+      st.bytes = body.size() + crc.size() + 10;  // + "checksum \n"
+      shard_rows.push_back(shard_filename(s) + " " + crc + " " +
+                           std::to_string(st.designs));
+      write_manifest(/*complete=*/shard_rows.size() == shards_total);
+
+      ++progress.shards_written;
+      progress.designs += st.designs;
+      progress.cones += st.cones;
+      progress.gates += st.gates;
+      progress.expressions += st.expressions;
+      if (on_shard) on_shard(st);
+    }
+    s0 = s1;
   }
   progress.complete = shard_rows.size() == shards_total;
   return progress;

@@ -1,15 +1,20 @@
 // Streaming repository-scale corpus: produce -> lint -> embed -> write ->
-// discard, one shard at a time, so dataset size is bounded by the shard size
-// rather than by RAM.
+// discard, one window of shards at a time, so dataset size is bounded by the
+// window rather than by RAM.
 //
 // The pipeline generates designs in a fixed global order (families
-// round-robin, one `Rng::fork()` per design off the root seed), groups them
-// into shards of `designs_per_shard`, and for each shard: assembles the
-// designs (physical flow + register cones), runs the corpus lint gate
-// (`enforce_clean` per shard — the same rules build_corpus applies to the
-// whole corpus), derives every cone's k-hop expressions once (the *embed*
-// stage; readers never recompute them), serializes everything to one text
-// shard file, and frees the shard before starting the next one.
+// round-robin, one `Rng::fork()` per design off the root seed) and groups
+// them into shards of `designs_per_shard`. It works through the shards a
+// window at a time: the fewest whole shards that give every pool lane four
+// designs (at pool width 1 and four designs per shard, one shard). One pool
+// item per design of the window assembles it (physical flow + register
+// cones), lints it, derives every cone's k-hop expressions once (the *embed*
+// stage; readers never recompute them), serializes it into its block of
+// shard text and frees it.
+// The window's shards are then committed in order on the calling thread:
+// each passes the corpus lint gate (`enforce_clean` per shard — the same
+// rules build_corpus applies to the whole corpus) and becomes one text shard
+// file. Peak memory is the window's shard text plus one design per lane.
 //
 // Durability contract (docs/ARCHITECTURE.md §13):
 //   * Shard files are written through AtomicFileWriter: data fsync'd before
@@ -21,7 +26,7 @@
 //     silently skipped.
 //   * The corpus manifest is atomically rewritten after each shard commit
 //     and lists only committed shards. A kill -9 at *any* point loses at
-//     most the in-flight shard; resuming replays the committed prefix by
+//     most the in-flight window; resuming replays the committed prefix by
 //     consuming its RNG forks (no recompute) and regenerates the remainder
 //     bit-identically — shard generation depends only on (seed, options,
 //     design index), never on wall clock or process state.
@@ -61,7 +66,9 @@ namespace nettag {
 struct StreamOptions {
   CorpusOptions corpus;        ///< per-design knobs (flow, k_hop)
   int designs_per_family = 8;  ///< total designs per family, across shards
-  int designs_per_shard = 4;   ///< shard granularity == peak RAM bound
+  /// Shard granularity. Peak RAM is bounded by the window, the fewest whole
+  /// shards that hold four designs per pool lane.
+  int designs_per_shard = 4;
   bool hierarchical = true;    ///< hierarchical vs flat designs
   HierarchyOptions hierarchy;
   /// Test hook: stop after writing this many *new* shards (0 = run to
@@ -97,8 +104,11 @@ struct StreamProgress {
 /// directory when missing, removes stale temp files, validates that an
 /// existing manifest was produced with the same seed/options (throws
 /// std::runtime_error otherwise), skips committed shards by consuming their
-/// RNG forks, and streams out the rest. `on_shard` (optional) fires after
-/// every shard, including skipped ones.
+/// RNG forks, and streams out the rest. `on_shard` (optional) fires on the
+/// calling thread after every shard, including skipped ones, in shard
+/// order. When a shard fails (a design that cannot be produced, a lint
+/// error, or `on_shard` throwing) the exception reaches the caller with
+/// every earlier shard committed and no later one.
 StreamProgress build_corpus_stream(
     const std::string& dir, const StreamOptions& options, std::uint64_t seed,
     const std::function<void(const ShardStats&)>& on_shard = nullptr);

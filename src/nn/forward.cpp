@@ -43,18 +43,30 @@ void matmul(const Mat& a, const Mat& b, Mat& out) {
 void add(Mat& out, const Mat& b) {
   NETTAG_CHECK(out.rows == b.rows && out.cols == b.cols,
                "add: shape mismatch: " + sh(out) + " vs " + sh(b));
+  if (simd_backend() == SimdBackend::kAvx2) {
+    detail::add_avx2(out.v.data(), b.v.data(), out.v.size());
+    return;
+  }
   for (std::size_t i = 0; i < out.v.size(); ++i) out.v[i] += b.v[i];
 }
 
 void add_rowvec(Mat& out, const Mat& b) {
   NETTAG_CHECK(b.rows == 1 && out.cols == b.cols,
                "add_rowvec: want NxD + 1xD, got " + sh(out) + " + " + sh(b));
+  if (simd_backend() == SimdBackend::kAvx2) {
+    detail::add_rowvec_avx2(out.rows, out.cols, out.v.data(), b.v.data());
+    return;
+  }
   for (int i = 0; i < out.rows; ++i) {
     for (int j = 0; j < out.cols; ++j) out.at(i, j) += b.at(0, j);
   }
 }
 
 void relu(Mat& x) {
+  if (simd_backend() == SimdBackend::kAvx2) {
+    detail::relu_avx2(x.v.data(), x.v.size());
+    return;
+  }
   for (float& v : x.v) v = std::max(v, 0.f);
 }
 
@@ -73,6 +85,10 @@ void gelu(Mat& x) {
 void mean_rows(const Mat& a, Mat& out) {
   const int n = a.rows, d = a.cols;
   check_out(out, 1, d, "mean_rows");
+  if (simd_backend() == SimdBackend::kAvx2) {
+    detail::mean_rows_avx2(n, d, a.v.data(), out.v.data());
+    return;
+  }
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < d; ++j) out.at(0, j) += a.at(i, j);
   }

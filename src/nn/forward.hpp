@@ -12,7 +12,8 @@
 // on simd_backend() (nn/gemm.hpp), like the GEMMs: the scalar loops in
 // forward.cpp are the byte-exact reference (NETTAG_SIMD=0), and the AVX2
 // forms in nn/gemm_avx2.cpp drift from them only within the per-kernel
-// budget of docs/PERFORMANCE.md §2.
+// budget of docs/PERFORMANCE.md §2. add, add_rowvec, relu and mean_rows
+// dispatch too, but their AVX2 forms write the scalar loops' values.
 //
 // The caller allocates each output at the shape the kernel documents. Every
 // kernel checks its shape contract with NETTAG_CHECK before it writes. The

@@ -68,8 +68,9 @@ void gemm_tn_avx2(int n, int k, int m, const float* a, const float* g,
                   float* c) {
   gemm_tn_scalar(n, k, m, a, g, c);
 }
-// The row kernels' scalar loops live in nn/forward.cpp, which only calls
-// these when simd_backend() is AVX2: never on this architecture.
+// The row and element-wise kernels' scalar loops live in nn/forward.cpp,
+// which only calls these when simd_backend() is AVX2: never on this
+// architecture.
 void softmax_row_avx2(const float*, float*, int, float) { std::abort(); }
 void gelu_avx2(float*, std::size_t) { std::abort(); }
 void gelu_backward_avx2(const float*, const float*, float*, std::size_t) {
@@ -79,6 +80,10 @@ void layernorm_rows_avx2(int, int, const float*, const float*, const float*,
                          float, float*, float*, float*) {
   std::abort();
 }
+void add_avx2(float*, const float*, std::size_t) { std::abort(); }
+void add_rowvec_avx2(int, int, float*, const float*) { std::abort(); }
+void relu_avx2(float*, std::size_t) { std::abort(); }
+void mean_rows_avx2(int, int, const float*, float*) { std::abort(); }
 #endif
 
 }  // namespace detail

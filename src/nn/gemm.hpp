@@ -18,6 +18,12 @@
 // live in the same translation unit (declared in `detail` below) and drift
 // from the scalar loops within the per-kernel budget of
 // docs/PERFORMANCE.md §2; the scalar loops stay the byte-exact reference.
+// It selects the element-wise kernels too (add, add_rowvec, relu,
+// mean_rows), whose AVX2 forms give every output by the same one IEEE
+// operation on the same operands as the scalar loop, so both backends
+// write the same bytes, except which NaN an add returns when both of its
+// operands are NaNs: IEEE 754 leaves that open, and a compiler may order
+// a scalar add's operands either way.
 //
 // Backend resolution: the NETTAG_SIMD environment variable if set
 // ("0"/"scalar" force scalar; "1"/"avx2" request AVX2), otherwise the best
@@ -123,6 +129,17 @@ void gelu_backward_avx2(const float* x, const float* dy, float* dx,
 void layernorm_rows_avx2(int n, int d, const float* a, const float* gamma,
                          const float* beta, float eps, float* out, float* xhat,
                          float* inv_sigma);
+// AVX2 forms of the element-wise kernels of nn/forward.hpp: the same
+// values as their scalar loops (see the top of this file).
+/// fwd::add: out[0..n) += b[0..n).
+void add_avx2(float* out, const float* b, std::size_t n);
+/// fwd::add_rowvec: each of the n rows of the row-major n x d `out` += b.
+void add_rowvec_avx2(int n, int d, float* out, const float* b);
+/// fwd::relu on x[0..n), in place: max(x, 0), which keeps NaN and -0.
+void relu_avx2(float* x, std::size_t n);
+/// fwd::mean_rows: out[0..d) += the n rows of the row-major n x d `a`, in
+/// ascending row order, then out /= n.
+void mean_rows_avx2(int n, int d, const float* a, float* out);
 }  // namespace detail
 
 }  // namespace nettag

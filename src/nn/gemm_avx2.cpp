@@ -40,6 +40,12 @@
 //   * gelu and its backward — elementwise over 8 lanes through tanh8.
 //   * layernorm_rows — 8-lane mean and variance sums, then the normalize
 //     pass.
+//   * add, add_rowvec, relu, mean_rows — one 8-lane operation per 8
+//     outputs. Each output is the scalar loop's one IEEE operation on the
+//     same operands (relu is max(0, x), which returns x for NaN and -0 as
+//     std::max(x, 0.f) does; mean_rows adds rows in ascending order, then
+//     divides), so their bytes equal the scalar loops', but for which NaN
+//     an add of two NaNs returns (nn/gemm.hpp).
 // Tails go through masked lanes (maskload/maskstore), never a scalar loop,
 // so each element runs the same arithmetic wherever a row ends. Non-finite
 // inputs stay non-finite: the clamps in exp8 pass a
@@ -52,6 +58,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -450,6 +457,54 @@ void layernorm_rows_avx2(int n, int d, const float* a, const float* gamma,
           _mm256_fmadd_ps(_mm256_maskload_ps(gamma + body, tail), xh,
                           _mm256_maskload_ps(beta + body, tail)));
     }
+  }
+}
+
+void add_avx2(float* out, const float* b, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(out + i, _mm256_add_ps(_mm256_loadu_ps(out + i),
+                                            _mm256_loadu_ps(b + i)));
+  }
+  if (i < n) {
+    const __m256i tail = tail_mask(static_cast<int>(n - i));
+    _mm256_maskstore_ps(out + i, tail,
+                        _mm256_add_ps(_mm256_maskload_ps(out + i, tail),
+                                      _mm256_maskload_ps(b + i, tail)));
+  }
+}
+
+void add_rowvec_avx2(int n, int d, float* out, const float* b) {
+  for (int i = 0; i < n; ++i) {
+    add_avx2(out + static_cast<std::size_t>(i) * d, b,
+             static_cast<std::size_t>(d));
+  }
+}
+
+void relu_avx2(float* x, std::size_t n) {
+  const __m256 zero = _mm256_setzero_ps();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(x + i, _mm256_max_ps(zero, _mm256_loadu_ps(x + i)));
+  }
+  if (i < n) {
+    const __m256i tail = tail_mask(static_cast<int>(n - i));
+    _mm256_maskstore_ps(x + i, tail,
+                        _mm256_max_ps(zero, _mm256_maskload_ps(x + i, tail)));
+  }
+}
+
+void mean_rows_avx2(int n, int d, const float* a, float* out) {
+  const __m256 count = _mm256_set1_ps(static_cast<float>(n));
+  for (int j = 0; j < d; j += 8) {
+    const __m256i mask = tail_mask(std::min(8, d - j));
+    __m256 sum = _mm256_maskload_ps(out + j, mask);
+    for (int i = 0; i < n; ++i) {
+      sum = _mm256_add_ps(
+          sum, _mm256_maskload_ps(a + static_cast<std::size_t>(i) * d + j,
+                                  mask));
+    }
+    _mm256_maskstore_ps(out + j, mask, _mm256_div_ps(sum, count));
   }
 }
 

@@ -809,5 +809,92 @@ TEST(SimdRowKernels, GeluBytesIndependentOfPoolWidth) {
   }
 }
 
+// --- element-wise kernels (nn/forward.hpp) ----------------------------------
+
+/// rows x cols values, about a third of them NaN, +-0, +-Inf or subnormal
+/// and the rest 4 * N(0, 1).
+Mat special_input(Rng& rng, int rows, int cols) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kTiny = std::numeric_limits<float>::denorm_min();
+  const float kSpecial[] = {std::numeric_limits<float>::quiet_NaN(),
+                            0.f,
+                            -0.f,
+                            kInf,
+                            -kInf,
+                            kTiny,
+                            -kTiny,
+                            1e-39f,
+                            -3e-40f};
+  constexpr int kCount = static_cast<int>(sizeof kSpecial / sizeof(float));
+  Mat m = row_input(rng, rows, cols, 4.f);
+  for (float& x : m.v) {
+    if (rng.uniform() < 0.35) x = kSpecial[rng.uniform_int(0, kCount - 1)];
+  }
+  return m;
+}
+
+/// a[i] and b[i] are NaNs together or have the same bytes, for every i. An
+/// add of two NaNs returns one of them, and IEEE 754 leaves open which;
+/// compilers may order a scalar add's operands either way.
+bool same_values(const Mat& a, const Mat& b) {
+  if (a.v.size() != b.v.size()) return false;
+  for (std::size_t i = 0; i < a.v.size(); ++i) {
+    if (std::isnan(a.v[i]) != std::isnan(b.v[i])) return false;
+    if (!std::isnan(a.v[i]) && !same_bytes(&a.v[i], &b.v[i], 1)) return false;
+  }
+  return true;
+}
+
+/// add, add_rowvec, relu and mean_rows on `a` (with `b` of a's shape and
+/// the 1 x a.cols `row`), under the active backend. mean_rows accumulates
+/// into a copy of `row`.
+std::vector<Mat> run_elementwise(const Mat& a, const Mat& b, const Mat& row) {
+  std::vector<Mat> out(4, a);
+  fwd::add(out[0], b);
+  fwd::add_rowvec(out[1], row);
+  fwd::relu(out[2]);
+  out[3] = row;
+  fwd::mean_rows(a, out[3]);
+  return out;
+}
+
+TEST(SimdElementwise, Avx2MatchesScalarOnEveryTailAndSpecialValue) {
+  if (!simd_avx2_supported()) GTEST_SKIP() << "CPU lacks AVX2+FMA";
+  // Every 8-lane tail at lengths 1..67, as one row and as three, then the
+  // encoders' shapes: text encoder rows of d_model 48 and d_ff 96 over up
+  // to 96 tokens, TAGFormer rows of 64 over a cone's nodes.
+  std::vector<std::pair<int, int>> shapes;
+  for (int d = 1; d <= 67; ++d) {
+    shapes.emplace_back(1, d);
+    shapes.emplace_back(3, d);
+  }
+  for (const auto& shape : {std::pair{12, 48}, std::pair{12, 96},
+                            std::pair{96, 48}, std::pair{20, 64},
+                            std::pair{33, 64}, std::pair{1, 48}}) {
+    shapes.push_back(shape);
+  }
+  static const char* const kNames[] = {"add", "add_rowvec", "relu",
+                                       "mean_rows"};
+  Rng rng(57);
+  for (const auto& [rows, cols] : shapes) {
+    const Mat a = special_input(rng, rows, cols);
+    const Mat b = special_input(rng, rows, cols);
+    const Mat row = special_input(rng, 1, cols);
+    std::vector<Mat> want, got;
+    {
+      BackendGuard guard(SimdBackend::kScalar);
+      want = run_elementwise(a, b, row);
+    }
+    {
+      BackendGuard guard(SimdBackend::kAvx2);
+      got = run_elementwise(a, b, row);
+    }
+    for (std::size_t k = 0; k < want.size(); ++k) {
+      EXPECT_TRUE(same_values(want[k], got[k]))
+          << kNames[k] << " " << rows << "x" << cols;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nettag

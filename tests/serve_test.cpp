@@ -3,6 +3,7 @@
 // concurrent callers, caching, admission gate, error taxonomy, and
 // observability.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -697,25 +698,40 @@ Request reload_request(const std::string& prefix = "") {
   return r;
 }
 
-/// Saves a servable checkpoint for a tiny model built from `seed`.
-std::string save_tiny_checkpoint(const std::string& prefix,
-                                 std::uint64_t seed) {
-  const NetTag model(tiny_config(), seed);
-  save_checkpoint(model, prefix);
-  return prefix;
-}
-
-void remove_tiny_checkpoint(const std::string& prefix) {
-  for (const char* suffix : {".ckpt", ".exprllm.bin", ".tagformer.bin"}) {
-    std::remove((prefix + suffix).c_str());
+/// A servable checkpoint of a tiny model, which removes its three files
+/// when it goes out of scope, however the test ends.
+class TinyCheckpoint {
+ public:
+  explicit TinyCheckpoint(std::string prefix) : prefix_(std::move(prefix)) {}
+  ~TinyCheckpoint() {
+    for (const char* suffix : {".ckpt", ".exprllm.bin", ".tagformer.bin"}) {
+      std::remove((prefix_ + suffix).c_str());
+    }
   }
+  TinyCheckpoint(const TinyCheckpoint&) = delete;
+  TinyCheckpoint& operator=(const TinyCheckpoint&) = delete;
+
+  const std::string& prefix() const { return prefix_; }
+
+ private:
+  std::string prefix_;
+};
+
+/// Saves a servable checkpoint for a tiny model built from `seed` under
+/// /tmp/nettag_<name>_<pid>, so checkouts testing at once never share it.
+TinyCheckpoint save_tiny_checkpoint(const std::string& name,
+                                    std::uint64_t seed) {
+  const std::string prefix =
+      "/tmp/nettag_" + name + "_" + std::to_string(::getpid());
+  save_checkpoint(NetTag(tiny_config(), seed), prefix);
+  return TinyCheckpoint(prefix);
 }
 
 TEST(Server, ReloadSameWeightsKeepsCacheHits) {
-  const std::string prefix = save_tiny_checkpoint("/tmp/nettag_reload_same", 21);
+  const TinyCheckpoint ck = save_tiny_checkpoint("reload_same", 21);
   ServerConfig sc;
-  sc.model_prefix = prefix;
-  Server server(sc, load_checkpoint(prefix));
+  sc.model_prefix = ck.prefix();
+  Server server(sc, load_checkpoint(ck.prefix()));
 
   const Response first = server.submit(embed_request(kAndNetlist));
   ASSERT_TRUE(first.ok()) << first.error_message;
@@ -735,22 +751,20 @@ TEST(Server, ReloadSameWeightsKeepsCacheHits) {
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second.cached);
   EXPECT_EQ(second.result_json, first.result_json);
-  remove_tiny_checkpoint(prefix);
 }
 
 TEST(Server, ReloadNewWeightsNeverReplaysStaleEntries) {
-  const std::string old_prefix =
-      save_tiny_checkpoint("/tmp/nettag_reload_old", 21);
-  const std::string new_prefix =
-      save_tiny_checkpoint("/tmp/nettag_reload_new", 3737);  // different weights
+  const TinyCheckpoint old_ck = save_tiny_checkpoint("reload_old", 21);
+  const TinyCheckpoint new_ck =
+      save_tiny_checkpoint("reload_new", 3737);  // different weights
   ServerConfig sc;
-  sc.model_prefix = old_prefix;
-  Server server(sc, load_checkpoint(old_prefix));
+  sc.model_prefix = old_ck.prefix();
+  Server server(sc, load_checkpoint(old_ck.prefix()));
 
   const Response before = server.submit(embed_request(kAndNetlist));
   ASSERT_TRUE(before.ok());
 
-  const Response rl = server.submit(reload_request(new_prefix));
+  const Response rl = server.submit(reload_request(new_ck.prefix()));
   ASSERT_TRUE(rl.ok()) << rl.error_message;
   Json j;
   std::string err;
@@ -767,15 +781,13 @@ TEST(Server, ReloadNewWeightsNeverReplaysStaleEntries) {
   EXPECT_TRUE(again.cached);
   EXPECT_EQ(again.result_json, after.result_json);
 
-  remove_tiny_checkpoint(old_prefix);
-  remove_tiny_checkpoint(new_prefix);
 }
 
 TEST(Server, FailedReloadKeepsServingOldModel) {
-  const std::string prefix = save_tiny_checkpoint("/tmp/nettag_reload_keep", 21);
+  const TinyCheckpoint ck = save_tiny_checkpoint("reload_keep", 21);
   ServerConfig sc;
-  sc.model_prefix = prefix;
-  Server server(sc, load_checkpoint(prefix));
+  sc.model_prefix = ck.prefix();
+  Server server(sc, load_checkpoint(ck.prefix()));
   const Response before = server.submit(embed_request(kAndNetlist));
   ASSERT_TRUE(before.ok());
 
@@ -789,7 +801,6 @@ TEST(Server, FailedReloadKeepsServingOldModel) {
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(after.cached);
   EXPECT_EQ(after.result_json, before.result_json);
-  remove_tiny_checkpoint(prefix);
 }
 
 TEST(Server, ReloadWithoutAnyPrefixRejected) {
@@ -944,12 +955,12 @@ TEST(Protocol, AdminOpFieldRequirements) {
 }
 
 TEST(Server, TwoReplicasServeIndependently) {
-  const std::string pa = save_tiny_checkpoint("/tmp/nettag_replica_a", 21);
-  const std::string pb = save_tiny_checkpoint("/tmp/nettag_replica_b", 3737);
+  const TinyCheckpoint pa = save_tiny_checkpoint("replica_a", 21);
+  const TinyCheckpoint pb = save_tiny_checkpoint("replica_b", 3737);
   Server server{ServerConfig{}};
   std::string err;
-  ASSERT_TRUE(server.load_model("a", pa, -1, &err)) << err;
-  ASSERT_TRUE(server.load_model("b", pb, -1, &err)) << err;
+  ASSERT_TRUE(server.load_model("a", pa.prefix(), -1, &err)) << err;
+  ASSERT_TRUE(server.load_model("b", pb.prefix(), -1, &err)) << err;
   EXPECT_EQ(server.registry().list().size(), 2u);
   EXPECT_NE(server.model_snapshot("a"), nullptr);
   EXPECT_EQ(server.model_snapshot("missing"), nullptr);
@@ -970,18 +981,16 @@ TEST(Server, TwoReplicasServeIndependently) {
   EXPECT_TRUE(ra2.cached);
   EXPECT_EQ(ra2.result_json, ra.result_json);
 
-  remove_tiny_checkpoint(pa);
-  remove_tiny_checkpoint(pb);
 }
 
 TEST(Server, ReloadOneReplicaKeepsOtherReplicasCacheLive) {
-  const std::string pa = save_tiny_checkpoint("/tmp/nettag_iso_a", 21);
-  const std::string pa2 = save_tiny_checkpoint("/tmp/nettag_iso_a2", 5150);
-  const std::string pb = save_tiny_checkpoint("/tmp/nettag_iso_b", 3737);
+  const TinyCheckpoint pa = save_tiny_checkpoint("iso_a", 21);
+  const TinyCheckpoint pa2 = save_tiny_checkpoint("iso_a2", 5150);
+  const TinyCheckpoint pb = save_tiny_checkpoint("iso_b", 3737);
   Server server{ServerConfig{}};
   std::string err;
-  ASSERT_TRUE(server.load_model("a", pa, -1, &err)) << err;
-  ASSERT_TRUE(server.load_model("b", pb, -1, &err)) << err;
+  ASSERT_TRUE(server.load_model("a", pa.prefix(), -1, &err)) << err;
+  ASSERT_TRUE(server.load_model("b", pb.prefix(), -1, &err)) << err;
 
   const Response a1 = server.submit(model_request(kAndNetlist, "a"));
   const Response b1 = server.submit(model_request(kAndNetlist, "b"));
@@ -991,7 +1000,7 @@ TEST(Server, ReloadOneReplicaKeepsOtherReplicasCacheLive) {
   Request rl;
   rl.op = Op::kReload;
   rl.model = "a";
-  rl.model_prefix = pa2;
+  rl.model_prefix = pa2.prefix();
   const Response rr = server.submit(std::move(rl));
   ASSERT_TRUE(rr.ok()) << rr.error_message;
   Json j;
@@ -1011,9 +1020,6 @@ TEST(Server, ReloadOneReplicaKeepsOtherReplicasCacheLive) {
   EXPECT_FALSE(a2.cached);
   EXPECT_NE(a2.result_json, a1.result_json);
 
-  remove_tiny_checkpoint(pa);
-  remove_tiny_checkpoint(pa2);
-  remove_tiny_checkpoint(pb);
 }
 
 TEST(Server, UnknownModelIsStructuredError) {
@@ -1040,7 +1046,7 @@ TEST(Server, UnknownModelIsStructuredError) {
 }
 
 TEST(Server, ModelAdminLifecycleOverTheWire) {
-  const std::string p = save_tiny_checkpoint("/tmp/nettag_admin_ck", 21);
+  const TinyCheckpoint p = save_tiny_checkpoint("admin_ck", 21);
   Server server{ServerConfig{}};
   Json j;
   std::string err;
@@ -1055,7 +1061,7 @@ TEST(Server, ModelAdminLifecycleOverTheWire) {
 
   ASSERT_TRUE(Json::parse(
       server.handle_line(R"({"op":"model_load","model":"a","model_prefix":")" +
-                         p + R"("})"),
+                         p.prefix() + R"("})"),
       &j, &err))
       << err;
   ASSERT_EQ(j.find("status")->as_string(), "ok") << j.dump();
@@ -1066,7 +1072,7 @@ TEST(Server, ModelAdminLifecycleOverTheWire) {
   // Loading the same name again replaces in place.
   ASSERT_TRUE(Json::parse(
       server.handle_line(R"({"op":"model_load","model":"a","model_prefix":")" +
-                         p + R"("})"),
+                         p.prefix() + R"("})"),
       &j, &err))
       << err;
   EXPECT_TRUE(j.find("result")->find("replaced")->as_bool());
@@ -1077,7 +1083,7 @@ TEST(Server, ModelAdminLifecycleOverTheWire) {
   const auto& rows = j.find("result")->find("models")->items();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].find("name")->as_string(), "a");
-  EXPECT_EQ(rows[0].find("prefix")->as_string(), p);
+  EXPECT_EQ(rows[0].find("prefix")->as_string(), p.prefix());
 
   ASSERT_TRUE(Json::parse(
       server.handle_line(R"({"op":"model_unload","model":"a"})"), &j, &err))
@@ -1098,14 +1104,13 @@ TEST(Server, ModelAdminLifecycleOverTheWire) {
       << err;
   EXPECT_EQ(j.find("status")->as_string(), "error");
   EXPECT_EQ(server.registry().list().size(), 0u);
-  remove_tiny_checkpoint(p);
 }
 
 TEST(Server, ModelUnloadDrainsQueuedRequestsWithUnknownModel) {
-  const std::string p = save_tiny_checkpoint("/tmp/nettag_unload_ck", 21);
+  const TinyCheckpoint p = save_tiny_checkpoint("unload_ck", 21);
   Server server{ServerConfig{}};
   std::string err;
-  ASSERT_TRUE(server.load_model("a", p, -1, &err)) << err;
+  ASSERT_TRUE(server.load_model("a", p.prefix(), -1, &err)) << err;
 
   // Queue traffic for "a" behind a paused worker pool, then unload the
   // replica out from under it. The queued requests must drain as
@@ -1134,15 +1139,14 @@ TEST(Server, ModelUnloadDrainsQueuedRequestsWithUnknownModel) {
   Request ping;
   ping.op = Op::kPing;
   EXPECT_TRUE(server.submit(std::move(ping)).ok());
-  remove_tiny_checkpoint(p);
 }
 
 TEST(Server, V1LinesReplayByteIdenticalOnMultiModelServer) {
-  const std::string alt = save_tiny_checkpoint("/tmp/nettag_v1_alt", 3737);
+  const TinyCheckpoint alt = save_tiny_checkpoint("v1_alt", 3737);
   auto v1 = make_server();  // plain single-model server, seed 21
-  auto v2 = make_server();  // same default replica...
+  auto v2 = make_server();  // same default replica, plus one
   std::string err;
-  ASSERT_TRUE(v2->load_model("alt", alt, -1, &err)) << err;  // ...plus one
+  ASSERT_TRUE(v2->load_model("alt", alt.prefix(), -1, &err)) << err;
 
   // A deterministic v1 session: ok paths, a cached replay, and every parse /
   // admin error shape. None of the lines mention "model".
@@ -1168,12 +1172,12 @@ TEST(Server, V1LinesReplayByteIdenticalOnMultiModelServer) {
 }
 
 TEST(Server, StatsReportPerReplicaSectionAndDefaults) {
-  const std::string pa = save_tiny_checkpoint("/tmp/nettag_stats_a", 21);
-  const std::string pb = save_tiny_checkpoint("/tmp/nettag_stats_b", 3737);
+  const TinyCheckpoint pa = save_tiny_checkpoint("stats_a", 21);
+  const TinyCheckpoint pb = save_tiny_checkpoint("stats_b", 3737);
   Server server{ServerConfig{}};
   std::string err;
-  ASSERT_TRUE(server.load_model("a", pa, -1, &err)) << err;
-  ASSERT_TRUE(server.load_model("b", pb, -1, &err)) << err;
+  ASSERT_TRUE(server.load_model("a", pa.prefix(), -1, &err)) << err;
+  ASSERT_TRUE(server.load_model("b", pb.prefix(), -1, &err)) << err;
   ASSERT_TRUE(server.submit(model_request(kAndNetlist, "a")).ok());
   ASSERT_TRUE(server.submit(model_request(kAndRenamed, "a")).ok());  // hit
 
@@ -1202,8 +1206,6 @@ TEST(Server, StatsReportPerReplicaSectionAndDefaults) {
   EXPECT_EQ(defaults->find("max_gates")->as_int(), 20000);
   EXPECT_EQ(j.find("weights_crc32"), nullptr);
 
-  remove_tiny_checkpoint(pa);
-  remove_tiny_checkpoint(pb);
 }
 
 /// The `text_cache` section of a server's `stats`.
@@ -1225,9 +1227,9 @@ TextCacheCounts text_cache_counts(const Server& server) {
 }
 
 TEST(Server, TextCacheIsOneSaltedCacheAcrossReplicasAndReloads) {
-  const std::string pa = save_tiny_checkpoint("/tmp/nettag_text_cache_a", 21);
-  const std::string pb =
-      save_tiny_checkpoint("/tmp/nettag_text_cache_b", 3737);  // other weights
+  const TinyCheckpoint pa = save_tiny_checkpoint("text_cache_a", 21);
+  const TinyCheckpoint pb =
+      save_tiny_checkpoint("text_cache_b", 3737);  // other weights
   ServerConfig sc;
   sc.text_cache_entries = 64;
   Server server{sc};
@@ -1237,7 +1239,7 @@ TEST(Server, TextCacheIsOneSaltedCacheAcrossReplicasAndReloads) {
   Json j;
   ASSERT_TRUE(Json::parse(server.stats_json(), &j, &err)) << err;
   EXPECT_EQ(j.find("text_cache"), nullptr);
-  ASSERT_TRUE(server.load_model("a", pa, -1, &err)) << err;
+  ASSERT_TRUE(server.load_model("a", pa.prefix(), -1, &err)) << err;
   const TextCacheCounts empty = text_cache_counts(server);
   EXPECT_EQ(empty.capacity, 64);
   EXPECT_EQ(empty.entries, 0);
@@ -1249,7 +1251,7 @@ TEST(Server, TextCacheIsOneSaltedCacheAcrossReplicasAndReloads) {
 
   // A second replica of the same checkpoint misses the result cache (its
   // keys carry its own name) but hits every text row "a" encoded.
-  ASSERT_TRUE(server.load_model("a_twin", pa, -1, &err)) << err;
+  ASSERT_TRUE(server.load_model("a_twin", pa.prefix(), -1, &err)) << err;
   const Response twin = server.submit(model_request(kAndNetlist, "a_twin"));
   ASSERT_TRUE(twin.ok()) << twin.error_message;
   EXPECT_FALSE(twin.cached);
@@ -1260,7 +1262,7 @@ TEST(Server, TextCacheIsOneSaltedCacheAcrossReplicasAndReloads) {
 
   // Other weights salt other keys: the same netlist misses exactly as often
   // as it did on the empty cache, and adds its own rows.
-  ASSERT_TRUE(server.load_model("b", pb, -1, &err)) << err;
+  ASSERT_TRUE(server.load_model("b", pb.prefix(), -1, &err)) << err;
   ASSERT_TRUE(server.submit(model_request(kAndNetlist, "b")).ok());
   const TextCacheCounts after_b = text_cache_counts(server);
   EXPECT_EQ(after_b.misses - after_twin.misses, after_a.misses);
@@ -1285,8 +1287,6 @@ TEST(Server, TextCacheIsOneSaltedCacheAcrossReplicasAndReloads) {
   EXPECT_EQ(after_cone.misses, after_reload.misses);
   EXPECT_GT(after_cone.hits, after_reload.hits);
 
-  remove_tiny_checkpoint(pa);
-  remove_tiny_checkpoint(pb);
 }
 
 }  // namespace

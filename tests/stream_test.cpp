@@ -13,6 +13,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -324,14 +325,32 @@ TEST(Stream, OptionMismatchRefusedInsteadOfMixingCorpora) {
   fs::remove_all(dir);
 }
 
+/// Every file of `dir`, by name.
+std::map<std::string, std::string> dir_files(const std::string& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    files[entry.path().filename().string()] = read_file(entry.path().string());
+  }
+  return files;
+}
+
 TEST(Stream, ShardBytesIndependentOfPoolWidth) {
-  // A shard's designs are produced, embedded and serialized on the pool;
+  // A window's designs are produced, embedded and serialized on the pool;
   // their bytes must not depend on how many lanes it has. Three designs per
-  // shard keep three lanes busy and leave an uneven last shard.
-  for (const bool hierarchical : {false, true}) {
+  // shard leave an uneven last shard. With five designs per family the 7
+  // shards span two windows at width 4 (6 shards, then 1), three at width 2
+  // (3, 3, 1) and four at width 1 (2, 2, 2, 1).
+  struct Shape {
+    bool hierarchical;
+    int designs_per_family;
+    std::size_t shards;
+  };
+  for (const Shape shape : {Shape{false, 1, 2}, Shape{true, 1, 2},
+                            Shape{false, 5, 7}}) {
     StreamOptions so = small_stream_options(/*with_physical=*/true);
+    so.designs_per_family = shape.designs_per_family;
     so.designs_per_shard = 3;
-    so.hierarchical = hierarchical;
+    so.hierarchical = shape.hierarchical;
     so.hierarchy.levels = 2;
     so.hierarchy.min_blocks_per_level = 2;
     so.hierarchy.max_blocks_per_level = 2;
@@ -342,21 +361,88 @@ TEST(Stream, ShardBytesIndependentOfPoolWidth) {
       const std::string dir =
           temp_dir("nettag_stream_width" + std::to_string(width));
       EXPECT_TRUE(build_corpus_stream(dir, so, 0x5151).complete);
-      std::map<std::string, std::string> files;
-      for (const auto& entry : fs::directory_iterator(dir)) {
-        files[entry.path().filename().string()] =
-            read_file(entry.path().string());
-      }
-      EXPECT_EQ(files.size(), 3u);  // the manifest and two shards
+      const std::map<std::string, std::string> files = dir_files(dir);
+      EXPECT_EQ(files.size(), shape.shards + 1);  // and the manifest
       if (width == 1) {
         reference = files;
       } else {
         EXPECT_TRUE(files == reference)
-            << "hierarchical=" << hierarchical << " width " << width;
+            << "hierarchical=" << shape.hierarchical << " designs/family "
+            << shape.designs_per_family << " width " << width;
       }
       fs::remove_all(dir);
     }
   }
+}
+
+/// One design per shard: 4 shards, which one window holds at any width
+/// (4 designs per lane already fill it at width 1).
+StreamOptions one_design_shards() {
+  StreamOptions so = small_stream_options();
+  so.designs_per_shard = 1;
+  return so;
+}
+
+TEST(Stream, FailingCallbackCommitsExactlyTheShardsBeforeIt) {
+  const StreamOptions so = one_design_shards();
+  const std::string straight = temp_dir("nettag_stream_cb_straight");
+  build_corpus_stream(straight, so, 0x77);
+  const std::map<std::string, std::string> reference = dir_files(straight);
+  ASSERT_EQ(reference.size(), 5u);
+  fs::remove_all(straight);
+
+  for (const int width : {1, 4}) {
+    const WidthGuard guard(width);
+    const std::string dir = temp_dir("nettag_stream_cb_failed");
+    // The window holds all 4 shards; the callback throws inside it, after
+    // shard 1 is committed.
+    EXPECT_THROW(build_corpus_stream(dir, so, 0x77,
+                                     [](const ShardStats& st) {
+                                       if (st.index == 1) {
+                                         throw std::runtime_error("stop");
+                                       }
+                                     }),
+                 std::runtime_error);
+    std::vector<std::string> names;
+    for (const auto& [name, bytes] : dir_files(dir)) names.push_back(name);
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "corpus.manifest", "shard_00000.nls",
+                         "shard_00001.nls"}))
+        << "width " << width;
+    {
+      const ShardedCorpus partial(dir);
+      EXPECT_EQ(partial.num_shards(), 2u);
+      EXPECT_FALSE(partial.complete());
+    }
+    const StreamProgress resumed = build_corpus_stream(dir, so, 0x77);
+    EXPECT_EQ(resumed.shards_skipped, 2u);
+    EXPECT_EQ(resumed.shards_written, 2u);
+    EXPECT_TRUE(dir_files(dir) == reference) << "width " << width;
+    fs::remove_all(dir);
+  }
+}
+
+TEST(Stream, HaltInsideAWindowWritesExactlyTheHaltedShards) {
+  StreamOptions so = one_design_shards();
+  const std::string straight = temp_dir("nettag_stream_halt_straight");
+  build_corpus_stream(straight, so, 0x78);
+  const std::map<std::string, std::string> reference = dir_files(straight);
+  fs::remove_all(straight);
+
+  const WidthGuard guard(1);  // a 4-shard window
+  const std::string dir = temp_dir("nettag_stream_halt_window");
+  so.halt_after_shards = 3;
+  const StreamProgress halted = build_corpus_stream(dir, so, 0x78);
+  EXPECT_EQ(halted.shards_written, 3u);
+  EXPECT_FALSE(halted.complete);
+  EXPECT_EQ(dir_files(dir).size(), 4u);  // 3 shards and the manifest
+  EXPECT_EQ(ShardedCorpus(dir).num_shards(), 3u);
+  so.halt_after_shards = 0;
+  const StreamProgress resumed = build_corpus_stream(dir, so, 0x78);
+  EXPECT_EQ(resumed.shards_written, 1u);
+  EXPECT_TRUE(resumed.complete);
+  EXPECT_TRUE(dir_files(dir) == reference);
+  fs::remove_all(dir);
 }
 
 // --- crafted and mutated shards and manifests --------------------------------

@@ -24,7 +24,8 @@
 //   --expr-steps N        step-1 iteration count
 //   --tag-steps N         step-2 iteration count
 // Flags (--build-corpus; --seed/--designs/--no-align also apply):
-//   --shard-designs N     designs per shard file (default 4; peak RAM bound)
+//   --shard-designs N     designs per shard file (default 4; the build
+//                         holds a window of shards, ARCHITECTURE.md §13.2)
 //   --flat                flat single-block designs instead of hierarchical
 // Flags (--out / --resume):
 //   --checkpoint-every N  also checkpoint every N steps of a phase
