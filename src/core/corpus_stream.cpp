@@ -7,13 +7,14 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <limits>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -25,6 +26,7 @@
 #include "util/atomic_io.hpp"
 #include "util/checksum.hpp"
 #include "util/cli.hpp"
+#include "util/numbers.hpp"
 #include "util/parallel.hpp"
 #include "util/words.hpp"
 
@@ -35,12 +37,6 @@ namespace {
 constexpr const char* kManifestName = "corpus.manifest";
 constexpr const char* kManifestFormat = "nettag-corpus-v1";
 constexpr const char* kShardHeader = "nettag-shard v1";
-
-std::string fmt_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 std::string shard_filename(std::size_t index) {
   char buf[32];
@@ -129,11 +125,13 @@ std::string serialize_design(const DesignSample& ds,
   std::ostringstream os;
   os << "design " << ds.gen.netlist.name() << ' ' << ds.gen.netlist.source()
      << '\n';
-  os << "labels " << fmt_double(ds.area_wo_opt) << ' '
-     << fmt_double(ds.power_wo_opt) << ' ' << fmt_double(ds.area_w_opt) << ' '
-     << fmt_double(ds.power_w_opt) << ' ' << fmt_double(ds.tool_area) << ' '
-     << fmt_double(ds.tool_power) << ' ' << fmt_double(ds.pr_runtime_seconds)
-     << '\n';
+  os << "labels";
+  for (const double label :
+       {ds.area_wo_opt, ds.power_wo_opt, ds.area_w_opt, ds.power_w_opt,
+        ds.tool_area, ds.tool_power, ds.pr_runtime_seconds}) {
+    os << ' ' << format_double(label).view();
+  }
+  os << '\n';
   write_blob(os, "rtl", ds.gen.rtl_text);
   // unordered_map order is not stable across implementations; sort so the
   // shard bytes are a pure function of (seed, options).
@@ -147,8 +145,9 @@ std::string serialize_design(const DesignSample& ds,
   for (std::size_t c = 0; c < ds.cones.size(); ++c) {
     const ConeSample& cs = ds.cones[c];
     os << "cone " << cs.register_name << ' ' << (cs.is_state_reg ? 1 : 0)
-       << ' ' << (cs.has_layout ? 1 : 0) << ' ' << fmt_double(cs.slack_label)
-       << ' ' << fmt_double(cs.clock_period) << '\n';
+       << ' ' << (cs.has_layout ? 1 : 0) << ' '
+       << format_double(cs.slack_label).view() << ' '
+       << format_double(cs.clock_period).view() << '\n';
     write_blob(os, "rtl", cs.rtl_text);
     write_blob(os, "conenet", netlist_to_string(cs.cone));
     os << "exprs " << es[c].size() << '\n';
@@ -157,7 +156,7 @@ std::string serialize_design(const DesignSample& ds,
        << cs.layout.edges.size() << '\n';
     for (const auto& nf : cs.layout.node_feats) {
       os << 'n';
-      for (double f : nf) os << ' ' << fmt_double(f);
+      for (double f : nf) os << ' ' << format_double(f).view();
       os << '\n';
     }
     for (const auto& [u, v] : cs.layout.edges) {
@@ -169,14 +168,23 @@ std::string serialize_design(const DesignSample& ds,
   return os.str();
 }
 
-/// Designs per pool lane that one window of shards holds at least (see
-/// build_corpus_stream): a region is as slow as its slowest item, so each
+/// Designs per pool lane that one window of shards holds at least when the
+/// pool has more than one lane (see build_corpus_stream; at width 1 a
+/// window is one shard): a region is as slow as its slowest item, so each
 /// lane needs several designs to even out the large ones. On the benchmark's
 /// corpus (16 hierarchical designs, 4 per shard; 4-vCPU Xeon VM, pool width
 /// 4, 10 interleaved builds each) a build took a median 0.221 s shard by
 /// shard, 0.145 s with 2 designs per lane (2-shard windows) and 0.123 s
 /// with 4 (one 4-shard window), at a peak RSS of 24-27, 26-29 and 31-34 MB.
 constexpr std::size_t kDesignsPerLane = 4;
+
+/// A design's relative size, known before it is generated: its family's
+/// stage span times its width span. It ranks chipyard (230) over vexriscv
+/// (128), itc99 (77) and opencores (42), the order of their measured
+/// production times.
+int size_estimate(const FamilyProfile& f) {
+  return (f.min_stages + f.max_stages) * (f.min_width + f.max_width);
+}
 
 /// What a window keeps of one design once its pool item ends: its block of
 /// shard text, its lint report and its counts. The DesignSample is freed in
@@ -269,27 +277,6 @@ bool next_size(Words& ws, std::size_t* out) {
   return true;
 }
 
-/// A word copied into a NUL-terminated buffer for strtod/strtol, which then
-/// stop at a NUL byte inside the word, as they do on a std::string's c_str().
-class CWord {
- public:
-  explicit CWord(std::string_view w) {
-    if (w.size() < sizeof small_) {
-      std::memcpy(small_, w.data(), w.size());
-      small_[w.size()] = '\0';
-    } else {
-      big_.assign(w);
-    }
-  }
-  CWord(const CWord&) = delete;
-  CWord& operator=(const CWord&) = delete;
-  const char* c_str() const { return big_.empty() ? small_ : big_.c_str(); }
-
- private:
-  char small_[64];
-  std::string big_;
-};
-
 /// Line/byte-tracking cursor over a shard body, so every rejection names the
 /// exact location. Lines and blobs are views into the body.
 struct Cursor {
@@ -352,34 +339,221 @@ struct Cursor {
   }
 };
 
-double parse_double(const Cursor& cur, Words& ws, const char* what) {
+double next_double(const Cursor& cur, Words& ws, const char* what) {
   const std::string_view w = ws.next();
   if (w.empty()) cur.fail(std::string("missing ") + what);
-  const CWord tok(w);
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (end == tok.c_str() || *end != '\0') {
+  double v = 0;
+  if (!parse_double(w, &v)) {
     cur.fail(std::string("bad ") + what + ": " + std::string(w));
   }
   return v;
 }
 
-long parse_long(const Cursor& cur, Words& ws, const char* what, long lo,
-                long hi) {
+long next_long(const Cursor& cur, Words& ws, const char* what, long lo,
+               long hi) {
   const std::string_view w = ws.next();
   if (w.empty()) cur.fail(std::string("missing ") + what);
-  const CWord tok(w);
-  char* end = nullptr;
-  const long v = std::strtol(tok.c_str(), &end, 10);
-  if (end == tok.c_str() || *end != '\0' || v < lo || v > hi) {
+  const char* const end = w.data() + w.size();
+  long v = 0;
+  const std::from_chars_result r = std::from_chars(w.data(), end, v);
+  if (r.ec != std::errc() || r.ptr != end || v < lo || v > hi) {
     cur.fail(std::string("bad ") + what + ": " + std::string(w));
   }
   return v;
+}
+
+/// A block of a shard that parse_shard's structural pass skips and parses
+/// afterwards, as one item of a pool region: an embedded netlist, or a
+/// cone's layout lines. `pos` and `line` are where a serial reader stands
+/// when it parses the block (past a netlist's blob, at a layout's first
+/// line), so an error names the same location.
+struct DeferredBlock {
+  enum Kind { kDesignNetlist, kConeNetlist, kLayout };
+  Kind kind = kDesignNetlist;
+  std::size_t design = 0, cone = 0;
+  std::size_t pos = 0, line = 0;
+  std::string_view blob;             ///< a netlist's text
+  std::size_t nodes = 0, edges = 0;  ///< a layout's line counts
+};
+
+/// Parses `block` into its design or cone of `shard`, which the structural
+/// pass has already sized, so the region's items write disjoint fields.
+void parse_deferred(const DeferredBlock& block, std::string_view body,
+                    const std::string& path, ShardedCorpus::Shard& shard) {
+  Cursor cur{body, path, block.pos, block.line};
+  DesignSample& ds = shard.corpus.designs[block.design];
+  if (block.kind == DeferredBlock::kDesignNetlist) {
+    try {
+      ds.gen.netlist = read_netlist(block.blob);
+    } catch (const std::exception& e) {
+      cur.fail(std::string("embedded netlist: ") + e.what());
+    }
+    return;
+  }
+  ConeSample& cone = ds.cones[block.cone];
+  if (block.kind == DeferredBlock::kConeNetlist) {
+    try {
+      cone.cone = read_netlist(block.blob);
+    } catch (const std::exception& e) {
+      cur.fail(std::string("embedded cone netlist: ") + e.what());
+    }
+    return;
+  }
+  cone.layout.node_feats.reserve(block.nodes);
+  for (std::size_t nidx = 0; nidx < block.nodes; ++nidx) {
+    Words ns{cur.next_line()};
+    if (ns.next() != "n") cur.fail("expected layout node line");
+    std::array<double, 6> feats{};
+    for (double& f : feats) f = next_double(cur, ns, "node feature");
+    cone.layout.node_feats.push_back(feats);
+  }
+  for (std::size_t eidx = 0; eidx < block.edges; ++eidx) {
+    Words gs{cur.next_line()};
+    if (gs.next() != "g") cur.fail("expected layout edge line");
+    const long u = next_long(cur, gs, "edge endpoint", 0,
+                             static_cast<long>(block.nodes) - 1);
+    const long v = next_long(cur, gs, "edge endpoint", 0,
+                             static_cast<long>(block.nodes) - 1);
+    cone.layout.edges.emplace_back(static_cast<int>(u), static_cast<int>(v));
+  }
+}
+
+/// The structural pass of parse_shard over the body after its header line:
+/// every line, count, blob, expression and header field, in file order. It
+/// fills `shard` except for the blocks it appends to `deferred`, and
+/// throws at the first structural error.
+void parse_structure(Cursor& cur, std::size_t want_designs,
+                     const std::string& listed_by,
+                     ShardedCorpus::Shard& shard,
+                     std::vector<DeferredBlock>& deferred) {
+  while (true) {
+    const std::string_view head = cur.next_line();
+    if (head.starts_with("end ")) {
+      Words ws{head.substr(4)};
+      std::size_t n = 0;
+      if (!next_size(ws, &n) || n != shard.corpus.designs.size()) {
+        cur.fail("design count mismatch in end marker");
+      }
+      if (n != want_designs) {
+        cur.fail(std::to_string(n) + " designs differ from " +
+                 std::to_string(want_designs) + ", listed by " + listed_by);
+      }
+      break;
+    }
+    Words hw{head};
+    const std::string_view tag = hw.next(), name = hw.next(),
+                           family = hw.next();
+    if (family.empty() || tag != "design") {
+      cur.fail("expected 'design <name> <family>', got '" + std::string(head) +
+               "'");
+    }
+    const std::size_t d = shard.corpus.designs.size();
+    DesignSample& ds = shard.corpus.designs.emplace_back();
+    std::vector<std::vector<std::string>>& design_exprs =
+        shard.exprs.emplace_back();
+
+    Words ls{cur.next_line()};
+    if (ls.next() != "labels") cur.fail("expected labels line");
+    ds.area_wo_opt = next_double(cur, ls, "area_wo_opt");
+    ds.power_wo_opt = next_double(cur, ls, "power_wo_opt");
+    ds.area_w_opt = next_double(cur, ls, "area_w_opt");
+    ds.power_w_opt = next_double(cur, ls, "power_w_opt");
+    ds.tool_area = next_double(cur, ls, "tool_area");
+    ds.tool_power = next_double(cur, ls, "tool_power");
+    ds.pr_runtime_seconds = next_double(cur, ls, "pr_runtime_seconds");
+
+    ds.gen.rtl_text = cur.read_blob("rtl");
+    Words rs{cur.next_line()};
+    std::size_t nregs = 0;
+    if (rs.next() != "regrtl" || !next_size(rs, &nregs)) {
+      cur.fail("expected 'regrtl <count>'");
+    }
+    cur.check_count(nregs, "regrtl");
+    for (std::size_t r = 0; r < nregs; ++r) {
+      // Blob tag carries the register name: "reg <name> <bytes>".
+      const std::string_view header = cur.next_line();
+      Words hs{header};
+      const std::string_view htag = hs.next(), reg = hs.next();
+      std::size_t nbytes = 0;
+      if (reg.empty() || !next_size(hs, &nbytes) || htag != "reg") {
+        cur.fail("expected 'reg <name> <bytes>', got '" + std::string(header) +
+                 "'");
+      }
+      ds.gen.reg_rtl[std::string(reg)] =
+          cur.take_blob(nbytes, "register RTL blob extends past end of shard");
+    }
+    const std::string_view netlist = cur.read_blob("netlist");
+    deferred.push_back({DeferredBlock::kDesignNetlist, d, 0, cur.pos,
+                        cur.line, netlist});
+
+    Words cs{cur.next_line()};
+    std::size_t ncones = 0;
+    if (cs.next() != "cones" || !next_size(cs, &ncones)) {
+      cur.fail("expected 'cones <count>'");
+    }
+    cur.check_count(ncones, "cones");
+    for (std::size_t c = 0; c < ncones; ++c) {
+      Words hs{cur.next_line()};
+      ConeSample& cone = ds.cones.emplace_back();
+      cone.family = family;
+      cone.design = name;
+      const std::string_view htag = hs.next(), reg = hs.next();
+      if (reg.empty() || htag != "cone") {
+        cur.fail("expected 'cone <register> ...'");
+      }
+      cone.register_name = reg;
+      cone.is_state_reg = next_long(cur, hs, "is_state_reg", 0, 1) != 0;
+      cone.has_layout = next_long(cur, hs, "has_layout", 0, 1) != 0;
+      cone.slack_label = next_double(cur, hs, "slack_label");
+      cone.clock_period = next_double(cur, hs, "clock_period");
+      cone.rtl_text = cur.read_blob("rtl");
+      const std::string_view conenet = cur.read_blob("conenet");
+      deferred.push_back({DeferredBlock::kConeNetlist, d, c, cur.pos,
+                          cur.line, conenet});
+      Words es{cur.next_line()};
+      std::size_t nexprs = 0;
+      if (es.next() != "exprs" || !next_size(es, &nexprs)) {
+        cur.fail("expected 'exprs <count>'");
+      }
+      cur.check_count(nexprs, "exprs");
+      std::vector<std::string>& cexprs = design_exprs.emplace_back();
+      cexprs.reserve(nexprs);
+      for (std::size_t e = 0; e < nexprs; ++e) {
+        const std::string_view el = cur.next_line();
+        if (!el.starts_with("e ")) cur.fail("expected 'e <expression>'");
+        cexprs.emplace_back(el.substr(2));
+      }
+      Words lgs{cur.next_line()};
+      std::size_t nnodes = 0, nedges = 0;
+      if (lgs.next() != "layout" || !next_size(lgs, &nnodes) ||
+          !next_size(lgs, &nedges)) {
+        cur.fail("expected 'layout <nodes> <edges>'");
+      }
+      cur.check_count(nnodes, "layout node");
+      cur.check_count(nedges, "layout edge");
+      cur.check_count(nnodes + nedges, "layout line");
+      deferred.push_back({DeferredBlock::kLayout, d, c, cur.pos, cur.line,
+                          {}, nnodes, nedges});
+      // The count check leaves a whole line for each of these.
+      for (std::size_t l = 0; l < nnodes + nedges; ++l) cur.next_line();
+      if (cur.next_line() != "endcone") cur.fail("expected 'endcone'");
+    }
+    if (cur.next_line() != "enddesign") cur.fail("expected 'enddesign'");
+  }
+  if (cur.pos != cur.text.size()) cur.fail("trailing bytes after end marker");
 }
 
 /// Parses one shard's text, which must carry the checksum `want_crc` and
 /// hold `want_designs` designs, as its manifest row (`listed_by`, "corpus
 /// manifest <path>: line <n>, key 'shard<i>'") says.
+///
+/// One serial pass reads the structure; the embedded netlists and the
+/// layouts it defers are then parsed as the items of one pool region, each
+/// writing only its own field. A serial reader would have stopped at the
+/// first error in file order, and every deferred block lies before the
+/// point where the structural pass stopped, so the error reported is the
+/// first failed block's, else the structural pass's: the same at any
+/// width.
 ShardedCorpus::Shard parse_shard(std::string_view text,
                                  const std::string& path,
                                  const std::vector<std::string>& families,
@@ -422,141 +596,25 @@ ShardedCorpus::Shard parse_shard(std::string_view text,
 
   ShardedCorpus::Shard shard;
   shard.corpus.families = families;
-  while (true) {
-    const std::string_view head = cur.next_line();
-    if (head.starts_with("end ")) {
-      Words ws{head.substr(4)};
-      std::size_t n = 0;
-      if (!next_size(ws, &n) || n != shard.corpus.designs.size()) {
-        cur.fail("design count mismatch in end marker");
-      }
-      if (n != want_designs) {
-        cur.fail(std::to_string(n) + " designs differ from " +
-                 std::to_string(want_designs) + ", listed by " + listed_by);
-      }
-      break;
-    }
-    Words hw{head};
-    const std::string_view tag = hw.next(), name = hw.next(),
-                           family = hw.next();
-    if (family.empty() || tag != "design") {
-      cur.fail("expected 'design <name> <family>', got '" + std::string(head) +
-               "'");
-    }
-    DesignSample ds;
-
-    Words ls{cur.next_line()};
-    if (ls.next() != "labels") cur.fail("expected labels line");
-    ds.area_wo_opt = parse_double(cur, ls, "area_wo_opt");
-    ds.power_wo_opt = parse_double(cur, ls, "power_wo_opt");
-    ds.area_w_opt = parse_double(cur, ls, "area_w_opt");
-    ds.power_w_opt = parse_double(cur, ls, "power_w_opt");
-    ds.tool_area = parse_double(cur, ls, "tool_area");
-    ds.tool_power = parse_double(cur, ls, "tool_power");
-    ds.pr_runtime_seconds = parse_double(cur, ls, "pr_runtime_seconds");
-
-    ds.gen.rtl_text = cur.read_blob("rtl");
-    Words rs{cur.next_line()};
-    std::size_t nregs = 0;
-    if (rs.next() != "regrtl" || !next_size(rs, &nregs)) {
-      cur.fail("expected 'regrtl <count>'");
-    }
-    cur.check_count(nregs, "regrtl");
-    for (std::size_t r = 0; r < nregs; ++r) {
-      // Blob tag carries the register name: "reg <name> <bytes>".
-      const std::string_view header = cur.next_line();
-      Words hs{header};
-      const std::string_view htag = hs.next(), reg = hs.next();
-      std::size_t nbytes = 0;
-      if (reg.empty() || !next_size(hs, &nbytes) || htag != "reg") {
-        cur.fail("expected 'reg <name> <bytes>', got '" + std::string(header) +
-                 "'");
-      }
-      ds.gen.reg_rtl[std::string(reg)] =
-          cur.take_blob(nbytes, "register RTL blob extends past end of shard");
-    }
-    try {
-      ds.gen.netlist = read_netlist(cur.read_blob("netlist"));
-    } catch (const std::exception& e) {
-      cur.fail(std::string("embedded netlist: ") + e.what());
-    }
-
-    Words cs{cur.next_line()};
-    std::size_t ncones = 0;
-    if (cs.next() != "cones" || !next_size(cs, &ncones)) {
-      cur.fail("expected 'cones <count>'");
-    }
-    cur.check_count(ncones, "cones");
-    std::vector<std::vector<std::string>> design_exprs;
-    for (std::size_t c = 0; c < ncones; ++c) {
-      Words hs{cur.next_line()};
-      ConeSample cone;
-      cone.family = family;
-      cone.design = name;
-      const std::string_view htag = hs.next(), reg = hs.next();
-      if (reg.empty() || htag != "cone") {
-        cur.fail("expected 'cone <register> ...'");
-      }
-      cone.register_name = reg;
-      cone.is_state_reg = parse_long(cur, hs, "is_state_reg", 0, 1) != 0;
-      cone.has_layout = parse_long(cur, hs, "has_layout", 0, 1) != 0;
-      cone.slack_label = parse_double(cur, hs, "slack_label");
-      cone.clock_period = parse_double(cur, hs, "clock_period");
-      cone.rtl_text = cur.read_blob("rtl");
-      try {
-        cone.cone = read_netlist(cur.read_blob("conenet"));
-      } catch (const std::exception& e) {
-        cur.fail(std::string("embedded cone netlist: ") + e.what());
-      }
-      Words es{cur.next_line()};
-      std::size_t nexprs = 0;
-      if (es.next() != "exprs" || !next_size(es, &nexprs)) {
-        cur.fail("expected 'exprs <count>'");
-      }
-      cur.check_count(nexprs, "exprs");
-      std::vector<std::string> cexprs;
-      cexprs.reserve(nexprs);
-      for (std::size_t e = 0; e < nexprs; ++e) {
-        const std::string_view el = cur.next_line();
-        if (!el.starts_with("e ")) cur.fail("expected 'e <expression>'");
-        cexprs.emplace_back(el.substr(2));
-      }
-      Words lgs{cur.next_line()};
-      std::size_t nnodes = 0, nedges = 0;
-      if (lgs.next() != "layout" || !next_size(lgs, &nnodes) ||
-          !next_size(lgs, &nedges)) {
-        cur.fail("expected 'layout <nodes> <edges>'");
-      }
-      cur.check_count(nnodes, "layout node");
-      cur.check_count(nedges, "layout edge");
-      cur.check_count(nnodes + nedges, "layout line");
-      cone.layout.node_feats.reserve(nnodes);
-      for (std::size_t nidx = 0; nidx < nnodes; ++nidx) {
-        Words ns{cur.next_line()};
-        if (ns.next() != "n") cur.fail("expected layout node line");
-        std::array<double, 6> feats{};
-        for (double& f : feats) f = parse_double(cur, ns, "node feature");
-        cone.layout.node_feats.push_back(feats);
-      }
-      for (std::size_t eidx = 0; eidx < nedges; ++eidx) {
-        Words gs{cur.next_line()};
-        if (gs.next() != "g") cur.fail("expected layout edge line");
-        const long u = parse_long(cur, gs, "edge endpoint", 0,
-                                  static_cast<long>(nnodes) - 1);
-        const long v = parse_long(cur, gs, "edge endpoint", 0,
-                                  static_cast<long>(nnodes) - 1);
-        cone.layout.edges.emplace_back(static_cast<int>(u),
-                                       static_cast<int>(v));
-      }
-      if (cur.next_line() != "endcone") cur.fail("expected 'endcone'");
-      design_exprs.push_back(std::move(cexprs));
-      ds.cones.push_back(std::move(cone));
-    }
-    if (cur.next_line() != "enddesign") cur.fail("expected 'enddesign'");
-    shard.exprs.push_back(std::move(design_exprs));
-    shard.corpus.designs.push_back(std::move(ds));
+  std::vector<DeferredBlock> deferred;
+  std::exception_ptr structural;
+  try {
+    parse_structure(cur, want_designs, listed_by, shard, deferred);
+  } catch (...) {
+    structural = std::current_exception();
   }
-  if (cur.pos != body.size()) cur.fail("trailing bytes after end marker");
+  std::vector<std::exception_ptr> errors(deferred.size());
+  ThreadPool::instance().run_indexed(deferred.size(), [&](std::size_t k) {
+    try {
+      parse_deferred(deferred[k], body, path, shard);
+    } catch (...) {
+      errors[k] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& e : errors) {
+    if (e) std::rethrow_exception(e);
+  }
+  if (structural) std::rethrow_exception(structural);
   return shard;
 }
 
@@ -668,10 +726,14 @@ StreamProgress build_corpus_stream(
     }
   }
 
+  // At width 1 the region runs inline and gains nothing from a longer
+  // window, which would only hold (and a kill lose) more shards.
   const std::size_t lanes =
       static_cast<std::size_t>(ThreadPool::instance().width());
   const std::size_t window =
-      std::max<std::size_t>(1, (kDesignsPerLane * lanes + dps - 1) / dps);
+      lanes == 1
+          ? 1
+          : std::max<std::size_t>(1, (kDesignsPerLane * lanes + dps - 1) / dps);
   const std::size_t halt =
       static_cast<std::size_t>(std::max(0, options.halt_after_shards));
   for (std::size_t s0 = committed; s0 < shards_total;) {
@@ -686,13 +748,24 @@ StreamProgress build_corpus_stream(
     // one item per design. The designs' Rng forks are taken in global
     // design order first, so each design's bytes depend on (seed, options,
     // design index) alone and every shard is the same at any pool width.
+    // The items start largest first, ties in design order, so the region
+    // does not wait on a large design that started last; blocks stay
+    // indexed by design.
     const std::size_t lo = s0 * dps;
     const std::size_t hi = std::min(total_designs, s1 * dps);
     std::vector<Rng> rngs;
     rngs.reserve(hi - lo);
     for (std::size_t i = lo; i < hi; ++i) rngs.push_back(root.fork());
+    std::vector<std::size_t> order(hi - lo);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       return size_estimate(fams[(lo + a) % fams.size()]) >
+                              size_estimate(fams[(lo + b) % fams.size()]);
+                     });
     std::vector<DesignBlock> blocks(hi - lo);
-    ThreadPool::instance().run_indexed(blocks.size(), [&](std::size_t k) {
+    ThreadPool::instance().run_indexed(order.size(), [&](std::size_t j) {
+      const std::size_t k = order[j];
       blocks[k] = produce_block(lo + k, options, rngs[k]);
     });
 

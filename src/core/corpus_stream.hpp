@@ -6,8 +6,8 @@
 // round-robin, one `Rng::fork()` per design off the root seed) and groups
 // them into shards of `designs_per_shard`. It works through the shards a
 // window at a time: the fewest whole shards that give every pool lane four
-// designs (at pool width 1 and four designs per shard, one shard). One pool
-// item per design of the window assembles it (physical flow + register
+// designs, or one shard at pool width 1. One pool item per design of the
+// window, started largest first, assembles it (physical flow + register
 // cones), lints it, derives every cone's k-hop expressions once (the *embed*
 // stage; readers never recompute them), serializes it into its block of
 // shard text and frees it.
@@ -35,7 +35,7 @@
 //   nettag-shard v1
 //   design <name> <family>
 //   labels <area_wo> <power_wo> <area_w> <power_w> <tool_area> <tool_power>
-//          <pr_runtime>                      (one line, %.17g round-trip)
+//          <pr_runtime>                      (one line)
 //   rtl BLOB                                 (full-design pseudo-Verilog)
 //   regrtl <count>   then per entry: reg <name> BLOB
 //   netlist BLOB                             (netlist/io.hpp format)
@@ -49,6 +49,9 @@
 //   enddesign
 //   end <design count>
 //   checksum <crc32 hex>
+// Every real number is printf's %.17g text, written and read back exactly
+// by util/numbers.hpp; the reader takes nothing else (no leading '+', no
+// hex float).
 #pragma once
 
 #include <cstdint>
@@ -67,7 +70,7 @@ struct StreamOptions {
   CorpusOptions corpus;        ///< per-design knobs (flow, k_hop)
   int designs_per_family = 8;  ///< total designs per family, across shards
   /// Shard granularity. Peak RAM is bounded by the window, the fewest whole
-  /// shards that hold four designs per pool lane.
+  /// shards that hold four designs per pool lane (one shard at width 1).
   int designs_per_shard = 4;
   bool hierarchical = true;    ///< hierarchical vs flat designs
   HierarchyOptions hierarchy;
@@ -136,11 +139,12 @@ class ShardedCorpus {
     CorpusExpressions exprs; ///< [design][cone] — embedded at write time
   };
 
-  /// Loads shard `index` fully. Throws std::runtime_error with the shard
-  /// path plus byte offset and line on truncation or corruption, or when
-  /// the shard's checksum line or design count differs from its manifest
-  /// row (another intact shard copied over this one); that error also names
-  /// the manifest line and both values.
+  /// Loads shard `index` fully; its embedded netlists and layouts are
+  /// parsed on the pool. Throws std::runtime_error with the shard path plus
+  /// byte offset and line on truncation or corruption (the first error in
+  /// file order, at any width), or when the shard's checksum line or design
+  /// count differs from its manifest row (another intact shard copied over
+  /// this one); that error also names the manifest line and both values.
   Shard load(std::size_t index) const;
 
   /// Path of shard `index` (for tooling/diagnostics).

@@ -8,10 +8,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -24,6 +30,7 @@
 #include "nn/train_state.hpp"
 #include "rtlgen/hierarchy.hpp"
 #include "util/checksum.hpp"
+#include "util/numbers.hpp"
 #include "width_guard.hpp"
 
 namespace fs = std::filesystem;
@@ -151,6 +158,75 @@ TEST(Dataset, PrecomputedExpressionIndexMatchesDirectDerivation) {
     EXPECT_EQ(direct[i].cone_count, shared[i].cone_count);
     EXPECT_EQ(direct[i].avg_cone_nodes, shared[i].avg_cone_nodes);
   }
+}
+
+// --- shard numbers -----------------------------------------------------------
+
+/// Empty when `y` is `x` read back: the same bits, or for a NaN a NaN of
+/// the same sign (a NaN's payload is not printed); otherwise what differs.
+std::string read_back_error(double x, double y, const char* reader) {
+  const bool same = std::isnan(x)
+                        ? std::isnan(y) && std::signbit(y) == std::signbit(x)
+                        : std::bit_cast<std::uint64_t>(y) ==
+                              std::bit_cast<std::uint64_t>(x);
+  if (same) return "";
+  char buf[128];
+  std::snprintf(buf, sizeof buf, "%s read %a back as %a", reader, x, y);
+  return buf;
+}
+
+/// Empty when format_double(x) is printf's "%.17g" and parse_double and
+/// strtod both read it back exactly; otherwise the first difference.
+std::string number_round_trip_error(double x) {
+  char printed[64];
+  std::snprintf(printed, sizeof printed, "%.17g", x);
+  const std::string text(format_double(x).view());
+  if (text != printed) {
+    return "format_double gave '" + text + "', printf '" + printed + "'";
+  }
+  double parsed = 0;
+  if (!parse_double(text, &parsed)) return "parse_double rejected " + text;
+  std::string err = read_back_error(x, parsed, "parse_double");
+  if (err.empty()) {
+    err = read_back_error(x, std::strtod(printed, nullptr), "strtod");
+  }
+  return err.empty() ? "" : err + " (text " + text + ")";
+}
+
+TEST(ShardNumbers, FormatIsPrintfAndParsesBackExactly) {
+  using L = std::numeric_limits<double>;
+  for (const double x :
+       {0.0, -0.0, L::infinity(), -L::infinity(), L::quiet_NaN(),
+        -L::quiet_NaN(), L::denorm_min(), -L::denorm_min(), L::min(), L::max(),
+        L::lowest(), L::epsilon(), 9007199254740993.0 /* 2^53 + 1 */, 0.1,
+        1e23, 2.2250738585072009e-308 /* the largest subnormal */}) {
+    EXPECT_EQ(number_round_trip_error(x), "") << x;
+  }
+  // Seeded random bit patterns: every exponent, subnormals and NaN
+  // payloads included.
+  std::mt19937_64 bits(0x5eed5);
+  int failures = 0;
+  std::string first;
+  for (int i = 0; i < 1'000'000; ++i) {
+    const std::string err = number_round_trip_error(
+        std::bit_cast<double>(static_cast<std::uint64_t>(bits())));
+    if (!err.empty() && failures++ == 0) first = err;
+  }
+  EXPECT_EQ(failures, 0) << "first: " << first;
+}
+
+TEST(ShardNumbers, ParserRejectsTextTheWriterNeverEmits) {
+  for (const std::string word :
+       {std::string("+1"), std::string("0x1p3"), std::string("1e"),
+        std::string("1.5\0", 4), std::string(), std::string("1e999"),
+        std::string("1.5 "), std::string("-")}) {
+    double out = 42;
+    EXPECT_FALSE(parse_double(word, &out)) << "'" << word << "'";
+    EXPECT_EQ(out, 42) << "'" << word << "'";
+  }
+  double out = 0;
+  EXPECT_TRUE(parse_double("-1.5e-3", &out));
+  EXPECT_EQ(out, -1.5e-3);
 }
 
 // --- streaming corpus builder + reader ---------------------------------------
@@ -375,8 +451,9 @@ TEST(Stream, ShardBytesIndependentOfPoolWidth) {
   }
 }
 
-/// One design per shard: 4 shards, which one window holds at any width
-/// (4 designs per lane already fill it at width 1).
+/// One design per shard: 4 shards, which one window holds at every width
+/// above 1 (4 designs per lane already fill it at width 2); at width 1 a
+/// window is one shard.
 StreamOptions one_design_shards() {
   StreamOptions so = small_stream_options();
   so.designs_per_shard = 1;
@@ -394,8 +471,9 @@ TEST(Stream, FailingCallbackCommitsExactlyTheShardsBeforeIt) {
   for (const int width : {1, 4}) {
     const WidthGuard guard(width);
     const std::string dir = temp_dir("nettag_stream_cb_failed");
-    // The window holds all 4 shards; the callback throws inside it, after
-    // shard 1 is committed.
+    // At width 4 the window holds all 4 shards and the callback throws
+    // inside it; at width 1 each shard is its own window. Either way it
+    // throws after shard 1 is committed.
     EXPECT_THROW(build_corpus_stream(dir, so, 0x77,
                                      [](const ShardStats& st) {
                                        if (st.index == 1) {
@@ -429,7 +507,7 @@ TEST(Stream, HaltInsideAWindowWritesExactlyTheHaltedShards) {
   const std::map<std::string, std::string> reference = dir_files(straight);
   fs::remove_all(straight);
 
-  const WidthGuard guard(1);  // a 4-shard window
+  const WidthGuard guard(2);  // one window over all 4 shards, clipped to 3
   const std::string dir = temp_dir("nettag_stream_halt_window");
   so.halt_after_shards = 3;
   const StreamProgress halted = build_corpus_stream(dir, so, 0x78);
@@ -630,6 +708,62 @@ TEST(Stream, ShardDesignCountRejectedAgainstManifestRow) {
   fs::remove_all(dir);
 }
 
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// Every field of two loaded shards is equal: doubles by their bits,
+/// netlists by their text.
+void expect_same_shard(const ShardedCorpus::Shard& a,
+                       const ShardedCorpus::Shard& b, const std::string& ctx) {
+  EXPECT_EQ(a.corpus.families, b.corpus.families) << ctx;
+  EXPECT_EQ(a.exprs, b.exprs) << ctx;
+  ASSERT_EQ(a.corpus.designs.size(), b.corpus.designs.size()) << ctx;
+  for (std::size_t d = 0; d < a.corpus.designs.size(); ++d) {
+    const DesignSample& x = a.corpus.designs[d];
+    const DesignSample& y = b.corpus.designs[d];
+    const std::string at = ctx + " design " + std::to_string(d);
+    EXPECT_EQ(netlist_to_string(x.gen.netlist),
+              netlist_to_string(y.gen.netlist))
+        << at;
+    EXPECT_EQ(x.gen.rtl_text, y.gen.rtl_text) << at;
+    EXPECT_EQ(x.gen.reg_rtl, y.gen.reg_rtl) << at;
+    const std::vector<std::uint64_t> xl = {
+        bits_of(x.area_wo_opt), bits_of(x.power_wo_opt),
+        bits_of(x.area_w_opt),  bits_of(x.power_w_opt),
+        bits_of(x.tool_area),   bits_of(x.tool_power),
+        bits_of(x.pr_runtime_seconds)};
+    const std::vector<std::uint64_t> yl = {
+        bits_of(y.area_wo_opt), bits_of(y.power_wo_opt),
+        bits_of(y.area_w_opt),  bits_of(y.power_w_opt),
+        bits_of(y.tool_area),   bits_of(y.tool_power),
+        bits_of(y.pr_runtime_seconds)};
+    EXPECT_EQ(xl, yl) << at;
+    ASSERT_EQ(x.cones.size(), y.cones.size()) << at;
+    for (std::size_t c = 0; c < x.cones.size(); ++c) {
+      const ConeSample& p = x.cones[c];
+      const ConeSample& q = y.cones[c];
+      const std::string cat = at + " cone " + std::to_string(c);
+      EXPECT_EQ(netlist_to_string(p.cone), netlist_to_string(q.cone)) << cat;
+      EXPECT_EQ(p.rtl_text, q.rtl_text) << cat;
+      EXPECT_EQ(p.family, q.family) << cat;
+      EXPECT_EQ(p.design, q.design) << cat;
+      EXPECT_EQ(p.register_name, q.register_name) << cat;
+      EXPECT_EQ(p.is_state_reg, q.is_state_reg) << cat;
+      EXPECT_EQ(p.has_layout, q.has_layout) << cat;
+      EXPECT_EQ(bits_of(p.slack_label), bits_of(q.slack_label)) << cat;
+      EXPECT_EQ(bits_of(p.clock_period), bits_of(q.clock_period)) << cat;
+      ASSERT_EQ(p.layout.node_feats.size(), q.layout.node_feats.size()) << cat;
+      for (std::size_t n = 0; n < p.layout.node_feats.size(); ++n) {
+        for (std::size_t f = 0; f < 6; ++f) {
+          ASSERT_EQ(bits_of(p.layout.node_feats[n][f]),
+                    bits_of(q.layout.node_feats[n][f]))
+              << cat << " node " << n << " feature " << f;
+        }
+      }
+      EXPECT_EQ(p.layout.edges, q.layout.edges) << cat;
+    }
+  }
+}
+
 TEST(Stream, MutatedShardsParseOrFailWithLocation) {
   // Seeded mutants of a one-design shard, each re-checksummed and listed
   // with that checksum in the manifest so the parser meets it: truncations,
@@ -649,6 +783,18 @@ TEST(Stream, MutatedShardsParseOrFailWithLocation) {
   line_starts.push_back(body.size());
   const auto line_at = [&](std::size_t k) {
     return body.substr(line_starts[k], line_starts[k + 1] - line_starts[k]);
+  };
+  // Each mutant loads at width 1 and at width 4, where the shard's blocks
+  // are parsed on the pool: the outcome, the error text and the loaded
+  // shard must not depend on the width.
+  const auto load_at = [&](int width, ShardedCorpus::Shard* shard) {
+    const WidthGuard guard(width);
+    try {
+      *shard = ShardedCorpus(dir).load(0);
+      return std::string();
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
   };
   Rng rng(0x3a7e);
   int loaded = 0, rejected = 0;
@@ -670,12 +816,14 @@ TEST(Stream, MutatedShardsParseOrFailWithLocation) {
         break;
     }
     write_listed_shard(dir, 0, with_checksum(m));
-    try {
-      ShardedCorpus(dir).load(0);
+    ShardedCorpus::Shard serial, pooled;
+    const std::string msg = load_at(1, &serial);
+    ASSERT_EQ(load_at(4, &pooled), msg) << "mutant " << t;
+    if (msg.empty()) {
       ++loaded;
-    } catch (const std::runtime_error& e) {
+      expect_same_shard(pooled, serial, "mutant " + std::to_string(t));
+    } else {
       ++rejected;
-      const std::string msg = e.what();
       ASSERT_EQ(msg.rfind("shard " + path + ": ", 0), 0u) << msg;
       ASSERT_NE(msg.find("(line "), std::string::npos) << msg;
       ASSERT_NE(msg.find("byte offset "), std::string::npos) << msg;
@@ -683,6 +831,111 @@ TEST(Stream, MutatedShardsParseOrFailWithLocation) {
   }
   EXPECT_GT(rejected, 0);
   EXPECT_GT(loaded, 0);  // byte flips inside RTL text still parse
+  fs::remove_all(dir);
+}
+
+TEST(Stream, LoadIdenticalAtEveryWidth) {
+  // A shard's embedded netlists and layouts are parsed on the pool; what
+  // load returns must not depend on the width.
+  const std::string dir = temp_dir("nettag_stream_load_width");
+  StreamOptions so = small_stream_options(/*with_physical=*/true);
+  so.hierarchical = true;
+  so.hierarchy.levels = 2;
+  so.hierarchy.min_blocks_per_level = 2;
+  so.hierarchy.max_blocks_per_level = 2;
+  so.hierarchy.shared_blocks = 1;
+  build_corpus_stream(dir, so, 0x5152);
+  const ShardedCorpus corpus(dir);
+  ASSERT_EQ(corpus.num_shards(), 2u);
+  for (std::size_t s = 0; s < corpus.num_shards(); ++s) {
+    std::vector<ShardedCorpus::Shard> loads;
+    for (const int width : {1, 2, 4}) {
+      const WidthGuard guard(width);
+      loads.push_back(corpus.load(s));
+    }
+    std::size_t layout_nodes = 0;
+    for (const DesignSample& ds : loads[0].corpus.designs) {
+      for (const ConeSample& cone : ds.cones) {
+        layout_nodes += cone.layout.node_feats.size();
+      }
+    }
+    EXPECT_GT(layout_nodes, 0u) << "shard " << s;
+    expect_same_shard(loads[1], loads[0], "shard " + std::to_string(s) +
+                                              " width 2");
+    expect_same_shard(loads[2], loads[0], "shard " + std::to_string(s) +
+                                              " width 4");
+  }
+  fs::remove_all(dir);
+}
+
+TEST(Stream, SignedLayoutValueRejectedWithLocation) {
+  // The writer never emits a leading '+', and the reader takes only what
+  // std::from_chars takes.
+  const std::string dir = temp_dir("nettag_stream_plus_sign");
+  build_corpus_stream(dir, small_stream_options(/*with_physical=*/true), 0x48);
+  const std::string path = ShardedCorpus(dir).shard_path(0);
+  const std::string body = without_checksum(read_file(path));
+  const std::size_t at = body.find("\nn ") + 1;
+  ASSERT_NE(at, 0u);
+  const std::size_t first_end = body.find(' ', at + 2);
+  const std::string mutated =
+      body.substr(0, at + 2) + "+0.5" + body.substr(first_end);
+  write_listed_shard(dir, 0, with_checksum(mutated));
+  // The cursor has passed the bad line: it names the next line's number
+  // and its first byte.
+  const std::size_t next = mutated.find('\n', at) + 1;
+  const std::string where =
+      "bad node feature: +0.5 (line " +
+      std::to_string(line_of(mutated, "n ") + 1) + ", byte offset " +
+      std::to_string(next) + ")";
+  for (const int width : {1, 4}) {
+    const WidthGuard guard(width);
+    expect_located_error([&] { ShardedCorpus(dir).load(0); }, path, where,
+                         true);
+  }
+  fs::remove_all(dir);
+}
+
+TEST(Stream, FirstErrorInFileOrderAtEveryWidth) {
+  // Three defects: a bad layout value and a broken netlist in a later cone,
+  // which are parsed as separate pool items, then a wrong design count in
+  // the end marker, which the structural pass meets. A serial reader stops
+  // at the first; so must the pooled one, at any width.
+  const std::string dir = temp_dir("nettag_stream_two_defects");
+  build_corpus_stream(dir, small_stream_options(/*with_physical=*/true), 0x49);
+  const std::string path = ShardedCorpus(dir).shard_path(0);
+  std::string body = without_checksum(read_file(path));
+  const std::size_t node = body.find("\nn ") + 1;
+  ASSERT_NE(node, 0u);
+  ASSERT_EQ(body.rfind("\ncone ", node), body.find("\ncone "))
+      << "the first layout line belongs to cone 0";
+  body[node + 2] = 'x';
+  const std::size_t later = body.find("\nconenet ", node);
+  ASSERT_NE(later, std::string::npos);
+  const std::size_t blob = body.find('\n', later + 1) + 1;
+  ASSERT_EQ(body.compare(blob, 7, "module "), 0);
+  body[blob] = 'X';  // "Xodule": the netlist reader rejects it
+  body.replace(body.rfind("\nend ") + 1, std::string::npos, "end 9\n");
+  write_listed_shard(dir, 0, with_checksum(body));
+  const std::string want =
+      "(line " + std::to_string(line_of(body, "n ") + 1) + ", byte offset " +
+      std::to_string(body.find('\n', node) + 1) + ")";
+  std::vector<std::string> messages;
+  for (const int width : {1, 4}) {
+    const WidthGuard guard(width);
+    try {
+      ShardedCorpus(dir).load(0);
+      ADD_FAILURE() << "width " << width << ": accepted";
+    } catch (const std::runtime_error& e) {
+      messages.push_back(e.what());
+    }
+  }
+  ASSERT_EQ(messages.size(), 2u);
+  EXPECT_EQ(messages[0], messages[1]);
+  EXPECT_EQ(messages[0].rfind("shard " + path + ": bad node feature: ", 0),
+            0u)
+      << messages[0];
+  EXPECT_NE(messages[0].find(want), std::string::npos) << messages[0];
   fs::remove_all(dir);
 }
 
