@@ -502,9 +502,7 @@ int main(int argc, char** argv) {
       runs[a].push_back(results[a]);
     }
   }
-  for (const char* suffix : {".ckpt", ".exprllm.bin", ".tagformer.bin"}) {
-    std::remove((ckpt + suffix).c_str());
-  }
+  std::remove((ckpt + ".ckpt").c_str());
 
   struct Summary {
     Spread qps, seconds, shed;

@@ -30,15 +30,14 @@ int do_pretrain(const std::string& prefix) {
   NetTag model(NetTagConfig{}, 7);
   PretrainOptions po;
   pretrain(model, corpus, po, rng);
-  model.save(prefix);
-  std::cout << "saved " << prefix << ".exprllm.bin / .tagformer.bin\n";
+  save_checkpoint(model, prefix);
+  std::cout << "saved " << prefix << ".ckpt\n";
   return 0;
 }
 
 int do_embed(const std::string& prefix, const std::string& netlist_path,
              const std::string& csv_path) {
-  NetTag model(NetTagConfig{}, 7);
-  model.load(prefix);
+  const std::unique_ptr<NetTag> model = load_checkpoint(prefix);
   std::ifstream in(netlist_path);
   if (!in) {
     std::cerr << "cannot open netlist " << netlist_path << "\n";
@@ -46,8 +45,8 @@ int do_embed(const std::string& prefix, const std::string& netlist_path,
   }
   const Netlist nl = read_netlist(in);
   nl.validate();
-  const NetTag::ConeEmbedding emb = model.embed(nl);
-  const Mat circuit = model.embed_circuit(nl);
+  const NetTag::ConeEmbedding emb = model->embed(nl);
+  const Mat circuit = model->embed_circuit(nl);
 
   std::ofstream out(csv_path);
   if (!out) {
@@ -85,7 +84,7 @@ int demo() {
   po.tag_steps = 30;
   po.aux_steps = 10;
   pretrain(model, corpus, po, rng);
-  model.save(prefix);
+  save_checkpoint(model, prefix);
 
   // Dump a generated design to disk and embed it through the CLI path.
   const std::string nl_path = "/tmp/nettag_export_demo.nl";

@@ -69,9 +69,14 @@ int main() {
             << " (sum of cone embeddings)\n";
 
   // -- 5. Persistence.
-  model.save("/tmp/nettag_quickstart");
-  NetTag restored(NetTagConfig{}, /*seed=*/7);
-  restored.load("/tmp/nettag_quickstart");
-  std::cout << "\nmodel saved and reloaded from /tmp/nettag_quickstart.*\n";
+  save_checkpoint(model, "/tmp/nettag_quickstart");
+  const std::unique_ptr<NetTag> restored =
+      load_checkpoint("/tmp/nettag_quickstart");
+  std::cout << "\nmodel saved to and reloaded from "
+               "/tmp/nettag_quickstart.ckpt (weights "
+            << (params_fingerprint(*restored) == params_fingerprint(model)
+                    ? "equal"
+                    : "DIFFER")
+            << ")\n";
   return 0;
 }

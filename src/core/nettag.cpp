@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <stdexcept>
 
 #include "analysis/check.hpp"
 #include "model/graph.hpp"
 #include "netlist/cone.hpp"
-#include "nn/serialize.hpp"
 #include "util/checksum.hpp"
-#include "util/cli.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
 
@@ -187,123 +183,6 @@ Mat NetTag::embed_circuit(const Netlist& nl, std::size_t max_cone_gates,
   return sum;
 }
 
-void NetTag::save(const std::string& path_prefix) const {
-  save_params(path_prefix + ".exprllm.bin", expr_llm_->params());
-  save_params(path_prefix + ".tagformer.bin", tagformer_->params());
-}
-
-void NetTag::load(const std::string& path_prefix) {
-  load_params(path_prefix + ".exprllm.bin", expr_llm_->params());
-  load_params(path_prefix + ".tagformer.bin", tagformer_->params());
-  clear_text_cache();
-}
-
-namespace {
-constexpr const char* kCkptFormat = "nettag-ckpt-v1";
-}  // namespace
-
-void save_checkpoint(const NetTag& model, const std::string& prefix) {
-  const NetTagConfig& c = model.config();
-  save_manifest(
-      prefix + ".ckpt",
-      {{"format", kCkptFormat},
-       {"expr_d_model", std::to_string(c.expr_llm.d_model)},
-       {"expr_num_layers", std::to_string(c.expr_llm.num_layers)},
-       {"expr_num_heads", std::to_string(c.expr_llm.num_heads)},
-       {"expr_d_ff", std::to_string(c.expr_llm.d_ff)},
-       {"expr_max_len", std::to_string(c.expr_llm.max_len)},
-       {"expr_out_dim", std::to_string(c.expr_llm.out_dim)},
-       {"tag_d_model", std::to_string(c.tag_d_model)},
-       {"tag_layers", std::to_string(c.tag_layers)},
-       {"out_dim", std::to_string(c.out_dim)},
-       {"k_hop", std::to_string(c.k_hop)},
-       {"use_text_attributes", c.use_text_attributes ? "1" : "0"},
-       {"text_cache_entries", std::to_string(c.text_cache_entries)}});
-  model.save(prefix);
-}
-
-NetTagConfig read_checkpoint_config(const std::string& prefix) {
-  const std::string path = prefix + ".ckpt";
-  NetTagConfig c;
-  bool format_ok = false;
-  std::vector<int> linenos;
-  const auto entries = load_manifest(path, &linenos);
-  std::map<std::string, int> seen;  // key -> first source line
-  int lineno = 0;
-  auto fail = [&path, &lineno](const std::string& what) {
-    throw std::runtime_error("read_checkpoint_config: " + path + ": line " +
-                             std::to_string(lineno) + ": " + what);
-  };
-  // Every dimension must be a positive integer; std::stoi's tolerance for
-  // trailing junk and its huge range would let a corrupt manifest build a
-  // nonsensical (or allocation-bomb) model, so parse strictly and cap at a
-  // bound no real configuration approaches.
-  auto to_int = [&fail](const std::string& key, const std::string& v) {
-    long long out = 0;
-    std::string err;
-    if (!cli::parse_int(v.c_str(), 1, 1 << 20, &out, &err)) {
-      fail("key '" + key + "': " + err);
-    }
-    return static_cast<int>(out);
-  };
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const auto& [key, value] = entries[i];
-    lineno = linenos[i];
-    const auto [prev, fresh] = seen.emplace(key, lineno);
-    if (!fresh) {
-      fail("duplicate key '" + key + "' (first on line " +
-           std::to_string(prev->second) + ")");
-    }
-    if (key == "format") {
-      if (value != kCkptFormat) fail("unknown format '" + value + "'");
-      format_ok = true;
-    } else if (key == "expr_d_model") {
-      c.expr_llm.d_model = to_int(key, value);
-    } else if (key == "expr_num_layers") {
-      c.expr_llm.num_layers = to_int(key, value);
-    } else if (key == "expr_num_heads") {
-      c.expr_llm.num_heads = to_int(key, value);
-    } else if (key == "expr_d_ff") {
-      c.expr_llm.d_ff = to_int(key, value);
-    } else if (key == "expr_max_len") {
-      c.expr_llm.max_len = to_int(key, value);
-    } else if (key == "expr_out_dim") {
-      c.expr_llm.out_dim = to_int(key, value);
-    } else if (key == "tag_d_model") {
-      c.tag_d_model = to_int(key, value);
-      if (c.tag_d_model % TagFormer::kNumHeads != 0) {
-        fail("tag_d_model (" + value + ") must be a multiple of TAGFormer's " +
-             std::to_string(TagFormer::kNumHeads) + " attention heads");
-      }
-    } else if (key == "tag_layers") {
-      c.tag_layers = to_int(key, value);
-    } else if (key == "out_dim") {
-      c.out_dim = to_int(key, value);
-    } else if (key == "k_hop") {
-      c.k_hop = to_int(key, value);
-    } else if (key == "use_text_attributes") {
-      if (value != "0" && value != "1") {
-        fail("key 'use_text_attributes': expected 0 or 1, got '" + value + "'");
-      }
-      c.use_text_attributes = value == "1";
-    } else if (key == "text_cache_entries") {
-      c.text_cache_entries = static_cast<std::size_t>(to_int(key, value));
-    }
-    // Unknown keys are ignored so older binaries can read newer manifests.
-  }
-  if (!format_ok) {
-    throw std::runtime_error("read_checkpoint_config: " + path +
-                             ": missing 'format' line (not a checkpoint?)");
-  }
-  if (c.expr_llm.d_model % c.expr_llm.num_heads != 0) {
-    throw std::runtime_error(
-        "read_checkpoint_config: " + path + ": expr_num_heads (" +
-        std::to_string(c.expr_llm.num_heads) + ") must divide expr_d_model (" +
-        std::to_string(c.expr_llm.d_model) + ")");
-  }
-  return c;
-}
-
 std::uint32_t params_fingerprint(const NetTag& model) {
   std::uint32_t crc = 0;
   auto fold = [&crc](const std::vector<Tensor>& params) {
@@ -314,13 +193,6 @@ std::uint32_t params_fingerprint(const NetTag& model) {
   fold(model.expr_llm().params());
   fold(model.tagformer().params());
   return crc;
-}
-
-std::unique_ptr<NetTag> load_checkpoint(const std::string& prefix,
-                                        std::uint64_t seed) {
-  auto model = std::make_unique<NetTag>(read_checkpoint_config(prefix), seed);
-  model->load(prefix);
-  return model;
 }
 
 }  // namespace nettag

@@ -29,6 +29,7 @@
 #include "model/text_encoder.hpp"
 #include "netlist/cone.hpp"
 #include "netlist/netlist.hpp"
+#include "nn/train_state.hpp"
 
 namespace nettag {
 
@@ -120,10 +121,6 @@ class NetTag {
   /// TAGFormer input width (text-emb + phys, or base + phys).
   int tag_in_dim() const;
 
-  // --- persistence ---------------------------------------------------------
-  void save(const std::string& path_prefix) const;
-  void load(const std::string& path_prefix);
-
   void clear_text_cache() { text_cache_->clear(); }
   std::size_t text_cache_size() const { return text_cache_->size(); }
   /// Counter access for the serve `stats` endpoint.
@@ -158,18 +155,18 @@ class NetTag {
 
 // --- checkpoints -------------------------------------------------------------
 //
-// save() writes bare parameter files; a *checkpoint* additionally records the
-// architecture in a `<prefix>.ckpt` manifest so a consumer (the serving
-// daemon, a fresh process) can reconstruct the model without out-of-band
-// knowledge of its configuration.
+// A checkpoint is one file, `<prefix>.ckpt` (core/checkpoint.cpp): the
+// architecture, both encoders' parameters, an optional trainer section and a
+// CRC-32, committed by one atomic rename. Its readers check the whole file
+// before they build or touch a model, and throw std::runtime_error naming it.
 
-/// Writes `<prefix>.ckpt` (architecture manifest) plus the parameter files.
-void save_checkpoint(const NetTag& model, const std::string& prefix);
+/// Writes `<prefix>.ckpt`, with `trainer` as its trainer section when set.
+void save_checkpoint(const NetTag& model, const std::string& prefix,
+                     const TrainState* trainer = nullptr);
 
-/// Reads the manifest written by save_checkpoint. Throws std::runtime_error
-/// on missing/malformed manifests, unknown format versions, duplicate keys
-/// (the error names both source lines), non-positive dimensions, or an
-/// attention-head count that does not divide expr_d_model.
+/// The architecture in `<prefix>.ckpt`. Throws on a damaged file, an unknown
+/// format, duplicate header keys (naming both lines), non-positive
+/// dimensions, or attention-head counts that do not divide their widths.
 NetTagConfig read_checkpoint_config(const std::string& prefix);
 
 /// CRC-32 over every parameter matrix (ExprLLM then TAGFormer, list order).
@@ -177,9 +174,13 @@ NetTagConfig read_checkpoint_config(const std::string& prefix);
 /// cache keys so a hot-swapped checkpoint cannot replay stale entries.
 std::uint32_t params_fingerprint(const NetTag& model);
 
-/// Reconstructs a model from `<prefix>.ckpt` + parameter files. The seed
-/// only affects transient init values, which load() overwrites.
-std::unique_ptr<NetTag> load_checkpoint(const std::string& prefix,
-                                        std::uint64_t seed = 7);
+/// Rebuilds the model in `<prefix>.ckpt`. Before it allocates, it refuses a
+/// header that implies other parameter counts than the tensors hold.
+std::unique_ptr<NetTag> load_checkpoint(const std::string& prefix);
+
+/// The resume read: loads `<prefix>.ckpt`'s parameters into `model` and
+/// returns its trainer section. Throws, with `model` untouched, when it has
+/// none or a tensor's shape differs (naming section, index and shapes).
+TrainState load_train_checkpoint(NetTag& model, const std::string& prefix);
 
 }  // namespace nettag

@@ -309,8 +309,8 @@ std::vector<float> train_expr_phase(
 
   int start_step = 0;
   if (resume && resume->next_step > 0) {
-    // Encoder weights were already loaded from the checkpoint's parameter
-    // files; the rest of the trained state lives in the TrainState record.
+    // Encoder weights were already loaded from the checkpoint's tensors;
+    // the rest of the trained state lives in its trainer section.
     restore_param_values(prop_head.params(), resume->extra_params);
     opt.restore(resume->adam_t, resume->adam_m, resume->adam_v);
     rng.set_state(resume->rng_state);
@@ -534,15 +534,14 @@ PretrainReport pretrain_impl(NetTag& model, const Corpus& corpus,
   auto save_phase_state = [&](TrainState st, std::vector<float> prior) {
     st.prior_losses = std::move(prior);
     st.shard_index = shard_index;
-    save_checkpoint(model, ck.prefix);
-    save_train_state(train_state_path(ck.prefix), st);
+    save_checkpoint(model, ck.prefix, &st);
   };
 
   // ---------------- Step 1: ExprLLM expression contrastive -----------------
   std::vector<float> expr_losses;
   if (resume && !expr_resume) {
     // Expr phase completed before the checkpoint: its trained weights came
-    // from the parameter files, its curve from the record.
+    // from the checkpoint's tensors, its curve from its trainer section.
     expr_losses = resume->prior_losses;
   } else if (model.config().use_text_attributes && options.objective_expr_cl) {
     std::vector<std::string> exprs =
@@ -993,11 +992,10 @@ PretrainReport resume_pretrain(NetTag& model, const Corpus& corpus,
     throw std::runtime_error(
         "resume_pretrain: options.checkpoint.prefix is empty");
   }
-  const TrainState state =
-      load_train_state(train_state_path(options.checkpoint.prefix));
   // Model weights as of the checkpoint; the expression encoder must be
   // restored *before* cone preparation, whose input features it produces.
-  model.load(options.checkpoint.prefix);
+  const TrainState state =
+      load_train_checkpoint(model, options.checkpoint.prefix);
   ReplicaModels replicas;
   return pretrain_impl(model, corpus, options, rng, &state, replicas);
 }
@@ -1016,8 +1014,7 @@ PretrainReport resume_pretrain_streaming(NetTag& model,
         "resume_pretrain_streaming: options.checkpoint.prefix is empty");
   }
   const TrainState state =
-      load_train_state(train_state_path(options.checkpoint.prefix));
-  model.load(options.checkpoint.prefix);
+      load_train_checkpoint(model, options.checkpoint.prefix);
   return pretrain_streaming_impl(model, corpus, options, rng, &state);
 }
 

@@ -81,8 +81,8 @@ void pretrain_layout_encoder(Gcn& encoder,
 /// auxiliary encoders internally when alignment is enabled (they are used
 /// only during pre-training, per the paper).
 ///
-/// With options.checkpoint enabled, the run periodically persists model
-/// parameters plus a TrainState record, and stops cleanly (after the step
+/// With options.checkpoint enabled, the run periodically saves a checkpoint
+/// with a trainer section (core/nettag.hpp), and stops cleanly (after the step
 /// in flight, with a final checkpoint) when the stop flag fires.
 PretrainReport pretrain(NetTag& model, const Corpus& corpus,
                         const PretrainOptions& options, Rng& rng);

@@ -11,70 +11,8 @@
 namespace nettag {
 
 namespace {
-constexpr std::uint32_t kMagic = 0x4e544147;  // "NTAG"
 constexpr const char* kChecksumKey = "checksum";
 }  // namespace
-
-void save_params(const std::string& path, const std::vector<Tensor>& params) {
-  AtomicFileWriter writer(path, /*binary=*/true);
-  std::ofstream& out = writer.stream();
-  const std::uint32_t magic = kMagic;
-  const std::uint32_t count = static_cast<std::uint32_t>(params.size());
-  out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-  for (const Tensor& p : params) {
-    const std::int32_t r = p->value.rows, c = p->value.cols;
-    out.write(reinterpret_cast<const char*>(&r), sizeof(r));
-    out.write(reinterpret_cast<const char*>(&c), sizeof(c));
-    out.write(reinterpret_cast<const char*>(p->value.v.data()),
-              static_cast<std::streamsize>(p->value.v.size() * sizeof(float)));
-  }
-  writer.commit();
-}
-
-void load_params(const std::string& path, const std::vector<Tensor>& params) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("load_params: cannot open " + path);
-  std::uint32_t magic = 0, count = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in || magic != kMagic) {
-    throw std::runtime_error("load_params: bad magic in " + path);
-  }
-  if (count != params.size()) {
-    throw std::runtime_error("load_params: parameter count mismatch in " + path);
-  }
-  // Stage every tensor into scratch buffers and validate the complete file
-  // first; params are committed only after everything checks out, so a
-  // truncated or corrupt file never leaves them half-loaded.
-  std::vector<Mat> staged;
-  staged.reserve(params.size());
-  for (const Tensor& p : params) {
-    std::int32_t r = 0, c = 0;
-    in.read(reinterpret_cast<char*>(&r), sizeof(r));
-    in.read(reinterpret_cast<char*>(&c), sizeof(c));
-    if (!in) throw std::runtime_error("load_params: truncated file " + path);
-    if (r != p->value.rows || c != p->value.cols) {
-      throw std::runtime_error("load_params: shape mismatch in " + path);
-    }
-    Mat m(r, c);
-    in.read(reinterpret_cast<char*>(m.v.data()),
-            static_cast<std::streamsize>(m.v.size() * sizeof(float)));
-    if (!in) throw std::runtime_error("load_params: truncated file " + path);
-    staged.push_back(std::move(m));
-  }
-  // The declared payload must account for the *whole* file: trailing bytes
-  // mean the header under-declares what was written (a torn or mixed-up
-  // file), not a benign extension.
-  in.peek();
-  if (!in.eof()) {
-    throw std::runtime_error(
-        "load_params: file longer than its declared payload: " + path);
-  }
-  for (std::size_t k = 0; k < params.size(); ++k) {
-    params[k]->value = std::move(staged[k]);
-  }
-}
 
 void save_manifest(
     const std::string& path,

@@ -1,18 +1,10 @@
-// TrainState: the optimizer-and-progress companion of a model checkpoint, so
-// an interrupted pre-training run can resume *bit-identically*
-// (docs/ARCHITECTURE.md §8).
-//
-// A checkpoint prefix owns three files: `<prefix>.exprllm.bin` and
-// `<prefix>.tagformer.bin` (model parameters, nn/serialize.hpp) and
-// `<prefix>.trainer.bin` (this record). The record captures everything the
-// training loop needs beyond the parameters themselves: which phase the run
-// was in, the next step to execute, the training-loop RNG stream, Adam's
-// bias-correction count and moment estimates, the values of any parameters
-// trained outside the model files (the pretraining heads and the [MASK]
-// embedding), and the loss history so a resumed run reports the same curve.
-//
-// All writes go through temp+rename and carry a trailing CRC-32; a load
-// either returns a fully validated record or throws — never partial state.
+// TrainState: the optimizer-and-progress section of a training checkpoint
+// (core/nettag.hpp), so an interrupted pre-training run can resume
+// *bit-identically* (docs/ARCHITECTURE.md §8): the phase the run was in, the
+// next step to execute, the training-loop RNG stream, Adam's bias-correction
+// count and moment estimates, the values of parameters trained outside the
+// model (the pretraining heads and the [MASK] embedding), and the loss
+// history so a resumed run reports the same curve.
 #pragma once
 
 #include <atomic>
@@ -24,13 +16,11 @@
 
 namespace nettag {
 
-/// Checkpointing policy the pretraining loop follows.
-/// Default-constructed, checkpointing is off and the loop behaves exactly as
-/// before this struct existed.
+/// Checkpointing policy the pretraining loop follows (default: off).
 struct TrainCheckpoint {
-  /// Checkpoint file prefix (empty: no checkpoints are written). The loop
-  /// writes `<prefix>.ckpt` + parameter files + `<prefix>.trainer.bin`, all
-  /// atomically, so the prefix is loadable at any instant.
+  /// Checkpoint file prefix (empty: no checkpoints are written). Each save
+  /// replaces `<prefix>.ckpt` with one atomic rename, so the prefix holds
+  /// one whole checkpoint at any instant.
   std::string prefix;
   /// Save every N completed steps of the current phase (<= 0: only at phase
   /// boundaries and on stop).
@@ -63,8 +53,8 @@ struct TrainState {
   long adam_t = 0;
   std::vector<Mat> adam_m;
   std::vector<Mat> adam_v;
-  /// Flat values of trainable tensors that live outside the model parameter
-  /// files, concatenated in a fixed order: class head, size head, [MASK]
+  /// Flat values of trainable tensors that live outside the model,
+  /// concatenated in a fixed order: class head, size head, [MASK]
   /// embedding.
   std::vector<float> extra_params;
   /// Per-step losses of the current phase, up to (excluding) next_step.
@@ -76,23 +66,9 @@ struct TrainState {
   /// resume that prepared a different dataset cannot be bit-identical).
   std::uint64_t dataset_size = 0;
   /// Streaming pre-training: index of the corpus shard the loop was
-  /// consuming (core/corpus_stream.hpp). Always 0 for in-memory training,
-  /// so the classic path round-trips unchanged.
+  /// consuming (core/corpus_stream.hpp); 0 for in-memory training.
   std::uint64_t shard_index = 0;
 };
-
-/// The TrainState file for a checkpoint prefix: `<prefix>.trainer.bin`.
-std::string train_state_path(const std::string& prefix);
-
-/// Writes the record via temp+rename with a trailing CRC-32 over every
-/// preceding byte. Throws std::runtime_error on I/O failure.
-void save_train_state(const std::string& path, const TrainState& state);
-
-/// Reads a record written by save_train_state. Magic, every field length,
-/// the trailing CRC, and the exact file size are all validated before
-/// anything is returned; a truncated, padded, or corrupted file throws
-/// std::runtime_error.
-TrainState load_train_state(const std::string& path);
 
 /// Concatenates the values of `params` into one flat vector, list order
 /// (TrainState::extra_params producer).

@@ -10,14 +10,21 @@ Builds `nettag_train` and `nettag_serve` of REV in a temporary `git worktree`
 compares the files, byte for byte:
 
     train-memory   nettag_train --out P --tiny --no-align --seed 5
-    train-corpus   the same run from a 4-shard corpus, built with
-                   --build-corpus C --designs 2 --shard-designs 2 --no-align
-                   --seed 5
+    train-corpus   --out P --tiny --seed 5 --expr-steps 40 --tag-steps 40,
+                   aligned, from a 2-shard corpus with physical data built
+                   with --build-corpus C --designs 1 --shard-designs 2
+                   --seed 5, so the shards' real numbers reach training
+    weights-memory nettag_serve --model P's responses, for P of
+    weights-corpus   train-memory and train-corpus, to the embed_* lines of
+                     tests/serve_smoke_requests.ndjson and a model_list
+                     request, whose row carries the weights' CRC-32: equal
+                     weights whatever the checkpoint's file format
     corpus-w1      --build-corpus C --designs 5 --shard-designs 2 at
     corpus-w2        NETTAG_THREADS 1, 2 and 4
     corpus-w4
-    serve-w1       the serve-smoke CI job's request lines, answered as that
-    serve-w4         job answers them (a --tiny checkpoint, --reject-warnings,
+    serve-w1       the ServeSmoke ctest's request lines
+    serve-w4         (tests/serve_smoke_requests.ndjson), answered as it
+                     answers them (a --tiny checkpoint, --reject-warnings,
                      stdin), with the `stats` response dropped, at
                      NETTAG_THREADS 1 and 4
 
@@ -39,26 +46,23 @@ import subprocess
 import sys
 import tempfile
 
-REQUESTS = r"""{"id":1,"op":"ping"}
-{"id":2,"op":"embed_gates","netlist":"module m source synthetic\nport a\nport b\ngate AND2 g1 a b out\nendmodule\n"}
-{"id":3,"op":"embed_gates","netlist":"module z source synthetic\nport x\nport y\ngate AND2 h9 x y out\nendmodule\n"}
-this line is not JSON
-{"id":5,"op":"no_such_op"}
-{"id":6,"op":"embed_circuit","netlist":"module s source synthetic\nport d\nreg q\ngate AND2 g1 d q out\ndrive q g1\nendmodule\n"}
-{"id":7,"op":"embed_gates","netlist":"module w source synthetic\nport a\nport b\ngate AND2 used a b out\ngate OR2 dead a b\nendmodule\n"}
-{"id":8,"op":"stats"}
-{"id":9,"op":"embed_gates","netlist":"module m source synthetic\nport a\nport b\ngate AND2 g1 a b out\nendmodule\n","k_hop":"3"}
-{"id":10,"op":"reload"}
-{"id":11,"op":"embed_gates","netlist":"module m source synthetic\nport a\nport b\ngate AND2 g1 a b out\nendmodule\n"}
-"""
+TESTS = os.path.dirname(os.path.abspath(__file__))
+with open(os.path.join(TESTS, "serve_smoke_requests.ndjson")) as f:
+    REQUESTS = f.read()
+# The served-weights artifacts' requests: every embed_* line, then the
+# model list.
+WEIGHT_REQUESTS = "".join(
+    line for line in REQUESTS.splitlines(keepends=True)
+    if '"op":"embed_' in line) + '{"id":"list","op":"model_list"}\n'
 
 # The response to request 8 carries timings.
 STATS_ID = '"id":"8"'
 
 TARGETS = ["nettag_train", "nettag_serve"]
 ARTIFACTS = [name + backend for backend in ("", "-simd0")
-             for name in ("train-memory", "train-corpus", "corpus-w1",
-                          "corpus-w2", "corpus-w4", "serve-w1", "serve-w4")]
+             for name in ("train-memory", "train-corpus", "weights-memory",
+                          "weights-corpus", "corpus-w1", "corpus-w2",
+                          "corpus-w4", "serve-w1", "serve-w4")]
 
 
 def run(cmd, cwd, env=None, stdin=None):
@@ -106,10 +110,17 @@ def produce(tools, out, simd0):
     run([train, "--out", "P", "--tiny", "--no-align", "--seed", "5"], d, env())
 
     d = artifact("train-corpus")
-    run([train, "--build-corpus", "C", "--designs", "2", "--shard-designs",
-         "2", "--no-align", "--seed", "5"], d, env())
-    run([train, "--out", "P", "--corpus", "C", "--tiny", "--no-align",
-         "--seed", "5"], d, env())
+    run([train, "--build-corpus", "C", "--designs", "1", "--shard-designs",
+         "2", "--seed", "5"], d, env())
+    run([train, "--out", "P", "--corpus", "C", "--tiny", "--seed", "5",
+         "--expr-steps", "40", "--tag-steps", "40"], d, env())
+
+    for trained in ("memory", "corpus"):
+        d = artifact("weights-" + trained)
+        model = os.path.join("..", "train-%s%s" % (trained, suffix), "P")
+        with open(os.path.join(d, "responses.ndjson"), "w") as f:
+            f.write(run([serve, "--model", model, "--reject-warnings"], d,
+                        env(), stdin=WEIGHT_REQUESTS))
 
     for w in (1, 2, 4):
         d = artifact("corpus-w%d" % w)

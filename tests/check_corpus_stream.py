@@ -15,7 +15,7 @@ At 5 designs per family and 2 per shard (10 shards):
     every file must equal the reference's and the file counts must match;
   * `nettag_lint --shards DIR --json` must exit 0 on the resumed corpus;
   * `nettag_train --out PREFIX --corpus DIR --tiny --no-align --expr-steps 6
-    --tag-steps 6` at NETTAG_THREADS=2 must leave PREFIX.trainer.bin.
+    --tag-steps 6` at NETTAG_THREADS=2 must leave PREFIX.ckpt.
 Uses only the Python standard library.
 """
 
@@ -133,8 +133,8 @@ def main():
             if run([train, "--out", prefix, "--corpus", stream, "--tiny",
                     "--no-align", "--expr-steps", "6", "--tag-steps", "6"], 2,
                    failures, "pretraining through the shard reader"):
-                if not os.path.isfile(prefix + ".trainer.bin"):
-                    failures.append("pretraining left no streamed.trainer.bin")
+                if not os.path.isfile(prefix + ".ckpt"):
+                    failures.append("pretraining left no streamed.ckpt")
     return report(failures)
 
 

@@ -6,16 +6,22 @@
 Trains a tiny checkpoint with NETTAG_TRAIN, then starts NETTAG_SERVE on it
 as a socket daemon with one out-of-range count per case: each must exit 2
 with a message naming the flag, before any server state is built. A removed
-flag (--log) must exit 2 as unknown. Last, a daemon with --shards and
---queue-depth at their limits must start and shut down cleanly. Uses only
-the Python standard library.
+flag (--log) must exit 2 as unknown. A copy of the checkpoint whose header
+claims a 1024-wide ExprLLM with a 4096-wide feed-forward, its CRC
+recomputed, must exit 2 naming the file and the parameter counts, with a
+peak RSS within 32 MiB of serving the real checkpoint: the header cannot
+size an allocation its tensors do not back. Last, a daemon with --shards
+and --queue-depth at their limits must start and shut down cleanly. Uses
+only the Python standard library.
 """
 
 import os
+import struct
 import subprocess
 import sys
 import tempfile
 import time
+import zlib
 
 MAX_SHARDS = 256
 MAX_QUEUE_DEPTH = 4096
@@ -37,6 +43,46 @@ def rejected(serve, base, flags, expect, failures):
         failures.append("%s: exit %d, stderr %r (want exit 2 naming %r)"
                         % (" ".join(flags), proc.returncode,
                            proc.stderr.strip()[-300:], expect))
+
+
+def peak_rss_kib(cmd):
+    """Runs cmd with stdin closed; returns (exit code, stderr, peak RSS)."""
+    with tempfile.TemporaryFile("w+") as err:
+        proc = subprocess.Popen(cmd, stdin=subprocess.DEVNULL,
+                                stdout=subprocess.DEVNULL, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        return proc.returncode, err.read(), usage.ru_maxrss
+
+
+def crafted_header(serve, model, tmp, failures):
+    """A header edited to a larger ExprLLM, sealed with a recomputed CRC."""
+    with open(model + ".ckpt", "rb") as f:
+        data = f.read()
+    (length,) = struct.unpack_from("<Q", data, 0)
+    header = data[8:8 + length].decode()
+    for old, new in (("expr_d_model 16\n", "expr_d_model 1024\n"),
+                     ("expr_d_ff 32\n", "expr_d_ff 4096\n")):
+        if old not in header:
+            failures.append("crafted header: no %r in %r" % (old, header))
+            return
+        header = header.replace(old, new)
+    body = (struct.pack("<Q", len(header)) + header.encode() +
+            data[8 + length:-4])
+    crafted = os.path.join(tmp, "crafted")
+    with open(crafted + ".ckpt", "wb") as f:
+        f.write(body + struct.pack("<I", zlib.crc32(body)))
+    _, _, real_rss = peak_rss_kib([serve, "--model", model])
+    code, stderr, rss = peak_rss_kib([serve, "--model", crafted])
+    if (code != 2 or crafted + ".ckpt" not in stderr or
+            "ExprLLM parameters" not in stderr):
+        failures.append("crafted header: exit %d, stderr %r (want exit 2 "
+                        "naming %s.ckpt and its parameter counts)"
+                        % (code, stderr.strip()[-300:], crafted))
+    if rss > real_rss + 32 * 1024:
+        failures.append("crafted header: peak RSS %d KiB, serving the real "
+                        "checkpoint %d KiB" % (rss, real_rss))
 
 
 def serves_at_limits(serve, model, tmp, failures):
@@ -98,11 +144,13 @@ def main():
                 rejected(serve, base, [flag, value], flag, failures)
         rejected(serve, ["--model", model], ["--log", os.path.join(tmp, "l")],
                  "unknown flag --log", failures)
+        crafted_header(serve, model, tmp, failures)
         serves_at_limits(serve, model, tmp, failures)
     for failure in failures:
         print("FAIL " + failure)
     if not failures:
-        print("nettag_serve flag limits hold")
+        print("nettag_serve flag limits hold and a crafted header is "
+              "refused")
     return 1 if failures else 0
 
 

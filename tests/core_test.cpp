@@ -238,11 +238,10 @@ TEST(NetTagModel, SaveLoadRoundTrip) {
   NetTag model(NetTagConfig{}, 3);
   const Netlist nl = fig3();
   const Mat before = model.embed(nl).cls;
-  model.save("/tmp/nettag_test_model");
+  save_checkpoint(model, "/tmp/nettag_test_model");
   NetTag other(NetTagConfig{}, 99);  // different init
   const Mat different = other.embed(nl).cls;
-  other.load("/tmp/nettag_test_model");
-  const Mat after = other.embed(nl).cls;
+  const Mat after = load_checkpoint("/tmp/nettag_test_model")->embed(nl).cls;
   double diff_loaded = 0, diff_init = 0;
   for (int j = 0; j < before.cols; ++j) {
     diff_loaded += std::abs(before.at(0, j) - after.at(0, j));
@@ -250,8 +249,7 @@ TEST(NetTagModel, SaveLoadRoundTrip) {
   }
   EXPECT_LT(diff_loaded, 1e-4);
   EXPECT_GT(diff_init, 1e-3);
-  std::remove("/tmp/nettag_test_model.exprllm.bin");
-  std::remove("/tmp/nettag_test_model.tagformer.bin");
+  std::remove("/tmp/nettag_test_model.ckpt");
 }
 
 TEST(NetTagModel, WithoutTextAblationChangesInputDim) {

@@ -54,10 +54,13 @@ std::vector<float> model_params(const NetTag& model) {
 }
 
 void remove_checkpoint(const std::string& prefix) {
-  for (const char* suffix :
-       {".ckpt", ".exprllm.bin", ".tagformer.bin", ".trainer.bin"}) {
-    std::remove((prefix + suffix).c_str());
-  }
+  std::remove((prefix + ".ckpt").c_str());
+}
+
+/// The trainer section of the checkpoint under `prefix`.
+TrainState saved_state(const std::string& prefix) {
+  NetTag model(tiny_config(), 1);
+  return load_train_checkpoint(model, prefix);
 }
 
 struct RunResult {
@@ -118,7 +121,7 @@ TEST(PretrainResume, MidExprPhaseBitIdentical) {
   const RunResult halted = run_pretrain(prefix, /*halt_after=*/3);
   EXPECT_TRUE(halted.report.interrupted);
   EXPECT_EQ(halted.report.expr_losses.size(), 3u);
-  const TrainState st = load_train_state(train_state_path(prefix));
+  const TrainState st = saved_state(prefix);
   EXPECT_EQ(st.phase, "expr");
   EXPECT_EQ(st.next_step, 3u);
   expect_identical(resume_run(prefix), baseline);
@@ -133,14 +136,14 @@ TEST(PretrainResume, ChainedResumesAcrossPhaseBoundaryBitIdentical) {
   // phase completes without a stop).
   const RunResult halted = run_pretrain(prefix, /*halt_after=*/6);
   EXPECT_TRUE(halted.report.interrupted);
-  const TrainState st = load_train_state(train_state_path(prefix));
+  const TrainState st = saved_state(prefix);
   EXPECT_EQ(st.phase, "expr");
   EXPECT_EQ(st.next_step, 6u);
   // Resume across the boundary, then interrupt again two tag steps in — a
   // second-generation checkpoint of the resumed process.
   const RunResult mid = resume_run(prefix, /*halt_after=*/2);
   EXPECT_TRUE(mid.report.interrupted);
-  const TrainState st2 = load_train_state(train_state_path(prefix));
+  const TrainState st2 = saved_state(prefix);
   EXPECT_EQ(st2.phase, "tag");
   EXPECT_EQ(st2.next_step, 2u);
   // The final resume of the twice-interrupted run matches the single
@@ -155,7 +158,7 @@ TEST(PretrainResume, MidTagPhaseWithPeriodicCheckpointsBitIdentical) {
   // Periodic checkpoints every 2 steps must not perturb the math either.
   const RunResult halted = run_pretrain(prefix, /*halt_after=*/8, /*every=*/2);
   EXPECT_TRUE(halted.report.interrupted);
-  const TrainState st = load_train_state(train_state_path(prefix));
+  const TrainState st = saved_state(prefix);
   EXPECT_EQ(st.phase, "tag");
   EXPECT_EQ(st.next_step, 2u);
   EXPECT_EQ(st.prior_losses.size(), 6u);  // full expr curve travels along
@@ -167,7 +170,7 @@ TEST(PretrainResume, CompletedRunResumesAsNoOp) {
   const std::string prefix = "/tmp/nettag_resume_done";
   const RunResult finished = run_pretrain(prefix, /*halt_after=*/-1);
   EXPECT_FALSE(finished.report.interrupted);
-  const TrainState st = load_train_state(train_state_path(prefix));
+  const TrainState st = saved_state(prefix);
   EXPECT_EQ(st.phase, "done");
   const RunResult again = resume_run(prefix);
   expect_identical(again, finished);

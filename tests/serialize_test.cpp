@@ -1,17 +1,23 @@
-// Tests for parameter (de)serialization, the crash-safety contract of the
-// checkpoint files (docs/ARCHITECTURE.md §8), and TrainState records.
+// Tests for the checkpoint file (core/checkpoint.cpp), the crash-safety
+// contract of every persisted file (docs/ARCHITECTURE.md §8), text
+// manifests, and the trainer section of a checkpoint.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/nettag.hpp"
 #include "core/pretrain.hpp"
 #include "netlist/io.hpp"
-#include "nn/layers.hpp"
 #include "nn/serialize.hpp"
 #include "nn/train_state.hpp"
 #include "util/atomic_io.hpp"
@@ -19,6 +25,8 @@
 
 namespace nettag {
 namespace {
+
+namespace fs = std::filesystem;
 
 /// The CRC-32 definition, one bit at a time.
 std::uint32_t bitwise_crc32(const unsigned char* p, std::size_t n,
@@ -58,86 +66,429 @@ TEST(Checksum, Crc32MatchesBytewiseReference) {
   }
 }
 
+// --- helpers -----------------------------------------------------------------
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(static_cast<bool>(in)) << path;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void write_file(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  ASSERT_TRUE(static_cast<bool>(out)) << path;
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+bool file_exists(const std::string& path) {
+  std::ifstream in(path);
+  return static_cast<bool>(in);
+}
+
+/// A checkpoint prefix under the temp directory, unique to this process.
+std::string temp_prefix(const std::string& name) {
+  return (fs::temp_directory_path() /
+          ("nettag_ckpt_" + name + "_" + std::to_string(::getpid())))
+      .string();
+}
+
+NetTagConfig tiny_config() {
+  NetTagConfig cfg;
+  cfg.expr_llm = TextEncoderConfig::tiny();
+  cfg.tag_d_model = 32;
+  cfg.out_dim = 24;
+  return cfg;
+}
+
+/// The smallest configuration the header accepts: every width 1, except
+/// TAGFormer's, which its two attention heads must divide.
+NetTagConfig minimal_config() {
+  NetTagConfig cfg;
+  cfg.expr_llm.d_model = 1;
+  cfg.expr_llm.num_layers = 1;
+  cfg.expr_llm.num_heads = 1;
+  cfg.expr_llm.d_ff = 1;
+  cfg.expr_llm.max_len = 1;
+  cfg.expr_llm.out_dim = 1;
+  cfg.tag_d_model = TagFormer::kNumHeads;
+  cfg.tag_layers = 1;
+  cfg.out_dim = 1;
+  return cfg;
+}
+
+/// Every parameter value of `model`, ExprLLM then TAGFormer.
+std::vector<float> model_values(const NetTag& model) {
+  std::vector<float> out = flatten_param_values(model.expr_llm().params());
+  const std::vector<float> tag =
+      flatten_param_values(model.tagformer().params());
+  out.insert(out.end(), tag.begin(), tag.end());
+  return out;
+}
+
+std::size_t value_count(const std::vector<Tensor>& params) {
+  return flatten_param_values(params).size();
+}
+
+TrainState sample_train_state() {
+  TrainState st;
+  st.phase = "tag";
+  st.next_step = 17;
+  st.rng_state = "123 456 789";
+  st.adam_t = 17;
+  Mat m(2, 3), v(2, 3);
+  for (std::size_t i = 0; i < m.v.size(); ++i) {
+    m.v[i] = 0.25f * static_cast<float>(i);
+    v.v[i] = -1.5f + static_cast<float>(i);
+  }
+  st.adam_m = {m};
+  st.adam_v = {v};
+  st.extra_params = {1.0f, -2.0f, 3.5f};
+  st.loss_history = {9.0f, 8.5f, 8.0f};
+  st.prior_losses = {4.0f, 3.0f};
+  st.dataset_size = 120;
+  st.shard_index = 5;
+  return st;
+}
+
+/// `body` followed by its CRC-32: a file the reader's checksum accepts.
+std::string sealed(std::string body) {
+  const std::uint32_t crc = crc32(body);
+  body.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  return body;
+}
+
+std::uint64_t u64_at(const std::string& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof(v));
+  return v;
+}
+
+std::string u64_bytes(std::uint64_t v) {
+  return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// Offset of the header text: after its u64 length, which opens the file.
+constexpr std::size_t kHeaderAt = 8;
+
+/// `file` (a whole checkpoint) with its header replaced by `header` and
+/// resealed: what a hand-edited header with a recomputed checksum looks like.
+std::string with_header(const std::string& file, const std::string& header) {
+  const std::size_t tensors_at = kHeaderAt + u64_at(file, 0);
+  return sealed(u64_bytes(header.size()) + header +
+                file.substr(tensors_at, file.size() - 4 - tensors_at));
+}
+
+/// `file` with its trainer section, the `old_size` bytes before the CRC,
+/// replaced by `record` and resealed.
+std::string with_trainer(const std::string& file, std::size_t old_size,
+                         const std::string& record) {
+  return sealed(file.substr(0, file.size() - 4 - old_size) + record);
+}
+
+std::string load_error(const std::function<void()>& load) {
+  try {
+    load();
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// --- the checkpoint file -----------------------------------------------------
+
 TEST(Serialize, RoundTripPreservesValues) {
-  Rng rng(1);
-  Mlp a(4, 8, 2, rng);
-  save_params("/tmp/nettag_ser_test.bin", a.params());
-  Mlp b(4, 8, 2, rng);  // different init
-  load_params("/tmp/nettag_ser_test.bin", b.params());
-  const auto pa = a.params();
-  const auto pb = b.params();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (std::size_t k = 0; k < pa.size(); ++k) {
-    ASSERT_EQ(pa[k]->value.v.size(), pb[k]->value.v.size());
-    for (std::size_t i = 0; i < pa[k]->value.v.size(); ++i) {
-      EXPECT_FLOAT_EQ(pa[k]->value.v[i], pb[k]->value.v[i]);
+  const std::string prefix = temp_prefix("rt_values");
+  const NetTag saved(tiny_config(), 1);
+  save_checkpoint(saved, prefix);
+  const std::unique_ptr<NetTag> loaded = load_checkpoint(prefix);
+  // Another seed draws other values, so equality comes from the load.
+  ASSERT_NE(model_values(NetTag(tiny_config(), 2)), model_values(saved));
+  EXPECT_EQ(model_values(*loaded), model_values(saved));
+  std::remove((prefix + ".ckpt").c_str());
+}
+
+TEST(Checkpoint, LoadsEveryShippedConfiguration) {
+  // The parameter counts a header implies are computed, not read off a
+  // built model: each shipped size tier, with and without text attributes,
+  // must load (and so match the count) and keep its configuration.
+  const std::string prefix = temp_prefix("configs");
+  for (const TextEncoderConfig& expr :
+       {TextEncoderConfig::tiny(), TextEncoderConfig::small(),
+        TextEncoderConfig::base()}) {
+    for (const bool text : {true, false}) {
+      NetTagConfig cfg;
+      cfg.expr_llm = expr;
+      cfg.use_text_attributes = text;
+      const NetTag saved(cfg, 3);
+      save_checkpoint(saved, prefix);
+      const std::unique_ptr<NetTag> loaded = load_checkpoint(prefix);
+      EXPECT_EQ(model_values(*loaded), model_values(saved))
+          << "d_model " << expr.d_model << " text " << text;
+      const NetTagConfig& back = loaded->config();
+      EXPECT_EQ(back.expr_llm.d_model, expr.d_model);
+      EXPECT_EQ(back.expr_llm.num_layers, expr.num_layers);
+      EXPECT_EQ(back.expr_llm.num_heads, expr.num_heads);
+      EXPECT_EQ(back.expr_llm.d_ff, expr.d_ff);
+      EXPECT_EQ(back.expr_llm.max_len, expr.max_len);
+      EXPECT_EQ(back.expr_llm.out_dim, expr.out_dim);
+      EXPECT_EQ(back.tag_d_model, cfg.tag_d_model);
+      EXPECT_EQ(back.tag_layers, cfg.tag_layers);
+      EXPECT_EQ(back.out_dim, cfg.out_dim);
+      EXPECT_EQ(back.k_hop, cfg.k_hop);
+      EXPECT_EQ(back.use_text_attributes, text);
+      EXPECT_EQ(back.text_cache_entries, cfg.text_cache_entries);
     }
   }
-  std::remove("/tmp/nettag_ser_test.bin");
+  const NetTag minimal(minimal_config(), 3);
+  save_checkpoint(minimal, prefix);
+  EXPECT_EQ(model_values(*load_checkpoint(prefix)), model_values(minimal));
+  std::remove((prefix + ".ckpt").c_str());
 }
 
 TEST(Serialize, ShapeMismatchRejected) {
-  Rng rng(2);
-  Mlp a(4, 8, 2, rng);
-  save_params("/tmp/nettag_ser_test2.bin", a.params());
-  Mlp wrong(5, 8, 2, rng);
-  EXPECT_THROW(load_params("/tmp/nettag_ser_test2.bin", wrong.params()),
-               std::runtime_error);
-  std::remove("/tmp/nettag_ser_test2.bin");
+  const std::string prefix = temp_prefix("shape");
+  const TrainState st = sample_train_state();
+  save_checkpoint(NetTag(tiny_config(), 1), prefix, &st);
+
+  // Same tensor count, TAGFormer twice as wide: the error names the
+  // section, the first differing tensor and both shapes.
+  NetTagConfig wide = tiny_config();
+  wide.tag_d_model = 64;
+  NetTag target(wide, 2);
+  const std::vector<float> before = model_values(target);
+  const int in = target.tag_in_dim();
+  std::string err = load_error([&] { load_train_checkpoint(target, prefix); });
+  EXPECT_NE(err.find(prefix + ".ckpt"), std::string::npos) << err;
+  EXPECT_NE(err.find("TAGFormer tensor 1 is " + std::to_string(in) +
+                     "x32 in the file, " + std::to_string(in) +
+                     "x64 in the model"),
+            std::string::npos)
+      << err;
+  EXPECT_EQ(model_values(target), before);
+
+  // Another ExprLLM depth: the tensor counts differ.
+  NetTagConfig deep = tiny_config();
+  deep.expr_llm.num_layers = 2;
+  NetTag deeper(deep, 2);
+  err = load_error([&] { load_train_checkpoint(deeper, prefix); });
+  EXPECT_NE(err.find("ExprLLM holds " +
+                     std::to_string(NetTag(tiny_config(), 1)
+                                        .expr_llm()
+                                        .params()
+                                        .size()) +
+                     " tensors, the model has " +
+                     std::to_string(deeper.expr_llm().params().size())),
+            std::string::npos)
+      << err;
+  std::remove((prefix + ".ckpt").c_str());
 }
 
 TEST(Serialize, CountMismatchRejected) {
-  Rng rng(3);
-  Linear a(4, 2, rng);
-  save_params("/tmp/nettag_ser_test3.bin", a.params());
-  Mlp more(4, 8, 2, rng);
-  EXPECT_THROW(load_params("/tmp/nettag_ser_test3.bin", more.params()),
-               std::runtime_error);
-  std::remove("/tmp/nettag_ser_test3.bin");
+  // A header edited to a larger ExprLLM, its checksum recomputed: the load
+  // names both counts before it allocates a model of that header.
+  const std::string prefix = temp_prefix("count");
+  const NetTag saved(tiny_config(), 1);
+  save_checkpoint(saved, prefix);
+  const std::string bytes = read_file(prefix + ".ckpt");
+  std::string header = bytes.substr(kHeaderAt, u64_at(bytes, 0));
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"expr_d_model 16\n",
+                                            "expr_d_model 1024\n"},
+        {"expr_d_ff 32\n", "expr_d_ff 4096\n"}}) {
+    const std::size_t at = header.find(from);
+    ASSERT_NE(at, std::string::npos) << header;
+    header.replace(at, from.size(), to);
+  }
+  write_file(prefix + ".ckpt", with_header(bytes, header));
+  EXPECT_EQ(read_checkpoint_config(prefix).expr_llm.d_model, 1024);
+  const std::string err = load_error([&] { load_checkpoint(prefix); });
+  EXPECT_NE(err.find(prefix + ".ckpt"), std::string::npos) << err;
+  EXPECT_NE(err.find("ExprLLM parameters, its tensors hold " +
+                     std::to_string(value_count(saved.expr_llm().params()))),
+            std::string::npos)
+      << err;
+  std::remove((prefix + ".ckpt").c_str());
 }
 
 TEST(Serialize, MissingFileRejected) {
-  Rng rng(4);
-  Linear a(2, 2, rng);
-  EXPECT_THROW(load_params("/tmp/definitely_missing_nettag.bin", a.params()),
-               std::runtime_error);
+  const std::string prefix = "/tmp/definitely_missing_nettag";
+  for (const std::string& err :
+       {load_error([&] { load_checkpoint(prefix); }),
+        load_error([&] { read_checkpoint_config(prefix); })}) {
+    EXPECT_NE(err.find(prefix + ".ckpt"), std::string::npos) << err;
+  }
 }
 
 TEST(Serialize, BadMagicRejected) {
-  Rng rng(5);
-  Linear a(2, 2, rng);
-  FILE* f = std::fopen("/tmp/nettag_ser_bad.bin", "wb");
-  ASSERT_NE(f, nullptr);
-  const char garbage[16] = "not a model";
-  std::fwrite(garbage, 1, sizeof(garbage), f);
-  std::fclose(f);
-  EXPECT_THROW(load_params("/tmp/nettag_ser_bad.bin", a.params()),
-               std::runtime_error);
-  std::remove("/tmp/nettag_ser_bad.bin");
+  // A file that is not a checkpoint, with or without a valid CRC: its
+  // opening bytes read as an implausible header length.
+  const std::string prefix = temp_prefix("magic");
+  for (const std::string& bytes :
+       {std::string("not a model\n"), sealed("not a model\n")}) {
+    write_file(prefix + ".ckpt", bytes);
+    const std::string err = load_error([&] { load_checkpoint(prefix); });
+    EXPECT_NE(err.find(prefix + ".ckpt: implausible header byte count"),
+              std::string::npos)
+        << err;
+  }
+  std::remove((prefix + ".ckpt").c_str());
+}
+
+// A crash can leave a file truncated at *any* byte. Simulate every one of
+// them on a minimal-configuration training checkpoint: the resume read must
+// throw naming the file, and the target model must be untouched — never a
+// partially applied checkpoint.
+TEST(Serialize, ParamsTruncatedAtEveryByteRejected) {
+  const std::string prefix = temp_prefix("truncated");
+  const std::string path = prefix + ".ckpt";
+  const NetTag saved(minimal_config(), 11);
+  const TrainState st = sample_train_state();
+  save_checkpoint(saved, prefix, &st);
+  const std::string bytes = read_file(path);
+
+  NetTag target(minimal_config(), 12);  // different init than `saved`
+  const std::vector<float> before = model_values(target);
+  ASSERT_NE(before, model_values(saved));
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    write_file(path, bytes.substr(0, len));
+    const std::string err =
+        load_error([&] { load_train_checkpoint(target, prefix); });
+    ASSERT_NE(err.find(path), std::string::npos)
+        << "truncated to " << len << " of " << bytes.size() << " bytes: "
+        << err;
+    ASSERT_EQ(model_values(target), before)
+        << "partial state applied at truncation length " << len;
+  }
+  // The intact file still loads (the harness itself is not over-strict).
+  write_file(path, bytes);
+  EXPECT_EQ(load_train_checkpoint(target, prefix).next_step, st.next_step);
+  EXPECT_EQ(model_values(target), model_values(saved));
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, ParamsTrailingGarbageRejected) {
+  const std::string prefix = temp_prefix("trail");
+  const std::string path = prefix + ".ckpt";
+  save_checkpoint(NetTag(tiny_config(), 12), prefix);
+  const std::string bytes = read_file(path);
+  // One byte more, after the CRC or inside the sealed body: either way the
+  // reader sees a trainer section too short to hold one.
+  for (const std::string& padded :
+       {bytes + '\0', sealed(bytes.substr(0, bytes.size() - 4) + '\0')}) {
+    write_file(path, padded);
+    const std::string err = load_error([&] { load_checkpoint(prefix); });
+    EXPECT_NE(err.find(path + ": truncated"), std::string::npos) << err;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, FlippedByteRejectedNamingTheFile) {
+  // One flipped byte anywhere — every byte up to the end of the header, and
+  // seeded offsets across the tensors, the trainer section and the CRC —
+  // must fail the load with an error that names the file.
+  const std::string prefix = temp_prefix("flip");
+  const std::string path = prefix + ".ckpt";
+  const TrainState st = sample_train_state();
+  save_checkpoint(NetTag(tiny_config(), 1), prefix, &st);
+  const std::string bytes = read_file(path);
+  std::vector<std::size_t> offsets;
+  for (std::size_t at = 0; at < kHeaderAt + u64_at(bytes, 0); ++at) {
+    offsets.push_back(at);
+  }
+  Rng rng(0xf11b);
+  for (int i = 0; i < 256; ++i) offsets.push_back(rng.index(bytes.size()));
+  offsets.push_back(bytes.size() - 1);
+  for (const std::size_t at : offsets) {
+    std::string flipped = bytes;
+    flipped[at] = static_cast<char>(flipped[at] ^ (1 + rng.index(255)));
+    write_file(path, flipped);
+    const std::string err = load_error([&] { load_checkpoint(prefix); });
+    ASSERT_NE(err.find(path), std::string::npos)
+        << "flip at byte " << at << " of " << bytes.size() << ": " << err;
+  }
+  write_file(path, bytes);
+  EXPECT_NO_THROW(load_checkpoint(prefix));
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, LoadRacingSavesReadsOneWholeSave) {
+  // A serve `reload` may read the prefix while a trainer saves onto it. One
+  // rename commits a save, so every load sees one whole save: one of the
+  // two models' weights, never a mix and never a torn file.
+  const std::string prefix = temp_prefix("race");
+  const NetTag a(tiny_config(), 1);
+  const NetTag b(tiny_config(), 2);
+  const std::set<std::uint32_t> whole = {params_fingerprint(a),
+                                         params_fingerprint(b)};
+  ASSERT_EQ(whole.size(), 2u);
+  save_checkpoint(a, prefix);
+  std::thread saver([&] {
+    for (int i = 0; i < 40; ++i) save_checkpoint(i % 2 ? a : b, prefix);
+  });
+  for (int i = 0; i < 40; ++i) {
+    std::string err;
+    std::uint32_t fingerprint = 0;
+    try {
+      fingerprint = params_fingerprint(*load_checkpoint(prefix));
+    } catch (const std::exception& e) {
+      err = e.what();
+    }
+    EXPECT_EQ(err, "") << "load " << i;
+    EXPECT_EQ(whole.count(fingerprint), 1u) << "load " << i;
+  }
+  saver.join();
+  std::remove((prefix + ".ckpt").c_str());
+}
+
+TEST(Checkpoint, ModelOnlyCheckpointCannotResume) {
+  const std::string prefix = temp_prefix("model_only");
+  save_checkpoint(NetTag(tiny_config(), 1), prefix);
+  NetTag target(tiny_config(), 2);
+  const std::vector<float> before = model_values(target);
+  const std::string err =
+      load_error([&] { load_train_checkpoint(target, prefix); });
+  EXPECT_NE(err.find("no trainer section"), std::string::npos) << err;
+  EXPECT_EQ(model_values(target), before);
+  std::remove((prefix + ".ckpt").c_str());
+}
+
+TEST(Serialize, WritersLeaveNoTempFileBehind) {
+  const fs::path dir = temp_prefix("notmp");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  save_checkpoint(NetTag(tiny_config(), 13), (dir / "m").string());
+  save_manifest((dir / "m.run").string(), {{"format", "x"}});
+  std::set<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, (std::set<std::string>{"m.ckpt", "m.run"}));
+  fs::remove_all(dir);
 }
 
 TEST(Serialize, ManifestRoundTrip) {
   const std::vector<std::pair<std::string, std::string>> entries = {
-      {"format", "nettag-ckpt-v1"},
+      {"format", "3"},
       {"out_dim", "48"},
       {"note", "spaces are fine in values"},
   };
-  save_manifest("/tmp/nettag_manifest_test.ckpt", entries);
-  const auto back = load_manifest("/tmp/nettag_manifest_test.ckpt");
+  save_manifest("/tmp/nettag_manifest_test.run", entries);
+  const auto back = load_manifest("/tmp/nettag_manifest_test.run");
   EXPECT_EQ(back, entries);
-  std::remove("/tmp/nettag_manifest_test.ckpt");
+  std::remove("/tmp/nettag_manifest_test.run");
 
-  EXPECT_THROW(load_manifest("/tmp/definitely_missing_manifest.ckpt"),
+  EXPECT_THROW(load_manifest("/tmp/definitely_missing_manifest.run"),
                std::runtime_error);
-  EXPECT_THROW(save_manifest("/tmp/nettag_manifest_bad.ckpt",
+  EXPECT_THROW(save_manifest("/tmp/nettag_manifest_bad.run",
                              {{"bad key", "value"}}),
                std::runtime_error);
 }
 
 TEST(Serialize, CheckpointRoundTripBitIdentical) {
-  // Pre-train briefly, checkpoint, reload into a *fresh* differently-seeded
-  // model, and require bit-identical embeddings — the serving daemon's
-  // correctness rests on this.
+  // Pre-train briefly, checkpoint, reload into a *fresh* model, and require
+  // bit-identical embeddings — the serving daemon's correctness rests on
+  // this.
   Rng rng(0xc0ffee);
   CorpusOptions co;
   co.designs_per_family = 1;
@@ -166,7 +517,7 @@ TEST(Serialize, CheckpointRoundTripBitIdentical) {
   EXPECT_EQ(readback.tag_d_model, mc.tag_d_model);
   EXPECT_EQ(readback.expr_llm.d_model, mc.expr_llm.d_model);
 
-  const std::unique_ptr<NetTag> loaded = load_checkpoint(prefix, /*seed=*/99);
+  const std::unique_ptr<NetTag> loaded = load_checkpoint(prefix);
   const Netlist nl = netlist_from_string(
       "module m source synthetic\nport a\nport b\n"
       "gate AND2 g1 a b\ngate INV g2 g1 out\nendmodule\n");
@@ -189,100 +540,10 @@ TEST(Serialize, CheckpointRoundTripBitIdentical) {
   for (std::size_t i = 0; i < want_c.v.size(); ++i) {
     ASSERT_EQ(want_c.v[i], got_c.v[i]) << "circuit lane " << i;
   }
-
-  for (const char* suffix : {".ckpt", ".exprllm.bin", ".tagformer.bin"}) {
-    std::remove((prefix + suffix).c_str());
-  }
-}
-
-TEST(Serialize, CheckpointBadFormatRejected) {
-  save_manifest("/tmp/nettag_ckpt_badfmt.ckpt",
-                {{"format", "nettag-ckpt-v999"}});
-  EXPECT_THROW(read_checkpoint_config("/tmp/nettag_ckpt_badfmt"),
-               std::runtime_error);
-  std::remove("/tmp/nettag_ckpt_badfmt.ckpt");
+  std::remove((prefix + ".ckpt").c_str());
 }
 
 // --- crash-safety contract ---------------------------------------------------
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(static_cast<bool>(in)) << path;
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void write_file(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  ASSERT_TRUE(static_cast<bool>(out)) << path;
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-std::vector<float> flat_values(const std::vector<Tensor>& params) {
-  return flatten_param_values(params);
-}
-
-bool file_exists(const std::string& path) {
-  std::ifstream in(path);
-  return static_cast<bool>(in);
-}
-
-// A crash can leave a file truncated at *any* byte. Simulate every one of
-// them: the load must throw and the target parameters must be untouched —
-// never a partially applied checkpoint.
-TEST(Serialize, ParamsTruncatedAtEveryByteRejected) {
-  const std::string path = "/tmp/nettag_ser_crash.bin";
-  Rng rng(11);
-  Linear saved(3, 2, rng);
-  save_params(path, saved.params());
-  const std::string bytes = read_file(path);
-  ASSERT_GT(bytes.size(), 8u);
-
-  Linear target(3, 2, rng);  // different init than `saved`
-  const std::vector<float> before = flat_values(target.params());
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    write_file(path, bytes.substr(0, len));
-    EXPECT_THROW(load_params(path, target.params()), std::runtime_error)
-        << "truncated to " << len << " of " << bytes.size() << " bytes";
-    EXPECT_EQ(flat_values(target.params()), before)
-        << "partial state applied at truncation length " << len;
-  }
-  // The intact file still loads (the harness itself is not over-strict).
-  write_file(path, bytes);
-  load_params(path, target.params());
-  EXPECT_EQ(flat_values(target.params()), flat_values(saved.params()));
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, ParamsTrailingGarbageRejected) {
-  const std::string path = "/tmp/nettag_ser_trail.bin";
-  Rng rng(12);
-  Linear saved(3, 2, rng);
-  save_params(path, saved.params());
-  std::string bytes = read_file(path);
-  bytes.push_back('\0');
-  write_file(path, bytes);
-  Linear target(3, 2, rng);
-  const std::vector<float> before = flat_values(target.params());
-  EXPECT_THROW(load_params(path, target.params()), std::runtime_error);
-  EXPECT_EQ(flat_values(target.params()), before);
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, WritersLeaveNoTempFileBehind) {
-  const std::string bin = "/tmp/nettag_ser_notmp.bin";
-  const std::string man = "/tmp/nettag_ser_notmp.ckpt";
-  Rng rng(13);
-  Linear l(2, 2, rng);
-  save_params(bin, l.params());
-  save_manifest(man, {{"format", "x"}});
-  EXPECT_TRUE(file_exists(bin));
-  EXPECT_TRUE(file_exists(man));
-  EXPECT_FALSE(file_exists(bin + ".tmp"));
-  EXPECT_FALSE(file_exists(man + ".tmp"));
-  std::remove(bin.c_str());
-  std::remove(man.c_str());
-}
 
 TEST(Serialize, ConcurrentWritersGetDistinctTempPaths) {
   // Two live writers targeting the same final path must never share a temp
@@ -352,9 +613,9 @@ TEST(Serialize, CommitSurvivesCrashSimulationAtEveryStage) {
 }
 
 TEST(Serialize, ManifestTruncationAndCorruptionRejected) {
-  const std::string path = "/tmp/nettag_man_crash.ckpt";
+  const std::string path = "/tmp/nettag_man_crash.run";
   const std::vector<std::pair<std::string, std::string>> entries = {
-      {"format", "nettag-ckpt-v1"}, {"out_dim", "48"}};
+      {"format", "3"}, {"out_dim", "48"}};
   save_manifest(path, entries);
   const std::string bytes = read_file(path);
   for (std::size_t len = 0; len < bytes.size(); ++len) {
@@ -382,34 +643,14 @@ TEST(Serialize, ManifestTruncationAndCorruptionRejected) {
   std::remove(path.c_str());
 }
 
-// --- TrainState records ------------------------------------------------------
-
-TrainState sample_train_state() {
-  TrainState st;
-  st.phase = "tag";
-  st.next_step = 17;
-  st.rng_state = "123 456 789";
-  st.adam_t = 17;
-  Mat m(2, 3), v(2, 3);
-  for (std::size_t i = 0; i < m.v.size(); ++i) {
-    m.v[i] = 0.25f * static_cast<float>(i);
-    v.v[i] = -1.5f + static_cast<float>(i);
-  }
-  st.adam_m = {m};
-  st.adam_v = {v};
-  st.extra_params = {1.0f, -2.0f, 3.5f};
-  st.loss_history = {9.0f, 8.5f, 8.0f};
-  st.prior_losses = {4.0f, 3.0f};
-  st.dataset_size = 120;
-  st.shard_index = 5;
-  return st;
-}
+// --- the trainer section -----------------------------------------------------
 
 TEST(TrainState, RoundTripPreservesEveryField) {
-  const std::string path = "/tmp/nettag_trainstate_rt.bin";
+  const std::string prefix = temp_prefix("trainer_rt");
   const TrainState st = sample_train_state();
-  save_train_state(path, st);
-  const TrainState back = load_train_state(path);
+  save_checkpoint(NetTag(tiny_config(), 1), prefix, &st);
+  NetTag target(tiny_config(), 2);
+  const TrainState back = load_train_checkpoint(target, prefix);
   EXPECT_EQ(back.phase, st.phase);
   EXPECT_EQ(back.next_step, st.next_step);
   EXPECT_EQ(back.rng_state, st.rng_state);
@@ -423,44 +664,74 @@ TEST(TrainState, RoundTripPreservesEveryField) {
   EXPECT_EQ(back.prior_losses, st.prior_losses);
   EXPECT_EQ(back.dataset_size, st.dataset_size);
   EXPECT_EQ(back.shard_index, st.shard_index);
-  std::remove(path.c_str());
+  std::remove((prefix + ".ckpt").c_str());
 }
 
 TEST(TrainState, TruncationAtEveryByteRejected) {
-  const std::string path = "/tmp/nettag_trainstate_crash.bin";
-  save_train_state(path, sample_train_state());
+  // The trainer section cut short at every byte, or one byte too long, with
+  // the CRC made to agree: its own field lengths catch it, and the target
+  // model stays untouched.
+  const std::string prefix = temp_prefix("trainer_cut");
+  const std::string path = prefix + ".ckpt";
+  const TrainState st = sample_train_state();
+  const NetTag saved(minimal_config(), 1);
+  save_checkpoint(saved, prefix);
+  const std::size_t model_only = read_file(path).size();
+  save_checkpoint(saved, prefix, &st);
   const std::string bytes = read_file(path);
-  ASSERT_GT(bytes.size(), 16u);
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    write_file(path, bytes.substr(0, len));
-    EXPECT_THROW(load_train_state(path), std::runtime_error)
-        << "truncated to " << len << " of " << bytes.size() << " bytes";
+  const std::size_t record_size = bytes.size() - model_only;
+  const std::string record = bytes.substr(bytes.size() - 4 - record_size,
+                                          record_size);
+  ASSERT_EQ(with_trainer(bytes, record_size, record), bytes);
+
+  NetTag target(minimal_config(), 2);
+  const std::vector<float> before = model_values(target);
+  for (std::size_t len = 1; len < record.size(); ++len) {
+    write_file(path, with_trainer(bytes, record_size, record.substr(0, len)));
+    const std::string err =
+        load_error([&] { load_train_checkpoint(target, prefix); });
+    ASSERT_NE(err.find(path), std::string::npos)
+        << "trainer section cut to " << len << " of " << record.size()
+        << " bytes: " << err;
+    ASSERT_EQ(model_values(target), before) << "cut to " << len;
   }
-  std::string padded = bytes;
-  padded.push_back('x');
-  write_file(path, padded);
-  EXPECT_THROW(load_train_state(path), std::runtime_error);
+  write_file(path, with_trainer(bytes, record_size, record + 'x'));
+  EXPECT_NE(load_error([&] { load_train_checkpoint(target, prefix); })
+                .find("1 bytes after its fields"),
+            std::string::npos);
+  EXPECT_EQ(model_values(target), before);
   write_file(path, bytes);
-  EXPECT_EQ(load_train_state(path).phase, "tag");
+  EXPECT_EQ(load_train_checkpoint(target, prefix).phase, "tag");
   std::remove(path.c_str());
 }
 
-// --- read_checkpoint_config validation ---------------------------------------
+// --- header validation -------------------------------------------------------
+
+/// A tiny model's checkpoint under `prefix` with its header replaced.
+void save_with_header(const std::string& prefix, const std::string& header) {
+  save_checkpoint(NetTag(tiny_config(), 1), prefix);
+  write_file(prefix + ".ckpt", with_header(read_file(prefix + ".ckpt"), header));
+}
 
 std::string config_error(const std::string& prefix) {
-  try {
-    read_checkpoint_config(prefix);
-  } catch (const std::exception& e) {
-    return e.what();
-  }
-  return "";
+  return load_error([&] { read_checkpoint_config(prefix); });
+}
+
+TEST(Serialize, CheckpointBadFormatRejected) {
+  const std::string prefix = temp_prefix("badfmt");
+  save_with_header(prefix, "format nettag-ckpt-v999\n");
+  EXPECT_NE(config_error(prefix).find("unknown format 'nettag-ckpt-v999'"),
+            std::string::npos);
+  // A text manifest, as checkpoints were once written, is not a checkpoint.
+  save_manifest(prefix + ".ckpt", {{"format", "nettag-ckpt-v1"}});
+  EXPECT_NE(config_error(prefix).find("implausible header byte count"),
+            std::string::npos);
+  std::remove((prefix + ".ckpt").c_str());
 }
 
 TEST(Serialize, CheckpointConfigRejectsDuplicateKeysWithLines) {
-  const std::string prefix = "/tmp/nettag_ckpt_dup";
-  save_manifest(prefix + ".ckpt", {{"format", "nettag-ckpt-v1"},
-                                   {"out_dim", "48"},
-                                   {"out_dim", "64"}});
+  const std::string prefix = temp_prefix("dup");
+  save_with_header(prefix, "format nettag-ckpt-v2\nout_dim 48\nout_dim 64\n");
   const std::string err = config_error(prefix);
   EXPECT_NE(err.find("duplicate key 'out_dim'"), std::string::npos) << err;
   EXPECT_NE(err.find("line 3"), std::string::npos) << err;   // the duplicate
@@ -469,10 +740,10 @@ TEST(Serialize, CheckpointConfigRejectsDuplicateKeysWithLines) {
 }
 
 TEST(Serialize, CheckpointConfigRejectsBadIntegers) {
-  const std::string prefix = "/tmp/nettag_ckpt_badint";
+  const std::string prefix = temp_prefix("badint");
   for (const char* bad : {"banana", "0", "-3", "12junk", "99999999999"}) {
-    save_manifest(prefix + ".ckpt",
-                  {{"format", "nettag-ckpt-v1"}, {"tag_layers", bad}});
+    save_with_header(prefix, std::string("format nettag-ckpt-v2\ntag_layers ") +
+                                 bad + "\n");
     const std::string err = config_error(prefix);
     EXPECT_NE(err.find("tag_layers"), std::string::npos)
         << "value '" << bad << "': " << err;
@@ -482,10 +753,9 @@ TEST(Serialize, CheckpointConfigRejectsBadIntegers) {
 }
 
 TEST(Serialize, CheckpointConfigRejectsIndivisibleHeads) {
-  const std::string prefix = "/tmp/nettag_ckpt_heads";
-  save_manifest(prefix + ".ckpt", {{"format", "nettag-ckpt-v1"},
-                                   {"expr_d_model", "10"},
-                                   {"expr_num_heads", "4"}});
+  const std::string prefix = temp_prefix("heads");
+  save_with_header(prefix,
+                   "format nettag-ckpt-v2\nexpr_d_model 10\nexpr_num_heads 4\n");
   const std::string err = config_error(prefix);
   EXPECT_NE(err.find("must divide"), std::string::npos) << err;
   std::remove((prefix + ".ckpt").c_str());
@@ -494,23 +764,21 @@ TEST(Serialize, CheckpointConfigRejectsIndivisibleHeads) {
 TEST(Serialize, CheckpointConfigRejectsIndivisibleTagWidth) {
   // TAGFormer splits tag_d_model over its fixed head count; an odd width
   // used to load and then fail every embed with a matmul shape error.
-  const std::string prefix = "/tmp/nettag_ckpt_tag_heads";
-  save_manifest(prefix + ".ckpt", {{"format", "nettag-ckpt-v1"},
-                                   {"tag_d_model", "63"}});
+  const std::string prefix = temp_prefix("tag_heads");
+  save_with_header(prefix, "format nettag-ckpt-v2\ntag_d_model 63\n");
   const std::string err = config_error(prefix);
   EXPECT_NE(err.find("tag_d_model (63)"), std::string::npos) << err;
   EXPECT_NE(err.find("line 2"), std::string::npos) << err;
   EXPECT_THROW(load_checkpoint(prefix), std::runtime_error);
-  save_manifest(prefix + ".ckpt", {{"format", "nettag-ckpt-v1"},
-                                   {"tag_d_model", "62"}});
+  save_with_header(prefix, "format nettag-ckpt-v2\ntag_d_model 62\n");
   EXPECT_EQ(read_checkpoint_config(prefix).tag_d_model, 62);
   std::remove((prefix + ".ckpt").c_str());
 }
 
 TEST(Serialize, CheckpointConfigRejectsBadBoolean) {
-  const std::string prefix = "/tmp/nettag_ckpt_bool";
-  save_manifest(prefix + ".ckpt", {{"format", "nettag-ckpt-v1"},
-                                   {"use_text_attributes", "yes"}});
+  const std::string prefix = temp_prefix("bool");
+  save_with_header(prefix,
+                   "format nettag-ckpt-v2\nuse_text_attributes yes\n");
   const std::string err = config_error(prefix);
   EXPECT_NE(err.find("use_text_attributes"), std::string::npos) << err;
   std::remove((prefix + ".ckpt").c_str());

@@ -698,16 +698,12 @@ Request reload_request(const std::string& prefix = "") {
   return r;
 }
 
-/// A servable checkpoint of a tiny model, which removes its three files
-/// when it goes out of scope, however the test ends.
+/// A servable checkpoint of a tiny model, which removes its file when it
+/// goes out of scope, however the test ends.
 class TinyCheckpoint {
  public:
   explicit TinyCheckpoint(std::string prefix) : prefix_(std::move(prefix)) {}
-  ~TinyCheckpoint() {
-    for (const char* suffix : {".ckpt", ".exprllm.bin", ".tagformer.bin"}) {
-      std::remove((prefix_ + suffix).c_str());
-    }
-  }
+  ~TinyCheckpoint() { std::remove((prefix_ + ".ckpt").c_str()); }
   TinyCheckpoint(const TinyCheckpoint&) = delete;
   TinyCheckpoint& operator=(const TinyCheckpoint&) = delete;
 

@@ -994,10 +994,13 @@ std::vector<float> model_params(const NetTag& model) {
 }
 
 void remove_checkpoint(const std::string& prefix) {
-  for (const char* suffix :
-       {".ckpt", ".exprllm.bin", ".tagformer.bin", ".trainer.bin"}) {
-    std::remove((prefix + suffix).c_str());
-  }
+  std::remove((prefix + ".ckpt").c_str());
+}
+
+/// The trainer section of the checkpoint under `prefix`.
+TrainState saved_state(const std::string& prefix) {
+  NetTag model(tiny_config(), 1);
+  return load_train_checkpoint(model, prefix);
 }
 
 struct RunResult {
@@ -1058,7 +1061,7 @@ TEST(StreamPretrain, MidCorpusResumeBitIdentical) {
   // so the checkpoint must carry shard_index = 1 plus the intra-shard cursor.
   const RunResult halted = run_streaming(prefix, /*halt_after=*/5);
   EXPECT_TRUE(halted.report.interrupted);
-  const TrainState st = load_train_state(train_state_path(prefix));
+  const TrainState st = saved_state(prefix);
   EXPECT_EQ(st.shard_index, 1u);
   EXPECT_EQ(st.phase, "expr");
 
@@ -1084,11 +1087,11 @@ TEST(StreamPretrain, FirstShardInterruptionChainsToIdenticalEnd) {
   // finish: two generations of mid-corpus checkpoints.
   const RunResult halted = run_streaming(prefix, /*halt_after=*/3);
   EXPECT_TRUE(halted.report.interrupted);
-  EXPECT_EQ(load_train_state(train_state_path(prefix)).shard_index, 0u);
+  EXPECT_EQ(saved_state(prefix).shard_index, 0u);
 
   const RunResult mid = resume_streaming(prefix, /*halt_after=*/3);
   EXPECT_TRUE(mid.report.interrupted);
-  EXPECT_EQ(load_train_state(train_state_path(prefix)).shard_index, 1u);
+  EXPECT_EQ(saved_state(prefix).shard_index, 1u);
 
   const RunResult resumed = resume_streaming(prefix);
   expect_identical_params(resumed, baseline);
@@ -1109,7 +1112,7 @@ TEST(StreamPretrain, ResumeAtAnotherWidthBitIdentical) {
     const WidthGuard width(3);
     EXPECT_TRUE(run_streaming(prefix, /*halt_after=*/3).report.interrupted);
   }
-  const TrainState st = load_train_state(train_state_path(prefix));
+  const TrainState st = saved_state(prefix);
   EXPECT_EQ(st.shard_index, 0u);
   EXPECT_EQ(st.phase, "tag");
   RunResult resumed;
@@ -1129,7 +1132,7 @@ TEST(StreamPretrain, CompletedRunResumesAsNoOp) {
       (fs::temp_directory_path() / "nettag_stream_resume_done").string();
   const RunResult finished = run_streaming(prefix, -1);
   EXPECT_FALSE(finished.report.interrupted);
-  const TrainState st = load_train_state(train_state_path(prefix));
+  const TrainState st = saved_state(prefix);
   EXPECT_EQ(st.phase, "done");
   EXPECT_EQ(st.shard_index, 1u);  // last shard
 

@@ -33,12 +33,14 @@
 //   --halt-after N        stop cleanly after N loop steps (test hook; acts
 //                         exactly like a signal at a deterministic point)
 //
-// A fresh run first writes `<PREFIX>.run` — a checksummed manifest of the
-// corpus/training knobs — so `--resume PREFIX` can rebuild the exact same
-// corpus and option set without the user re-typing (and possibly mistyping)
-// them. A --corpus run also records the corpus manifest's checksum, and
-// --resume exits 2 when the corpus at that path no longer carries it.
-// Architecture comes from `<PREFIX>.ckpt` via read_checkpoint_config.
+// A run leaves two files under PREFIX. It first writes `<PREFIX>.run` — a
+// checksummed manifest of the corpus/training knobs — so `--resume PREFIX`
+// can rebuild the exact same corpus and option set without the user
+// re-typing (and possibly mistyping) them. A --corpus run also records the
+// corpus manifest's checksum, and --resume exits 2 when the corpus at that
+// path no longer carries it. Each checkpoint replaces `<PREFIX>.ckpt` with
+// one atomic rename: the architecture, the weights and the trainer state in
+// one CRC-sealed file, which --resume reads back whole or not at all.
 //
 // SIGINT/SIGTERM are handled cooperatively: the loop finishes the step in
 // flight, writes a checkpoint, and the tool exits 0 with a "resume with"
@@ -74,9 +76,9 @@ void usage(std::FILE* to) {
                "                    [--flat] [--no-align]\n"
                "       nettag_train --help\n"
                "\n"
-               "Pre-trains NetTAG with crash-safe checkpoints under PREFIX\n"
-               "(PREFIX.ckpt + .exprllm.bin/.tagformer.bin/.trainer.bin plus\n"
-               "a PREFIX.run manifest of the run parameters). SIGINT/SIGTERM\n"
+               "Pre-trains NetTAG with crash-safe checkpoints under PREFIX:\n"
+               "PREFIX.ckpt holds the architecture, weights and trainer state\n"
+               "in one file, PREFIX.run the run parameters. SIGINT/SIGTERM\n"
                "finish the current step, checkpoint, and exit 0; --resume\n"
                "continues bit-identically. --build-corpus streams a sharded\n"
                "out-of-core corpus (durable shard files + manifest) that\n"
