@@ -37,13 +37,15 @@ int main() {
   add("Power", "w/ opt", res.power_w_opt);
   table.print(std::cout);
 
-  const int nettag_best =
-      (res.area_wo_opt.nettag.mape <= res.area_wo_opt.tool.mape) +
-      (res.area_w_opt.nettag.mape <= res.area_w_opt.tool.mape) +
-      (res.power_wo_opt.nettag.mape <= res.power_wo_opt.tool.mape) +
-      (res.power_w_opt.nettag.mape <= res.power_w_opt.tool.mape);
+  int nettag_lowest = 0;
+  for (const Task4Cell* c : {&res.area_wo_opt, &res.area_w_opt,
+                             &res.power_wo_opt, &res.power_w_opt}) {
+    nettag_lowest += c->nettag.mape <= c->tool.mape &&
+                     c->nettag.mape <= c->gnn.mape;
+  }
   std::cout << "# paper: NetTAG has the lowest MAPE in all 4 rows\n"
-            << "# reproduced: NetTAG beats the EDA tool estimate in "
-            << nettag_best << "/4 rows\n";
+            << "# reproduced: NetTAG's MAPE is at most both the EDA tool's "
+               "and the GNN's in "
+            << nettag_lowest << "/4 rows\n";
   return 0;
 }

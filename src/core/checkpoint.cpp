@@ -1,5 +1,5 @@
 // The checkpoint file (docs/ARCHITECTURE.md §8): one file, `<prefix>.ckpt`,
-// written by one AtomicFileWriter commit, so a reader sees one whole save.
+// written by one write_file_atomically call, so a reader sees one whole save.
 // Layout, every integer little-endian (the host's order):
 //
 //   u64  header length, then "key value\n" lines: format and architecture
@@ -18,15 +18,12 @@
 #include <array>
 #include <climits>
 #include <fstream>
-#include <map>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/nettag.hpp"
 #include "model/graph.hpp"
 #include "util/atomic_io.hpp"
 #include "util/checksum.hpp"
-#include "util/cli.hpp"
 
 namespace nettag {
 
@@ -190,66 +187,32 @@ std::vector<std::pair<const char*, int*>> int_keys(NetTagConfig& c) {
           {"k_hop", &c.k_hop}};
 }
 
-/// Parses the header's "key value" lines. Integers are parsed strictly and
+/// Parses the header's `key value` lines. Integers are parsed strictly and
 /// capped at a bound no real configuration approaches, so a corrupt header
-/// cannot describe a nonsensical model.
+/// cannot describe a nonsensical model; keys it does not know are skipped,
+/// so older binaries read newer headers.
 NetTagConfig parse_header(const std::string& header, const std::string& path) {
-  NetTagConfig c;
-  int cache_entries = static_cast<int>(c.text_cache_entries);
-  std::vector<std::pair<const char*, int*>> ints = int_keys(c);
-  ints.emplace_back("text_cache_entries", &cache_entries);
-  bool format_ok = false;
-  std::map<std::string, int> seen;  // key -> first header line
-  int lineno = 0;
-  auto fail_line = [&path, &lineno](const std::string& what) {
-    fail(path, "header line " + std::to_string(lineno) + ": " + what);
-  };
-  std::istringstream lines(header);
-  std::string line;
-  while (std::getline(lines, line)) {
-    ++lineno;
-    const std::size_t sp = line.find(' ');
-    if (sp == std::string::npos || sp == 0 || sp + 1 == line.size()) {
-      fail_line("expected 'key value'");
-    }
-    const std::string key = line.substr(0, sp);
-    const std::string value = line.substr(sp + 1);
-    const auto [prev, fresh] = seen.emplace(key, lineno);
-    if (!fresh) {
-      fail_line("duplicate key '" + key + "' (first on line " +
-                std::to_string(prev->second) + ")");
-    }
-    if (key == "format") {
-      if (value != kFormat) fail_line("unknown format '" + value + "'");
-      format_ok = true;
-      continue;
-    }
-    if (key == "use_text_attributes") {
-      if (value != "0" && value != "1") {
-        fail_line("key 'use_text_attributes': expected 0 or 1, got '" +
-                  value + "'");
-      }
-      c.use_text_attributes = value == "1";
-      continue;
-    }
-    const auto it = std::find_if(ints.begin(), ints.end(), [&key](auto& k) {
-      return key == k.first;
-    });
-    if (it == ints.end()) continue;  // so older binaries read newer headers
-    long long v = 0;
-    std::string err;
-    if (!cli::parse_int(value.c_str(), 1, 1 << 20, &v, &err)) {
-      fail_line("key '" + key + "': " + err);
-    }
-    *it->second = static_cast<int>(v);
-    if (key == "tag_d_model" && v % TagFormer::kNumHeads != 0) {
-      fail_line("tag_d_model (" + value + ") must be a multiple of " +
-                "TAGFormer's " + std::to_string(TagFormer::kNumHeads) +
-                " attention heads");
-    }
+  const KeyValues kv(header, "checkpoint " + path + " header");
+  if (kv.get("format") != kFormat) {
+    kv.fail("format", "unknown format '" + kv.get("format") + "'");
   }
-  c.text_cache_entries = static_cast<std::size_t>(cache_entries);
-  if (!format_ok) fail(path, "header has no 'format' line");
+  NetTagConfig c;
+  for (const auto& [key, value] : int_keys(c)) {
+    if (kv.has(key)) *value = static_cast<int>(kv.get_int(key, 1, 1 << 20));
+  }
+  if (kv.has("text_cache_entries")) {
+    c.text_cache_entries =
+        static_cast<std::size_t>(kv.get_int("text_cache_entries", 1, 1 << 20));
+  }
+  if (kv.has("use_text_attributes")) {
+    c.use_text_attributes = kv.get_bool("use_text_attributes");
+  }
+  if (c.tag_d_model % TagFormer::kNumHeads != 0) {
+    kv.fail("tag_d_model", "tag_d_model (" + std::to_string(c.tag_d_model) +
+                               ") must be a multiple of TAGFormer's " +
+                               std::to_string(TagFormer::kNumHeads) +
+                               " attention heads");
+  }
   if (c.expr_llm.d_model % c.expr_llm.num_heads != 0) {
     fail(path, "expr_num_heads (" + std::to_string(c.expr_llm.num_heads) +
                    ") must divide expr_d_model (" +
@@ -402,9 +365,7 @@ void save_checkpoint(const NetTag& model, const std::string& prefix,
   if (trainer) buf += encode_trainer(*trainer);
   put<std::uint32_t>(buf, crc32(buf));
 
-  AtomicFileWriter writer(prefix + ".ckpt", /*binary=*/true);
-  writer.stream().write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  writer.commit();
+  write_file_atomically(prefix + ".ckpt", buf);
 }
 
 NetTagConfig read_checkpoint_config(const std::string& prefix) {

@@ -1,19 +1,15 @@
 #include "core/corpus_stream.hpp"
 
-#include <dirent.h>
-#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <array>
 #include <charconv>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <limits>
-#include <map>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -22,7 +18,6 @@
 
 #include "analysis/lint.hpp"
 #include "netlist/io.hpp"
-#include "nn/serialize.hpp"
 #include "util/atomic_io.hpp"
 #include "util/checksum.hpp"
 #include "util/cli.hpp"
@@ -89,25 +84,6 @@ std::vector<std::pair<std::string, std::string>> config_entries(
       {"hier_max_blocks", std::to_string(o.hierarchy.max_blocks_per_level)},
       {"hier_shared", std::to_string(o.hierarchy.shared_blocks)},
   };
-}
-
-bool file_exists(const std::string& path) {
-  struct stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
-
-/// Removes temp files a killed writer left behind (AtomicFileWriter names
-/// them `<final>.tmp.<pid>.<n>`; the pid is gone, so they are garbage).
-void remove_stale_tmp(const std::string& dir) {
-  DIR* d = ::opendir(dir.c_str());
-  if (!d) return;
-  while (struct dirent* e = ::readdir(d)) {
-    const std::string name = e->d_name;
-    if (name.find(".tmp.") != std::string::npos) {
-      std::remove((dir + "/" + name).c_str());
-    }
-  }
-  ::closedir(d);
 }
 
 // --- shard serialization -----------------------------------------------------
@@ -618,31 +594,6 @@ ShardedCorpus::Shard parse_shard(std::string_view text,
   return shard;
 }
 
-std::string read_file_or_throw(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) throw std::runtime_error("cannot open shard " + path);
-  struct stat st;
-  std::string out;
-  // One spare byte, so a file of the size fstat reported ends in a read of 0.
-  out.resize(::fstat(fd, &st) == 0 ? static_cast<std::size_t>(st.st_size) + 1
-                                   : 4096);
-  std::size_t got = 0;
-  while (true) {
-    if (got == out.size()) out.resize(2 * out.size());  // it grew meanwhile
-    const ssize_t n = ::read(fd, out.data() + got, out.size() - got);
-    if (n == 0) break;
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      throw std::runtime_error("cannot read shard " + path);
-    }
-    got += static_cast<std::size_t>(n);
-  }
-  ::close(fd);
-  out.resize(got);
-  return out;
-}
-
 }  // namespace
 
 // --- writer ------------------------------------------------------------------
@@ -656,7 +607,6 @@ StreamProgress build_corpus_stream(
         "be >= 1");
   }
   ::mkdir(dir.c_str(), 0755);  // EEXIST is fine
-  remove_stale_tmp(dir);
 
   const std::vector<FamilyProfile>& fams = benchmark_families();
   const std::size_t total_designs =
@@ -669,29 +619,25 @@ StreamProgress build_corpus_stream(
   // records exactly the configuration we are running with.
   std::size_t committed = 0;
   std::vector<std::string> shard_rows;
-  if (file_exists(manifest_path)) {
-    const auto entries = load_manifest(manifest_path);
-    std::map<std::string, std::string> by_key(entries.begin(), entries.end());
+  if (::access(manifest_path.c_str(), F_OK) == 0) {
+    const KeyValues kv =
+        load_manifest(manifest_path, "corpus manifest " + manifest_path);
     for (const auto& [key, want] : config_entries(options, seed)) {
-      const auto it = by_key.find(key);
-      if (it == by_key.end() || it->second != want) {
+      const std::string got = kv.has(key) ? kv.get(key) : "<missing>";
+      if (got != want) {
         throw std::runtime_error(
             "corpus manifest " + manifest_path + ": option '" + key +
-            "' is '" + (it == by_key.end() ? "<missing>" : it->second) +
-            "' but this run uses '" + want +
+            "' is '" + got + "' but this run uses '" + want +
             "' — refusing to resume a different corpus");
       }
     }
-    for (const auto& [key, value] : entries) {
-      if (key.rfind("shard", 0) == 0 && key != "shards") {
-        shard_rows.push_back(value);
-      }
+    const std::uint64_t listed = kv.get_u64("shards");
+    if (listed > shards_total) {
+      kv.fail("shards", "lists more shards than this configuration produces");
     }
-    committed = shard_rows.size();
-    if (committed > shards_total) {
-      throw std::runtime_error("corpus manifest " + manifest_path +
-                               " lists more shards than this configuration "
-                               "produces");
+    committed = static_cast<std::size_t>(listed);
+    for (std::size_t s = 0; s < committed; ++s) {
+      shard_rows.push_back(kv.get("shard" + std::to_string(s)));
     }
   }
 
@@ -808,12 +754,9 @@ StreamProgress build_corpus_stream(
       }
       body += "end " + std::to_string(st.designs) + '\n';
       const std::string crc = crc32_hex(crc32(body));
-      {
-        AtomicFileWriter writer(st.path, /*binary=*/true);
-        writer.stream() << body << "checksum " << crc << '\n';
-        writer.commit();
-      }
-      st.bytes = body.size() + crc.size() + 10;  // + "checksum \n"
+      body += "checksum " + crc + '\n';
+      write_file_atomically(st.path, body);
+      st.bytes = body.size();
       shard_rows.push_back(shard_filename(s) + " " + crc + " " +
                            std::to_string(st.designs));
       write_manifest(/*complete=*/shard_rows.size() == shards_total);
@@ -835,72 +778,35 @@ StreamProgress build_corpus_stream(
 
 ShardedCorpus::ShardedCorpus(const std::string& dir)
     : dir_(dir), manifest_path_(dir + "/" + std::string(kManifestName)) {
-  const std::string& manifest_path = manifest_path_;
-  std::vector<int> linenos;
-  const auto entries = load_manifest(manifest_path, &linenos, &checksum_);
-  std::map<std::string, std::size_t> first;  // key -> its first entry
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    first.emplace(entries[i].first, i);
+  const KeyValues kv = load_manifest(
+      manifest_path_, "corpus manifest " + manifest_path_, &checksum_);
+  if (kv.get("format") != kManifestFormat) {
+    kv.fail("format", "unsupported format '" + kv.get("format") + "'");
   }
-  const auto require = [&](const std::string& key) -> std::size_t {
-    const auto it = first.find(key);
-    if (it == first.end()) {
-      throw std::runtime_error("corpus manifest " + manifest_path +
-                               ": missing key '" + key + "'");
-    }
-    return it->second;
-  };
-  const auto bad = [&](std::size_t i, const std::string& why) {
-    return std::runtime_error("corpus manifest " + manifest_path + ": line " +
-                              std::to_string(linenos[i]) + ": key '" +
-                              entries[i].first + "': " + why);
-  };
-  const auto u64 = [&](std::size_t i, const std::string& text) {
-    std::uint64_t v = 0;
-    std::string err;
-    if (!cli::parse_u64(text.c_str(), &v, &err)) throw bad(i, err);
-    return v;
-  };
-  const auto format = first.find("format");
-  if (format == first.end() ||
-      entries[format->second].second != kManifestFormat) {
-    throw std::runtime_error(
-        "corpus manifest " + manifest_path + ": unsupported format '" +
-        (format == first.end() ? "<missing>" : entries[format->second].second) +
-        "'");
-  }
-  const std::size_t seed_at = require("seed");
-  seed_ = u64(seed_at, entries[seed_at].second);
-  const std::size_t k_hop_at = require("k_hop");
-  long long k_hop = 0;
-  std::string err;
-  if (!cli::parse_int(entries[k_hop_at].second.c_str(), 0, 1 << 20, &k_hop,
-                      &err)) {
-    throw bad(k_hop_at, err);
-  }
-  k_hop_ = static_cast<int>(k_hop);
-  families_ = split_csv(entries[require("families")].second);
-  if (families_.empty()) {
-    throw std::runtime_error("corpus manifest " + manifest_path +
-                             ": empty family list");
-  }
-  complete_ = entries[require("complete")].second == "1";
-  const std::size_t shards_at = require("shards");
-  const std::uint64_t nshards = u64(shards_at, entries[shards_at].second);
+  seed_ = kv.get_u64("seed");
+  k_hop_ = static_cast<int>(kv.get_int("k_hop", 0, 1 << 20));
+  families_ = split_csv(kv.get("families"));
+  if (families_.empty()) kv.fail("families", "empty family list");
+  complete_ = kv.get_bool("complete");
+  const std::uint64_t nshards = kv.get_u64("shards");
   for (std::uint64_t s = 0; s < nshards; ++s) {
-    const std::size_t at = require("shard" + std::to_string(s));
-    const std::string& row = entries[at].second;
+    const std::string key = "shard" + std::to_string(s);
+    const std::string& row = kv.get(key);
     Words ws{row};
     const std::string_view filename = ws.next();
     const std::string_view crc = ws.next();
     const std::string_view designs = ws.next();
     if (designs.empty() || !ws.next().empty()) {
-      throw bad(at, "malformed shard row '" + row +
-                        "', expected '<file> <crc32> <designs>'");
+      kv.fail(key, "malformed shard row '" + row +
+                       "', expected '<file> <crc32> <designs>'");
     }
-    const std::uint64_t count = u64(at, std::string(designs));
+    std::uint64_t count = 0;
+    std::string err;
+    if (!cli::parse_u64(std::string(designs).c_str(), &count, &err)) {
+      kv.fail(key, err);
+    }
     shards_.push_back({dir + "/" + std::string(filename), std::string(crc),
-                       static_cast<std::size_t>(count), linenos[at]});
+                       static_cast<std::size_t>(count), kv.line(key)});
     total_designs_ += count;
   }
 }
@@ -912,7 +818,7 @@ ShardedCorpus::Shard ShardedCorpus::load(std::size_t index) const {
                             std::to_string(shards_.size()) + ")");
   }
   const ShardRow& row = shards_[index];
-  return parse_shard(read_file_or_throw(row.path), row.path, families_,
+  return parse_shard(read_whole_file(row.path), row.path, families_,
                      row.crc, row.designs,
                      "corpus manifest " + manifest_path_ + ": line " +
                          std::to_string(row.line) + ", key 'shard" +

@@ -17,7 +17,7 @@
 // file. Peak memory is the window's shard text plus one design per lane.
 //
 // Durability contract (docs/ARCHITECTURE.md §13):
-//   * Shard files are written through AtomicFileWriter: data fsync'd before
+//   * Shard files are written by write_file_atomically: data fsync'd before
 //     the rename, parent directory fsync'd after — a reader never sees a
 //     torn shard and power loss cannot commit an empty one.
 //   * Every shard ends with a `checksum <crc32>` line over all preceding
@@ -104,10 +104,11 @@ struct StreamProgress {
 };
 
 /// Builds (or resumes building) the sharded corpus under `dir`. Creates the
-/// directory when missing, removes stale temp files, validates that an
-/// existing manifest was produced with the same seed/options (throws
-/// std::runtime_error otherwise), skips committed shards by consuming their
-/// RNG forks, and streams out the rest. `on_shard` (optional) fires on the
+/// directory when missing, validates that an existing manifest holds no
+/// repeated key and was produced with the same seed/options (throws
+/// std::runtime_error otherwise), skips the `shards` it lists by consuming
+/// their RNG forks, and streams out the rest. Each shard and manifest write
+/// removes that path's dead writers' temp files (util/atomic_io.hpp). `on_shard` (optional) fires on the
 /// calling thread after every shard, including skipped ones, in shard
 /// order. When a shard fails (a design that cannot be produced, a lint
 /// error, or `on_shard` throwing) the exception reaches the caller with

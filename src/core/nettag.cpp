@@ -137,17 +137,7 @@ Mat NetTag::cone_feature(const Netlist& cone) const {
       break;
     }
   }
-  // Logic depth.
-  std::vector<int> depth(cone.size(), 0);
-  int max_depth = 0;
-  for (GateId id : cone.topo_order()) {
-    const Gate& g = cone.gate(id);
-    if (g.fanins.empty() || g.type == CellType::kDff) continue;
-    int d = 0;
-    for (GateId f : g.fanins) d = std::max(d, depth[static_cast<std::size_t>(f)] + 1);
-    depth[static_cast<std::size_t>(id)] = d;
-    max_depth = std::max(max_depth, d);
-  }
+  const int max_depth = logic_depth(cone);
   Mat out(1, cone_feature_dim());
   int at = 0;
   for (int j = 0; j < config_.out_dim; ++j) out.at(0, at++) = emb.cls.at(0, j);

@@ -51,16 +51,8 @@ Mat netlist_base_features(const Netlist& nl) {
   const int n = static_cast<int>(nl.size());
   Mat f(n, netlist_base_feature_dim());
   // Depth for normalization.
-  std::vector<int> depth(nl.size(), 0);
-  int max_depth = 1;
-  for (GateId id : nl.topo_order()) {
-    const Gate& g = nl.gate(id);
-    if (g.type == CellType::kDff || g.type == CellType::kPort) continue;
-    int d = 0;
-    for (GateId x : g.fanins) d = std::max(d, depth[static_cast<std::size_t>(x)] + 1);
-    depth[static_cast<std::size_t>(id)] = d;
-    max_depth = std::max(max_depth, d);
-  }
+  std::vector<int> depth;
+  const int max_depth = std::max(1, logic_depth(nl, &depth));
   for (const Gate& g : nl.gates()) {
     const int i = static_cast<int>(g.id);
     f.at(i, static_cast<int>(g.type)) = 1.f;

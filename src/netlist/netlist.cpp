@@ -187,6 +187,24 @@ ExprPtr khop_expression(const Netlist& nl, GateId id, int k) {
   return cell_function(g.type, ins);
 }
 
+int logic_depth(const Netlist& nl, std::vector<int>* depth) {
+  std::vector<int> own;
+  std::vector<int>& d = depth ? *depth : own;
+  d.assign(nl.size(), 0);
+  int deepest = 0;
+  for (GateId id : nl.topo_order()) {
+    const Gate& g = nl.gate(id);
+    if (g.type == CellType::kDff) continue;
+    int level = 0;
+    for (GateId f : g.fanins) {
+      level = std::max(level, d[static_cast<std::size_t>(f)] + 1);
+    }
+    d[static_cast<std::size_t>(id)] = level;
+    deepest = std::max(deepest, level);
+  }
+  return deepest;
+}
+
 std::vector<bool> simulate(const Netlist& nl, const std::vector<bool>& sources) {
   NETTAG_CHECK(sources.size() == nl.size(),
                "simulate: " + std::to_string(sources.size()) +

@@ -101,6 +101,11 @@ class Netlist {
 /// instance name. k=0 returns just the variable for the gate itself.
 ExprPtr khop_expression(const Netlist& nl, GateId id, int k);
 
+/// Logic depth: 0 for registers and gates without fanins, otherwise one more
+/// than the deepest fanin. Returns the deepest gate's (0 when empty);
+/// `depth`, when non-null, receives every gate's, indexed by id.
+int logic_depth(const Netlist& nl, std::vector<int>* depth = nullptr);
+
 /// Bit-parallel simulation: given values for all PORT and DFF nodes
 /// (indexed by gate id; other entries ignored), computes every gate's output.
 std::vector<bool> simulate(const Netlist& nl, const std::vector<bool>& sources);

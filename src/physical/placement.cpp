@@ -37,21 +37,10 @@ Placement place(const Netlist& nl, Rng& rng, int passes) {
   if (n == 0) return pl;
 
   // Levelize: row index = combinational depth (sources on row 0).
-  std::vector<int> level(n, 0);
-  for (GateId id : nl.topo_order()) {
-    const Gate& g = nl.gate(id);
-    if (g.type == CellType::kPort || g.type == CellType::kDff ||
-        g.type == CellType::kConst0 || g.type == CellType::kConst1) {
-      continue;
-    }
-    int lv = 0;
-    for (GateId f : g.fanins) lv = std::max(lv, level[static_cast<std::size_t>(f)] + 1);
-    level[static_cast<std::size_t>(id)] = lv;
-  }
+  std::vector<int> level;
+  const int max_level = logic_depth(nl, &level);
 
   // Pack each row left-to-right with cell-width pitch.
-  int max_level = 0;
-  for (int lv : level) max_level = std::max(max_level, lv);
   std::vector<double> cursor(static_cast<std::size_t>(max_level) + 1, 0.0);
   for (const Gate& g : nl.gates()) {
     const int lv = level[static_cast<std::size_t>(g.id)];

@@ -118,17 +118,10 @@ Task4Result run_task4(NetTag& model, const Corpus& corpus,
       x_all.at(static_cast<int>(d), j) = emb.at(0, j);
     }
     // Logic depth and fanout statistics.
-    std::vector<int> depth(nl.size(), 0);
-    int max_depth = 1;
+    const int max_depth = std::max(1, logic_depth(nl));
     double fanout_sum = 0;
-    for (GateId id : nl.topo_order()) {
-      const Gate& g = nl.gate(id);
+    for (const Gate& g : nl.gates()) {
       fanout_sum += static_cast<double>(g.fanouts.size());
-      if (g.type == CellType::kDff || g.type == CellType::kPort) continue;
-      int dep = 0;
-      for (GateId f : g.fanins) dep = std::max(dep, depth[static_cast<std::size_t>(f)] + 1);
-      depth[static_cast<std::size_t>(id)] = dep;
-      max_depth = std::max(max_depth, dep);
     }
     int at = model.embedding_dim();
     x_all.at(static_cast<int>(d), at++) =

@@ -1,57 +1,89 @@
-// Crash-safe file emission: write the complete payload to a per-writer
-// temp file, fsync it, rename onto the final path, then fsync the parent
-// directory. POSIX rename within one directory is atomic, so a reader never
-// observes a torn file — it sees either the old checkpoint or the new one,
-// never a half-written mix — and a crash mid-save leaves at most a stale
-// temp file beside an intact previous copy. The two fsyncs close the
-// power-loss window rename alone leaves open: without them the rename can
-// reach disk before the data (or the directory entry), durably committing a
-// renamed-but-empty file. Every checkpoint/manifest/shard emitter in the
-// repo goes through this writer; nothing writes a checkpoint directly to
-// its final path.
+// Durable files (docs/ARCHITECTURE.md §8): every checkpoint, corpus shard
+// and manifest the repo writes goes through write_file_atomically, shards
+// and manifests are read back whole by read_whole_file, and the `key value`
+// records among them (the checkpoint header, the corpus manifest and
+// nettag_train's `<prefix>.run`) are parsed by KeyValues.
 //
-// The temp name folds in the process id and a per-process counter, so
-// concurrent writers of the *same* final path (a training checkpointer
-// racing a serve `reload`, two corpus builders sharing a directory) never
-// clobber each other's temp file; last rename wins and both files are
-// complete.
+// write_file_atomically puts the payload in `<path>.tmp.<pid>.<n>` (`n` a
+// per-process counter, so no two live writers of one path share a temp
+// file), fsyncs it, renames it onto the path and fsyncs the directory. A
+// rename within one directory is atomic, so a reader sees the old file or
+// the new one, never a torn mix, and the two fsyncs keep a power loss from
+// committing a renamed but empty file. Last rename wins; both files are
+// whole. A writer killed mid-save leaves its temp file behind: the next
+// write of the same path removes it once kill(pid, 0) reports its pid gone.
+// A temp named with this process's pid, or with a live one, is never
+// removed (EPERM counts as alive).
 #pragma once
 
-#include <fstream>
+#include <cstdint>
+#include <functional>
+#include <map>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 namespace nettag {
 
-/// RAII temp-then-rename writer. Stream into `stream()`, then `commit()`.
-/// Destruction without a commit (exception unwind, early return) removes the
-/// temp file and leaves the final path untouched.
-class AtomicFileWriter {
+/// Replaces `path` with `bytes` as above, first removing `path`'s dead
+/// writers' temp files. Throws std::runtime_error naming the path on any
+/// open, write, sync or rename failure; the temp file is then removed and
+/// the path keeps its previous content.
+void write_file_atomically(const std::string& path, std::string_view bytes);
+
+/// The whole of `path`, read with read(2). Throws std::runtime_error naming
+/// the path when it cannot be opened or read.
+std::string read_whole_file(const std::string& path);
+
+/// A `key value` record: one pair per line, the key up to the first space
+/// and the value, never empty, the rest of the line. A key appears once.
+/// Every error names `source` (the file, say "corpus manifest
+/// /c/corpus.manifest"), the line and the key.
+class KeyValues {
  public:
-  /// Opens `<final_path>.tmp.<pid>.<n>` for writing (`n` a per-process
-  /// counter, so two live writers never share a temp path). Throws
-  /// std::runtime_error when the temp file cannot be opened.
-  AtomicFileWriter(std::string final_path, bool binary);
-  ~AtomicFileWriter();
+  /// Throws on a line that is not a pair, and on a repeated key, naming
+  /// both of its lines.
+  KeyValues(std::string_view text, std::string source);
 
-  AtomicFileWriter(const AtomicFileWriter&) = delete;
-  AtomicFileWriter& operator=(const AtomicFileWriter&) = delete;
-
-  std::ofstream& stream() { return out_; }
-
-  /// The private temp path this writer streams to (exposed for tests).
-  const std::string& tmp_path() const { return tmp_path_; }
-
-  /// Flushes, fsyncs, closes, renames the temp file onto the final path,
-  /// and fsyncs the parent directory so the rename itself is durable.
-  /// Throws std::runtime_error on any write/sync/close/rename failure (the
-  /// temp file is removed, the final path keeps its previous content).
-  void commit();
+  bool has(std::string_view key) const;
+  /// `key`'s value; throws "<source>: missing key '<key>'" without it.
+  const std::string& get(std::string_view key) const;
+  /// `key`'s value read by cli::parse_int within [lo, hi].
+  long long get_int(std::string_view key, long long lo, long long hi) const;
+  /// `key`'s value read by cli::parse_u64.
+  std::uint64_t get_u64(std::string_view key) const;
+  /// `key`'s value, which must be `0` or `1`.
+  bool get_bool(std::string_view key) const;
+  /// The 1-based line that holds `key`.
+  int line(std::string_view key) const;
+  /// Throws "<source>: line <n>: key '<key>': <why>".
+  [[noreturn]] void fail(std::string_view key, const std::string& why) const;
 
  private:
-  std::string final_path_;
-  std::string tmp_path_;
-  std::ofstream out_;
-  bool committed_ = false;
+  struct Value {
+    std::string text;
+    int line;
+  };
+  const Value& find(std::string_view key) const;
+
+  std::map<std::string, Value, std::less<>> values_;
+  std::string source_;
 };
+
+/// Writes `entries` as `key value` lines and a last `checksum <crc32-hex>`
+/// line over every byte before it, through write_file_atomically. Keys must
+/// be non-empty and hold no whitespace, values no newline; the key
+/// `checksum` is reserved.
+void save_manifest(
+    const std::string& path,
+    const std::vector<std::pair<std::string, std::string>>& entries);
+
+/// Reads a manifest save_manifest wrote, checking its checksum line against
+/// every byte before it (truncation, corruption, hand edits) before it
+/// parses them; errors name `source`. A non-null `checksum` receives the
+/// checksum's hex text.
+KeyValues load_manifest(const std::string& path, const std::string& source,
+                        std::string* checksum = nullptr);
 
 }  // namespace nettag

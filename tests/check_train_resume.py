@@ -17,9 +17,10 @@ then interrupts other runs and resumes each:
     duration of an uninterrupted one, so that some kills land inside a
     save, and once as soon as its .run manifest exists, two at a time and
     beside the cases above: where the killed run left a .ckpt, --resume at
-    width 2 must exit 0, and otherwise exit 2. It prints how many kills
-    landed before the first save, between saves and inside one (a temp
-    file left beside the .ckpt).
+    width 2 must exit 0 and leave exactly PREFIX.ckpt and PREFIX.run (its
+    saves remove a temp file the kill left), and otherwise exit 2. It
+    prints how many kills landed before the first save, between saves and
+    inside one (a temp file left beside the .ckpt).
 Each resumed run's .ckpt must equal the reference's byte for byte, and
 resuming the finished reference must leave it unchanged. On a small sharded
 corpus built with --build-corpus, a width-2 reference must leave exactly
@@ -219,6 +220,8 @@ def kill_and_resume(train, prefix, delay, reference):
             what, resumed.returncode, resumed.stderr.strip()[-400:]))
     else:
         compare(read_files(prefix), reference, what + ", resumed", failures)
+        # The resumed run's saves remove the killed writer's temp file.
+        one_file(prefix, what + ", resumed", failures)
     return failures, landed
 
 

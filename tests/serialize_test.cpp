@@ -1,7 +1,9 @@
 // Tests for the checkpoint file (core/checkpoint.cpp), the crash-safety
-// contract of every persisted file (docs/ARCHITECTURE.md §8), text
-// manifests, and the trainer section of a checkpoint.
+// contract of every persisted file (util/atomic_io.hpp, docs/ARCHITECTURE.md
+// §8), text manifests and their `key value` parser, and the trainer section
+// of a checkpoint.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -10,15 +12,16 @@
 #include <fstream>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/corpus_stream.hpp"
 #include "core/nettag.hpp"
 #include "core/pretrain.hpp"
 #include "netlist/io.hpp"
-#include "nn/serialize.hpp"
 #include "nn/train_state.hpp"
 #include "util/atomic_io.hpp"
 #include "util/checksum.hpp"
@@ -467,6 +470,14 @@ TEST(Serialize, WritersLeaveNoTempFileBehind) {
   fs::remove_all(dir);
 }
 
+/// Every entry of `entries` is in the manifest at `path`, with its value.
+void expect_manifest(
+    const std::string& path,
+    const std::vector<std::pair<std::string, std::string>>& entries) {
+  const KeyValues kv = load_manifest(path, path);
+  for (const auto& [key, value] : entries) EXPECT_EQ(kv.get(key), value) << key;
+}
+
 TEST(Serialize, ManifestRoundTrip) {
   const std::vector<std::pair<std::string, std::string>> entries = {
       {"format", "3"},
@@ -474,15 +485,53 @@ TEST(Serialize, ManifestRoundTrip) {
       {"note", "spaces are fine in values"},
   };
   save_manifest("/tmp/nettag_manifest_test.run", entries);
-  const auto back = load_manifest("/tmp/nettag_manifest_test.run");
-  EXPECT_EQ(back, entries);
+  expect_manifest("/tmp/nettag_manifest_test.run", entries);
   std::remove("/tmp/nettag_manifest_test.run");
 
-  EXPECT_THROW(load_manifest("/tmp/definitely_missing_manifest.run"),
+  EXPECT_THROW(load_manifest("/tmp/definitely_missing_manifest.run", "m"),
                std::runtime_error);
   EXPECT_THROW(save_manifest("/tmp/nettag_manifest_bad.run",
                              {{"bad key", "value"}}),
                std::runtime_error);
+}
+
+TEST(KeyValues, RepeatedKeyRejectedNamingBothLines) {
+  try {
+    KeyValues("format 3\nseed 1\nseed 2\n", "run /x.run");
+    ADD_FAILURE() << "a repeated key was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "run /x.run: line 3: duplicate key 'seed' (first on line 2)");
+  }
+}
+
+TEST(KeyValues, EveryErrorNamesSourceLineAndKey) {
+  const KeyValues kv("seed 7x\nsteps 300\nflag 2\n", "run /x.run");
+  auto error = [](auto read) {
+    try {
+      read();
+    } catch (const std::runtime_error& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(error([&] { kv.get_u64("seed"); }),
+            "run /x.run: line 1: key 'seed': expected an unsigned integer, "
+            "got '7x'");
+  EXPECT_EQ(error([&] { kv.get_int("steps", 0, 100); }),
+            "run /x.run: line 2: key 'steps': '300' is out of range [0, 100]");
+  EXPECT_EQ(error([&] { kv.get_bool("flag"); }),
+            "run /x.run: line 3: key 'flag': expected 0 or 1, got '2'");
+  EXPECT_EQ(error([&] { kv.get("absent"); }),
+            "run /x.run: missing key 'absent'");
+  EXPECT_EQ(kv.get_int("steps", 0, 1000), 300);
+  // Blank lines and keys without a value are not pairs.
+  for (const char* text : {"a 1\n\nb 2\n", "a 1\n#note\n", "a 1\nb\n",
+                           "a 1\nb \n", "a 1\n c\n"}) {
+    EXPECT_NE(error([&] { KeyValues(text, "f"); }).find("f: line 2: "),
+              std::string::npos)
+        << text;
+  }
 }
 
 TEST(Serialize, CheckpointRoundTripBitIdentical) {
@@ -545,71 +594,106 @@ TEST(Serialize, CheckpointRoundTripBitIdentical) {
 
 // --- crash-safety contract ---------------------------------------------------
 
-TEST(Serialize, ConcurrentWritersGetDistinctTempPaths) {
-  // Two live writers targeting the same final path must never share a temp
-  // file (a fixed ".tmp" suffix would make them clobber each other mid-write
-  // and commit a torn mix of both payloads).
-  const std::string path = "/tmp/nettag_ser_concurrent.bin";
-  AtomicFileWriter a(path, /*binary=*/true);
-  AtomicFileWriter b(path, /*binary=*/true);
-  EXPECT_NE(a.tmp_path(), b.tmp_path());
-  EXPECT_NE(a.tmp_path(), path);
-  EXPECT_NE(b.tmp_path(), path);
-
-  const std::string payload_a(256, 'A');
-  const std::string payload_b(512, 'B');
-  // Interleave writes: with distinct temp files neither sees the other's
-  // bytes. (With a shared temp file these writes would interleave into one
-  // stream and the final file would be a mix.)
-  a.stream().write(payload_a.data(), 128);
-  b.stream().write(payload_b.data(), 512);
-  a.stream().write(payload_a.data() + 128, 128);
-  a.commit();
-  EXPECT_EQ(read_file(path), payload_a);
-  b.commit();  // last rename wins; both are complete files
-  EXPECT_EQ(read_file(path), payload_b);
-  EXPECT_FALSE(file_exists(a.tmp_path()));
-  EXPECT_FALSE(file_exists(b.tmp_path()));
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, AbandonedWriterRemovesOnlyItsOwnTempFile) {
-  const std::string path = "/tmp/nettag_ser_abandon.bin";
-  std::string dead_tmp;
-  {
-    AtomicFileWriter keeper(path, /*binary=*/false);
-    keeper.stream() << "kept";
-    {
-      AtomicFileWriter doomed(path, /*binary=*/false);
-      doomed.stream() << "discarded";
-      dead_tmp = doomed.tmp_path();
-      // destroyed without commit: its temp file must vanish...
-    }
-    EXPECT_FALSE(file_exists(dead_tmp));
-    // ...while the surviving writer's temp file is untouched.
-    EXPECT_TRUE(file_exists(keeper.tmp_path()));
-    keeper.commit();
+/// The names in `dir` that hold ".tmp.".
+std::vector<std::string> temp_files(const fs::path& dir) {
+  std::vector<std::string> out;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find(".tmp.") != std::string::npos) out.push_back(name);
   }
-  EXPECT_EQ(read_file(path), "kept");
-  std::remove(path.c_str());
+  return out;
 }
 
-TEST(Serialize, CommitSurvivesCrashSimulationAtEveryStage) {
-  // The commit sequence is flush -> fsync(tmp) -> rename -> fsync(dir).
-  // We cannot unplug the machine in a unit test, but we can assert the
-  // observable contract: after commit() returns, the final path holds the
-  // complete payload and no temp file remains; before commit(), the final
-  // path is untouched however much has been streamed.
-  const std::string path = "/tmp/nettag_ser_stages.bin";
-  write_file(path, "previous");
-  AtomicFileWriter w(path, /*binary=*/true);
-  const std::string big(1 << 16, 'z');  // larger than the stream buffer
-  w.stream().write(big.data(), static_cast<std::streamsize>(big.size()));
-  EXPECT_EQ(read_file(path), "previous") << "final path mutated pre-commit";
-  w.commit();
-  EXPECT_EQ(read_file(path).size(), big.size());
-  EXPECT_FALSE(file_exists(w.tmp_path()));
-  std::remove(path.c_str());
+TEST(AtomicWrite, TwoThreadsWritingOnePathLeaveOneWholePayload) {
+  // Each thread's temp file is its own, so whichever rename lands last, the
+  // path holds one whole payload and no temp file is left.
+  const fs::path dir = temp_prefix("atomic_threads");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "f.bin").string();
+  const std::string payload_a(1 << 16, 'A');
+  const std::string payload_b(3 << 15, 'B');
+  auto writer = [&path](const std::string& payload) {
+    for (int k = 0; k < 50; ++k) write_file_atomically(path, payload);
+  };
+  std::thread a(writer, payload_a);
+  std::thread b(writer, payload_b);
+  a.join();
+  b.join();
+  const std::string got = read_file(path);
+  EXPECT_TRUE(got == payload_a || got == payload_b) << got.size() << " bytes";
+  EXPECT_EQ(temp_files(dir), std::vector<std::string>{});
+  fs::remove_all(dir);
+}
+
+TEST(AtomicWrite, FailingRenameLeavesPathUntouchedAndNoTempFile) {
+  // A non-empty directory at the final path: the temp file is written and
+  // synced, then the rename onto the directory fails.
+  const fs::path dir = temp_prefix("atomic_rename");
+  fs::remove_all(dir);
+  const fs::path path = dir / "f.bin";
+  fs::create_directories(path);
+  write_file((path / "kept").string(), "previous");
+  try {
+    write_file_atomically(path.string(), "new bytes");
+    ADD_FAILURE() << "the rename onto a directory succeeded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("rename"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(fs::is_directory(path));
+  EXPECT_EQ(read_file((path / "kept").string()), "previous");
+  EXPECT_EQ(temp_files(dir), std::vector<std::string>{});
+  fs::remove_all(dir);
+}
+
+/// A pid that no process holds: a child's, once it has exited and been
+/// reaped.
+pid_t dead_pid() {
+  const pid_t pid = ::fork();
+  if (pid == 0) ::_exit(0);
+  ::waitpid(pid, nullptr, 0);
+  return pid;
+}
+
+TEST(AtomicWrite, NextWriteRemovesOnlyDeadWritersTemps) {
+  // Temps beside a checkpoint, a `.run` manifest, a corpus shard and a
+  // corpus manifest: one named with a reaped child's pid, one with this
+  // process's and one with its parent's, which is alive. The next write of
+  // each path removes the first alone.
+  const fs::path dir = temp_prefix("atomic_sweep");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string prefix = (dir / "m").string();
+  const std::string corpus = (dir / "corpus").string();
+  fs::create_directories(corpus);
+  const std::string dead = std::to_string(dead_pid());
+  std::vector<std::string> dead_tmps, kept;
+  for (const std::string path :
+       {prefix + ".ckpt", prefix + ".run", corpus + "/shard_00000.nls",
+        corpus + "/corpus.manifest"}) {
+    dead_tmps.push_back(path + ".tmp." + dead + ".0");
+    kept.push_back(path + ".tmp." + std::to_string(::getpid()) + ".999999");
+    kept.push_back(path + ".tmp." + std::to_string(::getppid()) + ".0");
+    // Not temps of `path`: a name that is no pid, and another path's.
+    kept.push_back(path + ".tmp.x" + dead + ".0");
+    kept.push_back(path + "2.tmp." + dead + ".0");
+  }
+  for (const std::string& f : dead_tmps) write_file(f, "stale");
+  for (const std::string& f : kept) write_file(f, "stale");
+
+  save_checkpoint(NetTag(tiny_config(), 13), prefix);
+  save_manifest(prefix + ".run", {{"format", "3"}});
+  StreamOptions so;
+  so.designs_per_family = 1;
+  so.designs_per_shard = 2;
+  so.hierarchical = false;
+  so.corpus.with_physical = false;
+  build_corpus_stream(corpus, so, 0x51);
+
+  for (const std::string& f : dead_tmps) EXPECT_FALSE(file_exists(f)) << f;
+  for (const std::string& f : kept) EXPECT_TRUE(file_exists(f)) << f;
+  fs::remove_all(dir);
 }
 
 TEST(Serialize, ManifestTruncationAndCorruptionRejected) {
@@ -623,10 +707,17 @@ TEST(Serialize, ManifestTruncationAndCorruptionRejected) {
     // The contract is all-or-nothing: a truncated manifest either throws or
     // (when the lost bytes carried no data — the final newline) parses to
     // exactly the full entry set. Never a partial/altered one.
+    std::optional<KeyValues> kv;
     try {
-      EXPECT_EQ(load_manifest(path), entries)
-          << "partial parse at truncation length " << len;
+      kv.emplace(load_manifest(path, path));
     } catch (const std::runtime_error&) {
+      continue;
+    }
+    for (const auto& [key, value] : entries) {
+      ASSERT_TRUE(kv->has(key))
+          << "partial parse at truncation length " << len << ": no " << key;
+      EXPECT_EQ(kv->get(key), value)
+          << "partial parse at truncation length " << len;
     }
   }
   // One flipped byte anywhere (body or checksum line) must be caught.
@@ -635,11 +726,11 @@ TEST(Serialize, ManifestTruncationAndCorruptionRejected) {
     corrupt[at] ^= 0x20;  // keeps printability; changes the byte
     if (corrupt[at] == '\n' || bytes[at] == '\n') continue;  // layout change
     write_file(path, corrupt);
-    EXPECT_THROW(load_manifest(path), std::runtime_error)
+    EXPECT_THROW(load_manifest(path, path), std::runtime_error)
         << "flip at byte " << at << " undetected";
   }
   write_file(path, bytes);
-  EXPECT_EQ(load_manifest(path).size(), 2u);
+  expect_manifest(path, entries);
   std::remove(path.c_str());
 }
 

@@ -662,6 +662,37 @@ TEST(Stream, ManifestKHopOutOfRangeNamesKeyAndLine) {
   fs::remove_all(dir);
 }
 
+TEST(Stream, RepeatedManifestKeyRejectedNamingBothLines) {
+  // A manifest edited by hand, its checksum recomputed: a second `k_hop`
+  // line with another value, or a second `shard0` row. The reader and a
+  // resumed build both refuse it, naming both lines.
+  const std::string dir = temp_dir("nettag_manifest_repeat");
+  StreamOptions halted = small_stream_options();
+  halted.halt_after_shards = 1;
+  build_corpus_stream(dir, halted, 0x48);
+  const std::string manifest = dir + "/corpus.manifest";
+  const std::string text = without_checksum(read_file(manifest));
+  for (const std::string key : {"k_hop", "shard0"}) {
+    const int first = line_of(text, key + " ");
+    const std::size_t at = text.find("\n" + key + " ") + 1;
+    const std::size_t next = text.find('\n', at) + 1;
+    const std::string repeat =
+        key == "k_hop" ? "k_hop 3\n" : text.substr(at, next - at);
+    write_file(manifest, with_checksum(text.substr(0, next) + repeat +
+                                       text.substr(next)));
+    const std::string what = "line " + std::to_string(first + 1) +
+                             ": duplicate key '" + key + "' (first on line " +
+                             std::to_string(first) + ")";
+    expect_located_error([&] { ShardedCorpus c(dir); }, manifest, what,
+                         false);
+    expect_located_error(
+        [&] { build_corpus_stream(dir, small_stream_options(), 0x48); },
+        manifest, what, false);
+  }
+  EXPECT_FALSE(fs::exists(dir + "/shard_00001.nls"));
+  fs::remove_all(dir);
+}
+
 TEST(Stream, SwappedShardRejectedAgainstManifestRow) {
   // Shard 1 copied over shard 0 is intact, so its own checksum line holds;
   // shard 0's manifest row lists another checksum.

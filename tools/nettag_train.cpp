@@ -47,14 +47,13 @@
 // hint. No signal ever tears a file or loses more than one step.
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/corpus_stream.hpp"
 #include "core/pretrain.hpp"
-#include "nn/serialize.hpp"
+#include "util/atomic_io.hpp"
 #include "util/cli.hpp"
 #include "util/signal.hpp"
 #include "util/timer.hpp"
@@ -130,38 +129,21 @@ void write_run_manifest(const std::string& prefix, const RunSpec& s) {
 
 RunSpec read_run_manifest(const std::string& prefix) {
   const std::string path = run_manifest_path(prefix);
-  auto fail = [&](const std::string& why) -> std::runtime_error {
-    return std::runtime_error(path + ": " + why);
-  };
-  std::map<std::string, std::string> kv;
-  for (const auto& [key, value] : load_manifest(path)) {
-    if (!kv.emplace(key, value).second) throw fail("duplicate key '" + key + "'");
+  const KeyValues kv = load_manifest(path, path);
+  if (kv.get("format") != "3") {
+    kv.fail("format", "unknown format '" + kv.get("format") + "'");
   }
-  auto get = [&](const char* key) -> const std::string& {
-    auto it = kv.find(key);
-    if (it == kv.end()) throw fail(std::string("missing key '") + key + "'");
-    return it->second;
-  };
-  if (get("format") != "3") throw fail("unknown format '" + get("format") + "'");
   RunSpec s;
-  if (const auto it = kv.find("corpus"); it != kv.end()) {
-    s.corpus_dir = it->second;
-    s.corpus_checksum = get("corpus_checksum");
+  if (kv.has("corpus")) {
+    s.corpus_dir = kv.get("corpus");
+    s.corpus_checksum = kv.get("corpus_checksum");
   }
-  std::string err;
-  if (!cli::parse_u64(get("seed").c_str(), &s.seed, &err)) throw fail(err);
-  long long v = 0;
-  auto get_int = [&](const char* key, long long lo, long long hi) -> long long {
-    if (!cli::parse_int(get(key).c_str(), lo, hi, &v, &err)) {
-      throw fail(std::string("key '") + key + "': " + err);
-    }
-    return v;
-  };
-  s.designs = static_cast<int>(get_int("designs", 1, 1 << 20));
-  s.tiny = get_int("tiny", 0, 1) != 0;
-  s.align = get_int("align", 0, 1) != 0;
-  s.expr_steps = static_cast<int>(get_int("expr_steps", 0, 1 << 20));
-  s.tag_steps = static_cast<int>(get_int("tag_steps", 0, 1 << 20));
+  s.seed = kv.get_u64("seed");
+  s.designs = static_cast<int>(kv.get_int("designs", 1, 1 << 20));
+  s.tiny = kv.get_bool("tiny");
+  s.align = kv.get_bool("align");
+  s.expr_steps = static_cast<int>(kv.get_int("expr_steps", 0, 1 << 20));
+  s.tag_steps = static_cast<int>(kv.get_int("tag_steps", 0, 1 << 20));
   return s;
 }
 
